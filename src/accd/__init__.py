@@ -3,15 +3,13 @@ execution plans, with an analytical design-space explorer."""
 
 __version__ = "0.1.0"
 
-from .counters import CounterSet, global_counters, reset_global_counters
+from .counters import CounterSet
 from .dataset import Dataset, DistanceMatrix, TopKResult, load_csv, pairwise_brute, select_topk
 from .metrics import MetricSpec, distance
 
 __all__ = [
     "__version__",
     "CounterSet",
-    "global_counters",
-    "reset_global_counters",
     "Dataset",
     "DistanceMatrix",
     "TopKResult",

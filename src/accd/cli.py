@@ -46,8 +46,8 @@ from .explorer import (
     parse_platform_file,
 )
 from .oracles import knn_topk, lloyd_kmeans, radius_neighbors
-from .pipelines import RunConfig, RunResult, run_kmeans, run_knn_join, run_nbody
-from .synth import gaussian_mixture, radius_for_mean_neighbors, uniform_points
+from .pipelines import RunConfig, RunResult, run_kmeans, run_knn_join, run_nbody, run_plan
+from .synth import gaussian_mixture, radius_for_mean_neighbors
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -207,9 +207,6 @@ def cmd_run(args) -> int:
             raise RangeError(f"plan uses weight set '{plan.weight_set}'; pass --weights CSV")
         weights = load_csv(args.weights).values.ravel()
 
-    if plan.pipeline_kind == "iterative_self_set" and trg is not None:
-        raise UnsupportedProgramError("self-set pipelines take a single dataset (--src only)")
-
     _check_dims(plan, src, "source dataset", plan.source_size, args.allow_dim_from_data)
     if trg is not None and plan.pipeline_kind == "oneshot_two_set":
         _check_dims(plan, trg, "target dataset", plan.target_size, args.allow_dim_from_data)
@@ -223,18 +220,7 @@ def cmd_run(args) -> int:
         oracle_mode=args.oracle,
         thread_count=args.threads,
     )
-    if plan.pipeline_kind == "iterative_two_set":
-        result = run_kmeans(
-            plan,
-            src,
-            config,
-            initial_clusters=trg.values if trg is not None else None,
-            weights=weights,
-        )
-    elif plan.pipeline_kind == "oneshot_two_set":
-        result = run_knn_join(plan, src, trg if trg is not None else src, config, weights=weights)
-    else:
-        result = run_nbody(plan, src, config, weights=weights)
+    result = run_plan(plan, src, trg, config, weights=weights)
 
     if args.out:
         _write_outputs(result, args.out)

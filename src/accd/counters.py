@@ -7,12 +7,11 @@ computations (landmark pairs, point-to-landmark offsets, drifts) go to
 ``grouping_distances``. Avoided point-pair work is split into three
 mutually exclusive buckets so per-iteration conservation can be checked:
 pruned by bounds, resolved as all-inside, or carried over because nothing
-moved.
+moved. Functions that take ``counters=None`` tally nothing.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 
 
@@ -46,19 +45,3 @@ class CounterSet:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-# Default tally for bare calls outside a pipeline run. Guarded so
-# concurrent bare callers do not lose increments; pipelines use their own
-# per-run CounterSet instances instead.
-GLOBAL_COUNTERS = CounterSet()
-_global_lock = threading.Lock()
-
-
-def global_counters() -> CounterSet:
-    return GLOBAL_COUNTERS
-
-
-def reset_global_counters() -> None:
-    with _global_lock:
-        GLOBAL_COUNTERS.reset()

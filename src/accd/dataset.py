@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import GLOBAL_COUNTERS, CounterSet
+from .counters import CounterSet
 from .errors import DimensionMismatchError, FormatError, RangeError, SizeMismatchError
 from .metrics import MetricSpec
 
@@ -154,14 +154,14 @@ def pairwise_brute(
     if src.d != trg.d:
         raise DimensionMismatchError(f"dim mismatch: {src.d} vs {trg.d}")
     metric.check_dim(src.d)
-    tally = counters if counters is not None else GLOBAL_COUNTERS
     n1, n2 = src.n, trg.n
     out = np.empty((n1, n2), dtype=np.float64)
     step = max(1, _BLOCK_ELEMS // max(1, n2 * src.d))
     for start in range(0, n1, step):
         stop = min(n1, start + step)
         out[start:stop] = _brute_block(src.values[start:stop], trg.values, metric)
-    tally.point_distances += n1 * n2
+    if counters is not None:
+        counters.point_distances += n1 * n2
     return DistanceMatrix(values=out, row_ids=src.ids.copy(), col_ids=trg.ids.copy())
 
 
@@ -174,14 +174,14 @@ def brute_rows(
     """Raw-array variant of ``pairwise_brute`` for internal oracles."""
     if src_values.shape[1] != trg_values.shape[1]:
         raise DimensionMismatchError("dim mismatch")
-    tally = counters if counters is not None else GLOBAL_COUNTERS
     n1, n2 = src_values.shape[0], trg_values.shape[0]
     out = np.empty((n1, n2), dtype=np.float64)
     step = max(1, _BLOCK_ELEMS // max(1, n2 * src_values.shape[1]))
     for start in range(0, n1, step):
         stop = min(n1, start + step)
         out[start:stop] = _brute_block(src_values[start:stop], trg_values, metric)
-    tally.point_distances += n1 * n2
+    if counters is not None:
+        counters.point_distances += n1 * n2
     return out
 
 
@@ -214,22 +214,3 @@ def select_topk(distances, ids, k: int, scope: str = "smallest") -> tuple[np.nda
     key = distances if scope == "smallest" else -distances
     order = np.lexsort((ids, key))[:k]
     return ids[order], distances[order]
-
-
-def topk_matrix(
-    distances: np.ndarray,
-    col_ids: np.ndarray,
-    k: int,
-    scope: str = "smallest",
-    row_ids: np.ndarray | None = None,
-) -> TopKResult:
-    """Row-wise ``select_topk`` over a full distance matrix."""
-    n1, n2 = distances.shape
-    if k < 1 or k > n2:
-        raise RangeError(f"k={k} out of range for {n2} targets")
-    ids2 = np.broadcast_to(col_ids, (n1, n2))
-    key = distances if scope == "smallest" else -distances
-    order = rowwise_lexsort(key, ids2)[:, :k]
-    out_ids = np.take_along_axis(ids2, order, axis=1)
-    out_d = np.take_along_axis(distances, order, axis=1)
-    return TopKResult(ids=out_ids, distances=out_d, scope=scope, row_ids=row_ids)

@@ -8,7 +8,6 @@ from .ast import (
     Iter,
     Program,
     SetDecl,
-    StatusAssign,
     Update,
     VarDecl,
     DTYPE_KEYWORD,

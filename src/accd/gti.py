@@ -18,7 +18,7 @@ so downstream results equal brute force exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,30 +184,12 @@ def two_landmark_bounds(d_ref, d_a, d_b):
     lb = max(0, d_ref - d_a - d_b), ub = d_ref + d_a + d_b. Works
     elementwise on arrays.
     """
-    d_ref = np.asarray(d_ref, dtype=np.float64)
-    lb = np.maximum(0.0, d_ref - d_a - d_b)
-    ub = d_ref + d_a + d_b
-    if lb.ndim == 0:
-        return float(lb), float(ub)
-    return lb, ub
+    return np.maximum(0.0, d_ref - d_a - d_b), d_ref + d_a + d_b
 
 
 def group_bounds(d_ref, rad_a, rad_b):
     """Group-pair bounds: two-landmark algebra with group radii."""
     return two_landmark_bounds(d_ref, rad_a, rad_b)
-
-
-def trace_bounds(prev_lb, group_drift, prev_best, point_drift):
-    """Decay last iteration's bounds by how far things moved.
-
-    Returns (group-level lower bound, per-point upper bound).
-    """
-    prev_lb = np.asarray(prev_lb, dtype=np.float64)
-    lb = np.maximum(0.0, prev_lb - group_drift)
-    ub = np.asarray(prev_best, dtype=np.float64) + point_drift
-    if lb.ndim == 0 and ub.ndim == 0:
-        return float(lb), float(ub)
-    return lb, ub
 
 
 # -- one-shot filtering (two-landmark + group-level) ---------------------

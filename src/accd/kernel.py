@@ -7,44 +7,26 @@ decomposition
 
 with row-wise square sums (RSS) precomputed and the dot products
 accumulated tile-wise. L1 has no such decomposition and uses a direct
-blocked elementwise loop.
+elementwise loop.
 
-Numeric results are independent of (blk, simd, unroll): every reduction
-over the feature dimension runs in fixed ascending index order with a
-single accumulator, so those parameters only shape the counters and the
-modeled cost. Squared distances are clamped at zero before the square
-root; the decomposition can go slightly negative under cancellation.
+Numeric results are independent of the tile edge ``blk``: every
+reduction over the feature dimension runs in fixed ascending index order
+with a single accumulator, so ``blk`` only shapes the tile counters
+(``tiles_executed``, ``bytes_streamed``). The explorer's simd and unroll
+factors are cost-model parameters and never reach the kernel.
+Squared distances are clamped at zero before the square root; the
+decomposition can go slightly negative under cancellation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import GLOBAL_COUNTERS, CounterSet
-from .dataset import Dataset, DistanceMatrix
-from .errors import DimensionMismatchError, RangeError
-from .gti import CandidateMatrix, GroupModel
+from .counters import CounterSet
+from .errors import DimensionMismatchError
 from .metrics import MetricSpec
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    blk: int = 64  # tile edge, points per block side
-    simd: int = 1  # parallel lanes per block (cost model only)
-    unroll: int = 1  # inner-dimension unroll factor (cost model only)
-    frequency: float = 2.0e8  # modeled clock, Hz
-
-    def __post_init__(self):
-        if self.blk < 1 or self.simd < 1 or self.unroll < 1:
-            raise RangeError("blk, simd, unroll must all be >= 1")
-        if self.frequency <= 0:
-            raise RangeError("frequency must be positive")
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.blk, self.simd, self.unroll)
 
 
 def rss(mat: np.ndarray) -> np.ndarray:
@@ -88,19 +70,19 @@ def _l1_tile(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> np.nda
     return out
 
 
-def _record_tile(counters: CounterSet | None, rows: int, cols: int, d: int, cfg: KernelConfig):
+def _record_tile(counters: CounterSet | None, rows: int, cols: int, d: int, blk: int):
     if counters is None:
         return
     counters.point_distances += rows * cols
     counters.mac_ops += rows * cols * d
-    row_tiles = math.ceil(rows / cfg.blk)
-    col_tiles = math.ceil(cols / cfg.blk)
+    row_tiles = math.ceil(rows / blk)
+    col_tiles = math.ceil(cols / blk)
     counters.tiles_executed += row_tiles * col_tiles
     # Each blk x blk tile streams its row and column slabs once.
-    full_r, rem_r = divmod(rows, cfg.blk)
-    full_c, rem_c = divmod(cols, cfg.blk)
-    row_loads = (full_r * cfg.blk + rem_r) * col_tiles
-    col_loads = (full_c * cfg.blk + rem_c) * row_tiles
+    full_r, rem_r = divmod(rows, blk)
+    full_c, rem_c = divmod(cols, blk)
+    row_loads = (full_r * blk + rem_r) * col_tiles
+    col_loads = (full_c * blk + rem_c) * row_tiles
     counters.bytes_streamed += (row_loads + col_loads) * d * 8
 
 
@@ -108,15 +90,16 @@ def tile_distances(
     a_rows: np.ndarray,
     b_rows: np.ndarray,
     metric: MetricSpec,
-    cfg: KernelConfig,
+    blk: int,
     counters: CounterSet | None = None,
     rss_a: np.ndarray | None = None,
     rss_b: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distances for one (source rows x target rows) region.
 
-    Precomputed RSS vectors for the region's rows may be passed in to
-    reuse work across tiles of the same dataset.
+    ``blk`` is the tile edge the counters are modelled with. Precomputed
+    RSS vectors for the region's rows may be passed in to reuse work
+    across tiles of the same dataset.
     """
     if a_rows.shape[1] != b_rows.shape[1]:
         raise DimensionMismatchError(
@@ -136,77 +119,5 @@ def tile_distances(
         sq = (rss_a[:, None] - 2.0 * dot) + rss_b[None, :]
         np.maximum(sq, 0.0, out=sq)
         out = np.sqrt(sq)
-    _record_tile(counters, a_rows.shape[0], b_rows.shape[0], d, cfg)
+    _record_tile(counters, a_rows.shape[0], b_rows.shape[0], d, blk)
     return out
-
-
-def distances_blocked(
-    a: Dataset,
-    b: Dataset,
-    metric: MetricSpec,
-    cfg: KernelConfig,
-    counters: CounterSet | None = None,
-    candidates: CandidateMatrix | None = None,
-    src_gm: GroupModel | None = None,
-    trg_gm: GroupModel | None = None,
-) -> DistanceMatrix:
-    """Full or candidate-masked distance matrix through the blocked kernel.
-
-    Without candidates, every blk x blk tile is computed. With a candidate
-    matrix (plus both group models), only tiles of surviving
-    (source-group, target-group) pairs are touched; masked entries stay
-    +inf and are never computed, which the counters reflect.
-    """
-    if a.d != b.d:
-        raise DimensionMismatchError(f"dim mismatch: {a.d} vs {b.d}")
-    tally = counters if counters is not None else GLOBAL_COUNTERS
-    w = metric.weights if metric.weighted else None
-    use_rss = metric.kind == "L2"
-    rss_a = (rss(a.values) if w is None else weighted_rss(a.values, w)) if use_rss else None
-    rss_b = (rss(b.values) if w is None else weighted_rss(b.values, w)) if use_rss else None
-
-    if candidates is None:
-        out = np.empty((a.n, b.n), dtype=np.float64)
-        for i0 in range(0, a.n, cfg.blk):
-            i1 = min(a.n, i0 + cfg.blk)
-            for j0 in range(0, b.n, cfg.blk):
-                j1 = min(b.n, j0 + cfg.blk)
-                out[i0:i1, j0:j1] = tile_distances(
-                    a.values[i0:i1],
-                    b.values[j0:j1],
-                    metric,
-                    cfg,
-                    tally,
-                    rss_a[i0:i1] if use_rss else None,
-                    rss_b[j0:j1] if use_rss else None,
-                )
-        return DistanceMatrix(values=out, row_ids=a.ids.copy(), col_ids=b.ids.copy())
-
-    if src_gm is None or trg_gm is None:
-        raise DimensionMismatchError("candidate masking requires both group models")
-    out = np.full((a.n, b.n), np.inf, dtype=np.float64)
-    for g, keep in enumerate(candidates.targets):
-        rows = src_gm.membership[g]
-        if rows.size == 0:
-            continue
-        for t in keep:
-            cols = trg_gm.membership[int(t)]
-            if cols.size == 0:
-                continue
-            block = tile_distances(
-                a.values[rows],
-                b.values[cols],
-                metric,
-                cfg,
-                tally,
-                rss_a[rows] if use_rss else None,
-                rss_b[cols] if use_rss else None,
-            )
-            out[np.ix_(rows, cols)] = block
-    return DistanceMatrix(values=out, row_ids=a.ids.copy(), col_ids=b.ids.copy())
-
-
-def modeled_tile_cost(cfg: KernelConfig, tile_dims: tuple[int, int], d: int) -> float:
-    """Cycles one tile occupies: rows*cols*d / (unroll*simd)."""
-    rows, cols = tile_dims
-    return rows * cols * d / (cfg.unroll * cfg.simd)

@@ -4,8 +4,9 @@ intra-group packing into banks.
 Reordering puts source groups with identical candidate lists next to each
 other so their target data is fetched once per run of groups; packing
 rewrites the point order so every group is one contiguous slice, never
-split across a bank boundary. Both are semantics-free: results are mapped
-back through the inverse permutation.
+split across a bank boundary. Both are semantics-free: the pipelines read
+each group's rows as one packed slice in ascending original-id order, so
+results do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -129,32 +130,3 @@ def pack_intra_group(
         n_banks=n_banks,
         group_slices=group_slices,
     )
-
-
-def apply_layout(ds: Dataset, plan: LayoutPlan) -> Dataset:
-    """Permute dataset rows into packed order. Packed ids are positional;
-    use ``restore_ids``/``restore_rows`` to map results back."""
-    if plan.point_perm.shape[0] != ds.n:
-        raise SizeMismatchError(
-            f"plan covers {plan.point_perm.shape[0]} points, dataset has {ds.n}"
-        )
-    return Dataset(
-        values=ds.values[plan.point_perm],
-        ids=np.arange(ds.n),
-        declared_dtype=ds.declared_dtype,
-    )
-
-
-def restore_ids(ids, plan: LayoutPlan) -> np.ndarray:
-    """Map packed point ids back to original ids."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.max() >= plan.point_perm.shape[0] or ids.min() < 0):
-        raise SizeMismatchError("packed id out of range for this plan")
-    return plan.point_perm[ids]
-
-
-def restore_rows(per_point: np.ndarray, plan: LayoutPlan) -> np.ndarray:
-    """Reorder a packed per-point array back to original point order."""
-    if per_point.shape[0] != plan.inverse_perm.shape[0]:
-        raise SizeMismatchError("row count does not match plan")
-    return per_point[plan.inverse_perm]

@@ -2,10 +2,28 @@
 
 Three pipeline shapes are supported: iterative two-set (cluster-style),
 one-shot two-set (top-K join), and iterative self-set (radius neighbors
-with movement). Each run wires group construction, bound filtering,
-layout packing, and the blocked kernel together, tallies every avoided or
-executed point-pair, and can shadow a brute-force oracle that must agree
-exactly.
+with movement). Each run wires group construction, bound filtering and
+layout packing around one tile engine, ``_sweep``, tallies every avoided
+or executed point-pair, and can shadow a brute-force oracle that must
+agree exactly.
+
+For each source batch the engine visits the batch's candidate target
+groups in (lower bound, group id) order. It keeps the rows whose
+per-point bound still reaches that group's lower bound, counts the other
+rows' pairs as pruned, computes one tile through the kernel and hands it
+to the pipeline's reducer:
+
+* ``_Nearest`` (iterative two-set) keeps the best (distance, id) per
+  point and the per-group-pair tile minimum that reseeds the trace
+  bounds; the per-point bound is last iteration's best distance plus the
+  drift of its target.
+* ``_TopK`` (one-shot two-set) keeps the running K best per point; the
+  per-point bound is the current K-th distance.
+* ``_Radius`` (iterative self-set) has no per-point bound. Before the
+  sweep it resolves all-inside and unchanged group pairs without a tile;
+  during it, it caches each tiled pair's neighbors and refreshes the
+  group-pair bounds; after it, it assembles the neighbor lists. It sweeps
+  one source group per batch, so every tile covers one group pair.
 
 Numerical discipline that keeps layout on/off runs bitwise identical:
 group tiles always present member rows in ascending original-id order
@@ -17,9 +35,11 @@ distance-counter discipline; only neighbor search is counted and verified.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +65,9 @@ from .gti import (
     init_oneshot_state,
     measured_saving,
 )
-from .kernel import KernelConfig, rss as kernel_rss, tile_distances
+from .kernel import rss as kernel_rss, tile_distances
 from .kernel import weighted_rss
-from .layout import DEFAULT_BANKS, LayoutPlan, pack_intra_group, reorder_inter_group
+from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
 from .metrics import MetricSpec, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
@@ -61,7 +81,6 @@ class RunConfig:
     layout_enabled: bool = True
     oracle_mode: str = "off"  # "off" | "shadow"
     thread_count: int = 1
-    n_banks: int = DEFAULT_BANKS
     status_iter_cap: int = 1000  # hard stop for status-exit iteration
     dt: float = 1e-3  # self-set integrator step
     softening: float = 1e-2  # force-law smoothing length
@@ -71,11 +90,6 @@ class RunConfig:
             raise RangeError("thread_count must be >= 1")
         if self.oracle_mode not in ("off", "shadow"):
             raise RangeError(f"unknown oracle mode {self.oracle_mode!r}")
-
-    def kernel_config(self) -> KernelConfig:
-        return KernelConfig(
-            blk=self.design.blk, simd=self.design.simd, unroll=self.design.unroll
-        )
 
 
 @dataclass
@@ -92,18 +106,7 @@ class IterationStats:
     changed: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "point_distances": self.point_distances,
-            "bound_computations": self.bound_computations,
-            "pruned_pairs": self.pruned_pairs,
-            "all_inside_pairs": self.all_inside_pairs,
-            "reused_pairs": self.reused_pairs,
-            "measured_saving": self.measured_saving,
-            "source_batches": self.source_batches,
-            "source_groups": self.source_groups,
-            "changed": self.changed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -121,57 +124,39 @@ class RunResult:
 
 @dataclass
 class _Grouped:
-    """Uniform row access over a grouped dataset, packed or not.
+    """Group-wise row access over one point set, packed or not.
 
     Group members are always presented in ascending original-id order, so
     tiles are bitwise identical with layout on or off.
     """
 
-    values: np.ndarray  # original order
+    values: np.ndarray  # packed order with a layout plan, else original
+    rss: np.ndarray | None  # row square sums (L2 only), same order
     gm: GroupModel
     plan: LayoutPlan | None
-    packed: np.ndarray | None = None
-    rss_orig: np.ndarray | None = None
-    rss_packed: np.ndarray | None = None
 
     @classmethod
-    def build(cls, ds: Dataset, gm: GroupModel, plan: LayoutPlan | None, metric: MetricSpec):
-        packed = ds.values[plan.point_perm] if plan is not None else None
-        rss_orig = None
-        rss_packed = None
+    def build(cls, values: np.ndarray, gm: GroupModel, plan: LayoutPlan | None, metric):
+        rss = None
         if metric.kind == "L2":
-            rss_orig = (
-                kernel_rss(ds.values)
-                if not metric.weighted
-                else weighted_rss(ds.values, metric.weights)
-            )
-            if plan is not None:
-                rss_packed = rss_orig[plan.point_perm]
-        return cls(
-            values=ds.values,
-            gm=gm,
-            plan=plan,
-            packed=packed,
-            rss_orig=rss_orig,
-            rss_packed=rss_packed,
-        )
+            rss = weighted_rss(values, metric.weights) if metric.weighted else kernel_rss(values)
+        if plan is not None:
+            values = values[plan.point_perm]
+            rss = rss[plan.point_perm] if rss is not None else None
+        return cls(values=values, rss=rss, gm=gm, plan=plan)
 
     def batch_ids(self, batch: list[int]) -> np.ndarray:
+        if len(batch) == 1:
+            return self.gm.membership[batch[0]]
         return np.concatenate([self.gm.membership[g] for g in batch])
 
     def batch_rows(self, batch: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
         """(values, rss) for the batch's member rows."""
         if self.plan is not None:
-            start = self.plan.group_slices[batch[0]][0]
-            stop = self.plan.group_slices[batch[-1]][1]
-            rows = self.packed[start:stop]
-            rss_rows = self.rss_packed[start:stop] if self.rss_packed is not None else None
-            return rows, rss_rows
-        ids = self.batch_ids(batch)
-        return self.values[ids], self.rss_orig[ids] if self.rss_orig is not None else None
-
-    def group_rows(self, g: int) -> tuple[np.ndarray, np.ndarray | None]:
-        return self.batch_rows([g])
+            rows = slice(self.plan.group_slices[batch[0]][0], self.plan.group_slices[batch[-1]][1])
+        else:
+            rows = self.batch_ids(batch)
+        return self.values[rows], self.rss[rows] if self.rss is not None else None
 
 
 def _source_batches(
@@ -181,17 +166,7 @@ def _source_batches(
     candidate lists; without layout every group stands alone."""
     if not layout_enabled:
         return [[int(g)] for g in order]
-    batches: list[list[int]] = []
-    current = [int(order[0])]
-    for g in order[1:]:
-        g = int(g)
-        if cm.key(g) == cm.key(current[-1]):
-            current.append(g)
-        else:
-            batches.append(current)
-            current = [g]
-    batches.append(current)
-    return batches
+    return [list(run) for _, run in itertools.groupby(order.tolist(), key=cm.key)]
 
 
 def _map_ordered(fn, items, threads: int):
@@ -201,6 +176,209 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+# -- the tile engine ------------------------------------------------------
+
+
+def _sweep(
+    src: _Grouped,
+    trg: _Grouped,
+    cm: CandidateMatrix,
+    lb: np.ndarray,
+    batches: list[list[int]],
+    reducer,
+    metric: MetricSpec,
+    blk: int,
+    threads: int,
+) -> CounterSet:
+    """Tile every surviving (source batch, candidate target group) pair.
+
+    A batch's candidates are those of its first group and are visited in
+    (min lb over the batch, group id) order. ``reducer.bound(ids)`` gives
+    the per-point bound of the batch's rows (None: keep every row); a row
+    is kept for target group ``t`` while its bound reaches its own group's
+    ``lb[., t]``. ``reducer.reduce(batch, t, ids, tile)`` receives the kept
+    rows' ids and their tile. Batches touch disjoint source rows, so they
+    may run on ``threads`` workers. Returns the tile and pruning tallies.
+    """
+
+    def sweep_batch(batch: list[int]) -> CounterSet:
+        local = CounterSet()
+        ids = src.batch_ids(batch)
+        cand = cm.targets[batch[0]]
+        if ids.size == 0 or cand.size == 0:
+            return local
+        rows, rss_rows = src.batch_rows(batch)
+        key = np.min(lb[batch][:, cand], axis=0)
+        group_of_ids = src.gm.group_of[ids]
+        for t in cand[np.lexsort((cand, key))].tolist():
+            n_cols = trg.gm.membership[t].size
+            if n_cols == 0:
+                continue
+            bound = reducer.bound(ids)
+            if bound is None:
+                kept, kept_rows, kept_rss = ids, rows, rss_rows
+            else:
+                act = np.flatnonzero(bound >= lb[group_of_ids, t])
+                local.pruned_pairs += (ids.size - act.size) * n_cols
+                if act.size == 0:
+                    continue
+                kept, kept_rows = ids[act], rows[act]
+                kept_rss = rss_rows[act] if rss_rows is not None else None
+            cols, rss_cols = trg.batch_rows([t])
+            tile = tile_distances(kept_rows, cols, metric, blk, local, kept_rss, rss_cols)
+            reducer.reduce(batch, t, kept, tile)
+        return local
+
+    total = CounterSet()
+    for local in _map_ordered(sweep_batch, batches, threads):
+        total.add(local)
+    return total
+
+
+class _Nearest:
+    """Nearest target per source point under (distance, id) tie-break."""
+
+    def __init__(self, n: int, src_gm: GroupModel, trg_gm: GroupModel, point_ub):
+        self.best_d = np.full(n, np.inf)
+        self.best_id = np.full(n, -1, dtype=np.int64)
+        # Per group pair: the smallest tiled distance, and whether every
+        # source member was tiled (then it is the exact group-pair minimum).
+        self.comp_min = np.full((src_gm.z, trg_gm.z), np.inf)
+        self.covered = np.zeros((src_gm.z, trg_gm.z), dtype=bool)
+        self.point_ub = point_ub
+        self.src_gm = src_gm
+        self.members = trg_gm.membership
+
+    def bound(self, ids: np.ndarray) -> np.ndarray | None:
+        return None if self.point_ub is None else self.point_ub[ids]
+
+    def reduce(self, batch: list[int], t: int, ids: np.ndarray, tile: np.ndarray) -> None:
+        col = np.argmin(tile, axis=1)
+        mn = tile[np.arange(ids.size), col]
+        cid = self.members[t][col]
+        cur_d = self.best_d[ids]
+        better = (mn < cur_d) | ((mn == cur_d) & (cid < self.best_id[ids]))
+        upd = ids[better]
+        self.best_d[upd] = mn[better]
+        self.best_id[upd] = cid[better]
+        g_act = self.src_gm.group_of[ids]
+        for g in batch:
+            rows_g = np.flatnonzero(g_act == g)
+            if rows_g.size == 0:
+                continue
+            self.comp_min[g, t] = min(self.comp_min[g, t], float(tile[rows_g].min()))
+            if rows_g.size == self.src_gm.membership[g].size:
+                self.covered[g, t] = True
+
+    def refreshed_lb(self, lb: np.ndarray) -> np.ndarray:
+        """Group-pair lower bounds for the next iteration: exact where a
+        pair was fully tiled, tightened where it was partly tiled."""
+        refreshed = np.where(self.comp_min < np.inf, np.minimum(lb, self.comp_min), lb)
+        return np.where(self.covered, self.comp_min, refreshed)
+
+
+class _TopK:
+    """Running K best targets per source point under (distance, id)."""
+
+    def __init__(self, m: int, k: int, trg_gm: GroupModel):
+        self.k = k
+        self.top_d = np.full((m, k), np.inf)
+        # one past any real target id, so a placeholder always loses ties
+        self.top_i = np.full((m, k), trg_gm.n, dtype=np.int64)
+        self.members = trg_gm.membership
+
+    def bound(self, ids: np.ndarray) -> np.ndarray:
+        return self.top_d[ids, self.k - 1]
+
+    def reduce(self, batch: list[int], t: int, ids: np.ndarray, tile: np.ndarray) -> None:
+        cat_d = np.concatenate([self.top_d[ids], tile], axis=1)
+        cat_i = np.concatenate(
+            [self.top_i[ids], np.broadcast_to(self.members[t], tile.shape)], axis=1
+        )
+        sel = rowwise_lexsort(cat_d, cat_i)[:, : self.k]
+        self.top_d[ids] = np.take_along_axis(cat_d, sel, axis=1)
+        self.top_i[ids] = np.take_along_axis(cat_i, sel, axis=1)
+
+
+class _Radius:
+    """Neighbor pairs within a radius, step after step of a self-set run.
+
+    ``state`` carries the group-pair lb/ub bounds. ``versions`` counts per
+    group the steps in which it moved; ``cache`` maps a tiled group pair to
+    the versions it was tiled at and its neighbor pairs. A step's pairs
+    are collected per source group, so concurrent batches never share a
+    list.
+    """
+
+    def __init__(self, gm: GroupModel, radius: float, state: BoundState):
+        self.gm = gm
+        self.radius = radius
+        self.state = state
+        self.versions = np.zeros(gm.z, dtype=np.int64)
+        self.cache: dict[tuple[int, int], tuple[int, int, np.ndarray, np.ndarray]] = {}
+        self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
+
+    def resolve(self, cm: CandidateMatrix, counters: CounterSet) -> CandidateMatrix:
+        """Start a step: settle all-inside and unchanged group pairs
+        without a tile and return the candidates left to tile."""
+        members, versions = self.gm.membership, self.versions
+        self.pairs = [[] for _ in range(self.gm.z)]
+        targets = []
+        for a, cand in enumerate(cm.targets):
+            inside = cm.all_inside[a] if cm.all_inside is not None else np.zeros(cand.size, bool)
+            rows_a = members[a]
+            left = []
+            for b, b_inside in zip(cand.tolist(), inside.tolist()):
+                rows_b = members[b]
+                if b_inside:
+                    counters.all_inside_pairs += rows_a.size * rows_b.size
+                    pairs = (np.repeat(rows_a, rows_b.size), np.tile(rows_b, rows_a.size))
+                    self.pairs[a].append(pairs)
+                    continue
+                cached = self.cache.get((a, b))
+                if cached is not None and cached[0] == versions[a] and cached[1] == versions[b]:
+                    counters.reused_pairs += rows_a.size * rows_b.size
+                    self.pairs[a].append(cached[2:])
+                else:
+                    left.append(b)
+            targets.append(np.array(left, dtype=np.int64))
+        return CandidateMatrix(targets=targets, n_target_groups=cm.n_target_groups)
+
+    @staticmethod
+    def bound(ids: np.ndarray) -> None:
+        return None
+
+    def reduce(self, batch: list[int], b: int, ids: np.ndarray, tile: np.ndarray) -> None:
+        a = batch[0]
+        hit_r, hit_c = np.nonzero(tile <= self.radius)
+        pi = ids[hit_r]
+        pj = self.gm.membership[b][hit_c]
+        self.pairs[a].append((pi, pj))
+        self.cache[(a, b)] = (int(self.versions[a]), int(self.versions[b]), pi, pj)
+        self.state.lb[a, b] = float(tile.min())
+        self.state.ub[a, b] = float(tile.max())
+
+    def assemble(self, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The step's pairs i != j sorted by (i, j), and per point its
+        sorted neighbor ids."""
+        parts = [p for group in self.pairs for p in group]
+        if parts:
+            all_i = np.concatenate([p[0] for p in parts])
+            all_j = np.concatenate([p[1] for p in parts])
+        else:
+            all_i = np.empty(0, dtype=np.int64)
+            all_j = np.empty(0, dtype=np.int64)
+        keep = all_i != all_j
+        all_i, all_j = all_i[keep], all_j[keep]
+        sort = np.lexsort((all_j, all_i))
+        all_i, all_j = all_i[sort], all_j[sort]
+        offsets = np.searchsorted(all_i, np.arange(n + 1))
+        return all_i, all_j, [all_j[offsets[i] : offsets[i + 1]] for i in range(n)]
+
+
+# -- shared run bookkeeping -------------------------------------------------
+
+
 def _check_kind(plan: ExecutionPlan, expected: str) -> None:
     if plan.pipeline_kind != expected:
         raise UnsupportedProgramError(
@@ -208,10 +386,35 @@ def _check_kind(plan: ExecutionPlan, expected: str) -> None:
         )
 
 
-def _mean_saving(per_iter: list[IterationStats]) -> float:
-    if not per_iter:
-        return 0.0
-    return float(np.mean([s.measured_saving for s in per_iter]))
+def _stats(it: int, delta: CounterSet, n1: int, n2: int, batches: int, groups: int, changed=None):
+    return IterationStats(
+        iteration=it,
+        point_distances=delta.point_distances,
+        bound_computations=delta.bound_computations,
+        pruned_pairs=delta.pruned_pairs,
+        all_inside_pairs=delta.all_inside_pairs,
+        reused_pairs=delta.reused_pairs,
+        measured_saving=measured_saving(delta.point_distances, n1, n2),
+        source_batches=batches,
+        source_groups=groups,
+        changed=changed,
+    )
+
+
+def _result(plan, outputs, per_iter, counters, config, t0, layout) -> RunResult:
+    return RunResult(
+        pipeline_kind=plan.pipeline_kind,
+        outputs=outputs,
+        iterations=len(per_iter),
+        per_iteration=per_iter,
+        counters=counters,
+        measured_saving_mean=(
+            float(np.mean([s.measured_saving for s in per_iter])) if per_iter else 0.0
+        ),
+        wall_time_s=time.perf_counter() - t0,
+        oracle_checked=config.oracle_mode == "shadow",
+        layout=layout,
+    )
 
 
 # -- iterative two-set (cluster refinement) -------------------------------
@@ -250,43 +453,36 @@ def run_kmeans(
         raise RangeError(f"cluster dim {centroids.shape[1]} does not match data dim {d}")
 
     counters = CounterSet()
-    kcfg = config.kernel_config()
     z_src = min(config.design.n_src_grp, n)
     z_trg = min(config.design.n_trg_grp, k)
     src_gm = build_groups(points, z_src, config.seed + 1, metric, counters)
+    # cluster-id groups, fixed across iterations
     trg_gm = build_groups(Dataset.from_values(centroids), z_trg, config.seed + 2, metric, counters)
-    trg_group_of = trg_gm.group_of
-    trg_members = trg_gm.membership  # cluster-id groups, fixed across iterations
-    trg_sizes = trg_gm.sizes
 
     full_cm = CandidateMatrix.full(z_src, z_trg)
     order = (
         reorder_inter_group(full_cm) if config.layout_enabled else np.arange(z_src)
     )
     lplan = (
-        pack_intra_group(points, src_gm, config.n_banks, order)
-        if config.layout_enabled
-        else None
+        pack_intra_group(points, src_gm, group_order=order) if config.layout_enabled else None
     )
-    grouped = _Grouped.build(points, src_gm, lplan, metric)
+    grouped = _Grouped.build(points.values, src_gm, lplan, metric)
 
     max_iter = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
     state = BoundState(
         lb=np.zeros((z_src, z_trg)),
-        target_group_of=trg_group_of,
+        target_group_of=trg_gm.group_of,
         iteration=0,
     )
     per_iter: list[IterationStats] = []
     assignments: np.ndarray | None = None
     oracle_centroids = centroids.copy() if config.oracle_mode == "shadow" else None
-    executed = 0
 
     for it in range(1, max_iter + 1):
-        executed = it
         base = counters.snapshot()
         reused_iteration = False
         if it == 1:
-            cm = CandidateMatrix.full(z_src, z_trg)
+            cm = full_cm
             point_ub = None
         else:
             drifts = rowwise_distance(prev_centroids, centroids, metric)
@@ -295,7 +491,7 @@ def run_kmeans(
                 reused_iteration = True
             else:
                 cm = filter_iterative(
-                    state, drifts, TopKQuery(1), src_gm, counters, trg_sizes=trg_sizes
+                    state, drifts, TopKQuery(1), src_gm, counters, trg_sizes=trg_gm.sizes
                 )
                 point_ub = state.point_ub
 
@@ -305,82 +501,19 @@ def run_kmeans(
             best_d = state.prev_best_dist
             n_batches = 0
         else:
-            crss = None
-            if metric.kind == "L2":
-                crss = (
-                    kernel_rss(centroids)
-                    if not metric.weighted
-                    else weighted_rss(centroids, metric.weights)
-                )
             batches = _source_batches(order, cm, config.layout_enabled)
             n_batches = len(batches)
-            best_d = np.full(n, np.inf)
-            best_id = np.full(n, -1, dtype=np.int64)
-            comp_min = np.full((z_src, z_trg), np.inf)
-            covered = np.zeros((z_src, z_trg), dtype=bool)
-
-            def process_batch(batch: list[int]) -> CounterSet:
-                local = CounterSet()
-                ids = grouped.batch_ids(batch)
-                if ids.size == 0:
-                    return local
-                rows, rss_rows = grouped.batch_rows(batch)
-                cand = cm.targets[batch[0]]
-                if cand.size == 0:
-                    return local
-                key = np.min(state.lb[np.asarray(batch)][:, cand], axis=0)
-                visit = cand[np.lexsort((cand, key))]
-                group_of_ids = src_gm.group_of[ids]
-                for bt in visit:
-                    bt = int(bt)
-                    members = trg_members[bt]
-                    if members.size == 0:
-                        continue
-                    if point_ub is None:
-                        act = np.arange(ids.size)
-                    else:
-                        lb_pt = state.lb[group_of_ids, bt]
-                        act = np.flatnonzero(point_ub[ids] >= lb_pt)
-                        local.pruned_pairs += (ids.size - act.size) * members.size
-                    if act.size == 0:
-                        continue
-                    tile = tile_distances(
-                        rows[act],
-                        centroids[members],
-                        metric,
-                        kcfg,
-                        local,
-                        rss_rows[act] if rss_rows is not None else None,
-                        crss[members] if crss is not None else None,
-                    )
-                    col = np.argmin(tile, axis=1)
-                    mn = tile[np.arange(act.size), col]
-                    cid = members[col]
-                    ids_act = ids[act]
-                    cur_d = best_d[ids_act]
-                    cur_i = best_id[ids_act]
-                    better = (mn < cur_d) | ((mn == cur_d) & (cid < cur_i))
-                    upd = ids_act[better]
-                    best_d[upd] = mn[better]
-                    best_id[upd] = cid[better]
-                    g_act = group_of_ids[act]
-                    for g in batch:
-                        rows_g = np.flatnonzero(g_act == g)
-                        if rows_g.size == 0:
-                            continue
-                        comp_min[g, bt] = min(comp_min[g, bt], float(tile[rows_g].min()))
-                        if rows_g.size == src_gm.membership[g].size:
-                            covered[g, bt] = True
-                return local
-
-            for local in _map_ordered(process_batch, batches, config.thread_count):
-                counters.add(local)
-            assert np.all(best_id >= 0), "nearest-target invariant violated"
-            new_assign = best_id
-            refreshed = np.where(comp_min < np.inf, np.minimum(state.lb, comp_min), state.lb)
-            state.lb = np.where(covered, comp_min, refreshed)
-            if it == 1:
-                state.lb = comp_min  # full pass covers everything
+            nearest = _Nearest(n, src_gm, trg_gm, point_ub)
+            targets = _Grouped.build(centroids, trg_gm, None, metric)
+            sweep = _sweep(
+                grouped, targets, cm, state.lb, batches, nearest, metric,
+                config.design.blk, config.thread_count,
+            )
+            counters.add(sweep)
+            assert np.all(nearest.best_id >= 0), "nearest-target invariant violated"
+            new_assign, best_d = nearest.best_id, nearest.best_d
+            # the first, unpruned pass tiles every pair
+            state.lb = nearest.comp_min if it == 1 else nearest.refreshed_lb(state.lb)
 
         changed = (
             n if assignments is None else int(np.count_nonzero(new_assign != assignments))
@@ -391,9 +524,7 @@ def run_kmeans(
         state.iteration = it
 
         if config.oracle_mode == "shadow":
-            oracle_assign, _ = nearest_assign(
-                points.values, oracle_centroids, metric, CounterSet()
-            )
+            oracle_assign, _ = nearest_assign(points.values, oracle_centroids, metric)
             diff = np.flatnonzero(oracle_assign != assignments)
             if diff.size:
                 i = int(diff[0])
@@ -408,34 +539,12 @@ def run_kmeans(
         centroids = group_means(points.values, assignments, k, centroids)
 
         delta = counters.delta_since(base)
-        per_iter.append(
-            IterationStats(
-                iteration=it,
-                point_distances=delta.point_distances,
-                bound_computations=delta.bound_computations,
-                pruned_pairs=delta.pruned_pairs,
-                all_inside_pairs=delta.all_inside_pairs,
-                reused_pairs=delta.reused_pairs,
-                measured_saving=measured_saving(delta.point_distances, n, k),
-                source_batches=n_batches,
-                source_groups=z_src,
-                changed=changed,
-            )
-        )
+        per_iter.append(_stats(it, delta, n, k, n_batches, z_src, changed))
         if changed == 0:
             break
 
-    return RunResult(
-        pipeline_kind="iterative_two_set",
-        outputs={"assignments": assignments, "centroids": centroids},
-        iterations=executed,
-        per_iteration=per_iter,
-        counters=counters,
-        measured_saving_mean=_mean_saving(per_iter),
-        wall_time_s=time.perf_counter() - t0,
-        oracle_checked=config.oracle_mode == "shadow",
-        layout=lplan,
-    )
+    outputs = {"assignments": assignments, "centroids": centroids}
+    return _result(plan, outputs, per_iter, counters, config, t0, lplan)
 
 
 # -- one-shot two-set (top-K join) ----------------------------------------
@@ -463,7 +572,6 @@ def run_knn_join(
         raise InvalidQueryError(f"top-K count {k} out of range for {trg.n} targets")
 
     counters = CounterSet()
-    kcfg = config.kernel_config()
     m, n = src.n, trg.n
     z_src = min(config.design.n_src_grp, m)
     z_trg = min(config.design.n_trg_grp, n)
@@ -473,75 +581,23 @@ def run_knn_join(
     cm = filter_oneshot(src_gm, trg_gm, state, TopKQuery(k), counters)
 
     order = reorder_inter_group(cm) if config.layout_enabled else np.arange(z_src)
-    src_lp = (
-        pack_intra_group(src, src_gm, config.n_banks, order)
-        if config.layout_enabled
-        else None
-    )
-    trg_lp = (
-        pack_intra_group(trg, trg_gm, config.n_banks) if config.layout_enabled else None
-    )
-    g_src = _Grouped.build(src, src_gm, src_lp, metric)
-    g_trg = _Grouped.build(trg, trg_gm, trg_lp, metric)
-
-    sentinel = n  # one past any real target id; always loses ties
-    top_d = np.full((m, k), np.inf)
-    top_i = np.full((m, k), sentinel, dtype=np.int64)
+    src_lp = pack_intra_group(src, src_gm, group_order=order) if config.layout_enabled else None
+    trg_lp = pack_intra_group(trg, trg_gm) if config.layout_enabled else None
     batches = _source_batches(order, cm, config.layout_enabled)
+    topk = _TopK(m, k, trg_gm)
+    g_src = _Grouped.build(src.values, src_gm, src_lp, metric)
+    g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric)
+    sweep = _sweep(
+        g_src, g_trg, cm, state.lb, batches, topk, metric, config.design.blk, config.thread_count
+    )
+    counters.add(sweep)
+    result = TopKResult(
+        ids=topk.top_i, distances=topk.top_d, scope="smallest", row_ids=src.ids.copy()
+    )
 
-    def process_batch(batch: list[int]) -> CounterSet:
-        local = CounterSet()
-        ids = g_src.batch_ids(batch)
-        if ids.size == 0:
-            return local
-        rows, rss_rows = g_src.batch_rows(batch)
-        cand = cm.targets[batch[0]]
-        if cand.size == 0:
-            return local
-        key = np.min(state.lb[np.asarray(batch)][:, cand], axis=0)
-        visit = cand[np.lexsort((cand, key))]
-        group_of_ids = src_gm.group_of[ids]
-        for bt in visit:
-            bt = int(bt)
-            col_ids = trg_gm.membership[bt]
-            if col_ids.size == 0:
-                continue
-            lb_pt = state.lb[group_of_ids, bt]
-            kth = top_d[ids, k - 1]
-            act = np.flatnonzero(kth >= lb_pt)
-            local.pruned_pairs += (ids.size - act.size) * col_ids.size
-            if act.size == 0:
-                continue
-            cols, rss_cols = g_trg.group_rows(bt)
-            tile = tile_distances(
-                rows[act],
-                cols,
-                metric,
-                kcfg,
-                local,
-                rss_rows[act] if rss_rows is not None else None,
-                rss_cols,
-            )
-            ids_act = ids[act]
-            cat_d = np.concatenate([top_d[ids_act], tile], axis=1)
-            cat_i = np.concatenate(
-                [top_i[ids_act], np.broadcast_to(col_ids, tile.shape)], axis=1
-            )
-            sel = rowwise_lexsort(cat_d, cat_i)[:, :k]
-            top_d[ids_act] = np.take_along_axis(cat_d, sel, axis=1)
-            top_i[ids_act] = np.take_along_axis(cat_i, sel, axis=1)
-        return local
-
-    for local in _map_ordered(process_batch, batches, config.thread_count):
-        counters.add(local)
-
-    result = TopKResult(ids=top_i, distances=top_d, scope="smallest", row_ids=src.ids.copy())
-
-    oracle_checked = False
     if config.oracle_mode == "shadow":
-        oracle_checked = True
-        o_ids, _ = knn_topk(src.values, trg.values, metric, k, CounterSet())
-        ours = np.sort(top_i, axis=1)
+        o_ids, _ = knn_topk(src.values, trg.values, metric, k)
+        ours = np.sort(topk.top_i, axis=1)
         theirs = np.sort(o_ids, axis=1)
         diff = np.flatnonzero(np.any(ours != theirs, axis=1))
         if diff.size:
@@ -551,28 +607,8 @@ def run_knn_join(
                 detail={"point": i, "got": ours[i].tolist(), "want": theirs[i].tolist()},
             )
 
-    stats = IterationStats(
-        iteration=1,
-        point_distances=counters.point_distances,
-        bound_computations=counters.bound_computations,
-        pruned_pairs=counters.pruned_pairs,
-        all_inside_pairs=counters.all_inside_pairs,
-        reused_pairs=counters.reused_pairs,
-        measured_saving=measured_saving(counters.point_distances, m, n),
-        source_batches=len(batches),
-        source_groups=z_src,
-    )
-    return RunResult(
-        pipeline_kind="oneshot_two_set",
-        outputs={"topk": result},
-        iterations=1,
-        per_iteration=[stats],
-        counters=counters,
-        measured_saving_mean=stats.measured_saving,
-        wall_time_s=time.perf_counter() - t0,
-        oracle_checked=oracle_checked,
-        layout=src_lp,
-    )
+    stats = _stats(1, counters, m, n, len(batches), z_src)
+    return _result(plan, {"topk": result}, [stats], counters, config, t0, src_lp)
 
 
 # -- iterative self-set (radius neighbors with movement) -------------------
@@ -621,20 +657,15 @@ def run_nbody(
     force = force_rule if force_rule is not None else default_force_rule
 
     counters = CounterSet()
-    kcfg = config.kernel_config()
     z = min(config.design.n_src_grp, n)
     gm = build_groups(particles, z, config.seed + 1, metric, counters)
-    lplan = (
-        pack_intra_group(particles, gm, config.n_banks) if config.layout_enabled else None
-    )
-    order = np.arange(z)
-    sizes = gm.sizes
+    lplan = pack_intra_group(particles, gm) if config.layout_enabled else None
+    one_group_batches = [[a] for a in range(z)]
 
     pos = particles.values.copy()
     vel = np.zeros_like(pos)
     state = BoundState(lb=np.zeros((z, z)), ub=np.zeros((z, z)), iteration=0)
-    versions = np.zeros(z, dtype=np.int64)
-    pair_cache: dict[tuple[int, int], tuple[int, int, np.ndarray, np.ndarray]] = {}
+    within = _Radius(gm, radius, state)
 
     neighbors_per_step: list[list[np.ndarray]] = []
     trajectories: list[np.ndarray] = [pos.copy()]
@@ -643,83 +674,28 @@ def run_nbody(
 
     for step in range(1, steps + 1):
         base = counters.snapshot()
-        grouped = _Grouped.build(Dataset.from_values(pos), gm, lplan, metric)
+        grouped = _Grouped.build(pos, gm, lplan, metric)
         if step == 1:
             cm = CandidateMatrix.full(z, z)
         else:
             counters.bound_computations += n  # drift distances recorded at integration
             cm = filter_iterative(state, prev_drift, RadiusQuery(radius), gm, counters)
+        # Reported like the two-set pipelines' batching of the candidate
+        # lists, though the sweep itself takes one group per batch.
+        n_batches = len(_source_batches(np.arange(z), cm, config.layout_enabled))
 
-        batches = _source_batches(order, cm, config.layout_enabled)
-        pair_i: list[np.ndarray] = []
-        pair_j: list[np.ndarray] = []
-
-        def process_batch(batch: list[int]):
-            local = CounterSet()
-            out_i: list[np.ndarray] = []
-            out_j: list[np.ndarray] = []
-            lb_updates = []
-            for a in batch:
-                rows_a = gm.membership[a]
-                if rows_a.size == 0:
-                    continue
-                vals_a, rss_a = grouped.group_rows(a)
-                cand = cm.targets[a]
-                inside = cm.all_inside[a] if cm.all_inside is not None else None
-                for pos_b, b in enumerate(cand):
-                    b = int(b)
-                    rows_b = gm.membership[b]
-                    if rows_b.size == 0:
-                        continue
-                    if inside is not None and inside[pos_b]:
-                        local.all_inside_pairs += rows_a.size * rows_b.size
-                        out_i.append(np.repeat(rows_a, rows_b.size))
-                        out_j.append(np.tile(rows_b, rows_a.size))
-                        continue
-                    cached = pair_cache.get((a, b))
-                    if cached is not None and cached[0] == versions[a] and cached[1] == versions[b]:
-                        local.reused_pairs += rows_a.size * rows_b.size
-                        out_i.append(cached[2])
-                        out_j.append(cached[3])
-                        continue
-                    vals_b, rss_b = grouped.group_rows(b)
-                    tile = tile_distances(vals_a, vals_b, metric, kcfg, local, rss_a, rss_b)
-                    hit_r, hit_c = np.nonzero(tile <= radius)
-                    pi = rows_a[hit_r]
-                    pj = rows_b[hit_c]
-                    out_i.append(pi)
-                    out_j.append(pj)
-                    pair_cache[(a, b)] = (int(versions[a]), int(versions[b]), pi, pj)
-                    lb_updates.append((a, b, float(tile.min()), float(tile.max())))
-            return local, out_i, out_j, lb_updates
-
-        for local, out_i, out_j, lb_updates in _map_ordered(
-            process_batch, batches, config.thread_count
-        ):
-            counters.add(local)
-            pair_i.extend(out_i)
-            pair_j.extend(out_j)
-            for a, b, lo, hi in lb_updates:
-                state.lb[a, b] = lo
-                state.ub[a, b] = hi
-
-        if pair_i:
-            all_i = np.concatenate(pair_i)
-            all_j = np.concatenate(pair_j)
-        else:
-            all_i = np.empty(0, dtype=np.int64)
-            all_j = np.empty(0, dtype=np.int64)
-        keep = all_i != all_j
-        all_i, all_j = all_i[keep], all_j[keep]
-        sort = np.lexsort((all_j, all_i))
-        all_i, all_j = all_i[sort], all_j[sort]
-        offsets = np.searchsorted(all_i, np.arange(n + 1))
-        lists = [all_j[offsets[i] : offsets[i + 1]] for i in range(n)]
+        to_tile = within.resolve(cm, counters)
+        sweep = _sweep(
+            grouped, grouped, to_tile, state.lb, one_group_batches, within, metric,
+            config.design.blk, config.thread_count,
+        )
+        counters.add(sweep)
+        all_i, all_j, lists = within.assemble(n)
         neighbors_per_step.append(lists)
         state.iteration = step
 
         if config.oracle_mode == "shadow":
-            want = radius_neighbors(pos, metric, radius, CounterSet())
+            want = radius_neighbors(pos, metric, radius)
             for i in range(n):
                 if not np.array_equal(lists[i], want[i]):
                     raise OracleMismatchError(
@@ -740,36 +716,13 @@ def run_nbody(
         prev_drift = rowwise_distance(pos, new_pos, metric)
         moved = np.zeros(z, dtype=bool)
         np.logical_or.at(moved, gm.group_of, prev_drift > 0)
-        versions[moved] += 1
+        within.versions[moved] += 1
         pos = new_pos
         trajectories.append(pos.copy())
+        per_iter.append(_stats(step, counters.delta_since(base), n, n, n_batches, z))
 
-        delta = counters.delta_since(base)
-        per_iter.append(
-            IterationStats(
-                iteration=step,
-                point_distances=delta.point_distances,
-                bound_computations=delta.bound_computations,
-                pruned_pairs=delta.pruned_pairs,
-                all_inside_pairs=delta.all_inside_pairs,
-                reused_pairs=delta.reused_pairs,
-                measured_saving=measured_saving(delta.point_distances, n, n),
-                source_batches=len(batches),
-                source_groups=z,
-            )
-        )
-
-    return RunResult(
-        pipeline_kind="iterative_self_set",
-        outputs={"neighbors": neighbors_per_step, "trajectories": trajectories},
-        iterations=steps,
-        per_iteration=per_iter,
-        counters=counters,
-        measured_saving_mean=_mean_saving(per_iter),
-        wall_time_s=time.perf_counter() - t0,
-        oracle_checked=config.oracle_mode == "shadow",
-        layout=lplan,
-    )
+    outputs = {"neighbors": neighbors_per_step, "trajectories": trajectories}
+    return _result(plan, outputs, per_iter, counters, config, t0, lplan)
 
 
 def run_plan(
@@ -780,17 +733,19 @@ def run_plan(
     weights: np.ndarray | None = None,
     initial_clusters: np.ndarray | None = None,
 ) -> RunResult:
-    """Dispatch a lowered plan to its pipeline runner."""
+    """Dispatch a lowered plan to its pipeline runner.
+
+    Two-set plans take ``trg`` as the initial clusters (iterative) or the
+    join's target set (one-shot; defaults to ``src``). Self-set plans take
+    ``src`` alone.
+    """
     config = config or RunConfig()
     if plan.pipeline_kind == "iterative_two_set":
-        init = initial_clusters if initial_clusters is not None else (
-            trg.values if trg is not None else None
-        )
-        return run_kmeans(plan, src, config, initial_clusters=init, weights=weights)
+        if initial_clusters is None and trg is not None:
+            initial_clusters = trg.values
+        return run_kmeans(plan, src, config, initial_clusters=initial_clusters, weights=weights)
     if plan.pipeline_kind == "oneshot_two_set":
-        if trg is None:
-            trg = src
-        return run_knn_join(plan, src, trg, config, weights=weights)
+        return run_knn_join(plan, src, trg if trg is not None else src, config, weights=weights)
     if plan.pipeline_kind == "iterative_self_set":
         if trg is not None:
             raise UnsupportedProgramError("self-set pipelines take a single dataset")

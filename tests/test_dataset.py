@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, load_csv, pairwise_brute, select_topk, topk_matrix
+from accd.dataset import Dataset, load_csv, pairwise_brute, select_topk
 from accd.errors import DimensionMismatchError, FormatError, RangeError
 from accd.metrics import MetricSpec, distance
 
@@ -146,20 +146,6 @@ def test_select_topk_matches_full_sort():
 def test_select_topk_range_error():
     with pytest.raises(RangeError):
         select_topk([1.0, 2.0], [0, 1], 3, "smallest")
-
-
-def test_topk_matrix_rows_match_select():
-    r = np.random.default_rng(6)
-    d = r.uniform(size=(20, 30))
-    col_ids = np.arange(30)
-    res = topk_matrix(d, col_ids, 4, "smallest")
-    for i in range(20):
-        ids, dists = select_topk(d[i], col_ids, 4, "smallest")
-        assert np.array_equal(res.ids[i], ids)
-        assert np.array_equal(res.distances[i], dists)
-    # ids distinct per row
-    for i in range(20):
-        assert len(set(res.ids[i].tolist())) == 4
 
 
 def test_dataset_id_invariant():

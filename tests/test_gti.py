@@ -15,7 +15,6 @@ from accd.gti import (
     group_bounds,
     init_oneshot_state,
     measured_saving,
-    trace_bounds,
     two_landmark_bounds,
 )
 from accd.metrics import MetricSpec
@@ -120,8 +119,24 @@ def test_group_bounds_bracket_true_extremes():
 
 
 def test_trace_bounds_hand_values():
-    assert trace_bounds(10.0, 0.0, 5.0, 0.0) == (10.0, 5.0)
-    assert trace_bounds(10.0, 3.0, 4.0, 1.0) == (7.0, 5.0)
+    # one source point whose best target 0 shares target group 0 with
+    # target 1: the group lb decays by the group's largest drift, the
+    # point's ub grows by its own target's drift
+    gm = build_groups(Dataset.from_values(np.zeros((1, 2))), 1, seed=0, metric=L2)
+
+    def decay(prev_lb, prev_best, drifts):
+        state = BoundState(
+            lb=np.array([[prev_lb]]),
+            prev_best_dist=np.array([prev_best]),
+            prev_best_target=np.array([0]),
+            target_group_of=np.array([0, 0]),
+            iteration=1,
+        )
+        filter_iterative(state, np.array(drifts), TopKQuery(1), gm)
+        return float(state.lb[0, 0]), float(state.point_ub[0])
+
+    assert decay(10.0, 5.0, [0.0, 0.0]) == (10.0, 5.0)
+    assert decay(10.0, 4.0, [1.0, 3.0]) == (7.0, 5.0)
 
 
 def test_bound_ops_vectorized():

@@ -4,16 +4,9 @@ import pytest
 from accd.counters import CounterSet
 from accd.dataset import Dataset, pairwise_brute
 from accd.errors import DimensionMismatchError, RangeError
-from accd.gti import CandidateMatrix, build_groups, filter_oneshot, init_oneshot_state, RadiusQuery
-from accd.kernel import (
-    KernelConfig,
-    distances_blocked,
-    modeled_tile_cost,
-    rss,
-    tile_distances,
-)
+from accd.explorer import DesignConfig
+from accd.kernel import rss, tile_distances
 from accd.metrics import MetricSpec
-from accd.synth import gaussian_mixture
 
 L1 = MetricSpec(kind="L1")
 L2 = MetricSpec(kind="L2")
@@ -53,7 +46,7 @@ def test_rss_row_scaling():
 
 def test_identical_point_distance_exactly_zero():
     a = np.array([[0.3, -0.7, 2.2]])
-    out = tile_distances(a, a, L2, KernelConfig())
+    out = tile_distances(a, a, L2, 64)
     assert out[0, 0] == 0.0
 
 
@@ -62,7 +55,7 @@ def test_blocked_matches_brute_within_tolerance():
     a = Dataset.from_values(r.normal(size=(200, 37)))
     b = Dataset.from_values(r.normal(size=(150, 37)))
     brute = pairwise_brute(a, b, L2, CounterSet()).values
-    got = distances_blocked(a, b, L2, KernelConfig(blk=64), CounterSet()).values
+    got = tile_distances(a.values, b.values, L2, 64, CounterSet())
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
 
@@ -71,7 +64,7 @@ def test_blocked_l1_matches_brute():
     a = Dataset.from_values(r.normal(size=(90, 12)))
     b = Dataset.from_values(r.normal(size=(80, 12)))
     brute = pairwise_brute(a, b, L1, CounterSet()).values
-    got = distances_blocked(a, b, L1, KernelConfig(blk=32), CounterSet()).values
+    got = tile_distances(a.values, b.values, L1, 32, CounterSet())
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
 
@@ -82,36 +75,33 @@ def test_weighted_l2_blocked():
     a = Dataset.from_values(r.normal(size=(40, 9)))
     b = Dataset.from_values(r.normal(size=(30, 9)))
     brute = pairwise_brute(a, b, m, CounterSet()).values
-    got = distances_blocked(a, b, m, KernelConfig(blk=16), CounterSet()).values
+    got = tile_distances(a.values, b.values, m, 16, CounterSet())
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
 
 def test_outputs_bit_identical_across_configs():
+    # blk only shapes the counters, and a sub-tile holds exactly the values
+    # of the same entries in a larger tile
     r = np.random.default_rng(8)
-    a = Dataset.from_values(r.normal(size=(120, 21)))
-    b = Dataset.from_values(r.normal(size=(95, 21)))
-    reference = None
-    for blk in (1, 2, 8, 64):
-        for simd in (1, 8):
-            for unroll in (2, 64):
-                cfg = KernelConfig(blk=blk, simd=simd, unroll=unroll)
-                got = distances_blocked(a, b, L2, cfg, CounterSet()).values
-                if reference is None:
-                    reference = got
-                else:
-                    assert np.array_equal(got, reference), (blk, simd, unroll)
+    a = r.normal(size=(120, 21))
+    b = r.normal(size=(95, 21))
+    reference = tile_distances(a, b, L2, 64)
+    for blk in (1, 2, 8):
+        assert np.array_equal(tile_distances(a, b, L2, blk), reference), blk
+    rows, cols = np.arange(3, 120, 7), np.arange(10, 40)
+    sub = tile_distances(a[rows], b[cols], L2, 64, rss_a=rss(a)[rows], rss_b=rss(b)[cols])
+    assert np.array_equal(sub, reference[np.ix_(rows, cols)])
 
 
 def test_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
-        tile_distances(np.zeros((2, 3)), np.zeros((2, 4)), L2, KernelConfig())
+        tile_distances(np.zeros((2, 3)), np.zeros((2, 4)), L2, 64)
 
 
 def test_config_validation():
+    # the kernel's tile edge comes from the design, which rejects blk < 1
     with pytest.raises(RangeError):
-        KernelConfig(blk=0)
-    with pytest.raises(RangeError):
-        KernelConfig(frequency=0)
+        DesignConfig(n_src_grp=1, n_trg_grp=1, blk=0, simd=1, unroll=1)
 
 
 # -- counters -----------------------------------------------------------------
@@ -122,64 +112,9 @@ def test_counters_count_each_pair_once():
     a = Dataset.from_values(r.normal(size=(70, 5)))
     b = Dataset.from_values(r.normal(size=(55, 5)))
     c = CounterSet()
-    distances_blocked(a, b, L2, KernelConfig(blk=16), c)
+    tile_distances(a.values, b.values, L2, 16, c)
     assert c.point_distances == 70 * 55
     assert c.mac_ops == 70 * 55 * 5
     assert c.tiles_executed == int(np.ceil(70 / 16)) * int(np.ceil(55 / 16))
-
-
-def test_candidate_masking_skips_pruned_tiles():
-    src = gaussian_mixture(60, 3, 2, seed=1, center_box=100.0)
-    trg = gaussian_mixture(50, 3, 2, seed=2, center_box=100.0)
-    c = CounterSet()
-    gm_s = build_groups(src, 2, seed=3, metric=L2, counters=c)
-    gm_t = build_groups(trg, 2, seed=4, metric=L2, counters=c)
-    state = init_oneshot_state(gm_s, gm_t, c)
-    cm = filter_oneshot(gm_s, gm_t, state, RadiusQuery(10.0), c)
-    kc = CounterSet()
-    out = distances_blocked(
-        src, trg, L2, KernelConfig(blk=32), kc, candidates=cm, src_gm=gm_s, trg_gm=gm_t
-    ).values
-    surviving = sum(
-        gm_s.membership[g].size * gm_t.membership[int(t)].size
-        for g in range(2)
-        for t in cm.targets[g]
-    )
-    assert kc.point_distances == surviving < 60 * 50
-    # masked entries stay +inf, computed ones are finite
-    assert np.isinf(out).sum() == 60 * 50 - surviving
-
-
-# -- modeled cost -------------------------------------------------------------
-
-
-def test_modeled_tile_cost_hand_value():
-    cfg = KernelConfig(blk=64, simd=1, unroll=1)
-    assert modeled_tile_cost(cfg, (64, 64), 32) == 131072
-
-
-def test_modeled_cost_linear_in_unroll_and_simd():
-    base = modeled_tile_cost(KernelConfig(blk=64), (64, 64), 32)
-    assert modeled_tile_cost(KernelConfig(blk=64, unroll=2), (64, 64), 32) == base / 2
-    assert modeled_tile_cost(KernelConfig(blk=64, simd=4), (64, 64), 32) == base / 4
-
-
-def test_tile_cost_sum_reconciles_with_closed_form():
-    # sum over executed tiles == src*trg*remaining_fraction*d / (unroll*simd),
-    # the compute-latency numerator/denominator evaluated with the measured
-    # remaining fraction and scaled by frequency*blk^2
-    r = np.random.default_rng(10)
-    a = Dataset.from_values(r.normal(size=(130, 7)))
-    b = Dataset.from_values(r.normal(size=(75, 7)))
-    cfg = KernelConfig(blk=32, simd=2, unroll=4)
-    c = CounterSet()
-    distances_blocked(a, b, L2, cfg, c)
-    total_cycles = 0.0
-    for i0 in range(0, 130, cfg.blk):
-        for j0 in range(0, 75, cfg.blk):
-            rows = min(cfg.blk, 130 - i0)
-            cols = min(cfg.blk, 75 - j0)
-            total_cycles += modeled_tile_cost(cfg, (rows, cols), 7)
-    remaining = c.point_distances / (130 * 75)
-    closed = 130 * 75 * remaining * 7 / (cfg.unroll * cfg.simd)
-    assert total_cycles == pytest.approx(closed, rel=1e-12)
+    # each of the 5 x 4 tiles streams its row and column slabs once
+    assert c.bytes_streamed == (70 * 4 + 55 * 5) * 5 * 8

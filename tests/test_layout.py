@@ -5,13 +5,7 @@ from accd.counters import CounterSet
 from accd.dataset import Dataset
 from accd.errors import CapacityError, SizeMismatchError
 from accd.gti import CandidateMatrix, GroupModel, build_groups
-from accd.layout import (
-    apply_layout,
-    pack_intra_group,
-    reorder_inter_group,
-    restore_ids,
-    restore_rows,
-)
+from accd.layout import pack_intra_group, reorder_inter_group
 from accd.metrics import MetricSpec
 from accd.synth import gaussian_mixture
 
@@ -87,8 +81,6 @@ def test_single_group_roundtrip():
     ds = Dataset.from_values(values)
     gm = _gm_from_membership(values, [list(range(12))])
     plan = pack_intra_group(ds, gm, n_banks=1)
-    packed = apply_layout(ds, plan)
-    assert np.array_equal(restore_rows(packed.values, plan), values)
     assert plan.point_perm[plan.inverse_perm].tolist() == list(range(12))
 
 
@@ -133,26 +125,13 @@ def test_capacity_error_for_oversized_group():
 
 
 def test_apply_preserves_row_multiset():
+    # the pipelines apply a layout by reading values[point_perm]
     pts = gaussian_mixture(60, 4, 5, seed=3)
     gm = build_groups(pts, 5, seed=4, metric=L2, counters=CounterSet())
     plan = pack_intra_group(pts, gm, n_banks=3)
-    packed = apply_layout(pts, plan)
-    assert np.array_equal(
-        np.sort(packed.values, axis=0), np.sort(pts.values, axis=0)
-    )
-
-
-def test_restore_ids_maps_back():
-    pts = gaussian_mixture(30, 2, 3, seed=5)
-    gm = build_groups(pts, 3, seed=6, metric=L2, counters=CounterSet())
-    plan = pack_intra_group(pts, gm, n_banks=2)
-    packed_ids = np.arange(30)
-    original = restore_ids(packed_ids, plan)
-    assert sorted(original.tolist()) == list(range(30))
-    # position p in packed order holds original point plan.point_perm[p]
-    packed = apply_layout(pts, plan)
-    for p in range(30):
-        assert np.array_equal(packed.values[p], pts.values[original[p]])
+    packed = pts.values[plan.point_perm]
+    assert np.array_equal(np.sort(packed, axis=0), np.sort(pts.values, axis=0))
+    assert np.array_equal(plan.inverse_perm[plan.point_perm], np.arange(60))
 
 
 def test_group_order_must_be_permutation():

@@ -1,20 +1,24 @@
 """The sample programs end to end through ``run_plan``, checked against the
 shadow oracle, plus the run invariants: every point pair is accounted for
 on every iteration, and neither the layout nor the thread count changes a
-result."""
+result. The tile engine is also driven directly, with a recording reducer."""
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from accd.dataset import Dataset, TopKResult
+from accd.counters import CounterSet
+from accd.dataset import Dataset, TopKResult, pairwise_brute
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
 from accd.errors import UnsupportedProgramError
 from accd.explorer import DesignConfig
-from accd.pipelines import RunConfig, run_kmeans, run_plan
+from accd.gti import RadiusQuery, build_groups, filter_oneshot, init_oneshot_state
+from accd.metrics import MetricSpec
+from accd.pipelines import RunConfig, _Grouped, _sweep, run_kmeans, run_plan
 from accd.synth import gaussian_mixture
 
 from conftest import make_plan
@@ -50,7 +54,12 @@ def _case(name: str):
         src = gaussian_mixture(240, 24, 5, seed=2, center_box=20.0)
         trg = gaussian_mixture(200, 24, 5, seed=3, center_box=20.0)
         return "knn_join.ddsl", src, trg, trg.n
-    pts = gaussian_mixture(300, 3, 4, seed=4, center_box=4.0)
+    # tight blobs give group pairs that lie wholly inside the radius; a
+    # far row of points spaced wider than the radius never moves, so its
+    # group pairs are reused from the last step
+    blobs = gaussian_mixture(300, 3, 4, seed=4, center_box=4.0, spread=0.3).values
+    still = np.column_stack([100.0 + 2.0 * np.arange(6), np.full((6, 2), 100.0)])
+    pts = Dataset.from_values(np.vstack([blobs, still]))
     return "nbody.ddsl", pts, None, pts.n
 
 
@@ -84,17 +93,27 @@ def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
         assert accounted == pairs, s
     # the filters do real work on these inputs
     c = result.counters
-    assert c.point_distances < pairs * result.iterations
-    assert c.pruned_pairs + c.all_inside_pairs + c.reused_pairs > 0
+    assert 0 < c.point_distances < pairs * result.iterations
+    assert c.pruned_pairs > 0
+    if name == "nbody":
+        assert c.all_inside_pairs > 0 and c.reused_pairs > 0
 
 
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize(
-    "variant", [{"layout_enabled": False}, {"thread_count": 2}], ids=["layout_off", "threads2"]
+    "variant",
+    [{"layout_enabled": False}, {"thread_count": 2}, {"thread_count": 4}],
+    ids=["layout_off", "threads2", "threads4"],
 )
 def test_layout_and_threads_change_no_result(name, variant):
     base, _ = _run(name)
-    other, _ = _run(name, **variant)
+    # switch threads often, so a lost update between batches would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        other, _ = _run(name, **variant)
+    finally:
+        sys.setswitchinterval(interval)
     assert base.iterations == other.iterations
     assert base.outputs.keys() == other.outputs.keys()
     for key in base.outputs:
@@ -123,3 +142,68 @@ def test_runner_rejects_a_plan_of_another_kind():
     ds = Dataset.from_values(np.random.default_rng(0).normal(size=(20, 3)))
     with pytest.raises(UnsupportedProgramError):
         run_kmeans(plan, ds, RunConfig(design=DESIGN))
+
+
+# -- the tile engine --------------------------------------------------------
+
+L2 = MetricSpec(kind="L2")
+
+
+class _Recorder:
+    """Reducer that keeps every tile, with a fixed per-point bound."""
+
+    def __init__(self, bound=None):
+        self.point_bound = bound
+        self.tiles = []
+
+    def bound(self, ids):
+        return None if self.point_bound is None else self.point_bound[ids]
+
+    def reduce(self, batch, t, ids, tile):
+        self.tiles.append((batch[0], t, ids.copy(), tile))
+
+
+def _filtered_pair():
+    # two far-apart blobs shared by both sets: each source group keeps
+    # only the target group of its own blob
+    src = gaussian_mixture(60, 3, 2, seed=1, center_box=100.0)
+    trg = gaussian_mixture(50, 3, 2, seed=1, center_box=100.0)
+    c = CounterSet()
+    gm_s = build_groups(src, 2, seed=3, metric=L2, counters=c)
+    gm_t = build_groups(trg, 2, seed=4, metric=L2, counters=c)
+    state = init_oneshot_state(gm_s, gm_t, c)
+    cm = filter_oneshot(gm_s, gm_t, state, RadiusQuery(10.0), c)
+    g_src = _Grouped.build(src.values, gm_s, None, L2)
+    g_trg = _Grouped.build(trg.values, gm_t, None, L2)
+    return src, trg, gm_s, gm_t, state, cm, (g_src, g_trg)
+
+
+def test_candidate_masking_skips_pruned_tiles():
+    src, trg, gm_s, gm_t, state, cm, (g_src, g_trg) = _filtered_pair()
+    rec = _Recorder()
+    kc = _sweep(g_src, g_trg, cm, state.lb, [[0], [1]], rec, L2, 32, 1)
+    candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
+    surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
+    assert 0 < kc.point_distances == surviving < 60 * 50
+    assert kc.pruned_pairs == 0
+    # each candidate group pair is tiled once, with brute-force values;
+    # pruned group pairs are never touched
+    assert sorted((g, t) for g, t, _, _ in rec.tiles) == sorted(candidates)
+    full = pairwise_brute(src, trg, L2).values
+    for g, t, ids, tile in rec.tiles:
+        assert np.array_equal(ids, gm_s.membership[g])
+        want = full[np.ix_(ids, gm_t.membership[t])]
+        assert np.all(np.abs(tile - want) <= 1e-10 * np.maximum(1.0, want))
+
+
+def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
+    src, trg, gm_s, gm_t, state, cm, (g_src, g_trg) = _filtered_pair()
+    bound = np.where(np.arange(src.n) % 2 == 0, np.inf, -1.0)  # odd rows reach nothing
+    rec = _Recorder(bound)
+    kc = _sweep(g_src, g_trg, cm, state.lb, [[0], [1]], rec, L2, 32, 1)
+    candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
+    surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
+    assert kc.point_distances + kc.pruned_pairs == surviving
+    assert kc.pruned_pairs > 0
+    for _, _, ids, _ in rec.tiles:
+        assert np.all(ids % 2 == 0)
