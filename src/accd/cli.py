@@ -26,6 +26,7 @@ from .ddsl.lowering import ExecutionPlan, SelectSpec
 from .errors import (
     AccdError,
     CapacityError,
+    ConfigError,
     DdslSyntaxError,
     FormatError,
     InvalidQueryError,
@@ -108,18 +109,26 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _load_config(path: str, cls, field=lambda v: v):
+    """Build ``cls`` from the JSON object in ``path``, passing each field's
+    value through ``field``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected a JSON object of {cls.__name__} fields")
+    try:
+        return cls(**{k: field(v) for k, v in payload.items()})
+    except TypeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _design_from_args(args) -> DesignConfig:
     if args.design:
-        with open(args.design, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return DesignConfig(**payload)
-    return DesignConfig(
-        n_src_grp=args.src_groups,
-        n_trg_grp=args.trg_groups,
-        blk=args.blk,
-        simd=args.simd,
-        unroll=args.unroll,
-    )
+        return _load_config(args.design, DesignConfig)
+    return DesignConfig(n_src_grp=args.src_groups, n_trg_grp=args.trg_groups, blk=args.blk)
 
 
 def _thread_default() -> int:
@@ -241,19 +250,10 @@ def _resolve_platform(spec: str, domains: Domains):
 
 
 def cmd_explore(args) -> int:
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        problem = ProblemSpec(**json.load(fh))
-    if args.domains:
-        with open(args.domains, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        domains = Domains(**{k: tuple(v) for k, v in payload.items()})
-    else:
-        domains = default_domains()
+    problem = _load_config(args.problem, ProblemSpec)
+    domains = _load_config(args.domains, Domains, tuple) if args.domains else default_domains()
     platform = _resolve_platform(args.platform, domains)
-    ga = GaParams()
-    if args.ga:
-        with open(args.ga, "r", encoding="utf-8") as fh:
-            ga = GaParams(**json.load(fh))
+    ga = _load_config(args.ga, GaParams) if args.ga else GaParams()
     try:
         result = explore(problem, platform, domains, ga, seed=args.seed)
     except NoFeasibleConfigError as exc:
@@ -271,13 +271,7 @@ def _bench_kmeans(scale: float, seed: int, threads: int):
     d = 11
     k = max(2, int(158 * scale))
     points = gaussian_mixture(n, d, k, seed=seed, center_box=50.0, spread=1.0)
-    design = DesignConfig(
-        n_src_grp=max(8, int(np.sqrt(n))),
-        n_trg_grp=max(2, k // 8),
-        blk=64,
-        simd=1,
-        unroll=1,
-    )
+    design = DesignConfig(n_src_grp=max(8, int(np.sqrt(n))), n_trg_grp=max(2, k // 8), blk=64)
     plan = ExecutionPlan(
         pipeline_kind="iterative_two_set",
         source_set="pSet",
@@ -314,11 +308,7 @@ def _bench_knn(scale: float, seed: int, threads: int):
     src = gaussian_mixture(n, d, 32, seed=seed, center_box=50.0, spread=1.0)
     trg = gaussian_mixture(n, d, 32, seed=seed + 1, center_box=50.0, spread=1.0)
     design = DesignConfig(
-        n_src_grp=max(8, int(np.sqrt(n))),
-        n_trg_grp=max(8, int(np.sqrt(n))),
-        blk=64,
-        simd=1,
-        unroll=1,
+        n_src_grp=max(8, int(np.sqrt(n))), n_trg_grp=max(8, int(np.sqrt(n))), blk=64
     )
     plan = ExecutionPlan(
         pipeline_kind="oneshot_two_set",
@@ -352,9 +342,7 @@ def _bench_nbody(scale: float, seed: int, threads: int):
     steps = 5
     points = gaussian_mixture(n, d, 24, seed=seed, center_box=20.0, spread=1.0)
     radius = radius_for_mean_neighbors(points.values, 50, seed=seed + 1)
-    design = DesignConfig(
-        n_src_grp=max(8, int(np.sqrt(n))), n_trg_grp=1, blk=64, simd=1, unroll=1
-    )
+    design = DesignConfig(n_src_grp=max(8, int(np.sqrt(n))), n_trg_grp=1, blk=64)
     plan = ExecutionPlan(
         pipeline_kind="iterative_self_set",
         source_set="pSet",
@@ -452,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-groups", type=int, default=64)
     p.add_argument("--trg-groups", type=int, default=8)
     p.add_argument("--blk", type=int, default=64)
-    p.add_argument("--simd", type=int, default=1)
-    p.add_argument("--unroll", type=int, default=1)
     p.add_argument("--oracle", choices=("off", "shadow"), default="off")
     p.add_argument("--layout", choices=("on", "off"), default="on")
     p.add_argument("--seed", type=int, default=0)

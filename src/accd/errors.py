@@ -67,8 +67,9 @@ class InvalidQueryError(AccdError):
     pass
 
 
-class StateError(AccdError):
-    pass
+class ConfigError(AccdError):
+    """A JSON config file that is not valid JSON or whose fields do not
+    match the config it describes."""
 
 
 class CapacityError(AccdError):

@@ -38,8 +38,10 @@ class DesignConfig:
     n_src_grp: int
     n_trg_grp: int
     blk: int
-    simd: int
-    unroll: int
+    # cost-model knobs: the explorer's latency and resource model reads
+    # them, execution never does
+    simd: int = 1
+    unroll: int = 1
 
     def __post_init__(self):
         for name in ("n_src_grp", "n_trg_grp", "blk", "simd", "unroll"):

@@ -12,8 +12,15 @@ Three bound families are provided:
 * trace-based: reuse last iteration's bounds, decayed by how far each
   group or point has drifted since.
 
-All filters are conservative: a pruned pair is provably outside the query,
-so downstream results equal brute force exactly.
+All filters are conservative: in exact arithmetic a pruned pair is
+provably outside the query, so downstream results equal brute force
+exactly. The bounds carry no floating-point slack yet; making the promise
+hold in floating point too is open (ROADMAP item 1).
+
+Every filter ends in one vectorised cut: target group t survives for
+source group a iff lb[a, t] <= thr[a], where the per-source-group
+threshold ``thr`` comes from the query (the K-th covering ub, the
+weakest point bound, or the radius).
 """
 
 from __future__ import annotations
@@ -24,22 +31,12 @@ import numpy as np
 
 from .counters import CounterSet
 from .dataset import Dataset, brute_rows
-from .errors import InvalidQueryError, RangeError, StateError
+from .errors import InvalidQueryError, RangeError
 from .metrics import MetricSpec
 from .oracles import group_means
 
 _LLOYD_ITERATIONS = 5
 _ASSIGN_BLOCK_ELEMS = 4_000_000
-
-
-@dataclass(frozen=True)
-class TopKQuery:
-    k: int
-
-
-@dataclass(frozen=True)
-class RadiusQuery:
-    radius: float
 
 
 @dataclass
@@ -67,26 +64,6 @@ class GroupModel:
 
 
 @dataclass
-class BoundState:
-    """Cached group-pair distances and bounds carried across filter calls.
-
-    For one-shot filtering only ``group_pair_dist``/``lb``/``ub`` are set.
-    Iterative nearest-target runs track per-point best distances and the
-    owning target so trace bounds can decay them; iterative self-set runs
-    keep the group-pair ``ub`` matrix instead.
-    """
-
-    lb: np.ndarray  # z_src x z_trg
-    ub: np.ndarray | None = None
-    group_pair_dist: np.ndarray | None = None
-    prev_best_dist: np.ndarray | None = None  # per source point
-    prev_best_target: np.ndarray | None = None  # per source point
-    target_group_of: np.ndarray | None = None  # target item -> target group
-    point_ub: np.ndarray | None = None  # scratch: per-point upper bound after decay
-    iteration: int = 0
-
-
-@dataclass
 class CandidateMatrix:
     """Per source group, the sorted target groups surviving the filter.
 
@@ -96,7 +73,6 @@ class CandidateMatrix:
 
     targets: list[np.ndarray]
     all_inside: list[np.ndarray] | None = None
-    n_target_groups: int = 0
 
     def key(self, g: int) -> tuple:
         return tuple(int(t) for t in self.targets[g])
@@ -104,11 +80,7 @@ class CandidateMatrix:
     @classmethod
     def full(cls, z_src: int, z_trg: int) -> "CandidateMatrix":
         all_targets = np.arange(z_trg, dtype=np.int64)
-        return cls(
-            targets=[all_targets.copy() for _ in range(z_src)],
-            all_inside=None,
-            n_target_groups=z_trg,
-        )
+        return cls(targets=[all_targets.copy() for _ in range(z_src)])
 
 
 def _assign_nearest_blocked(
@@ -182,14 +154,40 @@ def two_landmark_bounds(d_ref, d_a, d_b):
     """Bounds on d(a, b) from two landmark offsets.
 
     lb = max(0, d_ref - d_a - d_b), ub = d_ref + d_a + d_b. Works
-    elementwise on arrays.
+    elementwise on arrays; with group radii as the offsets it bounds every
+    member pair of two groups.
     """
     return np.maximum(0.0, d_ref - d_a - d_b), d_ref + d_a + d_b
 
 
-def group_bounds(d_ref, rad_a, rad_b):
-    """Group-pair bounds: two-landmark algebra with group radii."""
-    return two_landmark_bounds(d_ref, rad_a, rad_b)
+def group_max(values: np.ndarray, group_of: np.ndarray, z: int) -> np.ndarray:
+    out = np.zeros(z, dtype=np.float64)
+    np.maximum.at(out, group_of, values)
+    return out
+
+
+def _cut(
+    lb: np.ndarray,
+    thr: np.ndarray,
+    src_sizes: np.ndarray,
+    trg_sizes: np.ndarray,
+    counters: CounterSet | None,
+    ub: np.ndarray | None = None,
+) -> CandidateMatrix:
+    """Keep target group t for source group a iff lb[a, t] <= thr[a].
+
+    With ``ub`` the kept pairs with ub[a, t] <= thr[a] are marked
+    all-inside. Credits every dropped point pair to ``pruned_pairs``.
+    """
+    keep = lb <= thr[:, None]
+    if counters is not None:
+        counters.pruned_pairs += int(src_sizes @ (~keep @ trg_sizes))
+    rows, cols = np.nonzero(keep)
+    splits = np.cumsum(np.count_nonzero(keep, axis=1))[:-1]
+    all_inside = None
+    if ub is not None:
+        all_inside = np.split(ub[rows, cols] <= thr[rows], splits)
+    return CandidateMatrix(targets=np.split(cols, splits), all_inside=all_inside)
 
 
 # -- one-shot filtering (two-landmark + group-level) ---------------------
@@ -199,147 +197,79 @@ def init_oneshot_state(
     src: GroupModel,
     trg: GroupModel,
     counters: CounterSet | None = None,
-) -> BoundState:
-    """Compute landmark-pair distances and the group-pair bounds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The group-pair bounds (lb, ub), each z_src x z_trg.
 
-    Costs exactly z_src * z_trg true distance evaluations; together with
-    the per-point offsets cached by ``build_groups`` this is the whole
-    bound budget of the one-shot path.
+    Costs exactly z_src * z_trg true distance evaluations between the
+    landmarks; together with the per-point offsets cached by
+    ``build_groups`` this is the whole bound budget of the one-shot path.
     """
     scratch = CounterSet()
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric, scratch)
     if counters is not None:
         counters.bound_computations += src.z * trg.z
-    lb, ub = group_bounds(pair, src.radius[:, None], trg.radius[None, :])
-    return BoundState(lb=lb, ub=ub, group_pair_dist=pair)
+    return two_landmark_bounds(pair, src.radius[:, None], trg.radius[None, :])
 
 
 def filter_oneshot(
     src: GroupModel,
     trg: GroupModel,
-    state: BoundState,
-    query: TopKQuery | RadiusQuery,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    k: int,
     counters: CounterSet | None = None,
 ) -> CandidateMatrix:
-    """Emit per-source-group surviving target groups.
+    """Top-K candidates per source group.
 
-    Radius queries keep groups with lb <= R and mark ub <= R pairs as
-    all-inside. Top-K queries build a per-source-group threshold by
-    accumulating target group sizes in ascending-ub order until at least K
-    points are covered; a group survives iff its lb does not exceed that
-    threshold.
+    The threshold of a source group accumulates target group sizes in
+    ascending (ub, group id) order until at least K points are covered and
+    takes the ub reached there; a target group survives iff its lb does
+    not exceed that threshold.
     """
-    if state.group_pair_dist is None or state.ub is None:
-        raise StateError("one-shot filtering requires an initialized bound state")
-    lb, ub = state.lb, state.ub
     sizes = trg.sizes
-    src_sizes = src.sizes
-    z_src, z_trg = lb.shape
-    targets: list[np.ndarray] = []
-    pruned = 0
-
-    if isinstance(query, RadiusQuery):
-        if query.radius <= 0:
-            raise InvalidQueryError("radius must be positive")
-        all_inside: list[np.ndarray] = []
-        for a in range(z_src):
-            keep = np.flatnonzero(lb[a] <= query.radius)
-            targets.append(keep)
-            all_inside.append(ub[a, keep] <= query.radius)
-            dropped = np.setdiff1d(np.arange(z_trg), keep, assume_unique=True)
-            pruned += int(src_sizes[a] * sizes[dropped].sum())
-        if counters is not None:
-            counters.pruned_pairs += pruned
-        return CandidateMatrix(targets=targets, all_inside=all_inside, n_target_groups=z_trg)
-
-    k = query.k
     if k < 1 or k > int(sizes.sum()):
         raise InvalidQueryError(f"top-K count {k} out of range for {sizes.sum()} targets")
-    for a in range(z_src):
-        order = np.lexsort((np.arange(z_trg), ub[a]))
-        covered = np.cumsum(sizes[order])
-        cut = int(np.searchsorted(covered, k))
-        tau = ub[a, order[cut]]
-        keep = np.flatnonzero(lb[a] <= tau)
-        targets.append(keep)
-        dropped = np.setdiff1d(np.arange(z_trg), keep, assume_unique=True)
-        pruned += int(src_sizes[a] * sizes[dropped].sum())
-    if counters is not None:
-        counters.pruned_pairs += pruned
-    return CandidateMatrix(targets=targets, all_inside=None, n_target_groups=z_trg)
+    order = np.argsort(ub, axis=1, kind="stable")
+    covered = np.cumsum(sizes[order], axis=1)
+    rows = np.arange(ub.shape[0])
+    thr = ub[rows, order[rows, np.argmax(covered >= k, axis=1)]]
+    return _cut(lb, thr, src.sizes, sizes, counters)
 
 
 # -- iterative filtering (trace + group-level) ---------------------------
 
 
-def group_max(values: np.ndarray, group_of: np.ndarray, z: int) -> np.ndarray:
-    out = np.zeros(z, dtype=np.float64)
-    np.maximum.at(out, group_of, values)
-    return out
-
-
 def filter_iterative(
-    state: BoundState,
-    drifts: np.ndarray,
-    query: TopKQuery | RadiusQuery,
-    src_gm: GroupModel,
+    src: GroupModel,
+    trg: GroupModel,
+    lb: np.ndarray,
+    thr: np.ndarray,
+    src_drift: np.ndarray,
+    trg_drift: np.ndarray,
     counters: CounterSet | None = None,
-    trg_sizes: np.ndarray | None = None,
+    ub: np.ndarray | None = None,
 ) -> CandidateMatrix:
-    """Decay carried bounds by drift and re-derive candidates.
+    """Decay last iteration's group-pair bounds, then re-derive candidates.
 
-    Nearest-target mode (TopKQuery, iterative two-set): ``drifts`` holds
-    one entry per target item; the group decay is the max drift inside
-    each target group, the per-point upper bound is last iteration's best
-    distance plus the drift of its owning target. A target group survives
-    for a whole source group unless its decayed lb beats the weakest
-    member's upper bound.
+    ``src_drift``/``trg_drift`` hold per group the largest distance any
+    member moved since the bounds were taken; a pair's lb shrinks (and its
+    ub grows) by both. ``lb`` and ``ub`` are updated in place. A target
+    group survives for source group a iff its decayed lb does not exceed
+    ``thr[a]``:
 
-    Radius mode (iterative self-set): ``drifts`` holds one entry per
-    point; both sides of each group pair decay by their group's max
-    drift. Mutates ``state`` in place (lb, ub, point_ub).
+    * nearest target (k-means): targets move, points do not; ``thr[a]`` is
+      the weakest member's upper bound, its last best distance plus the
+      drift of that target;
+    * radius (self-set): ``thr`` is the radius, and ``ub`` is given so that
+      pairs it proves within the radius are marked all-inside.
     """
-    if state.iteration < 1:
-        raise StateError("iterative filtering needs a seeded first iteration")
-    z_src = state.lb.shape[0]
-    z_trg = state.lb.shape[1]
-    targets: list[np.ndarray] = []
-    pruned = 0
-
-    if isinstance(query, RadiusQuery):
-        gd = group_max(drifts, src_gm.group_of, z_src)
-        state.lb = np.maximum(0.0, state.lb - gd[:, None] - gd[None, :])
-        state.ub = state.ub + gd[:, None] + gd[None, :]
-        sizes = src_gm.sizes
-        all_inside: list[np.ndarray] = []
-        for a in range(z_src):
-            keep = np.flatnonzero(state.lb[a] <= query.radius)
-            targets.append(keep)
-            all_inside.append(state.ub[a, keep] <= query.radius)
-            dropped = np.setdiff1d(np.arange(z_trg), keep, assume_unique=True)
-            pruned += int(sizes[a] * sizes[dropped].sum())
-        if counters is not None:
-            counters.pruned_pairs += pruned
-        return CandidateMatrix(targets=targets, all_inside=all_inside, n_target_groups=z_trg)
-
-    if state.prev_best_dist is None or state.target_group_of is None:
-        raise StateError("nearest-target filtering requires per-point best state")
-    if trg_sizes is None:
-        trg_sizes = np.bincount(state.target_group_of, minlength=z_trg).astype(np.int64)
-    gd = np.zeros(z_trg, dtype=np.float64)
-    np.maximum.at(gd, state.target_group_of, drifts)
-    state.lb = np.maximum(0.0, state.lb - gd[None, :])
-    state.point_ub = state.prev_best_dist + drifts[state.prev_best_target]
-    weakest = group_max(state.point_ub, src_gm.group_of, z_src)
-    src_sizes = src_gm.sizes
-    for a in range(z_src):
-        keep = np.flatnonzero(state.lb[a] <= weakest[a])
-        targets.append(keep)
-        dropped = np.setdiff1d(np.arange(z_trg), keep, assume_unique=True)
-        pruned += int(src_sizes[a] * trg_sizes[dropped].sum())
-    if counters is not None:
-        counters.pruned_pairs += pruned
-    return CandidateMatrix(targets=targets, all_inside=None, n_target_groups=z_trg)
+    lb -= src_drift[:, None]
+    lb -= trg_drift[None, :]
+    np.maximum(0.0, lb, out=lb)
+    if ub is not None:
+        ub += src_drift[:, None]
+        ub += trg_drift[None, :]
+    return _cut(lb, thr, src.sizes, trg.sizes, counters, ub)
 
 
 def measured_saving(point_distances: int, n1: int, n2: int) -> float:

@@ -54,14 +54,12 @@ from .errors import (
 )
 from .explorer import DesignConfig
 from .gti import (
-    BoundState,
     CandidateMatrix,
     GroupModel,
-    RadiusQuery,
-    TopKQuery,
     build_groups,
     filter_iterative,
     filter_oneshot,
+    group_max,
     init_oneshot_state,
     measured_saving,
 )
@@ -71,7 +69,7 @@ from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
 from .metrics import MetricSpec, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
-DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8, blk=64, simd=1, unroll=1)
+DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8, blk=64)
 
 
 @dataclass
@@ -303,17 +301,19 @@ class _TopK:
 class _Radius:
     """Neighbor pairs within a radius, step after step of a self-set run.
 
-    ``state`` carries the group-pair lb/ub bounds. ``versions`` counts per
+    ``lb``/``ub`` are the group-pair bounds carried from step to step; a
+    tiled pair resets them to its tile's extremes. ``versions`` counts per
     group the steps in which it moved; ``cache`` maps a tiled group pair to
     the versions it was tiled at and its neighbor pairs. A step's pairs
     are collected per source group, so concurrent batches never share a
     list.
     """
 
-    def __init__(self, gm: GroupModel, radius: float, state: BoundState):
+    def __init__(self, gm: GroupModel, radius: float):
         self.gm = gm
         self.radius = radius
-        self.state = state
+        self.lb = np.zeros((gm.z, gm.z))
+        self.ub = np.zeros((gm.z, gm.z))
         self.versions = np.zeros(gm.z, dtype=np.int64)
         self.cache: dict[tuple[int, int], tuple[int, int, np.ndarray, np.ndarray]] = {}
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
@@ -342,7 +342,7 @@ class _Radius:
                 else:
                     left.append(b)
             targets.append(np.array(left, dtype=np.int64))
-        return CandidateMatrix(targets=targets, n_target_groups=cm.n_target_groups)
+        return CandidateMatrix(targets=targets)
 
     @staticmethod
     def bound(ids: np.ndarray) -> None:
@@ -355,8 +355,8 @@ class _Radius:
         pj = self.gm.membership[b][hit_c]
         self.pairs[a].append((pi, pj))
         self.cache[(a, b)] = (int(self.versions[a]), int(self.versions[b]), pi, pj)
-        self.state.lb[a, b] = float(tile.min())
-        self.state.ub[a, b] = float(tile.max())
+        self.lb[a, b] = float(tile.min())
+        self.ub[a, b] = float(tile.max())
 
     def assemble(self, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The step's pairs i != j sorted by (i, j), and per point its
@@ -459,30 +459,22 @@ def run_kmeans(
     # cluster-id groups, fixed across iterations
     trg_gm = build_groups(Dataset.from_values(centroids), z_trg, config.seed + 2, metric, counters)
 
-    full_cm = CandidateMatrix.full(z_src, z_trg)
-    order = (
-        reorder_inter_group(full_cm) if config.layout_enabled else np.arange(z_src)
-    )
-    lplan = (
-        pack_intra_group(points, src_gm, group_order=order) if config.layout_enabled else None
-    )
+    lplan = pack_intra_group(points, src_gm) if config.layout_enabled else None
     grouped = _Grouped.build(points.values, src_gm, lplan, metric)
 
     max_iter = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
-    state = BoundState(
-        lb=np.zeros((z_src, z_trg)),
-        target_group_of=trg_gm.group_of,
-        iteration=0,
-    )
     per_iter: list[IterationStats] = []
-    assignments: np.ndarray | None = None
+    # carried between iterations: the group-pair lower bounds, and each
+    # point's last best distance and cluster (``assignments``)
+    lb = np.zeros((z_src, z_trg))
+    best_d = assignments = None
     oracle_centroids = centroids.copy() if config.oracle_mode == "shadow" else None
 
     for it in range(1, max_iter + 1):
         base = counters.snapshot()
         reused_iteration = False
         if it == 1:
-            cm = full_cm
+            cm = CandidateMatrix.full(z_src, z_trg)
             point_ub = None
         else:
             drifts = rowwise_distance(prev_centroids, centroids, metric)
@@ -490,38 +482,35 @@ def run_kmeans(
             if float(drifts.max()) == 0.0:
                 reused_iteration = True
             else:
+                point_ub = best_d + drifts[assignments]
                 cm = filter_iterative(
-                    state, drifts, TopKQuery(1), src_gm, counters, trg_sizes=trg_gm.sizes
+                    src_gm, trg_gm, lb, group_max(point_ub, src_gm.group_of, z_src),
+                    np.zeros(z_src), group_max(drifts, trg_gm.group_of, z_trg), counters,
                 )
-                point_ub = state.point_ub
 
         if reused_iteration:
             counters.reused_pairs += n * k
             new_assign = assignments
-            best_d = state.prev_best_dist
             n_batches = 0
         else:
-            batches = _source_batches(order, cm, config.layout_enabled)
+            batches = _source_batches(np.arange(z_src), cm, config.layout_enabled)
             n_batches = len(batches)
             nearest = _Nearest(n, src_gm, trg_gm, point_ub)
             targets = _Grouped.build(centroids, trg_gm, None, metric)
             sweep = _sweep(
-                grouped, targets, cm, state.lb, batches, nearest, metric,
+                grouped, targets, cm, lb, batches, nearest, metric,
                 config.design.blk, config.thread_count,
             )
             counters.add(sweep)
             assert np.all(nearest.best_id >= 0), "nearest-target invariant violated"
             new_assign, best_d = nearest.best_id, nearest.best_d
             # the first, unpruned pass tiles every pair
-            state.lb = nearest.comp_min if it == 1 else nearest.refreshed_lb(state.lb)
+            lb = nearest.comp_min if it == 1 else nearest.refreshed_lb(lb)
 
         changed = (
             n if assignments is None else int(np.count_nonzero(new_assign != assignments))
         )
         assignments = new_assign
-        state.prev_best_dist = best_d
-        state.prev_best_target = assignments
-        state.iteration = it
 
         if config.oracle_mode == "shadow":
             oracle_assign, _ = nearest_assign(points.values, oracle_centroids, metric)
@@ -577,8 +566,8 @@ def run_knn_join(
     z_trg = min(config.design.n_trg_grp, n)
     src_gm = build_groups(src, z_src, config.seed + 1, metric, counters)
     trg_gm = build_groups(trg, z_trg, config.seed + 2, metric, counters)
-    state = init_oneshot_state(src_gm, trg_gm, counters)
-    cm = filter_oneshot(src_gm, trg_gm, state, TopKQuery(k), counters)
+    lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
+    cm = filter_oneshot(src_gm, trg_gm, lb, ub, k, counters)
 
     order = reorder_inter_group(cm) if config.layout_enabled else np.arange(z_src)
     src_lp = pack_intra_group(src, src_gm, group_order=order) if config.layout_enabled else None
@@ -588,7 +577,7 @@ def run_knn_join(
     g_src = _Grouped.build(src.values, src_gm, src_lp, metric)
     g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric)
     sweep = _sweep(
-        g_src, g_trg, cm, state.lb, batches, topk, metric, config.design.blk, config.thread_count
+        g_src, g_trg, cm, lb, batches, topk, metric, config.design.blk, config.thread_count
     )
     counters.add(sweep)
     result = TopKResult(
@@ -664,8 +653,8 @@ def run_nbody(
 
     pos = particles.values.copy()
     vel = np.zeros_like(pos)
-    state = BoundState(lb=np.zeros((z, z)), ub=np.zeros((z, z)), iteration=0)
-    within = _Radius(gm, radius, state)
+    within = _Radius(gm, radius)
+    thr = np.full(z, radius)
 
     neighbors_per_step: list[list[np.ndarray]] = []
     trajectories: list[np.ndarray] = [pos.copy()]
@@ -679,20 +668,20 @@ def run_nbody(
             cm = CandidateMatrix.full(z, z)
         else:
             counters.bound_computations += n  # drift distances recorded at integration
-            cm = filter_iterative(state, prev_drift, RadiusQuery(radius), gm, counters)
+            gd = group_max(prev_drift, gm.group_of, z)
+            cm = filter_iterative(gm, gm, within.lb, thr, gd, gd, counters, ub=within.ub)
         # Reported like the two-set pipelines' batching of the candidate
         # lists, though the sweep itself takes one group per batch.
         n_batches = len(_source_batches(np.arange(z), cm, config.layout_enabled))
 
         to_tile = within.resolve(cm, counters)
         sweep = _sweep(
-            grouped, grouped, to_tile, state.lb, one_group_batches, within, metric,
+            grouped, grouped, to_tile, within.lb, one_group_batches, within, metric,
             config.design.blk, config.thread_count,
         )
         counters.add(sweep)
         all_i, all_j, lists = within.assemble(n)
         neighbors_per_step.append(lists)
-        state.iteration = step
 
         if config.oracle_mode == "shadow":
             want = radius_neighbors(pos, metric, radius)

@@ -1,5 +1,5 @@
 """``accd`` subcommands end to end through ``cli.main``: exit codes 0, 1
-and 2, and run reports that validate against their schema."""
+and 2, and run and explore reports that validate against their schemas."""
 
 import json
 from pathlib import Path
@@ -12,9 +12,10 @@ import accd
 from accd import cli
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
-REPORT_SCHEMA = json.loads(
-    (Path(accd.__file__).parent / "schemas" / "run_report.schema.json").read_text()
-)
+SCHEMAS = Path(accd.__file__).parent / "schemas"
+REPORT_SCHEMA = json.loads((SCHEMAS / "run_report.schema.json").read_text())
+EXPLORE_SCHEMA = json.loads((SCHEMAS / "explorer_output.schema.json").read_text())
+SMALL_PROBLEM = {"src_size": 2000, "trg_size": 2000, "d": 24, "n_iteration": 1}
 SMALL_DESIGN = ["--src-groups", "8", "--trg-groups", "3", "--blk", "16"]
 
 
@@ -88,3 +89,64 @@ def test_malformed_csv_exits_2(tmp_path):
     bad.write_text("1.0,2.0,3.0\n4.0,oops,6.0\n")
     argv = ["run", str(SAMPLES / "nbody.ddsl"), "--src", str(bad)]
     assert cli.main(argv + ["--allow-dim-from-data"]) == 2
+
+
+def _json_file(path: Path, payload) -> str:
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return str(path)
+
+
+def test_explore_small_problem_validates(tmp_path, capsys):
+    argv = ["explore", "--problem", _json_file(tmp_path / "p.json", SMALL_PROBLEM)]
+    assert cli.main(argv) == 0
+    jsonschema.validate(json.loads(capsys.readouterr().out), EXPLORE_SCHEMA)
+
+
+def test_explore_infeasible_problem_exits_1_with_nearest_miss(tmp_path, capsys):
+    knn = {"src_size": 5341, "trg_size": 5341, "d": 24, "n_iteration": 1}
+    assert cli.main(["explore", "--problem", _json_file(tmp_path / "p.json", knn)]) == 1
+    assert "nearest miss" in capsys.readouterr().err
+
+
+# (flag, file contents) for config files that are not valid JSON, are not
+# an object, or name a field the config does not have
+BAD_CONFIGS = [
+    ("--problem", '{"src_size": 2000,'),
+    ("--problem", {**SMALL_PROBLEM, "bogus": 1}),
+    ("--problem", {"src_size": 2000}),
+    ("--domains", "[1, 2"),
+    ("--domains", {"blk": [16]}),
+    ("--ga", "{population: 8}"),
+    ("--ga", {"population": 8, "bogus": 1}),
+    ("--ga", [8]),
+]
+
+
+@pytest.mark.parametrize("flag,payload", BAD_CONFIGS)
+def test_explore_bad_config_file_exits_2(flag, payload, tmp_path, capsys):
+    argv = ["explore", flag, _json_file(tmp_path / "bad.json", payload)]
+    if flag != "--problem":
+        argv += ["--problem", _json_file(tmp_path / "p.json", SMALL_PROBLEM)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload", ['{"n_src_grp": 8', {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16, "bogus": 1}]
+)
+def test_run_bad_design_file_exits_2(payload, tmp_path, capsys):
+    argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data"]
+    argv += ["--design", _json_file(tmp_path / "design.json", payload)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "design.json" in err
+
+
+def test_run_design_file_without_cost_model_knobs(tmp_path):
+    # simd and unroll default to 1; a design file may leave them out
+    design = _json_file(tmp_path / "design.json", {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16})
+    report = tmp_path / "report.json"
+    argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data", "--design", design]
+    assert cli.main(argv + ["--report", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["design"]["simd"] == 1

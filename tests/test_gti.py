@@ -3,16 +3,13 @@ import pytest
 
 from accd.counters import CounterSet
 from accd.dataset import Dataset, brute_rows
-from accd.errors import InvalidQueryError, RangeError, StateError
+from accd.errors import InvalidQueryError, RangeError
 from accd.gti import (
-    BoundState,
-    CandidateMatrix,
-    RadiusQuery,
-    TopKQuery,
+    GroupModel,
     build_groups,
     filter_iterative,
     filter_oneshot,
-    group_bounds,
+    group_max,
     init_oneshot_state,
     measured_saving,
     two_landmark_bounds,
@@ -99,9 +96,23 @@ def test_two_landmark_hand_values():
     assert two_landmark_bounds(1.0, 5.0, 5.0) == (0.0, 11.0)  # floored at zero
 
 
+def _one_group(landmark, radius):
+    return GroupModel(
+        landmarks=np.array([landmark], dtype=float),
+        membership=[np.array([0])],
+        group_of=np.array([0]),
+        radius=np.array([radius]),
+        point_to_landmark=np.array([radius]),
+        metric=L2,
+    )
+
+
 def test_group_bounds_hand_values():
-    assert group_bounds(10.0, 2.0, 3.0) == (5.0, 15.0)
-    assert group_bounds(10.0, 0.0, 0.0) == (10.0, 10.0)
+    # landmarks 10 apart, radii 2 and 3 (and 0 and 0)
+    lb, ub = init_oneshot_state(_one_group([0.0, 0.0], 2.0), _one_group([6.0, 8.0], 3.0))
+    assert (lb.tolist(), ub.tolist()) == ([[5.0]], [[15.0]])
+    lb, ub = init_oneshot_state(_one_group([0.0, 0.0], 0.0), _one_group([6.0, 8.0], 0.0))
+    assert (lb.tolist(), ub.tolist()) == ([[10.0]], [[10.0]])
 
 
 def test_group_bounds_bracket_true_extremes():
@@ -112,7 +123,7 @@ def test_group_bounds_bracket_true_extremes():
     gm_a = build_groups(ds_a, 1, seed=0, metric=L2)
     gm_b = build_groups(ds_b, 1, seed=0, metric=L2)
     d_ref = brute_rows(gm_a.landmarks, gm_b.landmarks, L2, CounterSet())[0, 0]
-    lb, ub = group_bounds(d_ref, gm_a.radius[0], gm_b.radius[0])
+    lb, ub = two_landmark_bounds(d_ref, gm_a.radius[0], gm_b.radius[0])
     pair = brute_rows(a, b, L2, CounterSet())
     assert lb <= pair.min() + 1e-12
     assert pair.max() <= ub + 1e-12
@@ -121,22 +132,21 @@ def test_group_bounds_bracket_true_extremes():
 def test_trace_bounds_hand_values():
     # one source point whose best target 0 shares target group 0 with
     # target 1: the group lb decays by the group's largest drift, the
-    # point's ub grows by its own target's drift
+    # point's ub (its threshold) grows by its own target's drift
     gm = build_groups(Dataset.from_values(np.zeros((1, 2))), 1, seed=0, metric=L2)
+    trg = build_groups(Dataset.from_values(np.zeros((2, 2))), 1, seed=0, metric=L2)
 
     def decay(prev_lb, prev_best, drifts):
-        state = BoundState(
-            lb=np.array([[prev_lb]]),
-            prev_best_dist=np.array([prev_best]),
-            prev_best_target=np.array([0]),
-            target_group_of=np.array([0, 0]),
-            iteration=1,
-        )
-        filter_iterative(state, np.array(drifts), TopKQuery(1), gm)
-        return float(state.lb[0, 0]), float(state.point_ub[0])
+        lb = np.array([[prev_lb]])
+        point_ub = prev_best + np.array(drifts)[[0]]
+        c = CounterSet()
+        cm = filter_iterative(gm, trg, lb, point_ub, np.zeros(1), np.array([max(drifts)]), c)
+        return float(lb[0, 0]), cm.targets[0].tolist(), c.pruned_pairs
 
-    assert decay(10.0, 5.0, [0.0, 0.0]) == (10.0, 5.0)
-    assert decay(10.0, 4.0, [1.0, 3.0]) == (7.0, 5.0)
+    assert decay(10.0, 5.0, [0.0, 0.0]) == (10.0, [], 2)
+    assert decay(10.0, 4.0, [1.0, 3.0]) == (7.0, [], 2)
+    assert decay(10.0, 6.0, [1.0, 3.0]) == (7.0, [0], 0)
+    assert decay(1.0, 6.0, [1.0, 3.0]) == (0.0, [0], 0)  # floored at zero
 
 
 def test_bound_ops_vectorized():
@@ -154,13 +164,13 @@ def _grouped_pair(n_src=80, n_trg=90, z_src=4, z_trg=5, seed=0, spread=1.0, box=
     c = CounterSet()
     gm_s = build_groups(src, z_src, seed=seed + 2, metric=L2, counters=c)
     gm_t = build_groups(trg, z_trg, seed=seed + 3, metric=L2, counters=c)
-    state = init_oneshot_state(gm_s, gm_t, c)
-    return src, trg, gm_s, gm_t, state, c
+    lb, ub = init_oneshot_state(gm_s, gm_t, c)
+    return src, trg, gm_s, gm_t, (lb, ub), c
 
 
 def test_single_groups_cannot_prune():
-    src, trg, gm_s, gm_t, state, c = _grouped_pair(z_src=1, z_trg=1)
-    cm = filter_oneshot(gm_s, gm_t, state, TopKQuery(3), c)
+    src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(z_src=1, z_trg=1)
+    cm = filter_oneshot(gm_s, gm_t, lb, ub, 3, c)
     assert cm.targets[0].tolist() == [0]
 
 
@@ -175,6 +185,13 @@ def test_bound_computation_budget_exact():
     assert c.bound_computations == m + n + zq * zt == 3200
 
 
+def _radius_filter(gm_s, gm_t, lb, ub, radius, c):
+    """The radius cut on undecayed bounds: the self-set filter at zero drift."""
+    zeros_s, zeros_t = np.zeros(gm_s.z), np.zeros(gm_t.z)
+    thr = np.full(gm_s.z, radius)
+    return filter_iterative(gm_s, gm_t, lb.copy(), thr, zeros_s, zeros_t, c, ub=ub.copy())
+
+
 def test_radius_filter_keeps_only_near_blobs():
     r = np.random.default_rng(2)
     src_pts = np.vstack([r.normal(size=(40, 2)), r.normal(size=(40, 2)) + 200.0])
@@ -183,9 +200,9 @@ def test_radius_filter_keeps_only_near_blobs():
     c = CounterSet()
     gm_s = build_groups(src, 2, seed=1, metric=L2, counters=c)
     gm_t = build_groups(trg, 2, seed=1, metric=L2, counters=c)
-    state = init_oneshot_state(gm_s, gm_t, c)
+    lb, ub = init_oneshot_state(gm_s, gm_t, c)
     radius = 20.0
-    cm = filter_oneshot(gm_s, gm_t, state, RadiusQuery(radius), c)
+    cm = _radius_filter(gm_s, gm_t, lb, ub, radius, c)
     # every source group keeps exactly its nearby target group
     pair = brute_rows(src_pts, trg_pts, L2, CounterSet())
     for g in range(2):
@@ -200,9 +217,9 @@ def test_radius_filter_keeps_only_near_blobs():
 
 
 def test_topk_filter_never_prunes_true_members():
-    src, trg, gm_s, gm_t, state, c = _grouped_pair(seed=7)
+    src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=7)
     k = 5
-    cm = filter_oneshot(gm_s, gm_t, state, TopKQuery(k), c)
+    cm = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
     pair = brute_rows(src.values, trg.values, L2, CounterSet())
     for i in range(src.n):
         g = gm_s.group_of[i]
@@ -213,10 +230,10 @@ def test_topk_filter_never_prunes_true_members():
 
 
 def test_topk_monotone_in_k():
-    src, trg, gm_s, gm_t, state, c = _grouped_pair(seed=8)
+    src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=8)
     prev = None
     for k in (1, 3, 9, 27):
-        cm = filter_oneshot(gm_s, gm_t, state, TopKQuery(k), c)
+        cm = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
         sizes = [t.size for t in cm.targets]
         if prev is not None:
             assert all(a >= b for a, b in zip(sizes, prev))
@@ -224,10 +241,10 @@ def test_topk_monotone_in_k():
 
 
 def test_radius_monotone_in_radius():
-    src, trg, gm_s, gm_t, state, c = _grouped_pair(seed=9)
+    src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=9)
     prev = None
     for radius in (0.5, 2.0, 8.0, 32.0):
-        cm = filter_oneshot(gm_s, gm_t, state, RadiusQuery(radius), c)
+        cm = _radius_filter(gm_s, gm_t, lb, ub, radius, c)
         sizes = [t.size for t in cm.targets]
         if prev is not None:
             assert all(a >= b for a, b in zip(sizes, prev))
@@ -235,42 +252,79 @@ def test_radius_monotone_in_radius():
 
 
 def test_oneshot_invalid_query():
-    src, trg, gm_s, gm_t, state, c = _grouped_pair()
+    # a negative radius is rejected by the self-set pipeline (test_pipelines)
+    src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair()
     with pytest.raises(InvalidQueryError):
-        filter_oneshot(gm_s, gm_t, state, TopKQuery(10_000), c)
+        filter_oneshot(gm_s, gm_t, lb, ub, 10_000, c)
     with pytest.raises(InvalidQueryError):
-        filter_oneshot(gm_s, gm_t, state, RadiusQuery(-1.0), c)
+        filter_oneshot(gm_s, gm_t, lb, ub, 0, c)
 
 
 def test_candidate_regularity_is_structural():
     # all points of a source group share the group's candidate list by
     # construction: the matrix is indexed by group, not by point
-    src, trg, gm_s, gm_t, state, c = _grouped_pair(seed=10)
-    cm = filter_oneshot(gm_s, gm_t, state, TopKQuery(4), c)
+    src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=10)
+    cm = filter_oneshot(gm_s, gm_t, lb, ub, 4, c)
     assert len(cm.targets) == gm_s.z
+
+
+def _loop_cut(lb, ub, thr, src_sizes, trg_sizes):
+    """Per-source-group reference for the vectorised cut."""
+    targets, inside, pruned = [], [], 0
+    for a in range(lb.shape[0]):
+        keep = np.flatnonzero(lb[a] <= thr[a])
+        targets.append(keep)
+        inside.append(ub[a, keep] <= thr[a])
+        dropped = np.setdiff1d(np.arange(lb.shape[1]), keep, assume_unique=True)
+        pruned += int(src_sizes[a] * trg_sizes[dropped].sum())
+    return targets, inside, pruned
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_vectorised_cut_matches_per_group_loop(seed):
+    r = np.random.default_rng(seed)
+    z_src, z_trg = r.integers(1, 12, size=2)
+    src, trg, gm_s, gm_t, (lb, ub), _ = _grouped_pair(
+        z_src=int(z_src), z_trg=int(z_trg), seed=seed, spread=float(r.uniform(0.5, 8.0))
+    )
+    src_sizes, trg_sizes = gm_s.sizes, gm_t.sizes
+    for k in (1, 7, int(trg_sizes.sum())):
+        c = CounterSet()
+        cm = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
+        thr = np.empty(gm_s.z)
+        for a in range(gm_s.z):
+            order = np.lexsort((np.arange(gm_t.z), ub[a]))
+            cut = int(np.searchsorted(np.cumsum(trg_sizes[order]), k))
+            thr[a] = ub[a, order[cut]]
+        targets, _, pruned = _loop_cut(lb, ub, thr, src_sizes, trg_sizes)
+        assert [t.tolist() for t in cm.targets] == [t.tolist() for t in targets]
+        assert cm.all_inside is None and c.pruned_pairs == pruned
+    for radius in (0.0, 5.0, 40.0, 200.0):
+        c = CounterSet()
+        cm = _radius_filter(gm_s, gm_t, lb, ub, radius, c)
+        thr = np.full(gm_s.z, radius)
+        targets, inside, pruned = _loop_cut(lb, ub, thr, src_sizes, trg_sizes)
+        assert [t.tolist() for t in cm.targets] == [t.tolist() for t in targets]
+        assert [x.tolist() for x in cm.all_inside] == [x.tolist() for x in inside]
+        assert c.pruned_pairs == pruned
 
 
 # -- iterative filtering ----------------------------------------------------
 
 
-def test_filter_iterative_requires_seeded_state():
-    state = BoundState(lb=np.zeros((2, 2)), ub=np.zeros((2, 2)), iteration=0)
-    src = gaussian_mixture(10, 2, 2, seed=0)
-    gm = build_groups(src, 2, seed=0, metric=L2)
-    with pytest.raises(StateError):
-        filter_iterative(state, np.zeros(10), RadiusQuery(1.0), gm)
-
-
 def test_zero_drift_radius_candidates_stable():
+    # zero drift leaves the bounds as they were, and the candidates are
+    # exactly the group pairs whose lb reaches the radius
     pts = gaussian_mixture(60, 3, 4, seed=4)
     c = CounterSet()
     gm = build_groups(pts, 4, seed=4, metric=L2, counters=c)
-    state = init_oneshot_state(gm, gm, c)
-    state.iteration = 1
-    before = filter_oneshot(gm, gm, state, RadiusQuery(5.0), c)
-    after = filter_iterative(state, np.zeros(60), RadiusQuery(5.0), gm, c)
-    for a, b in zip(before.targets, after.targets):
-        assert np.array_equal(a, b)
+    lb0, ub0 = init_oneshot_state(gm, gm, c)
+    lb, ub = lb0.copy(), ub0.copy()
+    cm = filter_iterative(gm, gm, lb, np.full(4, 5.0), np.zeros(4), np.zeros(4), c, ub=ub)
+    assert np.array_equal(lb, lb0) and np.array_equal(ub, ub0)
+    for a in range(4):
+        assert np.array_equal(cm.targets[a], np.flatnonzero(lb0[a] <= 5.0))
+        assert np.array_equal(cm.all_inside[a], ub0[a, cm.targets[a]] <= 5.0)
 
 
 def test_nearest_mode_prunes_soundly():
@@ -286,21 +340,23 @@ def test_nearest_mode_prunes_soundly():
     best = np.argmin(pair, axis=1)
     best_d = pair[np.arange(120), best]
     trg_group_of = np.arange(k) % 3
+    trg = GroupModel(
+        landmarks=np.zeros((3, 3)),
+        membership=[np.flatnonzero(trg_group_of == t) for t in range(3)],
+        group_of=trg_group_of,
+        radius=np.zeros(3),
+        point_to_landmark=np.zeros(k),
+        metric=L2,
+    )
     lb = np.full((6, 3), np.inf)
     for g in range(6):
         for t in range(3):
-            cols = np.flatnonzero(trg_group_of == t)
-            lb[g, t] = pair[np.ix_(gm.membership[g], cols)].min()
-    state = BoundState(
-        lb=lb.copy(),
-        prev_best_dist=best_d,
-        prev_best_target=best,
-        target_group_of=trg_group_of,
-        iteration=1,
-    )
+            lb[g, t] = pair[np.ix_(gm.membership[g], trg.membership[t])].min()
     drift = np.abs(r.normal(size=k)) * 0.1
     moved = centers + r.normal(size=centers.shape) * 0.0
-    cm = filter_iterative(state, drift, TopKQuery(1), gm, c)
+    weakest = group_max(best_d + drift[best], gm.group_of, 6)
+    trg_drift = group_max(drift, trg_group_of, 3)
+    cm = filter_iterative(gm, trg, lb, weakest, np.zeros(6), trg_drift, c)
     # unmoved targets: pruned groups really contain no nearest target
     new_pair = brute_rows(pts.values, moved, L2, CounterSet())
     new_best = np.argmin(new_pair, axis=1)

@@ -13,10 +13,7 @@ L2 = MetricSpec(kind="L2")
 
 
 def _cm(lists):
-    return CandidateMatrix(
-        targets=[np.array(l, dtype=np.int64) for l in lists],
-        n_target_groups=13,
-    )
+    return CandidateMatrix(targets=[np.array(l, dtype=np.int64) for l in lists])
 
 
 def _gm_from_membership(values, membership):

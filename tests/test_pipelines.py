@@ -14,17 +14,17 @@ from accd.counters import CounterSet
 from accd.dataset import Dataset, TopKResult, pairwise_brute
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
-from accd.errors import UnsupportedProgramError
+from accd.errors import RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
-from accd.gti import RadiusQuery, build_groups, filter_oneshot, init_oneshot_state
+from accd.gti import build_groups, filter_iterative, init_oneshot_state
 from accd.metrics import MetricSpec
-from accd.pipelines import RunConfig, _Grouped, _sweep, run_kmeans, run_plan
+from accd.pipelines import RunConfig, _Grouped, _sweep, run_kmeans, run_nbody, run_plan
 from accd.synth import gaussian_mixture
 
 from conftest import make_plan
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
-DESIGN = DesignConfig(n_src_grp=12, n_trg_grp=4, blk=16, simd=1, unroll=1)
+DESIGN = DesignConfig(n_src_grp=12, n_trg_grp=4, blk=16)
 # Counters that must not depend on layout or threads. The tile shape
 # counters (tiles_executed, bytes_streamed) and the per-iteration
 # source_batches follow the batching, which the layout changes.
@@ -144,6 +144,14 @@ def test_runner_rejects_a_plan_of_another_kind():
         run_kmeans(plan, ds, RunConfig(design=DESIGN))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_nbody_rejects_a_radius_that_is_not_positive(radius):
+    plan = make_plan("iterative_self_set", 20, 20, 3, SelectSpec("radius", radius, "smallest"), 1)
+    ds = Dataset.from_values(np.random.default_rng(0).normal(size=(20, 3)))
+    with pytest.raises(RangeError):
+        run_nbody(plan, ds, RunConfig(design=DESIGN))
+
+
 # -- the tile engine --------------------------------------------------------
 
 L2 = MetricSpec(kind="L2")
@@ -171,17 +179,18 @@ def _filtered_pair():
     c = CounterSet()
     gm_s = build_groups(src, 2, seed=3, metric=L2, counters=c)
     gm_t = build_groups(trg, 2, seed=4, metric=L2, counters=c)
-    state = init_oneshot_state(gm_s, gm_t, c)
-    cm = filter_oneshot(gm_s, gm_t, state, RadiusQuery(10.0), c)
+    lb, ub = init_oneshot_state(gm_s, gm_t, c)
+    no_drift = np.zeros(2)
+    cm = filter_iterative(gm_s, gm_t, lb, np.full(2, 10.0), no_drift, no_drift, c, ub=ub)
     g_src = _Grouped.build(src.values, gm_s, None, L2)
     g_trg = _Grouped.build(trg.values, gm_t, None, L2)
-    return src, trg, gm_s, gm_t, state, cm, (g_src, g_trg)
+    return src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg)
 
 
 def test_candidate_masking_skips_pruned_tiles():
-    src, trg, gm_s, gm_t, state, cm, (g_src, g_trg) = _filtered_pair()
+    src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg) = _filtered_pair()
     rec = _Recorder()
-    kc = _sweep(g_src, g_trg, cm, state.lb, [[0], [1]], rec, L2, 32, 1)
+    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 32, 1)
     candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert 0 < kc.point_distances == surviving < 60 * 50
@@ -197,10 +206,10 @@ def test_candidate_masking_skips_pruned_tiles():
 
 
 def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
-    src, trg, gm_s, gm_t, state, cm, (g_src, g_trg) = _filtered_pair()
+    src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg) = _filtered_pair()
     bound = np.where(np.arange(src.n) % 2 == 0, np.inf, -1.0)  # odd rows reach nothing
     rec = _Recorder(bound)
-    kc = _sweep(g_src, g_trg, cm, state.lb, [[0], [1]], rec, L2, 32, 1)
+    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 32, 1)
     candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert kc.point_distances + kc.pruned_pairs == surviving
