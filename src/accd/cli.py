@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: compile (parse/validate/lower a .ddsl file), run (execute a
-lowered plan over CSV datasets), explore (design-space search), bench
-(synthetic benchmark comparing the filtered pipeline against the naive
-oracle). Exit codes: 0 success, 1 diagnostics or infeasibility, 2 runtime
-error (IO, format, oracle mismatch).
+lowered plan over CSV datasets), explore (design-space search), bench (run
+a .ddsl program on seeded synthetic data, checked by the shadow oracle,
+and compare its distance work and time with the oracle's brute force).
+Exit codes: 0 success, 1 diagnostics or infeasibility, 2 runtime error
+(IO, format, config, oracle mismatch).
 """
 
 from __future__ import annotations
@@ -12,20 +13,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
+import math
 import sys
-import time
-
-import numpy as np
+from pathlib import Path
 
 from . import __version__
-from .counters import CounterSet
 from .dataset import Dataset, load_csv
 from .ddsl import lower, parse, pretty_print, validate
-from .ddsl.lowering import ExecutionPlan, SelectSpec
+from .ddsl.lowering import ExecutionPlan
 from .errors import (
     AccdError,
-    CapacityError,
     ConfigError,
     DdslSyntaxError,
     FormatError,
@@ -46,9 +43,8 @@ from .explorer import (
     explore,
     parse_platform_file,
 )
-from .oracles import knn_topk, lloyd_kmeans, radius_neighbors
-from .pipelines import RunConfig, RunResult, run_kmeans, run_knn_join, run_nbody, run_plan
-from .synth import gaussian_mixture, radius_for_mean_neighbors
+from .pipelines import RunConfig, RunResult, run_plan
+from .synth import gaussian_mixture
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -58,7 +54,6 @@ _DIAG_EXIT = (
     InvalidQueryError,
     RangeError,
     NoFeasibleConfigError,
-    CapacityError,
     TableMissError,
 )
 
@@ -131,16 +126,6 @@ def _design_from_args(args) -> DesignConfig:
     return DesignConfig(n_src_grp=args.src_groups, n_trg_grp=args.trg_groups, blk=args.blk)
 
 
-def _thread_default() -> int:
-    env = os.environ.get("ACCD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _check_dims(plan: ExecutionPlan, ds: Dataset, what: str, size: int, allow: bool):
     problems = []
     if ds.n != size:
@@ -180,6 +165,16 @@ def _result_report(plan: ExecutionPlan, config: RunConfig, result: RunResult, ou
         "outputs_path": str(outputs_path) if outputs_path else None,
         "layout": result.layout.to_json_dict() if result.layout is not None else None,
     }
+
+
+def _emit(payload: dict, path) -> None:
+    """Write ``payload`` as JSON to ``path``, or print it when no path is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _write_outputs(result: RunResult, path) -> None:
@@ -233,13 +228,7 @@ def cmd_run(args) -> int:
 
     if args.out:
         _write_outputs(result, args.out)
-    report = _result_report(plan, config, result, args.out)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(_result_report(plan, config, result, args.out), args.report)
     return 0
 
 
@@ -261,164 +250,87 @@ def cmd_explore(args) -> int:
         if exc.nearest_miss is not None:
             print("nearest miss:", json.dumps(exc.nearest_miss, indent=2), file=sys.stderr)
         return 1
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, **result.to_json_dict()}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit({"schema_version": REPORT_SCHEMA_VERSION, **result.to_json_dict()}, None)
     return 0
 
 
-def _bench_kmeans(scale: float, seed: int, threads: int):
-    n = max(200, int(25010 * scale))
-    d = 11
-    k = max(2, int(158 * scale))
-    points = gaussian_mixture(n, d, k, seed=seed, center_box=50.0, spread=1.0)
-    design = DesignConfig(n_src_grp=max(8, int(np.sqrt(n))), n_trg_grp=max(2, k // 8), blk=64)
-    plan = ExecutionPlan(
-        pipeline_kind="iterative_two_set",
-        source_set="pSet",
-        target_set="cSet",
-        source_size=n,
-        target_size=k,
-        dim=d,
-        metric_name="Unweighted L2",
-        weight_set=None,
-        select=SelectSpec(kind="count", value=1.0, scope="smallest"),
-        update_targets=("cSet",),
-        max_iter=8,
-        exit_on_status=False,
-        status_var=None,
-    )
-    config = RunConfig(design=design, seed=seed, thread_count=threads)
-    result = run_kmeans(plan, points, config)
-    rng = np.random.default_rng(seed)
-    init = points.values[np.sort(rng.choice(n, size=k, replace=False))].copy()
-    t0 = time.perf_counter()
-    naive_counters = CounterSet()
-    history, _, iters = lloyd_kmeans(
-        points.values, init, plan.metric_spec(), result.iterations, naive_counters
-    )
-    naive_time = time.perf_counter() - t0
-    exact = bool(np.array_equal(history[-1], result.outputs["assignments"]))
-    return result, naive_counters.point_distances, naive_time, exact, {"n": n, "d": d, "k": k}
-
-
-def _bench_knn(scale: float, seed: int, threads: int):
-    n = max(200, int(53413 * scale))
-    d = 24
-    k = min(50, n)
-    src = gaussian_mixture(n, d, 32, seed=seed, center_box=50.0, spread=1.0)
-    trg = gaussian_mixture(n, d, 32, seed=seed + 1, center_box=50.0, spread=1.0)
-    design = DesignConfig(
-        n_src_grp=max(8, int(np.sqrt(n))), n_trg_grp=max(8, int(np.sqrt(n))), blk=64
-    )
-    plan = ExecutionPlan(
-        pipeline_kind="oneshot_two_set",
-        source_set="qSet",
-        target_set="tSet",
-        source_size=n,
-        target_size=n,
-        dim=d,
-        metric_name="Unweighted L2",
-        weight_set=None,
-        select=SelectSpec(kind="count", value=float(k), scope="smallest"),
-        update_targets=(),
-        max_iter=None,
-        exit_on_status=False,
-        status_var=None,
-    )
-    config = RunConfig(design=design, seed=seed, thread_count=threads)
-    result = run_knn_join(plan, src, trg, config)
-    t0 = time.perf_counter()
-    naive_counters = CounterSet()
-    o_ids, _ = knn_topk(src.values, trg.values, plan.metric_spec(), k, naive_counters)
-    naive_time = time.perf_counter() - t0
-    ours = np.sort(result.outputs["topk"].ids, axis=1)
-    exact = bool(np.array_equal(ours, np.sort(o_ids, axis=1)))
-    return result, naive_counters.point_distances, naive_time, exact, {"n": n, "d": d, "k": k}
-
-
-def _bench_nbody(scale: float, seed: int, threads: int):
-    n = max(200, int(16384 * scale))
-    d = 3
-    steps = 5
-    points = gaussian_mixture(n, d, 24, seed=seed, center_box=20.0, spread=1.0)
-    radius = radius_for_mean_neighbors(points.values, 50, seed=seed + 1)
-    design = DesignConfig(n_src_grp=max(8, int(np.sqrt(n))), n_trg_grp=1, blk=64)
-    plan = ExecutionPlan(
-        pipeline_kind="iterative_self_set",
-        source_set="pSet",
-        target_set="pSet",
-        source_size=n,
-        target_size=n,
-        dim=d,
-        metric_name="Unweighted L2",
-        weight_set=None,
-        select=SelectSpec(kind="radius", value=radius, scope="smallest"),
-        update_targets=("pSet",),
-        max_iter=steps,
-        exit_on_status=False,
-        status_var=None,
-    )
-    config = RunConfig(design=design, seed=seed, thread_count=threads, dt=1e-3)
-    result = run_nbody(plan, points, config)
-    t0 = time.perf_counter()
-    naive_counters = CounterSet()
-    exact = True
-    for step, lists in enumerate(result.outputs["neighbors"], start=1):
-        posn = result.outputs["trajectories"][step - 1]
-        want = radius_neighbors(posn, plan.metric_spec(), radius, naive_counters)
-        for i in range(n):
-            if not np.array_equal(lists[i], want[i]):
-                exact = False
-                break
-    naive_time = time.perf_counter() - t0
-    return result, naive_counters.point_distances, naive_time, exact, {
-        "n": n,
-        "d": d,
-        "radius": radius,
-        "steps": steps,
-    }
+def _bench_design(plan: ExecutionPlan) -> DesignConfig:
+    """Bench group counts: max(8, isqrt(n)) source groups; target groups
+    max(8, isqrt(m)) for a join, max(2, k // 8) for k clusters, 1 for a
+    self-set."""
+    n_trg_grp = {
+        "oneshot_two_set": max(8, math.isqrt(plan.target_size)),
+        "iterative_two_set": max(2, plan.target_size // 8),
+        "iterative_self_set": 1,
+    }[plan.pipeline_kind]
+    n_src_grp = max(8, math.isqrt(plan.source_size))
+    return DesignConfig(n_src_grp=n_src_grp, n_trg_grp=n_trg_grp, blk=64)
 
 
 def cmd_bench(args) -> int:
     if args.scale <= 0:
         raise RangeError("--scale must be positive")
-    threads = args.threads
-    runner = {"kmeans": _bench_kmeans, "knn": _bench_knn, "nbody": _bench_nbody}[args.suite]
-    result, naive_dists, naive_time, exact, meta = runner(args.scale, args.seed, threads)
-    gti_dists = result.counters.point_distances
-    reduction = 1.0 - gti_dists / naive_dists if naive_dists else 0.0
-    ratio = naive_time / result.wall_time_s if result.wall_time_s > 0 else float("inf")
+    _, checked = _load_program(args.file)
+    plan = lower(checked)
+    if plan.weight_set is not None:
+        raise UnsupportedProgramError(
+            f"{args.file}: bench has no weights for weight set '{plan.weight_set}'"
+        )
+    plan = dataclasses.replace(
+        plan,
+        source_size=max(1, int(plan.source_size * args.scale)),
+        target_size=max(1, int(plan.target_size * args.scale)),
+    )
+    src = gaussian_mixture(plan.source_size, plan.dim, 24, args.seed, center_box=50.0)
+    trg = None
+    if plan.pipeline_kind == "oneshot_two_set":
+        trg = gaussian_mixture(plan.target_size, plan.dim, 24, args.seed + 1, center_box=50.0)
+    design = _bench_design(plan)
+    config = RunConfig(
+        design=design, seed=args.seed, oracle_mode="shadow", thread_count=args.threads
+    )
+    result = run_plan(plan, src, trg, config)
 
-    header = f"{'suite':<8}{'n':>9}{'iters':>7}{'naive_dists':>14}{'gti_dists':>12}{'saving':>9}{'t_naive':>9}{'t_gti':>8}{'ratio':>7}{'exact':>7}"
+    # Every pair the run avoided or computed is a distance of the brute
+    # force; the oracle's time is that brute force's time.
+    c = result.counters
+    naive_dists = c.point_distances + c.pruned_pairs + c.all_inside_pairs + c.reused_pairs
+    gti_dists = c.point_distances
+    reduction = 1.0 - gti_dists / naive_dists if naive_dists else 0.0
+    t_naive = result.oracle_s
+    t_gti = result.wall_time_s - result.oracle_s
+    ratio = t_naive / t_gti if t_gti > 0 else float("inf")
+
+    header = (
+        f"{'program':<10}{'n':>9}{'m':>9}{'iters':>7}{'naive_dists':>14}{'gti_dists':>12}"
+        f"{'saving':>9}{'t_naive':>9}{'t_gti':>8}{'ratio':>7}{'exact':>7}"
+    )
     row = (
-        f"{args.suite:<8}{meta['n']:>9}{result.iterations:>7}{naive_dists:>14}"
-        f"{gti_dists:>12}{reduction:>9.3f}{naive_time:>9.2f}{result.wall_time_s:>8.2f}"
-        f"{ratio:>7.2f}{str(exact):>7}"
+        f"{Path(args.file).stem:<10}{plan.source_size:>9}{plan.target_size:>9}"
+        f"{result.iterations:>7}{naive_dists:>14}{gti_dists:>12}{reduction:>9.3f}"
+        f"{t_naive:>9.2f}{t_gti:>8.2f}{ratio:>7.2f}{'True':>7}"
     )
     print(header)
     print(row)
 
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "suite": args.suite,
+        "program": args.file,
+        "pipeline_kind": plan.pipeline_kind,
         "scale": args.scale,
         "seed": args.seed,
-        "meta": meta,
+        "meta": {"plan": plan.to_json_dict(), "design": design.to_json_dict()},
         "iterations": result.iterations,
         "naive_point_distances": naive_dists,
         "gti_point_distances": gti_dists,
         "distance_reduction": reduction,
         "measured_saving_mean": result.measured_saving_mean,
         "per_iteration": [s.to_json_dict() for s in result.per_iteration],
-        "exact": exact,
+        # a mismatch raised OracleMismatchError before this point
+        "exact": True,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0 if exact else 2
+    _emit(payload, args.report)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=("off", "shadow"), default="off")
     p.add_argument("--layout", choices=("on", "off"), default="on")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_thread_default())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report", help="write the run report JSON here")
     p.add_argument("--out", help="write pipeline outputs CSV here")
     p.add_argument("--allow-dim-from-data", action="store_true")
@@ -457,11 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_explore)
 
-    p = sub.add_parser("bench", help="synthetic benchmark vs the naive oracle")
-    p.add_argument("--suite", choices=("kmeans", "knn", "nbody"), required=True)
-    p.add_argument("--scale", type=float, default=0.1)
+    p = sub.add_parser(
+        "bench",
+        help="run a .ddsl program on seeded synthetic data, checked by the shadow oracle",
+    )
+    p.add_argument("file")
+    p.add_argument("--scale", type=float, default=1.0, help="multiplies every declared set size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_thread_default())
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report", help="write the bench JSON here")
     p.set_defaults(fn=cmd_bench)
     return ap

@@ -39,9 +39,5 @@ class CounterSet:
             **{f.name: getattr(self, f.name) - getattr(base, f.name) for f in fields(self)}
         )
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -154,14 +154,7 @@ def pairwise_brute(
     if src.d != trg.d:
         raise DimensionMismatchError(f"dim mismatch: {src.d} vs {trg.d}")
     metric.check_dim(src.d)
-    n1, n2 = src.n, trg.n
-    out = np.empty((n1, n2), dtype=np.float64)
-    step = max(1, _BLOCK_ELEMS // max(1, n2 * src.d))
-    for start in range(0, n1, step):
-        stop = min(n1, start + step)
-        out[start:stop] = _brute_block(src.values[start:stop], trg.values, metric)
-    if counters is not None:
-        counters.point_distances += n1 * n2
+    out = brute_rows(src.values, trg.values, metric, counters)
     return DistanceMatrix(values=out, row_ids=src.ids.copy(), col_ids=trg.ids.copy())
 
 
@@ -171,7 +164,7 @@ def brute_rows(
     metric: MetricSpec,
     counters: CounterSet | None = None,
 ) -> np.ndarray:
-    """Raw-array variant of ``pairwise_brute`` for internal oracles."""
+    """Raw-array core of ``pairwise_brute``, blocked by source rows."""
     if src_values.shape[1] != trg_values.shape[1]:
         raise DimensionMismatchError("dim mismatch")
     n1, n2 = src_values.shape[0], trg_values.shape[0]

@@ -72,10 +72,6 @@ class ConfigError(AccdError):
     match the config it describes."""
 
 
-class CapacityError(AccdError):
-    pass
-
-
 class SizeMismatchError(AccdError):
     pass
 

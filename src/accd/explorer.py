@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DivisionGuardError,
     NoFeasibleConfigError,
     RangeError,
@@ -465,6 +466,16 @@ def default_platform(domains: Domains | None = None) -> PlatformSpec:
     )
 
 
+def _number(path, lineno: int, key: str, text: str, kind):
+    """``kind(text)``, or a ConfigError naming the file, line and key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(
+            f"{path}:{lineno}: {key}: expected {kind.__name__}, found {text!r}"
+        ) from None
+
+
 def load_resource_table(path) -> dict:
     """CSV with header blk,simd,unroll,mem_blocks,dsp,alm."""
     table = {}
@@ -477,9 +488,10 @@ def load_resource_table(path) -> dict:
             line = line.strip()
             if not line:
                 continue
-            parts = [int(x) for x in line.split(",")]
-            if len(parts) != 6:
+            cells = line.split(",")
+            if len(cells) != 6:
                 raise TableMissError(f"line {lineno}: expected 6 fields")
+            parts = [_number(path, lineno, k, c.strip(), int) for k, c in zip(expected, cells)]
             table[(parts[0], parts[1], parts[2])] = ResourceSingle(*parts[3:])
     return table
 
@@ -498,7 +510,7 @@ def parse_platform_file(path) -> PlatformSpec:
     Keys: frequency_hz, bw_max_bytes_per_s, mem_max_blocks, cu_max,
     lu_max, resource_table (path, relative to the platform file).
     """
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -508,19 +520,24 @@ def parse_platform_file(path) -> PlatformSpec:
             if "=" not in line:
                 raise TableMissError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            values[key.strip()] = (lineno, val.strip())
     required = ["frequency_hz", "bw_max_bytes_per_s", "mem_max_blocks", "cu_max", "lu_max", "resource_table"]
     missing = [k for k in required if k not in values]
     if missing:
         raise TableMissError(f"platform file missing keys: {', '.join(missing)}")
-    table_path = Path(values["resource_table"])
+
+    def number(key: str, kind):
+        lineno, text = values[key]
+        return _number(path, lineno, key, text, kind)
+
+    table_path = Path(values["resource_table"][1])
     if not table_path.is_absolute():
         table_path = path.parent / table_path
     return PlatformSpec(
-        frequency=float(values["frequency_hz"]),
-        bw_max=float(values["bw_max_bytes_per_s"]),
-        mem_max=int(values["mem_max_blocks"]),
-        cu_max=int(values["cu_max"]),
-        lu_max=int(values["lu_max"]),
+        frequency=number("frequency_hz", float),
+        bw_max=number("bw_max_bytes_per_s", float),
+        mem_max=number("mem_max_blocks", int),
+        cu_max=number("cu_max", int),
+        lu_max=number("lu_max", int),
         resource_table=load_resource_table(table_path),
     )

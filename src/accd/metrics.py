@@ -51,9 +51,6 @@ class MetricSpec:
     def display_name(self) -> str:
         return f"{'Weighted' if self.weighted else 'Unweighted'} {self.kind}"
 
-    def with_weights(self, weights) -> "MetricSpec":
-        return MetricSpec(kind=self.kind, weighted=True, weights=weights)
-
     def check_dim(self, d: int) -> None:
         if self.weighted and self.weights.shape[0] != d:
             raise DimensionMismatchError(

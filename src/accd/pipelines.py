@@ -118,6 +118,7 @@ class RunResult:
     wall_time_s: float
     oracle_checked: bool
     layout: LayoutPlan | None = None
+    oracle_s: float = 0.0  # time inside the shadow-oracle checks
 
 
 @dataclass
@@ -401,7 +402,7 @@ def _stats(it: int, delta: CounterSet, n1: int, n2: int, batches: int, groups: i
     )
 
 
-def _result(plan, outputs, per_iter, counters, config, t0, layout) -> RunResult:
+def _result(plan, outputs, per_iter, counters, config, t0, layout, oracle_s) -> RunResult:
     return RunResult(
         pipeline_kind=plan.pipeline_kind,
         outputs=outputs,
@@ -414,6 +415,7 @@ def _result(plan, outputs, per_iter, counters, config, t0, layout) -> RunResult:
         wall_time_s=time.perf_counter() - t0,
         oracle_checked=config.oracle_mode == "shadow",
         layout=layout,
+        oracle_s=oracle_s,
     )
 
 
@@ -469,6 +471,7 @@ def run_kmeans(
     lb = np.zeros((z_src, z_trg))
     best_d = assignments = None
     oracle_centroids = centroids.copy() if config.oracle_mode == "shadow" else None
+    oracle_s = 0.0
 
     for it in range(1, max_iter + 1):
         base = counters.snapshot()
@@ -513,6 +516,7 @@ def run_kmeans(
         assignments = new_assign
 
         if config.oracle_mode == "shadow":
+            t_oracle = time.perf_counter()
             oracle_assign, _ = nearest_assign(points.values, oracle_centroids, metric)
             diff = np.flatnonzero(oracle_assign != assignments)
             if diff.size:
@@ -523,6 +527,7 @@ def run_kmeans(
                     detail={"iteration": it, "point": i},
                 )
             oracle_centroids = group_means(points.values, oracle_assign, k, oracle_centroids)
+            oracle_s += time.perf_counter() - t_oracle
 
         prev_centroids = centroids
         centroids = group_means(points.values, assignments, k, centroids)
@@ -533,7 +538,7 @@ def run_kmeans(
             break
 
     outputs = {"assignments": assignments, "centroids": centroids}
-    return _result(plan, outputs, per_iter, counters, config, t0, lplan)
+    return _result(plan, outputs, per_iter, counters, config, t0, lplan, oracle_s)
 
 
 # -- one-shot two-set (top-K join) ----------------------------------------
@@ -584,7 +589,9 @@ def run_knn_join(
         ids=topk.top_i, distances=topk.top_d, scope="smallest", row_ids=src.ids.copy()
     )
 
+    oracle_s = 0.0
     if config.oracle_mode == "shadow":
+        t_oracle = time.perf_counter()
         o_ids, _ = knn_topk(src.values, trg.values, metric, k)
         ours = np.sort(topk.top_i, axis=1)
         theirs = np.sort(o_ids, axis=1)
@@ -595,9 +602,10 @@ def run_knn_join(
                 f"source point {i}: top-{k} set differs from oracle",
                 detail={"point": i, "got": ours[i].tolist(), "want": theirs[i].tolist()},
             )
+        oracle_s = time.perf_counter() - t_oracle
 
     stats = _stats(1, counters, m, n, len(batches), z_src)
-    return _result(plan, {"topk": result}, [stats], counters, config, t0, src_lp)
+    return _result(plan, {"topk": result}, [stats], counters, config, t0, src_lp, oracle_s)
 
 
 # -- iterative self-set (radius neighbors with movement) -------------------
@@ -660,6 +668,7 @@ def run_nbody(
     trajectories: list[np.ndarray] = [pos.copy()]
     per_iter: list[IterationStats] = []
     prev_drift: np.ndarray | None = None
+    oracle_s = 0.0
 
     for step in range(1, steps + 1):
         base = counters.snapshot()
@@ -684,6 +693,7 @@ def run_nbody(
         neighbors_per_step.append(lists)
 
         if config.oracle_mode == "shadow":
+            t_oracle = time.perf_counter()
             want = radius_neighbors(pos, metric, radius)
             for i in range(n):
                 if not np.array_equal(lists[i], want[i]):
@@ -696,6 +706,7 @@ def run_nbody(
                             "want": want[i].tolist(),
                         },
                     )
+            oracle_s += time.perf_counter() - t_oracle
 
         # Integrate in original point order; movement feeds the next
         # step's bound decay.
@@ -711,7 +722,7 @@ def run_nbody(
         per_iter.append(_stats(step, counters.delta_since(base), n, n, n_batches, z))
 
     outputs = {"neighbors": neighbors_per_step, "trajectories": trajectories}
-    return _result(plan, outputs, per_iter, counters, config, t0, lplan)
+    return _result(plan, outputs, per_iter, counters, config, t0, lplan, oracle_s)
 
 
 def run_plan(

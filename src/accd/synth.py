@@ -24,32 +24,3 @@ def gaussian_mixture(
     labels = rng.integers(0, n_centers, size=n)
     pts = centers[labels] + rng.normal(0.0, spread, size=(n, d))
     return Dataset.from_values(pts)
-
-
-def uniform_points(n: int, d: int, seed: int, low: float = 0.0, high: float = 1.0) -> Dataset:
-    if n < 1 or d < 1:
-        raise RangeError("n and d must be >= 1")
-    rng = np.random.default_rng(seed)
-    return Dataset.from_values(rng.uniform(low, high, size=(n, d)))
-
-
-def radius_for_mean_neighbors(
-    points: np.ndarray, target_mean: float, seed: int, sample: int = 2000
-) -> float:
-    """Pick a radius so each point has roughly ``target_mean`` neighbors.
-
-    Estimated from the empirical quantile of a seeded sample of pairwise
-    distances; deterministic for a fixed seed.
-    """
-    n = points.shape[0]
-    if n < 2:
-        raise RangeError("need at least two points")
-    rng = np.random.default_rng(seed)
-    m = min(sample, n)
-    idx = rng.choice(n, size=m, replace=False)
-    sub = points[idx]
-    diff = sub[:, None, :] - sub[None, :, :]
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
-    tri = dist[np.triu_indices(m, k=1)]
-    q = min(1.0, max(target_mean, 1.0) / max(n - 1, 1))
-    return float(np.quantile(tri, q))

@@ -1,5 +1,6 @@
 """``accd`` subcommands end to end through ``cli.main``: exit codes 0, 1
-and 2, and run and explore reports that validate against their schemas."""
+and 2, run and explore reports that validate against their schemas, and
+bench runs of the samples checked by the shadow oracle."""
 
 import json
 from pathlib import Path
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 import accd
-from accd import cli
+from accd import cli, pipelines
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SCHEMAS = Path(accd.__file__).parent / "schemas"
+RESOURCES = Path(accd.__file__).parent / "resources"
 REPORT_SCHEMA = json.loads((SCHEMAS / "run_report.schema.json").read_text())
 EXPLORE_SCHEMA = json.loads((SCHEMAS / "explorer_output.schema.json").read_text())
 SMALL_PROBLEM = {"src_size": 2000, "trg_size": 2000, "d": 24, "n_iteration": 1}
@@ -150,3 +152,84 @@ def test_run_design_file_without_cost_model_knobs(tmp_path):
     argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data", "--design", design]
     assert cli.main(argv + ["--report", str(report)]) == 0
     assert json.loads(report.read_text())["config"]["design"]["simd"] == 1
+
+
+# (file, text, its non-numeric replacement, the "file:line: key" the error names)
+NON_NUMERIC = [
+    ("bad.platform", "= 2.0e8", "= fast", "bad.platform:3: frequency_hz"),
+    ("table.csv", "16,1,1,1,1,158", "16,1,1,1,x,158", "table.csv:2: dsp"),
+]
+
+
+@pytest.mark.parametrize("edited,old,new,where", NON_NUMERIC, ids=["platform", "resource_table"])
+def test_explore_non_numeric_platform_value_exits_2(edited, old, new, where, tmp_path, capsys):
+    files = {
+        "bad.platform": (RESOURCES / "synthetic.platform").read_text().replace(
+            "synthetic_resource_table.csv", "table.csv"
+        ),
+        "table.csv": (RESOURCES / "synthetic_resource_table.csv").read_text(),
+    }
+    assert old in files[edited]
+    files[edited] = files[edited].replace(old, new, 1)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["explore", "--problem", _json_file(tmp_path / "p.json", SMALL_PROBLEM)]
+    assert cli.main(argv + ["--platform", str(tmp_path / "bad.platform")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
+# -- bench ------------------------------------------------------------------
+
+BENCH_SCALES = {"kmeans.ddsl": 0.1, "knn_join.ddsl": 0.05, "nbody.ddsl": 0.1}
+
+
+def _bench(sample, *extra) -> int:
+    return cli.main(["bench", str(sample), *extra])
+
+
+@pytest.mark.parametrize("sample", sorted(BENCH_SCALES))
+def test_bench_sample_is_exact_and_accounts_every_pair(sample, tmp_path):
+    report = tmp_path / "bench.json"
+    scale = str(BENCH_SCALES[sample])
+    assert _bench(SAMPLES / sample, "--scale", scale, "--report", str(report)) == 0
+    payload = json.loads(report.read_text())
+    plan = payload["meta"]["plan"]
+    assert payload["exact"] is True
+    assert payload["pipeline_kind"] == plan["pipeline_kind"]
+    pairs = plan["source_size"] * plan["target_size"] * payload["iterations"]
+    assert payload["naive_point_distances"] == pairs
+    assert 0 < payload["gti_point_distances"] <= pairs
+
+
+def test_bench_oracle_mismatch_exits_2(monkeypatch, capsys):
+    real = pipelines.knn_topk
+
+    def wrong(*args, **kwargs):
+        ids, dists = real(*args, **kwargs)
+        ids[0, 0] = -1
+        return ids, dists
+
+    monkeypatch.setattr(pipelines, "knn_topk", wrong)
+    assert _bench(SAMPLES / "knn_join.ddsl", "--scale", "0.02") == 2
+    assert "oracle mismatch" in capsys.readouterr().err
+
+
+def test_bench_syntax_error_exits_1(tmp_path):
+    bad = tmp_path / "bad.ddsl"
+    bad.write_text("DVar K int 10 10;\n")
+    assert _bench(bad) == 1
+
+
+def test_bench_scale_must_be_positive():
+    assert _bench(SAMPLES / "nbody.ddsl", "--scale", "0") == 1
+
+
+def test_bench_rejects_a_weighted_program(tmp_path, capsys):
+    text = (SAMPLES / "knn_join.ddsl").read_text()
+    text = text.replace("DSet knnMat", "DSet wMat float 1 D;\nDSet knnMat")
+    weighted = tmp_path / "weighted.ddsl"
+    weighted.write_text(text.replace('"Unweighted L2", 0', '"Weighted L2", wMat'))
+    assert _bench(weighted, "--scale", "0.02") == 1
+    assert "weight set 'wMat'" in capsys.readouterr().err

@@ -66,10 +66,10 @@ def _case(name: str):
 CASES = ("kmeans", "knn", "nbody")
 
 
-def _run(name: str, **config):
+def _run(name: str, oracle_mode: str = "shadow", **config):
     sample, src, trg, m = _case(name)
     plan = _sample_plan(sample, src.n, m)
-    cfg = RunConfig(design=DESIGN, oracle_mode="shadow", **config)
+    cfg = RunConfig(design=DESIGN, oracle_mode=oracle_mode, **config)
     return run_plan(plan, src, trg, cfg), src.n * m
 
 
@@ -97,6 +97,14 @@ def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
     assert c.pruned_pairs > 0
     if name == "nbody":
         assert c.all_inside_pairs > 0 and c.reused_pairs > 0
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_oracle_time_is_spent_only_in_shadow_mode(name):
+    shadow, _ = _run(name)
+    assert 0 < shadow.oracle_s < shadow.wall_time_s
+    off, _ = _run(name, oracle_mode="off")
+    assert not off.oracle_checked and off.oracle_s == 0
 
 
 @pytest.mark.parametrize("name", CASES)
