@@ -4,10 +4,13 @@ Every code path that evaluates a true point-to-point distance bumps
 ``point_distances`` exactly once; distances evaluated only to feed bound
 computations (landmark pairs, point-to-landmark offsets, drifts) go to
 ``bound_computations``; the throwaway work of building groups goes to
-``grouping_distances``. Avoided point-pair work is split into three
-mutually exclusive buckets so per-iteration conservation can be checked:
-pruned by bounds, resolved as all-inside, or carried over because nothing
-moved. Functions that take ``counters=None`` tally nothing.
+``grouping_distances``, which counts the n*z point-landmark pairs each
+nearest-landmark assignment decides (six per ``build_groups`` call), not
+the few near-tie candidates that assignment recomputes exactly. Avoided
+point-pair work is split into three mutually exclusive buckets so
+per-iteration conservation can be checked: pruned by bounds, resolved as
+all-inside, or carried over because nothing moved. Functions that take
+``counters=None`` tally nothing.
 """
 
 from __future__ import annotations

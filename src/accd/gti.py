@@ -3,6 +3,16 @@
 Points are partitioned into groups around landmark points; distances
 between landmarks plus per-group radii turn into lower/upper bounds on
 point-pair distances that never require touching the points themselves.
+
+Grouping assigns every point to its nearest landmark six times (five
+Lloyd rounds and the final pass). Each assignment ranks the landmarks in
+one fast pass (a BLAS matmul for L2, ``cdist`` for L1) on copies centred
+on the points' mean, keeps every landmark within a rigorous rounding
+margin of a row's fast minimum, and recomputes those candidates by direct
+differencing, ties going to the lower landmark id. The groups, radii and
+point-to-landmark distances are bitwise those of a brute-force
+construction; only the time and memory differ.
+
 Three bound families are provided:
 
 * two-landmark: bound d(a, b) through d(a_ref, b_ref) and the two
@@ -28,12 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .counters import CounterSet
 from .dataset import Dataset, brute_rows
 from .errors import InvalidQueryError, RangeError
-from .metrics import MetricSpec
-from .oracles import group_means
+from .metrics import MetricSpec, rowwise_distance
+from .oracles import group_means, group_members
 
 _LLOYD_ITERATIONS = 5
 _ASSIGN_BLOCK_ELEMS = 4_000_000
@@ -83,25 +94,82 @@ class CandidateMatrix:
         return cls(targets=[all_targets.copy() for _ in range(z_src)])
 
 
-def _assign_nearest_blocked(
+# Unit roundoff of float64 and the standard bound on the relative error
+# of an n-operation sum or dot product, gamma_n = n*u / (1 - n*u).
+_U = np.finfo(np.float64).eps / 2
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1 - n * _U)
+
+
+def _assign_nearest(
     values: np.ndarray,
     landmarks: np.ndarray,
     metric: MetricSpec,
     counters: CounterSet | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest landmark per point (ties to the lower landmark id)."""
-    n = values.shape[0]
+    """Nearest landmark per point under (distance, id), and that distance.
+
+    Equal, bitwise, to the argmin of ``brute_rows`` with its value. A fast
+    pass ranks the landmarks on centred (and, if weighted, scaled) copies:
+    L2 as ``|a|^2 - 2 a.l + |l|^2`` through one matmul, L1 through
+    ``cdist``. The landmarks within ``margin`` of a row's fast minimum are
+    its candidates; each is recomputed by direct differencing, the
+    arithmetic of ``brute_rows``, and the (distance, id) minimum wins.
+
+    Why the margin is safe. Per row, let a be the centred point and
+    S = (|a|_2 + max |l|_2)^2 for L2, |a|_1 + max |l|_1 for L1. A fast
+    value is within gamma_{d+2}*S of the exact value for the centred
+    copies (BLAS or cdist, in any summation order). Centring and scaling
+    move each coordinate difference by at most gamma_3*(|a_i| + |l_i|),
+    which moves the exact value by at most about 2*gamma_3*S. Direct
+    differencing is within gamma_{d+3} of the exact value. So every fast
+    value is within 3*gamma_{d+4}*S of what ``brute_rows`` returns. The
+    cut is 10*gamma_{d+4}*S above the fast minimum: that covers the two
+    errors of a pair of landmarks, the 8u relative gap that keeps their
+    order strict through the L2 ``sqrt``, and the rounding of the cut
+    itself. A landmark above the cut can therefore neither win nor tie.
+    """
+    n, d = values.shape
     z = landmarks.shape[0]
+    centre = values.mean(axis=0)
+    pts, lms = values - centre, landmarks - centre
+    if metric.weighted:
+        scale = np.sqrt(metric.weights) if metric.kind == "L2" else metric.weights
+        pts *= scale
+        lms *= scale
+    if metric.kind == "L2":
+        pts_sq = np.einsum("ij,ij->i", pts, pts)
+        lms_sq = np.einsum("ij,ij->i", lms, lms)
+        reach = (np.sqrt(pts_sq) + np.sqrt(lms_sq.max())) ** 2
+    else:
+        reach = np.abs(pts).sum(axis=1) + np.abs(lms).sum(axis=1).max()
+    margin = 10 * _gamma(d + 4) * reach
     assign = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
-    scratch = CounterSet()
-    step = max(1, _ASSIGN_BLOCK_ELEMS // max(1, z * values.shape[1]))
+    # A row with every landmark a candidate recomputes z*d values, so the
+    # same budget bounds both the fast values and the recomputed terms.
+    step = max(1, _ASSIGN_BLOCK_ELEMS // max(1, z * d))
     for start in range(0, n, step):
         stop = min(n, start + step)
-        block = brute_rows(values[start:stop], landmarks, metric, scratch)
-        a = np.argmin(block, axis=1)
-        assign[start:stop] = a
-        dist[start:stop] = block[np.arange(stop - start), a]
+        if metric.kind == "L2":
+            key = pts[start:stop] @ lms.T
+            key *= -2.0
+            key += pts_sq[start:stop, None]
+            key += lms_sq[None, :]
+        else:
+            key = cdist(pts[start:stop], lms, "cityblock")
+        cand = key <= (key.min(axis=1) + margin[start:stop])[:, None]
+        rows, cols = np.nonzero(cand)  # row-major: ids ascend within a row
+        exact = rowwise_distance(values[start + rows], landmarks[cols], metric)
+        counts = np.count_nonzero(cand, axis=1)
+        starts = np.cumsum(counts) - counts
+        best = np.minimum.reduceat(exact, starts)
+        hits = np.flatnonzero(exact == np.repeat(best, counts))
+        first = hits[np.searchsorted(hits, starts)]  # lowest id at the minimum
+        assign[start:stop] = cols[first]
+        dist[start:stop] = best
     if counters is not None:
         counters.grouping_distances += n * z
     return assign, dist
@@ -118,8 +186,15 @@ def build_groups(
 
     Landmarks come from a short Lloyd refinement (fixed iteration count)
     seeded by a uniform sample of z distinct points; everything is
-    deterministic in ``seed``. Credits one cached point-to-landmark
-    distance per point to the bound tally.
+    deterministic in ``seed``. Every assignment, in the Lloyd rounds and
+    the final one, is certified (``_assign_nearest``): a BLAS or ``cdist``
+    pass on centred copies picks the candidates within a rigorous rounding
+    margin of each point's nearest landmark, and those are recomputed by
+    direct differencing, ties going to the lower landmark id. Landmarks,
+    memberships, radii and point-to-landmark distances are therefore
+    bitwise equal to a brute-force ``brute_rows`` construction. Credits
+    n*z decided pairs per assignment to ``grouping_distances`` and one
+    cached point-to-landmark distance per point to the bound tally.
     """
     n = ds.n
     if z < 1 or z > n:
@@ -127,21 +202,16 @@ def build_groups(
     rng = np.random.default_rng(seed)
     landmarks = ds.values[rng.choice(n, size=z, replace=False)].copy()
     for _ in range(_LLOYD_ITERATIONS):
-        assign, _ = _assign_nearest_blocked(ds.values, landmarks, metric, counters)
+        assign, _ = _assign_nearest(ds.values, landmarks, metric, counters)
         landmarks = group_means(ds.values, assign, z, landmarks)
-    assign, dist = _assign_nearest_blocked(ds.values, landmarks, metric, counters)
-    membership = [np.flatnonzero(assign == g) for g in range(z)]
-    radius = np.zeros(z, dtype=np.float64)
-    for g, members in enumerate(membership):
-        if members.size:
-            radius[g] = dist[members].max()
+    assign, dist = _assign_nearest(ds.values, landmarks, metric, counters)
     if counters is not None:
         counters.bound_computations += n
     return GroupModel(
         landmarks=landmarks,
-        membership=membership,
+        membership=group_members(assign, z),
         group_of=assign,
-        radius=radius,
+        radius=group_max(dist, assign, z),
         point_to_landmark=dist,
         metric=metric,
     )

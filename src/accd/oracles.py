@@ -18,6 +18,17 @@ from .metrics import MetricSpec
 _ROW_BLOCK_ELEMS = 4_000_000
 
 
+def group_members(assign: np.ndarray, k: int) -> list[np.ndarray]:
+    """Per group 0..k-1, its member ids in ascending order.
+
+    One stable argsort of ``assign`` split at the group counts; equal to
+    ``[np.flatnonzero(assign == g) for g in range(k)]`` without k scans.
+    """
+    order = np.argsort(assign, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(assign, minlength=k)).tolist()]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def group_means(
     values: np.ndarray, assign: np.ndarray, k: int, prev: np.ndarray
 ) -> np.ndarray:
@@ -28,8 +39,7 @@ def group_means(
     identical whenever their assignments agree.
     """
     out = prev.copy()
-    for g in range(k):
-        members = np.flatnonzero(assign == g)
+    for g, members in enumerate(group_members(assign, k)):
         if members.size:
             out[g] = np.add.reduce(values[members], axis=0) / members.size
     return out

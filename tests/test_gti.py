@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from accd import gti
 from accd.counters import CounterSet
 from accd.dataset import Dataset, brute_rows
 from accd.errors import InvalidQueryError, RangeError
@@ -15,6 +16,7 @@ from accd.gti import (
     two_landmark_bounds,
 )
 from accd.metrics import MetricSpec
+from accd.oracles import nearest_assign
 from accd.synth import gaussian_mixture
 
 L2 = MetricSpec(kind="L2")
@@ -62,6 +64,8 @@ def test_membership_partitions_points():
     gm = build_groups(ds, 7, seed=6, metric=L2)
     seen = np.sort(np.concatenate(gm.membership))
     assert np.array_equal(seen, np.arange(75))
+    for g, members in enumerate(gm.membership):
+        assert np.array_equal(members, np.flatnonzero(gm.group_of == g))
     # radius recomputable from point_to_landmark
     for g, members in enumerate(gm.membership):
         want = gm.point_to_landmark[members].max() if members.size else 0.0
@@ -69,7 +73,67 @@ def test_membership_partitions_points():
     for g, members in enumerate(gm.membership):
         if members.size:
             d = brute_rows(ds.values[members], gm.landmarks[g : g + 1], L2, CounterSet())
-            assert np.allclose(d[:, 0], gm.point_to_landmark[members], atol=1e-12)
+            assert np.array_equal(d[:, 0], gm.point_to_landmark[members])
+
+
+def _brute_force_groups(monkeypatch, ds, z, seed, metric):
+    """The same construction with every assignment made by the oracle's
+    direct-differencing brute force."""
+    with monkeypatch.context() as m:
+        m.setattr(gti, "_assign_nearest", lambda v, lm, mt, c: nearest_assign(v, lm, mt))
+        return build_groups(ds, z, seed=seed, metric=metric)
+
+
+def _assert_same_groups(got, want):
+    for field in ("landmarks", "group_of", "radius", "point_to_landmark"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert len(got.membership) == len(want.membership)
+    for a, b in zip(got.membership, want.membership):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+_WEIGHTS = np.array([0.5, 2.0, 1.0, 3.0, 0.25, 1.5])
+_METRICS = {
+    "L1": MetricSpec(kind="L1"),
+    "L2": L2,
+    "weighted L1": MetricSpec(kind="L1", weighted=True, weights=_WEIGHTS),
+    "weighted L2": MetricSpec(kind="L2", weighted=True, weights=_WEIGHTS),
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e7])
+@pytest.mark.parametrize("metric", list(_METRICS), ids=list(_METRICS))
+def test_grouping_equals_brute_force_assignment(monkeypatch, metric, offset):
+    # blobs far from the origin, with duplicated points: the matmul form
+    # cancels badly there unless the points are centred, and the result
+    # must equal brute force at every offset
+    pts = gaussian_mixture(240, 6, 5, seed=7, center_box=5.0).values
+    pts[200:] = pts[:40]
+    ds = Dataset.from_values(pts + offset)
+    got = build_groups(ds, 11, seed=3, metric=_METRICS[metric])
+    _assert_same_groups(got, _brute_force_groups(monkeypatch, ds, 11, 3, _METRICS[metric]))
+
+
+@pytest.mark.parametrize("metric", list(_METRICS), ids=list(_METRICS))
+def test_grouping_ties_go_to_the_lower_landmark(monkeypatch, metric):
+    # an integer grid with many duplicates: exact distance ties between
+    # landmarks are everywhere, and each must go to the lower landmark id
+    r = np.random.default_rng(21)
+    pts = r.integers(0, 3, size=(300, 6)).astype(np.float64)
+    ds = Dataset.from_values(pts)
+    for z, seed in ((9, 1), (40, 2)):
+        got = build_groups(ds, z, seed=seed, metric=_METRICS[metric])
+        _assert_same_groups(got, _brute_force_groups(monkeypatch, ds, z, seed, _METRICS[metric]))
+
+
+def test_grouping_distances_count_six_passes():
+    # five Lloyd rounds plus the final assignment, n*z pairs each
+    c = CounterSet()
+    build_groups(gaussian_mixture(90, 3, 3, seed=2), 7, seed=1, metric=L2, counters=c)
+    assert c.grouping_distances == 6 * 90 * 7
+    assert c.bound_computations == 90
 
 
 def test_group_count_out_of_range():
