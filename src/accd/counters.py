@@ -9,8 +9,13 @@ nearest-landmark assignment decides (six per ``build_groups`` call), not
 the few near-tie candidates that assignment recomputes exactly. Avoided
 point-pair work is split into three mutually exclusive buckets so
 per-iteration conservation can be checked: pruned by bounds, resolved as
-all-inside, or carried over because nothing moved. Functions that take
-``counters=None`` tally nothing.
+all-inside, or carried over because nothing moved.
+``recomputed_distances`` counts the point pairs a pipeline evaluates by
+direct differencing, the oracles' arithmetic, on top of the kernel's fast
+tile: to settle a decision the tile's error bound leaves open, or to
+report an output distance. It is the cost of exactness in floating
+point, stays outside pair conservation, and leaves out grouping's own
+near-tie candidates. Functions that take ``counters=None`` tally nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ class CounterSet:
     pruned_pairs: int = 0
     all_inside_pairs: int = 0
     reused_pairs: int = 0
+    recomputed_distances: int = 0
     mac_ops: int = 0
     tiles_executed: int = 0
     bytes_streamed: int = 0

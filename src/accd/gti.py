@@ -5,10 +5,10 @@ between landmarks plus per-group radii turn into lower/upper bounds on
 point-pair distances that never require touching the points themselves.
 
 Grouping assigns every point to its nearest landmark six times (five
-Lloyd rounds and the final pass). Each assignment ranks the landmarks in
-one fast pass (a BLAS matmul for L2, ``cdist`` for L1) on copies centred
-on the points' mean, keeps every landmark within a rigorous rounding
-margin of a row's fast minimum, and recomputes those candidates by direct
+Lloyd rounds and the final pass). Each assignment ranks the landmarks
+through the kernel's fast pass (``kernel.tile_distances`` on rows centred
+on the points' mean), keeps every landmark within the pass's error bound
+of a row's fast minimum, and recomputes those candidates by direct
 differencing, ties going to the lower landmark id. The groups, radii and
 point-to-landmark distances are bitwise those of a brute-force
 construction; only the time and memory differ.
@@ -22,10 +22,13 @@ Three bound families are provided:
 * trace-based: reuse last iteration's bounds, decayed by how far each
   group or point has drifted since.
 
-All filters are conservative: in exact arithmetic a pruned pair is
-provably outside the query, so downstream results equal brute force
-exactly. The bounds carry no floating-point slack yet; making the promise
-hold in floating point too is open (ROADMAP item 1).
+All filters are conservative, in floating point too: every stored bound
+brackets both the true distance of each member pair and the value direct
+differencing returns for it, because each bound is widened by a small
+relative term (``bound_slack``) that covers the rounding of the distances
+it is built from and of its own arithmetic. A pruned pair is therefore
+provably outside the query after rounding, and downstream results equal
+brute force exactly.
 
 Every filter ends in one vectorised cut: target group t survives for
 source group a iff lb[a, t] <= thr[a], where the per-source-group
@@ -38,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .counters import CounterSet
 from .dataset import Dataset, brute_rows
 from .errors import InvalidQueryError, RangeError
+from .kernel import fast_rows, gamma, tile_distances
 from .metrics import MetricSpec, rowwise_distance
 from .oracles import group_means, group_members
 
@@ -73,6 +76,10 @@ class GroupModel:
     def sizes(self) -> np.ndarray:
         return np.array([m.size for m in self.membership], dtype=np.int64)
 
+    @property
+    def slack(self) -> float:
+        return bound_slack(self.landmarks.shape[1])
+
 
 @dataclass
 class CandidateMatrix:
@@ -94,15 +101,6 @@ class CandidateMatrix:
         return cls(targets=[all_targets.copy() for _ in range(z_src)])
 
 
-# Unit roundoff of float64 and the standard bound on the relative error
-# of an n-operation sum or dot product, gamma_n = n*u / (1 - n*u).
-_U = np.finfo(np.float64).eps / 2
-
-
-def _gamma(n: int) -> float:
-    return n * _U / (1 - n * _U)
-
-
 def _assign_nearest(
     values: np.ndarray,
     landmarks: np.ndarray,
@@ -111,41 +109,19 @@ def _assign_nearest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest landmark per point under (distance, id), and that distance.
 
-    Equal, bitwise, to the argmin of ``brute_rows`` with its value. A fast
-    pass ranks the landmarks on centred (and, if weighted, scaled) copies:
-    L2 as ``|a|^2 - 2 a.l + |l|^2`` through one matmul, L1 through
-    ``cdist``. The landmarks within ``margin`` of a row's fast minimum are
-    its candidates; each is recomputed by direct differencing, the
-    arithmetic of ``brute_rows``, and the (distance, id) minimum wins.
-
-    Why the margin is safe. Per row, let a be the centred point and
-    S = (|a|_2 + max |l|_2)^2 for L2, |a|_1 + max |l|_1 for L1. A fast
-    value is within gamma_{d+2}*S of the exact value for the centred
-    copies (BLAS or cdist, in any summation order). Centring and scaling
-    move each coordinate difference by at most gamma_3*(|a_i| + |l_i|),
-    which moves the exact value by at most about 2*gamma_3*S. Direct
-    differencing is within gamma_{d+3} of the exact value. So every fast
-    value is within 3*gamma_{d+4}*S of what ``brute_rows`` returns. The
-    cut is 10*gamma_{d+4}*S above the fast minimum: that covers the two
-    errors of a pair of landmarks, the 8u relative gap that keeps their
-    order strict through the L2 ``sqrt``, and the rounding of the cut
-    itself. A landmark above the cut can therefore neither win nor tie.
+    Equal, bitwise, to the argmin of ``brute_rows`` with its value. The
+    kernel's fast pass gives every point-landmark value within ``err`` of
+    its direct-differencing value, so a landmark whose fast value exceeds
+    the row's fast minimum by more than 2*err can neither win nor tie.
+    The landmarks within that margin are recomputed by direct
+    differencing, the arithmetic of ``brute_rows``, and the
+    (distance, id) minimum wins.
     """
     n, d = values.shape
     z = landmarks.shape[0]
     centre = values.mean(axis=0)
-    pts, lms = values - centre, landmarks - centre
-    if metric.weighted:
-        scale = np.sqrt(metric.weights) if metric.kind == "L2" else metric.weights
-        pts *= scale
-        lms *= scale
-    if metric.kind == "L2":
-        pts_sq = np.einsum("ij,ij->i", pts, pts)
-        lms_sq = np.einsum("ij,ij->i", lms, lms)
-        reach = (np.sqrt(pts_sq) + np.sqrt(lms_sq.max())) ** 2
-    else:
-        reach = np.abs(pts).sum(axis=1) + np.abs(lms).sum(axis=1).max()
-    margin = 10 * _gamma(d + 4) * reach
+    pts, pts_sq = fast_rows(values, centre, metric)
+    lms, lms_sq = fast_rows(landmarks, centre, metric)
     assign = np.empty(n, dtype=np.int64)
     dist = np.empty(n, dtype=np.float64)
     # A row with every landmark a candidate recomputes z*d values, so the
@@ -153,14 +129,9 @@ def _assign_nearest(
     step = max(1, _ASSIGN_BLOCK_ELEMS // max(1, z * d))
     for start in range(0, n, step):
         stop = min(n, start + step)
-        if metric.kind == "L2":
-            key = pts[start:stop] @ lms.T
-            key *= -2.0
-            key += pts_sq[start:stop, None]
-            key += lms_sq[None, :]
-        else:
-            key = cdist(pts[start:stop], lms, "cityblock")
-        cand = key <= (key.min(axis=1) + margin[start:stop])[:, None]
+        sq = None if pts_sq is None else pts_sq[start:stop]
+        tile, err = tile_distances(pts[start:stop], lms, metric, 1, None, sq, lms_sq)
+        cand = tile <= (tile.min(axis=1) + 2 * err)[:, None]
         rows, cols = np.nonzero(cand)  # row-major: ids ascend within a row
         exact = rowwise_distance(values[start + rows], landmarks[cols], metric)
         counts = np.count_nonzero(cand, axis=1)
@@ -187,10 +158,10 @@ def build_groups(
     Landmarks come from a short Lloyd refinement (fixed iteration count)
     seeded by a uniform sample of z distinct points; everything is
     deterministic in ``seed``. Every assignment, in the Lloyd rounds and
-    the final one, is certified (``_assign_nearest``): a BLAS or ``cdist``
-    pass on centred copies picks the candidates within a rigorous rounding
-    margin of each point's nearest landmark, and those are recomputed by
-    direct differencing, ties going to the lower landmark id. Landmarks,
+    the final one, is certified (``_assign_nearest``): the kernel's fast
+    pass picks the candidates within its error bound of each point's
+    nearest landmark, and those are recomputed by direct differencing,
+    ties going to the lower landmark id. Landmarks,
     memberships, radii and point-to-landmark distances are therefore
     bitwise equal to a brute-force ``brute_rows`` construction. Credits
     n*z decided pairs per assignment to ``grouping_distances`` and one
@@ -220,14 +191,39 @@ def build_groups(
 # -- bound algebra ------------------------------------------------------
 
 
-def two_landmark_bounds(d_ref, d_a, d_b):
+def bound_slack(d: int) -> float:
+    """Relative widening for bounds built from distances in dimension d.
+
+    A direct-differencing value is within gamma_{d+3} of the true distance
+    (d+2 roundings in the terms and their sum, one in the root). A bound on
+    the true distance assembled from such values is off by gamma_{d+3}
+    relative to each term, turning it into a bound on the direct value
+    costs gamma_{d+3} again, and evaluating it a few u:
+    4*gamma_{d+4} covers 2*gamma_{d+3} + gamma_{d+3}^2 + 4u with room.
+    """
+    return 4 * gamma(d + 4)
+
+
+def lower_bound(pos, neg, slack: float):
+    """max(0, pos - neg), widened so it stays below both the true distance
+    and its direct-differencing value."""
+    return np.maximum(0.0, pos * (1 - slack) - neg * (1 + slack))
+
+
+def upper_bound(total, slack: float):
+    """``total``, widened so it stays above both the true distance and its
+    direct-differencing value."""
+    return total * (1 + slack)
+
+
+def two_landmark_bounds(d_ref, d_a, d_b, slack: float):
     """Bounds on d(a, b) from two landmark offsets.
 
-    lb = max(0, d_ref - d_a - d_b), ub = d_ref + d_a + d_b. Works
-    elementwise on arrays; with group radii as the offsets it bounds every
-    member pair of two groups.
+    lb = max(0, d_ref - d_a - d_b), ub = d_ref + d_a + d_b, each widened by
+    ``slack``. Works elementwise on arrays; with group radii as the offsets
+    it bounds every member pair of two groups.
     """
-    return np.maximum(0.0, d_ref - d_a - d_b), d_ref + d_a + d_b
+    return lower_bound(d_ref, d_a + d_b, slack), upper_bound(d_ref + d_a + d_b, slack)
 
 
 def group_max(values: np.ndarray, group_of: np.ndarray, z: int) -> np.ndarray:
@@ -278,7 +274,7 @@ def init_oneshot_state(
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric, scratch)
     if counters is not None:
         counters.bound_computations += src.z * trg.z
-    return two_landmark_bounds(pair, src.radius[:, None], trg.radius[None, :])
+    return two_landmark_bounds(pair, src.radius[:, None], trg.radius[None, :], src.slack)
 
 
 def filter_oneshot(
@@ -294,7 +290,8 @@ def filter_oneshot(
     The threshold of a source group accumulates target group sizes in
     ascending (ub, group id) order until at least K points are covered and
     takes the ub reached there; a target group survives iff its lb does
-    not exceed that threshold.
+    not exceed that threshold. The threshold carries the slack of ``ub``:
+    at least K targets lie within it after rounding.
     """
     sizes = trg.sizes
     if k < 1 or k > int(sizes.sum()):
@@ -323,7 +320,8 @@ def filter_iterative(
 
     ``src_drift``/``trg_drift`` hold per group the largest distance any
     member moved since the bounds were taken; a pair's lb shrinks (and its
-    ub grows) by both. ``lb`` and ``ub`` are updated in place. A target
+    ub grows) by both, widened by the bound slack. ``lb`` and ``ub`` are
+    updated in place. A target
     group survives for source group a iff its decayed lb does not exceed
     ``thr[a]``:
 
@@ -333,12 +331,10 @@ def filter_iterative(
     * radius (self-set): ``thr`` is the radius, and ``ub`` is given so that
       pairs it proves within the radius are marked all-inside.
     """
-    lb -= src_drift[:, None]
-    lb -= trg_drift[None, :]
-    np.maximum(0.0, lb, out=lb)
+    drift = src_drift[:, None] + trg_drift[None, :]
+    lb[...] = lower_bound(lb, drift, src.slack)
     if ub is not None:
-        ub += src_drift[:, None]
-        ub += trg_drift[None, :]
+        ub[...] = upper_bound(ub + drift, src.slack)
     return _cut(lb, thr, src.sizes, trg.sizes, counters, ub)
 
 

@@ -1,21 +1,15 @@
-"""Blocked distance-computation kernel.
+"""Fast distance tiles with a certified error bound.
 
-Stands in for the accelerator-side compute: L2 distances come from the
-decomposition
-
-    dist2[i, j] = rss(A)[i] - 2 * dot(A_i, B_j) + rss(B)[j]
-
-with row-wise square sums (RSS) precomputed and the dot products
-accumulated tile-wise. L1 has no such decomposition and uses a direct
-elementwise loop.
-
-Numeric results are independent of the tile edge ``blk``: every
-reduction over the feature dimension runs in fixed ascending index order
-with a single accumulator, so ``blk`` only shapes the tile counters
-(``tiles_executed``, ``bytes_streamed``). The explorer's simd and unroll
-factors are cost-model parameters and never reach the kernel.
-Squared distances are clamped at zero before the square root; the
-decomposition can go slightly negative under cancellation.
+Stands in for the accelerator-side compute. Each tile row comes with a
+rigorous bound ``err`` on how far its fast values may lie from the direct-
+differencing values of the oracles (``metrics.rowwise_distance``), so
+callers can decide on fast values where the bound settles a decision and
+recompute the rest exactly. L1 uses ``cdist(..., "cityblock", w=...)``,
+which differences directly; L2 uses one matmul, |a|^2 - 2 a.b + |b|^2, on
+rows centred on a per-run centre (``fast_rows``), which keeps the
+cancellation error proportional to the data's spread, not its offset.
+Fast values may change in their last bits with the tile's shape; ``blk``
+only shapes the counters (``tiles_executed``, ``bytes_streamed``).
 """
 
 from __future__ import annotations
@@ -23,51 +17,33 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .counters import CounterSet
 from .errors import DimensionMismatchError
 from .metrics import MetricSpec
 
-
-def rss(mat: np.ndarray) -> np.ndarray:
-    """Row-wise square sum, accumulated in ascending dimension order."""
-    mat = np.asarray(mat, dtype=np.float64)
-    out = np.zeros(mat.shape[0], dtype=np.float64)
-    for k in range(mat.shape[1]):
-        col = mat[:, k]
-        out += col * col
-    return out
+# Unit roundoff of float64, and gamma_n = n*u / (1 - n*u) bounds the relative
+# error of an n-term sum or dot product (Higham, Accuracy and Stability, 3.1).
+U = np.finfo(np.float64).eps / 2
 
 
-def weighted_rss(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    out = np.zeros(mat.shape[0], dtype=np.float64)
-    for k in range(mat.shape[1]):
-        col = mat[:, k]
-        out += weights[k] * (col * col)
-    return out
+def gamma(n: int) -> float:
+    return n * U / (1 - n * U)
 
 
-def _dot_tile(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """Pairwise (weighted) dot products, fixed ascending-k accumulation."""
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    if weights is None:
-        for k in range(a.shape[1]):
-            out += a[:, k, None] * b[None, :, k]
-    else:
-        for k in range(a.shape[1]):
-            out += weights[k] * (a[:, k, None] * b[None, :, k])
-    return out
-
-
-def _l1_tile(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    if weights is None:
-        for k in range(a.shape[1]):
-            out += np.abs(a[:, k, None] - b[None, :, k])
-    else:
-        for k in range(a.shape[1]):
-            out += weights[k] * np.abs(a[:, k, None] - b[None, :, k])
-    return out
+def fast_rows(
+    values: np.ndarray, centre: np.ndarray, metric: MetricSpec
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows as ``tile_distances`` takes them, and their squared norms: for
+    L2 the rows minus ``centre``, scaled by sqrt(w) if weighted; for L1 the
+    rows unchanged (no copy) and no norms."""
+    if metric.kind == "L1":
+        return values, None
+    rows = values - centre
+    if metric.weighted:
+        rows *= np.sqrt(metric.weights)
+    return rows, np.einsum("ij,ij->i", rows, rows)
 
 
 def _record_tile(counters: CounterSet | None, rows: int, cols: int, d: int, blk: int):
@@ -92,14 +68,31 @@ def tile_distances(
     metric: MetricSpec,
     blk: int,
     counters: CounterSet | None = None,
-    rss_a: np.ndarray | None = None,
-    rss_b: np.ndarray | None = None,
-) -> np.ndarray:
-    """Distances for one (source rows x target rows) region.
+    sq_a: np.ndarray | None = None,
+    sq_b: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fast distances for one (source rows x target rows) region, and per
+    row a bound ``err`` with |fast - direct| <= err for every entry.
 
-    ``blk`` is the tile edge the counters are modelled with. Precomputed
-    RSS vectors for the region's rows may be passed in to reuse work
-    across tiles of the same dataset.
+    The rows are ``fast_rows`` output, ``sq_a``/``sq_b`` their squared
+    norms (needed for L2). ``err`` leaves room for a few
+    roundings at the magnitude of the row's values, so callers may compare
+    ``fast +- err`` with each other and with thresholds directly.
+
+    Why it holds (u: unit roundoff, T: exact value).
+    * L1: both sides sum the same d terms w_i*|a_i - b_i|, each within 2u,
+      in some order, so each is within gamma_{d+1}*T of T and they differ
+      by at most 2.01*gamma_{d+1}*fast; ``err`` = 4*gamma_{d+2}*row max.
+    * L2 squared, with S = (max|a| + max|b|)^2 over the tile: the matmul
+      form is within gamma_{d+2}*S of |a - b|^2 for the centred scaled
+      rows; centring and scaling move each coordinate difference by at
+      most gamma_3*(|a_i| + |b_i|), so |a - b|^2 by 2.1*gamma_3*S; direct
+      differencing is within gamma_{d+3}*S of exact. Total:
+      E = 4*gamma_{d+4}*S (3 suffices; the 4th covers rounding in S).
+    * L2 distance: |sqrt(x) - sqrt(y)| <= min(sqrt(E), E/sqrt(x)) and
+      every entry is at least the row minimum m, so the roots differ by
+      X = E / max(m*(1-u), sqrt(E)) at most; the two roundings of the root
+      add under 3u*sqrt(S) <= 0.15*X. ``err`` = 2*X.
     """
     if a_rows.shape[1] != b_rows.shape[1]:
         raise DimensionMismatchError(
@@ -107,17 +100,20 @@ def tile_distances(
         )
     d = a_rows.shape[1]
     metric.check_dim(d)
-    w = metric.weights if metric.weighted else None
     if metric.kind == "L1":
-        out = _l1_tile(a_rows, b_rows, w)
+        tile = cdist(a_rows, b_rows, "cityblock", w=metric.weights)
+        err = 4 * gamma(d + 2) * tile.max(axis=1, initial=0.0)
     else:
-        if rss_a is None:
-            rss_a = rss(a_rows) if w is None else weighted_rss(a_rows, w)
-        if rss_b is None:
-            rss_b = rss(b_rows) if w is None else weighted_rss(b_rows, w)
-        dot = _dot_tile(a_rows, b_rows, w)
-        sq = (rss_a[:, None] - 2.0 * dot) + rss_b[None, :]
-        np.maximum(sq, 0.0, out=sq)
-        out = np.sqrt(sq)
+        tile = a_rows @ b_rows.T
+        tile *= -2.0
+        tile += sq_a[:, None]
+        tile += sq_b
+        np.maximum(tile, 0.0, out=tile)
+        np.sqrt(tile, out=tile)
+        reach = math.sqrt(sq_a.max(initial=0.0)) + math.sqrt(sq_b.max(initial=0.0))
+        e = 4 * gamma(d + 4) * reach * reach
+        # e is 0 only with every row at the centre, where values are exact
+        floor = max(math.sqrt(e), np.finfo(np.float64).tiny)
+        err = 2 * e / np.maximum(tile.min(axis=1, initial=np.inf) * (1 - U), floor)
     _record_tile(counters, a_rows.shape[0], b_rows.shape[0], d, blk)
-    return out
+    return tile, err

@@ -17,18 +17,27 @@ to the pipeline's reducer:
   point and the per-group-pair tile minimum that reseeds the trace
   bounds; the per-point bound is last iteration's best distance plus the
   drift of its target.
-* ``_TopK`` (one-shot two-set) keeps the running K best per point; the
-  per-point bound is the current K-th distance.
+* ``_TopK`` (one-shot two-set) keeps the running K + 1 best per point;
+  the per-point bound is the current K-th distance plus its error bound.
 * ``_Radius`` (iterative self-set) has no per-point bound. Before the
   sweep it resolves all-inside and unchanged group pairs without a tile;
   during it, it caches each tiled pair's neighbors and refreshes the
   group-pair bounds; after it, it assembles the neighbor lists. It sweeps
   one source group per batch, so every tile covers one group pair.
 
-Numerical discipline that keeps layout on/off runs bitwise identical:
-group tiles always present member rows in ascending original-id order
-(packed slices are laid out that way), and all cross-point reductions
-(centroid means, force accumulation) happen in original point order.
+Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
+and BLAS may round one pair differently in tiles of different shapes, so
+each tile row carries a bound on its error (``kernel.tile_distances``).
+Reducers decide on fast values only where that bound settles a decision
+and recompute what it leaves open, and every reported distance, by direct
+differencing (``metrics.rowwise_distance``, the oracles' arithmetic).
+Every pruning bound carries the rounding slack of ``gti``. Outputs
+therefore equal the oracles' bitwise, with layout on or off and on any
+thread count. Pair counters follow the bounds; a bound taken from fast
+values (a tile extreme, a running K-th value) can move in its last bits
+with the tile's shape, which changes a count only if it lands within
+those bits of a threshold. All cross-point reductions (centroid means,
+force accumulation) happen in original point order.
 The physics update of the self-set pipeline is deliberately outside the
 distance-counter discipline; only neighbor search is counted and verified.
 """
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import CounterSet
-from .dataset import Dataset, TopKResult, rowwise_lexsort
+from .dataset import Dataset, TopKResult, brute_rows, rowwise_lexsort
 from .ddsl.lowering import ExecutionPlan
 from .errors import (
     InvalidQueryError,
@@ -61,15 +70,18 @@ from .gti import (
     filter_oneshot,
     group_max,
     init_oneshot_state,
+    lower_bound,
     measured_saving,
+    upper_bound,
 )
-from .kernel import rss as kernel_rss, tile_distances
-from .kernel import weighted_rss
+from .kernel import fast_rows, tile_distances
 from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
-from .metrics import MetricSpec, rowwise_distance
+from .metrics import MetricSpec, gathered_distance, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8, blk=64)
+# Terms per block of the final top-K recompute: 512 KB of float64.
+_SETTLE_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -123,26 +135,24 @@ class RunResult:
 
 @dataclass
 class _Grouped:
-    """Group-wise row access over one point set, packed or not.
+    """Group-wise access to one point set's kernel rows, packed or not.
 
-    Group members are always presented in ascending original-id order, so
-    tiles are bitwise identical with layout on or off.
+    ``rows``/``sq`` are ``kernel.fast_rows`` of the values, permuted by the
+    layout plan if there is one. Group members are always presented in
+    ascending original-id order.
     """
 
-    values: np.ndarray  # packed order with a layout plan, else original
-    rss: np.ndarray | None  # row square sums (L2 only), same order
+    rows: np.ndarray
+    sq: np.ndarray | None  # squared norms of ``rows`` (L2 only), same order
     gm: GroupModel
     plan: LayoutPlan | None
 
     @classmethod
-    def build(cls, values: np.ndarray, gm: GroupModel, plan: LayoutPlan | None, metric):
-        rss = None
-        if metric.kind == "L2":
-            rss = weighted_rss(values, metric.weights) if metric.weighted else kernel_rss(values)
+    def build(cls, values, gm: GroupModel, plan: LayoutPlan | None, metric, centre):
         if plan is not None:
             values = values[plan.point_perm]
-            rss = rss[plan.point_perm] if rss is not None else None
-        return cls(values=values, rss=rss, gm=gm, plan=plan)
+        rows, sq = fast_rows(values, centre, metric)
+        return cls(rows=rows, sq=sq, gm=gm, plan=plan)
 
     def batch_ids(self, batch: list[int]) -> np.ndarray:
         if len(batch) == 1:
@@ -150,12 +160,12 @@ class _Grouped:
         return np.concatenate([self.gm.membership[g] for g in batch])
 
     def batch_rows(self, batch: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
-        """(values, rss) for the batch's member rows."""
+        """(rows, sq) for the batch's members."""
         if self.plan is not None:
             rows = slice(self.plan.group_slices[batch[0]][0], self.plan.group_slices[batch[-1]][1])
         else:
             rows = self.batch_ids(batch)
-        return self.values[rows], self.rss[rows] if self.rss is not None else None
+        return self.rows[rows], self.sq[rows] if self.sq is not None else None
 
 
 def _source_batches(
@@ -195,9 +205,11 @@ def _sweep(
     (min lb over the batch, group id) order. ``reducer.bound(ids)`` gives
     the per-point bound of the batch's rows (None: keep every row); a row
     is kept for target group ``t`` while its bound reaches its own group's
-    ``lb[., t]``. ``reducer.reduce(batch, t, ids, tile)`` receives the kept
-    rows' ids and their tile. Batches touch disjoint source rows, so they
-    may run on ``threads`` workers. Returns the tile and pruning tallies.
+    ``lb[., t]``. ``reducer.reduce(batch, t, ids, tile, err)`` receives the
+    kept rows' ids, their fast tile and its per-row error bound, and
+    returns how many entries it recomputed. Batches touch disjoint source
+    rows, so they may run on ``threads`` workers. Returns the tile,
+    pruning and recompute tallies.
     """
 
     def sweep_batch(batch: list[int]) -> CounterSet:
@@ -206,7 +218,7 @@ def _sweep(
         cand = cm.targets[batch[0]]
         if ids.size == 0 or cand.size == 0:
             return local
-        rows, rss_rows = src.batch_rows(batch)
+        rows, sq_rows = src.batch_rows(batch)
         key = np.min(lb[batch][:, cand], axis=0)
         group_of_ids = src.gm.group_of[ids]
         for t in cand[np.lexsort((cand, key))].tolist():
@@ -215,17 +227,17 @@ def _sweep(
                 continue
             bound = reducer.bound(ids)
             if bound is None:
-                kept, kept_rows, kept_rss = ids, rows, rss_rows
+                kept, kept_rows, kept_sq = ids, rows, sq_rows
             else:
                 act = np.flatnonzero(bound >= lb[group_of_ids, t])
                 local.pruned_pairs += (ids.size - act.size) * n_cols
                 if act.size == 0:
                     continue
                 kept, kept_rows = ids[act], rows[act]
-                kept_rss = rss_rows[act] if rss_rows is not None else None
-            cols, rss_cols = trg.batch_rows([t])
-            tile = tile_distances(kept_rows, cols, metric, blk, local, kept_rss, rss_cols)
-            reducer.reduce(batch, t, kept, tile)
+                kept_sq = sq_rows[act] if sq_rows is not None else None
+            cols, sq_cols = trg.batch_rows([t])
+            tile, err = tile_distances(kept_rows, cols, metric, blk, local, kept_sq, sq_cols)
+            local.recomputed_distances += reducer.reduce(batch, t, kept, tile, err)
         return local
 
     total = CounterSet()
@@ -235,93 +247,183 @@ def _sweep(
 
 
 class _Nearest:
-    """Nearest target per source point under (distance, id) tie-break."""
+    """Nearest target per source point under (distance, id) tie-break.
 
-    def __init__(self, n: int, src_gm: GroupModel, trg_gm: GroupModel, point_ub):
-        self.best_d = np.full(n, np.inf)
+    Per point it keeps the best target so far and bounds [best_lo, best_hi]
+    on its direct distance (equal once recomputed). A tile row is decided
+    on fast values when the tile's minimum is the only entry that may reach
+    below both the tile's and the running best's upper bounds, and lies
+    surely below the running best. Otherwise the row is open: those
+    entries and the running best are recomputed by direct differencing and
+    the (distance, id) minimum wins.
+    """
+
+    def __init__(self, points, targets, src_gm: GroupModel, trg_gm: GroupModel, point_ub, metric):
+        n = points.shape[0]
+        self.best_lo = np.full(n, np.inf)
+        self.best_hi = np.full(n, np.inf)
         self.best_id = np.full(n, -1, dtype=np.int64)
-        # Per group pair: the smallest tiled distance, and whether every
-        # source member was tiled (then it is the exact group-pair minimum).
+        # Per group pair: a lower bound on the direct distances of the tiled
+        # rows, and whether every source member was tiled (then it bounds
+        # the whole pair).
         self.comp_min = np.full((src_gm.z, trg_gm.z), np.inf)
         self.covered = np.zeros((src_gm.z, trg_gm.z), dtype=bool)
         self.point_ub = point_ub
-        self.src_gm = src_gm
+        self.points, self.targets, self.metric = points, targets, metric
+        self.group_of, self.group_sizes = src_gm.group_of, src_gm.sizes
+        self.slack = src_gm.slack
         self.members = trg_gm.membership
 
     def bound(self, ids: np.ndarray) -> np.ndarray | None:
         return None if self.point_ub is None else self.point_ub[ids]
 
-    def reduce(self, batch: list[int], t: int, ids: np.ndarray, tile: np.ndarray) -> None:
+    def reduce(self, batch, t: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+        cols = self.members[t]
         col = np.argmin(tile, axis=1)
-        mn = tile[np.arange(ids.size), col]
-        cid = self.members[t][col]
-        cur_d = self.best_d[ids]
-        better = (mn < cur_d) | ((mn == cur_d) & (cid < self.best_id[ids]))
-        upd = ids[better]
-        self.best_d[upd] = mn[better]
-        self.best_id[upd] = cid[better]
-        g_act = self.src_gm.group_of[ids]
-        for g in batch:
-            rows_g = np.flatnonzero(g_act == g)
-            if rows_g.size == 0:
-                continue
-            self.comp_min[g, t] = min(self.comp_min[g, t], float(tile[rows_g].min()))
-            if rows_g.size == self.src_gm.membership[g].size:
-                self.covered[g, t] = True
+        mn = tile.min(axis=1)
+        lo, hi = mn - err, mn + err
+        cur_lo, cur_hi = self.best_lo[ids], self.best_hi[ids]
+        cand = tile <= (np.minimum(hi, cur_hi) + err)[:, None]
+        count = np.count_nonzero(cand, axis=1)
+        sure = (count == 1) & (hi < cur_lo)
+        upd = ids[sure]
+        self.best_lo[upd] = lo[sure]
+        self.best_hi[upd] = hi[sure]
+        self.best_id[upd] = cols[col[sure]]
+        # rows without a candidate keep their running best: it is surely lower
+        open_rows = np.flatnonzero(count > sure)
+        recomputed = self._settle(ids, open_rows, cand, cols) if open_rows.size else 0
+        if len(batch) == 1:
+            g = batch[0]
+            self.comp_min[g, t] = min(self.comp_min[g, t], float(lo.min()))
+            self.covered[g, t] |= ids.size == self.group_sizes[g]
+        else:
+            g_act = self.group_of[ids]  # rows come grouped, in batch order
+            starts = np.flatnonzero(np.concatenate(([True], g_act[1:] != g_act[:-1])))
+            groups = g_act[starts]
+            lows = np.minimum.reduceat(lo, starts)
+            self.comp_min[groups, t] = np.minimum(self.comp_min[groups, t], lows)
+            whole = np.diff(starts, append=ids.size) == self.group_sizes[groups]
+            self.covered[groups[whole], t] = True
+        return recomputed
+
+    def _settle(self, ids, rows, cand, cols) -> int:
+        """Recompute the open rows' candidates and running bests; keep the
+        (distance, id) minimum per row. Returns the entries recomputed."""
+        r, c = np.nonzero(cand[rows])
+        prev = self.best_id[ids[rows]]
+        had = prev >= 0
+        pid = np.concatenate([ids[rows[r]], ids[rows[had]]])
+        tid = np.concatenate([cols[c], prev[had]])
+        exact = rowwise_distance(self.points[pid], self.targets[tid], self.metric)
+        order = np.lexsort((tid, exact, pid))
+        pid_sorted = pid[order]
+        first = order[np.concatenate(([True], pid_sorted[1:] != pid_sorted[:-1]))]
+        win = pid[first]
+        self.best_lo[win] = self.best_hi[win] = exact[first]
+        self.best_id[win] = tid[first]
+        return pid.size
 
     def refreshed_lb(self, lb: np.ndarray) -> np.ndarray:
-        """Group-pair lower bounds for the next iteration: exact where a
-        pair was fully tiled, tightened where it was partly tiled."""
-        refreshed = np.where(self.comp_min < np.inf, np.minimum(lb, self.comp_min), lb)
-        return np.where(self.covered, self.comp_min, refreshed)
+        """Group-pair lower bounds for the next iteration: from the tiles
+        where a pair was fully tiled, tightened where it was partly tiled."""
+        low = lower_bound(self.comp_min, 0.0, self.slack)
+        return np.where(self.covered, low, np.minimum(lb, low))
 
 
 class _TopK:
-    """Running K best targets per source point under (distance, id)."""
+    """Running K + 1 best targets per source point under (fast value, id).
+
+    ``err`` bounds the error of every kept value. The K-th value plus
+    ``err`` bounds the K-th direct distance from above, so it is the
+    per-point bound; the (K + 1)-th entry witnesses the boundary for
+    ``settle``.
+    """
 
     def __init__(self, m: int, k: int, trg_gm: GroupModel):
         self.k = k
-        self.top_d = np.full((m, k), np.inf)
+        self.top_f = np.full((m, k + 1), np.inf)
         # one past any real target id, so a placeholder always loses ties
-        self.top_i = np.full((m, k), trg_gm.n, dtype=np.int64)
+        self.top_i = np.full((m, k + 1), trg_gm.n, dtype=np.int64)
+        self.err = np.zeros(m)
         self.members = trg_gm.membership
 
     def bound(self, ids: np.ndarray) -> np.ndarray:
-        return self.top_d[ids, self.k - 1]
+        return self.top_f[ids, self.k - 1] + self.err[ids]
 
-    def reduce(self, batch: list[int], t: int, ids: np.ndarray, tile: np.ndarray) -> None:
-        cat_d = np.concatenate([self.top_d[ids], tile], axis=1)
+    def reduce(self, batch, t: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+        cat_d = np.concatenate([self.top_f[ids], tile], axis=1)
         cat_i = np.concatenate(
             [self.top_i[ids], np.broadcast_to(self.members[t], tile.shape)], axis=1
         )
-        sel = rowwise_lexsort(cat_d, cat_i)[:, : self.k]
-        self.top_d[ids] = np.take_along_axis(cat_d, sel, axis=1)
+        sel = rowwise_lexsort(cat_d, cat_i)[:, : self.k + 1]
+        self.top_f[ids] = np.take_along_axis(cat_d, sel, axis=1)
         self.top_i[ids] = np.take_along_axis(cat_i, sel, axis=1)
+        self.err[ids] = np.maximum(self.err[ids], err)
+        return 0
+
+    def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
+        """The exact top-K ids and distances, rows ordered by (distance, id).
+
+        Where the (K + 1)-th fast value lies more than 2*err above the K-th,
+        the first K entries are exactly the K nearest (every target left
+        out, tiled or pruned, is surely farther), so their distances are
+        recomputed directly. Other rows are redone over all targets by brute
+        force. Both run in row blocks of bounded size.
+        """
+        k, n = self.k, trg.shape[0]
+        ids = self.top_i[:, :k]
+        dist = gathered_distance(src, trg, ids, metric, _SETTLE_BLOCK_ELEMS)
+        redo = np.flatnonzero(self.top_f[:, k] - self.top_f[:, k - 1] <= 2 * self.err)
+        step = max(1, _SETTLE_BLOCK_ELEMS // (n * src.shape[1]))
+        for start in range(0, redo.size, step):
+            block = redo[start : start + step]
+            full = brute_rows(src[block], trg, metric)
+            order = rowwise_lexsort(full, np.broadcast_to(np.arange(n), full.shape))[:, :k]
+            ids[block] = order
+            dist[block] = np.take_along_axis(full, order, axis=1)
+        counters.recomputed_distances += ids.size + redo.size * n
+        # rows come in (fast value, id) order; reorder those the exact
+        # values put out of (distance, id) order
+        same = dist[:, 1:] == dist[:, :-1]
+        rows = np.flatnonzero(
+            np.any((dist[:, 1:] < dist[:, :-1]) | (same & (ids[:, 1:] < ids[:, :-1])), axis=1)
+        )
+        if rows.size:
+            order = rowwise_lexsort(dist[rows], ids[rows])
+            ids[rows] = np.take_along_axis(ids[rows], order, axis=1)
+            dist[rows] = np.take_along_axis(dist[rows], order, axis=1)
+        return ids, dist
 
 
 class _Radius:
     """Neighbor pairs within a radius, step after step of a self-set run.
 
     ``lb``/``ub`` are the group-pair bounds carried from step to step; a
-    tiled pair resets them to its tile's extremes. ``versions`` counts per
-    group the steps in which it moved; ``cache`` maps a tiled group pair to
-    the versions it was tiled at and its neighbor pairs. A step's pairs
-    are collected per source group, so concurrent batches never share a
-    list.
+    tiled pair resets them to its tile's extremes, widened by the tile's
+    error bound and the bound slack. ``versions`` counts per group the
+    steps in which it moved; ``cache`` maps a tiled group pair to the
+    versions it was tiled at and its neighbor pairs. A step's pairs are
+    collected per source group, so concurrent batches never share a list.
     """
 
-    def __init__(self, gm: GroupModel, radius: float):
+    def __init__(self, gm: GroupModel, radius: float, metric: MetricSpec):
         self.gm = gm
         self.radius = radius
+        self.metric = metric
+        self.slack = gm.slack
         self.lb = np.zeros((gm.z, gm.z))
         self.ub = np.zeros((gm.z, gm.z))
         self.versions = np.zeros(gm.z, dtype=np.int64)
         self.cache: dict[tuple[int, int], tuple[int, int, np.ndarray, np.ndarray]] = {}
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self.pos: np.ndarray | None = None
 
-    def resolve(self, cm: CandidateMatrix, counters: CounterSet) -> CandidateMatrix:
-        """Start a step: settle all-inside and unchanged group pairs
-        without a tile and return the candidates left to tile."""
+    def resolve(self, cm: CandidateMatrix, pos: np.ndarray, counters: CounterSet) -> CandidateMatrix:
+        """Start a step at positions ``pos``: settle all-inside and
+        unchanged group pairs without a tile and return the candidates left
+        to tile."""
+        self.pos = pos
         members, versions = self.gm.membership, self.versions
         self.pairs = [[] for _ in range(self.gm.z)]
         targets = []
@@ -349,15 +451,31 @@ class _Radius:
     def bound(ids: np.ndarray) -> None:
         return None
 
-    def reduce(self, batch: list[int], b: int, ids: np.ndarray, tile: np.ndarray) -> None:
+    def reduce(self, batch, b: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+        """Entries at most R - e are within the radius and entries above
+        R + e outside, e being the tile's largest error bound; the band
+        between is recomputed."""
         a = batch[0]
-        hit_r, hit_c = np.nonzero(tile <= self.radius)
-        pi = ids[hit_r]
-        pj = self.gm.membership[b][hit_c]
+        cols = self.gm.membership[b]
+        e = float(err.max())
+        inner, outer = self.radius - e, self.radius + e
+        hit_r, hit_c = np.nonzero(tile <= outer)
+        band = 0
+        if np.count_nonzero(tile <= inner) < hit_r.size:
+            maybe = np.flatnonzero(tile[hit_r, hit_c] > inner)
+            exact = rowwise_distance(
+                self.pos[ids[hit_r[maybe]]], self.pos[cols[hit_c[maybe]]], self.metric
+            )
+            keep = np.ones(hit_r.size, dtype=bool)
+            keep[maybe] = exact <= self.radius
+            hit_r, hit_c = hit_r[keep], hit_c[keep]
+            band = maybe.size
+        pi, pj = ids[hit_r], cols[hit_c]
         self.pairs[a].append((pi, pj))
         self.cache[(a, b)] = (int(self.versions[a]), int(self.versions[b]), pi, pj)
-        self.lb[a, b] = float(tile.min())
-        self.ub[a, b] = float(tile.max())
+        self.lb[a, b] = lower_bound(float(tile.min()) - e, 0.0, self.slack)
+        self.ub[a, b] = upper_bound(float(tile.max()) + e, self.slack)
+        return band
 
     def assemble(self, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The step's pairs i != j sorted by (i, j), and per point its
@@ -462,13 +580,15 @@ def run_kmeans(
     trg_gm = build_groups(Dataset.from_values(centroids), z_trg, config.seed + 2, metric, counters)
 
     lplan = pack_intra_group(points, src_gm) if config.layout_enabled else None
-    grouped = _Grouped.build(points.values, src_gm, lplan, metric)
+    centre = points.values.mean(axis=0)
+    grouped = _Grouped.build(points.values, src_gm, lplan, metric, centre)
 
     max_iter = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
     per_iter: list[IterationStats] = []
     # carried between iterations: the group-pair lower bounds, and each
-    # point's last best distance and cluster (``assignments``)
-    lb = np.zeros((z_src, z_trg))
+    # point's last best distance (an upper bound on its direct value) and
+    # cluster (``assignments``)
+    lb = np.full((z_src, z_trg), np.inf)
     best_d = assignments = None
     oracle_centroids = centroids.copy() if config.oracle_mode == "shadow" else None
     oracle_s = 0.0
@@ -485,7 +605,7 @@ def run_kmeans(
             if float(drifts.max()) == 0.0:
                 reused_iteration = True
             else:
-                point_ub = best_d + drifts[assignments]
+                point_ub = upper_bound(best_d + drifts[assignments], src_gm.slack)
                 cm = filter_iterative(
                     src_gm, trg_gm, lb, group_max(point_ub, src_gm.group_of, z_src),
                     np.zeros(z_src), group_max(drifts, trg_gm.group_of, z_trg), counters,
@@ -498,17 +618,16 @@ def run_kmeans(
         else:
             batches = _source_batches(np.arange(z_src), cm, config.layout_enabled)
             n_batches = len(batches)
-            nearest = _Nearest(n, src_gm, trg_gm, point_ub)
-            targets = _Grouped.build(centroids, trg_gm, None, metric)
+            nearest = _Nearest(points.values, centroids, src_gm, trg_gm, point_ub, metric)
+            targets = _Grouped.build(centroids, trg_gm, None, metric, centre)
             sweep = _sweep(
                 grouped, targets, cm, lb, batches, nearest, metric,
                 config.design.blk, config.thread_count,
             )
             counters.add(sweep)
             assert np.all(nearest.best_id >= 0), "nearest-target invariant violated"
-            new_assign, best_d = nearest.best_id, nearest.best_d
-            # the first, unpruned pass tiles every pair
-            lb = nearest.comp_min if it == 1 else nearest.refreshed_lb(lb)
+            new_assign, best_d = nearest.best_id, nearest.best_hi
+            lb = nearest.refreshed_lb(lb)
 
         changed = (
             n if assignments is None else int(np.count_nonzero(new_assign != assignments))
@@ -579,28 +698,36 @@ def run_knn_join(
     trg_lp = pack_intra_group(trg, trg_gm) if config.layout_enabled else None
     batches = _source_batches(order, cm, config.layout_enabled)
     topk = _TopK(m, k, trg_gm)
-    g_src = _Grouped.build(src.values, src_gm, src_lp, metric)
-    g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric)
+    centre = src.values.mean(axis=0)
+    g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
+    g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
     sweep = _sweep(
         g_src, g_trg, cm, lb, batches, topk, metric, config.design.blk, config.thread_count
     )
     counters.add(sweep)
-    result = TopKResult(
-        ids=topk.top_i, distances=topk.top_d, scope="smallest", row_ids=src.ids.copy()
-    )
+    ids, dists = topk.settle(src.values, trg.values, metric, counters)
+    result = TopKResult(ids=ids, distances=dists, scope="smallest", row_ids=src.ids.copy())
 
     oracle_s = 0.0
     if config.oracle_mode == "shadow":
         t_oracle = time.perf_counter()
-        o_ids, _ = knn_topk(src.values, trg.values, metric, k)
-        ours = np.sort(topk.top_i, axis=1)
-        theirs = np.sort(o_ids, axis=1)
-        diff = np.flatnonzero(np.any(ours != theirs, axis=1))
-        if diff.size:
-            i = int(diff[0])
+        # the oracle's rows are ordered by (distance, id), so equal rows
+        # are equally ordered
+        o_ids, o_dists = knn_topk(src.values, trg.values, metric, k)
+        diff = (ids != o_ids) | (dists != o_dists)
+        bad = np.flatnonzero(diff.any(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            j = int(np.argmax(diff[i]))
             raise OracleMismatchError(
-                f"source point {i}: top-{k} set differs from oracle",
-                detail={"point": i, "got": ours[i].tolist(), "want": theirs[i].tolist()},
+                f"source point {i}, column {j}: target {ids[i, j]} at {dists[i, j]!r}, "
+                f"oracle has target {o_ids[i, j]} at {o_dists[i, j]!r}",
+                detail={
+                    "point": i,
+                    "column": j,
+                    "got": [int(ids[i, j]), float(dists[i, j])],
+                    "want": [int(o_ids[i, j]), float(o_dists[i, j])],
+                },
             )
         oracle_s = time.perf_counter() - t_oracle
 
@@ -661,7 +788,7 @@ def run_nbody(
 
     pos = particles.values.copy()
     vel = np.zeros_like(pos)
-    within = _Radius(gm, radius)
+    within = _Radius(gm, radius, metric)
     thr = np.full(z, radius)
 
     neighbors_per_step: list[list[np.ndarray]] = []
@@ -672,7 +799,7 @@ def run_nbody(
 
     for step in range(1, steps + 1):
         base = counters.snapshot()
-        grouped = _Grouped.build(pos, gm, lplan, metric)
+        grouped = _Grouped.build(pos, gm, lplan, metric, pos.mean(axis=0))
         if step == 1:
             cm = CandidateMatrix.full(z, z)
         else:
@@ -683,7 +810,7 @@ def run_nbody(
         # lists, though the sweep itself takes one group per batch.
         n_batches = len(_source_batches(np.arange(z), cm, config.layout_enabled))
 
-        to_tile = within.resolve(cm, counters)
+        to_tile = within.resolve(cm, pos, counters)
         sweep = _sweep(
             grouped, grouped, to_tile, within.lb, one_group_batches, within, metric,
             config.design.blk, config.thread_count,

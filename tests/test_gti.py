@@ -12,8 +12,10 @@ from accd.gti import (
     filter_oneshot,
     group_max,
     init_oneshot_state,
+    lower_bound,
     measured_saving,
     two_landmark_bounds,
+    upper_bound,
 )
 from accd.metrics import MetricSpec
 from accd.oracles import nearest_assign
@@ -155,9 +157,12 @@ def test_grouping_deterministic():
 
 
 def test_two_landmark_hand_values():
-    assert two_landmark_bounds(10.0, 2.0, 3.0) == (5.0, 15.0)
-    assert two_landmark_bounds(7.0, 0.0, 0.0) == (7.0, 7.0)
-    assert two_landmark_bounds(1.0, 5.0, 5.0) == (0.0, 11.0)  # floored at zero
+    assert two_landmark_bounds(10.0, 2.0, 3.0, 0.0) == (5.0, 15.0)
+    assert two_landmark_bounds(7.0, 0.0, 0.0, 0.0) == (7.0, 7.0)
+    assert two_landmark_bounds(1.0, 5.0, 5.0, 0.0) == (0.0, 11.0)  # floored at zero
+    # the slack widens both sides, relative to every term
+    s = 1e-3
+    assert two_landmark_bounds(10.0, 2.0, 3.0, s) == (10 * (1 - s) - 5 * (1 + s), 15 * (1 + s))
 
 
 def _one_group(landmark, radius):
@@ -173,10 +178,13 @@ def _one_group(landmark, radius):
 
 def test_group_bounds_hand_values():
     # landmarks 10 apart, radii 2 and 3 (and 0 and 0)
+    # (widened by the bound slack, a few 1e-15 relative)
     lb, ub = init_oneshot_state(_one_group([0.0, 0.0], 2.0), _one_group([6.0, 8.0], 3.0))
-    assert (lb.tolist(), ub.tolist()) == ([[5.0]], [[15.0]])
+    assert lb[0, 0] < 5.0 < 15.0 < ub[0, 0]
+    assert (lb[0, 0], ub[0, 0]) == (pytest.approx(5.0, rel=1e-13), pytest.approx(15.0, rel=1e-13))
     lb, ub = init_oneshot_state(_one_group([0.0, 0.0], 0.0), _one_group([6.0, 8.0], 0.0))
-    assert (lb.tolist(), ub.tolist()) == ([[10.0]], [[10.0]])
+    assert lb[0, 0] < 10.0 < ub[0, 0]
+    assert (lb[0, 0], ub[0, 0]) == (pytest.approx(10.0, rel=1e-13), pytest.approx(10.0, rel=1e-13))
 
 
 def test_group_bounds_bracket_true_extremes():
@@ -187,10 +195,10 @@ def test_group_bounds_bracket_true_extremes():
     gm_a = build_groups(ds_a, 1, seed=0, metric=L2)
     gm_b = build_groups(ds_b, 1, seed=0, metric=L2)
     d_ref = brute_rows(gm_a.landmarks, gm_b.landmarks, L2, CounterSet())[0, 0]
-    lb, ub = two_landmark_bounds(d_ref, gm_a.radius[0], gm_b.radius[0])
+    lb, ub = two_landmark_bounds(d_ref, gm_a.radius[0], gm_b.radius[0], gm_a.slack)
     pair = brute_rows(a, b, L2, CounterSet())
-    assert lb <= pair.min() + 1e-12
-    assert pair.max() <= ub + 1e-12
+    assert lb <= pair.min()
+    assert pair.max() <= ub
 
 
 def test_trace_bounds_hand_values():
@@ -207,14 +215,18 @@ def test_trace_bounds_hand_values():
         cm = filter_iterative(gm, trg, lb, point_ub, np.zeros(1), np.array([max(drifts)]), c)
         return float(lb[0, 0]), cm.targets[0].tolist(), c.pruned_pairs
 
-    assert decay(10.0, 5.0, [0.0, 0.0]) == (10.0, [], 2)
-    assert decay(10.0, 4.0, [1.0, 3.0]) == (7.0, [], 2)
-    assert decay(10.0, 6.0, [1.0, 3.0]) == (7.0, [0], 0)
+    def near(x):  # the decayed lb is widened by the bound slack
+        return pytest.approx(x, rel=1e-13)
+
+    assert decay(10.0, 5.0, [0.0, 0.0]) == (near(10.0), [], 2)
+    assert decay(10.0, 4.0, [1.0, 3.0]) == (near(7.0), [], 2)
+    assert decay(10.0, 6.0, [1.0, 3.0]) == (near(7.0), [0], 0)
     assert decay(1.0, 6.0, [1.0, 3.0]) == (0.0, [0], 0)  # floored at zero
+    assert decay(10.0, 4.0, [1.0, 3.0])[0] < 7.0
 
 
 def test_bound_ops_vectorized():
-    lb, ub = two_landmark_bounds(np.array([10.0, 1.0]), np.array([2.0, 5.0]), 3.0)
+    lb, ub = two_landmark_bounds(np.array([10.0, 1.0]), np.array([2.0, 5.0]), 3.0, 0.0)
     assert lb.tolist() == [5.0, 0.0]
     assert ub.tolist() == [15.0, 9.0]
 
@@ -377,18 +389,19 @@ def test_vectorised_cut_matches_per_group_loop(seed):
 
 
 def test_zero_drift_radius_candidates_stable():
-    # zero drift leaves the bounds as they were, and the candidates are
-    # exactly the group pairs whose lb reaches the radius
+    # zero drift only widens the bounds by the slack, and the candidates
+    # are exactly the group pairs whose lb reaches the radius
     pts = gaussian_mixture(60, 3, 4, seed=4)
     c = CounterSet()
     gm = build_groups(pts, 4, seed=4, metric=L2, counters=c)
     lb0, ub0 = init_oneshot_state(gm, gm, c)
     lb, ub = lb0.copy(), ub0.copy()
     cm = filter_iterative(gm, gm, lb, np.full(4, 5.0), np.zeros(4), np.zeros(4), c, ub=ub)
-    assert np.array_equal(lb, lb0) and np.array_equal(ub, ub0)
+    assert np.array_equal(lb, lower_bound(lb0, 0.0, gm.slack))
+    assert np.array_equal(ub, upper_bound(ub0, gm.slack))
     for a in range(4):
-        assert np.array_equal(cm.targets[a], np.flatnonzero(lb0[a] <= 5.0))
-        assert np.array_equal(cm.all_inside[a], ub0[a, cm.targets[a]] <= 5.0)
+        assert np.array_equal(cm.targets[a], np.flatnonzero(lb[a] <= 5.0))
+        assert np.array_equal(cm.all_inside[a], ub[a, cm.targets[a]] <= 5.0)
 
 
 def test_nearest_mode_prunes_soundly():

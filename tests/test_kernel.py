@@ -5,49 +5,60 @@ from accd.counters import CounterSet
 from accd.dataset import Dataset, pairwise_brute
 from accd.errors import DimensionMismatchError, RangeError
 from accd.explorer import DesignConfig
-from accd.kernel import rss, tile_distances
-from accd.metrics import MetricSpec
+from accd.kernel import fast_rows, tile_distances
+from accd.metrics import MetricSpec, rowwise_distance
 
 L1 = MetricSpec(kind="L1")
 L2 = MetricSpec(kind="L2")
 
 
-# -- rss --------------------------------------------------------------------
+def _metric(name: str, d: int) -> MetricSpec:
+    kind = name.split()[-1]
+    if name.startswith("weighted"):
+        w = np.random.default_rng(1).uniform(0.1, 3.0, size=d)
+        return MetricSpec(kind=kind, weighted=True, weights=w)
+    return MetricSpec(kind=kind)
 
 
-def test_rss_zero_matrix():
-    assert np.array_equal(rss(np.zeros((4, 3))), np.zeros(4))
+def _tile(a, b, metric, blk=64, counters=None):
+    """The kernel on rows prepared around the source set's mean."""
+    centre = a.mean(axis=0)
+    rows_a, sq_a = fast_rows(a, centre, metric)
+    rows_b, sq_b = fast_rows(b, centre, metric)
+    return tile_distances(rows_a, rows_b, metric, blk, counters, sq_a, sq_b)
 
 
-def test_rss_three_four_row():
-    assert rss(np.array([[3.0, 4.0]]))[0] == 25.0
+# -- the error bound -----------------------------------------------------------
 
 
-def test_rss_matches_scalar_loop_bitwise():
-    r = np.random.default_rng(2)
-    mat = r.normal(size=(100, 30))
-    got = rss(mat)
-    for i in range(100):
-        acc = 0.0
-        for v in mat[i]:
-            acc += v * v
-        assert got[i] == acc
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e7])
+@pytest.mark.parametrize("name", ["L1", "L2", "weighted L1", "weighted L2"])
+def test_fast_values_lie_within_the_returned_bound(name, offset):
+    r = np.random.default_rng(11)
+    d = 7
+    metric = _metric(name, d)
+    a = r.normal(size=(60, d)) * 3 + offset
+    # duplicates and near-duplicates of source rows give zero and tiny
+    # distances, where the L2 bound is loosest
+    b = np.vstack([r.normal(size=(40, d)) * 3 + offset, a[:5], a[5:10] + 1e-6])
+    tile, err = _tile(a, b, metric)
+    rows, cols = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
+    direct = rowwise_distance(a[rows], b[cols], metric).reshape(tile.shape)
+    assert np.all(np.abs(tile - direct) <= err[:, None])
+    # tight enough to settle all but near-ties
+    assert np.all(err <= 1e-6 * direct.max())
 
 
-def test_rss_row_scaling():
-    r = np.random.default_rng(3)
-    row = r.normal(size=(1, 8))
-    for c in (2.0, 0.5, 4.0):
-        assert np.allclose(rss(c * row), c * c * rss(row), rtol=1e-15)
-
-
-# -- blocked distances -------------------------------------------------------
+# -- fast tiles ----------------------------------------------------------------
 
 
 def test_identical_point_distance_exactly_zero():
-    a = np.array([[0.3, -0.7, 2.2]])
-    out = tile_distances(a, a, L2, 64)
-    assert out[0, 0] == 0.0
+    a = np.array([[0.3, -0.7, 2.2], [1.0, 4.0, -3.0], [0.3, -0.7, 2.2]])
+    # cdist differences directly, so identical rows give exactly zero
+    assert np.all(np.diag(tile_distances(a, a, L1, 64)[0]) == 0.0)
+    # the matmul form leaves them within the bound of zero
+    tile, err = _tile(a, a, L2)
+    assert np.all(np.diag(tile) <= err)
 
 
 def test_blocked_matches_brute_within_tolerance():
@@ -55,7 +66,8 @@ def test_blocked_matches_brute_within_tolerance():
     a = Dataset.from_values(r.normal(size=(200, 37)))
     b = Dataset.from_values(r.normal(size=(150, 37)))
     brute = pairwise_brute(a, b, L2, CounterSet()).values
-    got = tile_distances(a.values, b.values, L2, 64, CounterSet())
+    got, err = _tile(a.values, b.values, L2, 64, CounterSet())
+    assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
 
@@ -64,7 +76,8 @@ def test_blocked_l1_matches_brute():
     a = Dataset.from_values(r.normal(size=(90, 12)))
     b = Dataset.from_values(r.normal(size=(80, 12)))
     brute = pairwise_brute(a, b, L1, CounterSet()).values
-    got = tile_distances(a.values, b.values, L1, 32, CounterSet())
+    got, err = _tile(a.values, b.values, L1, 32, CounterSet())
+    assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
 
@@ -75,22 +88,9 @@ def test_weighted_l2_blocked():
     a = Dataset.from_values(r.normal(size=(40, 9)))
     b = Dataset.from_values(r.normal(size=(30, 9)))
     brute = pairwise_brute(a, b, m, CounterSet()).values
-    got = tile_distances(a.values, b.values, m, 16, CounterSet())
+    got, err = _tile(a.values, b.values, m, 16, CounterSet())
+    assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
-
-
-def test_outputs_bit_identical_across_configs():
-    # blk only shapes the counters, and a sub-tile holds exactly the values
-    # of the same entries in a larger tile
-    r = np.random.default_rng(8)
-    a = r.normal(size=(120, 21))
-    b = r.normal(size=(95, 21))
-    reference = tile_distances(a, b, L2, 64)
-    for blk in (1, 2, 8):
-        assert np.array_equal(tile_distances(a, b, L2, blk), reference), blk
-    rows, cols = np.arange(3, 120, 7), np.arange(10, 40)
-    sub = tile_distances(a[rows], b[cols], L2, 64, rss_a=rss(a)[rows], rss_b=rss(b)[cols])
-    assert np.array_equal(sub, reference[np.ix_(rows, cols)])
 
 
 def test_dim_mismatch():
@@ -112,7 +112,7 @@ def test_counters_count_each_pair_once():
     a = Dataset.from_values(r.normal(size=(70, 5)))
     b = Dataset.from_values(r.normal(size=(55, 5)))
     c = CounterSet()
-    tile_distances(a.values, b.values, L2, 16, c)
+    _tile(a.values, b.values, L2, 16, c)
     assert c.point_distances == 70 * 55
     assert c.mac_ops == 70 * 55 * 5
     assert c.tiles_executed == int(np.ceil(70 / 16)) * int(np.ceil(55 / 16))

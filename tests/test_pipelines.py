@@ -14,7 +14,8 @@ from accd.counters import CounterSet
 from accd.dataset import Dataset, TopKResult, pairwise_brute
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
-from accd.errors import RangeError, UnsupportedProgramError
+from accd import pipelines
+from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
 from accd.gti import build_groups, filter_iterative, init_oneshot_state
 from accd.metrics import MetricSpec
@@ -175,8 +176,9 @@ class _Recorder:
     def bound(self, ids):
         return None if self.point_bound is None else self.point_bound[ids]
 
-    def reduce(self, batch, t, ids, tile):
-        self.tiles.append((batch[0], t, ids.copy(), tile))
+    def reduce(self, batch, t, ids, tile, err):
+        self.tiles.append((batch[0], t, ids.copy(), tile, err))
+        return 0
 
 
 def _filtered_pair():
@@ -190,8 +192,9 @@ def _filtered_pair():
     lb, ub = init_oneshot_state(gm_s, gm_t, c)
     no_drift = np.zeros(2)
     cm = filter_iterative(gm_s, gm_t, lb, np.full(2, 10.0), no_drift, no_drift, c, ub=ub)
-    g_src = _Grouped.build(src.values, gm_s, None, L2)
-    g_trg = _Grouped.build(trg.values, gm_t, None, L2)
+    centre = src.values.mean(axis=0)
+    g_src = _Grouped.build(src.values, gm_s, None, L2, centre)
+    g_trg = _Grouped.build(trg.values, gm_t, None, L2, centre)
     return src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg)
 
 
@@ -205,12 +208,12 @@ def test_candidate_masking_skips_pruned_tiles():
     assert kc.pruned_pairs == 0
     # each candidate group pair is tiled once, with brute-force values;
     # pruned group pairs are never touched
-    assert sorted((g, t) for g, t, _, _ in rec.tiles) == sorted(candidates)
+    assert sorted((g, t) for g, t, *_ in rec.tiles) == sorted(candidates)
     full = pairwise_brute(src, trg, L2).values
-    for g, t, ids, tile in rec.tiles:
+    for g, t, ids, tile, err in rec.tiles:
         assert np.array_equal(ids, gm_s.membership[g])
         want = full[np.ix_(ids, gm_t.membership[t])]
-        assert np.all(np.abs(tile - want) <= 1e-10 * np.maximum(1.0, want))
+        assert np.all(np.abs(tile - want) <= err[:, None])
 
 
 def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
@@ -222,5 +225,100 @@ def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert kc.point_distances + kc.pruned_pairs == surviving
     assert kc.pruned_pairs > 0
-    for _, _, ids, _ in rec.tiles:
+    for _, _, ids, *_ in rec.tiles:
         assert np.all(ids % 2 == 0)
+
+
+# -- exactness in floating point -----------------------------------------------
+
+OFFSETS = [0.0, 1e3, 1e6, 1e7]
+# pipeline -> (plan kind, select, metric, steps)
+EXACT_CASES = {
+    "knn": ("oneshot_two_set", SelectSpec("count", 10.0, "smallest"), "Unweighted L2", None),
+    "kmeans_l1": ("iterative_two_set", SelectSpec("count", 1.0, "smallest"), "Unweighted L1", 8),
+    "kmeans_l2": ("iterative_two_set", SelectSpec("count", 1.0, "smallest"), "Unweighted L2", 8),
+    "nbody": ("iterative_self_set", SelectSpec("radius", 1.0, "smallest"), "Unweighted L2", 3),
+}
+
+
+def _exact_run(name, pts, m=None, weights=None, metric=None, design=DESIGN, **select):
+    """One shadow-checked run of an ``EXACT_CASES`` pipeline on ``pts``
+    (k-means with 20 clusters, the join against itself)."""
+    kind, spec, default_metric, steps = EXACT_CASES[name]
+    spec = dataclasses.replace(spec, **select)
+    m = m if m is not None else (20 if kind == "iterative_two_set" else pts.n)
+    plan = make_plan(kind, pts.n, m, pts.d, spec, steps, metric or default_metric)
+    cfg = RunConfig(design=design, oracle_mode="shadow")
+    result = run_plan(plan, pts, None, cfg, weights=weights)
+    assert result.oracle_checked
+    return result
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_results_equal_the_oracle_far_from_the_origin(name, offset):
+    # the same blobs moved away from the origin: the fast kernel's
+    # cancellation grows with the offset unless rows are centred, and
+    # decisions inside its error bound must be settled exactly
+    pts = gaussian_mixture(1500, 8, 8, seed=1, center_box=5.0).values + offset
+    _exact_run(name, Dataset.from_values(pts))
+
+
+def _grid(n: int, d: int, seed: int) -> Dataset:
+    """Points on the integer grid {0, 1, 2}^d: ties everywhere, and
+    duplicate points."""
+    return Dataset.from_values(np.random.default_rng(seed).integers(0, 3, size=(n, d)))
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_tie_heavy_grid_equals_the_oracle(name):
+    # radius 2 is an exact grid distance (L2 between points two apart)
+    select = {"value": 2.0} if name == "nbody" else {}
+    _exact_run(name, _grid(300, 4, seed=5), **select)
+
+
+@pytest.mark.parametrize(
+    "metric", ["Weighted L1", "Weighted L2"], ids=["weighted_l1", "weighted_l2"]
+)
+@pytest.mark.parametrize("name", ["knn", "kmeans_l1", "nbody"], ids=["knn", "kmeans", "nbody"])
+def test_weighted_metrics_equal_the_oracle(name, metric):
+    pts = gaussian_mixture(400, 5, 4, seed=6, center_box=5.0).values + 1e6
+    w = np.random.default_rng(7).uniform(0.2, 2.0, size=5)
+    _exact_run(name, Dataset.from_values(pts), weights=w, metric=metric)
+
+
+def test_knn_with_k_equal_to_the_target_count():
+    pts = gaussian_mixture(60, 3, 3, seed=8, center_box=5.0)
+    result = _exact_run("knn", pts, value=60.0)
+    assert result.outputs["topk"].ids.shape == (60, 60)
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_a_single_group_equals_the_oracle(name):
+    one = DesignConfig(n_src_grp=1, n_trg_grp=1, blk=16)
+    _exact_run(name, gaussian_mixture(200, 4, 3, seed=9, center_box=5.0), design=one)
+
+
+def test_radius_below_every_pair_distance_finds_no_neighbor():
+    pts = _grid(40, 3, seed=10)
+    pts = Dataset.from_values(np.unique(pts.values, axis=0) * 10.0)  # pairs 10 or more apart
+    result = _exact_run("nbody", pts, value=9.99)
+    assert all(lst.size == 0 for step in result.outputs["neighbors"] for lst in step)
+
+
+def test_knn_shadow_check_compares_distances():
+    # the oracle's ids with one distance a rounding off must be caught,
+    # naming the point and the first differing column
+    real = pipelines.knn_topk
+
+    def off_by_one_ulp(*args, **kwargs):
+        ids, dists = real(*args, **kwargs)
+        dists[3, 2] = np.nextafter(dists[3, 2], np.inf)
+        return ids, dists
+
+    pts = gaussian_mixture(120, 4, 3, seed=11, center_box=5.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipelines, "knn_topk", off_by_one_ulp)
+        with pytest.raises(OracleMismatchError) as info:
+            _exact_run("knn", pts)
+    assert (info.value.detail["point"], info.value.detail["column"]) == (3, 2)
