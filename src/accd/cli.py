@@ -268,8 +268,8 @@ def _bench_design(plan: ExecutionPlan) -> DesignConfig:
 
 
 def cmd_bench(args) -> int:
-    if args.scale <= 0:
-        raise RangeError("--scale must be positive")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise RangeError("--scale must be finite and positive")
     _, checked = _load_program(args.file)
     plan = lower(checked)
     if plan.weight_set is not None:

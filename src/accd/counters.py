@@ -9,7 +9,8 @@ nearest-landmark assignment decides (six per ``build_groups`` call), not
 the few near-tie candidates that assignment recomputes exactly. Avoided
 point-pair work is split into three mutually exclusive buckets so
 per-iteration conservation can be checked: pruned by bounds, resolved as
-all-inside, or carried over because nothing moved.
+all-inside (radius queries), or reused (a k-means iteration in which no
+centroid moved keeps every assignment).
 ``recomputed_distances`` counts the point pairs a pipeline evaluates by
 direct differencing, the oracles' arithmetic, on top of the kernel's fast
 tile: to settle a decision the tile's error bound leaves open, or to

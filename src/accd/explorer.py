@@ -34,6 +34,13 @@ from .errors import (
 RESOURCE_KINDS = ("mem", "dsp", "alm")
 
 
+def _check_int(name: str, value) -> None:
+    """A design field is a whole number; a float or a bool is a TypeError
+    (a config file turns it into ``ConfigError``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DesignConfig:
     n_src_grp: int
@@ -46,6 +53,7 @@ class DesignConfig:
 
     def __post_init__(self):
         for name in ("n_src_grp", "n_trg_grp", "blk", "simd", "unroll"):
+            _check_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise RangeError(f"{name} must be >= 1")
 
@@ -231,6 +239,11 @@ class Domains:
     blk: tuple[int, ...]
     simd: tuple[int, ...]
     unroll: tuple[int, ...]
+
+    def __post_init__(self):
+        for name, dom in self.genes():
+            for value in dom:
+                _check_int(name, value)
 
     def genes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         return (

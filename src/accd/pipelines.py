@@ -20,10 +20,10 @@ to the pipeline's reducer:
 * ``_TopK`` (one-shot two-set) keeps the running K + 1 best per point;
   the per-point bound is the current K-th distance plus its error bound.
 * ``_Radius`` (iterative self-set) has no per-point bound. Before the
-  sweep it resolves all-inside and unchanged group pairs without a tile;
-  during it, it caches each tiled pair's neighbors and refreshes the
-  group-pair bounds; after it, it assembles the neighbor lists. It sweeps
-  one source group per batch, so every tile covers one group pair.
+  sweep it takes every member pair of the all-inside group pairs without
+  a tile; during it, it keeps each tile's neighbor pairs and resets the
+  bounds of each (source group, target group) pair the tile covers; after
+  it, it assembles the neighbor lists.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -178,6 +178,24 @@ def _source_batches(
     return [list(run) for _, run in itertools.groupby(order.tolist(), key=cm.key)]
 
 
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+
+
+def _group_runs(batch: list[int], group_of: np.ndarray, ids: np.ndarray):
+    """Split a tile's rows ``ids``, which come grouped in batch order, into
+    runs of one source group: (the groups, as an index into a group axis;
+    the first row of each run; each run's row count). One-group batches,
+    nearly every tile of a k-means run, skip the split and index by a
+    slice, which costs a few microseconds less per tile than an index
+    array."""
+    if len(batch) == 1:
+        g = batch[0]
+        return slice(g, g + 1), _FIRST_ROW, ids.size
+    of = group_of[ids]
+    starts = np.flatnonzero(np.concatenate(([True], of[1:] != of[:-1])))
+    return of[starts], starts, np.diff(starts, append=ids.size)
+
+
 def _map_ordered(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -293,18 +311,10 @@ class _Nearest:
         # rows without a candidate keep their running best: it is surely lower
         open_rows = np.flatnonzero(count > sure)
         recomputed = self._settle(ids, open_rows, cand, cols) if open_rows.size else 0
-        if len(batch) == 1:
-            g = batch[0]
-            self.comp_min[g, t] = min(self.comp_min[g, t], float(lo.min()))
-            self.covered[g, t] |= ids.size == self.group_sizes[g]
-        else:
-            g_act = self.group_of[ids]  # rows come grouped, in batch order
-            starts = np.flatnonzero(np.concatenate(([True], g_act[1:] != g_act[:-1])))
-            groups = g_act[starts]
-            lows = np.minimum.reduceat(lo, starts)
-            self.comp_min[groups, t] = np.minimum(self.comp_min[groups, t], lows)
-            whole = np.diff(starts, append=ids.size) == self.group_sizes[groups]
-            self.covered[groups[whole], t] = True
+        groups, starts, counts = _group_runs(batch, self.group_of, ids)
+        lows = np.minimum.reduceat(lo, starts)
+        self.comp_min[groups, t] = np.minimum(self.comp_min[groups, t], lows)
+        self.covered[groups, t] |= counts == self.group_sizes[groups]
         return recomputed
 
     def _settle(self, ids, rows, cand, cols) -> int:
@@ -400,11 +410,11 @@ class _Radius:
     """Neighbor pairs within a radius, step after step of a self-set run.
 
     ``lb``/``ub`` are the group-pair bounds carried from step to step; a
-    tiled pair resets them to its tile's extremes, widened by the tile's
-    error bound and the bound slack. ``versions`` counts per group the
-    steps in which it moved; ``cache`` maps a tiled group pair to the
-    versions it was tiled at and its neighbor pairs. A step's pairs are
-    collected per source group, so concurrent batches never share a list.
+    tile resets them, for each (source group, target group) pair it
+    covers, to the extremes of that group's rows widened by each row's
+    error bound and the bound slack. A step's pairs are collected per
+    batch (under the batch's first group), so concurrent batches never
+    share a list.
     """
 
     def __init__(self, gm: GroupModel, radius: float, metric: MetricSpec):
@@ -414,83 +424,62 @@ class _Radius:
         self.slack = gm.slack
         self.lb = np.zeros((gm.z, gm.z))
         self.ub = np.zeros((gm.z, gm.z))
-        self.versions = np.zeros(gm.z, dtype=np.int64)
-        self.cache: dict[tuple[int, int], tuple[int, int, np.ndarray, np.ndarray]] = {}
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
         self.pos: np.ndarray | None = None
 
     def resolve(self, cm: CandidateMatrix, pos: np.ndarray, counters: CounterSet) -> CandidateMatrix:
-        """Start a step at positions ``pos``: settle all-inside and
-        unchanged group pairs without a tile and return the candidates left
-        to tile."""
+        """Start a step at positions ``pos``: take every member pair of the
+        all-inside group pairs without a tile and return the candidates
+        left to tile."""
         self.pos = pos
-        members, versions = self.gm.membership, self.versions
         self.pairs = [[] for _ in range(self.gm.z)]
-        targets = []
-        for a, cand in enumerate(cm.targets):
-            inside = cm.all_inside[a] if cm.all_inside is not None else np.zeros(cand.size, bool)
-            rows_a = members[a]
-            left = []
-            for b, b_inside in zip(cand.tolist(), inside.tolist()):
-                rows_b = members[b]
-                if b_inside:
-                    counters.all_inside_pairs += rows_a.size * rows_b.size
-                    pairs = (np.repeat(rows_a, rows_b.size), np.tile(rows_b, rows_a.size))
-                    self.pairs[a].append(pairs)
-                    continue
-                cached = self.cache.get((a, b))
-                if cached is not None and cached[0] == versions[a] and cached[1] == versions[b]:
-                    counters.reused_pairs += rows_a.size * rows_b.size
-                    self.pairs[a].append(cached[2:])
-                else:
-                    left.append(b)
-            targets.append(np.array(left, dtype=np.int64))
-        return CandidateMatrix(targets=targets)
+        if cm.all_inside is None:
+            return cm
+        members = self.gm.membership
+        for a, (cand, inside) in enumerate(zip(cm.targets, cm.all_inside)):
+            if inside.any():
+                rows_a = members[a]
+                rows_b = np.concatenate([members[b] for b in cand[inside].tolist()])
+                counters.all_inside_pairs += rows_a.size * rows_b.size
+                self.pairs[a].append((np.repeat(rows_a, rows_b.size), np.tile(rows_b, rows_a.size)))
+        return CandidateMatrix(
+            targets=[cand[~inside] for cand, inside in zip(cm.targets, cm.all_inside)]
+        )
 
     @staticmethod
     def bound(ids: np.ndarray) -> None:
         return None
 
     def reduce(self, batch, b: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
-        """Entries at most R - e are within the radius and entries above
-        R + e outside, e being the tile's largest error bound; the band
-        between is recomputed."""
-        a = batch[0]
+        """Per row, entries at most R - err are within the radius and
+        entries above R + err outside; the band between is recomputed."""
         cols = self.gm.membership[b]
-        e = float(err.max())
-        inner, outer = self.radius - e, self.radius + e
-        hit_r, hit_c = np.nonzero(tile <= outer)
-        band = 0
-        if np.count_nonzero(tile <= inner) < hit_r.size:
-            maybe = np.flatnonzero(tile[hit_r, hit_c] > inner)
+        hit_r, hit_c = np.nonzero(tile <= (self.radius + err)[:, None])
+        band = np.flatnonzero(tile[hit_r, hit_c] > self.radius - err[hit_r])
+        if band.size:
             exact = rowwise_distance(
-                self.pos[ids[hit_r[maybe]]], self.pos[cols[hit_c[maybe]]], self.metric
+                self.pos[ids[hit_r[band]]], self.pos[cols[hit_c[band]]], self.metric
             )
             keep = np.ones(hit_r.size, dtype=bool)
-            keep[maybe] = exact <= self.radius
+            keep[band] = exact <= self.radius
             hit_r, hit_c = hit_r[keep], hit_c[keep]
-            band = maybe.size
-        pi, pj = ids[hit_r], cols[hit_c]
-        self.pairs[a].append((pi, pj))
-        self.cache[(a, b)] = (int(self.versions[a]), int(self.versions[b]), pi, pj)
-        self.lb[a, b] = lower_bound(float(tile.min()) - e, 0.0, self.slack)
-        self.ub[a, b] = upper_bound(float(tile.max()) + e, self.slack)
-        return band
+        self.pairs[batch[0]].append((ids[hit_r], cols[hit_c]))
+        groups, starts, _ = _group_runs(batch, self.gm.group_of, ids)
+        low = np.minimum.reduceat(tile.min(axis=1) - err, starts)
+        high = np.maximum.reduceat(tile.max(axis=1) + err, starts)
+        self.lb[groups, b] = lower_bound(low, 0.0, self.slack)
+        self.ub[groups, b] = upper_bound(high, self.slack)
+        return band.size
 
     def assemble(self, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """The step's pairs i != j sorted by (i, j), and per point its
-        sorted neighbor ids."""
+        sorted neighbor ids. Each pair occurs once, so one sort of the key
+        i*n + j orders them."""
         parts = [p for group in self.pairs for p in group]
-        if parts:
-            all_i = np.concatenate([p[0] for p in parts])
-            all_j = np.concatenate([p[1] for p in parts])
-        else:
-            all_i = np.empty(0, dtype=np.int64)
-            all_j = np.empty(0, dtype=np.int64)
+        all_i = np.concatenate([np.empty(0, dtype=np.int64), *(p[0] for p in parts)])
+        all_j = np.concatenate([np.empty(0, dtype=np.int64), *(p[1] for p in parts)])
         keep = all_i != all_j
-        all_i, all_j = all_i[keep], all_j[keep]
-        sort = np.lexsort((all_j, all_i))
-        all_i, all_j = all_i[sort], all_j[sort]
+        all_i, all_j = np.divmod(np.sort(all_i[keep] * n + all_j[keep]), n)
         offsets = np.searchsorted(all_i, np.arange(n + 1))
         return all_i, all_j, [all_j[offsets[i] : offsets[i + 1]] for i in range(n)]
 
@@ -766,8 +755,10 @@ def run_nbody(
     Step 1 computes all pair distances to seed group-pair bounds; later
     steps decay the bounds by group drift and only recompute surviving
     pairs. Group pairs whose upper bound stays inside the radius
-    contribute every member pair with no distance work; pairs whose groups
-    have not moved since last computed reuse their cached neighbor lists.
+    contribute every member pair with no distance work. Each step sweeps
+    the remaining candidates in source batches, as the two-set pipelines
+    do: with layout, adjacent groups with the same candidate list share
+    one kernel call per target group.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -784,7 +775,6 @@ def run_nbody(
     z = min(config.design.n_src_grp, n)
     gm = build_groups(particles, z, config.seed + 1, metric, counters)
     lplan = pack_intra_group(particles, gm) if config.layout_enabled else None
-    one_group_batches = [[a] for a in range(z)]
 
     pos = particles.values.copy()
     vel = np.zeros_like(pos)
@@ -806,13 +796,11 @@ def run_nbody(
             counters.bound_computations += n  # drift distances recorded at integration
             gd = group_max(prev_drift, gm.group_of, z)
             cm = filter_iterative(gm, gm, within.lb, thr, gd, gd, counters, ub=within.ub)
-        # Reported like the two-set pipelines' batching of the candidate
-        # lists, though the sweep itself takes one group per batch.
-        n_batches = len(_source_batches(np.arange(z), cm, config.layout_enabled))
 
         to_tile = within.resolve(cm, pos, counters)
+        batches = _source_batches(np.arange(z), to_tile, config.layout_enabled)
         sweep = _sweep(
-            grouped, grouped, to_tile, within.lb, one_group_batches, within, metric,
+            grouped, grouped, to_tile, within.lb, batches, within, metric,
             config.design.blk, config.thread_count,
         )
         counters.add(sweep)
@@ -841,12 +829,9 @@ def run_nbody(
         vel = vel + acc * config.dt
         new_pos = pos + vel * config.dt
         prev_drift = rowwise_distance(pos, new_pos, metric)
-        moved = np.zeros(z, dtype=bool)
-        np.logical_or.at(moved, gm.group_of, prev_drift > 0)
-        within.versions[moved] += 1
         pos = new_pos
         trajectories.append(pos.copy())
-        per_iter.append(_stats(step, counters.delta_since(base), n, n, n_batches, z))
+        per_iter.append(_stats(step, counters.delta_since(base), n, n, len(batches), z))
 
     outputs = {"neighbors": neighbors_per_step, "trajectories": trajectories}
     return _result(plan, outputs, per_iter, counters, config, t0, lplan, oracle_s)

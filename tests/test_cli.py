@@ -111,7 +111,8 @@ def test_explore_infeasible_problem_exits_1_with_nearest_miss(tmp_path, capsys):
 
 
 # (flag, file contents) for config files that are not valid JSON, are not
-# an object, or name a field the config does not have
+# an object, name a field the config does not have, or give a design value
+# that is not an integer
 BAD_CONFIGS = [
     ("--problem", '{"src_size": 2000,'),
     ("--problem", {**SMALL_PROBLEM, "bogus": 1}),
@@ -121,6 +122,7 @@ BAD_CONFIGS = [
     ("--ga", "{population: 8}"),
     ("--ga", {"population": 8, "bogus": 1}),
     ("--ga", [8]),
+    ("--domains", {"n_src_grp": [8], "n_trg_grp": [2], "blk": [16.5], "simd": [1], "unroll": [1]}),
 ]
 
 
@@ -135,7 +137,14 @@ def test_explore_bad_config_file_exits_2(flag, payload, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload", ['{"n_src_grp": 8', {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16, "bogus": 1}]
+    "payload",
+    [
+        '{"n_src_grp": 8',
+        {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16, "bogus": 1},
+        {"n_src_grp": 8.5, "n_trg_grp": 3, "blk": 16},
+        {"n_src_grp": 8, "n_trg_grp": True, "blk": 16},
+        {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16.0},
+    ],
 )
 def test_run_bad_design_file_exits_2(payload, tmp_path, capsys):
     argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data"]
@@ -223,7 +232,8 @@ def test_bench_syntax_error_exits_1(tmp_path):
 
 
 def test_bench_scale_must_be_positive():
-    assert _bench(SAMPLES / "nbody.ddsl", "--scale", "0") == 1
+    for scale in ("0", "-1", "nan", "inf"):
+        assert _bench(SAMPLES / "nbody.ddsl", "--scale", scale) == 1, scale
 
 
 def test_bench_rejects_a_weighted_program(tmp_path, capsys):

@@ -56,8 +56,8 @@ def _case(name: str):
         trg = gaussian_mixture(200, 24, 5, seed=3, center_box=20.0)
         return "knn_join.ddsl", src, trg, trg.n
     # tight blobs give group pairs that lie wholly inside the radius; a
-    # far row of points spaced wider than the radius never moves, so its
-    # group pairs are reused from the last step
+    # far row of points spaced wider than the radius has no neighbor, so
+    # it feels no force and never moves
     blobs = gaussian_mixture(300, 3, 4, seed=4, center_box=4.0, spread=0.3).values
     still = np.column_stack([100.0 + 2.0 * np.arange(6), np.full((6, 2), 100.0)])
     pts = Dataset.from_values(np.vstack([blobs, still]))
@@ -97,7 +97,23 @@ def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
     assert 0 < c.point_distances < pairs * result.iterations
     assert c.pruned_pairs > 0
     if name == "nbody":
-        assert c.all_inside_pairs > 0 and c.reused_pairs > 0
+        assert c.all_inside_pairs > 0
+
+
+def test_nbody_sweeps_step_one_as_one_batch(monkeypatch):
+    # with layout, every group shares step 1's full candidate list, so the
+    # engine tiles the whole set against each target group in one call
+    calls = []
+    tile = pipelines.tile_distances
+    monkeypatch.setattr(
+        pipelines, "tile_distances", lambda *a, **k: calls.append(a[0].shape[0]) or tile(*a, **k)
+    )
+    sample, pts, _, m = _case("nbody")
+    plan = dataclasses.replace(_sample_plan(sample, pts.n, m), max_iter=1)
+    result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
+    non_empty = sum(stop > start for start, stop in result.layout.group_slices.values())
+    assert result.per_iteration[0].source_batches == 1
+    assert calls == [pts.n] * non_empty
 
 
 @pytest.mark.parametrize("name", CASES)
