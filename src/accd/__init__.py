@@ -4,7 +4,7 @@ execution plans, with an analytical design-space explorer."""
 __version__ = "0.1.0"
 
 from .counters import CounterSet
-from .dataset import Dataset, DistanceMatrix, TopKResult, load_csv, pairwise_brute, select_topk
+from .dataset import Dataset, DistanceMatrix, TopKResult, load_csv, pairwise_brute
 from .metrics import MetricSpec, distance
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "TopKResult",
     "load_csv",
     "pairwise_brute",
-    "select_topk",
     "MetricSpec",
     "distance",
 ]

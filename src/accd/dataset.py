@@ -1,5 +1,5 @@
-"""Dataset storage, CSV loading, the brute-force distance oracle, and
-deterministic top-k selection.
+"""Dataset storage, CSV loading, the brute-force distance oracle, and the
+row-wise (distance, id) sort.
 
 All values are held as float64 regardless of the declared DDSL dtype; the
 declared type only affects the bandwidth model and optional storage modes.
@@ -35,7 +35,8 @@ class Dataset:
         if self.values.ndim != 2:
             raise DimensionMismatchError("dataset values must be a 2-D matrix")
         if not np.all(np.isfinite(self.values)):
-            raise FormatError("non-finite value in dataset", 0, 0)
+            row, col = np.argwhere(~np.isfinite(self.values))[0]
+            raise FormatError("non-finite value in dataset", int(row) + 1, int(col) + 1)
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if self.ids.shape != (self.values.shape[0],):
             raise SizeMismatchError(
@@ -188,22 +189,3 @@ def rowwise_lexsort(distances: np.ndarray, ids: np.ndarray) -> np.ndarray:
     d2 = np.take_along_axis(distances, by_id, axis=1)
     by_dist = np.argsort(d2, axis=1, kind="stable")
     return np.take_along_axis(by_id, by_dist, axis=1)
-
-
-def select_topk(distances, ids, k: int, scope: str = "smallest") -> tuple[np.ndarray, np.ndarray]:
-    """Pick the k best (distance, id) pairs from one row.
-
-    Ties are broken by ascending id for both scopes; "largest" orders by
-    descending distance. Returns (ids, distances) arrays of length k.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    ids = np.asarray(ids, dtype=np.int64)
-    if distances.shape != ids.shape or distances.ndim != 1:
-        raise DimensionMismatchError("distances and ids must be equal-length vectors")
-    if k < 1 or k > distances.shape[0]:
-        raise RangeError(f"k={k} out of range for row of length {distances.shape[0]}")
-    if scope not in ("smallest", "largest"):
-        raise ValueError(f"unknown scope {scope!r}")
-    key = distances if scope == "smallest" else -distances
-    order = np.lexsort((ids, key))[:k]
-    return ids[order], distances[order]

@@ -19,6 +19,10 @@ to the pipeline's reducer:
   drift of its target.
 * ``_TopK`` (one-shot two-set) keeps the running K + 1 best per point;
   the per-point bound is the current K-th distance plus its error bound.
+  Only tile entries at most a row's running (K + 1)-th value can enter,
+  so rows without one are skipped and the others merge just their
+  survivors: one sort by value, and a (value, id) re-sort only of rows
+  where equal values break the id order.
 * ``_Radius`` (iterative self-set) has no per-point bound. Before the
   sweep it takes every member pair of the all-inside group pairs without
   a tile; during it, it keeps each tile's neighbor pairs and resets the
@@ -53,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import CounterSet
+# rowwise_lexsort stays a module global: the perfbench tracer rebinds it by name
 from .dataset import Dataset, TopKResult, brute_rows, rowwise_lexsort
 from .ddsl.lowering import ExecutionPlan
 from .errors import (
@@ -82,6 +87,9 @@ from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8, blk=64)
 # Terms per block of the final top-K recompute: 512 KB of float64.
 _SETTLE_BLOCK_ELEMS = 1 << 16
+# Cells per block of the per-tile top-K merge: 256 KB of float64, so its
+# temporaries stay small enough for the cache and the allocator's heap.
+_MERGE_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass
@@ -341,6 +349,47 @@ class _Nearest:
         return np.where(self.covered, low, np.minimum(lb, low))
 
 
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[r, idx[r, j]]`` for every row r, by one flat take (cheaper than
+    ``np.take_along_axis``, which builds a second index array)."""
+    flat = idx + (np.arange(idx.shape[0]) * a.shape[1])[:, None]
+    return np.ravel(a).take(flat)
+
+
+def _smallest(vals: np.ndarray, ids: np.ndarray, keep: int) -> np.ndarray:
+    """Column indices of each row's ``keep`` smallest entries under
+    (value, id), in that order.
+
+    Rows more than twice as wide as ``keep`` are first cut to their
+    ``keep`` + 1 smallest values by ``argpartition``; on narrower rows the
+    partition costs more than it saves. One stable sort by
+    value then orders the candidates, which keeps entries that come in
+    (value, id) order, such as a running top list, in that order. Only
+    rows where the sort breaks the (value, id) rule are redone with
+    ``rowwise_lexsort``: equal values out of id order, or a finite value
+    tied across the ``keep`` boundary (an entry left out may have the
+    smaller id). ``inf`` is the value of placeholders only, which share
+    one id, so their ties never need it.
+    """
+    width = vals.shape[1]
+    if width > 2 * keep:
+        part = np.argpartition(vals, keep, axis=1)[:, : keep + 1]
+        order = _take_rows(part, np.argsort(_take_rows(vals, part), axis=1, kind="stable"))
+    else:
+        order = np.argsort(vals, axis=1, kind="stable")[:, : keep + 1]
+    v = _take_rows(vals, order)
+    sel = order[:, :keep]
+    i = _take_rows(ids, sel)
+    last, nxt = v[:, keep - 1], v[:, keep:].min(axis=1, initial=np.inf)
+    v = v[:, :keep]
+    broken = np.any((v[:, 1:] == v[:, :-1]) & (i[:, 1:] < i[:, :-1]), axis=1)
+    broken |= (last == nxt) & np.isfinite(nxt)
+    rows = np.flatnonzero(broken)
+    if rows.size:
+        sel[rows] = rowwise_lexsort(vals[rows], ids[rows])[:, :keep]
+    return sel
+
+
 class _TopK:
     """Running K + 1 best targets per source point under (fast value, id).
 
@@ -348,6 +397,17 @@ class _TopK:
     ``err`` bounds the K-th direct distance from above, so it is the
     per-point bound; the (K + 1)-th entry witnesses the boundary for
     ``settle``.
+
+    A tile entry can enter a row's K + 1 only if its value is at most the
+    row's running (K + 1)-th value; these are the row's survivors. Rows
+    without one are not touched. The others, in blocks of bounded size,
+    gather just their survivors (a partition to the block's largest
+    survivor count), and ``_smallest`` keeps the K + 1 best of those and
+    the running entries: one stable sort by value, then a
+    ``rowwise_lexsort`` repair of the rows where equal values break the
+    id order, within the K + 1 or across its boundary. The state after
+    each tile is bitwise what a full (value, id) sort of the running
+    entries and the whole tile gives.
     """
 
     def __init__(self, m: int, k: int, trg_gm: GroupModel):
@@ -362,15 +422,28 @@ class _TopK:
         return self.top_f[ids, self.k - 1] + self.err[ids]
 
     def reduce(self, batch, t: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
-        cat_d = np.concatenate([self.top_f[ids], tile], axis=1)
-        cat_i = np.concatenate(
-            [self.top_i[ids], np.broadcast_to(self.members[t], tile.shape)], axis=1
-        )
-        sel = rowwise_lexsort(cat_d, cat_i)[:, : self.k + 1]
-        self.top_f[ids] = np.take_along_axis(cat_d, sel, axis=1)
-        self.top_i[ids] = np.take_along_axis(cat_i, sel, axis=1)
         self.err[ids] = np.maximum(self.err[ids], err)
+        count = np.count_nonzero(tile <= self.top_f[ids, self.k][:, None], axis=1)
+        act = np.flatnonzero(count)
+        step = max(1, _MERGE_BLOCK_ELEMS // (self.k + 1 + tile.shape[1]))
+        for start in range(0, act.size, step):
+            block = act[start : start + step]
+            self._merge(ids[block], tile[block], self.members[t], int(count[block].max()))
         return 0
+
+    def _merge(self, rows, tile, cols, s: int) -> None:
+        """Merge the tile rows of ``rows``, each with at most ``s``
+        survivors, into their running K + 1."""
+        if s < cols.size:
+            part = np.argpartition(tile, s - 1, axis=1)[:, :s]
+            tile, cols = _take_rows(tile, part), cols[part]
+        else:
+            cols = np.broadcast_to(cols, tile.shape)
+        cat_d = np.concatenate([self.top_f[rows], tile], axis=1)
+        cat_i = np.concatenate([self.top_i[rows], cols], axis=1)
+        sel = _smallest(cat_d, cat_i, self.k + 1)
+        self.top_f[rows] = _take_rows(cat_d, sel)
+        self.top_i[rows] = _take_rows(cat_i, sel)
 
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
         """The exact top-K ids and distances, rows ordered by (distance, id).
@@ -379,7 +452,7 @@ class _TopK:
         the first K entries are exactly the K nearest (every target left
         out, tiled or pruned, is surely farther), so their distances are
         recomputed directly. Other rows are redone over all targets by brute
-        force. Both run in row blocks of bounded size.
+        force and ``_smallest``. Both run in row blocks of bounded size.
         """
         k, n = self.k, trg.shape[0]
         ids = self.top_i[:, :k]
@@ -389,9 +462,9 @@ class _TopK:
         for start in range(0, redo.size, step):
             block = redo[start : start + step]
             full = brute_rows(src[block], trg, metric)
-            order = rowwise_lexsort(full, np.broadcast_to(np.arange(n), full.shape))[:, :k]
+            order = _smallest(full, np.broadcast_to(np.arange(n), full.shape), k)
             ids[block] = order
-            dist[block] = np.take_along_axis(full, order, axis=1)
+            dist[block] = _take_rows(full, order)
         counters.recomputed_distances += ids.size + redo.size * n
         # rows come in (fast value, id) order; reorder those the exact
         # values put out of (distance, id) order

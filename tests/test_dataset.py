@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, load_csv, pairwise_brute, select_topk
+from accd.dataset import Dataset, load_csv, pairwise_brute
 from accd.errors import DimensionMismatchError, FormatError, RangeError
 from accd.metrics import MetricSpec, distance
 
@@ -53,6 +53,16 @@ def test_load_csv_rejects_nan_inf(tmp_path):
     f.write_text("1,nan\n")
     with pytest.raises(FormatError):
         load_csv(f)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_reports_the_first_non_finite_cell(bad):
+    values = np.zeros((5, 4))
+    values[3, 2] = bad
+    values[4, 0] = bad
+    with pytest.raises(FormatError) as exc:
+        Dataset.from_values(values)
+    assert (exc.value.row, exc.value.col) == (4, 3)
 
 
 def test_missing_file_is_oserror():
@@ -111,41 +121,6 @@ def test_brute_dim_mismatch():
     b = Dataset.from_values(np.zeros((2, 4)))
     with pytest.raises(DimensionMismatchError):
         pairwise_brute(a, b, L2)
-
-
-# -- top-k selection ------------------------------------------------------
-
-
-def test_select_topk_basic():
-    ids, dists = select_topk([5.0, 1.0, 3.0], [0, 1, 2], 2, "smallest")
-    assert ids.tolist() == [1, 2]
-    assert dists.tolist() == [1.0, 3.0]
-
-
-def test_select_topk_tie_break_by_id():
-    ids, _ = select_topk([2.0, 2.0, 2.0], [0, 1, 2], 2, "smallest")
-    assert ids.tolist() == [0, 1]
-
-
-def test_select_topk_largest():
-    ids, dists = select_topk([5.0, 1.0, 3.0], [0, 1, 2], 2, "largest")
-    assert ids.tolist() == [0, 2]
-    assert dists.tolist() == [5.0, 3.0]
-
-
-def test_select_topk_matches_full_sort():
-    r = np.random.default_rng(5)
-    d = r.uniform(size=1000)
-    ids = np.arange(1000)
-    got_ids, got_d = select_topk(d, ids, 50, "smallest")
-    order = np.lexsort((ids, d))[:50]
-    assert np.array_equal(got_ids, ids[order])
-    assert np.array_equal(got_d, d[order])
-
-
-def test_select_topk_range_error():
-    with pytest.raises(RangeError):
-        select_topk([1.0, 2.0], [0, 1], 3, "smallest")
 
 
 def test_dataset_id_invariant():

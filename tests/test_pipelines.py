@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, TopKResult, pairwise_brute
+from accd.dataset import Dataset, TopKResult, pairwise_brute, rowwise_lexsort
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
 from accd import pipelines
@@ -257,14 +257,16 @@ EXACT_CASES = {
 }
 
 
-def _exact_run(name, pts, m=None, weights=None, metric=None, design=DESIGN, **select):
+def _exact_run(
+    name, pts, m=None, weights=None, metric=None, design=DESIGN, threads=1, **select
+):
     """One shadow-checked run of an ``EXACT_CASES`` pipeline on ``pts``
     (k-means with 20 clusters, the join against itself)."""
     kind, spec, default_metric, steps = EXACT_CASES[name]
     spec = dataclasses.replace(spec, **select)
     m = m if m is not None else (20 if kind == "iterative_two_set" else pts.n)
     plan = make_plan(kind, pts.n, m, pts.d, spec, steps, metric or default_metric)
-    cfg = RunConfig(design=design, oracle_mode="shadow")
+    cfg = RunConfig(design=design, oracle_mode="shadow", thread_count=threads)
     result = run_plan(plan, pts, None, cfg, weights=weights)
     assert result.oracle_checked
     return result
@@ -338,3 +340,61 @@ def test_knn_shadow_check_compares_distances():
         with pytest.raises(OracleMismatchError) as info:
             _exact_run("knn", pts)
     assert (info.value.detail["point"], info.value.detail["column"]) == (3, 2)
+
+
+# -- the top-K merge ----------------------------------------------------------
+
+
+def _full_merge(top_f, top_i, tile, cols, k):
+    """The running K + 1 after a tile by a full (value, id) sort of the
+    running entries and the whole tile."""
+    cat_d = np.concatenate([top_f, tile], axis=1)
+    cat_i = np.concatenate([top_i, np.broadcast_to(cols, tile.shape)], axis=1)
+    sel = rowwise_lexsort(cat_d, cat_i)[:, : k + 1]
+    return np.take_along_axis(cat_d, sel, axis=1), np.take_along_axis(cat_i, sel, axis=1)
+
+
+def _uniform(n: int, d: int, seed: int) -> Dataset:
+    return Dataset.from_values(np.random.default_rng(seed).uniform(size=(n, d)))
+
+
+# case -> (points, run options); DESIGN has 4 target groups, about 75
+# points each at n=300
+MERGE_CASES = {
+    "uniform": (lambda: _uniform(300, 6, seed=12), {}),
+    "grid": (lambda: _grid(300, 4, seed=5), {}),
+    "offset_1e6": (
+        lambda: Dataset.from_values(
+            gaussian_mixture(300, 8, 8, seed=1, center_box=5.0).values + 1e6
+        ),
+        {},
+    ),
+    "k_1": (lambda: _grid(300, 4, seed=13), {"value": 1.0}),
+    "k_over_a_group": (lambda: _grid(300, 4, seed=14), {"value": 100.0}),
+    "k_n": (lambda: _grid(60, 3, seed=15), {"value": 60.0}),
+    "two_threads": (lambda: _grid(300, 4, seed=16), {"threads": 2}),
+}
+
+
+@pytest.mark.parametrize("case", list(MERGE_CASES))
+def test_topk_merge_equals_a_full_sort_after_every_tile(monkeypatch, case):
+    # the survivor-filtered merge must leave the running K + 1 and its
+    # error bound bitwise where a full sort of the running entries and
+    # the whole tile would, ties across the K + 1 boundary included
+    make, options = MERGE_CASES[case]
+    real = pipelines._TopK.reduce
+    tiles = []
+
+    def checked(self, batch, t, ids, tile, err):
+        want_f, want_i = _full_merge(self.top_f[ids], self.top_i[ids], tile, self.members[t], self.k)
+        want_err = np.maximum(self.err[ids], err)
+        recomputed = real(self, batch, t, ids, tile, err)
+        assert np.array_equal(self.top_f[ids].view(np.int64), want_f.view(np.int64))
+        assert np.array_equal(self.top_i[ids], want_i)
+        assert np.array_equal(self.err[ids], want_err)
+        tiles.append(t)
+        return recomputed
+
+    monkeypatch.setattr(pipelines._TopK, "reduce", checked)
+    _exact_run("knn", make(), **options)
+    assert tiles
