@@ -8,10 +8,11 @@ or executed point-pair, and can shadow a brute-force oracle that must
 agree exactly.
 
 For each source batch the engine visits the batch's candidate target
-groups in (lower bound, group id) order. It keeps the rows whose
-per-point bound still reaches that group's lower bound, counts the other
-rows' pairs as pruned, computes one tile through the kernel and hands it
-to the pipeline's reducer:
+groups in passes: one per group, in (lower bound, group id) order, for
+``_Nearest`` and ``_Radius``; two for ``_TopK``. A row visits a group
+only while its per-point bound reaches that group's lower bound; the
+pairs it skips count as pruned. Each tile goes through the kernel to the
+pipeline's reducer:
 
 * ``_Nearest`` (iterative two-set) keeps the best (distance, id) per
   point and the per-group-pair tile minimum that reseeds the trace
@@ -19,10 +20,10 @@ to the pipeline's reducer:
   drift of its target.
 * ``_TopK`` (one-shot two-set) keeps the running K + 1 best per point;
   the per-point bound is the current K-th distance plus its error bound.
-  Only tile entries at most a row's running (K + 1)-th value can enter,
-  so rows without one are skipped and the others merge just their
-  survivors: one sort by value, and a (value, id) re-sort only of rows
-  where equal values break the id order.
+  Its first pass tiles each row against its own group's nearest candidate
+  groups, enough for K + 1 targets, its second against every other group
+  the row's bound then reaches. Rows that reach the same groups share
+  wide tiles, so each row merges into its K + 1 at most twice.
 * ``_Radius`` (iterative self-set) has no per-point bound. Before the
   sweep it takes every member pair of the all-inside group pairs without
   a tile; during it, it keeps each tile's neighbor pairs and resets the
@@ -87,9 +88,9 @@ from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8, blk=64)
 # Terms per block of the final top-K recompute: 512 KB of float64.
 _SETTLE_BLOCK_ELEMS = 1 << 16
-# Cells per block of the per-tile top-K merge: 256 KB of float64, so its
-# temporaries stay small enough for the cache and the allocator's heap.
-_MERGE_BLOCK_ELEMS = 1 << 15
+# Cells per tile of a seeded sweep: 256 KB of float64, so a tile and its
+# top-K merge stay small enough for the cache and the allocator's heap.
+_TILE_CELLS = 1 << 15
 
 
 @dataclass
@@ -168,11 +169,13 @@ class _Grouped:
         return np.concatenate([self.gm.membership[g] for g in batch])
 
     def batch_rows(self, batch: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
-        """(rows, sq) for the batch's members."""
+        """(rows, sq) for the members of the groups ``batch``, in that order:
+        a slice of the packing when the groups lie next to each other in it."""
+        rows = self.batch_ids(batch)
         if self.plan is not None:
-            rows = slice(self.plan.group_slices[batch[0]][0], self.plan.group_slices[batch[-1]][1])
-        else:
-            rows = self.batch_ids(batch)
+            spans = [self.plan.group_slices[g] for g in batch]
+            adjacent = all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            rows = slice(spans[0][0], spans[-1][1]) if adjacent else self.plan.inverse_perm[rows]
         return self.rows[rows], self.sq[rows] if self.sq is not None else None
 
 
@@ -192,10 +195,8 @@ _FIRST_ROW = np.zeros(1, dtype=np.intp)
 def _group_runs(batch: list[int], group_of: np.ndarray, ids: np.ndarray):
     """Split a tile's rows ``ids``, which come grouped in batch order, into
     runs of one source group: (the groups, as an index into a group axis;
-    the first row of each run; each run's row count). One-group batches,
-    nearly every tile of a k-means run, skip the split and index by a
-    slice, which costs a few microseconds less per tile than an index
-    array."""
+    the first row of each run; each run's row count). One-group batches
+    (most k-means tiles) index by a slice: a few microseconds less."""
     if len(batch) == 1:
         g = batch[0]
         return slice(g, g + 1), _FIRST_ROW, ids.size
@@ -215,55 +216,75 @@ def _map_ordered(fn, items, threads: int):
 
 
 def _sweep(
-    src: _Grouped,
-    trg: _Grouped,
-    cm: CandidateMatrix,
-    lb: np.ndarray,
-    batches: list[list[int]],
-    reducer,
-    metric: MetricSpec,
-    blk: int,
-    threads: int,
+    src: _Grouped, trg: _Grouped, cm: CandidateMatrix, lb: np.ndarray, batches: list[list[int]],
+    reducer, metric: MetricSpec, blk: int, threads: int, seed: int | None = None,
 ) -> CounterSet:
-    """Tile every surviving (source batch, candidate target group) pair.
+    """Tile every surviving (source row, candidate target group) pair, in
+    passes over the batch's candidates (its first group's, empty groups
+    left out). A row visits a group of a pass only if its bound
+    (``reducer.bound(ids)`` at the start of the pass; None keeps every row)
+    reaches its own group's ``lb[., t]``; the pairs it skips count as pruned.
 
-    A batch's candidates are those of its first group and are visited in
-    (min lb over the batch, group id) order. ``reducer.bound(ids)`` gives
-    the per-point bound of the batch's rows (None: keep every row); a row
-    is kept for target group ``t`` while its bound reaches its own group's
-    ``lb[., t]``. ``reducer.reduce(batch, t, ids, tile, err)`` receives the
-    kept rows' ids, their fast tile and its per-row error bound, and
-    returns how many entries it recomputed. Batches touch disjoint source
-    rows, so they may run on ``threads`` workers. Returns the tile,
-    pruning and recompute tallies.
+    * Without ``seed`` each candidate is one pass, in (min lb over the
+      batch, group id) order, with one tile of all its visiting rows.
+    * With ``seed`` there are two passes: per source group, its candidates
+      in (lb, group id) order up to and including the first that brings
+      the total to ``seed`` targets, then the rest. Rows that visit the
+      same groups share tiles against those groups' members, concatenated,
+      of at most ``_TILE_CELLS`` cells, so each row enters at most two.
+
+    ``reducer.reduce(batch, groups, ids, tile, err)`` gets the tile's target
+    groups, rows' ids, fast values and per-row error bound, and returns the
+    entries it recomputed. Batches touch disjoint rows, so they may run on
+    ``threads`` workers. Returns the tile, pruning and recompute tallies.
     """
+    src_sizes, trg_sizes = src.gm.sizes, trg.gm.sizes
 
     def sweep_batch(batch: list[int]) -> CounterSet:
         local = CounterSet()
         ids = src.batch_ids(batch)
         cand = cm.targets[batch[0]]
+        cand = cand[trg_sizes[cand] > 0]
         if ids.size == 0 or cand.size == 0:
             return local
         rows, sq_rows = src.batch_rows(batch)
-        key = np.min(lb[batch][:, cand], axis=0)
-        group_of_ids = src.gm.group_of[ids]
-        for t in cand[np.lexsort((cand, key))].tolist():
-            n_cols = trg.gm.membership[t].size
-            if n_cols == 0:
-                continue
+        lbb = lb[batch][:, cand]
+
+        def reduce_tile(sel, groups: list[int]) -> None:
+            cols, sq_cols = trg.batch_rows(groups)
+            kept_sq = sq_rows[sel] if sq_rows is not None else None
+            tile, err = tile_distances(rows[sel], cols, metric, blk, local, kept_sq, sq_cols)
+            local.recomputed_distances += reducer.reduce(batch, groups, ids[sel], tile, err)
+
+        if seed is None:
+            group_of_ids = src.gm.group_of[ids]
+            for t in cand[np.lexsort((cand, lbb.min(axis=0)))].tolist():
+                bound, sel = reducer.bound(ids), slice(None)
+                if bound is not None:
+                    sel = np.flatnonzero(bound >= lb[group_of_ids, t])
+                    local.pruned_pairs += (ids.size - sel.size) * int(trg_sizes[t])
+                if bound is None or sel.size:
+                    reduce_tile(sel, [t])
+            return local
+        by_lb = np.argsort(lbb, axis=1, kind="stable")
+        before = np.cumsum(trg_sizes[cand][by_lb], axis=1) - trg_sizes[cand][by_lb]
+        local_of = np.repeat(np.arange(len(batch)), src_sizes[batch])
+        take = np.take_along_axis(before < seed, np.argsort(by_lb, axis=1), axis=1)[local_of]
+        for reach in (take, ~take):
             bound = reducer.bound(ids)
-            if bound is None:
-                kept, kept_rows, kept_sq = ids, rows, sq_rows
-            else:
-                act = np.flatnonzero(bound >= lb[group_of_ids, t])
-                local.pruned_pairs += (ids.size - act.size) * n_cols
-                if act.size == 0:
-                    continue
-                kept, kept_rows = ids[act], rows[act]
-                kept_sq = sq_rows[act] if sq_rows is not None else None
-            cols, sq_cols = trg.batch_rows([t])
-            tile, err = tile_distances(kept_rows, cols, metric, blk, local, kept_sq, sq_cols)
-            local.recomputed_distances += reducer.reduce(batch, t, kept, tile, err)
+            if bound is not None:
+                ok = bound[:, None] >= lbb[local_of]
+                local.pruned_pairs += int((reach & ~ok).sum(axis=0) @ trg_sizes[cand])
+                reach = reach & ok
+            packed = np.packbits(reach, axis=1)
+            order = np.lexsort(packed.T)  # rows by the groups they reach; stable
+            cuts = np.flatnonzero(np.any(np.diff(packed[order], axis=0), axis=1)) + 1
+            for sel in np.split(order, cuts):
+                groups = cand[reach[sel[0]]]
+                if groups.size:
+                    step = max(1, _TILE_CELLS // int(trg_sizes[groups].sum()))
+                    for start in range(0, sel.size, step):
+                        reduce_tile(sel[start : start + step], groups.tolist())
         return local
 
     total = CounterSet()
@@ -303,7 +324,8 @@ class _Nearest:
     def bound(self, ids: np.ndarray) -> np.ndarray | None:
         return None if self.point_ub is None else self.point_ub[ids]
 
-    def reduce(self, batch, t: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+    def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+        (t,) = groups
         cols = self.members[t]
         col = np.argmin(tile, axis=1)
         mn = tile.min(axis=1)
@@ -361,15 +383,14 @@ def _smallest(vals: np.ndarray, ids: np.ndarray, keep: int) -> np.ndarray:
     (value, id), in that order.
 
     Rows more than twice as wide as ``keep`` are first cut to their
-    ``keep`` + 1 smallest values by ``argpartition``; on narrower rows the
-    partition costs more than it saves. One stable sort by
-    value then orders the candidates, which keeps entries that come in
-    (value, id) order, such as a running top list, in that order. Only
-    rows where the sort breaks the (value, id) rule are redone with
-    ``rowwise_lexsort``: equal values out of id order, or a finite value
-    tied across the ``keep`` boundary (an entry left out may have the
-    smaller id). ``inf`` is the value of placeholders only, which share
-    one id, so their ties never need it.
+    ``keep`` + 1 smallest values by ``argpartition`` (on narrower rows it
+    costs more than it saves). One stable sort by value orders the rest
+    and keeps entries that come in (value, id) order, such as a running
+    top list, in that order. Rows where it breaks the (value, id) rule are
+    redone with ``rowwise_lexsort``: equal values out of id order, or a
+    finite value tied across the ``keep`` boundary (an entry left out may
+    have the smaller id). ``inf`` marks placeholders only, which share one
+    id, so their ties never need it.
     """
     width = vals.shape[1]
     if width > 2 * keep:
@@ -396,18 +417,9 @@ class _TopK:
     ``err`` bounds the error of every kept value. The K-th value plus
     ``err`` bounds the K-th direct distance from above, so it is the
     per-point bound; the (K + 1)-th entry witnesses the boundary for
-    ``settle``.
-
-    A tile entry can enter a row's K + 1 only if its value is at most the
-    row's running (K + 1)-th value; these are the row's survivors. Rows
-    without one are not touched. The others, in blocks of bounded size,
-    gather just their survivors (a partition to the block's largest
-    survivor count), and ``_smallest`` keeps the K + 1 best of those and
-    the running entries: one stable sort by value, then a
-    ``rowwise_lexsort`` repair of the rows where equal values break the
-    id order, within the K + 1 or across its boundary. The state after
-    each tile is bitwise what a full (value, id) sort of the running
-    entries and the whole tile gives.
+    ``settle``. Swept with ``seed`` K + 1, a row enters at most two tiles,
+    each merged into its K + 1 by ``_smallest``: the state after the sweep
+    is bitwise a (value, id) sort of every entry tiled for the row.
     """
 
     def __init__(self, m: int, k: int, trg_gm: GroupModel):
@@ -421,29 +433,15 @@ class _TopK:
     def bound(self, ids: np.ndarray) -> np.ndarray:
         return self.top_f[ids, self.k - 1] + self.err[ids]
 
-    def reduce(self, batch, t: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+    def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
         self.err[ids] = np.maximum(self.err[ids], err)
-        count = np.count_nonzero(tile <= self.top_f[ids, self.k][:, None], axis=1)
-        act = np.flatnonzero(count)
-        step = max(1, _MERGE_BLOCK_ELEMS // (self.k + 1 + tile.shape[1]))
-        for start in range(0, act.size, step):
-            block = act[start : start + step]
-            self._merge(ids[block], tile[block], self.members[t], int(count[block].max()))
-        return 0
-
-    def _merge(self, rows, tile, cols, s: int) -> None:
-        """Merge the tile rows of ``rows``, each with at most ``s``
-        survivors, into their running K + 1."""
-        if s < cols.size:
-            part = np.argpartition(tile, s - 1, axis=1)[:, :s]
-            tile, cols = _take_rows(tile, part), cols[part]
-        else:
-            cols = np.broadcast_to(cols, tile.shape)
-        cat_d = np.concatenate([self.top_f[rows], tile], axis=1)
-        cat_i = np.concatenate([self.top_i[rows], cols], axis=1)
+        cols = np.concatenate([self.members[t] for t in groups])
+        cat_d = np.concatenate([self.top_f[ids], tile], axis=1)
+        cat_i = np.concatenate([self.top_i[ids], np.broadcast_to(cols, tile.shape)], axis=1)
         sel = _smallest(cat_d, cat_i, self.k + 1)
-        self.top_f[rows] = _take_rows(cat_d, sel)
-        self.top_i[rows] = _take_rows(cat_i, sel)
+        self.top_f[ids] = _take_rows(cat_d, sel)
+        self.top_i[ids] = _take_rows(cat_i, sel)
+        return 0
 
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
         """The exact top-K ids and distances, rows ordered by (distance, id).
@@ -523,9 +521,10 @@ class _Radius:
     def bound(ids: np.ndarray) -> None:
         return None
 
-    def reduce(self, batch, b: int, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+    def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
         """Per row, entries at most R - err are within the radius and
         entries above R + err outside; the band between is recomputed."""
+        (b,) = groups
         cols = self.gm.membership[b]
         hit_r, hit_c = np.nonzero(tile <= (self.radius + err)[:, None])
         band = np.flatnonzero(tile[hit_r, hit_c] > self.radius - err[hit_r])
@@ -764,7 +763,8 @@ def run_knn_join(
     g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
     g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
     sweep = _sweep(
-        g_src, g_trg, cm, lb, batches, topk, metric, config.design.blk, config.thread_count
+        g_src, g_trg, cm, lb, batches, topk, metric, config.design.blk, config.thread_count,
+        seed=k + 1,
     )
     counters.add(sweep)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)
@@ -806,13 +806,13 @@ def default_force_rule(
     """Softened inverse-square attraction over the neighbor pairs, unit
     mass. A demonstration update rule; neighbor search is the verified
     part, the physics is pluggable."""
-    acc = np.zeros_like(pos)
-    if nbr_i.size == 0:
-        return acc
+    acc = np.empty_like(pos)
     diff = pos[nbr_j] - pos[nbr_i]
     r2 = np.add.reduce(diff * diff, axis=1) + softening * softening
     contrib = diff * (r2**-1.5)[:, None]
-    np.add.at(acc, nbr_i, contrib)
+    # one pass per coordinate, each point's terms added in pair order from 0
+    for c in range(pos.shape[1]):
+        acc[:, c] = np.bincount(nbr_i, weights=contrib[:, c], minlength=pos.shape[0])
     return acc
 
 

@@ -17,9 +17,18 @@ from accd.ddsl.lowering import SelectSpec
 from accd import pipelines
 from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
-from accd.gti import build_groups, filter_iterative, init_oneshot_state
+from accd.gti import CandidateMatrix, build_groups, filter_iterative, init_oneshot_state
+from accd.layout import pack_intra_group
 from accd.metrics import MetricSpec
-from accd.pipelines import RunConfig, _Grouped, _sweep, run_kmeans, run_nbody, run_plan
+from accd.pipelines import (
+    RunConfig,
+    _Grouped,
+    _sweep,
+    default_force_rule,
+    run_kmeans,
+    run_nbody,
+    run_plan,
+)
 from accd.synth import gaussian_mixture
 
 from conftest import make_plan
@@ -192,8 +201,18 @@ class _Recorder:
     def bound(self, ids):
         return None if self.point_bound is None else self.point_bound[ids]
 
-    def reduce(self, batch, t, ids, tile, err):
+    def reduce(self, batch, groups, ids, tile, err):
+        (t,) = groups
         self.tiles.append((batch[0], t, ids.copy(), tile, err))
+        return 0
+
+
+class _WideRecorder(_Recorder):
+    """Reducer that keeps every tile of a seeded sweep with its target
+    groups."""
+
+    def reduce(self, batch, groups, ids, tile, err):
+        self.tiles.append((tuple(batch), tuple(groups), ids.copy(), tile, err))
         return 0
 
 
@@ -243,6 +262,81 @@ def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
     assert kc.pruned_pairs > 0
     for _, _, ids, *_ in rec.tiles:
         assert np.all(ids % 2 == 0)
+
+
+def _wide_case(layout: bool):
+    # five target groups over four blobs: lower bounds that differ from
+    # group to group, so a bound between them reaches some groups only
+    src = gaussian_mixture(90, 3, 4, seed=21, center_box=10.0)
+    trg = gaussian_mixture(120, 3, 4, seed=22, center_box=10.0)
+    c = CounterSet()
+    gm_s = build_groups(src, 3, seed=3, metric=L2, counters=c)
+    gm_t = build_groups(trg, 5, seed=4, metric=L2, counters=c)
+    lb, _ = init_oneshot_state(gm_s, gm_t, c)
+    centre = src.values.mean(axis=0)
+    plans = (pack_intra_group(src, gm_s), pack_intra_group(trg, gm_t)) if layout else (None, None)
+    g_src = _Grouped.build(src.values, gm_s, plans[0], L2, centre)
+    g_trg = _Grouped.build(trg.values, gm_t, plans[1], L2, centre)
+    return src, trg, gm_s, gm_t, lb, g_src, g_trg
+
+
+@pytest.mark.parametrize("cap", [None, 64], ids=["default_cap", "small_cap"])
+@pytest.mark.parametrize("batches", [[[0], [1], [2]], [[0, 1, 2]]], ids=["alone", "batched"])
+@pytest.mark.parametrize("layout", [False, True], ids=["packed_off", "packed_on"])
+def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
+    monkeypatch, layout, batches, cap
+):
+    if cap is not None:
+        monkeypatch.setattr(pipelines, "_TILE_CELLS", cap)
+    src, trg, gm_s, gm_t, lb, g_src, g_trg = _wide_case(layout)
+    sizes = gm_t.sizes
+    # source group 0's two nearest target groups hold exactly ``seed``
+    # targets, so its seed pass must stop before the third
+    seed = int(sizes[np.lexsort((np.arange(gm_t.z), lb[0]))[:2]].sum())
+    own = lb[gm_s.group_of]  # each row's lower bounds, per target group
+    # rows by id mod 3: reach nothing, every group, or the groups whose
+    # lower bound lies at most at the row's median one
+    bound = np.select(
+        [np.arange(src.n) % 3 == 0, np.arange(src.n) % 3 == 1],
+        [np.full(src.n, -1.0), np.full(src.n, np.inf)],
+        np.median(own, axis=1),
+    )
+    rec = _WideRecorder(bound)
+    cm = CandidateMatrix.full(gm_s.z, gm_t.z)
+    kc = _sweep(g_src, g_trg, cm, lb, batches, rec, L2, 8, 1, seed=seed)
+
+    reach = (bound[:, None] >= own) & (sizes > 0)
+    assert 0 < np.count_nonzero(reach[np.arange(src.n) % 3 == 2]) < reach[2::3].size
+    full = pairwise_brute(src, trg, L2).values
+    tiled = np.zeros((src.n, gm_t.z), dtype=int)
+    entered = np.zeros(src.n, dtype=int)
+    first = {}
+    for batch, groups, ids, tile, err in rec.tiles:
+        assert len(groups) >= 1 and ids.size >= 1
+        assert tile.size <= (cap or pipelines._TILE_CELLS) or ids.size == 1
+        cols = np.concatenate([gm_t.membership[t] for t in groups])
+        assert np.all(np.abs(tile - full[np.ix_(ids, cols)]) <= err[:, None])
+        for i in ids.tolist():
+            tiled[i, list(groups)] += 1
+            entered[i] += 1
+            first.setdefault(i, set(groups))
+    # every reached (row, group) pair is tiled exactly once, nothing else is
+    assert np.array_equal(tiled, reach.astype(int))
+    assert np.all(entered <= 2)
+    assert np.all(entered[np.arange(src.n) % 3 == 0] == 0)
+    # a row whose bound reaches everything starts with its own group's seed
+    # groups: in (lb, id) order up to the first that brings ``seed`` targets
+    for i in np.flatnonzero(np.arange(src.n) % 3 == 1).tolist():
+        order = np.lexsort((np.arange(gm_t.z), own[i]))
+        order = order[sizes[order] > 0]
+        before = np.cumsum(sizes[order]) - sizes[order]
+        assert first[i] == set(order[before < seed].tolist())
+    # rows that reach the same groups share a tile unless the cap splits them
+    shared = {(batch, groups) for batch, groups, *_ in rec.tiles}
+    assert (len(shared) < len(rec.tiles)) == (cap is not None)
+    pairs = src.n * trg.n
+    assert kc.point_distances == int(np.sum(reach * sizes))
+    assert kc.pruned_pairs == pairs - kc.point_distances > 0
 
 
 # -- exactness in floating point -----------------------------------------------
@@ -345,15 +439,6 @@ def test_knn_shadow_check_compares_distances():
 # -- the top-K merge ----------------------------------------------------------
 
 
-def _full_merge(top_f, top_i, tile, cols, k):
-    """The running K + 1 after a tile by a full (value, id) sort of the
-    running entries and the whole tile."""
-    cat_d = np.concatenate([top_f, tile], axis=1)
-    cat_i = np.concatenate([top_i, np.broadcast_to(cols, tile.shape)], axis=1)
-    sel = rowwise_lexsort(cat_d, cat_i)[:, : k + 1]
-    return np.take_along_axis(cat_d, sel, axis=1), np.take_along_axis(cat_i, sel, axis=1)
-
-
 def _uniform(n: int, d: int, seed: int) -> Dataset:
     return Dataset.from_values(np.random.default_rng(seed).uniform(size=(n, d)))
 
@@ -377,24 +462,65 @@ MERGE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(MERGE_CASES))
-def test_topk_merge_equals_a_full_sort_after_every_tile(monkeypatch, case):
-    # the survivor-filtered merge must leave the running K + 1 and its
-    # error bound bitwise where a full sort of the running entries and
-    # the whole tile would, ties across the K + 1 boundary included
+def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch, case):
+    # after the sweep each row's running K + 1 and error bound must be
+    # bitwise what a (value, id) sort of every entry tiled for it gives,
+    # ties across the K + 1 boundary included, from at most two tiles
     make, options = MERGE_CASES[case]
-    real = pipelines._TopK.reduce
-    tiles = []
+    real_reduce, real_settle = pipelines._TopK.reduce, pipelines._TopK.settle
+    entries: dict[int, list] = {}
+    checked = []
 
-    def checked(self, batch, t, ids, tile, err):
-        want_f, want_i = _full_merge(self.top_f[ids], self.top_i[ids], tile, self.members[t], self.k)
-        want_err = np.maximum(self.err[ids], err)
-        recomputed = real(self, batch, t, ids, tile, err)
-        assert np.array_equal(self.top_f[ids].view(np.int64), want_f.view(np.int64))
-        assert np.array_equal(self.top_i[ids], want_i)
-        assert np.array_equal(self.err[ids], want_err)
-        tiles.append(t)
-        return recomputed
+    def recording(self, batch, groups, ids, tile, err):
+        cols = np.concatenate([self.members[t] for t in groups])
+        for r, i in enumerate(ids.tolist()):
+            entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
+        return real_reduce(self, batch, groups, ids, tile, err)
 
-    monkeypatch.setattr(pipelines._TopK, "reduce", checked)
+    def settle(self, *args):
+        width = self.k + 1
+        placeholder = sum(m.size for m in self.members)
+        for i in range(self.top_f.shape[0]):
+            got = entries.get(i, [])
+            assert 1 <= len(got) <= 2
+            vals = np.concatenate([np.full(width, np.inf), *(v for v, _, _ in got)])
+            idx = np.concatenate([np.full(width, placeholder), *(c for _, c, _ in got)])
+            sel = rowwise_lexsort(vals[None], idx[None])[0, :width]
+            assert np.array_equal(self.top_f[i].view(np.int64), vals[sel].view(np.int64))
+            assert np.array_equal(self.top_i[i], idx[sel])
+            assert self.err[i] == max(e for _, _, e in got)
+        checked.append(len(entries))
+        return real_settle(self, *args)
+
+    monkeypatch.setattr(pipelines._TopK, "reduce", recording)
+    monkeypatch.setattr(pipelines._TopK, "settle", settle)
     _exact_run("knn", make(), **options)
-    assert tiles
+    assert checked and checked[0] > 0
+
+
+# -- the force rule -------------------------------------------------------------
+
+
+def _add_at_force(pos, nbr_i, nbr_j, softening):
+    """The force rule's reference: an unbuffered ``np.add.at`` in pair order."""
+    acc = np.zeros_like(pos)
+    diff = pos[nbr_j] - pos[nbr_i]
+    r2 = np.add.reduce(diff * diff, axis=1) + softening * softening
+    np.add.at(acc, nbr_i, diff * (r2**-1.5)[:, None])
+    return acc
+
+
+def test_force_rule_equals_an_add_at_reference():
+    rng = np.random.default_rng(23)
+    n = 60
+    pos = rng.normal(size=(n, 3)) * 3.0
+    # (i, j)-sorted distinct pairs, most points in many; point n - 1 in none
+    i, j = rng.integers(0, n - 1, size=900), rng.integers(0, n, size=900)
+    i, j = np.divmod(np.unique((i * n + j)[i != j]), n)
+    assert np.any(np.diff(i) == 0) and not np.any(i == n - 1)
+    for nbr_i, nbr_j in ((i, j), (i[:0], j[:0])):
+        got = default_force_rule(pos, nbr_i, nbr_j, 1e-2)
+        want = _add_at_force(pos, nbr_i, nbr_j, 1e-2)
+        assert got.shape == pos.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all(default_force_rule(pos, i, j, 1e-2)[n - 1] == 0.0)
