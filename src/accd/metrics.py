@@ -48,9 +48,6 @@ class MetricSpec:
         kind, weighted = METRIC_NAMES[name]
         return cls(kind=kind, weighted=weighted, weights=weights if weighted else None)
 
-    def display_name(self) -> str:
-        return f"{'Weighted' if self.weighted else 'Unweighted'} {self.kind}"
-
     def check_dim(self, d: int) -> None:
         if self.weighted and self.weights.shape[0] != d:
             raise DimensionMismatchError(

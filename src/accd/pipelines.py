@@ -7,28 +7,28 @@ layout packing around one tile engine, ``_sweep``, tallies every avoided
 or executed point-pair, and can shadow a brute-force oracle that must
 agree exactly.
 
-For each source batch the engine visits the batch's candidate target
-groups in passes: one per group, in (lower bound, group id) order, for
-``_Nearest`` and ``_Radius``; two for ``_TopK``. A row visits a group
-only while its per-point bound reaches that group's lower bound; the
-pairs it skips count as pruned. Each tile goes through the kernel to the
-pipeline's reducer:
+For each source batch the engine tiles the batch's candidate target
+groups in passes: one for ``_Nearest`` and ``_Radius``, two for
+``_TopK``. A row reaches a group only while its per-point bound reaches
+that group's lower bound; the pairs it skips count as pruned. Rows that
+reach the same groups share wide tiles against those groups' members,
+concatenated, which go through the kernel to the pipeline's reducer:
 
 * ``_Nearest`` (iterative two-set) keeps the best (distance, id) per
-  point and the per-group-pair tile minimum that reseeds the trace
-  bounds; the per-point bound is last iteration's best distance plus the
-  drift of its target.
+  point and, per (source group, target group) pair, the tile minimum and
+  the rows tiled, which reseed the trace bounds; the per-point bound is
+  last iteration's best distance plus the drift of its target.
 * ``_TopK`` (one-shot two-set) keeps the running K + 1 best per point;
   the per-point bound is the current K-th distance plus its error bound.
   Its first pass tiles each row against its own group's nearest candidate
   groups, enough for K + 1 targets, its second against every other group
-  the row's bound then reaches. Rows that reach the same groups share
-  wide tiles, so each row merges into its K + 1 at most twice.
+  the row's bound then reaches, so each row merges into its K + 1 at most
+  twice.
 * ``_Radius`` (iterative self-set) has no per-point bound. Before the
   sweep it takes every member pair of the all-inside group pairs without
-  a tile; during it, it keeps each tile's neighbor pairs and resets the
-  bounds of each (source group, target group) pair the tile covers; after
-  it, it assembles the neighbor lists.
+  a tile; during it, it keeps each tile's neighbor pairs and folds the
+  tile's extremes into the bounds of each group pair the tile covers;
+  after it, it assembles the neighbor lists.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -88,9 +88,6 @@ from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8, blk=64)
 # Terms per block of the final top-K recompute: 512 KB of float64.
 _SETTLE_BLOCK_ELEMS = 1 << 16
-# Cells per tile of a seeded sweep: 256 KB of float64, so a tile and its
-# top-K merge stay small enough for the cache and the allocator's heap.
-_TILE_CELLS = 1 << 15
 
 
 @dataclass
@@ -189,20 +186,20 @@ def _source_batches(
     return [list(run) for _, run in itertools.groupby(order.tolist(), key=cm.key)]
 
 
-_FIRST_ROW = np.zeros(1, dtype=np.intp)
-
-
-def _group_runs(batch: list[int], group_of: np.ndarray, ids: np.ndarray):
+def _group_runs(group_of: np.ndarray, ids: np.ndarray):
     """Split a tile's rows ``ids``, which come grouped in batch order, into
-    runs of one source group: (the groups, as an index into a group axis;
-    the first row of each run; each run's row count). One-group batches
-    (most k-means tiles) index by a slice: a few microseconds less."""
-    if len(batch) == 1:
-        g = batch[0]
-        return slice(g, g + 1), _FIRST_ROW, ids.size
+    runs of one source group: (each run's group; its first row; its row
+    count)."""
     of = group_of[ids]
-    starts = np.flatnonzero(np.concatenate(([True], of[1:] != of[:-1])))
-    return of[starts], starts, np.diff(starts, append=ids.size)
+    edges = np.concatenate(([True], of[1:] != of[:-1], [True])).nonzero()[0]
+    return of[edges[:-1]], edges[:-1], edges[1:] - edges[:-1]
+
+
+def _columns(members: list[np.ndarray], sizes: np.ndarray, groups: np.ndarray):
+    """A wide tile's column ids (the members of ``groups``, concatenated) and
+    the first column of each group."""
+    s = sizes[groups]
+    return np.concatenate([members[t] for t in groups]), np.add.accumulate(s) - s
 
 
 def _map_ordered(fn, items, threads: int):
@@ -219,19 +216,16 @@ def _sweep(
     src: _Grouped, trg: _Grouped, cm: CandidateMatrix, lb: np.ndarray, batches: list[list[int]],
     reducer, metric: MetricSpec, blk: int, threads: int, seed: int | None = None,
 ) -> CounterSet:
-    """Tile every surviving (source row, candidate target group) pair, in
-    passes over the batch's candidates (its first group's, empty groups
-    left out). A row visits a group of a pass only if its bound
-    (``reducer.bound(ids)`` at the start of the pass; None keeps every row)
-    reaches its own group's ``lb[., t]``; the pairs it skips count as pruned.
-
-    * Without ``seed`` each candidate is one pass, in (min lb over the
-      batch, group id) order, with one tile of all its visiting rows.
-    * With ``seed`` there are two passes: per source group, its candidates
-      in (lb, group id) order up to and including the first that brings
-      the total to ``seed`` targets, then the rest. Rows that visit the
-      same groups share tiles against those groups' members, concatenated,
-      of at most ``_TILE_CELLS`` cells, so each row enters at most two.
+    """Tile every surviving (source row, candidate target group) pair of
+    each batch, against its first group's candidates (empty groups left
+    out), in one pass or, with ``seed``, two: per source group, its
+    candidates in (lb, group id) order up to and including the first that
+    brings the total to ``seed`` targets, then the rest. A row reaches a
+    group of a pass only if its bound (``reducer.bound(ids)`` at the start
+    of the pass; None keeps every row) reaches its own group's
+    ``lb[., t]``; the pairs it skips count as pruned. Rows that reach the
+    same groups share tiles against those groups' members, concatenated,
+    of at most ``reducer.TILE_CELLS`` cells: one tile per row and pass.
 
     ``reducer.reduce(batch, groups, ids, tile, err)`` gets the tile's target
     groups, rows' ids, fast values and per-row error bound, and returns the
@@ -249,42 +243,38 @@ def _sweep(
             return local
         rows, sq_rows = src.batch_rows(batch)
         lbb = lb[batch][:, cand]
-
-        def reduce_tile(sel, groups: list[int]) -> None:
-            cols, sq_cols = trg.batch_rows(groups)
-            kept_sq = sq_rows[sel] if sq_rows is not None else None
-            tile, err = tile_distances(rows[sel], cols, metric, blk, local, kept_sq, sq_cols)
-            local.recomputed_distances += reducer.reduce(batch, groups, ids[sel], tile, err)
-
-        if seed is None:
-            group_of_ids = src.gm.group_of[ids]
-            for t in cand[np.lexsort((cand, lbb.min(axis=0)))].tolist():
-                bound, sel = reducer.bound(ids), slice(None)
-                if bound is not None:
-                    sel = np.flatnonzero(bound >= lb[group_of_ids, t])
-                    local.pruned_pairs += (ids.size - sel.size) * int(trg_sizes[t])
-                if bound is None or sel.size:
-                    reduce_tile(sel, [t])
-            return local
-        by_lb = np.argsort(lbb, axis=1, kind="stable")
-        before = np.cumsum(trg_sizes[cand][by_lb], axis=1) - trg_sizes[cand][by_lb]
-        local_of = np.repeat(np.arange(len(batch)), src_sizes[batch])
-        take = np.take_along_axis(before < seed, np.argsort(by_lb, axis=1), axis=1)[local_of]
-        for reach in (take, ~take):
+        per_group = src_sizes[batch]
+        passes = [None]  # every row reaches every candidate
+        if seed is not None:
+            by_lb = np.argsort(lbb, axis=1, kind="stable")
+            before = np.cumsum(trg_sizes[cand][by_lb], axis=1) - trg_sizes[cand][by_lb]
+            take = np.take_along_axis(before < seed, np.argsort(by_lb, axis=1), axis=1)
+            take = take.repeat(per_group, axis=0)
+            passes = [take, ~take]
+        for reach in passes:
             bound = reducer.bound(ids)
             if bound is not None:
-                ok = bound[:, None] >= lbb[local_of]
-                local.pruned_pairs += int((reach & ~ok).sum(axis=0) @ trg_sizes[cand])
-                reach = reach & ok
-            packed = np.packbits(reach, axis=1)
-            order = np.lexsort(packed.T)  # rows by the groups they reach; stable
-            cuts = np.flatnonzero(np.any(np.diff(packed[order], axis=0), axis=1)) + 1
-            for sel in np.split(order, cuts):
-                groups = cand[reach[sel[0]]]
-                if groups.size:
-                    step = max(1, _TILE_CELLS // int(trg_sizes[groups].sum()))
-                    for start in range(0, sel.size, step):
-                        reduce_tile(sel[start : start + step], groups.tolist())
+                ok = bound[:, None] >= lbb.repeat(per_group, axis=0)
+                reach = ok if reach is None else reach & ok
+            if reach is None or (reach == reach[0]).all():  # rows alike: slice, not gather
+                row_sets = [(None, cand if reach is None else cand[reach[0]])]
+            else:
+                packed = np.packbits(reach, axis=1)
+                order = np.lexsort(packed.T)  # rows by the groups they reach; stable
+                cuts = np.flatnonzero(np.any(np.diff(packed[order], axis=0), axis=1)) + 1
+                row_sets = [(sel, cand[reach[sel[0]]]) for sel in np.split(order, cuts)]
+            for sel, groups in row_sets:
+                if not groups.size:
+                    continue
+                cols, sq_cols = trg.batch_rows(groups.tolist())
+                step = max(1, reducer.TILE_CELLS // cols.shape[0])
+                for i in range(0, ids.size if sel is None else sel.size, step):
+                    sub = slice(i, i + step) if sel is None else sel[i : i + step]
+                    sq = sq_rows[sub] if sq_rows is not None else None
+                    tile, err = tile_distances(rows[sub], cols, metric, blk, local, sq, sq_cols)
+                    local.recomputed_distances += reducer.reduce(batch, groups, ids[sub], tile, err)
+        # every candidate pair is tiled once or pruned
+        local.pruned_pairs += ids.size * int(trg_sizes[cand].sum()) - local.point_distances
         return local
 
     total = CounterSet()
@@ -305,34 +295,35 @@ class _Nearest:
     the (distance, id) minimum wins.
     """
 
+    TILE_CELLS = 1 << 16  # 512 KB of float64; 2^18 raised the k-means peak by 2 MB
+
     def __init__(self, points, targets, src_gm: GroupModel, trg_gm: GroupModel, point_ub, metric):
         n = points.shape[0]
         self.best_lo = np.full(n, np.inf)
         self.best_hi = np.full(n, np.inf)
         self.best_id = np.full(n, -1, dtype=np.int64)
         # Per group pair: a lower bound on the direct distances of the tiled
-        # rows, and whether every source member was tiled (then it bounds
-        # the whole pair).
+        # rows, and their count (all members: it bounds the whole pair).
         self.comp_min = np.full((src_gm.z, trg_gm.z), np.inf)
-        self.covered = np.zeros((src_gm.z, trg_gm.z), dtype=bool)
+        self.tiled = np.zeros((src_gm.z, trg_gm.z), dtype=np.int64)
         self.point_ub = point_ub
         self.points, self.targets, self.metric = points, targets, metric
         self.group_of, self.group_sizes = src_gm.group_of, src_gm.sizes
         self.slack = src_gm.slack
-        self.members = trg_gm.membership
+        self.members, self.trg_sizes = trg_gm.membership, trg_gm.sizes
 
     def bound(self, ids: np.ndarray) -> np.ndarray | None:
         return None if self.point_ub is None else self.point_ub[ids]
 
     def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
-        (t,) = groups
-        cols = self.members[t]
-        col = np.argmin(tile, axis=1)
-        mn = tile.min(axis=1)
+        cols, col_starts = _columns(self.members, self.trg_sizes, groups)
+        col = tile.argmin(axis=1)
+        group_min = np.minimum.reduceat(tile, col_starts, axis=1)
+        mn = group_min.min(axis=1)
         lo, hi = mn - err, mn + err
         cur_lo, cur_hi = self.best_lo[ids], self.best_hi[ids]
         cand = tile <= (np.minimum(hi, cur_hi) + err)[:, None]
-        count = np.count_nonzero(cand, axis=1)
+        count = cand.sum(axis=1)
         sure = (count == 1) & (hi < cur_lo)
         upd = ids[sure]
         self.best_lo[upd] = lo[sure]
@@ -341,10 +332,10 @@ class _Nearest:
         # rows without a candidate keep their running best: it is surely lower
         open_rows = np.flatnonzero(count > sure)
         recomputed = self._settle(ids, open_rows, cand, cols) if open_rows.size else 0
-        groups, starts, counts = _group_runs(batch, self.group_of, ids)
-        lows = np.minimum.reduceat(lo, starts)
-        self.comp_min[groups, t] = np.minimum(self.comp_min[groups, t], lows)
-        self.covered[groups, t] |= counts == self.group_sizes[groups]
+        runs, starts, counts = _group_runs(self.group_of, ids)
+        cell = (runs[:, None], groups)
+        np.minimum.at(self.comp_min, cell, np.minimum.reduceat(group_min - err[:, None], starts))
+        np.add.at(self.tiled, cell, counts[:, None])
         return recomputed
 
     def _settle(self, ids, rows, cand, cols) -> int:
@@ -368,7 +359,7 @@ class _Nearest:
         """Group-pair lower bounds for the next iteration: from the tiles
         where a pair was fully tiled, tightened where it was partly tiled."""
         low = lower_bound(self.comp_min, 0.0, self.slack)
-        return np.where(self.covered, low, np.minimum(lb, low))
+        return np.where(self.tiled == self.group_sizes[:, None], low, np.minimum(lb, low))
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -421,6 +412,8 @@ class _TopK:
     each merged into its K + 1 by ``_smallest``: the state after the sweep
     is bitwise a (value, id) sort of every entry tiled for the row.
     """
+
+    TILE_CELLS = 1 << 15  # 256 KB: a tile and its merge stay in cache and the heap
 
     def __init__(self, m: int, k: int, trg_gm: GroupModel):
         self.k = k
@@ -480,19 +473,22 @@ class _TopK:
 class _Radius:
     """Neighbor pairs within a radius, step after step of a self-set run.
 
-    ``lb``/``ub`` are the group-pair bounds carried from step to step; a
-    tile resets them, for each (source group, target group) pair it
-    covers, to the extremes of that group's rows widened by each row's
-    error bound and the bound slack. A step's pairs are collected per
-    batch (under the batch's first group), so concurrent batches never
-    share a list.
+    ``lb``/``ub`` are the group-pair bounds carried from step to step. A
+    step resets those of every pair it tiles, and each tile folds into
+    them, per (source group, target group) cell it covers, the extremes of
+    that cell's entries widened by each row's error bound and the bound
+    slack. A step's pairs are collected per batch (under the batch's first
+    group), so concurrent batches never share a list.
     """
+
+    TILE_CELLS = 1 << 18  # 2 MB of float64: 64-row tiles of a 4096-point n-body step
 
     def __init__(self, gm: GroupModel, radius: float, metric: MetricSpec):
         self.gm = gm
         self.radius = radius
         self.metric = metric
         self.slack = gm.slack
+        self.sizes = gm.sizes
         self.lb = np.zeros((gm.z, gm.z))
         self.ub = np.zeros((gm.z, gm.z))
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
@@ -500,22 +496,23 @@ class _Radius:
 
     def resolve(self, cm: CandidateMatrix, pos: np.ndarray, counters: CounterSet) -> CandidateMatrix:
         """Start a step at positions ``pos``: take every member pair of the
-        all-inside group pairs without a tile and return the candidates
-        left to tile."""
+        all-inside group pairs without a tile, and return the candidates
+        left to tile, their bounds reset for the tiles to fold into."""
         self.pos = pos
         self.pairs = [[] for _ in range(self.gm.z)]
-        if cm.all_inside is None:
-            return cm
         members = self.gm.membership
-        for a, (cand, inside) in enumerate(zip(cm.targets, cm.all_inside)):
+        all_inside = cm.all_inside or [np.zeros(cand.size, dtype=bool) for cand in cm.targets]
+        for a, (cand, inside) in enumerate(zip(cm.targets, all_inside)):
             if inside.any():
                 rows_a = members[a]
                 rows_b = np.concatenate([members[b] for b in cand[inside].tolist()])
                 counters.all_inside_pairs += rows_a.size * rows_b.size
                 self.pairs[a].append((np.repeat(rows_a, rows_b.size), np.tile(rows_b, rows_a.size)))
-        return CandidateMatrix(
-            targets=[cand[~inside] for cand, inside in zip(cm.targets, cm.all_inside)]
-        )
+        targets = [cand[~inside] for cand, inside in zip(cm.targets, all_inside)]
+        a = np.repeat(np.arange(self.gm.z), [cand.size for cand in targets])
+        b = np.concatenate(targets)
+        self.lb[a, b], self.ub[a, b] = np.inf, -np.inf  # vacuous for a pair with an empty group
+        return CandidateMatrix(targets=targets)
 
     @staticmethod
     def bound(ids: np.ndarray) -> None:
@@ -524,8 +521,7 @@ class _Radius:
     def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
         """Per row, entries at most R - err are within the radius and
         entries above R + err outside; the band between is recomputed."""
-        (b,) = groups
-        cols = self.gm.membership[b]
+        cols, col_starts = _columns(self.gm.membership, self.sizes, groups)
         hit_r, hit_c = np.nonzero(tile <= (self.radius + err)[:, None])
         band = np.flatnonzero(tile[hit_r, hit_c] > self.radius - err[hit_r])
         if band.size:
@@ -536,11 +532,12 @@ class _Radius:
             keep[band] = exact <= self.radius
             hit_r, hit_c = hit_r[keep], hit_c[keep]
         self.pairs[batch[0]].append((ids[hit_r], cols[hit_c]))
-        groups, starts, _ = _group_runs(batch, self.gm.group_of, ids)
-        low = np.minimum.reduceat(tile.min(axis=1) - err, starts)
-        high = np.maximum.reduceat(tile.max(axis=1) + err, starts)
-        self.lb[groups, b] = lower_bound(low, 0.0, self.slack)
-        self.ub[groups, b] = upper_bound(high, self.slack)
+        runs, starts, _ = _group_runs(self.gm.group_of, ids)
+        cell = (runs[:, None], groups)
+        low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
+        high = np.maximum.reduceat(tile, col_starts, axis=1) + err[:, None]
+        np.minimum.at(self.lb, cell, lower_bound(np.minimum.reduceat(low, starts), 0.0, self.slack))
+        np.maximum.at(self.ub, cell, upper_bound(np.maximum.reduceat(high, starts), self.slack))
         return band.size
 
     def assemble(self, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -831,7 +828,7 @@ def run_nbody(
     contribute every member pair with no distance work. Each step sweeps
     the remaining candidates in source batches, as the two-set pipelines
     do: with layout, adjacent groups with the same candidate list share
-    one kernel call per target group.
+    wide tiles against all of them.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()

@@ -44,9 +44,11 @@ def test_metric_spec_rules():
 
 def test_from_name_round_trip():
     for name in ("Unweighted L1", "Unweighted L2"):
-        assert MetricSpec.from_name(name).display_name() == name
+        m = MetricSpec.from_name(name)
+        assert (m.kind, m.weighted, m.weights) == (name[-2:], False, None)
     m = MetricSpec.from_name("Weighted L2", weights=[1.0, 0.5])
-    assert m.display_name() == "Weighted L2"
+    assert (m.kind, m.weighted) == ("L2", True)
+    assert np.array_equal(m.weights, [1.0, 0.5])
 
 
 def test_rowwise_matches_scalar():

@@ -111,18 +111,38 @@ def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
 
 def test_nbody_sweeps_step_one_as_one_batch(monkeypatch):
     # with layout, every group shares step 1's full candidate list, so the
-    # engine tiles the whole set against each target group in one call
-    calls = []
-    tile = pipelines.tile_distances
-    monkeypatch.setattr(
-        pipelines, "tile_distances", lambda *a, **k: calls.append(a[0].shape[0]) or tile(*a, **k)
-    )
+    # engine sweeps the whole set as one batch: every pair in one tile, in
+    # tiles within the radius reducer's budget
     sample, pts, _, m = _case("nbody")
     plan = dataclasses.replace(_sample_plan(sample, pts.n, m), max_iter=1)
-    result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
-    non_empty = sum(stop > start for start, stop in result.layout.group_slices.values())
-    assert result.per_iteration[0].source_batches == 1
-    assert calls == [pts.n] * non_empty
+    full = pairwise_brute(pts, pts, L2).values
+    reduce = pipelines._Radius.reduce
+    for cells in (pipelines._Radius.TILE_CELLS, 4096):
+        tiles, reducers = [], set()
+
+        def recording(self, batch, groups, ids, tile, err):
+            cols = np.concatenate([self.gm.membership[t] for t in groups])
+            tiles.append((ids.copy(), cols, tile.size))
+            reducers.add(self)
+            return reduce(self, batch, groups, ids, tile, err)
+
+        monkeypatch.setattr(pipelines._Radius, "reduce", recording)
+        monkeypatch.setattr(pipelines._Radius, "TILE_CELLS", cells)
+        result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
+        assert result.per_iteration[0].source_batches == 1
+        tiled = np.zeros((pts.n, pts.n), dtype=int)
+        for ids, cols, size in tiles:
+            assert size <= cells or ids.size == 1
+            tiled[np.ix_(ids, cols)] += 1
+        assert np.all(tiled == 1)
+        assert (len(tiles) > 1) == (cells < pts.n * pts.n)
+        # each group pair's bounds hold all its member pairs, also where
+        # its rows were split across tiles
+        (within,) = reducers
+        for a, b in np.ndindex(within.lb.shape):
+            block = full[np.ix_(within.gm.membership[a], within.gm.membership[b])]
+            if block.size:
+                assert within.lb[a, b] <= block.min() and block.max() <= within.ub[a, b]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -131,6 +151,20 @@ def test_oracle_time_is_spent_only_in_shadow_mode(name):
     assert 0 < shadow.oracle_s < shadow.wall_time_s
     off, _ = _run(name, oracle_mode="off")
     assert not off.oracle_checked and off.oracle_s == 0
+
+
+def _assert_same_results(base, other):
+    """Bitwise equal outputs and equal pair counters."""
+    assert base.iterations == other.iterations
+    assert base.outputs.keys() == other.outputs.keys()
+    for key in base.outputs:
+        got = list(_flat(other.outputs[key]))
+        want = list(_flat(base.outputs[key]))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), key
+    for f in PAIR_COUNTERS:
+        assert getattr(other.counters, f) == getattr(base.counters, f), f
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -148,20 +182,24 @@ def test_layout_and_threads_change_no_result(name, variant):
         other, _ = _run(name, **variant)
     finally:
         sys.setswitchinterval(interval)
-    assert base.iterations == other.iterations
-    assert base.outputs.keys() == other.outputs.keys()
-    for key in base.outputs:
-        got = list(_flat(other.outputs[key]))
-        want = list(_flat(base.outputs[key]))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w), key
-    for f in PAIR_COUNTERS:
-        assert getattr(other.counters, f) == getattr(base.counters, f), f
+    _assert_same_results(base, other)
     for a, b in zip(base.per_iteration, other.per_iteration):
         assert dataclasses.replace(a, source_batches=0) == dataclasses.replace(
             b, source_batches=0
         )
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_a_small_tile_budget_changes_no_result(monkeypatch, name):
+    # tiles of a few rows split each group pair across many row blocks,
+    # whose per-pair bounds the reducers must fold, not overwrite
+    base, _ = _run(name)
+    for reducer in (pipelines._Nearest, pipelines._TopK, pipelines._Radius):
+        monkeypatch.setattr(reducer, "TILE_CELLS", 40)
+    small, _ = _run(name)
+    assert small.counters.tiles_executed > base.counters.tiles_executed
+    _assert_same_results(base, small)
+    assert small.per_iteration == base.per_iteration
 
 
 def test_self_set_plan_rejects_a_target_set():
@@ -194,6 +232,8 @@ L2 = MetricSpec(kind="L2")
 class _Recorder:
     """Reducer that keeps every tile, with a fixed per-point bound."""
 
+    TILE_CELLS = 1 << 15
+
     def __init__(self, bound=None):
         self.point_bound = bound
         self.tiles = []
@@ -208,8 +248,7 @@ class _Recorder:
 
 
 class _WideRecorder(_Recorder):
-    """Reducer that keeps every tile of a seeded sweep with its target
-    groups."""
+    """Reducer that keeps every tile with its target groups."""
 
     def reduce(self, batch, groups, ids, tile, err):
         self.tiles.append((tuple(batch), tuple(groups), ids.copy(), tile, err))
@@ -280,14 +319,13 @@ def _wide_case(layout: bool):
     return src, trg, gm_s, gm_t, lb, g_src, g_trg
 
 
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
 @pytest.mark.parametrize("cap", [None, 64], ids=["default_cap", "small_cap"])
 @pytest.mark.parametrize("batches", [[[0], [1], [2]], [[0, 1, 2]]], ids=["alone", "batched"])
 @pytest.mark.parametrize("layout", [False, True], ids=["packed_off", "packed_on"])
 def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
-    monkeypatch, layout, batches, cap
+    layout, batches, cap, seeded
 ):
-    if cap is not None:
-        monkeypatch.setattr(pipelines, "_TILE_CELLS", cap)
     src, trg, gm_s, gm_t, lb, g_src, g_trg = _wide_case(layout)
     sizes = gm_t.sizes
     # source group 0's two nearest target groups hold exactly ``seed``
@@ -302,8 +340,10 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
         np.median(own, axis=1),
     )
     rec = _WideRecorder(bound)
+    if cap is not None:
+        rec.TILE_CELLS = cap
     cm = CandidateMatrix.full(gm_s.z, gm_t.z)
-    kc = _sweep(g_src, g_trg, cm, lb, batches, rec, L2, 8, 1, seed=seed)
+    kc = _sweep(g_src, g_trg, cm, lb, batches, rec, L2, 8, 1, seed=seed if seeded else None)
 
     reach = (bound[:, None] >= own) & (sizes > 0)
     assert 0 < np.count_nonzero(reach[np.arange(src.n) % 3 == 2]) < reach[2::3].size
@@ -313,7 +353,7 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
     first = {}
     for batch, groups, ids, tile, err in rec.tiles:
         assert len(groups) >= 1 and ids.size >= 1
-        assert tile.size <= (cap or pipelines._TILE_CELLS) or ids.size == 1
+        assert tile.size <= rec.TILE_CELLS or ids.size == 1
         cols = np.concatenate([gm_t.membership[t] for t in groups])
         assert np.all(np.abs(tile - full[np.ix_(ids, cols)]) <= err[:, None])
         for i in ids.tolist():
@@ -322,7 +362,7 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
             first.setdefault(i, set(groups))
     # every reached (row, group) pair is tiled exactly once, nothing else is
     assert np.array_equal(tiled, reach.astype(int))
-    assert np.all(entered <= 2)
+    assert np.all(entered <= (2 if seeded else 1))
     assert np.all(entered[np.arange(src.n) % 3 == 0] == 0)
     # a row whose bound reaches everything starts with its own group's seed
     # groups: in (lb, id) order up to the first that brings ``seed`` targets
@@ -330,7 +370,7 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
         order = np.lexsort((np.arange(gm_t.z), own[i]))
         order = order[sizes[order] > 0]
         before = np.cumsum(sizes[order]) - sizes[order]
-        assert first[i] == set(order[before < seed].tolist())
+        assert first[i] == set(order[before < seed].tolist() if seeded else order.tolist())
     # rows that reach the same groups share a tile unless the cap splits them
     shared = {(batch, groups) for batch, groups, *_ in rec.tiles}
     assert (len(shared) < len(rec.tiles)) == (cap is not None)
