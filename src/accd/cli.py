@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: compile (parse/validate/lower a .ddsl file), run (execute a
-lowered plan over CSV datasets), explore (design-space search), bench (run
-a .ddsl program on seeded synthetic data, checked by the shadow oracle,
-and compare its distance work and time with the oracle's brute force).
+lowered plan over CSV datasets), explore (score every design of a finite
+space with the analytical model and print the best feasible one), bench
+(run a .ddsl program on seeded synthetic data, checked by the shadow
+oracle, and compare its distance work and time with the oracle's brute
+force). Run and bench reports are schema v1, the explore output v2.
 Exit codes: 0 success, 1 diagnostics or infeasibility, 2 runtime error
 (IO, format, config, oracle mismatch).
 """
@@ -36,7 +38,6 @@ from .errors import (
 from .explorer import (
     DesignConfig,
     Domains,
-    GaParams,
     ProblemSpec,
     default_domains,
     default_platform,
@@ -47,6 +48,7 @@ from .pipelines import RunConfig, RunResult, run_plan
 from .synth import gaussian_mixture
 
 REPORT_SCHEMA_VERSION = 1
+EXPLORE_SCHEMA_VERSION = 2
 
 _DIAG_EXIT = (
     DdslSyntaxError,
@@ -123,7 +125,7 @@ def _load_config(path: str, cls, field=lambda v: v):
 def _design_from_args(args) -> DesignConfig:
     if args.design:
         return _load_config(args.design, DesignConfig)
-    return DesignConfig(n_src_grp=args.src_groups, n_trg_grp=args.trg_groups, blk=args.blk)
+    return DesignConfig(n_src_grp=args.src_groups, n_trg_grp=args.trg_groups)
 
 
 def _check_dims(plan: ExecutionPlan, ds: Dataset, what: str, size: int, allow: bool):
@@ -242,15 +244,14 @@ def cmd_explore(args) -> int:
     problem = _load_config(args.problem, ProblemSpec)
     domains = _load_config(args.domains, Domains, tuple) if args.domains else default_domains()
     platform = _resolve_platform(args.platform, domains)
-    ga = _load_config(args.ga, GaParams) if args.ga else GaParams()
     try:
-        result = explore(problem, platform, domains, ga, seed=args.seed)
+        result = explore(problem, platform, domains)
     except NoFeasibleConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.nearest_miss is not None:
             print("nearest miss:", json.dumps(exc.nearest_miss, indent=2), file=sys.stderr)
         return 1
-    _emit({"schema_version": REPORT_SCHEMA_VERSION, **result.to_json_dict()}, None)
+    _emit({"schema_version": EXPLORE_SCHEMA_VERSION, **result.to_json_dict()}, None)
     return 0
 
 
@@ -264,7 +265,7 @@ def _bench_design(plan: ExecutionPlan) -> DesignConfig:
         "iterative_self_set": 1,
     }[plan.pipeline_kind]
     n_src_grp = max(8, math.isqrt(plan.source_size))
-    return DesignConfig(n_src_grp=n_src_grp, n_trg_grp=n_trg_grp, blk=64)
+    return DesignConfig(n_src_grp=n_src_grp, n_trg_grp=n_trg_grp)
 
 
 def cmd_bench(args) -> int:
@@ -351,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", help="JSON file with design config fields")
     p.add_argument("--src-groups", type=int, default=64)
     p.add_argument("--trg-groups", type=int, default=8)
-    p.add_argument("--blk", type=int, default=64)
     p.add_argument("--oracle", choices=("off", "shadow"), default="off")
     p.add_argument("--layout", choices=("on", "off"), default="on")
     p.add_argument("--seed", type=int, default=0)
@@ -361,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-dim-from-data", action="store_true")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("explore", help="search the design space for a problem spec")
+    p = sub.add_parser(
+        "explore", help="score every design of a finite space for a problem spec"
+    )
     p.add_argument("--problem", required=True, help="JSON file with problem fields")
     p.add_argument("--platform", default="default", help="platform file or 'default'")
     p.add_argument("--domains", help="JSON file with per-parameter domains")
-    p.add_argument("--ga", help="JSON file with GA parameters")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser(

@@ -16,7 +16,10 @@ direct differencing, the oracles' arithmetic, on top of the kernel's fast
 tile: to settle a decision the tile's error bound leaves open, or to
 report an output distance. It is the cost of exactness in floating
 point, stays outside pair conservation, and leaves out grouping's own
-near-tie candidates. Functions that take ``counters=None`` tally nothing.
+near-tie candidates. ``tiles_executed`` counts kernel calls and
+``bytes_streamed`` the operand rows each call reads, (rows + cols) * d
+float64 values; both follow the tiling, so the layout and the tile budget
+change them. Functions that take ``counters=None`` tally nothing.
 """
 
 from __future__ import annotations

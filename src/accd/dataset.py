@@ -3,7 +3,7 @@ row-wise (distance, id) sort.
 
 All values are held as float64 regardless of the declared DDSL dtype; the
 declared type only affects the bandwidth model and optional storage modes.
-``pairwise_brute`` is the reference implementation every optimized path is
+``brute_rows`` is the reference implementation every optimized path is
 checked against: it evaluates each entry by direct elementwise
 differencing, with per-entry results bitwise equal to ``distance``.
 """
@@ -58,13 +58,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class DistanceMatrix:
-    values: np.ndarray  # n1 x n2 float64
-    row_ids: np.ndarray
-    col_ids: np.ndarray
 
 
 @dataclass
@@ -141,31 +134,14 @@ def _brute_block(src_block: np.ndarray, trg: np.ndarray, metric: MetricSpec) -> 
     return out
 
 
-def pairwise_brute(
-    src: Dataset,
-    trg: Dataset,
-    metric: MetricSpec,
-    counters: CounterSet | None = None,
-) -> DistanceMatrix:
-    """Exact n1 x n2 distance matrix by direct differencing.
-
-    This is the oracle every filtered/blocked path is compared against.
-    Adds n1*n2 to the distance counter.
-    """
-    if src.d != trg.d:
-        raise DimensionMismatchError(f"dim mismatch: {src.d} vs {trg.d}")
-    metric.check_dim(src.d)
-    out = brute_rows(src.values, trg.values, metric, counters)
-    return DistanceMatrix(values=out, row_ids=src.ids.copy(), col_ids=trg.ids.copy())
-
-
 def brute_rows(
     src_values: np.ndarray,
     trg_values: np.ndarray,
     metric: MetricSpec,
     counters: CounterSet | None = None,
 ) -> np.ndarray:
-    """Raw-array core of ``pairwise_brute``, blocked by source rows."""
+    """Exact n1 x n2 distance matrix by direct differencing, blocked by
+    source rows. Adds n1*n2 to ``point_distances``."""
     if src_values.shape[1] != trg_values.shape[1]:
         raise DimensionMismatchError("dim mismatch")
     n1, n2 = src_values.shape[0], trg_values.shape[0]

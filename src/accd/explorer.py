@@ -10,15 +10,18 @@ The models score a candidate design without running anything:
 * resources:        per-block footprint * ceil(src/blk) * ceil(trg/blk).
 
 Latency terms are taken as written and treated as a consistent relative
-objective; their absolute units are not meaningful. The explorer is a
-seeded genetic search with elitism over finite per-parameter domains,
-returning only configurations that satisfy every platform constraint.
+objective; their absolute units are not meaningful. The explorer scores
+every configuration of finite per-parameter domains and returns the
+feasible one of least total latency, ties going to the smaller config key.
+
+Only the group counts shape a run; ``blk``, ``simd`` and ``unroll`` are
+knobs of the model alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +48,9 @@ def _check_int(name: str, value) -> None:
 class DesignConfig:
     n_src_grp: int
     n_trg_grp: int
-    blk: int
     # cost-model knobs: the explorer's latency and resource model reads
     # them, execution never does
+    blk: int = 64
     simd: int = 1
     unroll: int = 1
 
@@ -241,27 +244,9 @@ class Domains:
     unroll: tuple[int, ...]
 
     def __post_init__(self):
-        for name, dom in self.genes():
-            for value in dom:
-                _check_int(name, value)
-
-    def genes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return (
-            ("n_src_grp", self.n_src_grp),
-            ("n_trg_grp", self.n_trg_grp),
-            ("blk", self.blk),
-            ("simd", self.simd),
-            ("unroll", self.unroll),
-        )
-
-    def size(self) -> int:
-        return (
-            len(self.n_src_grp)
-            * len(self.n_trg_grp)
-            * len(self.blk)
-            * len(self.simd)
-            * len(self.unroll)
-        )
+        for f in fields(self):
+            for value in getattr(self, f.name):
+                _check_int(f.name, value)
 
     def all_configs(self):
         for s in self.n_src_grp:
@@ -282,163 +267,42 @@ def default_domains() -> Domains:
     )
 
 
-@dataclass(frozen=True)
-class GaParams:
-    population: int = 32
-    mutation_prob: float = 0.15  # per gene
-    crossover_prob: float = 0.9
-    threshold: float = 1e-3  # relative best-latency improvement to keep going
-    max_generations: int = 100
-    # The flat-improvement stop is only armed after this many generations;
-    # a lucky flat step right after the random seed generation would
-    # otherwise end the search before any refinement happened.
-    min_generations: int = 10
-
-    def __post_init__(self):
-        if self.population < 4:
-            raise RangeError("population must be >= 4")
-
-
-@dataclass
-class GenerationStats:
-    best: float | None
-    mean: float | None
-    feasible_count: int
-
-
 @dataclass
 class ExplorerResult:
     best_config: DesignConfig
     report: ModelReport
-    history: list[GenerationStats]
     evaluations: int
 
     def to_json_dict(self) -> dict:
         return {
             "best_config": self.best_config.to_json_dict(),
             "report": self.report.to_json_dict(),
-            "generations": [
-                {"best": g.best, "mean": g.mean, "feasible_count": g.feasible_count}
-                for g in self.history
-            ],
             "evaluations": self.evaluations,
         }
 
 
 def explore(
-    p: ProblemSpec,
-    platform: PlatformSpec,
-    domains: Domains | None = None,
-    ga: GaParams | None = None,
-    seed: int = 0,
+    p: ProblemSpec, platform: PlatformSpec, domains: Domains | None = None
 ) -> ExplorerResult:
-    """Genetic search for the feasible config of minimum total latency.
+    """The feasible config of minimum (total latency, config key), found
+    by scoring every config of ``domains``.
 
-    Elitist: the best feasible config found so far always survives, so the
-    best latency is non-increasing across generations. Terminates once the
-    relative improvement between consecutive generations drops below the
-    threshold, or at the generation cap. Deterministic per seed; ties are
-    settled by config key.
+    With none feasible, raises ``NoFeasibleConfigError`` naming the config
+    of minimum (total violation margin, config key), the nearest miss.
     """
     domains = domains or default_domains()
-    ga = ga or GaParams()
-    rng = np.random.default_rng(seed)
-    genes = domains.genes()
-
-    cache: dict[tuple[int, ...], ModelReport] = {}
-    nearest_miss: tuple[float, tuple, DesignConfig, ModelReport] | None = None
-
-    def eval_config(c: DesignConfig) -> ModelReport:
-        nonlocal nearest_miss
-        r = cache.get(c.key())
-        if r is None:
-            r = evaluate(p, c, platform)
-            cache[c.key()] = r
-            if not r.feasible:
-                badness = sum(v["margin"] for v in r.violated)
-                cand = (badness, c.key(), c, r)
-                if nearest_miss is None or cand[:2] < nearest_miss[:2]:
-                    nearest_miss = cand
-        return r
-
-    def random_config() -> DesignConfig:
-        return DesignConfig(**{name: dom[rng.integers(len(dom))] for name, dom in genes})
-
-    def crossover(a: DesignConfig, b: DesignConfig) -> DesignConfig:
-        picks = {}
-        for name, _ in genes:
-            src = a if rng.random() < 0.5 else b
-            picks[name] = getattr(src, name)
-        return DesignConfig(**picks)
-
-    def mutate(c: DesignConfig) -> DesignConfig:
-        picks = {}
-        for name, dom in genes:
-            if rng.random() < ga.mutation_prob:
-                picks[name] = dom[rng.integers(len(dom))]
-            else:
-                picks[name] = getattr(c, name)
-        return DesignConfig(**picks)
-
-    population = [random_config() for _ in range(ga.population)]
-    best: tuple[float, tuple, DesignConfig, ModelReport] | None = None
-    prev_best_latency: float | None = None
-    history: list[GenerationStats] = []
-
-    for gen in range(1, ga.max_generations + 1):
-        scored = []
-        for c in population:
-            r = eval_config(c)
-            if r.feasible:
-                scored.append((r.latency_total, c.key(), c, r))
-        scored.sort(key=lambda t: t[:2])
-        if scored:
-            if best is None or scored[0][:2] < best[:2]:
-                best = scored[0]
-            history.append(
-                GenerationStats(
-                    best=best[0],
-                    mean=float(np.mean([s[0] for s in scored])),
-                    feasible_count=len(scored),
-                )
-            )
-        else:
-            history.append(
-                GenerationStats(best=best[0] if best else None, mean=None, feasible_count=0)
-            )
-
-        if best is not None and prev_best_latency is not None and gen >= ga.min_generations:
-            if abs(best[0] - prev_best_latency) < ga.threshold * best[0]:
-                break
-        prev_best_latency = best[0] if best is not None else None
-
-        if scored:
-            premium = [s[2] for s in scored[: max(2, len(scored) // 2)]]
-            next_pop = [best[2]]
-            while len(next_pop) < ga.population:
-                ia = int(rng.integers(len(premium)))
-                ib = int(rng.integers(len(premium)))
-                if rng.random() < ga.crossover_prob:
-                    child = crossover(premium[ia], premium[ib])
-                else:
-                    child = premium[ia]
-                next_pop.append(mutate(child))
-            population = next_pop
-        else:
-            population = [random_config() for _ in range(ga.population)]
-
-    if best is None:
-        detail = None
-        if nearest_miss is not None:
-            detail = {
-                "config": nearest_miss[2].to_json_dict(),
-                "violated": nearest_miss[3].violated,
-            }
-        raise NoFeasibleConfigError(
-            "no configuration satisfies the platform constraints", nearest_miss=detail
-        )
-    return ExplorerResult(
-        best_config=best[2], report=best[3], history=history, evaluations=len(cache)
+    scored = [(c, evaluate(p, c, platform)) for c in domains.all_configs()]
+    feasible = [(r.latency_total, c.key(), c, r) for c, r in scored if r.feasible]
+    if feasible:
+        _, _, config, report = min(feasible, key=lambda t: t[:2])
+        return ExplorerResult(best_config=config, report=report, evaluations=len(scored))
+    misses = [(sum(v["margin"] for v in r.violated), c.key(), c, r) for c, r in scored]
+    miss = min(misses, key=lambda t: t[:2], default=None)
+    detail = None
+    if miss is not None:
+        detail = {"config": miss[2].to_json_dict(), "violated": miss[3].violated}
+    raise NoFeasibleConfigError(
+        "no configuration satisfies the platform constraints", nearest_miss=detail
     )
 
 

@@ -130,7 +130,7 @@ def _assign_nearest(
     for start in range(0, n, step):
         stop = min(n, start + step)
         sq = None if pts_sq is None else pts_sq[start:stop]
-        tile, err = tile_distances(pts[start:stop], lms, metric, 1, None, sq, lms_sq)
+        tile, err = tile_distances(pts[start:stop], lms, metric, None, sq, lms_sq)
         cand = tile <= (tile.min(axis=1) + 2 * err)[:, None]
         rows, cols = np.nonzero(cand)  # row-major: ids ascend within a row
         exact = rowwise_distance(values[start + rows], landmarks[cols], metric)
@@ -270,8 +270,7 @@ def init_oneshot_state(
     landmarks; together with the per-point offsets cached by
     ``build_groups`` this is the whole bound budget of the one-shot path.
     """
-    scratch = CounterSet()
-    pair = brute_rows(src.landmarks, trg.landmarks, src.metric, scratch)
+    pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
     if counters is not None:
         counters.bound_computations += src.z * trg.z
     return two_landmark_bounds(pair, src.radius[:, None], trg.radius[None, :], src.slack)

@@ -8,8 +8,8 @@ recompute the rest exactly. L1 uses ``cdist(..., "cityblock", w=...)``,
 which differences directly; L2 uses one matmul, |a|^2 - 2 a.b + |b|^2, on
 rows centred on a per-run centre (``fast_rows``), which keeps the
 cancellation error proportional to the data's spread, not its offset.
-Fast values may change in their last bits with the tile's shape; ``blk``
-only shapes the counters (``tiles_executed``, ``bytes_streamed``).
+Fast values may change in their last bits with the tile's shape. Each call
+counts as one executed tile that streams its row and column operands once.
 """
 
 from __future__ import annotations
@@ -46,27 +46,19 @@ def fast_rows(
     return rows, np.einsum("ij,ij->i", rows, rows)
 
 
-def _record_tile(counters: CounterSet | None, rows: int, cols: int, d: int, blk: int):
+def _record_tile(counters: CounterSet | None, rows: int, cols: int, d: int):
     if counters is None:
         return
     counters.point_distances += rows * cols
     counters.mac_ops += rows * cols * d
-    row_tiles = math.ceil(rows / blk)
-    col_tiles = math.ceil(cols / blk)
-    counters.tiles_executed += row_tiles * col_tiles
-    # Each blk x blk tile streams its row and column slabs once.
-    full_r, rem_r = divmod(rows, blk)
-    full_c, rem_c = divmod(cols, blk)
-    row_loads = (full_r * blk + rem_r) * col_tiles
-    col_loads = (full_c * blk + rem_c) * row_tiles
-    counters.bytes_streamed += (row_loads + col_loads) * d * 8
+    counters.tiles_executed += 1
+    counters.bytes_streamed += (rows + cols) * d * 8
 
 
 def tile_distances(
     a_rows: np.ndarray,
     b_rows: np.ndarray,
     metric: MetricSpec,
-    blk: int,
     counters: CounterSet | None = None,
     sq_a: np.ndarray | None = None,
     sq_b: np.ndarray | None = None,
@@ -115,5 +107,5 @@ def tile_distances(
         # e is 0 only with every row at the centre, where values are exact
         floor = max(math.sqrt(e), np.finfo(np.float64).tiny)
         err = 2 * e / np.maximum(tile.min(axis=1, initial=np.inf) * (1 - U), floor)
-    _record_tile(counters, a_rows.shape[0], b_rows.shape[0], d, blk)
+    _record_tile(counters, a_rows.shape[0], b_rows.shape[0], d)
     return tile, err

@@ -85,7 +85,7 @@ from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
 from .metrics import MetricSpec, gathered_distance, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
-DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8, blk=64)
+DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8)
 # Terms per block of the final top-K recompute: 512 KB of float64.
 _SETTLE_BLOCK_ELEMS = 1 << 16
 
@@ -214,7 +214,7 @@ def _map_ordered(fn, items, threads: int):
 
 def _sweep(
     src: _Grouped, trg: _Grouped, cm: CandidateMatrix, lb: np.ndarray, batches: list[list[int]],
-    reducer, metric: MetricSpec, blk: int, threads: int, seed: int | None = None,
+    reducer, metric: MetricSpec, threads: int, seed: int | None = None,
 ) -> CounterSet:
     """Tile every surviving (source row, candidate target group) pair of
     each batch, against its first group's candidates (empty groups left
@@ -271,7 +271,7 @@ def _sweep(
                 for i in range(0, ids.size if sel is None else sel.size, step):
                     sub = slice(i, i + step) if sel is None else sel[i : i + step]
                     sq = sq_rows[sub] if sq_rows is not None else None
-                    tile, err = tile_distances(rows[sub], cols, metric, blk, local, sq, sq_cols)
+                    tile, err = tile_distances(rows[sub], cols, metric, local, sq, sq_cols)
                     local.recomputed_distances += reducer.reduce(batch, groups, ids[sub], tile, err)
         # every candidate pair is tiled once or pruned
         local.pruned_pairs += ids.size * int(trg_sizes[cand].sum()) - local.point_distances
@@ -679,8 +679,7 @@ def run_kmeans(
             nearest = _Nearest(points.values, centroids, src_gm, trg_gm, point_ub, metric)
             targets = _Grouped.build(centroids, trg_gm, None, metric, centre)
             sweep = _sweep(
-                grouped, targets, cm, lb, batches, nearest, metric,
-                config.design.blk, config.thread_count,
+                grouped, targets, cm, lb, batches, nearest, metric, config.thread_count
             )
             counters.add(sweep)
             assert np.all(nearest.best_id >= 0), "nearest-target invariant violated"
@@ -760,8 +759,7 @@ def run_knn_join(
     g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
     g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
     sweep = _sweep(
-        g_src, g_trg, cm, lb, batches, topk, metric, config.design.blk, config.thread_count,
-        seed=k + 1,
+        g_src, g_trg, cm, lb, batches, topk, metric, config.thread_count, seed=k + 1
     )
     counters.add(sweep)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)
@@ -870,8 +868,7 @@ def run_nbody(
         to_tile = within.resolve(cm, pos, counters)
         batches = _source_batches(np.arange(z), to_tile, config.layout_enabled)
         sweep = _sweep(
-            grouped, grouped, to_tile, within.lb, batches, within, metric,
-            config.design.blk, config.thread_count,
+            grouped, grouped, to_tile, within.lb, batches, within, metric, config.thread_count
         )
         counters.add(sweep)
         all_i, all_j, lists = within.assemble(n)

@@ -18,7 +18,7 @@ RESOURCES = Path(accd.__file__).parent / "resources"
 REPORT_SCHEMA = json.loads((SCHEMAS / "run_report.schema.json").read_text())
 EXPLORE_SCHEMA = json.loads((SCHEMAS / "explorer_output.schema.json").read_text())
 SMALL_PROBLEM = {"src_size": 2000, "trg_size": 2000, "d": 24, "n_iteration": 1}
-SMALL_DESIGN = ["--src-groups", "8", "--trg-groups", "3", "--blk", "16"]
+SMALL_DESIGN = ["--src-groups", "8", "--trg-groups", "3"]
 
 
 def _csv(path: Path, values: np.ndarray) -> str:
@@ -98,10 +98,29 @@ def _json_file(path: Path, payload) -> str:
     return str(path)
 
 
-def test_explore_small_problem_validates(tmp_path, capsys):
+SMALL_DOMAINS = {
+    "n_src_grp": [8, 16],
+    "n_trg_grp": [2, 4],
+    "blk": [128, 256],
+    "simd": [1, 2],
+    "unroll": [1, 2],
+}
+
+
+@pytest.mark.parametrize("domains", [None, SMALL_DOMAINS], ids=["default", "file"])
+def test_explore_small_problem_validates(domains, tmp_path, capsys):
     argv = ["explore", "--problem", _json_file(tmp_path / "p.json", SMALL_PROBLEM)]
+    if domains is not None:
+        argv += ["--domains", _json_file(tmp_path / "d.json", domains)]
     assert cli.main(argv) == 0
-    jsonschema.validate(json.loads(capsys.readouterr().out), EXPLORE_SCHEMA)
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, EXPLORE_SCHEMA)
+    assert payload["schema_version"] == 2
+    if domains is not None:
+        # every config of the grid is scored, and the best is one of them
+        assert payload["evaluations"] == 2**5
+        for name, values in domains.items():
+            assert payload["best_config"][name] in values
 
 
 def test_explore_infeasible_problem_exits_1_with_nearest_miss(tmp_path, capsys):
@@ -119,9 +138,6 @@ BAD_CONFIGS = [
     ("--problem", {"src_size": 2000}),
     ("--domains", "[1, 2"),
     ("--domains", {"blk": [16]}),
-    ("--ga", "{population: 8}"),
-    ("--ga", {"population": 8, "bogus": 1}),
-    ("--ga", [8]),
     ("--domains", {"n_src_grp": [8], "n_trg_grp": [2], "blk": [16.5], "simd": [1], "unroll": [1]}),
 ]
 
@@ -155,12 +171,13 @@ def test_run_bad_design_file_exits_2(payload, tmp_path, capsys):
 
 
 def test_run_design_file_without_cost_model_knobs(tmp_path):
-    # simd and unroll default to 1; a design file may leave them out
-    design = _json_file(tmp_path / "design.json", {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16})
+    # blk defaults to 64, simd and unroll to 1; a design file may leave them out
+    design = _json_file(tmp_path / "design.json", {"n_src_grp": 8, "n_trg_grp": 3})
     report = tmp_path / "report.json"
     argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data", "--design", design]
     assert cli.main(argv + ["--report", str(report)]) == 0
-    assert json.loads(report.read_text())["config"]["design"]["simd"] == 1
+    knobs = json.loads(report.read_text())["config"]["design"]
+    assert (knobs["blk"], knobs["simd"], knobs["unroll"]) == (64, 1, 1)
 
 
 # (file, text, its non-numeric replacement, the "file:line: key" the error names)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, load_csv, pairwise_brute
+from accd.dataset import Dataset, brute_rows, load_csv
 from accd.errors import DimensionMismatchError, FormatError, RangeError
 from accd.metrics import MetricSpec, distance
 
@@ -70,19 +70,19 @@ def test_missing_file_is_oserror():
         load_csv("/no/such/file.csv")
 
 
-# -- pairwise_brute -------------------------------------------------------
+# -- brute_rows -----------------------------------------------------------
 
 
 def test_single_point_self_distance():
-    ds = Dataset.from_values([[2.0, 3.0]])
-    dm = pairwise_brute(ds, ds, L2)
-    assert dm.values.shape == (1, 1)
-    assert dm.values[0, 0] == 0.0
+    pt = np.array([[2.0, 3.0]])
+    dm = brute_rows(pt, pt, L2)
+    assert dm.shape == (1, 1)
+    assert dm[0, 0] == 0.0
 
 
 def test_unit_square_corners():
-    ds = Dataset.from_values([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    dm = pairwise_brute(ds, ds, L2).values
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    dm = brute_rows(corners, corners, L2)
     assert dm[0, 1] == 1.0 and dm[0, 2] == 1.0
     assert dm[0, 3] == np.sqrt(2.0)
     assert np.array_equal(dm, dm.T)
@@ -91,36 +91,34 @@ def test_unit_square_corners():
 
 def test_brute_matches_scalar_distance_bitwise():
     r = np.random.default_rng(11)
-    src = Dataset.from_values(r.normal(size=(50, 60)))
-    trg = Dataset.from_values(r.normal(size=(40, 60)))
-    dm = pairwise_brute(src, trg, L1).values
+    src = r.normal(size=(50, 60))
+    trg = r.normal(size=(40, 60))
+    dm = brute_rows(src, trg, L1)
     for i in range(0, 50, 7):
         for j in range(0, 40, 5):
-            assert dm[i, j] == distance(src.values[i], trg.values[j], L1)
+            assert dm[i, j] == distance(src[i], trg[j], L1)
 
 
 def test_brute_transpose_symmetry():
     r = np.random.default_rng(13)
-    a = Dataset.from_values(r.normal(size=(23, 5)))
-    b = Dataset.from_values(r.normal(size=(31, 5)))
-    ab = pairwise_brute(a, b, L2).values
-    ba = pairwise_brute(b, a, L2).values
+    a = r.normal(size=(23, 5))
+    b = r.normal(size=(31, 5))
+    ab = brute_rows(a, b, L2)
+    ba = brute_rows(b, a, L2)
     assert np.array_equal(ab, ba.T)
 
 
 def test_brute_counts_all_pairs():
     c = CounterSet()
-    a = Dataset.from_values(np.arange(12.0).reshape(6, 2))
-    b = Dataset.from_values(np.arange(8.0).reshape(4, 2))
-    pairwise_brute(a, b, L2, c)
+    a = np.arange(12.0).reshape(6, 2)
+    b = np.arange(8.0).reshape(4, 2)
+    brute_rows(a, b, L2, c)
     assert c.point_distances == 24
 
 
 def test_brute_dim_mismatch():
-    a = Dataset.from_values(np.zeros((2, 3)))
-    b = Dataset.from_values(np.zeros((2, 4)))
     with pytest.raises(DimensionMismatchError):
-        pairwise_brute(a, b, L2)
+        brute_rows(np.zeros((2, 3)), np.zeros((2, 4)), L2)
 
 
 def test_dataset_id_invariant():

@@ -1,6 +1,3 @@
-import json
-import math
-
 import numpy as np
 import pytest
 
@@ -8,12 +5,10 @@ from accd.errors import DivisionGuardError, NoFeasibleConfigError, RangeError, T
 from accd.explorer import (
     DesignConfig,
     Domains,
-    GaParams,
     PlatformSpec,
     ProblemSpec,
     ResourceSingle,
     default_domains,
-    default_platform,
     estimate_resources,
     evaluate,
     explore,
@@ -198,28 +193,36 @@ def test_constraint_violation_margin():
 # -- explorer -----------------------------------------------------------------------
 
 
+def _scan(p, platform, domains):
+    """(config, report) of least (latency, key) among the feasible configs,
+    by a plain loop over the grid, or None."""
+    best = None
+    for c in domains.all_configs():
+        r = evaluate(p, c, platform)
+        if r.feasible and (best is None or (r.latency_total, c.key()) < best[0]):
+            best = ((r.latency_total, c.key()), c, r)
+    return None if best is None else best[1:]
+
+
 def test_single_point_domain_returns_it():
     domains = Domains((4,), (2,), (32,), (2,), (2,))
     platform = _flat_platform(domains)
     p = ProblemSpec(src_size=256, trg_size=64, d=8, n_iteration=2)
-    result = explore(p, platform, domains, GaParams(population=4), seed=0)
+    result = explore(p, platform, domains)
     assert result.best_config == DesignConfig(4, 2, 32, 2, 2)
     assert result.report.feasible
+    assert result.evaluations == 1
 
 
-def test_ga_matches_exhaustive_on_small_space():
+def test_explore_returns_the_exact_optimum_of_its_grid():
     domains = Domains((8, 16, 32, 64), (2, 4, 8, 16), (16, 32, 64), (1, 2, 4), (1, 2, 4))
     platform = _flat_platform(domains, mem=3000, dsp=60000, alm=10**7, single=(1, 2, 30))
     p = ProblemSpec(src_size=2000, trg_size=1000, d=16, n_iteration=10)
-    best_latency = math.inf
-    for cfg in domains.all_configs():
-        r = evaluate(p, cfg, platform)
-        if r.feasible:
-            best_latency = min(best_latency, r.latency_total)
-    assert best_latency < math.inf
-    for seed in range(10):
-        res = explore(p, platform, domains, seed=seed)
-        assert res.report.latency_total <= best_latency * 1.05, seed
+    want_config, want_report = _scan(p, platform, domains)
+    res = explore(p, platform, domains)
+    assert res.best_config == want_config
+    assert res.report == want_report
+    assert res.evaluations == 4 * 4 * 3 * 3 * 3
 
 
 def test_no_feasible_config_raises_with_nearest_miss():
@@ -227,19 +230,33 @@ def test_no_feasible_config_raises_with_nearest_miss():
     platform = _flat_platform(domains, mem=0)
     p = ProblemSpec(src_size=64, trg_size=64, d=4, n_iteration=1)
     with pytest.raises(NoFeasibleConfigError) as exc:
-        explore(p, platform, domains, GaParams(population=4, max_generations=5), seed=3)
+        explore(p, platform, domains)
     assert exc.value.nearest_miss is not None
     assert exc.value.nearest_miss["violated"]
 
 
-def test_best_latency_non_increasing_across_generations():
-    domains = default_domains()
-    platform = default_platform(domains)
-    p = ProblemSpec(src_size=2000, trg_size=500, d=12, n_iteration=6)
-    res = explore(p, platform, domains, seed=11)
-    bests = [g.best for g in res.history if g.best is not None]
-    assert all(a >= b for a, b in zip(bests, bests[1:]))
-    assert not res.report.violated
+def test_an_empty_domain_has_no_feasible_config():
+    # a domains file may give a parameter no values: nothing to score
+    domains = Domains((), (4,), (16,), (1,), (1,))
+    p = ProblemSpec(src_size=64, trg_size=64, d=4, n_iteration=1)
+    with pytest.raises(NoFeasibleConfigError) as exc:
+        explore(p, _flat_platform(domains), domains)
+    assert exc.value.nearest_miss is None
+
+
+def test_nearest_miss_is_the_config_of_least_total_violation():
+    domains = Domains((4, 8), (2, 4), (16, 32, 64), (1, 2), (1, 2))
+    platform = _flat_platform(domains, mem=1, dsp=1, alm=1)
+    p = ProblemSpec(src_size=500, trg_size=300, d=8, n_iteration=1)
+    misses = []
+    for c in domains.all_configs():
+        r = evaluate(p, c, platform)
+        assert not r.feasible
+        misses.append((sum(v["margin"] for v in r.violated), c.key(), c))
+    want = min(misses, key=lambda t: t[:2])[2]
+    with pytest.raises(NoFeasibleConfigError) as exc:
+        explore(p, platform, domains)
+    assert exc.value.nearest_miss["config"] == want.to_json_dict()
 
 
 def test_returned_config_always_feasible_on_fuzzed_platforms():
@@ -262,24 +279,16 @@ def test_returned_config_always_feasible_on_fuzzed_platforms():
             lu_max=int(r.integers(1000, 10**6)),
             resource_table=table,
         )
+        want = _scan(p, platform, domains)
         try:
-            res = explore(p, platform, domains, GaParams(max_generations=20), seed=trial)
+            res = explore(p, platform, domains)
         except NoFeasibleConfigError:
+            assert want is None, trial
             continue
         checked += 1
-        report = evaluate(p, res.best_config, platform)
-        assert report.feasible, trial
+        assert evaluate(p, res.best_config, platform).feasible, trial
+        assert res.best_config == want[0], trial
     assert checked > 0
-
-
-def test_explore_deterministic_per_seed():
-    domains = default_domains()
-    platform = default_platform(domains)
-    p = ProblemSpec(src_size=1000, trg_size=200, d=8, n_iteration=5)
-    a = explore(p, platform, domains, seed=7)
-    b = explore(p, platform, domains, seed=7)
-    assert a.best_config == b.best_config
-    assert [g.best for g in a.history] == [g.best for g in b.history]
 
 
 # -- files ---------------------------------------------------------------------------
@@ -331,3 +340,12 @@ def test_problem_spec_validation():
         ProblemSpec(src_size=1, trg_size=1, d=1, n_iteration=1, alpha=0.0)
     with pytest.raises(RangeError):
         ProblemSpec(src_size=1, trg_size=1, d=1, n_iteration=1, size_data_type=16)
+
+
+def test_design_config_validation():
+    # every design field, the cost-model knobs too, is a whole number >= 1
+    for name in ("n_src_grp", "n_trg_grp", "blk", "simd", "unroll"):
+        with pytest.raises(RangeError):
+            DesignConfig(**{"n_src_grp": 1, "n_trg_grp": 1, name: 0})
+    with pytest.raises(TypeError):
+        DesignConfig(n_src_grp=1, n_trg_grp=1, blk=16.0)

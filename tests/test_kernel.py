@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, pairwise_brute
-from accd.errors import DimensionMismatchError, RangeError
-from accd.explorer import DesignConfig
+from accd.dataset import Dataset, brute_rows
+from accd.errors import DimensionMismatchError
 from accd.kernel import fast_rows, tile_distances
 from accd.metrics import MetricSpec, rowwise_distance
 
@@ -20,12 +19,12 @@ def _metric(name: str, d: int) -> MetricSpec:
     return MetricSpec(kind=kind)
 
 
-def _tile(a, b, metric, blk=64, counters=None):
+def _tile(a, b, metric, counters=None):
     """The kernel on rows prepared around the source set's mean."""
     centre = a.mean(axis=0)
     rows_a, sq_a = fast_rows(a, centre, metric)
     rows_b, sq_b = fast_rows(b, centre, metric)
-    return tile_distances(rows_a, rows_b, metric, blk, counters, sq_a, sq_b)
+    return tile_distances(rows_a, rows_b, metric, counters, sq_a, sq_b)
 
 
 # -- the error bound -----------------------------------------------------------
@@ -55,7 +54,7 @@ def test_fast_values_lie_within_the_returned_bound(name, offset):
 def test_identical_point_distance_exactly_zero():
     a = np.array([[0.3, -0.7, 2.2], [1.0, 4.0, -3.0], [0.3, -0.7, 2.2]])
     # cdist differences directly, so identical rows give exactly zero
-    assert np.all(np.diag(tile_distances(a, a, L1, 64)[0]) == 0.0)
+    assert np.all(np.diag(tile_distances(a, a, L1)[0]) == 0.0)
     # the matmul form leaves them within the bound of zero
     tile, err = _tile(a, a, L2)
     assert np.all(np.diag(tile) <= err)
@@ -65,8 +64,8 @@ def test_blocked_matches_brute_within_tolerance():
     r = np.random.default_rng(5)
     a = Dataset.from_values(r.normal(size=(200, 37)))
     b = Dataset.from_values(r.normal(size=(150, 37)))
-    brute = pairwise_brute(a, b, L2, CounterSet()).values
-    got, err = _tile(a.values, b.values, L2, 64, CounterSet())
+    brute = brute_rows(a.values, b.values, L2)
+    got, err = _tile(a.values, b.values, L2, CounterSet())
     assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
@@ -75,8 +74,8 @@ def test_blocked_l1_matches_brute():
     r = np.random.default_rng(6)
     a = Dataset.from_values(r.normal(size=(90, 12)))
     b = Dataset.from_values(r.normal(size=(80, 12)))
-    brute = pairwise_brute(a, b, L1, CounterSet()).values
-    got, err = _tile(a.values, b.values, L1, 32, CounterSet())
+    brute = brute_rows(a.values, b.values, L1)
+    got, err = _tile(a.values, b.values, L1, CounterSet())
     assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
@@ -87,21 +86,15 @@ def test_weighted_l2_blocked():
     m = MetricSpec(kind="L2", weighted=True, weights=w)
     a = Dataset.from_values(r.normal(size=(40, 9)))
     b = Dataset.from_values(r.normal(size=(30, 9)))
-    brute = pairwise_brute(a, b, m, CounterSet()).values
-    got, err = _tile(a.values, b.values, m, 16, CounterSet())
+    brute = brute_rows(a.values, b.values, m)
+    got, err = _tile(a.values, b.values, m, CounterSet())
     assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
 
 
 def test_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
-        tile_distances(np.zeros((2, 3)), np.zeros((2, 4)), L2, 64)
-
-
-def test_config_validation():
-    # the kernel's tile edge comes from the design, which rejects blk < 1
-    with pytest.raises(RangeError):
-        DesignConfig(n_src_grp=1, n_trg_grp=1, blk=0, simd=1, unroll=1)
+        tile_distances(np.zeros((2, 3)), np.zeros((2, 4)), L2)
 
 
 # -- counters -----------------------------------------------------------------
@@ -112,9 +105,9 @@ def test_counters_count_each_pair_once():
     a = Dataset.from_values(r.normal(size=(70, 5)))
     b = Dataset.from_values(r.normal(size=(55, 5)))
     c = CounterSet()
-    _tile(a.values, b.values, L2, 16, c)
+    _tile(a.values, b.values, L2, c)
     assert c.point_distances == 70 * 55
     assert c.mac_ops == 70 * 55 * 5
-    assert c.tiles_executed == int(np.ceil(70 / 16)) * int(np.ceil(55 / 16))
-    # each of the 5 x 4 tiles streams its row and column slabs once
-    assert c.bytes_streamed == (70 * 4 + 55 * 5) * 5 * 8
+    # one call is one tile, which reads each operand row once
+    assert c.tiles_executed == 1
+    assert c.bytes_streamed == (70 + 55) * 5 * 8

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, TopKResult, pairwise_brute, rowwise_lexsort
+from accd.dataset import Dataset, TopKResult, brute_rows, rowwise_lexsort
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
 from accd import pipelines
@@ -34,7 +34,7 @@ from accd.synth import gaussian_mixture
 from conftest import make_plan
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
-DESIGN = DesignConfig(n_src_grp=12, n_trg_grp=4, blk=16)
+DESIGN = DesignConfig(n_src_grp=12, n_trg_grp=4)
 # Counters that must not depend on layout or threads. The tile shape
 # counters (tiles_executed, bytes_streamed) and the per-iteration
 # source_batches follow the batching, which the layout changes.
@@ -76,10 +76,10 @@ def _case(name: str):
 CASES = ("kmeans", "knn", "nbody")
 
 
-def _run(name: str, oracle_mode: str = "shadow", **config):
+def _run(name: str, oracle_mode: str = "shadow", design: DesignConfig = DESIGN, **config):
     sample, src, trg, m = _case(name)
     plan = _sample_plan(sample, src.n, m)
-    cfg = RunConfig(design=DESIGN, oracle_mode=oracle_mode, **config)
+    cfg = RunConfig(design=design, oracle_mode=oracle_mode, **config)
     return run_plan(plan, src, trg, cfg), src.n * m
 
 
@@ -115,7 +115,7 @@ def test_nbody_sweeps_step_one_as_one_batch(monkeypatch):
     # tiles within the radius reducer's budget
     sample, pts, _, m = _case("nbody")
     plan = dataclasses.replace(_sample_plan(sample, pts.n, m), max_iter=1)
-    full = pairwise_brute(pts, pts, L2).values
+    full = brute_rows(pts.values, pts.values, L2)
     reduce = pipelines._Radius.reduce
     for cells in (pipelines._Radius.TILE_CELLS, 4096):
         tiles, reducers = [], set()
@@ -202,6 +202,17 @@ def test_a_small_tile_budget_changes_no_result(monkeypatch, name):
     assert small.per_iteration == base.per_iteration
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_cost_model_knobs_change_no_run(name):
+    # blk, simd and unroll feed only the explorer's model: designs with the
+    # same group counts run identically, counter for counter
+    low, _ = _run(name, design=dataclasses.replace(DESIGN, blk=16, simd=1, unroll=1))
+    high, _ = _run(name, design=dataclasses.replace(DESIGN, blk=256, simd=8, unroll=8))
+    _assert_same_results(low, high)
+    assert low.counters == high.counters
+    assert low.per_iteration == high.per_iteration
+
+
 def test_self_set_plan_rejects_a_target_set():
     plan = make_plan("iterative_self_set", 20, 20, 3, SelectSpec("radius", 1.0, "smallest"), 1)
     ds = Dataset.from_values(np.random.default_rng(0).normal(size=(20, 3)))
@@ -275,7 +286,7 @@ def _filtered_pair():
 def test_candidate_masking_skips_pruned_tiles():
     src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg) = _filtered_pair()
     rec = _Recorder()
-    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 32, 1)
+    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 1)
     candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert 0 < kc.point_distances == surviving < 60 * 50
@@ -283,7 +294,7 @@ def test_candidate_masking_skips_pruned_tiles():
     # each candidate group pair is tiled once, with brute-force values;
     # pruned group pairs are never touched
     assert sorted((g, t) for g, t, *_ in rec.tiles) == sorted(candidates)
-    full = pairwise_brute(src, trg, L2).values
+    full = brute_rows(src.values, trg.values, L2)
     for g, t, ids, tile, err in rec.tiles:
         assert np.array_equal(ids, gm_s.membership[g])
         want = full[np.ix_(ids, gm_t.membership[t])]
@@ -294,7 +305,7 @@ def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
     src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg) = _filtered_pair()
     bound = np.where(np.arange(src.n) % 2 == 0, np.inf, -1.0)  # odd rows reach nothing
     rec = _Recorder(bound)
-    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 32, 1)
+    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 1)
     candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert kc.point_distances + kc.pruned_pairs == surviving
@@ -343,11 +354,11 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
     if cap is not None:
         rec.TILE_CELLS = cap
     cm = CandidateMatrix.full(gm_s.z, gm_t.z)
-    kc = _sweep(g_src, g_trg, cm, lb, batches, rec, L2, 8, 1, seed=seed if seeded else None)
+    kc = _sweep(g_src, g_trg, cm, lb, batches, rec, L2, 1, seed=seed if seeded else None)
 
     reach = (bound[:, None] >= own) & (sizes > 0)
     assert 0 < np.count_nonzero(reach[np.arange(src.n) % 3 == 2]) < reach[2::3].size
-    full = pairwise_brute(src, trg, L2).values
+    full = brute_rows(src.values, trg.values, L2)
     tiled = np.zeros((src.n, gm_t.z), dtype=int)
     entered = np.zeros(src.n, dtype=int)
     first = {}
@@ -447,7 +458,7 @@ def test_knn_with_k_equal_to_the_target_count():
 
 @pytest.mark.parametrize("name", list(EXACT_CASES))
 def test_a_single_group_equals_the_oracle(name):
-    one = DesignConfig(n_src_grp=1, n_trg_grp=1, blk=16)
+    one = DesignConfig(n_src_grp=1, n_trg_grp=1)
     _exact_run(name, gaussian_mixture(200, 4, 3, seed=9, center_box=5.0), design=one)
 
 
