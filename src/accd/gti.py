@@ -95,11 +95,6 @@ class CandidateMatrix:
     def key(self, g: int) -> tuple:
         return tuple(int(t) for t in self.targets[g])
 
-    @classmethod
-    def full(cls, z_src: int, z_trg: int) -> "CandidateMatrix":
-        all_targets = np.arange(z_trg, dtype=np.int64)
-        return cls(targets=[all_targets.copy() for _ in range(z_src)])
-
 
 def _assign_nearest(
     values: np.ndarray,
@@ -267,8 +262,10 @@ def init_oneshot_state(
     """The group-pair bounds (lb, ub), each z_src x z_trg.
 
     Costs exactly z_src * z_trg true distance evaluations between the
-    landmarks; together with the per-point offsets cached by
-    ``build_groups`` this is the whole bound budget of the one-shot path.
+    landmarks, and no point distance: with the per-point offsets cached by
+    ``build_groups`` it is the whole bound budget of the one-shot path and
+    of the first iteration of the iterative ones, which then decay it by
+    drift (``filter_iterative``).
     """
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
     if counters is not None:
@@ -328,7 +325,8 @@ def filter_iterative(
       the weakest member's upper bound, its last best distance plus the
       drift of that target;
     * radius (self-set): ``thr`` is the radius, and ``ub`` is given so that
-      pairs it proves within the radius are marked all-inside.
+      pairs it proves within the radius are marked all-inside. Step 1
+      cuts the landmark bounds of ``init_oneshot_state`` with zero drift.
     """
     drift = src_drift[:, None] + trg_drift[None, :]
     lb[...] = lower_bound(lb, drift, src.slack)

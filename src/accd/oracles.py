@@ -37,11 +37,24 @@ def group_means(
     Empty groups keep their previous row. Both the optimized pipeline and
     the Lloyd oracle call this, so their centroid streams stay bitwise
     identical whenever their assignments agree.
+
+    For d >= 2 one ``np.bincount`` per coordinate adds each group's values
+    in ascending member order from +0.0, bitwise what
+    ``np.add.reduce(values[members], axis=0)`` gives there. A single column
+    reduces pairwise instead, so d = 1 keeps the per-group reduce.
     """
     out = prev.copy()
-    for g, members in enumerate(group_members(assign, k)):
-        if members.size:
-            out[g] = np.add.reduce(values[members], axis=0) / members.size
+    if values.shape[1] == 1:
+        for g, members in enumerate(group_members(assign, k)):
+            if members.size:
+                out[g] = np.add.reduce(values[members], axis=0) / members.size
+        return out
+    counts = np.bincount(assign, minlength=k)
+    sums = np.column_stack(
+        [np.bincount(assign, weights=values[:, c], minlength=k) for c in range(values.shape[1])]
+    )
+    full = counts > 0
+    out[full] = sums[full] / counts[full, None]
     return out
 
 

@@ -24,11 +24,17 @@ concatenated, which go through the kernel to the pipeline's reducer:
   groups, enough for K + 1 targets, its second against every other group
   the row's bound then reaches, so each row merges into its K + 1 at most
   twice.
-* ``_Radius`` (iterative self-set) has no per-point bound. Before the
-  sweep it takes every member pair of the all-inside group pairs without
-  a tile; during it, it keeps each tile's neighbor pairs and folds the
-  tile's extremes into the bounds of each group pair the tile covers;
-  after it, it assembles the neighbor lists.
+* ``_Radius`` (iterative self-set) has no per-point bound. Its group-pair
+  bounds start from the landmark bounds and are cut at the radius on
+  every step, the first included. Before the sweep it takes every member
+  pair of the all-inside group pairs without a tile; during it, it keeps
+  each tile's neighbor pairs and folds the tile's extremes into the
+  bounds of each group pair the tile covers; after it, it assembles the
+  neighbor lists.
+
+Both iterative pipelines start, as the join does, from the landmark
+bounds of ``gti.init_oneshot_state``, so no first iteration tiles every
+pair.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -473,12 +479,13 @@ class _TopK:
 class _Radius:
     """Neighbor pairs within a radius, step after step of a self-set run.
 
-    ``lb``/``ub`` are the group-pair bounds carried from step to step. A
-    step resets those of every pair it tiles, and each tile folds into
-    them, per (source group, target group) cell it covers, the extremes of
-    that cell's entries widened by each row's error bound and the bound
-    slack. A step's pairs are collected per batch (under the batch's first
-    group), so concurrent batches never share a list.
+    ``lb``/``ub`` are the group-pair bounds carried from step to step,
+    the landmark bounds before step 1. A step resets those of every pair
+    it tiles, and each tile folds into them, per (source group, target
+    group) cell it covers, the extremes of that cell's entries widened by
+    each row's error bound and the bound slack. A step's pairs are
+    collected per batch (under the batch's first group), so concurrent
+    batches never share a list.
     """
 
     TILE_CELLS = 1 << 18  # 2 MB of float64: 64-row tiles of a 4096-point n-body step
@@ -489,8 +496,7 @@ class _Radius:
         self.metric = metric
         self.slack = gm.slack
         self.sizes = gm.sizes
-        self.lb = np.zeros((gm.z, gm.z))
-        self.ub = np.zeros((gm.z, gm.z))
+        self.lb = self.ub = None  # set by the run before step 1
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
         self.pos: np.ndarray | None = None
 
@@ -607,11 +613,13 @@ def run_kmeans(
 ) -> RunResult:
     """Lloyd-style iteration with trace/group-level bound pruning.
 
-    Iteration 1 runs unpruned to seed the bounds; later iterations decay
-    them by the per-cluster drift. Assignment is the nearest cluster under
-    (distance, id) tie-break; centroids are member means; empty clusters
-    keep their position. Exit on unchanged assignments or the iteration
-    cap.
+    Iteration 1 cuts the landmark bounds at each source group's smallest
+    covering upper bound (the join's filter with K = 1); later iterations
+    decay the bounds it leaves by the per-cluster drift. Group pairs it
+    never tiles keep their landmark bound. Assignment is the nearest
+    cluster under (distance, id) tie-break; centroids are member means;
+    empty clusters keep their position. Exit on unchanged assignments or
+    the iteration cap.
     """
     _check_kind(plan, "iterative_two_set")
     t0 = time.perf_counter()
@@ -646,8 +654,7 @@ def run_kmeans(
     # carried between iterations: the group-pair lower bounds, and each
     # point's last best distance (an upper bound on its direct value) and
     # cluster (``assignments``)
-    lb = np.full((z_src, z_trg), np.inf)
-    best_d = assignments = None
+    lb = best_d = assignments = None
     oracle_centroids = centroids.copy() if config.oracle_mode == "shadow" else None
     oracle_s = 0.0
 
@@ -655,7 +662,9 @@ def run_kmeans(
         base = counters.snapshot()
         reused_iteration = False
         if it == 1:
-            cm = CandidateMatrix.full(z_src, z_trg)
+            # landmark bounds, cut at each source group's smallest covering ub
+            lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
+            cm = filter_oneshot(src_gm, trg_gm, lb, ub, 1, counters)
             point_ub = None
         else:
             drifts = rowwise_distance(prev_centroids, centroids, metric)
@@ -820,13 +829,14 @@ def run_nbody(
 ) -> RunResult:
     """Fixed-radius neighbor search per step with trace-bound reuse.
 
-    Step 1 computes all pair distances to seed group-pair bounds; later
-    steps decay the bounds by group drift and only recompute surviving
-    pairs. Group pairs whose upper bound stays inside the radius
-    contribute every member pair with no distance work. Each step sweeps
-    the remaining candidates in source batches, as the two-set pipelines
-    do: with layout, adjacent groups with the same candidate list share
-    wide tiles against all of them.
+    Step 1 cuts the landmark group-pair bounds at the radius; later steps
+    decay the bounds by group drift, the landmark bounds of pairs no step
+    has tiled included, and only recompute surviving pairs. Group pairs
+    whose upper bound stays inside the radius contribute every member
+    pair with no distance work. Each step sweeps the remaining candidates
+    in source batches, as the two-set pipelines do: with layout, adjacent
+    groups with the same candidate list share wide tiles against all of
+    them.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -859,11 +869,12 @@ def run_nbody(
         base = counters.snapshot()
         grouped = _Grouped.build(pos, gm, lplan, metric, pos.mean(axis=0))
         if step == 1:
-            cm = CandidateMatrix.full(z, z)
+            within.lb, within.ub = init_oneshot_state(gm, gm, counters)
+            gd = np.zeros(z)
         else:
             counters.bound_computations += n  # drift distances recorded at integration
             gd = group_max(prev_drift, gm.group_of, z)
-            cm = filter_iterative(gm, gm, within.lb, thr, gd, gd, counters, ub=within.ub)
+        cm = filter_iterative(gm, gm, within.lb, thr, gd, gd, counters, ub=within.ub)
 
         to_tile = within.resolve(cm, pos, counters)
         batches = _source_batches(np.arange(z), to_tile, config.layout_enabled)

@@ -109,16 +109,34 @@ def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
         assert c.all_inside_pairs > 0
 
 
-def test_nbody_sweeps_step_one_as_one_batch(monkeypatch):
-    # with layout, every group shares step 1's full candidate list, so the
-    # engine sweeps the whole set as one batch: every pair in one tile, in
-    # tiles within the radius reducer's budget
+def _record_cuts(monkeypatch) -> list:
+    """Patch ``_Radius.resolve`` to keep each step's candidate cut, with
+    the reducer's group model."""
+    resolve, cuts = pipelines._Radius.resolve, []
+
+    def resolving(self, cm, pos, counters):
+        cuts.append((cm, self.gm))
+        return resolve(self, cm, pos, counters)
+
+    monkeypatch.setattr(pipelines._Radius, "resolve", resolving)
+    return cuts
+
+
+def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monkeypatch):
+    # step 1 cuts the landmark bounds at the radius: a kept group pair is
+    # tiled, member pair by member pair, exactly once, in tiles within the
+    # radius reducer's budget; a pruned one lies wholly beyond the radius
+    # and an all-inside one wholly within it, and neither is tiled
     sample, pts, _, m = _case("nbody")
     plan = dataclasses.replace(_sample_plan(sample, pts.n, m), max_iter=1)
     full = brute_rows(pts.values, pts.values, L2)
-    reduce = pipelines._Radius.reduce
-    for cells in (pipelines._Radius.TILE_CELLS, 4096):
+    radius = float(plan.select.value)
+    reduce, cuts = pipelines._Radius.reduce, _record_cuts(monkeypatch)
+    default, counts = pipelines._Radius.TILE_CELLS, {}
+    # 512 cells hold less than one group pair, so its tiles split rows
+    for cells in (default, 4096, 512):
         tiles, reducers = [], set()
+        cuts.clear()
 
         def recording(self, batch, groups, ids, tile, err):
             cols = np.concatenate([self.gm.membership[t] for t in groups])
@@ -129,20 +147,37 @@ def test_nbody_sweeps_step_one_as_one_batch(monkeypatch):
         monkeypatch.setattr(pipelines._Radius, "reduce", recording)
         monkeypatch.setattr(pipelines._Radius, "TILE_CELLS", cells)
         result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
-        assert result.per_iteration[0].source_batches == 1
+        ((cm, _),), (within,) = cuts, reducers
+        members = within.gm.membership
+        kind = np.zeros(within.lb.shape, dtype=int)  # 0 pruned, 1 tiled, 2 all-inside
+        for a, (cand, inside) in enumerate(zip(cm.targets, cm.all_inside)):
+            kind[a, cand] = np.where(inside, 2, 1)
         tiled = np.zeros((pts.n, pts.n), dtype=int)
         for ids, cols, size in tiles:
             assert size <= cells or ids.size == 1
             tiled[np.ix_(ids, cols)] += 1
-        assert np.all(tiled == 1)
-        assert (len(tiles) > 1) == (cells < pts.n * pts.n)
-        # each group pair's bounds hold all its member pairs, also where
-        # its rows were split across tiles
-        (within,) = reducers
-        for a, b in np.ndindex(within.lb.shape):
-            block = full[np.ix_(within.gm.membership[a], within.gm.membership[b])]
-            if block.size:
-                assert within.lb[a, b] <= block.min() and block.max() <= within.ub[a, b]
+        for a, b in np.ndindex(kind.shape):
+            cell = np.ix_(members[a], members[b])
+            assert np.all(tiled[cell] == (kind[a, b] == 1)), (a, b)
+            if kind[a, b] == 0:
+                assert np.all(full[cell] > radius), (a, b)
+            if kind[a, b] == 2:
+                assert np.all(full[cell] <= radius), (a, b)
+            # every group pair's bounds hold all its member pairs: tiled
+            # ones where their rows were split across tiles, the others
+            # with their landmark bounds
+            if full[cell].size:
+                assert within.lb[a, b] <= full[cell].min()
+                assert full[cell].max() <= within.ub[a, b]
+        sizes = within.gm.sizes
+        pairs = {k: int(np.sum((kind == k) * np.outer(sizes, sizes))) for k in range(3)}
+        assert all(pairs.values()), pairs  # each kind occurs
+        step1 = result.per_iteration[0]
+        assert (step1.pruned_pairs, step1.point_distances, step1.all_inside_pairs) == (
+            pairs[0], pairs[1], pairs[2]
+        )
+        counts[cells] = len(tiles)
+    assert counts[512] > counts[default]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -353,7 +388,7 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
     rec = _WideRecorder(bound)
     if cap is not None:
         rec.TILE_CELLS = cap
-    cm = CandidateMatrix.full(gm_s.z, gm_t.z)
+    cm = CandidateMatrix(targets=[np.arange(gm_t.z) for _ in range(gm_s.z)])
     kc = _sweep(g_src, g_trg, cm, lb, batches, rec, L2, 1, seed=seed if seeded else None)
 
     reach = (bound[:, None] >= own) & (sizes > 0)
@@ -575,3 +610,74 @@ def test_force_rule_equals_an_add_at_reference():
         assert got.shape == pos.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.all(default_force_rule(pos, i, j, 1e-2)[n - 1] == 0.0)
+
+
+# -- the landmark seed of the iterative pipelines -----------------------------
+
+
+def test_sample_first_iterations_do_not_tile_every_pair():
+    # both iterative pipelines start from the landmark cut, not a full sweep
+    nbody, pairs = _run("nbody")
+    assert nbody.per_iteration[0].point_distances < pairs / 2
+    kmeans, _ = _run("kmeans")
+    assert kmeans.per_iteration[0].pruned_pairs > 0
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"layout_enabled": False}, {"thread_count": 2}],
+    ids=["layout_on", "layout_off", "threads2"],
+)
+def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
+    monkeypatch, variant
+):
+    # a large step and little softening throw points across the blobs, so
+    # group pairs the landmark bounds prune at step 1 hold neighbor pairs
+    # later; their bounds, decayed by drift, must let those through
+    pts = gaussian_mixture(240, 3, 8, seed=0, center_box=3.0, spread=0.25)
+    radius = SelectSpec("radius", 0.6, "smallest")
+    plan = make_plan("iterative_self_set", pts.n, pts.n, 3, radius, 4)
+    cuts = _record_cuts(monkeypatch)
+    design = DesignConfig(n_src_grp=16, n_trg_grp=4)
+    cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3, **variant)
+    result = run_plan(plan, pts, None, cfg)
+    assert result.oracle_checked and result.iterations == 4
+    cm, gm = cuts[0]
+    kept = np.zeros((gm.z, gm.z), dtype=bool)
+    for a, cand in enumerate(cm.targets):
+        kept[a, cand] = True
+    pruned = ~kept[np.ix_(gm.group_of, gm.group_of)]
+    assert pruned.any()
+    later = result.outputs["neighbors"][1:]
+    assert sum(int(pruned[i, lst].sum()) for step in later for i, lst in enumerate(step)) > 0
+    for s in result.per_iteration:
+        assert s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs == pts.n**2
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"layout_enabled": False}, {"thread_count": 2}],
+    ids=["layout_on", "layout_off", "threads2"],
+)
+def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(variant):
+    # three distinct centroids, each twice, in four target groups: equal
+    # centroids share their nearest landmark, so a target group is empty,
+    # and every point ties between two clusters; iteration 1's K = 1 cut
+    # must still keep each point's (distance, id) nearest
+    pts = gaussian_mixture(300, 4, 3, seed=31, center_box=3.0)
+    centroids = np.repeat(np.random.default_rng(32).normal(size=(3, 4)) * 3.0, 2, axis=0)
+    design = DesignConfig(n_src_grp=10, n_trg_grp=4)
+    trg_gm = build_groups(Dataset.from_values(centroids), 4, RunConfig().seed + 2, L2)
+    assert np.any(trg_gm.sizes == 0)
+    cfg = RunConfig(design=design, oracle_mode="shadow", **variant)
+    for steps in (1, 5):
+        plan = make_plan(
+            "iterative_two_set", pts.n, 6, 4, SelectSpec("count", 1.0, "smallest"), steps
+        )
+        result = run_plan(plan, pts, Dataset.from_values(centroids), cfg)
+        assert result.oracle_checked
+        assert result.per_iteration[0].pruned_pairs > 0
+        assert np.all(result.outputs["assignments"] >= 0)
+        if steps == 1:
+            # the second copy of each centroid loses every tie
+            assert set(result.outputs["assignments"].tolist()) <= {0, 2, 4}
