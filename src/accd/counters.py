@@ -10,7 +10,8 @@ the few near-tie candidates that assignment recomputes exactly. Avoided
 point-pair work is split into three mutually exclusive buckets so
 per-iteration conservation can be checked: pruned by bounds, resolved as
 all-inside (radius queries), or reused (a k-means iteration in which no
-centroid moved keeps every assignment).
+centroid moved keeps every assignment; the mirrored half of the group
+pairs a self-set step tiles, whose pairs are the tiled half's, swapped).
 ``recomputed_distances`` counts the point pairs a pipeline evaluates by
 direct differencing, the oracles' arithmetic, on top of the kernel's fast
 tile: to settle a decision the tile's error bound leaves open, or to

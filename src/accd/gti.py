@@ -216,9 +216,11 @@ def two_landmark_bounds(d_ref, d_a, d_b, slack: float):
 
     lb = max(0, d_ref - d_a - d_b), ub = d_ref + d_a + d_b, each widened by
     ``slack``. Works elementwise on arrays; with group radii as the offsets
-    it bounds every member pair of two groups.
+    it bounds every member pair of two groups. Both add the offsets first,
+    so swapping a and b gives bitwise the same bounds.
     """
-    return lower_bound(d_ref, d_a + d_b, slack), upper_bound(d_ref + d_a + d_b, slack)
+    off = d_a + d_b
+    return lower_bound(d_ref, off, slack), upper_bound(d_ref + off, slack)
 
 
 def group_max(values: np.ndarray, group_of: np.ndarray, z: int) -> np.ndarray:

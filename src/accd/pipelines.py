@@ -24,13 +24,17 @@ concatenated, which go through the kernel to the pipeline's reducer:
   groups, enough for K + 1 targets, its second against every other group
   the row's bound then reaches, so each row merges into its K + 1 at most
   twice.
-* ``_Radius`` (iterative self-set) has no per-point bound. Its group-pair
-  bounds start from the landmark bounds and are cut at the radius on
-  every step, the first included. Before the sweep it takes every member
+* ``_Radius`` (iterative self-set) has no per-point bound and works on
+  unordered pairs, as distances are symmetric. Its group-pair bounds
+  start from the landmark bounds, stay exactly symmetric and are cut at
+  the radius on every step, the first included; each unordered group
+  pair is decided and tiled once, from its upper cell, and its other
+  orientation counts as reused. Before the sweep it takes every member
   pair of the all-inside group pairs without a tile; during it, it keeps
-  each tile's neighbor pairs and folds the tile's extremes into the
-  bounds of each group pair the tile covers; after it, it assembles the
-  neighbor lists.
+  each tile's neighbor pairs, each unordered pair once, and folds the
+  tile's extremes into the bounds of both orientations of each group
+  pair the tile covers; after it, it assembles the neighbor lists of
+  both directions. The force rule takes each unordered pair once too.
 
 Both iterative pipelines start, as the join does, from the landmark
 bounds of ``gti.init_oneshot_state``, so no first iteration tiles every
@@ -479,13 +483,23 @@ class _TopK:
 class _Radius:
     """Neighbor pairs within a radius, step after step of a self-set run.
 
-    ``lb``/``ub`` are the group-pair bounds carried from step to step,
-    the landmark bounds before step 1. A step resets those of every pair
-    it tiles, and each tile folds into them, per (source group, target
-    group) cell it covers, the extremes of that cell's entries widened by
-    each row's error bound and the bound slack. A step's pairs are
-    collected per batch (under the batch's first group), so concurrent
-    batches never share a list.
+    Distances are symmetric, so the run works on unordered pairs (Newton's
+    third law; the half neighbor list of molecular dynamics). ``lb``/``ub``
+    are the group-pair bounds carried from step to step, the landmark
+    bounds before step 1; they stay exactly symmetric, so the radius cut
+    keeps, and marks all-inside, both orientations of a group pair alike.
+    Each unordered group pair {a, b} is taken from its upper cell, b >= a:
+    a step resets the bounds of every pair it tiles, in both orientations,
+    and tiles only the upper ones; each tile folds into both orientations,
+    per (source group, target group) cell it covers, the extremes of that
+    cell's entries widened by each row's error bound and the bound slack.
+    The lower cells' pairs are mirrored, not tiled, and count as reused.
+    A member pair (i, j) is kept from the orientation with (group of i, i)
+    before (group of j, j), so the diagonal cell yields its upper triangle.
+    A step's pairs are collected per batch (under the batch's first group),
+    so concurrent batches never share a list; the bounds of a group pair
+    {a, b}, a <= b, are folded, in both orientations, only by the batch
+    holding a.
     """
 
     TILE_CELLS = 1 << 18  # 2 MB of float64: 64-row tiles of a 4096-point n-body step
@@ -500,25 +514,37 @@ class _Radius:
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
         self.pos: np.ndarray | None = None
 
+    def _first(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Mask of the pairs (i, j) with (group of i, i) < (group of j, j):
+        one orientation of each unordered pair, none of a point with itself."""
+        gi, gj = self.gm.group_of.take(i), self.gm.group_of.take(j)
+        return (gi < gj) | ((gi == gj) & (i < j))
+
     def resolve(self, cm: CandidateMatrix, pos: np.ndarray, counters: CounterSet) -> CandidateMatrix:
         """Start a step at positions ``pos``: take every member pair of the
-        all-inside group pairs without a tile, and return the candidates
-        left to tile, their bounds reset for the tiles to fold into."""
+        all-inside group pairs without a tile, reset the bounds of the pairs
+        left to tile, and return the upper ones for the tiles to fold into."""
         self.pos = pos
         self.pairs = [[] for _ in range(self.gm.z)]
         members = self.gm.membership
         all_inside = cm.all_inside or [np.zeros(cand.size, dtype=bool) for cand in cm.targets]
         for a, (cand, inside) in enumerate(zip(cm.targets, all_inside)):
-            if inside.any():
+            counters.all_inside_pairs += int(self.sizes[a] * self.sizes[cand[inside]].sum())
+            upper = cand[inside & (cand >= a)]
+            if upper.size:
                 rows_a = members[a]
-                rows_b = np.concatenate([members[b] for b in cand[inside].tolist()])
-                counters.all_inside_pairs += rows_a.size * rows_b.size
-                self.pairs[a].append((np.repeat(rows_a, rows_b.size), np.tile(rows_b, rows_a.size)))
+                rows_b = np.concatenate([members[b] for b in upper.tolist()])
+                i, j = np.repeat(rows_a, rows_b.size), np.tile(rows_b, rows_a.size)
+                first = self._first(i, j)
+                self.pairs[a].append((i[first], j[first]))
         targets = [cand[~inside] for cand, inside in zip(cm.targets, all_inside)]
         a = np.repeat(np.arange(self.gm.z), [cand.size for cand in targets])
         b = np.concatenate(targets)
+        # both orientations, before the cut: a lower cell keeps no stale bound
         self.lb[a, b], self.ub[a, b] = np.inf, -np.inf  # vacuous for a pair with an empty group
-        return CandidateMatrix(targets=targets)
+        lower = b < a
+        counters.reused_pairs += int(self.sizes[a[lower]] @ self.sizes[b[lower]])
+        return CandidateMatrix(targets=[cand[cand >= g] for g, cand in enumerate(targets)])
 
     @staticmethod
     def bound(ids: np.ndarray) -> None:
@@ -528,35 +554,41 @@ class _Radius:
         """Per row, entries at most R - err are within the radius and
         entries above R + err outside; the band between is recomputed."""
         cols, col_starts = _columns(self.gm.membership, self.sizes, groups)
-        hit_r, hit_c = np.nonzero(tile <= (self.radius + err)[:, None])
-        band = np.flatnonzero(tile[hit_r, hit_c] > self.radius - err[hit_r])
+        flat = np.flatnonzero(tile <= (self.radius + err)[:, None])
+        hit_r, hit_c = np.divmod(flat, tile.shape[1])
+        hit_i, hit_j = ids.take(hit_r), cols.take(hit_c)
+        first = np.flatnonzero(self._first(hit_i, hit_j))
+        flat, hit_r, hit_i, hit_j = flat[first], hit_r[first], hit_i[first], hit_j[first]
+        band = np.flatnonzero(tile.ravel().take(flat) > self.radius - err.take(hit_r))
         if band.size:
-            exact = rowwise_distance(
-                self.pos[ids[hit_r[band]]], self.pos[cols[hit_c[band]]], self.metric
-            )
-            keep = np.ones(hit_r.size, dtype=bool)
+            exact = rowwise_distance(self.pos[hit_i[band]], self.pos[hit_j[band]], self.metric)
+            keep = np.ones(hit_i.size, dtype=bool)
             keep[band] = exact <= self.radius
-            hit_r, hit_c = hit_r[keep], hit_c[keep]
-        self.pairs[batch[0]].append((ids[hit_r], cols[hit_c]))
+            hit_i, hit_j = hit_i[keep], hit_j[keep]
+        self.pairs[batch[0]].append((hit_i, hit_j))
         runs, starts, _ = _group_runs(self.gm.group_of, ids)
-        cell = (runs[:, None], groups)
         low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
         high = np.maximum.reduceat(tile, col_starts, axis=1) + err[:, None]
-        np.minimum.at(self.lb, cell, lower_bound(np.minimum.reduceat(low, starts), 0.0, self.slack))
-        np.maximum.at(self.ub, cell, upper_bound(np.maximum.reduceat(high, starts), self.slack))
+        low = lower_bound(np.minimum.reduceat(low, starts), 0.0, self.slack)
+        high = upper_bound(np.maximum.reduceat(high, starts), self.slack)
+        for cell in ((runs[:, None], groups), (groups, runs[:, None])):
+            np.minimum.at(self.lb, cell, low)
+            np.maximum.at(self.ub, cell, high)
         return band.size
 
     def assemble(self, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """The step's pairs i != j sorted by (i, j), and per point its
-        sorted neighbor ids. Each pair occurs once, so one sort of the key
-        i*n + j orders them."""
+        """The step's unordered pairs i < j sorted by (i, j), and per point
+        its sorted neighbor ids. Each unordered pair was kept once, in one
+        orientation, so one sort of the keys i*n + j of both orientations
+        orders every neighbor list."""
         parts = [p for group in self.pairs for p in group]
-        all_i = np.concatenate([np.empty(0, dtype=np.int64), *(p[0] for p in parts)])
-        all_j = np.concatenate([np.empty(0, dtype=np.int64), *(p[1] for p in parts)])
-        keep = all_i != all_j
-        all_i, all_j = np.divmod(np.sort(all_i[keep] * n + all_j[keep]), n)
+        one = np.concatenate([np.empty(0, dtype=np.int64), *(p[0] for p in parts)])
+        other = np.concatenate([np.empty(0, dtype=np.int64), *(p[1] for p in parts)])
+        keys = np.sort(np.concatenate([one * n + other, other * n + one]))
+        all_i, all_j = np.divmod(keys, n)
         offsets = np.searchsorted(all_i, np.arange(n + 1))
-        return all_i, all_j, [all_j[offsets[i] : offsets[i + 1]] for i in range(n)]
+        upper = all_i < all_j
+        return all_i[upper], all_j[upper], [all_j[offsets[i] : offsets[i + 1]] for i in range(n)]
 
 
 # -- shared run bookkeeping -------------------------------------------------
@@ -805,18 +837,28 @@ def run_knn_join(
 
 
 def default_force_rule(
-    pos: np.ndarray, nbr_i: np.ndarray, nbr_j: np.ndarray, softening: float
+    pos: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, softening: float
 ) -> np.ndarray:
-    """Softened inverse-square attraction over the neighbor pairs, unit
-    mass. A demonstration update rule; neighbor search is the verified
-    part, the physics is pluggable."""
+    """Softened inverse-square attraction over the unordered neighbor pairs
+    i < j, sorted by (i, j), unit mass. A demonstration update rule;
+    neighbor search is the verified part, the physics is not checked.
+
+    Each pair's term is computed once and added to i, and negated to j
+    (Newton's third law; direct differencing makes the term of (j, i)
+    exactly the negation). Each point's terms are added in ascending
+    partner order from 0, so the result is bitwise that of adding every
+    term of both orientations in (i, j) order."""
+    n = len(pos)
     acc = np.empty_like(pos)
-    diff = pos[nbr_j] - pos[nbr_i]
-    r2 = np.add.reduce(diff * diff, axis=1) + softening * softening
-    contrib = diff * (r2**-1.5)[:, None]
-    # one pass per coordinate, each point's terms added in pair order from 0
-    for c in range(pos.shape[1]):
-        acc[:, c] = np.bincount(nbr_i, weights=contrib[:, c], minlength=pos.shape[0])
+    coords = np.ascontiguousarray(pos.T)
+    diff = [c.take(pair_j) - c.take(pair_i) for c in coords]
+    r2 = np.add.reduce(np.stack([x * x for x in diff], axis=1), axis=1)
+    scale = (r2 + softening * softening) ** -1.5
+    # a point's partners below it (the j side, ascending i), then above it
+    to = np.concatenate((pair_j, pair_i))
+    for c, x in enumerate(diff):
+        x *= scale
+        acc[:, c] = np.bincount(to, weights=np.concatenate((-x, x)), minlength=n)
     return acc
 
 
@@ -824,7 +866,6 @@ def run_nbody(
     plan: ExecutionPlan,
     particles: Dataset,
     config: RunConfig,
-    force_rule=None,
     weights: np.ndarray | None = None,
 ) -> RunResult:
     """Fixed-radius neighbor search per step with trace-bound reuse.
@@ -833,10 +874,13 @@ def run_nbody(
     decay the bounds by group drift, the landmark bounds of pairs no step
     has tiled included, and only recompute surviving pairs. Group pairs
     whose upper bound stays inside the radius contribute every member
-    pair with no distance work. Each step sweeps the remaining candidates
-    in source batches, as the two-set pipelines do: with layout, adjacent
-    groups with the same candidate list share wide tiles against all of
-    them.
+    pair with no distance work. Each unordered group pair is decided and
+    tiled once, from its upper cell (``_Radius``); each step sweeps those
+    left in source batches, as the two-set pipelines do. The cut to upper
+    cells gives each group its own candidate list (group a keeps its
+    diagonal cell, group a + 1 does not), so with layout a batch is
+    nearly always one group. The force rule takes each unordered
+    neighbor pair once.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -847,7 +891,6 @@ def run_nbody(
     n, d = particles.n, particles.d
     metric.check_dim(d)
     steps = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
-    force = force_rule if force_rule is not None else default_force_rule
 
     counters = CounterSet()
     z = min(config.design.n_src_grp, n)
@@ -882,7 +925,7 @@ def run_nbody(
             grouped, grouped, to_tile, within.lb, batches, within, metric, config.thread_count
         )
         counters.add(sweep)
-        all_i, all_j, lists = within.assemble(n)
+        pair_i, pair_j, lists = within.assemble(n)
         neighbors_per_step.append(lists)
 
         if config.oracle_mode == "shadow":
@@ -903,7 +946,7 @@ def run_nbody(
 
         # Integrate in original point order; movement feeds the next
         # step's bound decay.
-        acc = force(pos, all_i, all_j, config.softening)
+        acc = default_force_rule(pos, pair_i, pair_j, config.softening)
         vel = vel + acc * config.dt
         new_pos = pos + vel * config.dt
         prev_drift = rowwise_distance(pos, new_pos, metric)

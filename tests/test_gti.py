@@ -165,6 +165,16 @@ def test_two_landmark_hand_values():
     assert two_landmark_bounds(10.0, 2.0, 3.0, s) == (10 * (1 - s) - 5 * (1 + s), 15 * (1 + s))
 
 
+def test_two_landmark_bounds_are_bitwise_symmetric_in_the_offsets():
+    # a self-set run decides both orientations of a group pair from one
+    rng = np.random.default_rng(5)
+    d_ref = rng.uniform(0.0, 40.0, size=(50, 50))
+    d_ref = np.minimum(d_ref, d_ref.T)
+    radius = rng.uniform(0.0, 3.0, size=50)
+    lb, ub = two_landmark_bounds(d_ref, radius[:, None], radius[None, :], 1e-15)
+    assert np.array_equal(lb, lb.T) and np.array_equal(ub, ub.T)
+
+
 def _one_group(landmark, radius):
     return GroupModel(
         landmarks=np.array([landmark], dtype=float),

@@ -123,10 +123,12 @@ def _record_cuts(monkeypatch) -> list:
 
 
 def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monkeypatch):
-    # step 1 cuts the landmark bounds at the radius: a kept group pair is
-    # tiled, member pair by member pair, exactly once, in tiles within the
-    # radius reducer's budget; a pruned one lies wholly beyond the radius
-    # and an all-inside one wholly within it, and neither is tiled
+    # step 1 cuts the landmark bounds at the radius: a kept unordered group
+    # pair is tiled, member pair by member pair, exactly once, in its upper
+    # orientation (b >= a), in tiles within the radius reducer's budget,
+    # and its lower orientation is mirrored, never tiled; a pruned one lies
+    # wholly beyond the radius and an all-inside one wholly within it, and
+    # neither is tiled
     sample, pts, _, m = _case("nbody")
     plan = dataclasses.replace(_sample_plan(sample, pts.n, m), max_iter=1)
     full = brute_rows(pts.values, pts.values, L2)
@@ -149,9 +151,11 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
         ((cm, _),), (within,) = cuts, reducers
         members = within.gm.membership
-        kind = np.zeros(within.lb.shape, dtype=int)  # 0 pruned, 1 tiled, 2 all-inside
+        # 0 pruned, 1 tiled, 2 all-inside, 3 mirrored from the tiled upper cell
+        kind = np.zeros(within.lb.shape, dtype=int)
         for a, (cand, inside) in enumerate(zip(cm.targets, cm.all_inside)):
-            kind[a, cand] = np.where(inside, 2, 1)
+            kind[a, cand] = np.where(inside, 2, np.where(cand >= a, 1, 3))
+        assert np.array_equal(kind == 3, (kind == 1).T & ~np.eye(kind.shape[0], dtype=bool))
         tiled = np.zeros((pts.n, pts.n), dtype=int)
         for ids, cols, size in tiles:
             assert size <= cells or ids.size == 1
@@ -164,20 +168,70 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
             if kind[a, b] == 2:
                 assert np.all(full[cell] <= radius), (a, b)
             # every group pair's bounds hold all its member pairs: tiled
-            # ones where their rows were split across tiles, the others
-            # with their landmark bounds
+            # and mirrored ones where their rows were split across tiles,
+            # the others with their landmark bounds
             if full[cell].size:
                 assert within.lb[a, b] <= full[cell].min()
                 assert full[cell].max() <= within.ub[a, b]
         sizes = within.gm.sizes
-        pairs = {k: int(np.sum((kind == k) * np.outer(sizes, sizes))) for k in range(3)}
+        pairs = {k: int(np.sum((kind == k) * np.outer(sizes, sizes))) for k in range(4)}
         assert all(pairs.values()), pairs  # each kind occurs
         step1 = result.per_iteration[0]
-        assert (step1.pruned_pairs, step1.point_distances, step1.all_inside_pairs) == (
-            pairs[0], pairs[1], pairs[2]
-        )
+        assert (
+            step1.pruned_pairs, step1.point_distances, step1.all_inside_pairs, step1.reused_pairs
+        ) == (pairs[0], pairs[1], pairs[2], pairs[3])
         counts[cells] = len(tiles)
     assert counts[512] > counts[default]
+
+
+def _record_symmetry(monkeypatch) -> list:
+    """Patch ``_Radius.assemble``, which ends each step's sweep, to check
+    that the group-pair bounds are exactly symmetric; returns the steps'
+    reducers."""
+    assemble, seen = pipelines._Radius.assemble, []
+
+    def assembling(self, n):
+        assert np.array_equal(self.lb, self.lb.T) and np.array_equal(self.ub, self.ub.T)
+        seen.append(self)
+        return assemble(self, n)
+
+    monkeypatch.setattr(pipelines._Radius, "assemble", assembling)
+    return seen
+
+
+def _strong_pull(**variant):
+    """A large step and little softening throw points across the blobs, so
+    group pairs the landmark bounds prune at step 1 hold neighbor pairs
+    later."""
+    pts = gaussian_mixture(240, 3, 8, seed=0, center_box=3.0, spread=0.25)
+    radius = SelectSpec("radius", 0.6, "smallest")
+    plan = make_plan("iterative_self_set", pts.n, pts.n, 3, radius, 4)
+    design = DesignConfig(n_src_grp=16, n_trg_grp=4)
+    cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3, **variant)
+    return pts, run_plan(plan, pts, None, cfg)
+
+
+@pytest.mark.parametrize(
+    "case, variant",
+    [
+        ("sample", {}),
+        ("sample", {"layout_enabled": False}),
+        ("sample", {"thread_count": 2}),
+        ("strong_pull", {}),
+    ],
+    ids=["sample_layout_on", "sample_layout_off", "sample_threads2", "strong_pull"],
+)
+def test_nbody_group_pair_bounds_stay_symmetric(monkeypatch, case, variant):
+    # one upper cell decides both orientations of a group pair, so the
+    # cut is sound only while every step leaves lb and ub symmetric
+    seen = _record_symmetry(monkeypatch)
+    if case == "sample":
+        result, _ = _run("nbody", **variant)
+        assert result.counters.all_inside_pairs > 0  # all-inside group pairs occur
+    else:
+        _, result = _strong_pull(**variant)
+    assert result.oracle_checked and len(seen) == result.iterations
+    assert result.counters.reused_pairs > 0
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -588,7 +642,8 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
 
 
 def _add_at_force(pos, nbr_i, nbr_j, softening):
-    """The force rule's reference: an unbuffered ``np.add.at`` in pair order."""
+    """The force rule's reference: an unbuffered ``np.add.at`` over ordered
+    pairs, in pair order."""
     acc = np.zeros_like(pos)
     diff = pos[nbr_j] - pos[nbr_i]
     r2 = np.add.reduce(diff * diff, axis=1) + softening * softening
@@ -596,17 +651,23 @@ def _add_at_force(pos, nbr_i, nbr_j, softening):
     return acc
 
 
-def test_force_rule_equals_an_add_at_reference():
-    rng = np.random.default_rng(23)
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 24])
+def test_force_rule_equals_an_add_at_reference(d):
+    # the rule takes each unordered pair once; the reference adds both
+    # orientations of every pair, sorted by (i, j)
+    rng = np.random.default_rng(23 + d)
     n = 60
-    pos = rng.normal(size=(n, 3)) * 3.0
-    # (i, j)-sorted distinct pairs, most points in many; point n - 1 in none
-    i, j = rng.integers(0, n - 1, size=900), rng.integers(0, n, size=900)
-    i, j = np.divmod(np.unique((i * n + j)[i != j]), n)
-    assert np.any(np.diff(i) == 0) and not np.any(i == n - 1)
-    for nbr_i, nbr_j in ((i, j), (i[:0], j[:0])):
-        got = default_force_rule(pos, nbr_i, nbr_j, 1e-2)
-        want = _add_at_force(pos, nbr_i, nbr_j, 1e-2)
+    pos = rng.normal(size=(n, d)) * 3.0
+    # (i, j)-sorted distinct pairs i < j, most points in many; point n - 1 in none
+    i, j = rng.integers(0, n - 1, size=900), rng.integers(0, n - 1, size=900)
+    keep = i != j
+    i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+    i, j = np.divmod(np.unique(i * n + j), n)
+    assert np.any(np.diff(i) == 0) and not np.any(j == n - 1)
+    for pair_i, pair_j in ((i, j), (i[:0], j[:0])):
+        got = default_force_rule(pos, pair_i, pair_j, 1e-2)
+        both_i, both_j = np.divmod(np.sort(np.concatenate([pair_i * n + pair_j, pair_j * n + pair_i])), n)
+        want = _add_at_force(pos, both_i, both_j, 1e-2)
         assert got.shape == pos.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.all(default_force_rule(pos, i, j, 1e-2)[n - 1] == 0.0)
@@ -631,16 +692,10 @@ def test_sample_first_iterations_do_not_tile_every_pair():
 def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
     monkeypatch, variant
 ):
-    # a large step and little softening throw points across the blobs, so
     # group pairs the landmark bounds prune at step 1 hold neighbor pairs
     # later; their bounds, decayed by drift, must let those through
-    pts = gaussian_mixture(240, 3, 8, seed=0, center_box=3.0, spread=0.25)
-    radius = SelectSpec("radius", 0.6, "smallest")
-    plan = make_plan("iterative_self_set", pts.n, pts.n, 3, radius, 4)
     cuts = _record_cuts(monkeypatch)
-    design = DesignConfig(n_src_grp=16, n_trg_grp=4)
-    cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3, **variant)
-    result = run_plan(plan, pts, None, cfg)
+    pts, result = _strong_pull(**variant)
     assert result.oracle_checked and result.iterations == 4
     cm, gm = cuts[0]
     kept = np.zeros((gm.z, gm.z), dtype=bool)
