@@ -5,7 +5,8 @@ lowered plan over CSV datasets), explore (score every design of a finite
 space with the analytical model and print the best feasible one), bench
 (run a .ddsl program on seeded synthetic data, checked by the shadow
 oracle, and compare its distance work and time with the oracle's brute
-force). Run and bench reports are schema v1, the explore output v2.
+force). The run report is schema v2, the bench JSON v1 and the explore
+output v2.
 Exit codes: 0 success, 1 diagnostics or infeasibility, 2 runtime error
 (IO, format, config, oracle mismatch).
 """
@@ -47,7 +48,8 @@ from .explorer import (
 from .pipelines import RunConfig, RunResult, run_plan
 from .synth import gaussian_mixture
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
+BENCH_SCHEMA_VERSION = 1
 EXPLORE_SCHEMA_VERSION = 2
 
 _DIAG_EXIT = (
@@ -155,7 +157,6 @@ def _result_report(plan: ExecutionPlan, config: RunConfig, result: RunResult, ou
         "config": {
             "design": config.design.to_json_dict(),
             "seed": config.seed,
-            "layout_enabled": config.layout_enabled,
             "oracle_mode": config.oracle_mode,
             "thread_count": config.thread_count,
         },
@@ -165,7 +166,7 @@ def _result_report(plan: ExecutionPlan, config: RunConfig, result: RunResult, ou
         "measured_saving_mean": result.measured_saving_mean,
         "wall_time_s": result.wall_time_s,
         "outputs_path": str(outputs_path) if outputs_path else None,
-        "layout": result.layout.to_json_dict() if result.layout is not None else None,
+        "layout": result.layout.to_json_dict(),
     }
 
 
@@ -222,7 +223,6 @@ def cmd_run(args) -> int:
     config = RunConfig(
         design=_design_from_args(args),
         seed=args.seed,
-        layout_enabled=args.layout == "on",
         oracle_mode=args.oracle,
         thread_count=args.threads,
     )
@@ -315,7 +315,7 @@ def cmd_bench(args) -> int:
     print(row)
 
     payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
+        "schema_version": BENCH_SCHEMA_VERSION,
         "program": args.file,
         "pipeline_kind": plan.pipeline_kind,
         "scale": args.scale,
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-groups", type=int, default=64)
     p.add_argument("--trg-groups", type=int, default=8)
     p.add_argument("--oracle", choices=("off", "shadow"), default="off")
-    p.add_argument("--layout", choices=("on", "off"), default="on")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--report", help="write the run report JSON here")

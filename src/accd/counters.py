@@ -19,8 +19,8 @@ report an output distance. It is the cost of exactness in floating
 point, stays outside pair conservation, and leaves out grouping's own
 near-tie candidates. ``tiles_executed`` counts kernel calls and
 ``bytes_streamed`` the operand rows each call reads, (rows + cols) * d
-float64 values; both follow the tiling, so the layout and the tile budget
-change them. Functions that take ``counters=None`` tally nothing.
+float64 values; both follow the tiling, so the batching of source groups
+and the tile budget change them. Functions that take ``counters=None`` tally nothing.
 """
 
 from __future__ import annotations

@@ -373,14 +373,6 @@ def load_resource_table(path) -> dict:
     return table
 
 
-def write_resource_table(path, table: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("blk,simd,unroll,mem_blocks,dsp,alm\n")
-        for (b, s, u) in sorted(table):
-            r = table[(b, s, u)]
-            fh.write(f"{b},{s},{u},{r.mem_blocks},{r.dsp},{r.alm}\n")
-
-
 def parse_platform_file(path) -> PlatformSpec:
     """Line-oriented `key = value` platform description.
 

@@ -5,7 +5,9 @@ one-shot two-set (top-K join), and iterative self-set (radius neighbors
 with movement). Each run wires group construction, bound filtering and
 layout packing around one tile engine, ``_sweep``, tallies every avoided
 or executed point-pair, and can shadow a brute-force oracle that must
-agree exactly.
+agree exactly. Every point set is packed (``layout``), so each group's
+members are one slice of its kernel rows; the join also orders its source
+groups so that groups with the same candidate list sit next to each other.
 
 For each source batch the engine tiles the batch's candidate target
 groups in passes: one for ``_Nearest`` and ``_Radius``, two for
@@ -47,7 +49,7 @@ Reducers decide on fast values only where that bound settles a decision
 and recompute what it leaves open, and every reported distance, by direct
 differencing (``metrics.rowwise_distance``, the oracles' arithmetic).
 Every pruning bound carries the rounding slack of ``gti``. Outputs
-therefore equal the oracles' bitwise, with layout on or off and on any
+therefore equal the oracles' bitwise, in any packing order and on any
 thread count. Pair counters follow the bounds; a bound taken from fast
 values (a tile extreme, a running K-th value) can move in its last bits
 with the tile's shape, which changes a count only if it lands within
@@ -104,7 +106,6 @@ _SETTLE_BLOCK_ELEMS = 1 << 16
 class RunConfig:
     design: DesignConfig = DEFAULT_DESIGN
     seed: int = 0
-    layout_enabled: bool = True
     oracle_mode: str = "off"  # "off" | "shadow"
     thread_count: int = 1
     status_iter_cap: int = 1000  # hard stop for status-exit iteration
@@ -145,54 +146,45 @@ class RunResult:
     measured_saving_mean: float
     wall_time_s: float
     oracle_checked: bool
-    layout: LayoutPlan | None = None
+    layout: LayoutPlan  # the source set's packing
     oracle_s: float = 0.0  # time inside the shadow-oracle checks
 
 
 @dataclass
 class _Grouped:
-    """Group-wise access to one point set's kernel rows, packed or not.
-
-    ``rows``/``sq`` are ``kernel.fast_rows`` of the values, permuted by the
-    layout plan if there is one. Group members are always presented in
-    ascending original-id order.
+    """Group-wise access to one point set's kernel rows, packed by its
+    layout plan: ``rows``/``sq`` are ``kernel.fast_rows`` of the values in
+    packed order, so each group's members, in ascending original-id order,
+    are one slice.
     """
 
     rows: np.ndarray
     sq: np.ndarray | None  # squared norms of ``rows`` (L2 only), same order
     gm: GroupModel
-    plan: LayoutPlan | None
+    plan: LayoutPlan
 
     @classmethod
-    def build(cls, values, gm: GroupModel, plan: LayoutPlan | None, metric, centre):
-        if plan is not None:
-            values = values[plan.point_perm]
-        rows, sq = fast_rows(values, centre, metric)
+    def build(cls, values, gm: GroupModel, plan: LayoutPlan, metric, centre):
+        rows, sq = fast_rows(values[plan.point_perm], centre, metric)
         return cls(rows=rows, sq=sq, gm=gm, plan=plan)
 
-    def batch_ids(self, batch: list[int]) -> np.ndarray:
-        if len(batch) == 1:
-            return self.gm.membership[batch[0]]
-        return np.concatenate([self.gm.membership[g] for g in batch])
-
-    def batch_rows(self, batch: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
-        """(rows, sq) for the members of the groups ``batch``, in that order:
-        a slice of the packing when the groups lie next to each other in it."""
-        rows = self.batch_ids(batch)
-        if self.plan is not None:
-            spans = [self.plan.group_slices[g] for g in batch]
-            adjacent = all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            rows = slice(spans[0][0], spans[-1][1]) if adjacent else self.plan.inverse_perm[rows]
-        return self.rows[rows], self.sq[rows] if self.sq is not None else None
+    def take(self, groups: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(ids, rows, sq) of the members of ``groups``, in that order: a
+        slice of the packing when the groups lie next to each other in it,
+        else a gather."""
+        spans = [self.plan.group_slices[g] for g in groups]
+        if all(a[1] == b[0] for a, b in zip(spans, spans[1:])):
+            at = slice(spans[0][0], spans[-1][1])
+            ids = self.plan.point_perm[at]
+        else:
+            ids = np.concatenate([self.gm.membership[g] for g in groups])
+            at = self.plan.inverse_perm[ids]
+        return ids, self.rows[at], self.sq[at] if self.sq is not None else None
 
 
-def _source_batches(
-    order: np.ndarray, cm: CandidateMatrix, layout_enabled: bool
-) -> list[list[int]]:
+def _source_batches(order: np.ndarray, cm: CandidateMatrix) -> list[list[int]]:
     """Runs of adjacent groups (in processing order) with identical
-    candidate lists; without layout every group stands alone."""
-    if not layout_enabled:
-        return [[int(g)] for g in order]
+    candidate lists."""
     return [list(run) for _, run in itertools.groupby(order.tolist(), key=cm.key)]
 
 
@@ -203,13 +195,6 @@ def _group_runs(group_of: np.ndarray, ids: np.ndarray):
     of = group_of[ids]
     edges = np.concatenate(([True], of[1:] != of[:-1], [True])).nonzero()[0]
     return of[edges[:-1]], edges[:-1], edges[1:] - edges[:-1]
-
-
-def _columns(members: list[np.ndarray], sizes: np.ndarray, groups: np.ndarray):
-    """A wide tile's column ids (the members of ``groups``, concatenated) and
-    the first column of each group."""
-    s = sizes[groups]
-    return np.concatenate([members[t] for t in groups]), np.add.accumulate(s) - s
 
 
 def _map_ordered(fn, items, threads: int):
@@ -237,21 +222,22 @@ def _sweep(
     same groups share tiles against those groups' members, concatenated,
     of at most ``reducer.TILE_CELLS`` cells: one tile per row and pass.
 
-    ``reducer.reduce(batch, groups, ids, tile, err)`` gets the tile's target
-    groups, rows' ids, fast values and per-row error bound, and returns the
-    entries it recomputed. Batches touch disjoint rows, so they may run on
-    ``threads`` workers. Returns the tile, pruning and recompute tallies.
+    ``reducer.reduce(batch, groups, cols, col_starts, ids, tile, err)`` gets
+    the tile's target groups, column ids (the groups' members, concatenated)
+    and each group's first column, rows' ids, fast values and per-row error
+    bound, and returns the entries it recomputed. Batches touch disjoint
+    rows, so they may run on ``threads`` workers. Returns the tile, pruning
+    and recompute tallies.
     """
     src_sizes, trg_sizes = src.gm.sizes, trg.gm.sizes
 
     def sweep_batch(batch: list[int]) -> CounterSet:
         local = CounterSet()
-        ids = src.batch_ids(batch)
+        ids, rows, sq_rows = src.take(batch)
         cand = cm.targets[batch[0]]
         cand = cand[trg_sizes[cand] > 0]
         if ids.size == 0 or cand.size == 0:
             return local
-        rows, sq_rows = src.batch_rows(batch)
         lbb = lb[batch][:, cand]
         per_group = src_sizes[batch]
         passes = [None]  # every row reaches every candidate
@@ -276,13 +262,17 @@ def _sweep(
             for sel, groups in row_sets:
                 if not groups.size:
                     continue
-                cols, sq_cols = trg.batch_rows(groups.tolist())
-                step = max(1, reducer.TILE_CELLS // cols.shape[0])
+                cols, col_rows, sq_cols = trg.take(groups.tolist())
+                sizes = trg_sizes[groups]
+                col_starts = np.cumsum(sizes) - sizes
+                step = max(1, reducer.TILE_CELLS // cols.size)
                 for i in range(0, ids.size if sel is None else sel.size, step):
                     sub = slice(i, i + step) if sel is None else sel[i : i + step]
                     sq = sq_rows[sub] if sq_rows is not None else None
-                    tile, err = tile_distances(rows[sub], cols, metric, local, sq, sq_cols)
-                    local.recomputed_distances += reducer.reduce(batch, groups, ids[sub], tile, err)
+                    tile, err = tile_distances(rows[sub], col_rows, metric, local, sq, sq_cols)
+                    local.recomputed_distances += reducer.reduce(
+                        batch, groups, cols, col_starts, ids[sub], tile, err
+                    )
         # every candidate pair is tiled once or pruned
         local.pruned_pairs += ids.size * int(trg_sizes[cand].sum()) - local.point_distances
         return local
@@ -320,13 +310,11 @@ class _Nearest:
         self.points, self.targets, self.metric = points, targets, metric
         self.group_of, self.group_sizes = src_gm.group_of, src_gm.sizes
         self.slack = src_gm.slack
-        self.members, self.trg_sizes = trg_gm.membership, trg_gm.sizes
 
     def bound(self, ids: np.ndarray) -> np.ndarray | None:
         return None if self.point_ub is None else self.point_ub[ids]
 
-    def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
-        cols, col_starts = _columns(self.members, self.trg_sizes, groups)
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> int:
         col = tile.argmin(axis=1)
         group_min = np.minimum.reduceat(tile, col_starts, axis=1)
         mn = group_min.min(axis=1)
@@ -431,14 +419,12 @@ class _TopK:
         # one past any real target id, so a placeholder always loses ties
         self.top_i = np.full((m, k + 1), trg_gm.n, dtype=np.int64)
         self.err = np.zeros(m)
-        self.members = trg_gm.membership
 
     def bound(self, ids: np.ndarray) -> np.ndarray:
         return self.top_f[ids, self.k - 1] + self.err[ids]
 
-    def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> int:
         self.err[ids] = np.maximum(self.err[ids], err)
-        cols = np.concatenate([self.members[t] for t in groups])
         cat_d = np.concatenate([self.top_f[ids], tile], axis=1)
         cat_i = np.concatenate([self.top_i[ids], np.broadcast_to(cols, tile.shape)], axis=1)
         sel = _smallest(cat_d, cat_i, self.k + 1)
@@ -550,10 +536,9 @@ class _Radius:
     def bound(ids: np.ndarray) -> None:
         return None
 
-    def reduce(self, batch, groups, ids: np.ndarray, tile: np.ndarray, err: np.ndarray) -> int:
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> int:
         """Per row, entries at most R - err are within the radius and
         entries above R + err outside; the band between is recomputed."""
-        cols, col_starts = _columns(self.gm.membership, self.sizes, groups)
         flat = np.flatnonzero(tile <= (self.radius + err)[:, None])
         hit_r, hit_c = np.divmod(flat, tile.shape[1])
         hit_i, hit_j = ids.take(hit_r), cols.take(hit_c)
@@ -674,12 +659,14 @@ def run_kmeans(
     z_src = min(config.design.n_src_grp, n)
     z_trg = min(config.design.n_trg_grp, k)
     src_gm = build_groups(points, z_src, config.seed + 1, metric, counters)
-    # cluster-id groups, fixed across iterations
-    trg_gm = build_groups(Dataset.from_values(centroids), z_trg, config.seed + 2, metric, counters)
+    # cluster-id groups, and so their packing, fixed across iterations
+    clusters = Dataset.from_values(centroids)
+    trg_gm = build_groups(clusters, z_trg, config.seed + 2, metric, counters)
 
-    lplan = pack_intra_group(points, src_gm) if config.layout_enabled else None
+    src_lp = pack_intra_group(points, src_gm)
+    trg_lp = pack_intra_group(clusters, trg_gm)
     centre = points.values.mean(axis=0)
-    grouped = _Grouped.build(points.values, src_gm, lplan, metric, centre)
+    grouped = _Grouped.build(points.values, src_gm, src_lp, metric, centre)
 
     max_iter = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
     per_iter: list[IterationStats] = []
@@ -715,10 +702,10 @@ def run_kmeans(
             new_assign = assignments
             n_batches = 0
         else:
-            batches = _source_batches(np.arange(z_src), cm, config.layout_enabled)
+            batches = _source_batches(np.arange(z_src), cm)
             n_batches = len(batches)
             nearest = _Nearest(points.values, centroids, src_gm, trg_gm, point_ub, metric)
-            targets = _Grouped.build(centroids, trg_gm, None, metric, centre)
+            targets = _Grouped.build(centroids, trg_gm, trg_lp, metric, centre)
             sweep = _sweep(
                 grouped, targets, cm, lb, batches, nearest, metric, config.thread_count
             )
@@ -755,7 +742,7 @@ def run_kmeans(
             break
 
     outputs = {"assignments": assignments, "centroids": centroids}
-    return _result(plan, outputs, per_iter, counters, config, t0, lplan, oracle_s)
+    return _result(plan, outputs, per_iter, counters, config, t0, src_lp, oracle_s)
 
 
 # -- one-shot two-set (top-K join) ----------------------------------------
@@ -791,10 +778,10 @@ def run_knn_join(
     lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
     cm = filter_oneshot(src_gm, trg_gm, lb, ub, k, counters)
 
-    order = reorder_inter_group(cm) if config.layout_enabled else np.arange(z_src)
-    src_lp = pack_intra_group(src, src_gm, group_order=order) if config.layout_enabled else None
-    trg_lp = pack_intra_group(trg, trg_gm) if config.layout_enabled else None
-    batches = _source_batches(order, cm, config.layout_enabled)
+    order = reorder_inter_group(cm)
+    src_lp = pack_intra_group(src, src_gm, group_order=order)
+    trg_lp = pack_intra_group(trg, trg_gm)
+    batches = _source_batches(order, cm)
     topk = _TopK(m, k, trg_gm)
     centre = src.values.mean(axis=0)
     g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
@@ -878,9 +865,8 @@ def run_nbody(
     tiled once, from its upper cell (``_Radius``); each step sweeps those
     left in source batches, as the two-set pipelines do. The cut to upper
     cells gives each group its own candidate list (group a keeps its
-    diagonal cell, group a + 1 does not), so with layout a batch is
-    nearly always one group. The force rule takes each unordered
-    neighbor pair once.
+    diagonal cell, group a + 1 does not), so a batch is nearly always one
+    group. The force rule takes each unordered neighbor pair once.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -895,7 +881,7 @@ def run_nbody(
     counters = CounterSet()
     z = min(config.design.n_src_grp, n)
     gm = build_groups(particles, z, config.seed + 1, metric, counters)
-    lplan = pack_intra_group(particles, gm) if config.layout_enabled else None
+    lplan = pack_intra_group(particles, gm)
 
     pos = particles.values.copy()
     vel = np.zeros_like(pos)
@@ -920,7 +906,7 @@ def run_nbody(
         cm = filter_iterative(gm, gm, within.lb, thr, gd, gd, counters, ub=within.ub)
 
         to_tile = within.resolve(cm, pos, counters)
-        batches = _source_batches(np.arange(z), to_tile, config.layout_enabled)
+        batches = _source_batches(np.arange(z), to_tile)
         sweep = _sweep(
             grouped, grouped, to_tile, within.lb, batches, within, metric, config.thread_count
         )

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import accd
 
 from accd.errors import DivisionGuardError, NoFeasibleConfigError, RangeError, TableMissError
 from accd.explorer import (
@@ -9,6 +13,7 @@ from accd.explorer import (
     ProblemSpec,
     ResourceSingle,
     default_domains,
+    default_platform,
     estimate_resources,
     evaluate,
     explore,
@@ -19,8 +24,9 @@ from accd.explorer import (
     parse_platform_file,
     synthetic_resource_table,
     validate_constraints,
-    write_resource_table,
 )
+
+RESOURCES = Path(accd.__file__).parent / "resources"
 
 
 def _flat_platform(domains, mem=10**9, dsp=10**9, alm=10**9, bw=1e30, freq=2e8, single=(1, 1, 1)):
@@ -295,42 +301,33 @@ def test_returned_config_always_feasible_on_fuzzed_platforms():
 
 
 def test_resource_table_round_trip(tmp_path):
-    table = synthetic_resource_table(default_domains())
-    path = tmp_path / "table.csv"
-    write_resource_table(path, table)
+    # a table reads back whatever its row order, blank lines and padded
+    # cells, and its keys need not come from the default domains
+    table = {(3, 1, 2): ResourceSingle(5, 6, 7), (1, 4, 1): ResourceSingle(10, 0, 12)}
+    rows = [
+        f" {b}, {s},{u} ,{r.mem_blocks},{r.dsp},{r.alm}"
+        for (b, s, u), r in reversed(table.items())
+    ]
+    path = tmp_path / "rt.csv"
+    path.write_text("blk,simd,unroll,mem_blocks,dsp,alm\n" + "\n\n".join(rows) + "\n")
     assert load_resource_table(path) == table
 
 
-def test_platform_file_parse(tmp_path):
-    table = synthetic_resource_table(default_domains())
-    write_resource_table(tmp_path / "rt.csv", table)
-    (tmp_path / "dev.platform").write_text(
-        "# comment\nfrequency_hz = 2e8\nbw_max_bytes_per_s = 1e10\n"
-        "mem_max_blocks = 1537\ncu_max = 648\nlu_max = 128160\nresource_table = rt.csv\n"
-    )
-    platform = parse_platform_file(tmp_path / "dev.platform")
-    assert platform.frequency == 2e8
-    assert platform.resource_table == table
+def test_shipped_resource_table_matches_generator():
+    table = load_resource_table(RESOURCES / "synthetic_resource_table.csv")
+    assert table == synthetic_resource_table(default_domains())
+
+
+def test_platform_file_parse():
+    # the shipped platform file, comments included, names its resource
+    # table relative to itself
+    assert parse_platform_file(RESOURCES / "synthetic.platform") == default_platform()
 
 
 def test_platform_file_missing_key(tmp_path):
     (tmp_path / "bad.platform").write_text("frequency_hz = 1e8\n")
     with pytest.raises(TableMissError):
         parse_platform_file(tmp_path / "bad.platform")
-
-
-def test_shipped_resource_table_matches_generator():
-    from importlib import resources
-
-    ref = synthetic_resource_table(default_domains())
-    with resources.files("accd").joinpath("resources/synthetic_resource_table.csv").open() as fh:
-        lines = fh.read().strip().splitlines()
-    assert lines[0] == "blk,simd,unroll,mem_blocks,dsp,alm"
-    parsed = {}
-    for line in lines[1:]:
-        b, s, u, mem, dsp, alm = (int(x) for x in line.split(","))
-        parsed[(b, s, u)] = ResourceSingle(mem, dsp, alm)
-    assert parsed == ref
 
 
 def test_problem_spec_validation():

@@ -1,7 +1,8 @@
 """The sample programs end to end through ``run_plan``, checked against the
 shadow oracle, plus the run invariants: every point pair is accounted for
-on every iteration, and neither the layout nor the thread count changes a
-result. The tile engine is also driven directly, with a recording reducer."""
+on every iteration, and neither the packing order, the thread count nor
+the tile budget changes a result. The tile engine is also driven
+directly, with a recording reducer, over two packing orders."""
 
 import dataclasses
 import sys
@@ -35,9 +36,9 @@ from conftest import make_plan
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 DESIGN = DesignConfig(n_src_grp=12, n_trg_grp=4)
-# Counters that must not depend on layout or threads. The tile shape
-# counters (tiles_executed, bytes_streamed) and the per-iteration
-# source_batches follow the batching, which the layout changes.
+# Counters that must not depend on threads or the tile budget. The tile
+# shape counters (tiles_executed, bytes_streamed) follow the tiling, which
+# the budget changes.
 PAIR_COUNTERS = (
     "point_distances",
     "bound_computations",
@@ -140,11 +141,11 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         tiles, reducers = [], set()
         cuts.clear()
 
-        def recording(self, batch, groups, ids, tile, err):
-            cols = np.concatenate([self.gm.membership[t] for t in groups])
+        def recording(self, batch, groups, cols, col_starts, ids, tile, err):
+            assert np.array_equal(cols, np.concatenate([self.gm.membership[t] for t in groups]))
             tiles.append((ids.copy(), cols, tile.size))
             reducers.add(self)
-            return reduce(self, batch, groups, ids, tile, err)
+            return reduce(self, batch, groups, cols, col_starts, ids, tile, err)
 
         monkeypatch.setattr(pipelines._Radius, "reduce", recording)
         monkeypatch.setattr(pipelines._Radius, "TILE_CELLS", cells)
@@ -199,6 +200,21 @@ def _record_symmetry(monkeypatch) -> list:
     return seen
 
 
+def _reversed_packing(monkeypatch, variant):
+    """The RunConfig fields of ``variant``. Its ``reversed_packing`` key
+    instead makes every run pack its groups in the reverse of the order it
+    asks for, so no group run is the slice it would otherwise be."""
+    variant = dict(variant)
+    if variant.pop("reversed_packing", False):
+
+        def pack_reversed(ds, gm, group_order=None):
+            order = np.arange(gm.z) if group_order is None else group_order
+            return pack_intra_group(ds, gm, group_order=order[::-1])
+
+        monkeypatch.setattr(pipelines, "pack_intra_group", pack_reversed)
+    return variant
+
+
 def _strong_pull(**variant):
     """A large step and little softening throw points across the blobs, so
     group pairs the landmark bounds prune at step 1 hold neighbor pairs
@@ -215,16 +231,17 @@ def _strong_pull(**variant):
     "case, variant",
     [
         ("sample", {}),
-        ("sample", {"layout_enabled": False}),
+        ("sample", {"reversed_packing": True}),
         ("sample", {"thread_count": 2}),
         ("strong_pull", {}),
     ],
-    ids=["sample_layout_on", "sample_layout_off", "sample_threads2", "strong_pull"],
+    ids=["sample_layout_on", "sample_reversed_packing", "sample_threads2", "strong_pull"],
 )
 def test_nbody_group_pair_bounds_stay_symmetric(monkeypatch, case, variant):
     # one upper cell decides both orientations of a group pair, so the
     # cut is sound only while every step leaves lb and ub symmetric
     seen = _record_symmetry(monkeypatch)
+    variant = _reversed_packing(monkeypatch, variant)
     if case == "sample":
         result, _ = _run("nbody", **variant)
         assert result.counters.all_inside_pairs > 0  # all-inside group pairs occur
@@ -259,11 +276,13 @@ def _assert_same_results(base, other):
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize(
     "variant",
-    [{"layout_enabled": False}, {"thread_count": 2}, {"thread_count": 4}],
-    ids=["layout_off", "threads2", "threads4"],
+    [{"reversed_packing": True}, {"thread_count": 2}, {"thread_count": 4}],
+    ids=["reversed_packing", "threads2", "threads4"],
 )
-def test_layout_and_threads_change_no_result(name, variant):
+def test_layout_and_threads_change_no_result(monkeypatch, name, variant):
     base, _ = _run(name)
+    reverse = variant.get("reversed_packing", False)
+    variant = _reversed_packing(monkeypatch, variant)
     # switch threads often, so a lost update between batches would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -271,6 +290,7 @@ def test_layout_and_threads_change_no_result(name, variant):
         other, _ = _run(name, **variant)
     finally:
         sys.setswitchinterval(interval)
+    assert reverse != np.array_equal(base.layout.group_order, other.layout.group_order)
     _assert_same_results(base, other)
     for a, b in zip(base.per_iteration, other.per_iteration):
         assert dataclasses.replace(a, source_batches=0) == dataclasses.replace(
@@ -341,7 +361,7 @@ class _Recorder:
     def bound(self, ids):
         return None if self.point_bound is None else self.point_bound[ids]
 
-    def reduce(self, batch, groups, ids, tile, err):
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err):
         (t,) = groups
         self.tiles.append((batch[0], t, ids.copy(), tile, err))
         return 0
@@ -350,8 +370,8 @@ class _Recorder:
 class _WideRecorder(_Recorder):
     """Reducer that keeps every tile with its target groups."""
 
-    def reduce(self, batch, groups, ids, tile, err):
-        self.tiles.append((tuple(batch), tuple(groups), ids.copy(), tile, err))
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err):
+        self.tiles.append((tuple(batch), tuple(groups), cols, col_starts, ids.copy(), tile, err))
         return 0
 
 
@@ -367,8 +387,8 @@ def _filtered_pair():
     no_drift = np.zeros(2)
     cm = filter_iterative(gm_s, gm_t, lb, np.full(2, 10.0), no_drift, no_drift, c, ub=ub)
     centre = src.values.mean(axis=0)
-    g_src = _Grouped.build(src.values, gm_s, None, L2, centre)
-    g_trg = _Grouped.build(trg.values, gm_t, None, L2, centre)
+    g_src = _Grouped.build(src.values, gm_s, pack_intra_group(src, gm_s), L2, centre)
+    g_trg = _Grouped.build(trg.values, gm_t, pack_intra_group(trg, gm_t), L2, centre)
     return src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg)
 
 
@@ -403,7 +423,7 @@ def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
         assert np.all(ids % 2 == 0)
 
 
-def _wide_case(layout: bool):
+def _wide_case(reverse: bool):
     # five target groups over four blobs: lower bounds that differ from
     # group to group, so a bound between them reaches some groups only
     src = gaussian_mixture(90, 3, 4, seed=21, center_box=10.0)
@@ -413,7 +433,11 @@ def _wide_case(layout: bool):
     gm_t = build_groups(trg, 5, seed=4, metric=L2, counters=c)
     lb, _ = init_oneshot_state(gm_s, gm_t, c)
     centre = src.values.mean(axis=0)
-    plans = (pack_intra_group(src, gm_s), pack_intra_group(trg, gm_t)) if layout else (None, None)
+    # packed in group-id order, a run of ascending groups is one slice of
+    # the packing; reversed, a run of two non-empty groups never is, and the
+    # engine gathers its rows
+    orders = [np.arange(gm.z)[:: -1 if reverse else 1] for gm in (gm_s, gm_t)]
+    plans = [pack_intra_group(*x, group_order=o) for x, o in zip(((src, gm_s), (trg, gm_t)), orders)]
     g_src = _Grouped.build(src.values, gm_s, plans[0], L2, centre)
     g_trg = _Grouped.build(trg.values, gm_t, plans[1], L2, centre)
     return src, trg, gm_s, gm_t, lb, g_src, g_trg
@@ -422,11 +446,11 @@ def _wide_case(layout: bool):
 @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
 @pytest.mark.parametrize("cap", [None, 64], ids=["default_cap", "small_cap"])
 @pytest.mark.parametrize("batches", [[[0], [1], [2]], [[0, 1, 2]]], ids=["alone", "batched"])
-@pytest.mark.parametrize("layout", [False, True], ids=["packed_off", "packed_on"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["id_order", "reversed"])
 def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
-    layout, batches, cap, seeded
+    reverse, batches, cap, seeded
 ):
-    src, trg, gm_s, gm_t, lb, g_src, g_trg = _wide_case(layout)
+    src, trg, gm_s, gm_t, lb, g_src, g_trg = _wide_case(reverse)
     sizes = gm_t.sizes
     # source group 0's two nearest target groups hold exactly ``seed``
     # targets, so its seed pass must stop before the third
@@ -451,10 +475,12 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
     tiled = np.zeros((src.n, gm_t.z), dtype=int)
     entered = np.zeros(src.n, dtype=int)
     first = {}
-    for batch, groups, ids, tile, err in rec.tiles:
+    for batch, groups, cols, col_starts, ids, tile, err in rec.tiles:
         assert len(groups) >= 1 and ids.size >= 1
         assert tile.size <= rec.TILE_CELLS or ids.size == 1
-        cols = np.concatenate([gm_t.membership[t] for t in groups])
+        assert np.array_equal(cols, np.concatenate([gm_t.membership[t] for t in groups]))
+        sizes_in = gm_t.sizes[list(groups)]
+        assert np.array_equal(col_starts, np.cumsum(sizes_in) - sizes_in)
         assert np.all(np.abs(tile - full[np.ix_(ids, cols)]) <= err[:, None])
         for i in ids.tolist():
             tiled[i, list(groups)] += 1
@@ -607,19 +633,25 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
     # bitwise what a (value, id) sort of every entry tiled for it gives,
     # ties across the K + 1 boundary included, from at most two tiles
     make, options = MERGE_CASES[case]
-    real_reduce, real_settle = pipelines._TopK.reduce, pipelines._TopK.settle
+    real_init, real_reduce = pipelines._TopK.__init__, pipelines._TopK.reduce
+    real_settle = pipelines._TopK.settle
     entries: dict[int, list] = {}
-    checked = []
+    checked, target_groups = [], []
 
-    def recording(self, batch, groups, ids, tile, err):
-        cols = np.concatenate([self.members[t] for t in groups])
+    def init(self, m, k, trg_gm):
+        target_groups.append(trg_gm)
+        real_init(self, m, k, trg_gm)
+
+    def recording(self, batch, groups, cols, col_starts, ids, tile, err):
+        members = target_groups[-1].membership
+        assert np.array_equal(cols, np.concatenate([members[t] for t in groups]))
         for r, i in enumerate(ids.tolist()):
             entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
-        return real_reduce(self, batch, groups, ids, tile, err)
+        return real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
 
-    def settle(self, *args):
+    def settle(self, src, trg, *args):
         width = self.k + 1
-        placeholder = sum(m.size for m in self.members)
+        placeholder = trg.shape[0]
         for i in range(self.top_f.shape[0]):
             got = entries.get(i, [])
             assert 1 <= len(got) <= 2
@@ -630,8 +662,9 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
             assert np.array_equal(self.top_i[i], idx[sel])
             assert self.err[i] == max(e for _, _, e in got)
         checked.append(len(entries))
-        return real_settle(self, *args)
+        return real_settle(self, src, trg, *args)
 
+    monkeypatch.setattr(pipelines._TopK, "__init__", init)
     monkeypatch.setattr(pipelines._TopK, "reduce", recording)
     monkeypatch.setattr(pipelines._TopK, "settle", settle)
     _exact_run("knn", make(), **options)
@@ -686,8 +719,8 @@ def test_sample_first_iterations_do_not_tile_every_pair():
 
 @pytest.mark.parametrize(
     "variant",
-    [{}, {"layout_enabled": False}, {"thread_count": 2}],
-    ids=["layout_on", "layout_off", "threads2"],
+    [{}, {"reversed_packing": True}, {"thread_count": 2}],
+    ids=["layout_on", "reversed_packing", "threads2"],
 )
 def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
     monkeypatch, variant
@@ -695,6 +728,7 @@ def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
     # group pairs the landmark bounds prune at step 1 hold neighbor pairs
     # later; their bounds, decayed by drift, must let those through
     cuts = _record_cuts(monkeypatch)
+    variant = _reversed_packing(monkeypatch, variant)
     pts, result = _strong_pull(**variant)
     assert result.oracle_checked and result.iterations == 4
     cm, gm = cuts[0]
@@ -711,10 +745,12 @@ def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
 
 @pytest.mark.parametrize(
     "variant",
-    [{}, {"layout_enabled": False}, {"thread_count": 2}],
-    ids=["layout_on", "layout_off", "threads2"],
+    [{}, {"reversed_packing": True}, {"thread_count": 2}],
+    ids=["layout_on", "reversed_packing", "threads2"],
 )
-def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(variant):
+def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(
+    monkeypatch, variant
+):
     # three distinct centroids, each twice, in four target groups: equal
     # centroids share their nearest landmark, so a target group is empty,
     # and every point ties between two clusters; iteration 1's K = 1 cut
@@ -724,6 +760,7 @@ def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(va
     design = DesignConfig(n_src_grp=10, n_trg_grp=4)
     trg_gm = build_groups(Dataset.from_values(centroids), 4, RunConfig().seed + 2, L2)
     assert np.any(trg_gm.sizes == 0)
+    variant = _reversed_packing(monkeypatch, variant)
     cfg = RunConfig(design=design, oracle_mode="shadow", **variant)
     for steps in (1, 5):
         plan = make_plan(
