@@ -6,7 +6,8 @@ computations (landmark pairs, point-to-landmark offsets, drifts) go to
 ``bound_computations``; the throwaway work of building groups goes to
 ``grouping_distances``, which counts the n*z point-landmark pairs each
 nearest-landmark assignment decides (six per ``build_groups`` call), not
-the few near-tie candidates that assignment recomputes exactly. Avoided
+the candidates of its open (near-tie) points or the final pass's
+point-to-landmark distances, which it recomputes exactly. Avoided
 point-pair work is split into three mutually exclusive buckets so
 per-iteration conservation can be checked: pruned by bounds, resolved as
 all-inside (radius queries), or reused (a k-means iteration in which no

@@ -7,11 +7,14 @@ point-pair distances that never require touching the points themselves.
 Grouping assigns every point to its nearest landmark six times (five
 Lloyd rounds and the final pass). Each assignment ranks the landmarks
 through the kernel's fast pass (``kernel.tile_distances`` on rows centred
-on the points' mean), keeps every landmark within the pass's error bound
-of a row's fast minimum, and recomputes those candidates by direct
-differencing, ties going to the lower landmark id. The groups, radii and
-point-to-landmark distances are bitwise those of a brute-force
-construction; only the time and memory differ.
+once on the points' mean) and counts, per point, the landmarks within
+twice the pass's error bound of its fast minimum. A decided point, with
+one such landmark, takes it with no recompute; an open point, with
+several, recomputes them by direct differencing, ties going to the lower
+landmark id. Only the final pass recomputes each point's distance to its
+landmark, in row blocks. The groups, radii and point-to-landmark
+distances are bitwise those of a brute-force construction; only the time
+and memory differ.
 
 Three bound families are provided:
 
@@ -98,44 +101,56 @@ class CandidateMatrix:
 
 def _assign_nearest(
     values: np.ndarray,
+    centre: np.ndarray,
+    fast: tuple[np.ndarray, np.ndarray | None],
     landmarks: np.ndarray,
     metric: MetricSpec,
     counters: CounterSet | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest landmark per point under (distance, id), and that distance.
+    with_dist: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Nearest landmark per point under (distance, id), and with
+    ``with_dist`` that distance (else None).
 
-    Equal, bitwise, to the argmin of ``brute_rows`` with its value. The
-    kernel's fast pass gives every point-landmark value within ``err`` of
-    its direct-differencing value, so a landmark whose fast value exceeds
-    the row's fast minimum by more than 2*err can neither win nor tie.
-    The landmarks within that margin are recomputed by direct
-    differencing, the arithmetic of ``brute_rows``, and the
-    (distance, id) minimum wins.
+    Equal, bitwise, to the argmin of ``brute_rows`` with its value.
+    ``fast`` is ``fast_rows(values, centre, metric)``. The kernel's fast
+    pass gives every point-landmark value within ``err`` of its direct-
+    differencing value, so a landmark whose fast value exceeds the row's
+    fast minimum by more than 2*err can neither win nor tie. A row with one
+    landmark within that margin is decided: its fast argmin wins. Only the
+    open rows, with several, recompute those candidates by direct
+    differencing, the arithmetic of ``brute_rows``, and the (distance, id)
+    minimum wins. The winners' distances are recomputed the same way.
     """
     n, d = values.shape
     z = landmarks.shape[0]
-    centre = values.mean(axis=0)
-    pts, pts_sq = fast_rows(values, centre, metric)
+    pts, pts_sq = fast
     lms, lms_sq = fast_rows(landmarks, centre, metric)
     assign = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    # A row with every landmark a candidate recomputes z*d values, so the
-    # same budget bounds both the fast values and the recomputed terms.
+    dist = np.empty(n, dtype=np.float64) if with_dist else None
+    # A row costs the block z fast values, up to z*d recomputed terms if
+    # it is open and d more for its exact distance in the final pass, so a
+    # budget of z*d terms per row bounds all three.
     step = max(1, _ASSIGN_BLOCK_ELEMS // max(1, z * d))
     for start in range(0, n, step):
         stop = min(n, start + step)
         sq = None if pts_sq is None else pts_sq[start:stop]
         tile, err = tile_distances(pts[start:stop], lms, metric, None, sq, lms_sq)
-        cand = tile <= (tile.min(axis=1) + 2 * err)[:, None]
-        rows, cols = np.nonzero(cand)  # row-major: ids ascend within a row
-        exact = rowwise_distance(values[start + rows], landmarks[cols], metric)
+        best = tile.argmin(axis=1)
+        low = np.take_along_axis(tile, best[:, None], axis=1)
+        cand = tile <= low + 2 * err[:, None]
         counts = np.count_nonzero(cand, axis=1)
-        starts = np.cumsum(counts) - counts
-        best = np.minimum.reduceat(exact, starts)
-        hits = np.flatnonzero(exact == np.repeat(best, counts))
-        first = hits[np.searchsorted(hits, starts)]  # lowest id at the minimum
-        assign[start:stop] = cols[first]
-        dist[start:stop] = best
+        open_rows = np.flatnonzero(counts > 1)
+        if open_rows.size:
+            rows, cols = np.nonzero(cand[open_rows])  # ids ascend within a row
+            exact = rowwise_distance(values[start + open_rows[rows]], landmarks[cols], metric)
+            counts = counts[open_rows]
+            starts = np.cumsum(counts) - counts
+            low_exact = np.minimum.reduceat(exact, starts)
+            hits = np.flatnonzero(exact == np.repeat(low_exact, counts))
+            best[open_rows] = cols[hits[np.searchsorted(hits, starts)]]  # lowest id
+        assign[start:stop] = best
+        if with_dist:
+            dist[start:stop] = rowwise_distance(values[start:stop], landmarks[best], metric)
     if counters is not None:
         counters.grouping_distances += n * z
     return assign, dist
@@ -152,25 +167,31 @@ def build_groups(
 
     Landmarks come from a short Lloyd refinement (fixed iteration count)
     seeded by a uniform sample of z distinct points; everything is
-    deterministic in ``seed``. Every assignment, in the Lloyd rounds and
-    the final one, is certified (``_assign_nearest``): the kernel's fast
-    pass picks the candidates within its error bound of each point's
-    nearest landmark, and those are recomputed by direct differencing,
-    ties going to the lower landmark id. Landmarks,
-    memberships, radii and point-to-landmark distances are therefore
-    bitwise equal to a brute-force ``brute_rows`` construction. Credits
-    n*z decided pairs per assignment to ``grouping_distances`` and one
-    cached point-to-landmark distance per point to the bound tally.
+    deterministic in ``seed``. Every assignment, in the five Lloyd rounds
+    and the final one, is certified (``_assign_nearest``) on the points'
+    fast rows, centred once on their mean: a point whose fast pass leaves
+    one landmark within its error bound takes it, and only the open points
+    recompute their candidates by direct differencing, ties going to the
+    lower landmark id. The Lloyd rounds keep the assignment alone; the
+    final pass also recomputes each point's distance to its landmark.
+    Landmarks, memberships, radii and point-to-landmark distances are
+    therefore bitwise equal to a brute-force ``brute_rows`` construction.
+    Credits n*z decided pairs per assignment to ``grouping_distances`` and
+    one cached point-to-landmark distance per point to the bound tally.
     """
     n = ds.n
     if z < 1 or z > n:
         raise RangeError(f"group count z={z} out of range 1..{n}")
     rng = np.random.default_rng(seed)
     landmarks = ds.values[rng.choice(n, size=z, replace=False)].copy()
+    centre = ds.values.mean(axis=0)
+    fast = fast_rows(ds.values, centre, metric)
     for _ in range(_LLOYD_ITERATIONS):
-        assign, _ = _assign_nearest(ds.values, landmarks, metric, counters)
+        assign, _ = _assign_nearest(ds.values, centre, fast, landmarks, metric, counters)
         landmarks = group_means(ds.values, assign, z, landmarks)
-    assign, dist = _assign_nearest(ds.values, landmarks, metric, counters)
+    assign, dist = _assign_nearest(
+        ds.values, centre, fast, landmarks, metric, counters, with_dist=True
+    )
     if counters is not None:
         counters.bound_computations += n
     return GroupModel(

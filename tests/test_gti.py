@@ -17,6 +17,7 @@ from accd.gti import (
     two_landmark_bounds,
     upper_bound,
 )
+from accd.kernel import fast_rows
 from accd.metrics import MetricSpec
 from accd.oracles import nearest_assign
 from accd.synth import gaussian_mixture
@@ -81,9 +82,17 @@ def test_membership_partitions_points():
 def _brute_force_groups(monkeypatch, ds, z, seed, metric):
     """The same construction with every assignment made by the oracle's
     direct-differencing brute force."""
+    passes = []
+
+    def oracle(values, centre, fast, landmarks, mt, counters, with_dist=False):
+        passes.append(with_dist)
+        return nearest_assign(values, landmarks, mt)
+
     with monkeypatch.context() as m:
-        m.setattr(gti, "_assign_nearest", lambda v, lm, mt, c: nearest_assign(v, lm, mt))
-        return build_groups(ds, z, seed=seed, metric=metric)
+        m.setattr(gti, "_assign_nearest", oracle)
+        gm = build_groups(ds, z, seed=seed, metric=metric)
+    assert passes == [False] * gti._LLOYD_ITERATIONS + [True]
+    return gm
 
 
 def _assert_same_groups(got, want):
@@ -128,6 +137,93 @@ def test_grouping_ties_go_to_the_lower_landmark(monkeypatch, metric):
     for z, seed in ((9, 1), (40, 2)):
         got = build_groups(ds, z, seed=seed, metric=_METRICS[metric])
         _assert_same_groups(got, _brute_force_groups(monkeypatch, ds, z, seed, _METRICS[metric]))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e7])
+@pytest.mark.parametrize("metric", list(_METRICS), ids=list(_METRICS))
+@pytest.mark.parametrize("data", ["blobs", "grid"])
+def test_assign_nearest_equals_oracle_bitwise(monkeypatch, data, metric, offset):
+    # row blocks of 7 points, the last one ragged (300 = 42 * 7 + 6); the
+    # landmarks repeat points and each other, so rows have several
+    # candidates, and on the integer grid {0, 1, 2}^6 exact ties
+    if data == "blobs":
+        values = gaussian_mixture(300, 6, 5, seed=7, center_box=5.0).values
+    else:
+        values = np.random.default_rng(21).integers(0, 3, size=(300, 6)).astype(np.float64)
+    values = values + offset
+    landmarks = np.vstack([values[:12], values[3:9], values[40:52]])
+    monkeypatch.setattr(gti, "_ASSIGN_BLOCK_ELEMS", 7 * landmarks.shape[0] * 6)
+    mt = _METRICS[metric]
+    centre = values.mean(axis=0)
+    fast = fast_rows(values, centre, mt)
+    want_assign, want_dist = nearest_assign(values, landmarks, mt)
+    assign, dist = gti._assign_nearest(values, centre, fast, landmarks, mt, None)
+    assert dist is None
+    assert assign.dtype == want_assign.dtype and assign.tobytes() == want_assign.tobytes()
+    assign, dist = gti._assign_nearest(values, centre, fast, landmarks, mt, None, with_dist=True)
+    assert assign.dtype == want_assign.dtype and assign.tobytes() == want_assign.tobytes()
+    assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes()
+
+
+def _spy_grouping(monkeypatch, ds, z, seed):
+    """build_groups with, per assignment pass, the rows it recomputes by
+    direct differencing and the candidate counts of its open rows (rows
+    with more than one landmark within 2*err of their fast minimum)."""
+    passes = []
+    real_assign, real_rowwise, real_tile = (
+        gti._assign_nearest,
+        gti.rowwise_distance,
+        gti.tile_distances,
+    )
+
+    def assign(*args, **kwargs):
+        passes.append({"recomputed": 0, "open_candidates": 0, "open_rows": 0})
+        return real_assign(*args, **kwargs)
+
+    def rowwise(a, b, metric):
+        passes[-1]["recomputed"] += a.shape[0]
+        return real_rowwise(a, b, metric)
+
+    def tile(*args, **kwargs):
+        values, err = real_tile(*args, **kwargs)
+        counts = np.count_nonzero(
+            values <= values.min(axis=1)[:, None] + 2 * err[:, None], axis=1
+        )
+        passes[-1]["open_candidates"] += int(counts[counts > 1].sum())
+        passes[-1]["open_rows"] += int(np.count_nonzero(counts > 1))
+        return values, err
+
+    with monkeypatch.context() as m:
+        m.setattr(gti, "_assign_nearest", assign)
+        m.setattr(gti, "rowwise_distance", rowwise)
+        m.setattr(gti, "tile_distances", tile)
+        build_groups(ds, z, seed=seed, metric=L2)
+    assert len(passes) == gti._LLOYD_ITERATIONS + 1
+    return passes
+
+
+def test_grouping_recomputes_no_decided_row(monkeypatch):
+    # well-separated blobs: every point has one landmark within the error
+    # bound, so the Lloyd rounds recompute nothing and the final pass only
+    # each point's distance to its own landmark
+    r = np.random.default_rng(3)
+    centres = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
+    ds = Dataset.from_values(np.vstack([c + r.normal(size=(50, 2)) for c in centres]))
+    passes = _spy_grouping(monkeypatch, ds, 3, 0)
+    assert [p["recomputed"] for p in passes] == [0] * gti._LLOYD_ITERATIONS + [150]
+
+
+def test_grouping_recomputes_only_open_rows(monkeypatch):
+    # 300 points on the 16 nodes of {0, 1, 2, 3}^2 and 30 landmarks: nodes
+    # sampled twice keep duplicate landmarks through every Lloyd round, so
+    # each pass has open rows, and only their candidates are recomputed
+    # (plus, in the final pass, every point's winner)
+    pts = np.random.default_rng(21).integers(0, 4, size=(300, 2)).astype(np.float64)
+    passes = _spy_grouping(monkeypatch, Dataset.from_values(pts), 30, 1)
+    assert all(p["open_rows"] for p in passes)
+    assert [p["recomputed"] for p in passes] == [p["open_candidates"] for p in passes[:-1]] + [
+        passes[-1]["open_candidates"] + 300
+    ]
 
 
 def test_grouping_distances_count_six_passes():
