@@ -256,9 +256,9 @@ def cmd_explore(args) -> int:
 
 
 def _bench_design(plan: ExecutionPlan) -> DesignConfig:
-    """Bench group counts: max(8, isqrt(n)) source groups; target groups
-    max(8, isqrt(m)) for a join, max(2, k // 8) for k clusters, 1 for a
-    self-set."""
+    """Bench group counts: max(8, isqrt(n)) source groups, which k-means
+    does not use; target groups max(8, isqrt(m)) for a join, max(2, k // 8)
+    for k clusters, 1 for a self-set."""
     n_trg_grp = {
         "oneshot_two_set": max(8, math.isqrt(plan.target_size)),
         "iterative_two_set": max(2, plan.target_size // 8),

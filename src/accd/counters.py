@@ -2,7 +2,8 @@
 
 Every code path that evaluates a true point-to-point distance bumps
 ``point_distances`` exactly once; distances evaluated only to feed bound
-computations (landmark pairs, point-to-landmark offsets, drifts) go to
+computations (landmark pairs, point-to-landmark offsets, drifts, the
+k-means tightening of a point's upper bound to its own centre) go to
 ``bound_computations``; the throwaway work of building groups goes to
 ``grouping_distances``, which counts the n*z point-landmark pairs each
 nearest-landmark assignment decides (six per ``build_groups`` call), not
@@ -16,12 +17,13 @@ pairs a self-set step tiles, whose pairs are the tiled half's, swapped).
 ``recomputed_distances`` counts the point pairs a pipeline evaluates by
 direct differencing, the oracles' arithmetic, on top of the kernel's fast
 tile: to settle a decision the tile's error bound leaves open, or to
-report an output distance. It is the cost of exactness in floating
-point, stays outside pair conservation, and leaves out grouping's own
-near-tie candidates. ``tiles_executed`` counts kernel calls and
-``bytes_streamed`` the operand rows each call reads, (rows + cols) * d
-float64 values; both follow the tiling, so the batching of source groups
-and the tile budget change them. Functions that take ``counters=None`` tally nothing.
+report an output distance (such as a k-means winner's, which seeds the
+point's bound). It is the cost of exactness in floating point, stays
+outside pair conservation, and leaves out grouping's own near-tie
+candidates. ``tiles_executed`` counts kernel calls and ``bytes_streamed``
+the operand rows each call reads, (rows + cols) * d float64 values; both
+follow the tiling, so the batching of source groups and the tile budget
+change them. Functions that take ``counters=None`` tally nothing.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ Three bound families are provided:
   point-to-landmark offsets;
 * group-level: the same algebra with group radii in place of per-point
   offsets, so every member of a source group shares one candidate list;
-* trace-based: reuse last iteration's bounds, decayed by how far each
-  group or point has drifted since.
+* trace-based: reuse last step's bounds, decayed by how far each group
+  has drifted since.
 
 All filters are conservative, in floating point too: every stored bound
 brackets both the true distance of each member pair and the value direct
@@ -35,8 +35,8 @@ brute force exactly.
 
 Every filter ends in one vectorised cut: target group t survives for
 source group a iff lb[a, t] <= thr[a], where the per-source-group
-threshold ``thr`` comes from the query (the K-th covering ub, the
-weakest point bound, or the radius).
+threshold ``thr`` comes from the query (the K-th covering ub or the
+radius).
 """
 
 from __future__ import annotations
@@ -287,8 +287,8 @@ def init_oneshot_state(
     Costs exactly z_src * z_trg true distance evaluations between the
     landmarks, and no point distance: with the per-point offsets cached by
     ``build_groups`` it is the whole bound budget of the one-shot path and
-    of the first iteration of the iterative ones, which then decay it by
-    drift (``filter_iterative``).
+    of the first self-set step, which later steps decay by drift
+    (``filter_iterative``).
     """
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
     if counters is not None:
@@ -335,21 +335,15 @@ def filter_iterative(
     counters: CounterSet | None = None,
     ub: np.ndarray | None = None,
 ) -> CandidateMatrix:
-    """Decay last iteration's group-pair bounds, then re-derive candidates.
+    """Decay last step's group-pair bounds, then cut them at the radius.
 
-    ``src_drift``/``trg_drift`` hold per group the largest distance any
-    member moved since the bounds were taken; a pair's lb shrinks (and its
-    ub grows) by both, widened by the bound slack. ``lb`` and ``ub`` are
-    updated in place. A target
-    group survives for source group a iff its decayed lb does not exceed
-    ``thr[a]``:
-
-    * nearest target (k-means): targets move, points do not; ``thr[a]`` is
-      the weakest member's upper bound, its last best distance plus the
-      drift of that target;
-    * radius (self-set): ``thr`` is the radius, and ``ub`` is given so that
-      pairs it proves within the radius are marked all-inside. Step 1
-      cuts the landmark bounds of ``init_oneshot_state`` with zero drift.
+    The radius query of a self-set step: ``src_drift``/``trg_drift`` hold
+    per group the largest distance any member moved since the bounds were
+    taken; a pair's lb shrinks and its ub grows by both, widened by the
+    bound slack, in place. A target group survives for source group a iff
+    its decayed lb does not exceed ``thr[a]``, the radius; with ``ub``
+    given, pairs it proves within the radius are marked all-inside. Step 1
+    cuts the landmark bounds of ``init_oneshot_state`` with zero drift.
     """
     drift = src_drift[:, None] + trg_drift[None, :]
     lb[...] = lower_bound(lb, drift, src.slack)

@@ -2,45 +2,39 @@
 
 Three pipeline shapes are supported: iterative two-set (cluster-style),
 one-shot two-set (top-K join), and iterative self-set (radius neighbors
-with movement). Each run wires group construction, bound filtering and
-layout packing around one tile engine, ``_sweep``, tallies every avoided
-or executed point-pair, and can shadow a brute-force oracle that must
-agree exactly. Every point set is packed (``layout``), so each group's
-members are one slice of its kernel rows; the join also orders its source
-groups so that groups with the same candidate list sit next to each other.
+with movement). Each run tallies every avoided or executed point-pair and
+can shadow a brute-force oracle that must agree exactly.
 
-For each source batch the engine tiles the batch's candidate target
-groups in passes: one for ``_Nearest`` and ``_Radius``, two for
-``_TopK``. A row reaches a group only while its per-point bound reaches
-that group's lower bound; the pairs it skips count as pruned. Rows that
-reach the same groups share wide tiles against those groups' members,
-concatenated, which go through the kernel to the pipeline's reducer:
+k-means (``_Yinyang``) groups only its centres and bounds each point
+against each centre group. The join and the n-body step group both sides
+and wire bound filtering and layout packing, which makes each group's
+members one slice of its kernel rows, around one tile engine,
+``_sweep``. For each source batch it tiles the batch's candidate target
+groups in passes: one for ``_Radius``, two for ``_TopK``. A row reaches
+a group only while its per-point bound reaches that group's lower bound;
+the pairs it skips count as pruned. Rows that reach the same groups share
+wide tiles against those groups' members, concatenated, which go to the
+pipeline's reducer:
 
-* ``_Nearest`` (iterative two-set) keeps the best (distance, id) per
-  point and, per (source group, target group) pair, the tile minimum and
-  the rows tiled, which reseed the trace bounds; the per-point bound is
-  last iteration's best distance plus the drift of its target.
 * ``_TopK`` (one-shot two-set) keeps the running K + 1 best per point;
   the per-point bound is the current K-th distance plus its error bound.
   Its first pass tiles each row against its own group's nearest candidate
   groups, enough for K + 1 targets, its second against every other group
   the row's bound then reaches, so each row merges into its K + 1 at most
-  twice.
+  twice. The join orders its source groups so that groups with the same
+  candidate list sit next to each other.
 * ``_Radius`` (iterative self-set) has no per-point bound and works on
   unordered pairs, as distances are symmetric. Its group-pair bounds
-  start from the landmark bounds, stay exactly symmetric and are cut at
-  the radius on every step, the first included; each unordered group
-  pair is decided and tiled once, from its upper cell, and its other
-  orientation counts as reused. Before the sweep it takes every member
-  pair of the all-inside group pairs without a tile; during it, it keeps
-  each tile's neighbor pairs, each unordered pair once, and folds the
-  tile's extremes into the bounds of both orientations of each group
-  pair the tile covers; after it, it assembles the neighbor lists of
-  both directions. The force rule takes each unordered pair once too.
-
-Both iterative pipelines start, as the join does, from the landmark
-bounds of ``gti.init_oneshot_state``, so no first iteration tiles every
-pair.
+  start from the landmark bounds of ``gti.init_oneshot_state``, stay
+  exactly symmetric and are cut at the radius on every step, the first
+  included; each unordered group pair is decided and tiled once, from its
+  upper cell, and its other orientation counts as reused. Before the
+  sweep it takes every member pair of the all-inside group pairs without
+  a tile; during it, it keeps each tile's neighbor pairs, each unordered
+  pair once, and folds the tile's extremes into the bounds of both
+  orientations of each group pair the tile covers; after it, it assembles
+  the neighbor lists of both directions. The force rule takes each
+  unordered pair once too.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -104,10 +98,10 @@ _SETTLE_BLOCK_ELEMS = 1 << 16
 
 @dataclass
 class RunConfig:
-    design: DesignConfig = DEFAULT_DESIGN
+    design: DesignConfig = DEFAULT_DESIGN  # k-means, grouping no points, ignores n_src_grp
     seed: int = 0
     oracle_mode: str = "off"  # "off" | "shadow"
-    thread_count: int = 1
+    thread_count: int = 1  # threads of the join and n-body sweeps; k-means runs on one
     status_iter_cap: int = 1000  # hard stop for status-exit iteration
     dt: float = 1e-3  # self-set integrator step
     softening: float = 1e-2  # force-law smoothing length
@@ -128,8 +122,8 @@ class IterationStats:
     all_inside_pairs: int
     reused_pairs: int
     measured_saving: float
-    source_batches: int
-    source_groups: int
+    source_batches: int  # k-means: its kernel calls
+    source_groups: int  # k-means: its points, each a group of one
     changed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -146,7 +140,7 @@ class RunResult:
     measured_saving_mean: float
     wall_time_s: float
     oracle_checked: bool
-    layout: LayoutPlan  # the source set's packing
+    layout: LayoutPlan  # the source set's packing; k-means: the centres'
     oracle_s: float = 0.0  # time inside the shadow-oracle checks
 
 
@@ -189,12 +183,11 @@ def _source_batches(order: np.ndarray, cm: CandidateMatrix) -> list[list[int]]:
 
 
 def _group_runs(group_of: np.ndarray, ids: np.ndarray):
-    """Split a tile's rows ``ids``, which come grouped in batch order, into
-    runs of one source group: (each run's group; its first row; its row
-    count)."""
+    """Split ``ids``, which come grouped, into runs of one group: (each
+    run's group; its first position)."""
     of = group_of[ids]
-    edges = np.concatenate(([True], of[1:] != of[:-1], [True])).nonzero()[0]
-    return of[edges[:-1]], edges[:-1], edges[1:] - edges[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], of[1:] != of[:-1])))
+    return of[starts], starts
 
 
 def _map_ordered(fn, items, threads: int):
@@ -283,81 +276,126 @@ def _sweep(
     return total
 
 
-class _Nearest:
-    """Nearest target per source point under (distance, id) tie-break.
+class _Yinyang:
+    """Nearest centre per point under (distance, id), with the bounds of
+    Yinyang k-means (Ding et al., ICML 2015). Only the centres are grouped
+    (``gm``, packed by ``plan``). Each point i keeps its centre
+    ``assign[i]``, ``ub[i]`` at least its direct distance to it, and
+    ``lb[g, i]`` at most its direct distance to every other centre of
+    group g (``inf`` where g holds none), group-major.
 
-    Per point it keeps the best target so far and bounds [best_lo, best_hi]
-    on its direct distance (equal once recomputed). A tile row is decided
-    on fast values when the tile's minimum is the only entry that may reach
-    below both the tile's and the running best's upper bounds, and lies
-    surely below the running best. Otherwise the row is open: those
-    entries and the running best are recomputed by direct differencing and
-    the (distance, id) minimum wins.
+    Iteration 1 tiles every pair, in row blocks. Later ones decay the
+    bounds by the centres' drift, with the slack of ``gti``, and skip a
+    point whose ``ub`` lies below every ``lb``, also once ``ub`` is
+    tightened to the direct distance. The rest are tiled group by group:
+    one kernel call of the rows whose ``lb`` reaches their running best,
+    unless their operands outgrow ``TILE_CELLS``.
     """
 
-    TILE_CELLS = 1 << 16  # 512 KB of float64; 2^18 raised the k-means peak by 2 MB
+    TILE_CELLS = 1 << 16  # 512 KB of float64 per tile, and per gather of its rows
 
-    def __init__(self, points, targets, src_gm: GroupModel, trg_gm: GroupModel, point_ub, metric):
+    def __init__(self, points: np.ndarray, metric: MetricSpec, gm: GroupModel, plan: LayoutPlan):
         n = points.shape[0]
-        self.best_lo = np.full(n, np.inf)
-        self.best_hi = np.full(n, np.inf)
-        self.best_id = np.full(n, -1, dtype=np.int64)
-        # Per group pair: a lower bound on the direct distances of the tiled
-        # rows, and their count (all members: it bounds the whole pair).
-        self.comp_min = np.full((src_gm.z, trg_gm.z), np.inf)
-        self.tiled = np.zeros((src_gm.z, trg_gm.z), dtype=np.int64)
-        self.point_ub = point_ub
-        self.points, self.targets, self.metric = points, targets, metric
-        self.group_of, self.group_sizes = src_gm.group_of, src_gm.sizes
-        self.slack = src_gm.slack
+        self.points, self.metric, self.gm, self.plan = points, metric, gm, plan
+        self.centre = points.mean(axis=0)
+        self.rows, self.sq = fast_rows(points, self.centre, metric)
+        self.assign, self.ub = np.empty(n, dtype=np.int64), np.empty(n)
+        self.lb = np.empty((gm.z, n))
 
-    def bound(self, ids: np.ndarray) -> np.ndarray | None:
-        return None if self.point_ub is None else self.point_ub[ids]
+    def _direct(self, pid: np.ndarray, tid: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+        """Direct distances of the pairs (point pid[j], centre tid[j]), in
+        blocks: ``rowwise_distance`` holds four arrays of a block's terms."""
+        out = np.empty(pid.size)
+        step = max(1, self.TILE_CELLS // (4 * self.points.shape[1]))
+        for start in range(0, pid.size, step):
+            at = slice(start, start + step)
+            out[at] = rowwise_distance(self.points[pid[at]], centroids[tid[at]], self.metric)
+        return out
 
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> int:
-        col = tile.argmin(axis=1)
-        group_min = np.minimum.reduceat(tile, col_starts, axis=1)
-        mn = group_min.min(axis=1)
-        lo, hi = mn - err, mn + err
-        cur_lo, cur_hi = self.best_lo[ids], self.best_hi[ids]
-        cand = tile <= (np.minimum(hi, cur_hi) + err)[:, None]
-        count = cand.sum(axis=1)
-        sure = (count == 1) & (hi < cur_lo)
-        upd = ids[sure]
-        self.best_lo[upd] = lo[sure]
-        self.best_hi[upd] = hi[sure]
-        self.best_id[upd] = cols[col[sure]]
-        # rows without a candidate keep their running best: it is surely lower
-        open_rows = np.flatnonzero(count > sure)
-        recomputed = self._settle(ids, open_rows, cand, cols) if open_rows.size else 0
-        runs, starts, counts = _group_runs(self.group_of, ids)
-        cell = (runs[:, None], groups)
-        np.minimum.at(self.comp_min, cell, np.minimum.reduceat(group_min - err[:, None], starts))
-        np.add.at(self.tiled, cell, counts[:, None])
-        return recomputed
+    def _tile(self, rows, c_rows, c_sq, counters: CounterSet):
+        sq = None if self.sq is None else self.sq[rows]
+        return tile_distances(self.rows[rows], c_rows, self.metric, counters, sq, c_sq)
 
-    def _settle(self, ids, rows, cand, cols) -> int:
-        """Recompute the open rows' candidates and running bests; keep the
-        (distance, id) minimum per row. Returns the entries recomputed."""
-        r, c = np.nonzero(cand[rows])
-        prev = self.best_id[ids[rows]]
-        had = prev >= 0
-        pid = np.concatenate([ids[rows[r]], ids[rows[had]]])
-        tid = np.concatenate([cols[c], prev[had]])
-        exact = rowwise_distance(self.points[pid], self.targets[tid], self.metric)
-        order = np.lexsort((tid, exact, pid))
-        pid_sorted = pid[order]
-        first = order[np.concatenate(([True], pid_sorted[1:] != pid_sorted[:-1]))]
-        win = pid[first]
-        self.best_lo[win] = self.best_hi[win] = exact[first]
-        self.best_id[win] = tid[first]
-        return pid.size
+    def first(self, centroids: np.ndarray, counters: CounterSet) -> int:
+        """Iteration 1; returns the kernel calls. Each row starts from its
+        fast minimum's centre, at its direct distance."""
+        n, k = self.points.shape[0], centroids.shape[0]
+        centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
+        self.lb[...] = np.inf  # a group without centres bounds nothing
+        step = max(1, self.TILE_CELLS // k)
+        for start in range(0, n, step):
+            block = np.arange(start, min(n, start + step))
+            tile, err = self._tile(block, centres.rows, centres.sq, counters)
+            self.assign[block] = self.plan.point_perm[tile.argmin(axis=1)]
+            self.ub[block] = self._direct(block, self.assign[block], centroids)
+            counters.recomputed_distances += block.size
+            self._reduce(block, self.plan.point_perm, tile, err, centroids, counters)
+        return -(-n // step)
 
-    def refreshed_lb(self, lb: np.ndarray) -> np.ndarray:
-        """Group-pair lower bounds for the next iteration: from the tiles
-        where a pair was fully tiled, tightened where it was partly tiled."""
-        low = lower_bound(self.comp_min, 0.0, self.slack)
-        return np.where(self.tiled == self.group_sizes[:, None], low, np.minimum(lb, low))
+    def update(self, centroids: np.ndarray, drift: np.ndarray, counters: CounterSet) -> int:
+        """A later iteration, the centres having moved by ``drift``; returns
+        the kernel calls."""
+        ub, lb, slack = self.ub, self.lb, self.gm.slack
+        ub += drift[self.assign]  # upper_bound and lower_bound, in place
+        ub *= 1 + slack
+        lb *= 1 - slack
+        lb -= group_max(drift, self.gm.group_of, self.gm.z)[:, None] * (1 + slack)
+        np.maximum(lb, 0.0, out=lb)
+        floor = lb.min(axis=0)
+        rows = np.flatnonzero(ub >= floor)
+        ub[rows] = self._direct(rows, self.assign[rows], centroids)
+        counters.bound_computations += rows.size
+        rows = rows[ub[rows] >= floor[rows]]
+
+        centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
+        tiled, calls = counters.point_distances, 0
+        for g in np.flatnonzero(self.gm.sizes).tolist():
+            reach = rows[lb[g, rows] <= ub[rows]]
+            ids, c_rows, c_sq = centres.take([g])
+            step = max(1, self.TILE_CELLS // max(ids.size, self.points.shape[1]))
+            for start in range(0, reach.size, step):
+                block = reach[start : start + step]
+                tile, err = self._tile(block, c_rows, c_sq, counters)
+                self._reduce(block, ids, tile, err, centroids, counters)
+                calls += 1
+        # every pair not tiled is pruned
+        counters.pruned_pairs += ub.size * centroids.shape[0] - (counters.point_distances - tiled)
+        return calls
+
+    def _reduce(self, block, cols, tile, err, centroids, counters: CounterSet) -> None:
+        """Fold a tile of the rows ``block``, whose ``ub`` is exact, against
+        the centres ``cols`` (whole groups, each contiguous). A row whose
+        only candidate within ``ub`` + err is its own centre is decided; the
+        others recompute their candidates by direct differencing and take
+        the (distance, id) minimum. Each group's ``lb`` becomes its tile
+        minimum without the row's new own centre, less err."""
+        col_of = np.full(self.gm.n, -1)  # a centre's column in the tile, if any
+        col_of[cols] = np.arange(cols.size)
+        own = col_of[self.assign[block]]
+        cand = tile <= (self.ub[block] + err)[:, None]
+        cand[own >= 0, own[own >= 0]] = False  # its direct distance is ub
+        r, c = np.nonzero(cand)
+        if r.size:
+            counters.recomputed_distances += r.size
+            held = block[np.unique(r)]
+            pid = np.concatenate([block[r], held])
+            tid = np.concatenate([cols[c], self.assign[held]])
+            dist = np.concatenate([self._direct(block[r], cols[c], centroids), self.ub[held]])
+            order = np.lexsort((tid, dist, pid))
+            pid_sorted = pid[order]
+            win = order[np.concatenate(([True], pid_sorted[1:] != pid_sorted[:-1]))]
+            pid, tid, dist = pid[win], tid[win], dist[win]
+            went = pid[tid != self.assign[pid]]
+            left = self.gm.group_of[self.assign[went]]
+            # a centre a row leaves rejoins its group's bound at its direct
+            # distance (in the tile, the minimum below covers it too)
+            self.lb[left, went] = np.minimum(self.lb[left, went], self.ub[went])
+            self.assign[pid], self.ub[pid] = tid, dist
+        own = col_of[self.assign[block]]
+        tile[own >= 0, own[own >= 0]] = np.inf
+        groups, starts = _group_runs(self.gm.group_of, cols)
+        low = lower_bound(np.minimum.reduceat(tile, starts, axis=1), err[:, None], self.gm.slack)
+        self.lb[np.ix_(groups, block)] = low.T
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -551,7 +589,7 @@ class _Radius:
             keep[band] = exact <= self.radius
             hit_i, hit_j = hit_i[keep], hit_j[keep]
         self.pairs[batch[0]].append((hit_i, hit_j))
-        runs, starts, _ = _group_runs(self.gm.group_of, ids)
+        runs, starts = _group_runs(self.gm.group_of, ids)  # rows come in batch order
         low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
         high = np.maximum.reduceat(tile, col_starts, axis=1) + err[:, None]
         low = lower_bound(np.minimum.reduceat(low, starts), 0.0, self.slack)
@@ -628,15 +666,11 @@ def run_kmeans(
     initial_clusters: np.ndarray | None = None,
     weights: np.ndarray | None = None,
 ) -> RunResult:
-    """Lloyd-style iteration with trace/group-level bound pruning.
-
-    Iteration 1 cuts the landmark bounds at each source group's smallest
-    covering upper bound (the join's filter with K = 1); later iterations
-    decay the bounds it leaves by the per-cluster drift. Group pairs it
-    never tiles keep their landmark bound. Assignment is the nearest
-    cluster under (distance, id) tie-break; centroids are member means;
-    empty clusters keep their position. Exit on unchanged assignments or
-    the iteration cap.
+    """Lloyd iteration, assigning through Yinyang bounds (``_Yinyang``)
+    against ``design.n_trg_grp`` groups of the centres, formed at their
+    start. Assignment is the nearest cluster under (distance, id)
+    tie-break; centroids are member means; empty clusters keep their
+    position. Exit on unchanged assignments or the iteration cap.
     """
     _check_kind(plan, "iterative_two_set")
     t0 = time.perf_counter()
@@ -656,64 +690,32 @@ def run_kmeans(
         raise RangeError(f"cluster dim {centroids.shape[1]} does not match data dim {d}")
 
     counters = CounterSet()
-    z_src = min(config.design.n_src_grp, n)
-    z_trg = min(config.design.n_trg_grp, k)
-    src_gm = build_groups(points, z_src, config.seed + 1, metric, counters)
     # cluster-id groups, and so their packing, fixed across iterations
     clusters = Dataset.from_values(centroids)
+    z_trg = min(config.design.n_trg_grp, k)
     trg_gm = build_groups(clusters, z_trg, config.seed + 2, metric, counters)
-
-    src_lp = pack_intra_group(points, src_gm)
     trg_lp = pack_intra_group(clusters, trg_gm)
-    centre = points.values.mean(axis=0)
-    grouped = _Grouped.build(points.values, src_gm, src_lp, metric, centre)
+    nearest = _Yinyang(points.values, metric, trg_gm, trg_lp)
 
     max_iter = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
     per_iter: list[IterationStats] = []
-    # carried between iterations: the group-pair lower bounds, and each
-    # point's last best distance (an upper bound on its direct value) and
-    # cluster (``assignments``)
-    lb = best_d = assignments = None
+    assignments = None
     oracle_centroids = centroids.copy() if config.oracle_mode == "shadow" else None
     oracle_s = 0.0
 
     for it in range(1, max_iter + 1):
         base = counters.snapshot()
-        reused_iteration = False
         if it == 1:
-            # landmark bounds, cut at each source group's smallest covering ub
-            lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
-            cm = filter_oneshot(src_gm, trg_gm, lb, ub, 1, counters)
-            point_ub = None
+            calls = nearest.first(centroids, counters)
         else:
             drifts = rowwise_distance(prev_centroids, centroids, metric)
             counters.bound_computations += k
-            if float(drifts.max()) == 0.0:
-                reused_iteration = True
+            if float(drifts.max()) == 0.0:  # every assignment and bound stands
+                counters.reused_pairs += n * k
+                calls = 0
             else:
-                point_ub = upper_bound(best_d + drifts[assignments], src_gm.slack)
-                cm = filter_iterative(
-                    src_gm, trg_gm, lb, group_max(point_ub, src_gm.group_of, z_src),
-                    np.zeros(z_src), group_max(drifts, trg_gm.group_of, z_trg), counters,
-                )
-
-        if reused_iteration:
-            counters.reused_pairs += n * k
-            new_assign = assignments
-            n_batches = 0
-        else:
-            batches = _source_batches(np.arange(z_src), cm)
-            n_batches = len(batches)
-            nearest = _Nearest(points.values, centroids, src_gm, trg_gm, point_ub, metric)
-            targets = _Grouped.build(centroids, trg_gm, trg_lp, metric, centre)
-            sweep = _sweep(
-                grouped, targets, cm, lb, batches, nearest, metric, config.thread_count
-            )
-            counters.add(sweep)
-            assert np.all(nearest.best_id >= 0), "nearest-target invariant violated"
-            new_assign, best_d = nearest.best_id, nearest.best_hi
-            lb = nearest.refreshed_lb(lb)
-
+                calls = nearest.update(centroids, drifts, counters)
+        new_assign = nearest.assign.copy()
         changed = (
             n if assignments is None else int(np.count_nonzero(new_assign != assignments))
         )
@@ -737,12 +739,12 @@ def run_kmeans(
         centroids = group_means(points.values, assignments, k, centroids)
 
         delta = counters.delta_since(base)
-        per_iter.append(_stats(it, delta, n, k, n_batches, z_src, changed))
+        per_iter.append(_stats(it, delta, n, k, calls, n, changed))
         if changed == 0:
             break
 
     outputs = {"assignments": assignments, "centroids": centroids}
-    return _result(plan, outputs, per_iter, counters, config, t0, src_lp, oracle_s)
+    return _result(plan, outputs, per_iter, counters, config, t0, trg_lp, oracle_s)
 
 
 # -- one-shot two-set (top-K join) ----------------------------------------

@@ -303,11 +303,20 @@ def test_a_small_tile_budget_changes_no_result(monkeypatch, name):
     # tiles of a few rows split each group pair across many row blocks,
     # whose per-pair bounds the reducers must fold, not overwrite
     base, _ = _run(name)
-    for reducer in (pipelines._Nearest, pipelines._TopK, pipelines._Radius):
+    for reducer in (pipelines._Yinyang, pipelines._TopK, pipelines._Radius):
         monkeypatch.setattr(reducer, "TILE_CELLS", 40)
     small, _ = _run(name)
     assert small.counters.tiles_executed > base.counters.tiles_executed
     _assert_same_results(base, small)
+    if name == "kmeans":
+        # k-means counts its kernel calls as source batches, and so follows the tiling
+        assert sum(s.source_batches for s in small.per_iteration) > sum(
+            s.source_batches for s in base.per_iteration
+        )
+        small.per_iteration = [
+            dataclasses.replace(s, source_batches=b.source_batches)
+            for s, b in zip(small.per_iteration, base.per_iteration)
+        ]
     assert small.per_iteration == base.per_iteration
 
 
@@ -710,11 +719,16 @@ def test_force_rule_equals_an_add_at_reference(d):
 
 
 def test_sample_first_iterations_do_not_tile_every_pair():
-    # both iterative pipelines start from the landmark cut, not a full sweep
+    # n-body starts from the landmark cut, not a full sweep; k-means tiles
+    # every pair once, without grouping its points, to seed its per-point
+    # bounds, which prune from iteration 2 on
     nbody, pairs = _run("nbody")
     assert nbody.per_iteration[0].point_distances < pairs / 2
-    kmeans, _ = _run("kmeans")
-    assert kmeans.per_iteration[0].pruned_pairs > 0
+    kmeans, pairs = _run("kmeans")
+    first, *later = kmeans.per_iteration
+    assert (first.point_distances, first.source_groups) == (pairs, 300)
+    assert kmeans.counters.grouping_distances == 6 * 12 * DESIGN.n_trg_grp  # the centres' alone
+    assert later and all(s.pruned_pairs > 0 for s in later)
 
 
 @pytest.mark.parametrize(
@@ -753,8 +767,9 @@ def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(
 ):
     # three distinct centroids, each twice, in four target groups: equal
     # centroids share their nearest landmark, so a target group is empty,
-    # and every point ties between two clusters; iteration 1's K = 1 cut
-    # must still keep each point's (distance, id) nearest
+    # and every point ties between two clusters; iteration 1's tile and
+    # the bounds it seeds must still keep each point's (distance, id)
+    # nearest, and later iterations must prune
     pts = gaussian_mixture(300, 4, 3, seed=31, center_box=3.0)
     centroids = np.repeat(np.random.default_rng(32).normal(size=(3, 4)) * 3.0, 2, axis=0)
     design = DesignConfig(n_src_grp=10, n_trg_grp=4)
@@ -768,8 +783,124 @@ def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(
         )
         result = run_plan(plan, pts, Dataset.from_values(centroids), cfg)
         assert result.oracle_checked
-        assert result.per_iteration[0].pruned_pairs > 0
+        assert all(s.pruned_pairs > 0 for s in result.per_iteration[1:])
+        assert result.iterations > 1 or steps == 1
         assert np.all(result.outputs["assignments"] >= 0)
         if steps == 1:
             # the second copy of each centroid loses every tie
             assert set(result.outputs["assignments"].tolist()) <= {0, 2, 4}
+
+
+# -- the Yinyang bounds of k-means ----------------------------------------------
+
+METRICS = ["Unweighted L1", "Unweighted L2"]
+
+
+def _watch_bounds(monkeypatch) -> list:
+    """Patch ``_Yinyang.first`` and ``update`` to check the bounds after
+    every iteration against ``brute_rows``: ``ub[i]`` at least point i's
+    direct distance to its centre, ``lb[g, i]`` at most that to every other
+    centre of group g. Returns each iteration's assignments and the
+    centres' groups."""
+    seen = []
+
+    def checked(method):
+        def run(self, centroids, *args):
+            calls = method(self, centroids, *args)
+            full = brute_rows(self.points, centroids, self.metric)
+            rows = np.arange(full.shape[0])
+            assert np.all(self.ub >= full[rows, self.assign])
+            full[rows, self.assign] = np.inf
+            for g, members in enumerate(self.gm.membership):
+                assert np.all(self.lb[g] <= full[:, members].min(axis=1, initial=np.inf)), g
+            seen.append((self.assign.copy(), self.gm.group_of))
+            return calls
+
+        return run
+
+    for name in ("first", "update"):
+        monkeypatch.setattr(pipelines._Yinyang, name, checked(getattr(pipelines._Yinyang, name)))
+    return seen
+
+
+def _kmeans(pts: Dataset, init: np.ndarray, metric: str, steps: int = 12, groups: int = 4):
+    plan = make_plan(
+        "iterative_two_set", pts.n, init.shape[0], pts.d, SelectSpec("count", 1.0, "smallest"),
+        steps, metric,
+    )
+    design = DesignConfig(n_src_grp=8, n_trg_grp=groups)
+    cfg = RunConfig(design=design, oracle_mode="shadow")
+    result = run_plan(plan, pts, Dataset.from_values(init), cfg)
+    assert result.oracle_checked
+    k = init.shape[0]
+    for s in result.per_iteration:
+        assert s.point_distances + s.pruned_pairs + s.reused_pairs == pts.n * k, s
+        assert s.all_inside_pairs == 0 and s.source_groups == pts.n
+    return result
+
+
+_BOUND_CASES = {
+    "blobs": lambda: gaussian_mixture(400, 6, 5, seed=51, center_box=8.0),
+    "far": lambda: Dataset.from_values(
+        gaussian_mixture(400, 6, 5, seed=52, center_box=8.0).values + 1e6
+    ),
+    "grid": lambda: _grid(300, 4, seed=53),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUND_CASES))
+@pytest.mark.parametrize("metric", METRICS, ids=["l1", "l2"])
+def test_kmeans_bounds_hold_after_every_iteration(monkeypatch, metric, case):
+    seen = _watch_bounds(monkeypatch)
+    pts = _BOUND_CASES[case]()
+    init = pts.values[np.random.default_rng(54).choice(pts.n, 16, replace=False)]
+    result = _kmeans(pts, init, metric)
+    assert len(seen) == result.iterations > 2
+    assert sum(s.pruned_pairs for s in result.per_iteration) > 0
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=["l1", "l2"])
+def test_kmeans_centres_that_jump_far_open_every_row(monkeypatch, metric):
+    # the centres start far off the points' subspace, at 1000 along an
+    # axis the points do not use: iteration 1 still splits the points by
+    # their nearest start, and iteration 2 moves every centre about 1000,
+    # so every point's ub outgrows its lb and every row is tightened
+    seen = _watch_bounds(monkeypatch)
+    pts = gaussian_mixture(400, 4, 4, seed=41, center_box=3.0).values
+    pts = Dataset.from_values(np.column_stack([pts, np.zeros(len(pts))]))
+    init = pts.values[np.sort(np.random.default_rng(3).choice(pts.n, 16, replace=False))]
+    init[:, -1] = 1000.0
+    result = _kmeans(pts, init, metric)
+    assert np.unique(seen[0][0]).size == 16  # every centre won points
+    assert result.per_iteration[1].bound_computations == 16 + pts.n
+    assert result.iterations > 2
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=["l1", "l2"])
+def test_kmeans_points_that_cross_between_centre_groups(monkeypatch, metric):
+    # all centres start in one corner of the blobs, so as they spread,
+    # points leave centres of one group for centres of another; a centre
+    # left behind must rejoin the bound of its group
+    seen = _watch_bounds(monkeypatch)
+    pts = gaussian_mixture(400, 3, 6, seed=61, center_box=10.0)
+    corner = np.argsort(pts.values.sum(axis=1))[:12]
+    result = _kmeans(pts, pts.values[np.sort(corner)], metric, steps=20)
+    crossed = 0
+    for (before, group_of), (after, _) in zip(seen, seen[1:]):
+        crossed += np.count_nonzero(group_of[before] != group_of[after])
+    assert crossed > 0 and result.iterations > 3
+
+
+def test_kmeans_tie_at_distance_zero_reaches_the_lower_centre(monkeypatch):
+    # centre 0 at (1, -1) wins a and b on ties (L1 distance 2 to both
+    # centres), centre 1 holds p on the spot; both then move onto p, so in
+    # iteration 2 p's ub and its bound to centre 0 are both exactly 0, and
+    # only the non-strict tests open p and let the lower centre take it.
+    # (In L2 a centre cannot land on a point another centre holds in one
+    # step: its members' mean stays on its side of the bisector.)
+    seen = _watch_bounds(monkeypatch)
+    pts = Dataset.from_values(np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]]))
+    result = _kmeans(pts, np.array([[1.0, -1.0], [0.0, 0.0]]), "Unweighted L1", groups=2)
+    assert [a.tolist() for a, _ in seen] == [[0, 0, 1], [0, 0, 0]]
+    # no centre moves in iteration 3, which keeps every assignment
+    assert result.iterations == 3 and result.per_iteration[2].reused_pairs == 6
