@@ -23,7 +23,20 @@ outside pair conservation, and leaves out grouping's own near-tie
 candidates. ``tiles_executed`` counts kernel calls and ``bytes_streamed``
 the operand rows each call reads, (rows + cols) * d float64 values; both
 follow the tiling, so the batching of source groups and the tile budget
-change them. Functions that take ``counters=None`` tally nothing.
+change them; ``mac_ops`` counts each call's rows * cols * d terms.
+
+A self-set step that keeps its Verlet list (a list step) makes no kernel
+call. It evaluates each listed unordered pair once by direct
+differencing, which counts as ``point_distances`` with no tile; the
+pair's other orientation counts as ``reused_pairs``, and every other
+ordered pair, each point with itself included, as ``pruned_pairs``. It
+sweeps no source batch (``source_batches`` 0), and ``tiles_executed``,
+``mac_ops`` and ``bytes_streamed``, which count only kernel calls and
+their operands, stay 0 on it. A step that rebuilds the list counts its
+sweep as above, and its direct evaluation of the new list as
+``recomputed_distances``.
+
+Functions that take ``counters=None`` tally nothing.
 """
 
 from __future__ import annotations

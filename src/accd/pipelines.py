@@ -23,18 +23,23 @@ pipeline's reducer:
   the row's bound then reaches, so each row merges into its K + 1 at most
   twice. The join orders its source groups so that groups with the same
   candidate list sit next to each other.
-* ``_Radius`` (iterative self-set) has no per-point bound and works on
-  unordered pairs, as distances are symmetric. Its group-pair bounds
-  start from the landmark bounds of ``gti.init_oneshot_state``, stay
-  exactly symmetric and are cut at the radius on every step, the first
-  included; each unordered group pair is decided and tiled once, from its
-  upper cell, and its other orientation counts as reused. Before the
-  sweep it takes every member pair of the all-inside group pairs without
-  a tile; during it, it keeps each tile's neighbor pairs, each unordered
-  pair once, and folds the tile's extremes into the bounds of both
-  orientations of each group pair the tile covers; after it, it assembles
-  the neighbor lists of both directions. The force rule takes each
-  unordered pair once too.
+* ``_Radius`` (iterative self-set) has no per-point bound, works on
+  unordered pairs, as distances are symmetric, and sweeps only to rebuild
+  a Verlet list: the pairs within the radius plus a skin. Its group-pair
+  bounds start from the landmark bounds of ``gti.init_oneshot_state``,
+  stay exactly symmetric and are cut at the radius plus the skin at every
+  rebuild, step 1 included; each unordered group pair is decided and
+  tiled once, from its upper cell, and its other orientation counts as
+  reused. Before the sweep it takes every member pair of the all-inside
+  group pairs without a tile; during it, it keeps each tile's pairs within
+  the cut plus the tile's error bound, each unordered pair once, and folds
+  the tile's extremes into the bounds of both orientations of each group
+  pair the tile covers; after it, it stores them as the list. Every step
+  evaluates the listed pairs by direct differencing, keeps those within
+  the radius and scatters them into both directions' neighbor lists. The
+  list is rebuilt only when the points' movement since the last rebuild
+  could have brought a pair left out of it within the radius. The force
+  rule takes each unordered pair once too.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -92,8 +97,11 @@ from .metrics import MetricSpec, gathered_distance, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8)
-# Terms per block of the final top-K recompute: 512 KB of float64.
-_SETTLE_BLOCK_ELEMS = 1 << 16
+# Terms per block of a direct recompute (the top-K settle, the n-body
+# list): 512 KB of float64.
+_DIRECT_BLOCK_ELEMS = 1 << 16
+# The n-body Verlet list's skin, as a fraction of the radius.
+_SKIN_FRACTION = 1 / 32
 
 
 @dataclass
@@ -481,9 +489,9 @@ class _TopK:
         """
         k, n = self.k, trg.shape[0]
         ids = self.top_i[:, :k]
-        dist = gathered_distance(src, trg, ids, metric, _SETTLE_BLOCK_ELEMS)
+        dist = gathered_distance(src, trg, ids, metric, _DIRECT_BLOCK_ELEMS)
         redo = np.flatnonzero(self.top_f[:, k] - self.top_f[:, k - 1] <= 2 * self.err)
-        step = max(1, _SETTLE_BLOCK_ELEMS // (n * src.shape[1]))
+        step = max(1, _DIRECT_BLOCK_ELEMS // (n * src.shape[1]))
         for start in range(0, redo.size, step):
             block = redo[start : start + step]
             full = brute_rows(src[block], trg, metric)
@@ -505,38 +513,54 @@ class _TopK:
 
 
 class _Radius:
-    """Neighbor pairs within a radius, step after step of a self-set run.
+    """Neighbor pairs within a radius, step after step of a self-set run,
+    through a Verlet list (Verlet, Phys. Rev. 159, 1967): the pairs within
+    ``cut``, the radius plus a skin, kept from one rebuild to the next.
 
     Distances are symmetric, so the run works on unordered pairs (Newton's
-    third law; the half neighbor list of molecular dynamics). ``lb``/``ub``
-    are the group-pair bounds carried from step to step, the landmark
-    bounds before step 1; they stay exactly symmetric, so the radius cut
-    keeps, and marks all-inside, both orientations of a group pair alike.
-    Each unordered group pair {a, b} is taken from its upper cell, b >= a:
-    a step resets the bounds of every pair it tiles, in both orientations,
-    and tiles only the upper ones; each tile folds into both orientations,
-    per (source group, target group) cell it covers, the extremes of that
-    cell's entries widened by each row's error bound and the bound slack.
-    The lower cells' pairs are mirrored, not tiled, and count as reused.
-    A member pair (i, j) is kept from the orientation with (group of i, i)
-    before (group of j, j), so the diagonal cell yields its upper triangle.
-    A step's pairs are collected per batch (under the batch's first group),
-    so concurrent batches never share a list; the bounds of a group pair
-    {a, b}, a <= b, are folded, in both orientations, only by the batch
-    holding a.
+    third law; the half neighbor list of molecular dynamics).
+
+    A rebuild sweeps at ``cut``. ``lb``/``ub`` are the group-pair bounds
+    carried from rebuild to rebuild, the landmark bounds before the first;
+    they stay exactly symmetric, so the cut keeps, and marks all-inside,
+    both orientations of a group pair alike. Each unordered group pair
+    {a, b} is taken from its upper cell, b >= a: a rebuild resets the
+    bounds of every pair it tiles, in both orientations, and tiles only the
+    upper ones; each tile folds into both orientations, per (source group,
+    target group) cell it covers, the extremes of that cell's entries
+    widened by each row's error bound and the bound slack. The lower cells'
+    pairs are mirrored, not tiled, and count as reused. A member pair
+    (i, j) is kept from the orientation with (group of i, i) before (group
+    of j, j), so the diagonal cell yields its upper triangle. The list is
+    every member pair of the all-inside group pairs and every tiled pair
+    whose fast value is at most ``cut`` + err: a superset of the pairs
+    within ``cut``, and every pair left out lies beyond ``cut`` in direct
+    arithmetic. A rebuild's pairs are collected per batch (under the
+    batch's first group), so concurrent batches never share a list; the
+    bounds of a group pair {a, b}, a <= b, are folded, in both
+    orientations, only by the batch holding a. ``store_list`` keeps them
+    once, as i < j sorted by (i, j), and frees the rest.
+
+    Every step evaluates the listed pairs by direct differencing, the
+    oracles' arithmetic, and keeps those within the radius. ``disp`` is
+    each point's movement since the rebuild; by the trace bound
+    |d_t(i, j) - d_0(i, j)| <= disp_i + disp_j at the level of point pairs,
+    the list holds while the two largest leave ``cut`` above the radius.
     """
 
     TILE_CELLS = 1 << 18  # 2 MB of float64: 64-row tiles of a 4096-point n-body step
 
-    def __init__(self, gm: GroupModel, radius: float, metric: MetricSpec):
+    def __init__(self, gm: GroupModel, radius: float, skin: float, metric: MetricSpec):
         self.gm = gm
         self.radius = radius
+        self.cut = radius + skin
         self.metric = metric
         self.slack = gm.slack
         self.sizes = gm.sizes
         self.lb = self.ub = None  # set by the run before step 1
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        self.pos: np.ndarray | None = None
+        self.li = self.lj = self.below = None  # the list, set by store_list
+        self.disp = np.zeros(gm.n)
 
     def _first(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Mask of the pairs (i, j) with (group of i, i) < (group of j, j):
@@ -544,11 +568,39 @@ class _Radius:
         gi, gj = self.gm.group_of.take(i), self.gm.group_of.take(j)
         return (gi < gj) | ((gi == gj) & (i < j))
 
-    def resolve(self, cm: CandidateMatrix, pos: np.ndarray, counters: CounterSet) -> CandidateMatrix:
-        """Start a step at positions ``pos``: take every member pair of the
-        all-inside group pairs without a tile, reset the bounds of the pairs
-        left to tile, and return the upper ones for the tiles to fold into."""
-        self.pos = pos
+    def moved(self, drift: np.ndarray) -> None:
+        """Add one step's movement to ``disp``, each sum rounded up as
+        ``upper_bound`` does, so it bounds the true movement."""
+        self.disp = upper_bound(self.disp + drift, self.slack)
+
+    def holds(self) -> bool:
+        """Whether no pair left out of the list can be within the radius:
+        it lay beyond ``cut`` at the rebuild and has closed in by at most
+        the two largest ``disp``, which ``lower_bound`` takes off ``cut``."""
+        two = np.partition(self.disp, -2)[-2:] if self.disp.size > 1 else self.disp
+        return bool(lower_bound(self.cut, two.sum(), self.slack) > self.radius)
+
+    def rebuild(self, pos: np.ndarray, plan: LayoutPlan, counters: CounterSet, threads: int) -> int:
+        """Decay the group-pair bounds by each group's largest ``disp``, cut
+        them at ``cut``, sweep what is left at positions ``pos`` and store
+        the list; returns the source batches swept."""
+        gm = self.gm
+        drift = group_max(self.disp, gm.group_of, gm.z)
+        thr = np.full(gm.z, self.cut)
+        cm = filter_iterative(gm, gm, self.lb, thr, drift, drift, counters, ub=self.ub)
+        to_tile = self.resolve(cm, counters)
+        batches = _source_batches(np.arange(gm.z), to_tile)
+        grouped = _Grouped.build(pos, gm, plan, self.metric, pos.mean(axis=0))
+        sweep = _sweep(grouped, grouped, to_tile, self.lb, batches, self, self.metric, threads)
+        counters.add(sweep)
+        self.store_list()
+        self.disp[:] = 0.0
+        return len(batches)
+
+    def resolve(self, cm: CandidateMatrix, counters: CounterSet) -> CandidateMatrix:
+        """Start a rebuild: take every member pair of the all-inside group
+        pairs without a tile, reset the bounds of the pairs left to tile,
+        and return the upper ones for the tiles to fold into."""
         self.pairs = [[] for _ in range(self.gm.z)]
         members = self.gm.membership
         all_inside = cm.all_inside or [np.zeros(cand.size, dtype=bool) for cand in cm.targets]
@@ -575,20 +627,13 @@ class _Radius:
         return None
 
     def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> int:
-        """Per row, entries at most R - err are within the radius and
-        entries above R + err outside; the band between is recomputed."""
-        flat = np.flatnonzero(tile <= (self.radius + err)[:, None])
+        """Keep, in one orientation, every entry at most ``cut`` + err; the
+        list's direct evaluation decides them, so nothing is recomputed."""
+        flat = np.flatnonzero(tile <= (self.cut + err)[:, None])
         hit_r, hit_c = np.divmod(flat, tile.shape[1])
         hit_i, hit_j = ids.take(hit_r), cols.take(hit_c)
-        first = np.flatnonzero(self._first(hit_i, hit_j))
-        flat, hit_r, hit_i, hit_j = flat[first], hit_r[first], hit_i[first], hit_j[first]
-        band = np.flatnonzero(tile.ravel().take(flat) > self.radius - err.take(hit_r))
-        if band.size:
-            exact = rowwise_distance(self.pos[hit_i[band]], self.pos[hit_j[band]], self.metric)
-            keep = np.ones(hit_i.size, dtype=bool)
-            keep[band] = exact <= self.radius
-            hit_i, hit_j = hit_i[keep], hit_j[keep]
-        self.pairs[batch[0]].append((hit_i, hit_j))
+        first = self._first(hit_i, hit_j)
+        self.pairs[batch[0]].append((hit_i[first], hit_j[first]))
         runs, starts = _group_runs(self.gm.group_of, ids)  # rows come in batch order
         low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
         high = np.maximum.reduceat(tile, col_starts, axis=1) + err[:, None]
@@ -597,21 +642,54 @@ class _Radius:
         for cell in ((runs[:, None], groups), (groups, runs[:, None])):
             np.minimum.at(self.lb, cell, low)
             np.maximum.at(self.ub, cell, high)
-        return band.size
+        return 0
 
-    def assemble(self, n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """The step's unordered pairs i < j sorted by (i, j), and per point
-        its sorted neighbor ids. Each unordered pair was kept once, in one
-        orientation, so one sort of the keys i*n + j of both orientations
-        orders every neighbor list."""
+    def store_list(self) -> None:
+        """Store the rebuild's pairs once, as int32 i < j sorted by (i, j),
+        with the stable argsort of j, which orders them by (j, i); free the
+        sweep's pairs."""
         parts = [p for group in self.pairs for p in group]
+        self.pairs = []
         one = np.concatenate([np.empty(0, dtype=np.int64), *(p[0] for p in parts)])
         other = np.concatenate([np.empty(0, dtype=np.int64), *(p[1] for p in parts)])
-        keys = np.sort(np.concatenate([one * n + other, other * n + one]))
-        all_i, all_j = np.divmod(keys, n)
-        offsets = np.searchsorted(all_i, np.arange(n + 1))
-        upper = all_i < all_j
-        return all_i[upper], all_j[upper], [all_j[offsets[i] : offsets[i + 1]] for i in range(n)]
+        del parts
+        n = self.gm.n
+        li, lj = np.divmod(np.sort(np.minimum(one, other) * n + np.maximum(one, other)), n)
+        self.li, self.lj = li.astype(np.int32), lj.astype(np.int32)
+        self.below = np.argsort(self.lj, kind="stable").astype(np.int32)
+
+    def neighbors(self, pos: np.ndarray, counters: CounterSet, rebuilt: bool):
+        """The step's neighbor pairs i < j sorted by (i, j), and per point
+        its sorted neighbor ids as CSR (offsets, ids): the listed pairs
+        within the radius, by ``rowwise_distance`` in flat blocks.
+
+        On a list step each listed pair counts as a point distance, its
+        other orientation as reused and every other ordered pair as pruned;
+        a rebuild's sweep has counted its pairs, so there they count as
+        recomputed. A point's list is its partners below it, from the kept
+        pairs in (j, i) order, then those above it, from its run of kept
+        (i, j) pairs: one counting scatter, no sort."""
+        n, li, lj = pos.shape[0], self.li, self.lj
+        keep = np.empty(li.size, dtype=bool)
+        step = max(1, _DIRECT_BLOCK_ELEMS // (4 * pos.shape[1]))  # rowwise_distance holds four
+        for start in range(0, li.size, step):
+            at = slice(start, start + step)
+            a, b = pos.take(li[at], axis=0), pos.take(lj[at], axis=0)
+            keep[at] = rowwise_distance(a, b, self.metric) <= self.radius
+        if rebuilt:
+            counters.recomputed_distances += li.size
+        else:
+            counters.point_distances += li.size
+            counters.reused_pairs += li.size
+            counters.pruned_pairs += n * n - 2 * li.size
+        pair_i, pair_j = li.compress(keep), lj.compress(keep)
+        down = self.below.compress(keep.take(self.below))
+        above, below = np.bincount(pair_i, minlength=n), np.bincount(pair_j, minlength=n)
+        ids = np.empty(2 * pair_i.size, dtype=np.int64)
+        ids[np.arange(pair_i.size) + np.cumsum(below).take(pair_i)] = pair_j
+        ids[np.arange(down.size) + (np.cumsum(above) - above).take(lj.take(down))] = li.take(down)
+        offsets = np.concatenate(([0], np.cumsum(above + below)))
+        return pair_i, pair_j, offsets, ids
 
 
 # -- shared run bookkeeping -------------------------------------------------
@@ -857,18 +935,23 @@ def run_nbody(
     config: RunConfig,
     weights: np.ndarray | None = None,
 ) -> RunResult:
-    """Fixed-radius neighbor search per step with trace-bound reuse.
+    """Fixed-radius neighbor search per step through a certified Verlet
+    list (``_Radius``) with skin s = ``_SKIN_FRACTION`` times the radius.
 
-    Step 1 cuts the landmark group-pair bounds at the radius; later steps
-    decay the bounds by group drift, the landmark bounds of pairs no step
-    has tiled included, and only recompute surviving pairs. Group pairs
-    whose upper bound stays inside the radius contribute every member
-    pair with no distance work. Each unordered group pair is decided and
-    tiled once, from its upper cell (``_Radius``); each step sweeps those
-    left in source batches, as the two-set pipelines do. The cut to upper
-    cells gives each group its own candidate list (group a keeps its
-    diagonal cell, group a + 1 does not), so a batch is nearly always one
-    group. The force rule takes each unordered neighbor pair once.
+    Step 1 rebuilds: it cuts the landmark group-pair bounds at the radius
+    plus s, takes the member pairs of the group pairs whose upper bound
+    stays inside it with no distance work, and sweeps the group pairs left,
+    each unordered one tiled once from its upper cell, in source batches,
+    as the two-set pipelines do. The cut to upper cells gives each group
+    its own candidate list (group a keeps its diagonal cell, group a + 1
+    does not), so a batch is nearly always one group. Each later step adds
+    every point's movement to its displacement since the rebuild and
+    rebuilds only when the two largest could have brought a pair from
+    beyond the radius plus s to within the radius; a rebuild decays the
+    group-pair bounds by each group's largest displacement first. Every
+    step, rebuild or not, evaluates the listed pairs directly and keeps
+    those within the radius; a list step sweeps no source batch. The force
+    rule takes each unordered neighbor pair once.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -887,8 +970,7 @@ def run_nbody(
 
     pos = particles.values.copy()
     vel = np.zeros_like(pos)
-    within = _Radius(gm, radius, metric)
-    thr = np.full(z, radius)
+    within = _Radius(gm, radius, radius * _SKIN_FRACTION, metric)
 
     neighbors_per_step: list[list[np.ndarray]] = []
     trajectories: list[np.ndarray] = [pos.copy()]
@@ -898,49 +980,45 @@ def run_nbody(
 
     for step in range(1, steps + 1):
         base = counters.snapshot()
-        grouped = _Grouped.build(pos, gm, lplan, metric, pos.mean(axis=0))
         if step == 1:
             within.lb, within.ub = init_oneshot_state(gm, gm, counters)
-            gd = np.zeros(z)
         else:
             counters.bound_computations += n  # drift distances recorded at integration
-            gd = group_max(prev_drift, gm.group_of, z)
-        cm = filter_iterative(gm, gm, within.lb, thr, gd, gd, counters, ub=within.ub)
-
-        to_tile = within.resolve(cm, pos, counters)
-        batches = _source_batches(np.arange(z), to_tile)
-        sweep = _sweep(
-            grouped, grouped, to_tile, within.lb, batches, within, metric, config.thread_count
-        )
-        counters.add(sweep)
-        pair_i, pair_j, lists = within.assemble(n)
+            within.moved(prev_drift)
+        rebuild = step == 1 or not within.holds()
+        batches = within.rebuild(pos, lplan, counters, config.thread_count) if rebuild else 0
+        pair_i, pair_j, offsets, ids = within.neighbors(pos, counters, rebuild)
+        edges = offsets.tolist()
+        lists = [ids[a:b] for a, b in zip(edges, edges[1:])]
         neighbors_per_step.append(lists)
 
         if config.oracle_mode == "shadow":
             t_oracle = time.perf_counter()
             want = radius_neighbors(pos, metric, radius)
-            for i in range(n):
-                if not np.array_equal(lists[i], want[i]):
-                    raise OracleMismatchError(
-                        f"step {step}: neighbor list of point {i} differs from oracle",
-                        detail={
-                            "step": step,
-                            "point": i,
-                            "got": lists[i].tolist(),
-                            "want": want[i].tolist(),
-                        },
-                    )
+            want_offsets = np.cumsum([0] + [w.size for w in want])
+            same = np.array_equal(offsets, want_offsets)
+            if not (same and np.array_equal(ids, np.concatenate(want))):
+                i = next(i for i in range(n) if not np.array_equal(lists[i], want[i]))
+                raise OracleMismatchError(
+                    f"step {step}: neighbor list of point {i} differs from oracle",
+                    detail={
+                        "step": step,
+                        "point": i,
+                        "got": lists[i].tolist(),
+                        "want": want[i].tolist(),
+                    },
+                )
             oracle_s += time.perf_counter() - t_oracle
 
         # Integrate in original point order; movement feeds the next
-        # step's bound decay.
+        # step's displacements.
         acc = default_force_rule(pos, pair_i, pair_j, config.softening)
         vel = vel + acc * config.dt
         new_pos = pos + vel * config.dt
         prev_drift = rowwise_distance(pos, new_pos, metric)
         pos = new_pos
         trajectories.append(pos.copy())
-        per_iter.append(_stats(step, counters.delta_since(base), n, n, len(batches), z))
+        per_iter.append(_stats(step, counters.delta_since(base), n, n, batches, z))
 
     outputs = {"neighbors": neighbors_per_step, "trajectories": trajectories}
     return _result(plan, outputs, per_iter, counters, config, t0, lplan, oracle_s)

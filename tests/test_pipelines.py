@@ -115,25 +115,27 @@ def _record_cuts(monkeypatch) -> list:
     the reducer's group model."""
     resolve, cuts = pipelines._Radius.resolve, []
 
-    def resolving(self, cm, pos, counters):
+    def resolving(self, cm, counters):
         cuts.append((cm, self.gm))
-        return resolve(self, cm, pos, counters)
+        return resolve(self, cm, counters)
 
     monkeypatch.setattr(pipelines._Radius, "resolve", resolving)
     return cuts
 
 
 def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monkeypatch):
-    # step 1 cuts the landmark bounds at the radius: a kept unordered group
-    # pair is tiled, member pair by member pair, exactly once, in its upper
-    # orientation (b >= a), in tiles within the radius reducer's budget,
-    # and its lower orientation is mirrored, never tiled; a pruned one lies
-    # wholly beyond the radius and an all-inside one wholly within it, and
-    # neither is tiled
+    # step 1 cuts the landmark bounds at the radius plus the Verlet skin: a
+    # kept unordered group pair is tiled, member pair by member pair,
+    # exactly once, in its upper orientation (b >= a), in tiles within the
+    # radius reducer's budget, and its lower orientation is mirrored, never
+    # tiled; a pruned one lies wholly beyond the cut and an all-inside one
+    # wholly within it, and neither is tiled
     sample, pts, _, m = _case("nbody")
     plan = dataclasses.replace(_sample_plan(sample, pts.n, m), max_iter=1)
     full = brute_rows(pts.values, pts.values, L2)
     radius = float(plan.select.value)
+    cut = radius + radius * pipelines._SKIN_FRACTION
+    assert cut > radius
     reduce, cuts = pipelines._Radius.reduce, _record_cuts(monkeypatch)
     default, counts = pipelines._Radius.TILE_CELLS, {}
     # 512 cells hold less than one group pair, so its tiles split rows
@@ -151,6 +153,7 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         monkeypatch.setattr(pipelines._Radius, "TILE_CELLS", cells)
         result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
         ((cm, _),), (within,) = cuts, reducers
+        assert within.cut == cut
         members = within.gm.membership
         # 0 pruned, 1 tiled, 2 all-inside, 3 mirrored from the tiled upper cell
         kind = np.zeros(within.lb.shape, dtype=int)
@@ -165,15 +168,23 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
             cell = np.ix_(members[a], members[b])
             assert np.all(tiled[cell] == (kind[a, b] == 1)), (a, b)
             if kind[a, b] == 0:
-                assert np.all(full[cell] > radius), (a, b)
+                assert np.all(full[cell] > cut), (a, b)
             if kind[a, b] == 2:
-                assert np.all(full[cell] <= radius), (a, b)
+                assert np.all(full[cell] <= cut), (a, b)
             # every group pair's bounds hold all its member pairs: tiled
             # and mirrored ones where their rows were split across tiles,
             # the others with their landmark bounds
             if full[cell].size:
                 assert within.lb[a, b] <= full[cell].min()
                 assert full[cell].max() <= within.ub[a, b]
+        # the stored list: int32 pairs i < j in (i, j) order, each once,
+        # holding every pair within the cut
+        li, lj = within.li, within.lj
+        assert li.dtype == lj.dtype == np.int32 and np.all(li < lj)
+        assert np.all(np.diff(li.astype(np.int64) * pts.n + lj) > 0)
+        listed = np.zeros((pts.n, pts.n), dtype=bool)
+        listed[li, lj] = True
+        assert not np.any(np.triu(full <= cut, 1) & ~listed)
         sizes = within.gm.sizes
         pairs = {k: int(np.sum((kind == k) * np.outer(sizes, sizes))) for k in range(4)}
         assert all(pairs.values()), pairs  # each kind occurs
@@ -186,18 +197,24 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
 
 
 def _record_symmetry(monkeypatch) -> list:
-    """Patch ``_Radius.assemble``, which ends each step's sweep, to check
-    that the group-pair bounds are exactly symmetric; returns the steps'
-    reducers."""
-    assemble, seen = pipelines._Radius.assemble, []
+    """Patch ``_Radius.store_list``, which ends each rebuild's sweep, to
+    check that the group-pair bounds are exactly symmetric; returns the
+    rebuilds' reducers."""
+    store, seen = pipelines._Radius.store_list, []
 
-    def assembling(self, n):
+    def storing(self):
         assert np.array_equal(self.lb, self.lb.T) and np.array_equal(self.ub, self.ub.T)
         seen.append(self)
-        return assemble(self, n)
+        return store(self)
 
-    monkeypatch.setattr(pipelines._Radius, "assemble", assembling)
+    monkeypatch.setattr(pipelines._Radius, "store_list", storing)
     return seen
+
+
+def _rebuilds(result) -> int:
+    """The steps of an n-body run that rebuilt its list: only they sweep
+    source batches."""
+    return sum(s.source_batches > 0 for s in result.per_iteration)
 
 
 def _reversed_packing(monkeypatch, variant):
@@ -239,7 +256,7 @@ def _strong_pull(**variant):
 )
 def test_nbody_group_pair_bounds_stay_symmetric(monkeypatch, case, variant):
     # one upper cell decides both orientations of a group pair, so the
-    # cut is sound only while every step leaves lb and ub symmetric
+    # cut is sound only while every rebuild leaves lb and ub symmetric
     seen = _record_symmetry(monkeypatch)
     variant = _reversed_packing(monkeypatch, variant)
     if case == "sample":
@@ -247,7 +264,8 @@ def test_nbody_group_pair_bounds_stay_symmetric(monkeypatch, case, variant):
         assert result.counters.all_inside_pairs > 0  # all-inside group pairs occur
     else:
         _, result = _strong_pull(**variant)
-    assert result.oracle_checked and len(seen) == result.iterations
+    assert result.oracle_checked and len(seen) == _rebuilds(result) >= 1
+    assert result.per_iteration[0].source_batches > 0  # step 1 rebuilds
     assert result.counters.reused_pairs > 0
 
 
@@ -755,6 +773,144 @@ def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
     assert sum(int(pruned[i, lst].sum()) for step in later for i, lst in enumerate(step)) > 0
     for s in result.per_iteration:
         assert s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs == pts.n**2
+
+
+# -- the n-body Verlet list ------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["sample", "strong_pull"])
+def test_nbody_without_a_skin_rebuilds_every_step_with_the_same_results(monkeypatch, case):
+    # with no skin the list never outlives its step, so every step sweeps;
+    # the skin may change the work, never a neighbor list or a trajectory
+    def run():
+        return _run("nbody")[0] if case == "sample" else _strong_pull()[1]
+
+    skinned = run()
+    monkeypatch.setattr(pipelines, "_SKIN_FRACTION", 0.0)
+    bare = run()
+    assert _rebuilds(bare) == bare.iterations > 1
+    if case == "sample":
+        assert _rebuilds(skinned) < skinned.iterations  # the skin saves sweeps here
+    for key in ("neighbors", "trajectories"):
+        got, want = list(_flat(bare.outputs[key])), list(_flat(skinned.outputs[key]))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), key
+
+
+def test_nbody_strong_pull_rebuilds_after_step_one():
+    # points thrown across the blobs outrun the skin, so the list is
+    # rebuilt after step 1, and each rebuilt list passes the shadow check
+    _, result = _strong_pull()
+    assert result.oracle_checked
+    assert result.per_iteration[0].source_batches > 0
+    assert any(s.source_batches > 0 for s in result.per_iteration[1:])
+
+
+def _verlet(radius: float, skin: float) -> pipelines._Radius:
+    pts = gaussian_mixture(40, 3, 2, seed=17, center_box=3.0)
+    gm = build_groups(pts, 4, 0, L2, CounterSet())
+    return pipelines._Radius(gm, radius, skin, L2)
+
+
+def test_nbody_list_holds_while_the_two_largest_displacements_fit_the_skin():
+    # the list holds iff the cut less the two largest displacements, as
+    # gti.lower_bound widens them, stays above the radius
+    radius, skin = 1.5, 1.5 / 32
+    within = _verlet(radius, skin)
+    slack = within.slack
+    assert 0 < slack < 1e-12
+
+    def holds(first, second):
+        within.disp = np.zeros(within.gm.n)
+        within.disp[[7, 23]] = first, second
+        within.disp[30] = second / 2  # a third, smaller, counts for nothing
+        return within.holds()
+
+    assert holds(0.0, 0.0)
+    # just below the skin, by more than the slack's widening of the cut
+    # and the displacements: holds
+    below = skin - 8 * slack * (radius + skin)
+    assert holds(below / 2, below / 2) and holds(below, 0.0)
+    # below the skin, but not once the slack widens them: rebuild
+    near = skin - slack * radius
+    assert near < skin and not holds(near / 2, near / 2) and not holds(near, 0.0)
+    assert not holds(skin / 2, skin / 2)
+    # moving adds each step's movement, rounded up by the slack
+    within.disp = np.zeros(within.gm.n)
+    step = np.full(within.gm.n, skin / 8)
+    for _ in range(3):
+        within.moved(step)
+    assert np.all(within.disp > 3 * skin / 8) and within.holds()
+    within.moved(step)  # two points at skin / 2 each: the pair may now be within
+    assert not within.holds()
+    # with no skin a list never holds, even for points that did not move
+    assert not _verlet(radius, 0.0).holds()
+
+
+def test_nbody_list_holds_the_pairs_at_its_cut(monkeypatch):
+    # with radius 1 and a skin of 1 the cut is 2, an exact distance on the
+    # {0, 1, 2}^4 grid: the first rebuild must list every pair within it,
+    # those at exactly 2 included, though their fast values may round
+    # either way
+    store, seen = pipelines._Radius.store_list, []
+
+    def storing(self):
+        store(self)
+        seen.append((self.li.copy(), self.lj.copy()))
+
+    monkeypatch.setattr(pipelines._Radius, "store_list", storing)
+    monkeypatch.setattr(pipelines, "_SKIN_FRACTION", 1.0)
+    pts = _grid(300, 4, seed=5)
+    _exact_run("nbody", pts, value=1.0)
+    full = brute_rows(pts.values, pts.values, L2)
+    li, lj = seen[0]
+    listed = np.zeros(full.shape, dtype=bool)
+    listed[li, lj] = True
+    within = np.triu(full <= 2.0, 1)
+    assert np.any(within & (full == 2.0))
+    assert not np.any(within & ~listed)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"thread_count": 2}, {"reversed_packing": True}],
+    ids=["threads1", "threads2", "reversed_packing"],
+)
+def test_nbody_list_steps_conserve_pairs(monkeypatch, variant):
+    # a list step evaluates each listed pair once, mirrors it, and prunes
+    # every other ordered pair, the diagonal included
+    variant = _reversed_packing(monkeypatch, variant)
+    result, pairs = _run("nbody", **variant)
+    steps = result.per_iteration
+    listed = [s for s in steps if s.source_batches == 0]
+    assert steps[0].source_batches > 0 and listed
+    for s in steps:
+        assert s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs == pairs
+    for s in listed:
+        assert s.point_distances == s.reused_pairs > 0 and s.all_inside_pairs == 0
+        lists = result.outputs["neighbors"][s.iteration - 1]
+        assert s.point_distances >= sum(lst.size for lst in lists) // 2
+
+
+def test_nbody_shadow_check_names_the_point(monkeypatch):
+    # an oracle that drops one neighbor of one point at step 2 must be
+    # caught on that step and point, with both lists
+    real, calls = pipelines.radius_neighbors, []
+
+    def dropping(*args, **kwargs):
+        want = real(*args, **kwargs)
+        calls.append(None)  # one call per step
+        if len(calls) == 2:
+            want[5] = want[5][1:]
+        return want
+
+    monkeypatch.setattr(pipelines, "radius_neighbors", dropping)
+    with pytest.raises(OracleMismatchError) as info:
+        _run("nbody")
+    detail = info.value.detail
+    assert (detail["step"], detail["point"]) == (2, 5)
+    assert len(detail["got"]) > 0 and detail["want"] == detail["got"][1:]
 
 
 @pytest.mark.parametrize(
