@@ -9,11 +9,14 @@ k-means tightening of a point's upper bound to its own centre) go to
 nearest-landmark assignment decides (six per ``build_groups`` call), not
 the candidates of its open (near-tie) points or the final pass's
 point-to-landmark distances, which it recomputes exactly. Avoided
-point-pair work is split into three mutually exclusive buckets so
-per-iteration conservation can be checked: pruned by bounds, resolved as
-all-inside (radius queries), or reused (a k-means iteration in which no
-centroid moved keeps every assignment; the mirrored half of the group
-pairs a self-set step tiles, whose pairs are the tiled half's, swapped).
+point-pair work is split into mutually exclusive buckets so
+per-iteration conservation can be checked: pruned by bounds, or reused (a
+k-means iteration in which no centroid moved keeps every assignment; the
+mirrored half of the group pairs a self-set step tiles, whose pairs are
+the tiled half's, swapped). ``all_inside_pairs`` is always 0: a self-set
+rebuild tiles every group pair it keeps, even one whose upper bound lies
+within its cut. The field stays because benchmark records and the run
+report (schema v2) read it.
 ``recomputed_distances`` counts the point pairs a pipeline evaluates by
 direct differencing, the oracles' arithmetic, on top of the kernel's fast
 tile: to settle a decision the tile's error bound leaves open, or to

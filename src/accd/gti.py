@@ -22,8 +22,8 @@ Three bound families are provided:
   point-to-landmark offsets;
 * group-level: the same algebra with group radii in place of per-point
   offsets, so every member of a source group shares one candidate list;
-* trace-based: reuse last step's bounds, decayed by how far each group
-  has drifted since.
+* trace-based: reuse a self-set's group-pair lower bounds from its last
+  rebuild, decayed by how far each group has drifted since.
 
 All filters are conservative, in floating point too: every stored bound
 brackets both the true distance of each member pair and the value direct
@@ -35,8 +35,8 @@ brute force exactly.
 
 Every filter ends in one vectorised cut: target group t survives for
 source group a iff lb[a, t] <= thr[a], where the per-source-group
-threshold ``thr`` comes from the query (the K-th covering ub or the
-radius).
+threshold ``thr`` comes from the query (the K-th covering ub, or the
+radius plus the Verlet skin of a self-set rebuild).
 """
 
 from __future__ import annotations
@@ -86,14 +86,9 @@ class GroupModel:
 
 @dataclass
 class CandidateMatrix:
-    """Per source group, the sorted target groups surviving the filter.
-
-    ``all_inside[g]`` (radius queries only) marks survivors whose upper
-    bound already proves every member pair lies within the radius.
-    """
+    """Per source group, the sorted target groups surviving the filter."""
 
     targets: list[np.ndarray]
-    all_inside: list[np.ndarray] | None = None
 
     def key(self, g: int) -> tuple:
         return tuple(int(t) for t in self.targets[g])
@@ -256,22 +251,17 @@ def _cut(
     src_sizes: np.ndarray,
     trg_sizes: np.ndarray,
     counters: CounterSet | None,
-    ub: np.ndarray | None = None,
 ) -> CandidateMatrix:
     """Keep target group t for source group a iff lb[a, t] <= thr[a].
 
-    With ``ub`` the kept pairs with ub[a, t] <= thr[a] are marked
-    all-inside. Credits every dropped point pair to ``pruned_pairs``.
+    Credits every dropped point pair to ``pruned_pairs``.
     """
     keep = lb <= thr[:, None]
     if counters is not None:
         counters.pruned_pairs += int(src_sizes @ (~keep @ trg_sizes))
-    rows, cols = np.nonzero(keep)
+    _, cols = np.nonzero(keep)
     splits = np.cumsum(np.count_nonzero(keep, axis=1))[:-1]
-    all_inside = None
-    if ub is not None:
-        all_inside = np.split(ub[rows, cols] <= thr[rows], splits)
-    return CandidateMatrix(targets=np.split(cols, splits), all_inside=all_inside)
+    return CandidateMatrix(targets=np.split(cols, splits))
 
 
 # -- one-shot filtering (two-landmark + group-level) ---------------------
@@ -287,8 +277,8 @@ def init_oneshot_state(
     Costs exactly z_src * z_trg true distance evaluations between the
     landmarks, and no point distance: with the per-point offsets cached by
     ``build_groups`` it is the whole bound budget of the one-shot path and
-    of the first self-set step, which later steps decay by drift
-    (``filter_iterative``).
+    of the first self-set rebuild, whose lower bounds later rebuilds decay
+    by drift (``filter_iterative``).
     """
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
     if counters is not None:
@@ -326,30 +316,22 @@ def filter_oneshot(
 
 
 def filter_iterative(
-    src: GroupModel,
-    trg: GroupModel,
+    gm: GroupModel,
     lb: np.ndarray,
     thr: np.ndarray,
-    src_drift: np.ndarray,
-    trg_drift: np.ndarray,
+    drift: np.ndarray,
     counters: CounterSet | None = None,
-    ub: np.ndarray | None = None,
 ) -> CandidateMatrix:
-    """Decay last step's group-pair bounds, then cut them at the radius.
+    """Decay a self-set's group-pair lower bounds, then cut them.
 
-    The radius query of a self-set step: ``src_drift``/``trg_drift`` hold
-    per group the largest distance any member moved since the bounds were
-    taken; a pair's lb shrinks and its ub grows by both, widened by the
-    bound slack, in place. A target group survives for source group a iff
-    its decayed lb does not exceed ``thr[a]``, the radius; with ``ub``
-    given, pairs it proves within the radius are marked all-inside. Step 1
-    cuts the landmark bounds of ``init_oneshot_state`` with zero drift.
+    ``drift`` holds per group the largest distance any member moved since
+    the bounds were taken; lb[a, b] shrinks by drift[a] + drift[b], widened
+    by the bound slack, in place. Group b survives for group a iff its
+    decayed lb does not exceed ``thr[a]``. The first rebuild cuts the
+    landmark bounds of ``init_oneshot_state`` with zero drift.
     """
-    drift = src_drift[:, None] + trg_drift[None, :]
-    lb[...] = lower_bound(lb, drift, src.slack)
-    if ub is not None:
-        ub[...] = upper_bound(ub + drift, src.slack)
-    return _cut(lb, thr, src.sizes, trg.sizes, counters, ub)
+    lb[...] = lower_bound(lb, drift[:, None] + drift[None, :], gm.slack)
+    return _cut(lb, thr, gm.sizes, gm.sizes, counters)
 
 
 def measured_saving(point_distances: int, n1: int, n2: int) -> float:

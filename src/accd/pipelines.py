@@ -27,14 +27,13 @@ pipeline's reducer:
   unordered pairs, as distances are symmetric, and sweeps only to rebuild
   a Verlet list: the pairs within the radius plus a skin. Its group-pair
   bounds start from the landmark bounds of ``gti.init_oneshot_state``,
-  stay exactly symmetric and are cut at the radius plus the skin at every
-  rebuild, step 1 included; each unordered group pair is decided and
-  tiled once, from its upper cell, and its other orientation counts as
-  reused. Before the sweep it takes every member pair of the all-inside
-  group pairs without a tile; during it, it keeps each tile's pairs within
-  the cut plus the tile's error bound, each unordered pair once, and folds
-  the tile's extremes into the bounds of both orientations of each group
-  pair the tile covers; after it, it stores them as the list. Every step
+  are lower bounds only, stay exactly symmetric and are cut at the radius
+  plus the skin at every rebuild, step 1 included; each kept unordered
+  group pair is tiled once, from its upper cell, and its other orientation
+  counts as reused. During the sweep it keeps each tile's pairs within the
+  cut plus the tile's error bound, each unordered pair once, and folds the
+  tile's minima into the bounds of both orientations of each group pair
+  the tile covers; after it, it stores them as the list. Every step
   evaluates the listed pairs by direct differencing, keeps those within
   the radius and scatters them into both directions' neighbor lists. The
   list is rebuilt only when the points' movement since the last rebuild
@@ -97,8 +96,8 @@ from .metrics import MetricSpec, gathered_distance, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8)
-# Terms per block of a direct recompute (the top-K settle, the n-body
-# list): 512 KB of float64.
+# Terms per block of a direct recompute (the top-K settle, the k-means
+# winners, the n-body list): 512 KB of float64.
 _DIRECT_BLOCK_ELEMS = 1 << 16
 # The n-body Verlet list's skin, as a fraction of the radius.
 _SKIN_FRACTION = 1 / 32
@@ -198,6 +197,17 @@ def _group_runs(group_of: np.ndarray, ids: np.ndarray):
     return of[starts], starts
 
 
+def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
+    """Direct distances of the pairs (a[i[p]], b[j[p]]), gathered in blocks:
+    ``rowwise_distance`` holds four arrays of a block's terms."""
+    out = np.empty(i.size)
+    step = max(1, _DIRECT_BLOCK_ELEMS // (4 * a.shape[1]))
+    for start in range(0, i.size, step):
+        at = slice(start, start + step)
+        out[at] = rowwise_distance(a.take(i[at], axis=0), b.take(j[at], axis=0), metric)
+    return out
+
+
 def _map_ordered(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -226,9 +236,8 @@ def _sweep(
     ``reducer.reduce(batch, groups, cols, col_starts, ids, tile, err)`` gets
     the tile's target groups, column ids (the groups' members, concatenated)
     and each group's first column, rows' ids, fast values and per-row error
-    bound, and returns the entries it recomputed. Batches touch disjoint
-    rows, so they may run on ``threads`` workers. Returns the tile, pruning
-    and recompute tallies.
+    bound. Batches touch disjoint rows, so they may run on ``threads``
+    workers. Returns the tile and pruning tallies.
     """
     src_sizes, trg_sizes = src.gm.sizes, trg.gm.sizes
 
@@ -271,9 +280,7 @@ def _sweep(
                     sub = slice(i, i + step) if sel is None else sel[i : i + step]
                     sq = sq_rows[sub] if sq_rows is not None else None
                     tile, err = tile_distances(rows[sub], col_rows, metric, local, sq, sq_cols)
-                    local.recomputed_distances += reducer.reduce(
-                        batch, groups, cols, col_starts, ids[sub], tile, err
-                    )
+                    reducer.reduce(batch, groups, cols, col_starts, ids[sub], tile, err)
         # every candidate pair is tiled once or pruned
         local.pruned_pairs += ids.size * int(trg_sizes[cand].sum()) - local.point_distances
         return local
@@ -310,16 +317,6 @@ class _Yinyang:
         self.assign, self.ub = np.empty(n, dtype=np.int64), np.empty(n)
         self.lb = np.empty((gm.z, n))
 
-    def _direct(self, pid: np.ndarray, tid: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """Direct distances of the pairs (point pid[j], centre tid[j]), in
-        blocks: ``rowwise_distance`` holds four arrays of a block's terms."""
-        out = np.empty(pid.size)
-        step = max(1, self.TILE_CELLS // (4 * self.points.shape[1]))
-        for start in range(0, pid.size, step):
-            at = slice(start, start + step)
-            out[at] = rowwise_distance(self.points[pid[at]], centroids[tid[at]], self.metric)
-        return out
-
     def _tile(self, rows, c_rows, c_sq, counters: CounterSet):
         sq = None if self.sq is None else self.sq[rows]
         return tile_distances(self.rows[rows], c_rows, self.metric, counters, sq, c_sq)
@@ -334,8 +331,8 @@ class _Yinyang:
         for start in range(0, n, step):
             block = np.arange(start, min(n, start + step))
             tile, err = self._tile(block, centres.rows, centres.sq, counters)
-            self.assign[block] = self.plan.point_perm[tile.argmin(axis=1)]
-            self.ub[block] = self._direct(block, self.assign[block], centroids)
+            own = self.assign[block] = self.plan.point_perm[tile.argmin(axis=1)]
+            self.ub[block] = _pair_distances(self.points, block, centroids, own, self.metric)
             counters.recomputed_distances += block.size
             self._reduce(block, self.plan.point_perm, tile, err, centroids, counters)
         return -(-n // step)
@@ -351,7 +348,7 @@ class _Yinyang:
         np.maximum(lb, 0.0, out=lb)
         floor = lb.min(axis=0)
         rows = np.flatnonzero(ub >= floor)
-        ub[rows] = self._direct(rows, self.assign[rows], centroids)
+        ub[rows] = _pair_distances(self.points, rows, centroids, self.assign[rows], self.metric)
         counters.bound_computations += rows.size
         rows = rows[ub[rows] >= floor[rows]]
 
@@ -388,7 +385,8 @@ class _Yinyang:
             held = block[np.unique(r)]
             pid = np.concatenate([block[r], held])
             tid = np.concatenate([cols[c], self.assign[held]])
-            dist = np.concatenate([self._direct(block[r], cols[c], centroids), self.ub[held]])
+            direct = _pair_distances(self.points, block[r], centroids, cols[c], self.metric)
+            dist = np.concatenate([direct, self.ub[held]])
             order = np.lexsort((tid, dist, pid))
             pid_sorted = pid[order]
             win = order[np.concatenate(([True], pid_sorted[1:] != pid_sorted[:-1]))]
@@ -469,14 +467,13 @@ class _TopK:
     def bound(self, ids: np.ndarray) -> np.ndarray:
         return self.top_f[ids, self.k - 1] + self.err[ids]
 
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> int:
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> None:
         self.err[ids] = np.maximum(self.err[ids], err)
         cat_d = np.concatenate([self.top_f[ids], tile], axis=1)
         cat_i = np.concatenate([self.top_i[ids], np.broadcast_to(cols, tile.shape)], axis=1)
         sel = _smallest(cat_d, cat_i, self.k + 1)
         self.top_f[ids] = _take_rows(cat_d, sel)
         self.top_i[ids] = _take_rows(cat_i, sel)
-        return 0
 
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
         """The exact top-K ids and distances, rows ordered by (distance, id).
@@ -520,19 +517,18 @@ class _Radius:
     Distances are symmetric, so the run works on unordered pairs (Newton's
     third law; the half neighbor list of molecular dynamics).
 
-    A rebuild sweeps at ``cut``. ``lb``/``ub`` are the group-pair bounds
+    A rebuild sweeps at ``cut``. ``lb`` holds the group-pair lower bounds
     carried from rebuild to rebuild, the landmark bounds before the first;
-    they stay exactly symmetric, so the cut keeps, and marks all-inside,
-    both orientations of a group pair alike. Each unordered group pair
-    {a, b} is taken from its upper cell, b >= a: a rebuild resets the
-    bounds of every pair it tiles, in both orientations, and tiles only the
-    upper ones; each tile folds into both orientations, per (source group,
-    target group) cell it covers, the extremes of that cell's entries
-    widened by each row's error bound and the bound slack. The lower cells'
-    pairs are mirrored, not tiled, and count as reused. A member pair
-    (i, j) is kept from the orientation with (group of i, i) before (group
-    of j, j), so the diagonal cell yields its upper triangle. The list is
-    every member pair of the all-inside group pairs and every tiled pair
+    it stays exactly symmetric, so the cut keeps both orientations of a
+    group pair alike. Each kept unordered group pair {a, b} is tiled from
+    its upper cell, b >= a: a rebuild resets the bounds of every kept pair,
+    in both orientations, and tiles only the upper ones; each tile folds
+    into both orientations, per (source group, target group) cell it
+    covers, the minimum of that cell's entries less each row's error bound,
+    widened by the bound slack. The lower cells' pairs are mirrored, not
+    tiled, and count as reused. A member pair (i, j) is kept from the
+    orientation with (group of i, i) before (group of j, j), so the
+    diagonal cell yields its upper triangle. The list is every tiled pair
     whose fast value is at most ``cut`` + err: a superset of the pairs
     within ``cut``, and every pair left out lies beyond ``cut`` in direct
     arithmetic. A rebuild's pairs are collected per batch (under the
@@ -557,7 +553,7 @@ class _Radius:
         self.metric = metric
         self.slack = gm.slack
         self.sizes = gm.sizes
-        self.lb = self.ub = None  # set by the run before step 1
+        self.lb = None  # set by the run before step 1
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
         self.li = self.lj = self.below = None  # the list, set by store_list
         self.disp = np.zeros(gm.n)
@@ -587,7 +583,7 @@ class _Radius:
         gm = self.gm
         drift = group_max(self.disp, gm.group_of, gm.z)
         thr = np.full(gm.z, self.cut)
-        cm = filter_iterative(gm, gm, self.lb, thr, drift, drift, counters, ub=self.ub)
+        cm = filter_iterative(gm, self.lb, thr, drift, counters)
         to_tile = self.resolve(cm, counters)
         batches = _source_batches(np.arange(gm.z), to_tile)
         grouped = _Grouped.build(pos, gm, plan, self.metric, pos.mean(axis=0))
@@ -598,37 +594,25 @@ class _Radius:
         return len(batches)
 
     def resolve(self, cm: CandidateMatrix, counters: CounterSet) -> CandidateMatrix:
-        """Start a rebuild: take every member pair of the all-inside group
-        pairs without a tile, reset the bounds of the pairs left to tile,
-        and return the upper ones for the tiles to fold into."""
+        """Start a rebuild: reset the bounds of the kept group pairs and
+        return the upper ones for the tiles to fold into."""
         self.pairs = [[] for _ in range(self.gm.z)]
-        members = self.gm.membership
-        all_inside = cm.all_inside or [np.zeros(cand.size, dtype=bool) for cand in cm.targets]
-        for a, (cand, inside) in enumerate(zip(cm.targets, all_inside)):
-            counters.all_inside_pairs += int(self.sizes[a] * self.sizes[cand[inside]].sum())
-            upper = cand[inside & (cand >= a)]
-            if upper.size:
-                rows_a = members[a]
-                rows_b = np.concatenate([members[b] for b in upper.tolist()])
-                i, j = np.repeat(rows_a, rows_b.size), np.tile(rows_b, rows_a.size)
-                first = self._first(i, j)
-                self.pairs[a].append((i[first], j[first]))
-        targets = [cand[~inside] for cand, inside in zip(cm.targets, all_inside)]
-        a = np.repeat(np.arange(self.gm.z), [cand.size for cand in targets])
-        b = np.concatenate(targets)
-        # both orientations, before the cut: a lower cell keeps no stale bound
-        self.lb[a, b], self.ub[a, b] = np.inf, -np.inf  # vacuous for a pair with an empty group
+        a = np.repeat(np.arange(self.gm.z), [cand.size for cand in cm.targets])
+        b = np.concatenate(cm.targets)
+        # both orientations: a lower cell keeps no stale bound
+        self.lb[a, b] = np.inf  # vacuous for a pair with an empty group
         lower = b < a
         counters.reused_pairs += int(self.sizes[a[lower]] @ self.sizes[b[lower]])
-        return CandidateMatrix(targets=[cand[cand >= g] for g, cand in enumerate(targets)])
+        return CandidateMatrix(targets=[cand[cand >= g] for g, cand in enumerate(cm.targets)])
 
     @staticmethod
     def bound(ids: np.ndarray) -> None:
         return None
 
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> int:
-        """Keep, in one orientation, every entry at most ``cut`` + err; the
-        list's direct evaluation decides them, so nothing is recomputed."""
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> None:
+        """Keep, in one orientation, every entry at most ``cut`` + err, for
+        the list's direct evaluation to decide, and fold each cell's tile
+        minimum into the bounds of both orientations."""
         flat = np.flatnonzero(tile <= (self.cut + err)[:, None])
         hit_r, hit_c = np.divmod(flat, tile.shape[1])
         hit_i, hit_j = ids.take(hit_r), cols.take(hit_c)
@@ -636,13 +620,9 @@ class _Radius:
         self.pairs[batch[0]].append((hit_i[first], hit_j[first]))
         runs, starts = _group_runs(self.gm.group_of, ids)  # rows come in batch order
         low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
-        high = np.maximum.reduceat(tile, col_starts, axis=1) + err[:, None]
         low = lower_bound(np.minimum.reduceat(low, starts), 0.0, self.slack)
-        high = upper_bound(np.maximum.reduceat(high, starts), self.slack)
         for cell in ((runs[:, None], groups), (groups, runs[:, None])):
             np.minimum.at(self.lb, cell, low)
-            np.maximum.at(self.ub, cell, high)
-        return 0
 
     def store_list(self) -> None:
         """Store the rebuild's pairs once, as int32 i < j sorted by (i, j),
@@ -670,12 +650,7 @@ class _Radius:
         pairs in (j, i) order, then those above it, from its run of kept
         (i, j) pairs: one counting scatter, no sort."""
         n, li, lj = pos.shape[0], self.li, self.lj
-        keep = np.empty(li.size, dtype=bool)
-        step = max(1, _DIRECT_BLOCK_ELEMS // (4 * pos.shape[1]))  # rowwise_distance holds four
-        for start in range(0, li.size, step):
-            at = slice(start, start + step)
-            a, b = pos.take(li[at], axis=0), pos.take(lj[at], axis=0)
-            keep[at] = rowwise_distance(a, b, self.metric) <= self.radius
+        keep = _pair_distances(pos, li, pos, lj, self.metric) <= self.radius
         if rebuilt:
             counters.recomputed_distances += li.size
         else:
@@ -938,20 +913,19 @@ def run_nbody(
     """Fixed-radius neighbor search per step through a certified Verlet
     list (``_Radius``) with skin s = ``_SKIN_FRACTION`` times the radius.
 
-    Step 1 rebuilds: it cuts the landmark group-pair bounds at the radius
-    plus s, takes the member pairs of the group pairs whose upper bound
-    stays inside it with no distance work, and sweeps the group pairs left,
-    each unordered one tiled once from its upper cell, in source batches,
-    as the two-set pipelines do. The cut to upper cells gives each group
-    its own candidate list (group a keeps its diagonal cell, group a + 1
-    does not), so a batch is nearly always one group. Each later step adds
-    every point's movement to its displacement since the rebuild and
-    rebuilds only when the two largest could have brought a pair from
-    beyond the radius plus s to within the radius; a rebuild decays the
-    group-pair bounds by each group's largest displacement first. Every
-    step, rebuild or not, evaluates the listed pairs directly and keeps
-    those within the radius; a list step sweeps no source batch. The force
-    rule takes each unordered neighbor pair once.
+    Step 1 rebuilds: it cuts the landmark group-pair lower bounds at the
+    radius plus s and sweeps the group pairs kept, each unordered one tiled
+    once from its upper cell, in source batches, as the two-set pipelines
+    do. The cut to upper cells gives each group its own candidate list
+    (group a keeps its diagonal cell, group a + 1 does not), so a batch is
+    nearly always one group. Each later step adds every point's movement
+    to its displacement since the rebuild and rebuilds only when the two
+    largest could have brought a pair from beyond the radius plus s to
+    within the radius; a rebuild decays the group-pair lower bounds by each
+    group's largest displacement first. Every step, rebuild or not,
+    evaluates the listed pairs directly and keeps those within the radius;
+    a list step sweeps no source batch. The force rule takes each
+    unordered neighbor pair once.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -981,7 +955,7 @@ def run_nbody(
     for step in range(1, steps + 1):
         base = counters.snapshot()
         if step == 1:
-            within.lb, within.ub = init_oneshot_state(gm, gm, counters)
+            within.lb, _ = init_oneshot_state(gm, gm, counters)
         else:
             counters.bound_computations += n  # drift distances recorded at integration
             within.moved(prev_drift)

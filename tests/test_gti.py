@@ -15,7 +15,6 @@ from accd.gti import (
     lower_bound,
     measured_saving,
     two_landmark_bounds,
-    upper_bound,
 )
 from accd.kernel import fast_rows
 from accd.metrics import MetricSpec
@@ -308,26 +307,34 @@ def test_group_bounds_bracket_true_extremes():
 
 
 def test_trace_bounds_hand_values():
-    # one source point whose best target 0 shares target group 0 with
-    # target 1: the group lb decays by the group's largest drift, the
-    # point's ub (its threshold) grows by its own target's drift
-    gm = build_groups(Dataset.from_values(np.zeros((1, 2))), 1, seed=0, metric=L2)
-    trg = build_groups(Dataset.from_values(np.zeros((2, 2))), 1, seed=0, metric=L2)
+    # one point (group 0, which does not move) and its best target, point
+    # 1, which shares group 1 with point 2: the group pair's lb decays by
+    # the two groups' largest drifts, group 0's threshold grows by its
+    # target's drift; group 1 keeps everything
+    gm = GroupModel(
+        landmarks=np.zeros((2, 2)),
+        membership=[np.array([0]), np.array([1, 2])],
+        group_of=np.array([0, 1, 1]),
+        radius=np.zeros(2),
+        point_to_landmark=np.zeros(3),
+        metric=L2,
+    )
 
     def decay(prev_lb, prev_best, drifts):
-        lb = np.array([[prev_lb]])
-        point_ub = prev_best + np.array(drifts)[[0]]
+        lb = np.array([[0.0, prev_lb], [prev_lb, 0.0]])
+        thr = np.array([prev_best + drifts[0], np.inf])
         c = CounterSet()
-        cm = filter_iterative(gm, trg, lb, point_ub, np.zeros(1), np.array([max(drifts)]), c)
-        return float(lb[0, 0]), cm.targets[0].tolist(), c.pruned_pairs
+        cm = filter_iterative(gm, lb, thr, np.array([0.0, max(drifts)]), c)
+        assert cm.targets[1].tolist() == [0, 1]
+        return float(lb[0, 1]), cm.targets[0].tolist(), c.pruned_pairs
 
     def near(x):  # the decayed lb is widened by the bound slack
         return pytest.approx(x, rel=1e-13)
 
-    assert decay(10.0, 5.0, [0.0, 0.0]) == (near(10.0), [], 2)
-    assert decay(10.0, 4.0, [1.0, 3.0]) == (near(7.0), [], 2)
-    assert decay(10.0, 6.0, [1.0, 3.0]) == (near(7.0), [0], 0)
-    assert decay(1.0, 6.0, [1.0, 3.0]) == (0.0, [0], 0)  # floored at zero
+    assert decay(10.0, 5.0, [0.0, 0.0]) == (near(10.0), [0], 2)
+    assert decay(10.0, 4.0, [1.0, 3.0]) == (near(7.0), [0], 2)
+    assert decay(10.0, 6.0, [1.0, 3.0]) == (near(7.0), [0, 1], 0)
+    assert decay(1.0, 6.0, [1.0, 3.0]) == (0.0, [0, 1], 0)  # floored at zero
     assert decay(10.0, 4.0, [1.0, 3.0])[0] < 7.0
 
 
@@ -367,11 +374,9 @@ def test_bound_computation_budget_exact():
     assert c.bound_computations == m + n + zq * zt == 3200
 
 
-def _radius_filter(gm_s, gm_t, lb, ub, radius, c):
-    """The radius cut on undecayed bounds: the self-set filter at zero drift."""
-    zeros_s, zeros_t = np.zeros(gm_s.z), np.zeros(gm_t.z)
-    thr = np.full(gm_s.z, radius)
-    return filter_iterative(gm_s, gm_t, lb.copy(), thr, zeros_s, zeros_t, c, ub=ub.copy())
+def _radius_filter(gm_s, gm_t, lb, radius, c):
+    """The radius cut of the group-pair lower bounds."""
+    return gti._cut(lb, np.full(gm_s.z, radius), gm_s.sizes, gm_t.sizes, c)
 
 
 def test_radius_filter_keeps_only_near_blobs():
@@ -382,9 +387,9 @@ def test_radius_filter_keeps_only_near_blobs():
     c = CounterSet()
     gm_s = build_groups(src, 2, seed=1, metric=L2, counters=c)
     gm_t = build_groups(trg, 2, seed=1, metric=L2, counters=c)
-    lb, ub = init_oneshot_state(gm_s, gm_t, c)
+    lb, _ = init_oneshot_state(gm_s, gm_t, c)
     radius = 20.0
-    cm = _radius_filter(gm_s, gm_t, lb, ub, radius, c)
+    cm = _radius_filter(gm_s, gm_t, lb, radius, c)
     # every source group keeps exactly its nearby target group
     pair = brute_rows(src_pts, trg_pts, L2, CounterSet())
     for g in range(2):
@@ -426,7 +431,7 @@ def test_radius_monotone_in_radius():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=9)
     prev = None
     for radius in (0.5, 2.0, 8.0, 32.0):
-        cm = _radius_filter(gm_s, gm_t, lb, ub, radius, c)
+        cm = _radius_filter(gm_s, gm_t, lb, radius, c)
         sizes = [t.size for t in cm.targets]
         if prev is not None:
             assert all(a >= b for a, b in zip(sizes, prev))
@@ -450,16 +455,15 @@ def test_candidate_regularity_is_structural():
     assert len(cm.targets) == gm_s.z
 
 
-def _loop_cut(lb, ub, thr, src_sizes, trg_sizes):
+def _loop_cut(lb, thr, src_sizes, trg_sizes):
     """Per-source-group reference for the vectorised cut."""
-    targets, inside, pruned = [], [], 0
+    targets, pruned = [], 0
     for a in range(lb.shape[0]):
         keep = np.flatnonzero(lb[a] <= thr[a])
         targets.append(keep)
-        inside.append(ub[a, keep] <= thr[a])
         dropped = np.setdiff1d(np.arange(lb.shape[1]), keep, assume_unique=True)
         pruned += int(src_sizes[a] * trg_sizes[dropped].sum())
-    return targets, inside, pruned
+    return targets, pruned
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -478,16 +482,15 @@ def test_vectorised_cut_matches_per_group_loop(seed):
             order = np.lexsort((np.arange(gm_t.z), ub[a]))
             cut = int(np.searchsorted(np.cumsum(trg_sizes[order]), k))
             thr[a] = ub[a, order[cut]]
-        targets, _, pruned = _loop_cut(lb, ub, thr, src_sizes, trg_sizes)
+        targets, pruned = _loop_cut(lb, thr, src_sizes, trg_sizes)
         assert [t.tolist() for t in cm.targets] == [t.tolist() for t in targets]
-        assert cm.all_inside is None and c.pruned_pairs == pruned
+        assert c.pruned_pairs == pruned
     for radius in (0.0, 5.0, 40.0, 200.0):
         c = CounterSet()
-        cm = _radius_filter(gm_s, gm_t, lb, ub, radius, c)
+        cm = _radius_filter(gm_s, gm_t, lb, radius, c)
         thr = np.full(gm_s.z, radius)
-        targets, inside, pruned = _loop_cut(lb, ub, thr, src_sizes, trg_sizes)
+        targets, pruned = _loop_cut(lb, thr, src_sizes, trg_sizes)
         assert [t.tolist() for t in cm.targets] == [t.tolist() for t in targets]
-        assert [x.tolist() for x in cm.all_inside] == [x.tolist() for x in inside]
         assert c.pruned_pairs == pruned
 
 
@@ -500,14 +503,12 @@ def test_zero_drift_radius_candidates_stable():
     pts = gaussian_mixture(60, 3, 4, seed=4)
     c = CounterSet()
     gm = build_groups(pts, 4, seed=4, metric=L2, counters=c)
-    lb0, ub0 = init_oneshot_state(gm, gm, c)
-    lb, ub = lb0.copy(), ub0.copy()
-    cm = filter_iterative(gm, gm, lb, np.full(4, 5.0), np.zeros(4), np.zeros(4), c, ub=ub)
+    lb0, _ = init_oneshot_state(gm, gm, c)
+    lb = lb0.copy()
+    cm = filter_iterative(gm, lb, np.full(4, 5.0), np.zeros(4), c)
     assert np.array_equal(lb, lower_bound(lb0, 0.0, gm.slack))
-    assert np.array_equal(ub, upper_bound(ub0, gm.slack))
     for a in range(4):
         assert np.array_equal(cm.targets[a], np.flatnonzero(lb[a] <= 5.0))
-        assert np.array_equal(cm.all_inside[a], ub[a, cm.targets[a]] <= 5.0)
 
 
 def test_nearest_mode_prunes_soundly():
@@ -539,7 +540,8 @@ def test_nearest_mode_prunes_soundly():
     moved = centers + r.normal(size=centers.shape) * 0.0
     weakest = group_max(best_d + drift[best], gm.group_of, 6)
     trg_drift = group_max(drift, trg_group_of, 3)
-    cm = filter_iterative(gm, trg, lb, weakest, np.zeros(6), trg_drift, c)
+    lb = lower_bound(lb, trg_drift[None, :], gm.slack)  # only the targets drift
+    cm = gti._cut(lb, weakest, gm.sizes, trg.sizes, c)
     # unmoved targets: pruned groups really contain no nearest target
     new_pair = brute_rows(pts.values, moved, L2, CounterSet())
     new_best = np.argmin(new_pair, axis=1)

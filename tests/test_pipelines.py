@@ -18,7 +18,7 @@ from accd.ddsl.lowering import SelectSpec
 from accd import pipelines
 from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
-from accd.gti import CandidateMatrix, build_groups, filter_iterative, init_oneshot_state
+from accd.gti import CandidateMatrix, _cut, build_groups, init_oneshot_state
 from accd.layout import pack_intra_group
 from accd.metrics import MetricSpec
 from accd.pipelines import (
@@ -65,9 +65,9 @@ def _case(name: str):
         src = gaussian_mixture(240, 24, 5, seed=2, center_box=20.0)
         trg = gaussian_mixture(200, 24, 5, seed=3, center_box=20.0)
         return "knn_join.ddsl", src, trg, trg.n
-    # tight blobs give group pairs that lie wholly inside the radius; a
-    # far row of points spaced wider than the radius has no neighbor, so
-    # it feels no force and never moves
+    # tight blobs give group pairs whose landmark bounds lie wholly inside
+    # the radius plus the skin; a far row of points spaced wider than the
+    # radius has no neighbor, so it feels no force and never moves
     blobs = gaussian_mixture(300, 3, 4, seed=4, center_box=4.0, spread=0.3).values
     still = np.column_stack([100.0 + 2.0 * np.arange(6), np.full((6, 2), 100.0)])
     pts = Dataset.from_values(np.vstack([blobs, still]))
@@ -107,7 +107,7 @@ def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
     assert 0 < c.point_distances < pairs * result.iterations
     assert c.pruned_pairs > 0
     if name == "nbody":
-        assert c.all_inside_pairs > 0
+        assert c.all_inside_pairs == 0  # every kept group pair is tiled
 
 
 def _record_cuts(monkeypatch) -> list:
@@ -128,8 +128,7 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
     # kept unordered group pair is tiled, member pair by member pair,
     # exactly once, in its upper orientation (b >= a), in tiles within the
     # radius reducer's budget, and its lower orientation is mirrored, never
-    # tiled; a pruned one lies wholly beyond the cut and an all-inside one
-    # wholly within it, and neither is tiled
+    # tiled; a pruned one lies wholly beyond the cut and is not tiled
     sample, pts, _, m = _case("nbody")
     plan = dataclasses.replace(_sample_plan(sample, pts.n, m), max_iter=1)
     full = brute_rows(pts.values, pts.values, L2)
@@ -147,7 +146,7 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
             assert np.array_equal(cols, np.concatenate([self.gm.membership[t] for t in groups]))
             tiles.append((ids.copy(), cols, tile.size))
             reducers.add(self)
-            return reduce(self, batch, groups, cols, col_starts, ids, tile, err)
+            reduce(self, batch, groups, cols, col_starts, ids, tile, err)
 
         monkeypatch.setattr(pipelines._Radius, "reduce", recording)
         monkeypatch.setattr(pipelines._Radius, "TILE_CELLS", cells)
@@ -155,11 +154,11 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         ((cm, _),), (within,) = cuts, reducers
         assert within.cut == cut
         members = within.gm.membership
-        # 0 pruned, 1 tiled, 2 all-inside, 3 mirrored from the tiled upper cell
+        # 0 pruned, 1 tiled, 2 mirrored from the tiled upper cell
         kind = np.zeros(within.lb.shape, dtype=int)
-        for a, (cand, inside) in enumerate(zip(cm.targets, cm.all_inside)):
-            kind[a, cand] = np.where(inside, 2, np.where(cand >= a, 1, 3))
-        assert np.array_equal(kind == 3, (kind == 1).T & ~np.eye(kind.shape[0], dtype=bool))
+        for a, cand in enumerate(cm.targets):
+            kind[a, cand] = np.where(cand >= a, 1, 2)
+        assert np.array_equal(kind == 2, (kind == 1).T & ~np.eye(kind.shape[0], dtype=bool))
         tiled = np.zeros((pts.n, pts.n), dtype=int)
         for ids, cols, size in tiles:
             assert size <= cells or ids.size == 1
@@ -169,14 +168,11 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
             assert np.all(tiled[cell] == (kind[a, b] == 1)), (a, b)
             if kind[a, b] == 0:
                 assert np.all(full[cell] > cut), (a, b)
-            if kind[a, b] == 2:
-                assert np.all(full[cell] <= cut), (a, b)
-            # every group pair's bounds hold all its member pairs: tiled
-            # and mirrored ones where their rows were split across tiles,
-            # the others with their landmark bounds
+            # every group pair's lower bound holds all its member pairs:
+            # tiled and mirrored ones where their rows were split across
+            # tiles, the others with their landmark bounds
             if full[cell].size:
                 assert within.lb[a, b] <= full[cell].min()
-                assert full[cell].max() <= within.ub[a, b]
         # the stored list: int32 pairs i < j in (i, j) order, each once,
         # holding every pair within the cut
         li, lj = within.li, within.lj
@@ -186,24 +182,35 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         listed[li, lj] = True
         assert not np.any(np.triu(full <= cut, 1) & ~listed)
         sizes = within.gm.sizes
-        pairs = {k: int(np.sum((kind == k) * np.outer(sizes, sizes))) for k in range(4)}
+        # group pairs whose landmark ub lies within the cut are kept and
+        # tiled from the upper cell like any other, every member pair listed
+        _, ub = init_oneshot_state(within.gm, within.gm)
+        inside = (ub <= cut) & (np.outer(sizes, sizes) > 0)
+        upper = np.triu(np.ones(inside.shape, dtype=bool))
+        assert inside.any()
+        assert np.all(kind[inside & upper] == 1) and np.all(kind[inside & ~upper] == 2)
+        for a, b in zip(*np.nonzero(inside)):
+            i, j = np.meshgrid(members[a], members[b], indexing="ij")
+            assert np.all(full[i, j] <= cut), (a, b)
+            assert np.all((listed | listed.T)[i, j] | (i == j)), (a, b)
+        pairs = {k: int(np.sum((kind == k) * np.outer(sizes, sizes))) for k in range(3)}
         assert all(pairs.values()), pairs  # each kind occurs
         step1 = result.per_iteration[0]
         assert (
             step1.pruned_pairs, step1.point_distances, step1.all_inside_pairs, step1.reused_pairs
-        ) == (pairs[0], pairs[1], pairs[2], pairs[3])
+        ) == (pairs[0], pairs[1], 0, pairs[2])
         counts[cells] = len(tiles)
     assert counts[512] > counts[default]
 
 
 def _record_symmetry(monkeypatch) -> list:
     """Patch ``_Radius.store_list``, which ends each rebuild's sweep, to
-    check that the group-pair bounds are exactly symmetric; returns the
-    rebuilds' reducers."""
+    check that the group-pair lower bounds are exactly symmetric; returns
+    the rebuilds' reducers."""
     store, seen = pipelines._Radius.store_list, []
 
     def storing(self):
-        assert np.array_equal(self.lb, self.lb.T) and np.array_equal(self.ub, self.ub.T)
+        assert np.array_equal(self.lb, self.lb.T)
         seen.append(self)
         return store(self)
 
@@ -256,12 +263,11 @@ def _strong_pull(**variant):
 )
 def test_nbody_group_pair_bounds_stay_symmetric(monkeypatch, case, variant):
     # one upper cell decides both orientations of a group pair, so the
-    # cut is sound only while every rebuild leaves lb and ub symmetric
+    # cut is sound only while every rebuild leaves lb symmetric
     seen = _record_symmetry(monkeypatch)
     variant = _reversed_packing(monkeypatch, variant)
     if case == "sample":
         result, _ = _run("nbody", **variant)
-        assert result.counters.all_inside_pairs > 0  # all-inside group pairs occur
     else:
         _, result = _strong_pull(**variant)
     assert result.oracle_checked and len(seen) == _rebuilds(result) >= 1
@@ -391,7 +397,6 @@ class _Recorder:
     def reduce(self, batch, groups, cols, col_starts, ids, tile, err):
         (t,) = groups
         self.tiles.append((batch[0], t, ids.copy(), tile, err))
-        return 0
 
 
 class _WideRecorder(_Recorder):
@@ -399,7 +404,6 @@ class _WideRecorder(_Recorder):
 
     def reduce(self, batch, groups, cols, col_starts, ids, tile, err):
         self.tiles.append((tuple(batch), tuple(groups), cols, col_starts, ids.copy(), tile, err))
-        return 0
 
 
 def _filtered_pair():
@@ -410,9 +414,8 @@ def _filtered_pair():
     c = CounterSet()
     gm_s = build_groups(src, 2, seed=3, metric=L2, counters=c)
     gm_t = build_groups(trg, 2, seed=4, metric=L2, counters=c)
-    lb, ub = init_oneshot_state(gm_s, gm_t, c)
-    no_drift = np.zeros(2)
-    cm = filter_iterative(gm_s, gm_t, lb, np.full(2, 10.0), no_drift, no_drift, c, ub=ub)
+    lb, _ = init_oneshot_state(gm_s, gm_t, c)
+    cm = _cut(lb, np.full(2, 10.0), gm_s.sizes, gm_t.sizes, c)
     centre = src.values.mean(axis=0)
     g_src = _Grouped.build(src.values, gm_s, pack_intra_group(src, gm_s), L2, centre)
     g_trg = _Grouped.build(trg.values, gm_t, pack_intra_group(trg, gm_t), L2, centre)
@@ -674,7 +677,7 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
         assert np.array_equal(cols, np.concatenate([members[t] for t in groups]))
         for r, i in enumerate(ids.tolist()):
             entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
-        return real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
+        real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
 
     def settle(self, src, trg, *args):
         width = self.k + 1
