@@ -22,7 +22,12 @@ pipeline's reducer:
   groups, enough for K + 1 targets, its second against every other group
   the row's bound then reaches, so each row merges into its K + 1 at most
   twice. The join orders its source groups so that groups with the same
-  candidate list sit next to each other.
+  candidate list sit next to each other. The filter pays only where it
+  prunes, so the join sweeps only when the landmark cut of its group pairs
+  prunes a pair. When it prunes none, the join takes the direct path
+  instead (``_direct``): no sweep and no merge, but one wide tile per
+  block of source rows against every target in id order, from which each
+  row's K + 1 are selected straight, the column positions being the ids.
 * ``_Radius`` (iterative self-set) has no per-point bound, works on
   unordered pairs, as distances are symmetric, and sweeps only to rebuild
   a Verlet list: the pairs within the radius plus a skin. Its group-pair
@@ -91,13 +96,13 @@ from .gti import (
     upper_bound,
 )
 from .kernel import fast_rows, tile_distances
-from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
+from .layout import LayoutPlan, pack_intra_group, point_layout, reorder_inter_group
 from .metrics import MetricSpec, gathered_distance, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8)
-# Terms per block of a direct recompute (the top-K settle, the k-means
-# winners, the n-body list): 512 KB of float64.
+# Terms per block of a recompute by direct differencing (the top-K settle,
+# the k-means winners, the n-body list): 512 KB of float64.
 _DIRECT_BLOCK_ELEMS = 1 << 16
 # The n-body Verlet list's skin, as a fraction of the radius.
 _SKIN_FRACTION = 1 / 32
@@ -108,7 +113,9 @@ class RunConfig:
     design: DesignConfig = DEFAULT_DESIGN  # k-means, grouping no points, ignores n_src_grp
     seed: int = 0
     oracle_mode: str = "off"  # "off" | "shadow"
-    thread_count: int = 1  # threads of the join and n-body sweeps; k-means runs on one
+    # threads of the join's source batches or row blocks and of the n-body
+    # sweeps; k-means runs on one
+    thread_count: int = 1
     status_iter_cap: int = 1000  # hard stop for status-exit iteration
     dt: float = 1e-3  # self-set integrator step
     softening: float = 1e-2  # force-law smoothing length
@@ -129,8 +136,8 @@ class IterationStats:
     all_inside_pairs: int
     reused_pairs: int
     measured_saving: float
-    source_batches: int  # k-means: its kernel calls
-    source_groups: int  # k-means: its points, each a group of one
+    source_batches: int  # k-means and the direct join: their kernel calls
+    source_groups: int  # k-means and the direct join: their points, each its own group
     changed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -147,7 +154,9 @@ class RunResult:
     measured_saving_mean: float
     wall_time_s: float
     oracle_checked: bool
-    layout: LayoutPlan  # the source set's packing; k-means: the centres'
+    # the source set's packing; k-means: the centres'; the direct join:
+    # each point its own group, in id order (``layout.point_layout``)
+    layout: LayoutPlan
     oracle_s: float = 0.0  # time inside the shadow-oracle checks
 
 
@@ -291,6 +300,32 @@ def _sweep(
     return total
 
 
+def _direct(
+    src_rows, src_sq, trg_rows, trg_sq, topk: _TopK, metric: MetricSpec, threads: int
+) -> tuple[CounterSet, int]:
+    """The join's direct path: each block of consecutive source rows gets
+    one tile of at most ``topk.TILE_CELLS`` cells against every target, in
+    id order (``fast_rows`` of the sets as they are), which
+    ``topk.select`` reduces. Blocks touch disjoint rows, so they may run on
+    ``threads`` workers. Returns the tile tallies and the block count."""
+    m = src_rows.shape[0]
+    step = max(1, topk.TILE_CELLS // trg_rows.shape[0])
+
+    def tile_block(start: int) -> CounterSet:
+        local = CounterSet()
+        at = slice(start, start + step)
+        sq = src_sq[at] if src_sq is not None else None
+        tile, err = tile_distances(src_rows[at], trg_rows, metric, local, sq, trg_sq)
+        topk.select(np.arange(start, min(m, start + step)), tile, err)
+        return local
+
+    starts = list(range(0, m, step))
+    total = CounterSet()
+    for local in _map_ordered(tile_block, starts, threads):
+        total.add(local)
+    return total, len(starts)
+
+
 class _Yinyang:
     """Nearest centre per point under (distance, id), with the bounds of
     Yinyang k-means (Ding et al., ICML 2015). Only the centres are grouped
@@ -324,17 +359,21 @@ class _Yinyang:
     def first(self, centroids: np.ndarray, counters: CounterSet) -> int:
         """Iteration 1; returns the kernel calls. Each row starts from its
         fast minimum's centre, at its direct distance."""
-        n, k = self.points.shape[0], centroids.shape[0]
+        n, k, slack = self.points.shape[0], centroids.shape[0], self.gm.slack
         centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
         self.lb[...] = np.inf  # a group without centres bounds nothing
+        cols = self.plan.point_perm
+        groups, starts = _group_runs(self.gm.group_of, cols)  # every block's: all centres
         step = max(1, self.TILE_CELLS // k)
         for start in range(0, n, step):
             block = np.arange(start, min(n, start + step))
             tile, err = self._tile(block, centres.rows, centres.sq, counters)
-            own = self.assign[block] = self.plan.point_perm[tile.argmin(axis=1)]
+            own = self.assign[block] = cols[tile.argmin(axis=1)]
             self.ub[block] = _pair_distances(self.points, block, centroids, own, self.metric)
             counters.recomputed_distances += block.size
-            self._reduce(block, self.plan.point_perm, tile, err, centroids, counters)
+            self._reduce(block, cols, tile, err, centroids, counters)
+            low = lower_bound(np.minimum.reduceat(tile, starts, axis=1), err[:, None], slack)
+            self.lb[np.ix_(groups, block)] = low.T
         return -(-n // step)
 
     def update(self, centroids: np.ndarray, drift: np.ndarray, counters: CounterSet) -> int:
@@ -362,6 +401,7 @@ class _Yinyang:
                 block = reach[start : start + step]
                 tile, err = self._tile(block, c_rows, c_sq, counters)
                 self._reduce(block, ids, tile, err, centroids, counters)
+                lb[g, block] = lower_bound(tile.min(axis=1), err, slack)
                 calls += 1
         # every pair not tiled is pruned
         counters.pruned_pairs += ub.size * centroids.shape[0] - (counters.point_distances - tiled)
@@ -372,8 +412,11 @@ class _Yinyang:
         the centres ``cols`` (whole groups, each contiguous). A row whose
         only candidate within ``ub`` + err is its own centre is decided; the
         others recompute their candidates by direct differencing and take
-        the (distance, id) minimum. Each group's ``lb`` becomes its tile
-        minimum without the row's new own centre, less err."""
+        the (distance, id) minimum. The row's new own centre is then set to
+        ``inf`` in the tile, so each group's tile minimum, less err, is the
+        group's new ``lb``, which the caller stores: ``first`` by the group
+        runs of its columns, the same for every block, and ``update`` by a
+        plain row minimum, as its tiles hold one group."""
         col_of = np.full(self.gm.n, -1)  # a centre's column in the tile, if any
         col_of[cols] = np.arange(cols.size)
         own = col_of[self.assign[block]]
@@ -399,9 +442,6 @@ class _Yinyang:
             self.assign[pid], self.ub[pid] = tid, dist
         own = col_of[self.assign[block]]
         tile[own >= 0, own[own >= 0]] = np.inf
-        groups, starts = _group_runs(self.gm.group_of, cols)
-        low = lower_bound(np.minimum.reduceat(tile, starts, axis=1), err[:, None], self.gm.slack)
-        self.lb[np.ix_(groups, block)] = low.T
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -411,19 +451,22 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.ravel(a).take(flat)
 
 
-def _smallest(vals: np.ndarray, ids: np.ndarray, keep: int) -> np.ndarray:
+def _smallest(vals: np.ndarray, ids: np.ndarray | None, keep: int) -> np.ndarray:
     """Column indices of each row's ``keep`` smallest entries under
-    (value, id), in that order.
+    (value, id), in that order. ``ids`` holds each row's ids (2-D), one row
+    of ids that every row shares (1-D), or None: the ids are the column
+    positions.
 
     Rows more than twice as wide as ``keep`` are first cut to their
     ``keep`` + 1 smallest values by ``argpartition`` (on narrower rows it
     costs more than it saves). One stable sort by value orders the rest
     and keeps entries that come in (value, id) order, such as a running
     top list, in that order. Rows where it breaks the (value, id) rule are
-    redone with ``rowwise_lexsort``: equal values out of id order, or a
-    finite value tied across the ``keep`` boundary (an entry left out may
-    have the smaller id). ``inf`` marks placeholders only, which share one
-    id, so their ties never need it.
+    redone with ``rowwise_lexsort``, the only place a shared or implicit id
+    row is laid out per row: equal values out of id order, or a finite
+    value tied across the ``keep`` boundary (an entry left out may have
+    the smaller id). ``inf`` marks placeholders only, which share one id,
+    so their ties never need it.
     """
     width = vals.shape[1]
     if width > 2 * keep:
@@ -433,14 +476,22 @@ def _smallest(vals: np.ndarray, ids: np.ndarray, keep: int) -> np.ndarray:
         order = np.argsort(vals, axis=1, kind="stable")[:, : keep + 1]
     v = _take_rows(vals, order)
     sel = order[:, :keep]
-    i = _take_rows(ids, sel)
+    if ids is None:
+        i = sel
+    elif ids.ndim == 1:
+        i = ids.take(sel)
+    else:
+        i = _take_rows(ids, sel)
     last, nxt = v[:, keep - 1], v[:, keep:].min(axis=1, initial=np.inf)
     v = v[:, :keep]
     broken = np.any((v[:, 1:] == v[:, :-1]) & (i[:, 1:] < i[:, :-1]), axis=1)
     broken |= (last == nxt) & np.isfinite(nxt)
     rows = np.flatnonzero(broken)
     if rows.size:
-        sel[rows] = rowwise_lexsort(vals[rows], ids[rows])[:, :keep]
+        if ids is None:
+            ids = np.arange(width)
+        row_ids = ids[rows] if ids.ndim == 2 else np.broadcast_to(ids, (rows.size, width))
+        sel[rows] = rowwise_lexsort(vals[rows], row_ids)[:, :keep]
     return sel
 
 
@@ -450,9 +501,14 @@ class _TopK:
     ``err`` bounds the error of every kept value. The K-th value plus
     ``err`` bounds the K-th direct distance from above, so it is the
     per-point bound; the (K + 1)-th entry witnesses the boundary for
-    ``settle``. Swept with ``seed`` K + 1, a row enters at most two tiles,
-    each merged into its K + 1 by ``_smallest``: the state after the sweep
-    is bitwise a (value, id) sort of every entry tiled for the row.
+    ``settle``. The state fills in one of two ways, and after either it is
+    bitwise a (value, id) sort of every entry tiled for the row:
+
+    * on the GTI path, swept with ``seed`` K + 1, a row enters at most two
+      tiles, each merged into its K + 1 by ``reduce``;
+    * on the direct path (``_direct``), a row enters one tile against every
+      target in id order, from which ``select`` takes the K + 1 straight,
+      the column positions being the ids.
     """
 
     TILE_CELLS = 1 << 15  # 256 KB: a tile and its merge stay in cache and the heap
@@ -475,6 +531,15 @@ class _TopK:
         self.top_f[ids] = _take_rows(cat_d, sel)
         self.top_i[ids] = _take_rows(cat_i, sel)
 
+    def select(self, ids, tile, err) -> None:
+        """Fill the rows ``ids`` from their one tile against every target,
+        in id order; with K = n the (K + 1)-th entry stays a placeholder."""
+        keep = min(self.k + 1, tile.shape[1])
+        sel = _smallest(tile, None, keep)
+        self.top_f[ids, :keep] = _take_rows(tile, sel)
+        self.top_i[ids, :keep] = sel
+        self.err[ids] = err
+
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
         """The exact top-K ids and distances, rows ordered by (distance, id).
 
@@ -492,7 +557,7 @@ class _TopK:
         for start in range(0, redo.size, step):
             block = redo[start : start + step]
             full = brute_rows(src[block], trg, metric)
-            order = _smallest(full, np.broadcast_to(np.arange(n), full.shape), k)
+            order = _smallest(full, np.arange(n), k)
             ids[block] = order
             dist[block] = _take_rows(full, order)
         counters.recomputed_distances += ids.size + redo.size * n
@@ -810,10 +875,15 @@ def run_knn_join(
     config: RunConfig,
     weights: np.ndarray | None = None,
 ) -> RunResult:
-    """Exact top-K join: group both sets, filter group pairs through the
-    two-landmark bounds, then refine per point with a running k-th-best
-    threshold. Self-matches are kept (a point joined against its own set
-    finds itself at distance zero)."""
+    """Exact top-K join: group both sets and filter group pairs through the
+    two-landmark bounds. Where that cut prunes a pair, the GTI path sweeps
+    the candidate groups (``_sweep``, seeded with K + 1) and refines per
+    point with a running K-th-best threshold. Where it prunes none, the
+    direct path (``_direct``) tiles every pair once, in blocks of source
+    rows, and selects each row's K + 1 straight from its tile; it reads no
+    packing, so its layout is each point its own group, in id order. Either
+    way ``_TopK.settle`` makes the result exact. Self-matches are kept (a
+    point joined against its own set finds itself at distance zero)."""
     _check_kind(plan, "oneshot_two_set")
     t0 = time.perf_counter()
     metric = plan.metric_spec(weights)
@@ -831,19 +901,29 @@ def run_knn_join(
     src_gm = build_groups(src, z_src, config.seed + 1, metric, counters)
     trg_gm = build_groups(trg, z_trg, config.seed + 2, metric, counters)
     lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
+    pruned_before = counters.pruned_pairs
     cm = filter_oneshot(src_gm, trg_gm, lb, ub, k, counters)
-
-    order = reorder_inter_group(cm)
-    src_lp = pack_intra_group(src, src_gm, group_order=order)
-    trg_lp = pack_intra_group(trg, trg_gm)
-    batches = _source_batches(order, cm)
     topk = _TopK(m, k, trg_gm)
     centre = src.values.mean(axis=0)
-    g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
-    g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
-    sweep = _sweep(
-        g_src, g_trg, cm, lb, batches, topk, metric, config.thread_count, seed=k + 1
-    )
+
+    if counters.pruned_pairs == pruned_before:  # the filter cannot pay here
+        src_rows, src_sq = fast_rows(src.values, centre, metric)
+        trg_rows, trg_sq = fast_rows(trg.values, centre, metric)
+        sweep, batches = _direct(
+            src_rows, src_sq, trg_rows, trg_sq, topk, metric, config.thread_count
+        )
+        src_lp, groups = point_layout(m), m
+    else:
+        order = reorder_inter_group(cm)
+        src_lp = pack_intra_group(src, src_gm, group_order=order)
+        trg_lp = pack_intra_group(trg, trg_gm)
+        runs = _source_batches(order, cm)
+        g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
+        g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
+        sweep = _sweep(
+            g_src, g_trg, cm, lb, runs, topk, metric, config.thread_count, seed=k + 1
+        )
+        batches, groups = len(runs), z_src
     counters.add(sweep)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)
     result = TopKResult(ids=ids, distances=dists, scope="smallest", row_ids=src.ids.copy())
@@ -871,7 +951,7 @@ def run_knn_join(
             )
         oracle_s = time.perf_counter() - t_oracle
 
-    stats = _stats(1, counters, m, n, len(batches), z_src)
+    stats = _stats(1, counters, m, n, batches, groups)
     return _result(plan, {"topk": result}, [stats], counters, config, t0, src_lp, oracle_s)
 
 

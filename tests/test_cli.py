@@ -63,6 +63,12 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
     payload = json.loads(report.read_text())
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["config"]["oracle_mode"] == "shadow"
+    if sample == "knn_join.ddsl":
+        # the landmark cut prunes nothing on these blobs, so the report is
+        # the direct path's: each of the 150 source points its own group
+        (stats,) = payload["per_iteration"]
+        assert stats["pruned_pairs"] == 0 and stats["source_groups"] == 150
+        assert len(payload["layout"]["group_slices"]) == 150
 
 
 def test_syntax_error_exits_1(tmp_path):

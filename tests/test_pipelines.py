@@ -62,8 +62,16 @@ def _case(name: str):
         pts = gaussian_mixture(300, 20, 6, seed=1, center_box=20.0)
         return "kmeans.ddsl", pts, None, 12
     if name == "knn":
+        # the two sets' blobs lie apart and the target groups straddle them:
+        # the landmark cut prunes nothing, so the join takes its direct path
         src = gaussian_mixture(240, 24, 5, seed=2, center_box=20.0)
         trg = gaussian_mixture(200, 24, 5, seed=3, center_box=20.0)
+        return "knn_join.ddsl", src, trg, trg.n
+    if name == "knn_blobs":
+        # both sets drawn around the same four blobs: the cut prunes, so the
+        # join takes its GTI path
+        src = gaussian_mixture(240, 24, 4, seed=7, center_box=20.0)
+        trg = gaussian_mixture(200, 24, 4, seed=7, center_box=20.0)
         return "knn_join.ddsl", src, trg, trg.n
     # tight blobs give group pairs whose landmark bounds lie wholly inside
     # the radius plus the skin; a far row of points spaced wider than the
@@ -74,7 +82,9 @@ def _case(name: str):
     return "nbody.ddsl", pts, None, pts.n
 
 
-CASES = ("kmeans", "knn", "nbody")
+CASES = ("kmeans", "knn", "knn_blobs", "nbody")
+# the top-K join's path on each of its cases
+JOIN_PATH = {"knn": "direct", "knn_blobs": "gti"}
 
 
 def _run(name: str, oracle_mode: str = "shadow", design: DesignConfig = DESIGN, **config):
@@ -94,16 +104,36 @@ def _flat(value):
         yield np.asarray(value)
 
 
+def _join_paths(monkeypatch) -> set:
+    """Patch ``_TopK`` to note which path fills its state: "gti" by
+    ``reduce``, "direct" by ``select``."""
+    paths = set()
+    for method, path in (("reduce", "gti"), ("select", "direct")):
+
+        def noting(self, *args, real=getattr(pipelines._TopK, method), path=path):
+            paths.add(path)
+            return real(self, *args)
+
+        monkeypatch.setattr(pipelines._TopK, method, noting)
+    return paths
+
+
 @pytest.mark.parametrize("name", CASES)
-def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
+def test_sample_runs_agree_with_oracle_and_conserve_pairs(monkeypatch, name):
+    paths = _join_paths(monkeypatch)
     result, pairs = _run(name)
     assert result.oracle_checked
     assert result.per_iteration
     for s in result.per_iteration:
         accounted = s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs
         assert accounted == pairs, s
-    # the filters do real work on these inputs
+    assert paths == ({JOIN_PATH[name]} if name in JOIN_PATH else set())
     c = result.counters
+    if JOIN_PATH.get(name) == "direct":
+        # the landmark cut prunes nothing, so every pair is tiled, once
+        assert c.pruned_pairs == 0 and c.point_distances == pairs
+        return
+    # the filters do real work on these inputs
     assert 0 < c.point_distances < pairs * result.iterations
     assert c.pruned_pairs > 0
     if name == "nbody":
@@ -314,7 +344,14 @@ def test_layout_and_threads_change_no_result(monkeypatch, name, variant):
         other, _ = _run(name, **variant)
     finally:
         sys.setswitchinterval(interval)
-    assert reverse != np.array_equal(base.layout.group_order, other.layout.group_order)
+    if JOIN_PATH.get(name) == "direct":
+        # the direct join reads no packing: its layout is each point its own
+        # group, in id order, whatever the packing order
+        for layout in (base.layout, other.layout):
+            assert np.array_equal(layout.point_perm, np.arange(layout.point_perm.size))
+            assert np.array_equal(layout.group_order, layout.point_perm)
+    else:
+        assert reverse != np.array_equal(base.layout.group_order, other.layout.group_order)
     _assert_same_results(base, other)
     for a, b in zip(base.per_iteration, other.per_iteration):
         assert dataclasses.replace(a, source_batches=0) == dataclasses.replace(
@@ -332,8 +369,9 @@ def test_a_small_tile_budget_changes_no_result(monkeypatch, name):
     small, _ = _run(name)
     assert small.counters.tiles_executed > base.counters.tiles_executed
     _assert_same_results(base, small)
-    if name == "kmeans":
-        # k-means counts its kernel calls as source batches, and so follows the tiling
+    if name == "kmeans" or JOIN_PATH.get(name) == "direct":
+        # k-means and the direct join count their kernel calls as source
+        # batches, and so follow the tiling
         assert sum(s.source_batches for s in small.per_iteration) > sum(
             s.source_batches for s in base.per_iteration
         )
@@ -639,21 +677,42 @@ def _uniform(n: int, d: int, seed: int) -> Dataset:
     return Dataset.from_values(np.random.default_rng(seed).uniform(size=(n, d)))
 
 
-# case -> (points, run options); DESIGN has 4 target groups, about 75
-# points each at n=300
+def _grid_blobs(n: int, d: int, seed: int) -> Dataset:
+    """Three copies of the integer grid {0, 1, 2}^d, 50 apart along the
+    diagonal: ties everywhere, and blobs the landmark cut can prune
+    between."""
+    rng = np.random.default_rng(seed)
+    return Dataset.from_values(rng.integers(0, 3, size=(n, d)) + 50.0 * rng.integers(0, 3, size=(n, 1)))
+
+
+# case -> (points, run options, the join's path); DESIGN has 4 target
+# groups, about 75 points each at n=300. The cut prunes nothing on the
+# first seven, so they take the direct path, and something on the rest
 MERGE_CASES = {
-    "uniform": (lambda: _uniform(300, 6, seed=12), {}),
-    "grid": (lambda: _grid(300, 4, seed=5), {}),
+    "uniform": (lambda: _uniform(300, 6, seed=12), {}, "direct"),
+    "grid": (lambda: _grid(300, 4, seed=5), {}, "direct"),
     "offset_1e6": (
         lambda: Dataset.from_values(
             gaussian_mixture(300, 8, 8, seed=1, center_box=5.0).values + 1e6
         ),
         {},
+        "direct",
     ),
-    "k_1": (lambda: _grid(300, 4, seed=13), {"value": 1.0}),
-    "k_over_a_group": (lambda: _grid(300, 4, seed=14), {"value": 100.0}),
-    "k_n": (lambda: _grid(60, 3, seed=15), {"value": 60.0}),
-    "two_threads": (lambda: _grid(300, 4, seed=16), {"threads": 2}),
+    "k_1": (lambda: _grid(300, 4, seed=13), {"value": 1.0}, "direct"),
+    "k_over_a_group": (lambda: _grid(300, 4, seed=14), {"value": 100.0}, "direct"),
+    "k_n": (lambda: _grid(60, 3, seed=15), {"value": 60.0}, "direct"),
+    "two_threads": (lambda: _grid(300, 4, seed=16), {"threads": 2}, "direct"),
+    "blobs_grid": (lambda: _grid_blobs(300, 4, seed=12), {}, "gti"),
+    "blobs_offset_1e6": (
+        lambda: Dataset.from_values(
+            gaussian_mixture(300, 6, 4, seed=12, center_box=20.0).values + 1e6
+        ),
+        {},
+        "gti",
+    ),
+    "blobs_k_1": (lambda: _grid_blobs(300, 4, seed=13), {"value": 1.0}, "gti"),
+    "blobs_k_over_a_group": (lambda: _grid_blobs(300, 4, seed=14), {"value": 100.0}, "gti"),
+    "blobs_two_threads": (lambda: _grid_blobs(300, 4, seed=16), {"threads": 2}, "gti"),
 }
 
 
@@ -661,30 +720,40 @@ MERGE_CASES = {
 def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch, case):
     # after the sweep each row's running K + 1 and error bound must be
     # bitwise what a (value, id) sort of every entry tiled for it gives,
-    # ties across the K + 1 boundary included, from at most two tiles
-    make, options = MERGE_CASES[case]
+    # ties across the K + 1 boundary included: on the GTI path from at most
+    # two tiles, merged by ``reduce``; on the direct path from the row's one
+    # tile against every target, in id order, selected by ``select``
+    make, options, path = MERGE_CASES[case]
     real_init, real_reduce = pipelines._TopK.__init__, pipelines._TopK.reduce
-    real_settle = pipelines._TopK.settle
+    real_select, real_settle = pipelines._TopK.select, pipelines._TopK.settle
     entries: dict[int, list] = {}
-    checked, target_groups = [], []
+    checked, target_groups, paths = [], [], set()
 
     def init(self, m, k, trg_gm):
         target_groups.append(trg_gm)
         real_init(self, m, k, trg_gm)
 
     def recording(self, batch, groups, cols, col_starts, ids, tile, err):
+        paths.add("gti")
         members = target_groups[-1].membership
         assert np.array_equal(cols, np.concatenate([members[t] for t in groups]))
         for r, i in enumerate(ids.tolist()):
             entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
         real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
 
+    def selecting(self, ids, tile, err):
+        paths.add("direct")
+        cols = np.arange(tile.shape[1])  # the column positions are the ids
+        for r, i in enumerate(ids.tolist()):
+            entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
+        real_select(self, ids, tile, err)
+
     def settle(self, src, trg, *args):
         width = self.k + 1
         placeholder = trg.shape[0]
         for i in range(self.top_f.shape[0]):
             got = entries.get(i, [])
-            assert 1 <= len(got) <= 2
+            assert 1 <= len(got) <= (2 if path == "gti" else 1)
             vals = np.concatenate([np.full(width, np.inf), *(v for v, _, _ in got)])
             idx = np.concatenate([np.full(width, placeholder), *(c for _, c, _ in got)])
             sel = rowwise_lexsort(vals[None], idx[None])[0, :width]
@@ -696,9 +765,88 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
 
     monkeypatch.setattr(pipelines._TopK, "__init__", init)
     monkeypatch.setattr(pipelines._TopK, "reduce", recording)
+    monkeypatch.setattr(pipelines._TopK, "select", selecting)
     monkeypatch.setattr(pipelines._TopK, "settle", settle)
     _exact_run("knn", make(), **options)
     assert checked and checked[0] > 0
+    assert paths == {path}
+
+
+def _direct_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", weights=None):
+    """A shadow-checked join of ``src`` against ``trg`` that must take the
+    direct path: the landmark cut prunes nothing and every pair is tiled
+    once, in blocks of source rows, each point its own source group."""
+    paths = _join_paths(monkeypatch)
+    plan = make_plan("oneshot_two_set", src.n, trg.n, src.d, SelectSpec("count", k, "smallest"),
+                     None, metric)
+    cfg = RunConfig(design=DESIGN, oracle_mode="shadow", thread_count=threads)
+    result = run_plan(plan, src, trg, cfg, weights=weights)
+    assert result.oracle_checked and paths == {"direct"}
+    (s,) = result.per_iteration
+    rows = max(1, pipelines._TopK.TILE_CELLS // trg.n)
+    blocks = -(-src.n // rows)
+    assert (s.pruned_pairs, s.point_distances) == (0, src.n * trg.n)
+    assert (s.source_batches, s.source_groups) == (blocks, src.n)
+    assert result.counters.tiles_executed == blocks
+    assert np.array_equal(result.layout.point_perm, np.arange(src.n))
+    assert result.layout.group_slices == {i: (i, i + 1) for i in range(src.n)}
+    return result
+
+
+def test_direct_join_on_uniform_input_tiles_every_pair_once(monkeypatch):
+    # uniform sets of different sizes, with more rows than one tile holds
+    result = _direct_join(monkeypatch, _uniform(700, 6, seed=71), _uniform(450, 6, seed=72), 10)
+    assert result.per_iteration[0].source_batches > 1
+
+
+def test_direct_join_threads_change_no_result(monkeypatch):
+    # blocks of 8 rows, so the threads share many blocks; switch threads
+    # often, so a lost update between blocks would show
+    monkeypatch.setattr(pipelines._TopK, "TILE_CELLS", 8 * 300)
+    src, trg = _uniform(300, 5, seed=73), _uniform(300, 5, seed=74)
+    base = _direct_join(monkeypatch, src, trg, 10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        other = _direct_join(monkeypatch, src, trg, 10, threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_results(base, other)
+    assert base.counters == other.counters
+    assert base.per_iteration == other.per_iteration
+
+
+@pytest.mark.parametrize("case", ["grid_ties", "k_n", "weighted_l1", "weighted_l2"])
+def test_direct_join_equals_the_oracle_on_hard_inputs(monkeypatch, case):
+    k, metric, weights = 10, "Unweighted L2", None
+    if case == "grid_ties":
+        pts = _grid(300, 4, seed=75)
+        # distances tie across the K boundary on many rows
+        full = np.sort(brute_rows(pts.values, pts.values, L2), axis=1)
+        assert np.count_nonzero(full[:, k - 1] == full[:, k]) > 100
+    elif case == "k_n":
+        pts, k = _grid(60, 3, seed=76), 60
+    else:
+        pts = Dataset.from_values(_uniform(300, 5, seed=77).values + 1e6)
+        weights = np.random.default_rng(78).uniform(0.2, 2.0, size=5)
+        metric = "Weighted L1" if case == "weighted_l1" else "Weighted L2"
+    result = _direct_join(monkeypatch, pts, pts, k, metric=metric, weights=weights)
+    assert result.outputs["topk"].ids.shape == (pts.n, k)
+
+
+def test_smallest_takes_one_shared_id_row_or_none():
+    # a shared id row, or none for ids that are the column positions,
+    # selects what the same ids laid out per row select, ties included
+    rng = np.random.default_rng(79)
+    vals = rng.integers(0, 6, size=(40, 30)).astype(float)
+    row = rng.permutation(30)
+    for keep in (1, 5, 12, 30):
+        want = rowwise_lexsort(vals, np.broadcast_to(row, vals.shape))[:, :keep]
+        assert np.array_equal(pipelines._smallest(vals, row, keep), want)
+        assert np.array_equal(pipelines._smallest(vals, np.tile(row, (40, 1)), keep), want)
+        want = np.argsort(vals, axis=1, kind="stable")[:, :keep]
+        assert np.array_equal(pipelines._smallest(vals, None, keep), want)
+        assert np.array_equal(pipelines._smallest(vals, np.arange(30), keep), want)
 
 
 # -- the force rule -------------------------------------------------------------
