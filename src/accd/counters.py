@@ -5,10 +5,11 @@ Every code path that evaluates a true point-to-point distance bumps
 computations (landmark pairs, point-to-landmark offsets, drifts, the
 k-means tightening of a point's upper bound to its own centre) go to
 ``bound_computations``; the throwaway work of building groups goes to
-``grouping_distances``, which counts the n*z point-landmark pairs each
-nearest-landmark assignment decides (six per ``build_groups`` call), not
-the candidates of its open (near-tie) points or the final pass's
-point-to-landmark distances, which it recomputes exactly. Avoided
+``grouping_distances``, which counts the rows*z point-landmark pairs each
+nearest-landmark assignment decides (per ``build_groups`` call 6*n*z, or
+5*s*z + n*z when its five Lloyd rounds run on a sample of s = 16*z < n
+points), not the candidates of its open (near-tie) points or the final
+pass's point-to-landmark distances, which it recomputes exactly. Avoided
 point-pair work is split into mutually exclusive buckets so
 per-iteration conservation can be checked: pruned by bounds, or reused (a
 k-means iteration in which no centroid moved keeps every assignment; the

@@ -4,17 +4,18 @@ Points are partitioned into groups around landmark points; distances
 between landmarks plus per-group radii turn into lower/upper bounds on
 point-pair distances that never require touching the points themselves.
 
-Grouping assigns every point to its nearest landmark six times (five
-Lloyd rounds and the final pass). Each assignment ranks the landmarks
-through the kernel's fast pass (``kernel.tile_distances`` on rows centred
-once on the points' mean) and counts, per point, the landmarks within
-twice the pass's error bound of its fast minimum. A decided point, with
-one such landmark, takes it with no recompute; an open point, with
-several, recomputes them by direct differencing, ties going to the lower
-landmark id. Only the final pass recomputes each point's distance to its
+Grouping refines the landmarks with five Lloyd rounds on a seeded sample
+of at most 16 points per group, then assigns every point to its nearest
+landmark in one final pass. Each assignment ranks the landmarks through
+the kernel's fast pass (``kernel.tile_distances`` on rows centred once on
+the whole set's mean) and counts, per point, the landmarks within twice
+the pass's error bound of its fast minimum. A decided point, with one
+such landmark, takes it with no recompute; an open point, with several,
+recomputes them by direct differencing, ties going to the lower landmark
+id. Only the final pass recomputes each point's distance to its
 landmark, in row blocks. The groups, radii and point-to-landmark
-distances are bitwise those of a brute-force construction; only the time
-and memory differ.
+distances are bitwise those of the same sampled construction with
+brute-force assignments; only the time and memory differ.
 
 Three bound families are provided:
 
@@ -53,6 +54,9 @@ from .metrics import MetricSpec, rowwise_distance
 from .oracles import group_means, group_members
 
 _LLOYD_ITERATIONS = 5
+# The Lloyd rounds see at most this many points per group, drawn once per
+# build; the final pass still assigns every point.
+_LLOYD_SAMPLE_PER_GROUP = 16
 _ASSIGN_BLOCK_ELEMS = 4_000_000
 
 
@@ -107,7 +111,9 @@ def _assign_nearest(
     ``with_dist`` that distance (else None).
 
     Equal, bitwise, to the argmin of ``brute_rows`` with its value.
-    ``fast`` is ``fast_rows(values, centre, metric)``. The kernel's fast
+    ``fast`` holds the rows of ``fast_rows(all_values, centre, metric)``
+    that belong to ``values``, which may be a subset of the set whose mean
+    ``centre`` is: a Lloyd round passes its sample. The kernel's fast
     pass gives every point-landmark value within ``err`` of its direct-
     differencing value, so a landmark whose fast value exceeds the row's
     fast minimum by more than 2*err can neither win nor tie. A row with one
@@ -161,17 +167,23 @@ def build_groups(
     """Partition a dataset into z landmark groups.
 
     Landmarks come from a short Lloyd refinement (fixed iteration count)
-    seeded by a uniform sample of z distinct points; everything is
-    deterministic in ``seed``. Every assignment, in the five Lloyd rounds
-    and the final one, is certified (``_assign_nearest``) on the points'
-    fast rows, centred once on their mean: a point whose fast pass leaves
-    one landmark within its error bound takes it, and only the open points
-    recompute their candidates by direct differencing, ties going to the
-    lower landmark id. The Lloyd rounds keep the assignment alone; the
-    final pass also recomputes each point's distance to its landmark.
-    Landmarks, memberships, radii and point-to-landmark distances are
-    therefore bitwise equal to a brute-force ``brute_rows`` construction.
-    Credits n*z decided pairs per assignment to ``grouping_distances`` and
+    seeded by a uniform sample of z distinct points. When s = 16*z < n the
+    rounds run on s further distinct points, drawn after the landmarks
+    from the same generator and taken in ascending id order; otherwise on
+    all n. Everything is deterministic in ``seed``. Every assignment, in
+    the five Lloyd rounds and the final one over all n points, is
+    certified (``_assign_nearest``) on the points' fast rows, centred once
+    on the whole set's mean (a sample slices its rows from them): a point
+    whose fast pass leaves one landmark within its error bound takes it,
+    and only the open points recompute their candidates by direct
+    differencing, ties going to the lower landmark id. The Lloyd rounds
+    keep the assignment alone; the final pass also recomputes each point's
+    distance to its landmark. Landmarks, memberships, radii and
+    point-to-landmark distances are therefore bitwise equal to the same
+    sampled construction with brute-force ``brute_rows`` assignments. A
+    landmark that draws no sample member keeps its row, and its group may
+    end up empty. Credits rows*z decided pairs per assignment to
+    ``grouping_distances`` (5*s*z + n*z when sampled, 6*n*z otherwise) and
     one cached point-to-landmark distance per point to the bound tally.
     """
     n = ds.n
@@ -181,9 +193,16 @@ def build_groups(
     landmarks = ds.values[rng.choice(n, size=z, replace=False)].copy()
     centre = ds.values.mean(axis=0)
     fast = fast_rows(ds.values, centre, metric)
+    sample, sample_fast = ds.values, fast
+    s = _LLOYD_SAMPLE_PER_GROUP * z
+    if s < n:
+        # sorted, so group_means sums each group in ascending point id order
+        ids = np.sort(rng.choice(n, size=s, replace=False))
+        pts, sq = fast
+        sample, sample_fast = ds.values[ids], (pts[ids], None if sq is None else sq[ids])
     for _ in range(_LLOYD_ITERATIONS):
-        assign, _ = _assign_nearest(ds.values, centre, fast, landmarks, metric, counters)
-        landmarks = group_means(ds.values, assign, z, landmarks)
+        assign, _ = _assign_nearest(sample, centre, sample_fast, landmarks, metric, counters)
+        landmarks = group_means(sample, assign, z, landmarks)
     assign, dist = _assign_nearest(
         ds.values, centre, fast, landmarks, metric, counters, with_dist=True
     )

@@ -78,19 +78,40 @@ def test_membership_partitions_points():
             assert np.array_equal(d[:, 0], gm.point_to_landmark[members])
 
 
+def _distinct_rows_in_id_order(all_values, rows):
+    """Whether ``rows`` are distinct rows of ``all_values`` taken in
+    ascending id order (matching each to its first fit after the previous
+    one, so duplicate points match too)."""
+    nxt = 0
+    for row in rows:
+        hits = np.flatnonzero((all_values[nxt:] == row).all(axis=1))
+        if not hits.size:
+            return False
+        nxt += int(hits[0]) + 1
+    return True
+
+
 def _brute_force_groups(monkeypatch, ds, z, seed, metric):
     """The same construction with every assignment made by the oracle's
-    direct-differencing brute force."""
+    direct-differencing brute force. Every Lloyd round must get the same
+    min(n, 16*z) rows of the set, in ascending id order, and the final
+    pass all n, all centred on the whole set's mean."""
     passes = []
 
     def oracle(values, centre, fast, landmarks, mt, counters, with_dist=False):
-        passes.append(with_dist)
+        assert centre.tobytes() == ds.values.mean(axis=0).tobytes()
+        passes.append((with_dist, values.copy()))
         return nearest_assign(values, landmarks, mt)
 
     with monkeypatch.context() as m:
         m.setattr(gti, "_assign_nearest", oracle)
         gm = build_groups(ds, z, seed=seed, metric=metric)
-    assert passes == [False] * gti._LLOYD_ITERATIONS + [True]
+    assert [w for w, _ in passes] == [False] * gti._LLOYD_ITERATIONS + [True]
+    s = min(ds.n, gti._LLOYD_SAMPLE_PER_GROUP * z)
+    sample = passes[0][1]
+    assert sample.shape == (s, ds.d) and _distinct_rows_in_id_order(ds.values, sample)
+    assert all(np.array_equal(v, sample) for _, v in passes[: gti._LLOYD_ITERATIONS])
+    assert np.array_equal(passes[-1][1], ds.values)
     return gm
 
 
@@ -118,7 +139,8 @@ _METRICS = {
 def test_grouping_equals_brute_force_assignment(monkeypatch, metric, offset):
     # blobs far from the origin, with duplicated points: the matmul form
     # cancels badly there unless the points are centred, and the result
-    # must equal brute force at every offset
+    # must equal brute force at every offset; 240 > 16 * 11 points, so the
+    # Lloyd rounds run on a sample
     pts = gaussian_mixture(240, 6, 5, seed=7, center_box=5.0).values
     pts[200:] = pts[:40]
     ds = Dataset.from_values(pts + offset)
@@ -226,11 +248,59 @@ def test_grouping_recomputes_only_open_rows(monkeypatch):
 
 
 def test_grouping_distances_count_six_passes():
-    # five Lloyd rounds plus the final assignment, n*z pairs each
-    c = CounterSet()
-    build_groups(gaussian_mixture(90, 3, 3, seed=2), 7, seed=1, metric=L2, counters=c)
-    assert c.grouping_distances == 6 * 90 * 7
-    assert c.bound_computations == 90
+    # five Lloyd rounds plus the final assignment, n*z pairs each; above
+    # 16*z = 112 points the rounds take s = 112 pairs per landmark
+    for n, want in ((90, 6 * 90 * 7), (500, 5 * 112 * 7 + 500 * 7)):
+        c = CounterSet()
+        build_groups(gaussian_mixture(n, 3, 3, seed=2), 7, seed=1, metric=L2, counters=c)
+        assert c.grouping_distances == want
+        assert c.bound_computations == n
+
+
+@pytest.mark.parametrize("n, z, rows", [(160, 10, 160), (161, 10, 160)])
+def test_lloyd_rounds_sample_only_above_16_points_per_group(monkeypatch, n, z, rows):
+    # n <= 16*z hands every round the set's own values, so small sets
+    # group as they did before sampling; one point more and they sample
+    ds = gaussian_mixture(n, 3, 3, seed=4)
+    seen = []
+    real = gti._assign_nearest
+
+    def spying(values, *args, **kwargs):
+        seen.append(values)
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(gti, "_assign_nearest", spying)
+    build_groups(ds, z, seed=2, metric=L2)
+    assert [v.shape[0] for v in seen] == [rows] * gti._LLOYD_ITERATIONS + [n]
+    assert (rows == n) == all(v is ds.values for v in seen)
+    assert seen[-1] is ds.values
+
+
+def test_a_landmark_with_no_sample_member_keeps_its_row_and_may_end_empty(monkeypatch):
+    # 300 points on the 9 nodes of {0, 1, 2}^2 and 12 landmarks, so some
+    # duplicate another: ties go to the lower id, the higher draws no
+    # sample member in any round, keeps its row and ends with no member
+    pts = np.random.default_rng(21).integers(0, 3, size=(300, 2)).astype(np.float64)
+    ds = Dataset.from_values(pts)
+    counts, drawn = [], []
+    real = gti._assign_nearest
+
+    def counting(values, centre, fast, landmarks, *args, **kwargs):
+        drawn.append(landmarks.copy())
+        assign, dist = real(values, centre, fast, landmarks, *args, **kwargs)
+        counts.append((values.shape[0], np.bincount(assign, minlength=landmarks.shape[0])))
+        return assign, dist
+
+    with monkeypatch.context() as m:
+        m.setattr(gti, "_assign_nearest", counting)
+        got = build_groups(ds, 12, seed=0, metric=L2)
+    assert [r for r, _ in counts] == [192] * gti._LLOYD_ITERATIONS + [300]
+    never = np.logical_and.reduce([c == 0 for _, c in counts])
+    assert never.any()
+    for g in np.flatnonzero(never):
+        assert np.array_equal(got.landmarks[g], drawn[0][g])
+        assert got.membership[g].size == 0 and got.radius[g] == 0.0
+    _assert_same_groups(got, _brute_force_groups(monkeypatch, ds, 12, 0, L2))
 
 
 def test_group_count_out_of_range():
@@ -240,12 +310,12 @@ def test_group_count_out_of_range():
 
 
 def test_grouping_deterministic():
+    # 400 > 16 * 5 points sample, 40 do not
     r = np.random.default_rng(9)
-    ds = Dataset.from_values(r.normal(size=(40, 3)))
-    a = build_groups(ds, 5, seed=11, metric=L2)
-    b = build_groups(ds, 5, seed=11, metric=L2)
-    assert np.array_equal(a.group_of, b.group_of)
-    assert np.array_equal(a.landmarks, b.landmarks)
+    for n in (40, 400):
+        ds = Dataset.from_values(r.normal(size=(n, 3)))
+        a = build_groups(ds, 5, seed=11, metric=L2)
+        _assert_same_groups(build_groups(ds, 5, seed=11, metric=L2), a)
 
 
 # -- bound algebra ----------------------------------------------------------

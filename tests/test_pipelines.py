@@ -15,7 +15,7 @@ from accd.counters import CounterSet
 from accd.dataset import Dataset, TopKResult, brute_rows, rowwise_lexsort
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
-from accd import pipelines
+from accd import gti, pipelines
 from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
 from accd.gti import CandidateMatrix, _cut, build_groups, init_oneshot_state
@@ -269,14 +269,14 @@ def _reversed_packing(monkeypatch, variant):
     return variant
 
 
-def _strong_pull(**variant):
+def _strong_pull(groups=16, **variant):
     """A large step and little softening throw points across the blobs, so
     group pairs the landmark bounds prune at step 1 hold neighbor pairs
     later."""
     pts = gaussian_mixture(240, 3, 8, seed=0, center_box=3.0, spread=0.25)
     radius = SelectSpec("radius", 0.6, "smallest")
     plan = make_plan("iterative_self_set", pts.n, pts.n, 3, radius, 4)
-    design = DesignConfig(n_src_grp=16, n_trg_grp=4)
+    design = DesignConfig(n_src_grp=groups, n_trg_grp=4)
     cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3, **variant)
     return pts, run_plan(plan, pts, None, cfg)
 
@@ -668,6 +668,61 @@ def test_knn_shadow_check_compares_distances():
         with pytest.raises(OracleMismatchError) as info:
             _exact_run("knn", pts)
     assert (info.value.detail["point"], info.value.detail["column"]) == (3, 2)
+
+
+# case -> (a shadow-checked run on some thread count, the join's path);
+# every set has more than 16 points per group, so grouping samples
+SAMPLED_RUNS = {
+    "knn_gti": (lambda threads: _run("knn_blobs", thread_count=threads)[0], {"gti"}),
+    "knn_direct": (lambda threads: _run("knn", thread_count=threads)[0], {"direct"}),
+    # 9 distinct points and 12 source groups: some groups end up empty
+    "knn_empty_groups": (
+        lambda threads: _exact_run("knn", _grid(300, 2, seed=5), threads=threads),
+        {"gti"},
+    ),
+    # 8 groups of 240 points; the strong pull rebuilds after step 1
+    "nbody_rebuilds": (lambda threads: _strong_pull(groups=8, thread_count=threads)[1], set()),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLED_RUNS))
+def test_sampled_grouping_equals_the_oracle_on_one_and_two_threads(monkeypatch, case):
+    # each grouping runs its Lloyd rounds on 16 points per group and only
+    # its final pass on every point; the runs pass the shadow check, and
+    # two threads give the results of one
+    run, path = SAMPLED_RUNS[case]
+    rows, models = [], []
+    real_assign, real_build = gti._assign_nearest, pipelines.build_groups
+
+    def assign(values, *args, **kwargs):
+        rows.append(values.shape[0])
+        return real_assign(values, *args, **kwargs)
+
+    def build(*args):
+        models.append(real_build(*args))
+        return models[-1]
+
+    monkeypatch.setattr(gti, "_assign_nearest", assign)
+    monkeypatch.setattr(pipelines, "build_groups", build)
+    paths = _join_paths(monkeypatch)
+    results = []
+    for threads in (1, 2):
+        rows.clear()
+        models.clear()
+        results.append(run(threads))
+        assert results[-1].oracle_checked
+        want = []
+        for gm in models:
+            sample = gti._LLOYD_SAMPLE_PER_GROUP * gm.z
+            assert sample < gm.n
+            want += [sample] * gti._LLOYD_ITERATIONS + [gm.n]
+        assert want and rows == want
+    assert paths == path
+    if case == "knn_empty_groups":
+        assert any((gm.sizes == 0).any() for gm in models)
+    if case == "nbody_rebuilds":
+        assert _rebuilds(results[0]) > 1
+    _assert_same_results(*results)
 
 
 # -- the top-K merge ----------------------------------------------------------
