@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dataset import Dataset, load_csv
 from .ddsl import lower, parse, pretty_print, validate
@@ -282,6 +284,12 @@ def cmd_bench(args) -> int:
         source_size=max(1, int(plan.source_size * args.scale)),
         target_size=max(1, int(plan.target_size * args.scale)),
     )
+    for size in (plan.source_size, plan.target_size):
+        if size * plan.dim * 8 > np.iinfo(np.intp).max:
+            raise RangeError(
+                f"--scale {args.scale:g} makes a {size} x {plan.dim} set, "
+                "larger than the largest float64 array this platform can index"
+            )
     src = gaussian_mixture(plan.source_size, plan.dim, 24, args.seed, center_box=50.0)
     trg = None
     if plan.pipeline_kind == "oneshot_two_set":

@@ -9,28 +9,22 @@ k-means (``_Yinyang``) groups only its centres and bounds each point
 against each centre group. The join and the n-body step group both sides
 and wire bound filtering and layout packing, which makes each group's
 members one slice of its kernel rows, around one tile engine,
-``_sweep``. For each source batch it tiles the batch's candidate target
-groups in passes: one for ``_Radius``, two for ``_TopK``. A row reaches
-a group only while its per-point bound reaches that group's lower bound;
-the pairs it skips count as pruned. Rows that reach the same groups share
-wide tiles against those groups' members, concatenated, which go to the
-pipeline's reducer:
+``_sweep``. It tiles each row of a source batch once, against all of the
+batch's candidate target groups' members, concatenated, and hands the
+tile to the pipeline's reducer. Its bounds prune whole group pairs only:
+a tile has no per-point control inside it.
 
-* ``_TopK`` (one-shot two-set) keeps the running K + 1 best per point;
-  the per-point bound is the current K-th distance plus its error bound.
-  Its first pass tiles each row against its own group's nearest candidate
-  groups, enough for K + 1 targets, its second against every other group
-  the row's bound then reaches, so each row merges into its K + 1 at most
-  twice. The join orders its source groups so that groups with the same
-  candidate list sit next to each other. The filter pays only where it
-  prunes, so the join sweeps only when the landmark cut of its group pairs
-  prunes a pair. When it prunes none, the join takes the direct path
-  instead (``_direct``): no sweep and no merge, but one wide tile per
-  block of source rows against every target in id order, from which each
-  row's K + 1 are selected straight, the column positions being the ids.
-* ``_Radius`` (iterative self-set) has no per-point bound, works on
-  unordered pairs, as distances are symmetric, and sweeps only to rebuild
-  a Verlet list: the pairs within the radius plus a skin. Its group-pair
+* ``_TopK`` (one-shot two-set) takes each row's K + 1 best under (fast
+  value, id) straight from the row's one tile, by ``select``. The join
+  orders its source groups so that groups with the same candidate list
+  sit next to each other. The filter pays only where it prunes, so the
+  join sweeps only when the landmark cut of its group pairs prunes a
+  pair. When it prunes none, the join takes the direct path instead
+  (``_direct``): no sweep, but one wide tile per block of source rows
+  against every target in id order, the column positions being the ids.
+* ``_Radius`` (iterative self-set) works on unordered pairs, as
+  distances are symmetric, and sweeps only to rebuild a Verlet list: the
+  pairs within the radius plus a skin. Its group-pair
   bounds start from the landmark bounds of ``gti.init_oneshot_state``,
   are lower bounds only, stay exactly symmetric and are cut at the radius
   plus the skin at every rebuild, step 1 included; each kept unordered
@@ -54,9 +48,9 @@ differencing (``metrics.rowwise_distance``, the oracles' arithmetic).
 Every pruning bound carries the rounding slack of ``gti``. Outputs
 therefore equal the oracles' bitwise, in any packing order and on any
 thread count. Pair counters follow the bounds; a bound taken from fast
-values (a tile extreme, a running K-th value) can move in its last bits
-with the tile's shape, which changes a count only if it lands within
-those bits of a threshold. All cross-point reductions (centroid means,
+values (a tile extreme) can move in its last bits with the tile's shape,
+which changes a count only if it lands within those bits of a
+threshold. All cross-point reductions (centroid means,
 force accumulation) happen in original point order.
 The physics update of the self-set pipeline is deliberately outside the
 distance-counter discipline; only neighbor search is counted and verified.
@@ -228,70 +222,42 @@ def _map_ordered(fn, items, threads: int):
 
 
 def _sweep(
-    src: _Grouped, trg: _Grouped, cm: CandidateMatrix, lb: np.ndarray, batches: list[list[int]],
-    reducer, metric: MetricSpec, threads: int, seed: int | None = None,
+    src: _Grouped, trg: _Grouped, cm: CandidateMatrix, batches: list[list[int]],
+    reducer, metric: MetricSpec, threads: int,
 ) -> CounterSet:
-    """Tile every surviving (source row, candidate target group) pair of
-    each batch, against its first group's candidates (empty groups left
-    out), in one pass or, with ``seed``, two: per source group, its
-    candidates in (lb, group id) order up to and including the first that
-    brings the total to ``seed`` targets, then the rest. A row reaches a
-    group of a pass only if its bound (``reducer.bound(ids)`` at the start
-    of the pass; None keeps every row) reaches its own group's
-    ``lb[., t]``; the pairs it skips count as pruned. Rows that reach the
-    same groups share tiles against those groups' members, concatenated,
-    of at most ``reducer.TILE_CELLS`` cells: one tile per row and pass.
+    """Tile each batch's rows against its first group's candidate target
+    groups (empty groups left out), all of them at once: their members,
+    concatenated, in row blocks of at most ``reducer.TILE_CELLS`` cells,
+    one tile per row.
 
-    ``reducer.reduce(batch, groups, cols, col_starts, ids, tile, err)`` gets
-    the tile's target groups, column ids (the groups' members, concatenated)
-    and each group's first column, rows' ids, fast values and per-row error
-    bound. Batches touch disjoint rows, so they may run on ``threads``
-    workers. Returns the tile and pruning tallies.
+    A ``_TopK`` fills the block's rows by ``select(ids, tile, err, cols)``;
+    any other reducer gets ``reduce(batch, groups, cols, col_starts, ids,
+    tile, err)``: the tile's target groups, column ids (the groups'
+    members, concatenated) and each group's first column, rows' ids, fast
+    values and per-row error bound. Batches touch disjoint rows, so they
+    may run on ``threads`` workers. Returns the tile tallies.
     """
-    src_sizes, trg_sizes = src.gm.sizes, trg.gm.sizes
+    trg_sizes = trg.gm.sizes
 
     def sweep_batch(batch: list[int]) -> CounterSet:
         local = CounterSet()
         ids, rows, sq_rows = src.take(batch)
-        cand = cm.targets[batch[0]]
-        cand = cand[trg_sizes[cand] > 0]
-        if ids.size == 0 or cand.size == 0:
+        groups = cm.targets[batch[0]]
+        groups = groups[trg_sizes[groups] > 0]
+        if ids.size == 0 or groups.size == 0:
             return local
-        lbb = lb[batch][:, cand]
-        per_group = src_sizes[batch]
-        passes = [None]  # every row reaches every candidate
-        if seed is not None:
-            by_lb = np.argsort(lbb, axis=1, kind="stable")
-            before = np.cumsum(trg_sizes[cand][by_lb], axis=1) - trg_sizes[cand][by_lb]
-            take = np.take_along_axis(before < seed, np.argsort(by_lb, axis=1), axis=1)
-            take = take.repeat(per_group, axis=0)
-            passes = [take, ~take]
-        for reach in passes:
-            bound = reducer.bound(ids)
-            if bound is not None:
-                ok = bound[:, None] >= lbb.repeat(per_group, axis=0)
-                reach = ok if reach is None else reach & ok
-            if reach is None or (reach == reach[0]).all():  # rows alike: slice, not gather
-                row_sets = [(None, cand if reach is None else cand[reach[0]])]
+        cols, col_rows, sq_cols = trg.take(groups.tolist())
+        sizes = trg_sizes[groups]
+        col_starts = np.cumsum(sizes) - sizes
+        step = max(1, reducer.TILE_CELLS // cols.size)
+        for i in range(0, ids.size, step):
+            at = slice(i, i + step)
+            sq = sq_rows[at] if sq_rows is not None else None
+            tile, err = tile_distances(rows[at], col_rows, metric, local, sq, sq_cols)
+            if isinstance(reducer, _TopK):
+                reducer.select(ids[at], tile, err, cols)
             else:
-                packed = np.packbits(reach, axis=1)
-                order = np.lexsort(packed.T)  # rows by the groups they reach; stable
-                cuts = np.flatnonzero(np.any(np.diff(packed[order], axis=0), axis=1)) + 1
-                row_sets = [(sel, cand[reach[sel[0]]]) for sel in np.split(order, cuts)]
-            for sel, groups in row_sets:
-                if not groups.size:
-                    continue
-                cols, col_rows, sq_cols = trg.take(groups.tolist())
-                sizes = trg_sizes[groups]
-                col_starts = np.cumsum(sizes) - sizes
-                step = max(1, reducer.TILE_CELLS // cols.size)
-                for i in range(0, ids.size if sel is None else sel.size, step):
-                    sub = slice(i, i + step) if sel is None else sel[i : i + step]
-                    sq = sq_rows[sub] if sq_rows is not None else None
-                    tile, err = tile_distances(rows[sub], col_rows, metric, local, sq, sq_cols)
-                    reducer.reduce(batch, groups, cols, col_starts, ids[sub], tile, err)
-        # every candidate pair is tiled once or pruned
-        local.pruned_pairs += ids.size * int(trg_sizes[cand].sum()) - local.point_distances
+                reducer.reduce(batch, groups, cols, col_starts, ids[at], tile, err)
         return local
 
     total = CounterSet()
@@ -305,9 +271,11 @@ def _direct(
 ) -> tuple[CounterSet, int]:
     """The join's direct path: each block of consecutive source rows gets
     one tile of at most ``topk.TILE_CELLS`` cells against every target, in
-    id order (``fast_rows`` of the sets as they are), which
-    ``topk.select`` reduces. Blocks touch disjoint rows, so they may run on
-    ``threads`` workers. Returns the tile tallies and the block count."""
+    id order (``fast_rows`` of the sets as they are), from which
+    ``topk.select`` fills the rows, the column positions being the ids, as
+    the GTI path fills them from its tiles. Blocks touch disjoint rows, so
+    they may run on ``threads`` workers. Returns the tile tallies and the
+    block count."""
     m = src_rows.shape[0]
     step = max(1, topk.TILE_CELLS // trg_rows.shape[0])
 
@@ -496,22 +464,16 @@ def _smallest(vals: np.ndarray, ids: np.ndarray | None, keep: int) -> np.ndarray
 
 
 class _TopK:
-    """Running K + 1 best targets per source point under (fast value, id).
+    """The K + 1 best targets per source point under (fast value, id).
 
-    ``err`` bounds the error of every kept value. The K-th value plus
-    ``err`` bounds the K-th direct distance from above, so it is the
-    per-point bound; the (K + 1)-th entry witnesses the boundary for
-    ``settle``. The state fills in one of two ways, and after either it is
-    bitwise a (value, id) sort of every entry tiled for the row:
-
-    * on the GTI path, swept with ``seed`` K + 1, a row enters at most two
-      tiles, each merged into its K + 1 by ``reduce``;
-    * on the direct path (``_direct``), a row enters one tile against every
-      target in id order, from which ``select`` takes the K + 1 straight,
-      the column positions being the ids.
+    Each row is filled exactly once, by ``select``, from its one tile: on
+    the GTI path against all of its batch's candidate groups (``_sweep``),
+    on the direct path against every target in id order (``_direct``).
+    ``err`` bounds the error of every kept value; the (K + 1)-th entry
+    witnesses the boundary for ``settle``.
     """
 
-    TILE_CELLS = 1 << 15  # 256 KB: a tile and its merge stay in cache and the heap
+    TILE_CELLS = 1 << 15  # 256 KB: a tile and its selection stay in cache and the heap
 
     def __init__(self, m: int, k: int, trg_gm: GroupModel):
         self.k = k
@@ -520,24 +482,14 @@ class _TopK:
         self.top_i = np.full((m, k + 1), trg_gm.n, dtype=np.int64)
         self.err = np.zeros(m)
 
-    def bound(self, ids: np.ndarray) -> np.ndarray:
-        return self.top_f[ids, self.k - 1] + self.err[ids]
-
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> None:
-        self.err[ids] = np.maximum(self.err[ids], err)
-        cat_d = np.concatenate([self.top_f[ids], tile], axis=1)
-        cat_i = np.concatenate([self.top_i[ids], np.broadcast_to(cols, tile.shape)], axis=1)
-        sel = _smallest(cat_d, cat_i, self.k + 1)
-        self.top_f[ids] = _take_rows(cat_d, sel)
-        self.top_i[ids] = _take_rows(cat_i, sel)
-
-    def select(self, ids, tile, err) -> None:
-        """Fill the rows ``ids`` from their one tile against every target,
-        in id order; with K = n the (K + 1)-th entry stays a placeholder."""
+    def select(self, ids, tile, err, cols=None) -> None:
+        """Fill the rows ``ids`` from their one tile, whose columns are the
+        targets ``cols`` (None: the column positions are the ids); with
+        fewer than K + 1 columns the last entries stay placeholders."""
         keep = min(self.k + 1, tile.shape[1])
-        sel = _smallest(tile, None, keep)
+        sel = _smallest(tile, cols, keep)
         self.top_f[ids, :keep] = _take_rows(tile, sel)
-        self.top_i[ids, :keep] = sel
+        self.top_i[ids, :keep] = sel if cols is None else cols.take(sel)
         self.err[ids] = err
 
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
@@ -652,7 +604,7 @@ class _Radius:
         to_tile = self.resolve(cm, counters)
         batches = _source_batches(np.arange(gm.z), to_tile)
         grouped = _Grouped.build(pos, gm, plan, self.metric, pos.mean(axis=0))
-        sweep = _sweep(grouped, grouped, to_tile, self.lb, batches, self, self.metric, threads)
+        sweep = _sweep(grouped, grouped, to_tile, batches, self, self.metric, threads)
         counters.add(sweep)
         self.store_list()
         self.disp[:] = 0.0
@@ -669,10 +621,6 @@ class _Radius:
         lower = b < a
         counters.reused_pairs += int(self.sizes[a[lower]] @ self.sizes[b[lower]])
         return CandidateMatrix(targets=[cand[cand >= g] for g, cand in enumerate(cm.targets)])
-
-    @staticmethod
-    def bound(ids: np.ndarray) -> None:
-        return None
 
     def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> None:
         """Keep, in one orientation, every entry at most ``cut`` + err, for
@@ -877,13 +825,14 @@ def run_knn_join(
 ) -> RunResult:
     """Exact top-K join: group both sets and filter group pairs through the
     two-landmark bounds. Where that cut prunes a pair, the GTI path sweeps
-    the candidate groups (``_sweep``, seeded with K + 1) and refines per
-    point with a running K-th-best threshold. Where it prunes none, the
-    direct path (``_direct``) tiles every pair once, in blocks of source
-    rows, and selects each row's K + 1 straight from its tile; it reads no
-    packing, so its layout is each point its own group, in id order. Either
-    way ``_TopK.settle`` makes the result exact. Self-matches are kept (a
-    point joined against its own set finds itself at distance zero)."""
+    (``_sweep``) each row once against all of its group's candidate
+    groups. Where it prunes none, the direct path (``_direct``) tiles each
+    row once against every target, in blocks of source rows; it reads no
+    packing, so its layout is each point its own group, in id order.
+    Either way ``_TopK.select`` takes each row's K + 1 straight from its
+    one tile, and ``_TopK.settle`` makes the result exact. Self-matches
+    are kept (a point joined against its own set finds itself at distance
+    zero)."""
     _check_kind(plan, "oneshot_two_set")
     t0 = time.perf_counter()
     metric = plan.metric_spec(weights)
@@ -920,9 +869,7 @@ def run_knn_join(
         runs = _source_batches(order, cm)
         g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
         g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
-        sweep = _sweep(
-            g_src, g_trg, cm, lb, runs, topk, metric, config.thread_count, seed=k + 1
-        )
+        sweep = _sweep(g_src, g_trg, cm, runs, topk, metric, config.thread_count)
         batches, groups = len(runs), z_src
     counters.add(sweep)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)

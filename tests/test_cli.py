@@ -11,6 +11,7 @@ import pytest
 
 import accd
 from accd import cli, pipelines
+from accd.ddsl import lower, parse, validate
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SCHEMAS = Path(accd.__file__).parent / "schemas"
@@ -258,6 +259,42 @@ def test_bench_scale_must_be_positive():
     for scale in ("0", "-1", "nan", "inf"):
         assert _bench(SAMPLES / "nbody.ddsl", "--scale", scale) == 1, scale
 
+
+def test_bench_scale_beyond_the_largest_array_is_a_range_error(capsys):
+    # a 10^34-row set: rejected before anything is allocated
+    assert _bench(SAMPLES / "knn_join.ddsl", "--scale", "1e30") == 1
+    assert "--scale 1e+30" in capsys.readouterr().err
+
+
+
+class _Generated(Exception):
+    """Raised by a stub in place of generating a bench set."""
+
+
+@pytest.mark.parametrize("sample", sorted(BENCH_SCALES))
+def test_bench_scale_limit_is_the_largest_float64_array(monkeypatch, capsys, sample):
+    # a scale just under the limit goes on to generate its sets (a stub
+    # that allocates nothing); just over, it is a range error
+    checked, diags = validate(parse((SAMPLES / sample).read_text()))
+    assert checked is not None, diags
+    plan = lower(checked)
+    rows = np.iinfo(np.intp).max // (8 * plan.dim)
+    at = rows / max(plan.source_size, plan.target_size)
+    made = []
+
+    def stub(n, d, *args, **kwargs):
+        made.append((n, d))
+        raise _Generated
+
+    monkeypatch.setattr(cli, "gaussian_mixture", stub)
+    under = at * (1 - 1e-6)
+    with pytest.raises(_Generated):
+        _bench(SAMPLES / sample, "--scale", repr(under))
+    assert made == [(int(plan.source_size * under), plan.dim)]
+    assert 0 < rows - max(int(plan.source_size * under), int(plan.target_size * under))
+    assert _bench(SAMPLES / sample, "--scale", repr(at * (1 + 1e-6))) == 1
+    assert "larger than the largest float64 array" in capsys.readouterr().err
+    assert len(made) == 1
 
 def test_bench_rejects_a_weighted_program(tmp_path, capsys):
     text = (SAMPLES / "knn_join.ddsl").read_text()

@@ -105,16 +105,23 @@ def _flat(value):
 
 
 def _join_paths(monkeypatch) -> set:
-    """Patch ``_TopK`` to note which path fills its state: "gti" by
-    ``reduce``, "direct" by ``select``."""
+    """Patch the join's two paths to note which one runs: "direct" by a
+    call to ``_direct``, "gti" by a call to ``_sweep`` with a ``_TopK``
+    reducer (n-body's sweeps do not count)."""
     paths = set()
-    for method, path in (("reduce", "gti"), ("select", "direct")):
+    real_direct, real_sweep = pipelines._direct, pipelines._sweep
 
-        def noting(self, *args, real=getattr(pipelines._TopK, method), path=path):
-            paths.add(path)
-            return real(self, *args)
+    def direct(*args):
+        paths.add("direct")
+        return real_direct(*args)
 
-        monkeypatch.setattr(pipelines._TopK, method, noting)
+    def sweep(src, trg, cm, batches, reducer, *args):
+        if isinstance(reducer, pipelines._TopK):
+            paths.add("gti")
+        return real_sweep(src, trg, cm, batches, reducer, *args)
+
+    monkeypatch.setattr(pipelines, "_direct", direct)
+    monkeypatch.setattr(pipelines, "_sweep", sweep)
     return paths
 
 
@@ -421,16 +428,12 @@ L2 = MetricSpec(kind="L2")
 
 
 class _Recorder:
-    """Reducer that keeps every tile, with a fixed per-point bound."""
+    """Reducer that keeps every tile."""
 
     TILE_CELLS = 1 << 15
 
-    def __init__(self, bound=None):
-        self.point_bound = bound
+    def __init__(self):
         self.tiles = []
-
-    def bound(self, ids):
-        return None if self.point_bound is None else self.point_bound[ids]
 
     def reduce(self, batch, groups, cols, col_starts, ids, tile, err):
         (t,) = groups
@@ -457,13 +460,13 @@ def _filtered_pair():
     centre = src.values.mean(axis=0)
     g_src = _Grouped.build(src.values, gm_s, pack_intra_group(src, gm_s), L2, centre)
     g_trg = _Grouped.build(trg.values, gm_t, pack_intra_group(trg, gm_t), L2, centre)
-    return src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg)
+    return src, trg, gm_s, gm_t, cm, (g_src, g_trg)
 
 
 def test_candidate_masking_skips_pruned_tiles():
-    src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg) = _filtered_pair()
+    src, trg, gm_s, gm_t, cm, (g_src, g_trg) = _filtered_pair()
     rec = _Recorder()
-    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 1)
+    kc = _sweep(g_src, g_trg, cm, [[0], [1]], rec, L2, 1)
     candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert 0 < kc.point_distances == surviving < 60 * 50
@@ -478,28 +481,14 @@ def test_candidate_masking_skips_pruned_tiles():
         assert np.all(np.abs(tile - want) <= err[:, None])
 
 
-def test_rows_whose_bound_cannot_reach_a_group_are_pruned():
-    src, trg, gm_s, gm_t, lb, cm, (g_src, g_trg) = _filtered_pair()
-    bound = np.where(np.arange(src.n) % 2 == 0, np.inf, -1.0)  # odd rows reach nothing
-    rec = _Recorder(bound)
-    kc = _sweep(g_src, g_trg, cm, lb, [[0], [1]], rec, L2, 1)
-    candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
-    surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
-    assert kc.point_distances + kc.pruned_pairs == surviving
-    assert kc.pruned_pairs > 0
-    for _, _, ids, *_ in rec.tiles:
-        assert np.all(ids % 2 == 0)
-
-
 def _wide_case(reverse: bool):
-    # five target groups over four blobs: lower bounds that differ from
-    # group to group, so a bound between them reaches some groups only
+    # five target groups over four blobs, each source group a batch of its
+    # own or all three one batch
     src = gaussian_mixture(90, 3, 4, seed=21, center_box=10.0)
     trg = gaussian_mixture(120, 3, 4, seed=22, center_box=10.0)
     c = CounterSet()
     gm_s = build_groups(src, 3, seed=3, metric=L2, counters=c)
     gm_t = build_groups(trg, 5, seed=4, metric=L2, counters=c)
-    lb, _ = init_oneshot_state(gm_s, gm_t, c)
     centre = src.values.mean(axis=0)
     # packed in group-id order, a run of ascending groups is one slice of
     # the packing; reversed, a run of two non-empty groups never is, and the
@@ -508,43 +497,26 @@ def _wide_case(reverse: bool):
     plans = [pack_intra_group(*x, group_order=o) for x, o in zip(((src, gm_s), (trg, gm_t)), orders)]
     g_src = _Grouped.build(src.values, gm_s, plans[0], L2, centre)
     g_trg = _Grouped.build(trg.values, gm_t, plans[1], L2, centre)
-    return src, trg, gm_s, gm_t, lb, g_src, g_trg
+    return src, trg, gm_s, gm_t, g_src, g_trg
 
 
-@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
 @pytest.mark.parametrize("cap", [None, 64], ids=["default_cap", "small_cap"])
 @pytest.mark.parametrize("batches", [[[0], [1], [2]], [[0, 1, 2]]], ids=["alone", "batched"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["id_order", "reversed"])
-def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
-    reverse, batches, cap, seeded
-):
-    src, trg, gm_s, gm_t, lb, g_src, g_trg = _wide_case(reverse)
+def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batches, cap):
+    src, trg, gm_s, gm_t, g_src, g_trg = _wide_case(reverse)
     sizes = gm_t.sizes
-    # source group 0's two nearest target groups hold exactly ``seed``
-    # targets, so its seed pass must stop before the third
-    seed = int(sizes[np.lexsort((np.arange(gm_t.z), lb[0]))[:2]].sum())
-    own = lb[gm_s.group_of]  # each row's lower bounds, per target group
-    # rows by id mod 3: reach nothing, every group, or the groups whose
-    # lower bound lies at most at the row's median one
-    bound = np.select(
-        [np.arange(src.n) % 3 == 0, np.arange(src.n) % 3 == 1],
-        [np.full(src.n, -1.0), np.full(src.n, np.inf)],
-        np.median(own, axis=1),
-    )
-    rec = _WideRecorder(bound)
+    rec = _WideRecorder()
     if cap is not None:
         rec.TILE_CELLS = cap
     cm = CandidateMatrix(targets=[np.arange(gm_t.z) for _ in range(gm_s.z)])
-    kc = _sweep(g_src, g_trg, cm, lb, batches, rec, L2, 1, seed=seed if seeded else None)
+    kc = _sweep(g_src, g_trg, cm, batches, rec, L2, 1)
 
-    reach = (bound[:, None] >= own) & (sizes > 0)
-    assert 0 < np.count_nonzero(reach[np.arange(src.n) % 3 == 2]) < reach[2::3].size
     full = brute_rows(src.values, trg.values, L2)
     tiled = np.zeros((src.n, gm_t.z), dtype=int)
     entered = np.zeros(src.n, dtype=int)
-    first = {}
     for batch, groups, cols, col_starts, ids, tile, err in rec.tiles:
-        assert len(groups) >= 1 and ids.size >= 1
+        assert ids.size >= 1
         assert tile.size <= rec.TILE_CELLS or ids.size == 1
         assert np.array_equal(cols, np.concatenate([gm_t.membership[t] for t in groups]))
         sizes_in = gm_t.sizes[list(groups)]
@@ -553,24 +525,15 @@ def test_seeded_sweep_tiles_each_row_only_against_the_groups_it_reaches(
         for i in ids.tolist():
             tiled[i, list(groups)] += 1
             entered[i] += 1
-            first.setdefault(i, set(groups))
-    # every reached (row, group) pair is tiled exactly once, nothing else is
-    assert np.array_equal(tiled, reach.astype(int))
-    assert np.all(entered <= (2 if seeded else 1))
-    assert np.all(entered[np.arange(src.n) % 3 == 0] == 0)
-    # a row whose bound reaches everything starts with its own group's seed
-    # groups: in (lb, id) order up to the first that brings ``seed`` targets
-    for i in np.flatnonzero(np.arange(src.n) % 3 == 1).tolist():
-        order = np.lexsort((np.arange(gm_t.z), own[i]))
-        order = order[sizes[order] > 0]
-        before = np.cumsum(sizes[order]) - sizes[order]
-        assert first[i] == set(order[before < seed].tolist() if seeded else order.tolist())
-    # rows that reach the same groups share a tile unless the cap splits them
+    # every row enters exactly one tile, against every non-empty candidate
+    # group of its batch, and nothing else
+    assert np.all(entered == 1)
+    assert np.array_equal(tiled, np.broadcast_to(sizes > 0, tiled.shape).astype(int))
+    # a batch's rows share its tiles unless the cap splits them
     shared = {(batch, groups) for batch, groups, *_ in rec.tiles}
     assert (len(shared) < len(rec.tiles)) == (cap is not None)
-    pairs = src.n * trg.n
-    assert kc.point_distances == int(np.sum(reach * sizes))
-    assert kc.pruned_pairs == pairs - kc.point_distances > 0
+    assert kc.point_distances == src.n * trg.n
+    assert kc.pruned_pairs == 0
 
 
 # -- exactness in floating point -----------------------------------------------
@@ -725,7 +688,7 @@ def test_sampled_grouping_equals_the_oracle_on_one_and_two_threads(monkeypatch, 
     _assert_same_results(*results)
 
 
-# -- the top-K merge ----------------------------------------------------------
+# -- the top-K selection ------------------------------------------------------
 
 
 def _uniform(n: int, d: int, seed: int) -> Dataset:
@@ -743,7 +706,7 @@ def _grid_blobs(n: int, d: int, seed: int) -> Dataset:
 # case -> (points, run options, the join's path); DESIGN has 4 target
 # groups, about 75 points each at n=300. The cut prunes nothing on the
 # first seven, so they take the direct path, and something on the rest
-MERGE_CASES = {
+SELECT_CASES = {
     "uniform": (lambda: _uniform(300, 6, seed=12), {}, "direct"),
     "grid": (lambda: _grid(300, 4, seed=5), {}, "direct"),
     "offset_1e6": (
@@ -771,61 +734,83 @@ MERGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(MERGE_CASES))
+@pytest.mark.parametrize("case", list(SELECT_CASES))
 def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch, case):
-    # after the sweep each row's running K + 1 and error bound must be
-    # bitwise what a (value, id) sort of every entry tiled for it gives,
-    # ties across the K + 1 boundary included: on the GTI path from at most
-    # two tiles, merged by ``reduce``; on the direct path from the row's one
-    # tile against every target, in id order, selected by ``select``
-    make, options, path = MERGE_CASES[case]
-    real_init, real_reduce = pipelines._TopK.__init__, pipelines._TopK.reduce
-    real_select, real_settle = pipelines._TopK.select, pipelines._TopK.settle
+    # after the sweep each row's K + 1 and error bound must be bitwise what
+    # a (value, id) sort of its one tile gives, ties across the K + 1
+    # boundary included: on the GTI path a tile against all of its batch's
+    # candidate groups, on the direct path one against every target, in id
+    # order; ``select`` fills each row exactly once on both
+    make, options, path = SELECT_CASES[case]
+    real_init, real_select = pipelines._TopK.__init__, pipelines._TopK.select
+    real_settle = pipelines._TopK.settle
     entries: dict[int, list] = {}
-    checked, target_groups, paths = [], [], set()
+    checked, target_groups, paths = [], [], _join_paths(monkeypatch)
 
     def init(self, m, k, trg_gm):
         target_groups.append(trg_gm)
         real_init(self, m, k, trg_gm)
 
-    def recording(self, batch, groups, cols, col_starts, ids, tile, err):
-        paths.add("gti")
-        members = target_groups[-1].membership
-        assert np.array_equal(cols, np.concatenate([members[t] for t in groups]))
+    def selecting(self, ids, tile, err, cols=None):
+        if cols is None:
+            row = np.arange(tile.shape[1])  # the column positions are the ids
+        else:  # the members of whole target groups, concatenated
+            row, gm = cols, target_groups[-1]
+            of = gm.group_of[cols]
+            groups = of[np.flatnonzero(np.diff(of, prepend=-1))]
+            assert np.array_equal(cols, np.concatenate([gm.membership[t] for t in groups]))
         for r, i in enumerate(ids.tolist()):
-            entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
-        real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
-
-    def selecting(self, ids, tile, err):
-        paths.add("direct")
-        cols = np.arange(tile.shape[1])  # the column positions are the ids
-        for r, i in enumerate(ids.tolist()):
-            entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
-        real_select(self, ids, tile, err)
+            entries.setdefault(i, []).append((tile[r].copy(), row, err[r]))
+        real_select(self, ids, tile, err, cols)
 
     def settle(self, src, trg, *args):
         width = self.k + 1
         placeholder = trg.shape[0]
         for i in range(self.top_f.shape[0]):
-            got = entries.get(i, [])
-            assert 1 <= len(got) <= (2 if path == "gti" else 1)
-            vals = np.concatenate([np.full(width, np.inf), *(v for v, _, _ in got)])
-            idx = np.concatenate([np.full(width, placeholder), *(c for _, c, _ in got)])
+            assert len(entries.get(i, [])) == 1  # one tile per row
+            ((vals, idx, err),) = entries[i]
+            vals = np.concatenate([np.full(width, np.inf), vals])
+            idx = np.concatenate([np.full(width, placeholder), idx])
             sel = rowwise_lexsort(vals[None], idx[None])[0, :width]
             assert np.array_equal(self.top_f[i].view(np.int64), vals[sel].view(np.int64))
             assert np.array_equal(self.top_i[i], idx[sel])
-            assert self.err[i] == max(e for _, _, e in got)
+            assert self.err[i] == err
         checked.append(len(entries))
         return real_settle(self, src, trg, *args)
 
     monkeypatch.setattr(pipelines._TopK, "__init__", init)
-    monkeypatch.setattr(pipelines._TopK, "reduce", recording)
     monkeypatch.setattr(pipelines._TopK, "select", selecting)
     monkeypatch.setattr(pipelines._TopK, "settle", settle)
     _exact_run("knn", make(), **options)
     assert checked and checked[0] > 0
     assert paths == {path}
 
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gti_join_tiles_every_pair_the_group_cut_keeps(monkeypatch, threads):
+    # on the GTI path nothing is pruned below the group cut: each source
+    # row is tiled once against every member of its batch's candidate
+    # groups, so the pairs tiled are exactly the pairs the cut keeps
+    real_sweep, seen = pipelines._sweep, []
+
+    def sweep(src, trg, cm, batches, reducer, *args):
+        seen.append((src.gm, trg.gm, cm, batches))
+        return real_sweep(src, trg, cm, batches, reducer, *args)
+
+    monkeypatch.setattr(pipelines, "_sweep", sweep)
+    result, pairs = _run("knn_blobs", thread_count=threads)
+    ((gm_s, gm_t, cm, batches),) = seen
+    assert sorted(g for batch in batches for g in batch) == list(range(gm_s.z))
+    for batch in batches:
+        assert all(np.array_equal(cm.targets[g], cm.targets[batch[0]]) for g in batch)
+    kept = sum(
+        int(gm_s.sizes[g]) * int(gm_t.sizes[cm.targets[g]].sum()) for g in range(gm_s.z)
+    )
+    (s,) = result.per_iteration
+    assert s.point_distances == kept
+    assert s.pruned_pairs == pairs - kept > 0
+    assert s.source_batches == len(batches)
 
 def _direct_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", weights=None):
     """A shadow-checked join of ``src`` against ``trg`` that must take the
@@ -903,6 +888,41 @@ def test_smallest_takes_one_shared_id_row_or_none():
         assert np.array_equal(pipelines._smallest(vals, None, keep), want)
         assert np.array_equal(pipelines._smallest(vals, np.arange(30), keep), want)
 
+
+
+@pytest.mark.parametrize("cols", ["positions", "ascending", "permuted", "narrow"])
+def test_topk_select_writes_the_k_plus_1_best_of_each_given_row(cols):
+    # ``select`` fills the given rows with their K + 1 smallest entries
+    # under (value, target id), ties included, whether the targets are the
+    # column positions or a shared row of ids in any order; with fewer
+    # columns the last entries, and every other row, keep their placeholders
+    rng = np.random.default_rng(80)
+    m, n, k = 25, 50, 6
+    width = {"positions": n, "narrow": 4}.get(cols, 30)
+    col_ids = {
+        "positions": None,
+        "ascending": np.sort(rng.choice(n, width, replace=False)),
+        "permuted": rng.permutation(n)[:width],
+        "narrow": rng.permutation(n)[:width],
+    }[cols]
+    rows = np.array([3, 7, 8, 20])
+    tile = rng.integers(0, 5, size=(rows.size, width)).astype(float)
+    err = rng.uniform(0.0, 1e-12, size=rows.size)
+    topk = pipelines._TopK(m, k, Dataset.from_values(np.zeros((n, 1))))
+    topk.select(rows, tile, err, col_ids)
+
+    ids = np.arange(n) if col_ids is None else col_ids
+    keep = min(k + 1, width)
+    order = rowwise_lexsort(tile, np.broadcast_to(ids, tile.shape))[:, :keep]
+    want_f = np.full((m, k + 1), np.inf)
+    want_i = np.full((m, k + 1), n)
+    want_f[rows, :keep] = np.take_along_axis(tile, order, axis=1)
+    want_i[rows, :keep] = ids[order]
+    assert np.array_equal(topk.top_f.view(np.int64), want_f.view(np.int64))
+    assert np.array_equal(topk.top_i, want_i)
+    want_err = np.zeros(m)
+    want_err[rows] = err
+    assert np.array_equal(topk.err, want_err)
 
 # -- the force rule -------------------------------------------------------------
 
