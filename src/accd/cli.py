@@ -332,6 +332,8 @@ def cmd_bench(args) -> int:
         "iterations": result.iterations,
         "naive_point_distances": naive_dists,
         "gti_point_distances": gti_dists,
+        # distances that only feed bounds, such as k-means' point-to-landmark ones
+        "bound_computations": c.bound_computations,
         "distance_reduction": reduction,
         "measured_saving_mean": result.measured_saving_mean,
         "per_iteration": [s.to_json_dict() for s in result.per_iteration],

@@ -3,7 +3,9 @@
 Every code path that evaluates a true point-to-point distance bumps
 ``point_distances`` exactly once; distances evaluated only to feed bound
 computations (landmark pairs, point-to-landmark offsets, drifts, the
-k-means tightening of a point's upper bound to its own centre) go to
+k-means tightening of a point's upper bound to its own centre, the
+distances from every point to every centre landmark and from every centre
+to every centre that seed k-means iteration 1) go to
 ``bound_computations``; the throwaway work of building groups goes to
 ``grouping_distances``, which counts the rows*z point-landmark pairs each
 nearest-landmark assignment decides (per ``build_groups`` call 6*n*z, or

@@ -6,9 +6,12 @@ with movement). Each run tallies every avoided or executed point-pair and
 can shadow a brute-force oracle that must agree exactly.
 
 k-means (``_Yinyang``) groups only its centres and bounds each point
-against each centre group. The join and the n-body step group both sides
-and wire bound filtering and layout packing, which makes each group's
-members one slice of its kernel rows, around one tile engine,
+against each centre group. Iteration 1 seeds those bounds from each
+point's distances to the centre groups' landmarks and from the centres'
+distances to each other, so it tiles a point only against its nearest
+group and the groups they leave open. The join and the n-body step group
+both sides and wire bound filtering and layout packing, which makes each
+group's members one slice of its kernel rows, around one tile engine,
 ``_sweep``. It tiles each row of a source batch once, against all of the
 batch's candidate target groups' members, concatenated, and hands the
 tile to the pipeline's reducer. Its bounds prune whole group pairs only:
@@ -302,15 +305,19 @@ class _Yinyang:
     ``lb[g, i]`` at most its direct distance to every other centre of
     group g (``inf`` where g holds none), group-major.
 
-    Iteration 1 tiles every pair, in row blocks. Later ones decay the
-    bounds by the centres' drift, with the slack of ``gti``, and skip a
-    point whose ``ub`` lies below every ``lb``, also once ``ub`` is
-    tightened to the direct distance. The rest are tiled group by group:
-    one kernel call of the rows whose ``lb`` reaches their running best,
-    unless their operands outgrow ``TILE_CELLS``.
+    The groups are built on iteration 1's centres, so their landmarks and
+    radii bound that iteration's distances: ``first`` seeds ``lb`` from the
+    points' distances to the landmarks, tiles each point against its
+    nearest landmark group alone and tightens ``lb`` by the centres'
+    distances to each other before the group search. Later iterations
+    decay the bounds by the centres' drift, with the slack of ``gti``, and
+    skip a point whose ``ub`` lies below every ``lb``, also once ``ub`` is
+    tightened to the direct distance. Both search the rest group by group
+    (``_search``). Every kernel call takes a block of rows sized so that
+    the tile and the gather of its rows fit ``TILE_CELLS`` together.
     """
 
-    TILE_CELLS = 1 << 16  # 512 KB of float64 per tile, and per gather of its rows
+    TILE_CELLS = 1 << 16  # 512 KB of float64 per tile and gather of its rows
 
     def __init__(self, points: np.ndarray, metric: MetricSpec, gm: GroupModel, plan: LayoutPlan):
         n = points.shape[0]
@@ -319,35 +326,110 @@ class _Yinyang:
         self.rows, self.sq = fast_rows(points, self.centre, metric)
         self.assign, self.ub = np.empty(n, dtype=np.int64), np.empty(n)
         self.lb = np.empty((gm.z, n))
+        # each centre's column in the tiles of its group
+        starts = [plan.group_slices[g][0] for g in gm.group_of.tolist()]
+        self.col = plan.inverse_perm - np.array(starts, dtype=np.int64)
 
-    def _tile(self, rows, c_rows, c_sq, counters: CounterSet):
+    def _step(self, cols: int) -> int:
+        """Rows per kernel call against ``cols`` centres."""
+        return max(1, self.TILE_CELLS // (cols + self.points.shape[1]))
+
+    def _tile(self, rows, centres: _Grouped, g: int, counters: CounterSet):
+        """Tile ``rows`` against the centres of group g: (their ids, the
+        tile, its err)."""
+        ids, c_rows, c_sq = centres.take([g])
         sq = None if self.sq is None else self.sq[rows]
-        return tile_distances(self.rows[rows], c_rows, self.metric, counters, sq, c_sq)
+        tile, err = tile_distances(self.rows[rows], c_rows, self.metric, counters, sq, c_sq)
+        return ids, tile, err
 
     def first(self, centroids: np.ndarray, counters: CounterSet) -> int:
-        """Iteration 1; returns the kernel calls. Each row starts from its
-        fast minimum's centre, at its direct distance."""
-        n, k, slack = self.points.shape[0], centroids.shape[0], self.gm.slack
-        centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
-        self.lb[...] = np.inf  # a group without centres bounds nothing
-        cols = self.plan.point_perm
-        groups, starts = _group_runs(self.gm.group_of, cols)  # every block's: all centres
-        step = max(1, self.TILE_CELLS // k)
-        for start in range(0, n, step):
-            block = np.arange(start, min(n, start + step))
-            tile, err = self._tile(block, centres.rows, centres.sq, counters)
-            own = self.assign[block] = cols[tile.argmin(axis=1)]
-            self.ub[block] = _pair_distances(self.points, block, centroids, own, self.metric)
-            counters.recomputed_distances += block.size
-            self._reduce(block, cols, tile, err, centroids, counters)
-            low = lower_bound(np.minimum.reduceat(tile, starts, axis=1), err[:, None], slack)
-            self.lb[np.ix_(groups, block)] = low.T
-        return -(-n // step)
+        """Iteration 1, on the centres the groups were built on; returns
+        the kernel calls. Each point's distances to the z landmarks seed
+        ``lb[g]`` at that distance less group g's radius, and name the
+        point's nearest non-empty group. The point is tiled against that
+        group first: it starts from the group's centre of least fast value,
+        at its direct distance, and ``_reduce`` settles it and sets its
+        ``lb`` there from the tile. Elkan's bound (ICML 2003), the distance
+        from the point's centre to a group's nearest other centre less
+        ``ub``, then tightens every ``lb``, and ``_search`` tiles the other
+        groups whose ``lb`` reaches ``ub``, as in ``update``. The landmark
+        and centre-to-centre tiles count as ``bound_computations``, not as
+        point distances."""
+        n, slack, gm = self.points.shape[0], self.gm.slack, self.gm
+        base, seen = counters.snapshot(), CounterSet()
+        marks, marks_sq = fast_rows(gm.landmarks, self.centre, self.metric)
+        empty = gm.sizes == 0
+        near = np.empty(n, dtype=np.int64)
+        z_step = self._step(gm.z)
+        for start in range(0, n, z_step):
+            at = slice(start, start + z_step)
+            sq = None if self.sq is None else self.sq[at]
+            tile, err = tile_distances(self.rows[at], marks, self.metric, seen, sq, marks_sq)
+            tile[:, empty] = np.inf  # a group without centres bounds nothing
+            near[at] = tile.argmin(axis=1)
+            tile -= err[:, None]  # lower_bound(tile - err, radius, slack), in place
+            tile *= 1 - slack
+            tile -= gm.radius * (1 + slack)
+            np.maximum(tile, 0.0, out=tile)
+            self.lb[:, at] = tile.T
+
+        centres = _Grouped.build(centroids, gm, self.plan, self.metric, self.centre)
+        order = np.argsort(near, kind="stable")
+        ends = np.searchsorted(near, np.arange(gm.z + 1), sorter=order)
+        for g in np.flatnonzero(~empty).tolist():
+            rows = order[ends[g] : ends[g + 1]]
+            step = self._step(gm.sizes[g])
+            for start in range(0, rows.size, step):
+                block = rows[start : start + step]
+                ids, tile, err = self._tile(block, centres, g, counters)
+                own = self.assign[block] = ids[tile.argmin(axis=1)]
+                self.ub[block] = _pair_distances(self.points, block, centroids, own, self.metric)
+                counters.recomputed_distances += block.size
+                self._reduce(g, block, ids, tile, err, centroids, counters)
+
+        gaps = self._gaps(centres, seen)
+        for start in range(0, n, z_step):
+            at = slice(start, start + z_step)
+            low = gaps[self.plan.inverse_perm[self.assign[at]]]
+            low *= 1 - slack  # lower_bound(gap, ub, slack), in place
+            low -= (self.ub[at] * (1 + slack))[:, None]
+            np.maximum(self.lb[:, at], low.T, out=self.lb[:, at])
+        seen.bound_computations, seen.point_distances = seen.point_distances, 0
+        counters.add(seen)
+        self._search(np.arange(n), centres, centroids, counters, skip=near)
+        delta = counters.delta_since(base)
+        # every pair not tiled is pruned
+        counters.pruned_pairs += n * centroids.shape[0] - delta.point_distances
+        return delta.tiles_executed
+
+    def _gaps(self, centres: _Grouped, counters: CounterSet) -> np.ndarray:
+        """Per centre, in packed order, and group g: at most the centre's
+        direct distance to every other centre of g (``inf`` where g holds
+        none), from fast tiles of the centres against each other."""
+        gm, k = self.gm, centres.rows.shape[0]
+        groups = np.flatnonzero(gm.sizes)
+        starts = np.array([self.plan.group_slices[g][0] for g in groups.tolist()], dtype=np.int64)
+        by_start = np.argsort(starts)  # reduceat takes the column runs in order
+        groups, starts = groups[by_start], starts[by_start]
+        gaps = np.full((k, gm.z), np.inf)
+        step = self._step(k)
+        for start in range(0, k, step):
+            at = slice(start, start + step)
+            sq = None if centres.sq is None else centres.sq[at]
+            tile, err = tile_distances(
+                centres.rows[at], centres.rows, self.metric, counters, sq, centres.sq
+            )
+            rows = np.arange(tile.shape[0])
+            tile[rows, rows + start] = np.inf  # a centre bounds only the others
+            tile -= err[:, None]
+            gaps[at, groups] = np.minimum.reduceat(tile, starts, axis=1)
+        return gaps
 
     def update(self, centroids: np.ndarray, drift: np.ndarray, counters: CounterSet) -> int:
         """A later iteration, the centres having moved by ``drift``; returns
         the kernel calls."""
         ub, lb, slack = self.ub, self.lb, self.gm.slack
+        base = counters.snapshot()
         ub += drift[self.assign]  # upper_bound and lower_bound, in place
         ub *= 1 + slack
         lb *= 1 - slack
@@ -360,56 +442,65 @@ class _Yinyang:
         rows = rows[ub[rows] >= floor[rows]]
 
         centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
-        tiled, calls = counters.point_distances, 0
-        for g in np.flatnonzero(self.gm.sizes).tolist():
-            reach = rows[lb[g, rows] <= ub[rows]]
-            ids, c_rows, c_sq = centres.take([g])
-            step = max(1, self.TILE_CELLS // max(ids.size, self.points.shape[1]))
+        self._search(rows, centres, centroids, counters)
+        delta = counters.delta_since(base)
+        # every pair not tiled is pruned
+        counters.pruned_pairs += ub.size * centroids.shape[0] - delta.point_distances
+        return delta.tiles_executed
+
+    def _search(self, rows, centres: _Grouped, centroids, counters: CounterSet, skip=None) -> None:
+        """Tile ``rows``, whose ``ub`` is exact, group by group in id order:
+        each non-empty group g against the rows whose ``lb[g]`` reaches
+        their ``ub`` by then, less those whose ``skip`` entry (a group
+        already tiled, one per point) is g."""
+        sizes = self.gm.sizes
+        for g in np.flatnonzero(sizes).tolist():
+            reach = self.lb[g, rows] <= self.ub[rows]
+            if skip is not None:
+                reach &= skip[rows] != g
+            reach = rows[reach]
+            step = self._step(sizes[g])
             for start in range(0, reach.size, step):
                 block = reach[start : start + step]
-                tile, err = self._tile(block, c_rows, c_sq, counters)
-                self._reduce(block, ids, tile, err, centroids, counters)
-                lb[g, block] = lower_bound(tile.min(axis=1), err, slack)
-                calls += 1
-        # every pair not tiled is pruned
-        counters.pruned_pairs += ub.size * centroids.shape[0] - (counters.point_distances - tiled)
-        return calls
+                ids, tile, err = self._tile(block, centres, g, counters)
+                self._reduce(g, block, ids, tile, err, centroids, counters)
 
-    def _reduce(self, block, cols, tile, err, centroids, counters: CounterSet) -> None:
+    def _reduce(self, g, block, cols, tile, err, centroids, counters: CounterSet) -> None:
         """Fold a tile of the rows ``block``, whose ``ub`` is exact, against
-        the centres ``cols`` (whole groups, each contiguous). A row whose
-        only candidate within ``ub`` + err is its own centre is decided; the
-        others recompute their candidates by direct differencing and take
-        the (distance, id) minimum. The row's new own centre is then set to
-        ``inf`` in the tile, so each group's tile minimum, less err, is the
-        group's new ``lb``, which the caller stores: ``first`` by the group
-        runs of its columns, the same for every block, and ``update`` by a
-        plain row minimum, as its tiles hold one group."""
-        col_of = np.full(self.gm.n, -1)  # a centre's column in the tile, if any
-        col_of[cols] = np.arange(cols.size)
-        own = col_of[self.assign[block]]
-        cand = tile <= (self.ub[block] + err)[:, None]
-        cand[own >= 0, own[own >= 0]] = False  # its direct distance is ub
-        r, c = np.nonzero(cand)
-        if r.size:
-            counters.recomputed_distances += r.size
-            held = block[np.unique(r)]
-            pid = np.concatenate([block[r], held])
-            tid = np.concatenate([cols[c], self.assign[held]])
-            direct = _pair_distances(self.points, block[r], centroids, cols[c], self.metric)
-            dist = np.concatenate([direct, self.ub[held]])
-            order = np.lexsort((tid, dist, pid))
-            pid_sorted = pid[order]
-            win = order[np.concatenate(([True], pid_sorted[1:] != pid_sorted[:-1]))]
-            pid, tid, dist = pid[win], tid[win], dist[win]
-            went = pid[tid != self.assign[pid]]
-            left = self.gm.group_of[self.assign[went]]
-            # a centre a row leaves rejoins its group's bound at its direct
-            # distance (in the tile, the minimum below covers it too)
-            self.lb[left, went] = np.minimum(self.lb[left, went], self.ub[went])
-            self.assign[pid], self.ub[pid] = tid, dist
-        own = col_of[self.assign[block]]
-        tile[own >= 0, own[own >= 0]] = np.inf
+        the centres ``cols`` of group g, in packed order. A row's own centre
+        is set to ``inf`` in the tile, as its direct distance is ``ub``. A
+        row with no other centre within ``ub`` + err is decided, and its
+        tile minimum, less err, is its new ``lb[g]``. The others recompute
+        their candidates by direct differencing and take the (distance, id)
+        minimum; a row that moves leaves its new centre out of ``lb[g]``,
+        and its old centre rejoins its group's bound at its direct
+        distance."""
+        slack, own = self.gm.slack, self.assign[block]
+        here = np.flatnonzero(self.gm.group_of[own] == g)
+        tile[here, self.col[own[here]]] = np.inf
+        low = tile.min(axis=1)
+        self.lb[g, block] = lower_bound(low, err, slack)
+        held = np.flatnonzero(low <= self.ub[block] + err)
+        if held.size == 0:
+            return
+        rows = block[held]
+        r, c = np.nonzero(tile[held] <= (self.ub[rows] + err[held])[:, None])
+        counters.recomputed_distances += r.size
+        key = np.concatenate([r, np.arange(rows.size)])
+        tid = np.concatenate([cols[c], self.assign[rows]])
+        direct = _pair_distances(self.points, rows[r], centroids, cols[c], self.metric)
+        dist = np.concatenate([direct, self.ub[rows]])
+        order = np.lexsort((tid, dist, key))
+        key = key[order]
+        win = order[np.concatenate(([True], key[1:] != key[:-1]))]  # one per row, in order
+        tid, dist = tid[win], dist[win]
+        moved = np.flatnonzero(tid != self.assign[rows])
+        at, went = held[moved], rows[moved]
+        tile[at, self.col[tid[moved]]] = np.inf
+        self.lb[g, went] = lower_bound(tile[at].min(axis=1), err[at], slack)
+        left = self.gm.group_of[self.assign[went]]
+        self.lb[left, went] = np.minimum(self.lb[left, went], self.ub[went])
+        self.assign[rows], self.ub[rows] = tid, dist
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -234,6 +234,12 @@ def test_bench_sample_is_exact_and_accounts_every_pair(sample, tmp_path):
     pairs = plan["source_size"] * plan["target_size"] * payload["iterations"]
     assert payload["naive_point_distances"] == pairs
     assert 0 < payload["gti_point_distances"] <= pairs
+    # the run's bound work: its iterations', plus the point-to-landmark
+    # offsets of the groups the iterative pipelines build before iteration
+    # 1, one per centre (k-means) or per point (n-body)
+    before = {"iterative_two_set": plan["target_size"], "iterative_self_set": plan["source_size"]}
+    in_iterations = sum(s["bound_computations"] for s in payload["per_iteration"])
+    assert payload["bound_computations"] == in_iterations + before.get(plan["pipeline_kind"], 0)
 
 
 def test_bench_oracle_mismatch_exits_2(monkeypatch, capsys):

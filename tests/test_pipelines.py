@@ -963,14 +963,18 @@ def test_force_rule_equals_an_add_at_reference(d):
 
 
 def test_sample_first_iterations_do_not_tile_every_pair():
-    # n-body starts from the landmark cut, not a full sweep; k-means tiles
-    # every pair once, without grouping its points, to seed its per-point
-    # bounds, which prune from iteration 2 on
+    # n-body starts from the landmark cut, not a full sweep; k-means starts
+    # from the landmark bounds of its centre groups, paid for as bound
+    # computations (each point's distance to each landmark), without
+    # grouping its points, and its per-point bounds prune from iteration 1
     nbody, pairs = _run("nbody")
     assert nbody.per_iteration[0].point_distances < pairs / 2
     kmeans, pairs = _run("kmeans")
     first, *later = kmeans.per_iteration
-    assert (first.point_distances, first.source_groups) == (pairs, 300)
+    assert first.point_distances < pairs and first.source_groups == 300
+    assert first.bound_computations >= 300 * DESIGN.n_trg_grp
+    for s in kmeans.per_iteration:
+        assert s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs == pairs
     assert kmeans.counters.grouping_distances == 6 * 12 * DESIGN.n_trg_grp  # the centres' alone
     assert later and all(s.pruned_pairs > 0 for s in later)
 
@@ -1271,6 +1275,72 @@ def test_kmeans_points_that_cross_between_centre_groups(monkeypatch, metric):
     for (before, group_of), (after, _) in zip(seen, seen[1:]):
         crossed += np.count_nonzero(group_of[before] != group_of[after])
     assert crossed > 0 and result.iterations > 3
+
+
+def _record_tiles(monkeypatch) -> list:
+    """Patch ``_Yinyang`` to note, per call of ``first`` or ``update``, the
+    centre group and rows of each of its centre tiles, with the centres'
+    group model."""
+    seen = []
+
+    def starting(method):
+        def run(self, *args):
+            seen.append((self.gm, []))
+            return method(self, *args)
+
+        return run
+
+    real_tile = pipelines._Yinyang._tile
+
+    def tile(self, rows, centres, g, counters):
+        seen[-1][1].append((g, np.array(rows, copy=True)))
+        return real_tile(self, rows, centres, g, counters)
+
+    for name in ("first", "update"):
+        monkeypatch.setattr(pipelines._Yinyang, name, starting(getattr(pipelines._Yinyang, name)))
+    monkeypatch.setattr(pipelines._Yinyang, "_tile", tile)
+    return seen
+
+
+def _tile_case(case: str):
+    """(result, n, k) of one k-means run of ``case``."""
+    if case == "sample":  # centroids drawn by the run
+        result, _ = _run("kmeans")
+        return result, 300, 12
+    if case == "duplicated":  # two copies of each centroid, an empty group
+        pts = gaussian_mixture(300, 4, 3, seed=31, center_box=3.0)
+        init = np.repeat(np.random.default_rng(32).normal(size=(3, 4)) * 3.0, 2, axis=0)
+        plan = make_plan("iterative_two_set", pts.n, 6, 4, SelectSpec("count", 1.0, "smallest"), 5)
+        cfg = RunConfig(design=DesignConfig(n_src_grp=10, n_trg_grp=4), oracle_mode="shadow")
+        return run_kmeans(plan, pts, cfg, initial_clusters=init), pts.n, 6
+    name, metric = case.split("-")
+    pts = _BOUND_CASES[name]()
+    init = pts.values[np.random.default_rng(54).choice(pts.n, 16, replace=False)]
+    return _kmeans(pts, init, {"l1": METRICS[0], "l2": METRICS[1]}[metric]), pts.n, 16
+
+
+@pytest.mark.parametrize(
+    "case", ["far-l1", "far-l2", "grid-l1", "grid-l2", "blobs-l1", "duplicated", "sample"]
+)
+def test_kmeans_tiles_no_row_against_a_centre_group_twice_in_an_iteration(monkeypatch, case):
+    # iteration 1 tiles each row against its nearest landmark group before
+    # the group search, which must leave that group out for the row; every
+    # pair the tiles leave is pruned, so each iteration accounts for n * k
+    seen = _record_tiles(monkeypatch)
+    result, n, k = _tile_case(case)
+    assert result.oracle_checked and result.iterations > 1
+    if case == "duplicated":
+        assert np.any(seen[0][0].sizes == 0)
+    first = result.per_iteration[0]
+    assert first.point_distances + first.pruned_pairs + first.reused_pairs == n * k
+    assert first.bound_computations >= n * seen[0][0].z
+    # an iteration in which no centre moved makes no call (and no tile)
+    tiling = [s for s in result.per_iteration if s.reused_pairs == 0]
+    assert len(seen) == len(tiling)
+    for s, (gm, tiles) in zip(tiling, seen):
+        keys = np.concatenate([g * n + rows for g, rows in tiles])
+        assert np.unique(keys).size == keys.size, s.iteration
+        assert sum(rows.size * gm.sizes[g] for g, rows in tiles) == s.point_distances
 
 
 def test_kmeans_tie_at_distance_zero_reaches_the_lower_centre(monkeypatch):
