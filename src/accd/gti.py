@@ -95,7 +95,7 @@ class CandidateMatrix:
     targets: list[np.ndarray]
 
     def key(self, g: int) -> tuple:
-        return tuple(int(t) for t in self.targets[g])
+        return tuple(self.targets[g].tolist())
 
 
 def _assign_nearest(

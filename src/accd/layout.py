@@ -45,18 +45,6 @@ def reorder_inter_group(cm: CandidateMatrix) -> np.ndarray:
     return np.array(sorted(range(z), key=lambda g: (cm.key(g), g)), dtype=np.int64)
 
 
-def point_layout(n: int) -> LayoutPlan:
-    """Each of ``n`` points its own group, in id order: the layout of a run
-    that reads a set's rows where they are."""
-    ids = np.arange(n, dtype=np.int64)
-    return LayoutPlan(
-        group_order=ids,
-        point_perm=ids,
-        inverse_perm=ids,
-        group_slices={i: (i, i + 1) for i in range(n)},
-    )
-
-
 def pack_intra_group(
     ds: Dataset, gm: GroupModel, group_order: np.ndarray | None = None
 ) -> LayoutPlan:

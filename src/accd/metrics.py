@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, RangeError
 
 # DDSL metric strings -> (kind, weighted). Case-sensitive by design.
 METRIC_NAMES = {
@@ -36,7 +36,7 @@ class MetricSpec:
                 raise ValueError("weighted metric requires a weight vector")
             w = np.asarray(self.weights, dtype=np.float64).ravel()
             if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite and nonnegative")
+                raise RangeError("weights must be finite and nonnegative")
             object.__setattr__(self, "weights", w)
         elif self.weights is not None:
             raise ValueError("unweighted metric must not carry weights")

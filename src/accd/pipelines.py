@@ -18,13 +18,11 @@ tile to the pipeline's reducer. Its bounds prune whole group pairs only:
 a tile has no per-point control inside it.
 
 * ``_TopK`` (one-shot two-set) takes each row's K + 1 best under (fast
-  value, id) straight from the row's one tile, by ``select``. The join
-  orders its source groups so that groups with the same candidate list
-  sit next to each other. The filter pays only where it prunes, so the
-  join sweeps only when the landmark cut of its group pairs prunes a
-  pair. When it prunes none, the join takes the direct path instead
-  (``_direct``): no sweep, but one wide tile per block of source rows
-  against every target in id order, the column positions being the ids.
+  value, id) straight from the row's one tile. The join orders its source
+  groups so that groups with the same candidate list sit next to each
+  other, and sweeps them in runs of such groups. When the landmark cut
+  prunes nothing, every group shares one candidate list, so the sweep is
+  one batch that tiles every row against every target.
 * ``_Radius`` (iterative self-set) works on unordered pairs, as
   distances are symmetric, and sweeps only to rebuild a Verlet list: the
   pairs within the radius plus a skin. Its group-pair
@@ -93,7 +91,7 @@ from .gti import (
     upper_bound,
 )
 from .kernel import fast_rows, tile_distances
-from .layout import LayoutPlan, pack_intra_group, point_layout, reorder_inter_group
+from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
 from .metrics import MetricSpec, gathered_distance, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
@@ -110,8 +108,8 @@ class RunConfig:
     design: DesignConfig = DEFAULT_DESIGN  # k-means, grouping no points, ignores n_src_grp
     seed: int = 0
     oracle_mode: str = "off"  # "off" | "shadow"
-    # threads of the join's source batches or row blocks and of the n-body
-    # sweeps; k-means runs on one
+    # threads of the join's and the n-body sweeps' source batches; k-means
+    # runs on one
     thread_count: int = 1
     status_iter_cap: int = 1000  # hard stop for status-exit iteration
     dt: float = 1e-3  # self-set integrator step
@@ -133,8 +131,8 @@ class IterationStats:
     all_inside_pairs: int
     reused_pairs: int
     measured_saving: float
-    source_batches: int  # k-means and the direct join: their kernel calls
-    source_groups: int  # k-means and the direct join: their points, each its own group
+    source_batches: int  # k-means: its kernel calls
+    source_groups: int  # k-means: its points, each its own group
     changed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -151,9 +149,7 @@ class RunResult:
     measured_saving_mean: float
     wall_time_s: float
     oracle_checked: bool
-    # the source set's packing; k-means: the centres'; the direct join:
-    # each point its own group, in id order (``layout.point_layout``)
-    layout: LayoutPlan
+    layout: LayoutPlan  # the source set's packing; k-means: the centres'
     oracle_s: float = 0.0  # time inside the shadow-oracle checks
 
 
@@ -233,12 +229,11 @@ def _sweep(
     concatenated, in row blocks of at most ``reducer.TILE_CELLS`` cells,
     one tile per row.
 
-    A ``_TopK`` fills the block's rows by ``select(ids, tile, err, cols)``;
-    any other reducer gets ``reduce(batch, groups, cols, col_starts, ids,
-    tile, err)``: the tile's target groups, column ids (the groups'
-    members, concatenated) and each group's first column, rows' ids, fast
-    values and per-row error bound. Batches touch disjoint rows, so they
-    may run on ``threads`` workers. Returns the tile tallies.
+    The reducer gets ``reduce(batch, groups, cols, col_starts, ids, tile,
+    err)``: the tile's target groups, column ids (the groups' members,
+    concatenated) and each group's first column, rows' ids, fast values
+    and per-row error bound. Batches touch disjoint rows, so they may run
+    on ``threads`` workers. Returns the tile tallies.
     """
     trg_sizes = trg.gm.sizes
 
@@ -257,44 +252,13 @@ def _sweep(
             at = slice(i, i + step)
             sq = sq_rows[at] if sq_rows is not None else None
             tile, err = tile_distances(rows[at], col_rows, metric, local, sq, sq_cols)
-            if isinstance(reducer, _TopK):
-                reducer.select(ids[at], tile, err, cols)
-            else:
-                reducer.reduce(batch, groups, cols, col_starts, ids[at], tile, err)
+            reducer.reduce(batch, groups, cols, col_starts, ids[at], tile, err)
         return local
 
     total = CounterSet()
     for local in _map_ordered(sweep_batch, batches, threads):
         total.add(local)
     return total
-
-
-def _direct(
-    src_rows, src_sq, trg_rows, trg_sq, topk: _TopK, metric: MetricSpec, threads: int
-) -> tuple[CounterSet, int]:
-    """The join's direct path: each block of consecutive source rows gets
-    one tile of at most ``topk.TILE_CELLS`` cells against every target, in
-    id order (``fast_rows`` of the sets as they are), from which
-    ``topk.select`` fills the rows, the column positions being the ids, as
-    the GTI path fills them from its tiles. Blocks touch disjoint rows, so
-    they may run on ``threads`` workers. Returns the tile tallies and the
-    block count."""
-    m = src_rows.shape[0]
-    step = max(1, topk.TILE_CELLS // trg_rows.shape[0])
-
-    def tile_block(start: int) -> CounterSet:
-        local = CounterSet()
-        at = slice(start, start + step)
-        sq = src_sq[at] if src_sq is not None else None
-        tile, err = tile_distances(src_rows[at], trg_rows, metric, local, sq, trg_sq)
-        topk.select(np.arange(start, min(m, start + step)), tile, err)
-        return local
-
-    starts = list(range(0, m, step))
-    total = CounterSet()
-    for local in _map_ordered(tile_block, starts, threads):
-        total.add(local)
-    return total, len(starts)
 
 
 class _Yinyang:
@@ -510,22 +474,18 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.ravel(a).take(flat)
 
 
-def _smallest(vals: np.ndarray, ids: np.ndarray | None, keep: int) -> np.ndarray:
+def _smallest(vals: np.ndarray, ids: np.ndarray, keep: int) -> np.ndarray:
     """Column indices of each row's ``keep`` smallest entries under
-    (value, id), in that order. ``ids`` holds each row's ids (2-D), one row
-    of ids that every row shares (1-D), or None: the ids are the column
-    positions.
+    (value, id), in that order; ``ids`` is the one row of ids that every
+    row shares.
 
     Rows more than twice as wide as ``keep`` are first cut to their
     ``keep`` + 1 smallest values by ``argpartition`` (on narrower rows it
-    costs more than it saves). One stable sort by value orders the rest
-    and keeps entries that come in (value, id) order, such as a running
-    top list, in that order. Rows where it breaks the (value, id) rule are
-    redone with ``rowwise_lexsort``, the only place a shared or implicit id
-    row is laid out per row: equal values out of id order, or a finite
-    value tied across the ``keep`` boundary (an entry left out may have
-    the smaller id). ``inf`` marks placeholders only, which share one id,
-    so their ties never need it.
+    costs more than it saves). One stable sort by value orders the rest.
+    Rows where it breaks the (value, id) rule are redone with
+    ``rowwise_lexsort``, the only place the id row is laid out per row:
+    equal values out of id order, or a finite value tied across the
+    ``keep`` boundary (an entry left out may have the smaller id).
     """
     width = vals.shape[1]
     if width > 2 * keep:
@@ -535,33 +495,24 @@ def _smallest(vals: np.ndarray, ids: np.ndarray | None, keep: int) -> np.ndarray
         order = np.argsort(vals, axis=1, kind="stable")[:, : keep + 1]
     v = _take_rows(vals, order)
     sel = order[:, :keep]
-    if ids is None:
-        i = sel
-    elif ids.ndim == 1:
-        i = ids.take(sel)
-    else:
-        i = _take_rows(ids, sel)
+    i = ids.take(sel)
     last, nxt = v[:, keep - 1], v[:, keep:].min(axis=1, initial=np.inf)
     v = v[:, :keep]
     broken = np.any((v[:, 1:] == v[:, :-1]) & (i[:, 1:] < i[:, :-1]), axis=1)
     broken |= (last == nxt) & np.isfinite(nxt)
     rows = np.flatnonzero(broken)
     if rows.size:
-        if ids is None:
-            ids = np.arange(width)
-        row_ids = ids[rows] if ids.ndim == 2 else np.broadcast_to(ids, (rows.size, width))
-        sel[rows] = rowwise_lexsort(vals[rows], row_ids)[:, :keep]
+        sel[rows] = rowwise_lexsort(vals[rows], np.broadcast_to(ids, (rows.size, width)))[:, :keep]
     return sel
 
 
 class _TopK:
     """The K + 1 best targets per source point under (fast value, id).
 
-    Each row is filled exactly once, by ``select``, from its one tile: on
-    the GTI path against all of its batch's candidate groups (``_sweep``),
-    on the direct path against every target in id order (``_direct``).
-    ``err`` bounds the error of every kept value; the (K + 1)-th entry
-    witnesses the boundary for ``settle``.
+    Each row is filled exactly once, by ``reduce``, from its one tile
+    against all of its batch's candidate groups (``_sweep``). ``err``
+    bounds the error of every kept value; the (K + 1)-th entry witnesses
+    the boundary for ``settle``.
     """
 
     TILE_CELLS = 1 << 15  # 256 KB: a tile and its selection stay in cache and the heap
@@ -573,14 +524,14 @@ class _TopK:
         self.top_i = np.full((m, k + 1), trg_gm.n, dtype=np.int64)
         self.err = np.zeros(m)
 
-    def select(self, ids, tile, err, cols=None) -> None:
+    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> None:
         """Fill the rows ``ids`` from their one tile, whose columns are the
-        targets ``cols`` (None: the column positions are the ids); with
-        fewer than K + 1 columns the last entries stay placeholders."""
+        targets ``cols``; with fewer than K + 1 columns the last entries
+        stay placeholders."""
         keep = min(self.k + 1, tile.shape[1])
         sel = _smallest(tile, cols, keep)
         self.top_f[ids, :keep] = _take_rows(tile, sel)
-        self.top_i[ids, :keep] = sel if cols is None else cols.take(sel)
+        self.top_i[ids, :keep] = cols.take(sel)
         self.err[ids] = err
 
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
@@ -914,16 +865,12 @@ def run_knn_join(
     config: RunConfig,
     weights: np.ndarray | None = None,
 ) -> RunResult:
-    """Exact top-K join: group both sets and filter group pairs through the
-    two-landmark bounds. Where that cut prunes a pair, the GTI path sweeps
-    (``_sweep``) each row once against all of its group's candidate
-    groups. Where it prunes none, the direct path (``_direct``) tiles each
-    row once against every target, in blocks of source rows; it reads no
-    packing, so its layout is each point its own group, in id order.
-    Either way ``_TopK.select`` takes each row's K + 1 straight from its
-    one tile, and ``_TopK.settle`` makes the result exact. Self-matches
-    are kept (a point joined against its own set finds itself at distance
-    zero)."""
+    """Exact top-K join: group both sets, filter group pairs through the
+    two-landmark bounds and sweep (``_sweep``) each row once against all
+    of its group's candidate groups; ``_TopK.reduce`` takes each row's
+    K + 1 straight from its one tile, and ``_TopK.settle`` makes the
+    result exact. Self-matches are kept (a point joined against its own
+    set finds itself at distance zero)."""
     _check_kind(plan, "oneshot_two_set")
     t0 = time.perf_counter()
     metric = plan.metric_spec(weights)
@@ -941,27 +888,16 @@ def run_knn_join(
     src_gm = build_groups(src, z_src, config.seed + 1, metric, counters)
     trg_gm = build_groups(trg, z_trg, config.seed + 2, metric, counters)
     lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
-    pruned_before = counters.pruned_pairs
     cm = filter_oneshot(src_gm, trg_gm, lb, ub, k, counters)
-    topk = _TopK(m, k, trg_gm)
+    order = reorder_inter_group(cm)
+    src_lp = pack_intra_group(src, src_gm, group_order=order)
+    trg_lp = pack_intra_group(trg, trg_gm)
+    batches = _source_batches(order, cm)
     centre = src.values.mean(axis=0)
-
-    if counters.pruned_pairs == pruned_before:  # the filter cannot pay here
-        src_rows, src_sq = fast_rows(src.values, centre, metric)
-        trg_rows, trg_sq = fast_rows(trg.values, centre, metric)
-        sweep, batches = _direct(
-            src_rows, src_sq, trg_rows, trg_sq, topk, metric, config.thread_count
-        )
-        src_lp, groups = point_layout(m), m
-    else:
-        order = reorder_inter_group(cm)
-        src_lp = pack_intra_group(src, src_gm, group_order=order)
-        trg_lp = pack_intra_group(trg, trg_gm)
-        runs = _source_batches(order, cm)
-        g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
-        g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
-        sweep = _sweep(g_src, g_trg, cm, runs, topk, metric, config.thread_count)
-        batches, groups = len(runs), z_src
+    g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
+    g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
+    topk = _TopK(m, k, trg_gm)
+    sweep = _sweep(g_src, g_trg, cm, batches, topk, metric, config.thread_count)
     counters.add(sweep)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)
     result = TopKResult(ids=ids, distances=dists, scope="smallest", row_ids=src.ids.copy())
@@ -989,7 +925,7 @@ def run_knn_join(
             )
         oracle_s = time.perf_counter() - t_oracle
 
-    stats = _stats(1, counters, m, n, batches, groups)
+    stats = _stats(1, counters, m, n, len(batches), z_src)
     return _result(plan, {"topk": result}, [stats], counters, config, t0, src_lp, oracle_s)
 
 

@@ -65,11 +65,12 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["config"]["oracle_mode"] == "shadow"
     if sample == "knn_join.ddsl":
-        # the landmark cut prunes nothing on these blobs, so the report is
-        # the direct path's: each of the 150 source points its own group
+        # the landmark cut prunes nothing on these blobs: the report is the
+        # packing of the 8 source groups, swept as one batch
         (stats,) = payload["per_iteration"]
-        assert stats["pruned_pairs"] == 0 and stats["source_groups"] == 150
-        assert len(payload["layout"]["group_slices"]) == 150
+        assert stats["pruned_pairs"] == 0 and stats["source_batches"] == 1
+        assert stats["source_groups"] == 8
+        assert len(payload["layout"]["group_slices"]) == 8
 
 
 def test_syntax_error_exits_1(tmp_path):
@@ -302,10 +303,31 @@ def test_bench_scale_limit_is_the_largest_float64_array(monkeypatch, capsys, sam
     assert "larger than the largest float64 array" in capsys.readouterr().err
     assert len(made) == 1
 
-def test_bench_rejects_a_weighted_program(tmp_path, capsys):
+
+def _weighted_knn(tmp_path: Path) -> Path:
+    """The knn sample with a weighted L2 metric over the weight set wMat."""
     text = (SAMPLES / "knn_join.ddsl").read_text()
     text = text.replace("DSet knnMat", "DSet wMat float 1 D;\nDSet knnMat")
     weighted = tmp_path / "weighted.ddsl"
     weighted.write_text(text.replace('"Unweighted L2", 0', '"Weighted L2", wMat'))
-    assert _bench(weighted, "--scale", "0.02") == 1
+    return weighted
+
+
+def test_bench_rejects_a_weighted_program(tmp_path, capsys):
+    assert _bench(_weighted_knn(tmp_path), "--scale", "0.02") == 1
     assert "weight set 'wMat'" in capsys.readouterr().err
+
+
+def test_run_weighted_program_rejects_negative_weights(tmp_path, capsys):
+    # valid weights run under the shadow oracle; a negative weight is a
+    # range error on the diagnostics path, exit 1 and no traceback
+    argv = _run_args(tmp_path, "knn_join.ddsl")
+    argv[1] = str(_weighted_knn(tmp_path))
+    argv += ["--allow-dim-from-data", "--oracle", "shadow", "--weights"]
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, size=24)
+    assert cli.main(argv + [_csv(tmp_path / "w.csv", weights)]) == 0
+    capsys.readouterr()
+    weights[5] = -1.0
+    assert cli.main(argv + [_csv(tmp_path / "bad_w.csv", weights)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: weights must be finite and nonnegative\n"

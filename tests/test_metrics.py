@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accd.errors import DimensionMismatchError
+from accd.errors import DimensionMismatchError, RangeError
 from accd.metrics import MetricSpec, distance, rowwise_distance
 
 L1 = MetricSpec(kind="L1")
@@ -36,7 +36,7 @@ def test_metric_spec_rules():
         MetricSpec(kind="L1", weighted=True)  # weights missing
     with pytest.raises(ValueError):
         MetricSpec(kind="L2", weighted=False, weights=np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         MetricSpec(kind="L2", weighted=True, weights=[-1.0, 2.0])
     with pytest.raises(ValueError):
         MetricSpec.from_name("unweighted l2")  # case-sensitive

@@ -63,13 +63,12 @@ def _case(name: str):
         return "kmeans.ddsl", pts, None, 12
     if name == "knn":
         # the two sets' blobs lie apart and the target groups straddle them:
-        # the landmark cut prunes nothing, so the join takes its direct path
+        # the landmark cut prunes nothing (``_assert_no_prune``)
         src = gaussian_mixture(240, 24, 5, seed=2, center_box=20.0)
         trg = gaussian_mixture(200, 24, 5, seed=3, center_box=20.0)
         return "knn_join.ddsl", src, trg, trg.n
     if name == "knn_blobs":
-        # both sets drawn around the same four blobs: the cut prunes, so the
-        # join takes its GTI path
+        # both sets drawn around the same four blobs: the cut prunes
         src = gaussian_mixture(240, 24, 4, seed=7, center_box=20.0)
         trg = gaussian_mixture(200, 24, 4, seed=7, center_box=20.0)
         return "knn_join.ddsl", src, trg, trg.n
@@ -83,8 +82,6 @@ def _case(name: str):
 
 
 CASES = ("kmeans", "knn", "knn_blobs", "nbody")
-# the top-K join's path on each of its cases
-JOIN_PATH = {"knn": "direct", "knn_blobs": "gti"}
 
 
 def _run(name: str, oracle_mode: str = "shadow", design: DesignConfig = DESIGN, **config):
@@ -104,41 +101,30 @@ def _flat(value):
         yield np.asarray(value)
 
 
-def _join_paths(monkeypatch) -> set:
-    """Patch the join's two paths to note which one runs: "direct" by a
-    call to ``_direct``, "gti" by a call to ``_sweep`` with a ``_TopK``
-    reducer (n-body's sweeps do not count)."""
-    paths = set()
-    real_direct, real_sweep = pipelines._direct, pipelines._sweep
-
-    def direct(*args):
-        paths.add("direct")
-        return real_direct(*args)
-
-    def sweep(src, trg, cm, batches, reducer, *args):
-        if isinstance(reducer, pipelines._TopK):
-            paths.add("gti")
-        return real_sweep(src, trg, cm, batches, reducer, *args)
-
-    monkeypatch.setattr(pipelines, "_direct", direct)
-    monkeypatch.setattr(pipelines, "_sweep", sweep)
-    return paths
+def _assert_no_prune(result, m: int, n: int, design: DesignConfig = DESIGN) -> None:
+    """The facts of a join of m source against n target points whose
+    landmark cut prunes nothing: every source group has every target
+    group as its candidate, so the sweep is one batch of all the design's
+    source groups, and it tiles every pair once, in row blocks of
+    ``_TopK.TILE_CELLS // n``."""
+    (s,) = result.per_iteration
+    assert (s.pruned_pairs, s.point_distances) == (0, m * n)
+    assert (s.source_batches, s.source_groups) == (1, min(design.n_src_grp, m))
+    rows = max(1, pipelines._TopK.TILE_CELLS // n)
+    assert result.counters.tiles_executed == -(-m // rows)
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_sample_runs_agree_with_oracle_and_conserve_pairs(monkeypatch, name):
-    paths = _join_paths(monkeypatch)
+def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
     result, pairs = _run(name)
     assert result.oracle_checked
     assert result.per_iteration
     for s in result.per_iteration:
         accounted = s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs
         assert accounted == pairs, s
-    assert paths == ({JOIN_PATH[name]} if name in JOIN_PATH else set())
     c = result.counters
-    if JOIN_PATH.get(name) == "direct":
-        # the landmark cut prunes nothing, so every pair is tiled, once
-        assert c.pruned_pairs == 0 and c.point_distances == pairs
+    if name == "knn":
+        _assert_no_prune(result, 240, 200)
         return
     # the filters do real work on these inputs
     assert 0 < c.point_distances < pairs * result.iterations
@@ -351,15 +337,10 @@ def test_layout_and_threads_change_no_result(monkeypatch, name, variant):
         other, _ = _run(name, **variant)
     finally:
         sys.setswitchinterval(interval)
-    if JOIN_PATH.get(name) == "direct":
-        # the direct join reads no packing: its layout is each point its own
-        # group, in id order, whatever the packing order
-        for layout in (base.layout, other.layout):
-            assert np.array_equal(layout.point_perm, np.arange(layout.point_perm.size))
-            assert np.array_equal(layout.group_order, layout.point_perm)
-    else:
-        assert reverse != np.array_equal(base.layout.group_order, other.layout.group_order)
+    assert reverse != np.array_equal(base.layout.group_order, other.layout.group_order)
     _assert_same_results(base, other)
+    if name == "knn":
+        _assert_no_prune(other, 240, 200)
     for a, b in zip(base.per_iteration, other.per_iteration):
         assert dataclasses.replace(a, source_batches=0) == dataclasses.replace(
             b, source_batches=0
@@ -376,9 +357,11 @@ def test_a_small_tile_budget_changes_no_result(monkeypatch, name):
     small, _ = _run(name)
     assert small.counters.tiles_executed > base.counters.tiles_executed
     _assert_same_results(base, small)
-    if name == "kmeans" or JOIN_PATH.get(name) == "direct":
-        # k-means and the direct join count their kernel calls as source
-        # batches, and so follow the tiling
+    if name == "knn":
+        _assert_no_prune(small, 240, 200)
+    if name == "kmeans":
+        # k-means counts its kernel calls as source batches, and so follows
+        # the tiling
         assert sum(s.source_batches for s in small.per_iteration) > sum(
             s.source_batches for s in base.per_iteration
         )
@@ -633,18 +616,15 @@ def test_knn_shadow_check_compares_distances():
     assert (info.value.detail["point"], info.value.detail["column"]) == (3, 2)
 
 
-# case -> (a shadow-checked run on some thread count, the join's path);
-# every set has more than 16 points per group, so grouping samples
+# case -> a shadow-checked run on some thread count; every set has more
+# than 16 points per group, so grouping samples
 SAMPLED_RUNS = {
-    "knn_gti": (lambda threads: _run("knn_blobs", thread_count=threads)[0], {"gti"}),
-    "knn_direct": (lambda threads: _run("knn", thread_count=threads)[0], {"direct"}),
+    "knn_gti": lambda threads: _run("knn_blobs", thread_count=threads)[0],
+    "knn_no_prune": lambda threads: _run("knn", thread_count=threads)[0],
     # 9 distinct points and 12 source groups: some groups end up empty
-    "knn_empty_groups": (
-        lambda threads: _exact_run("knn", _grid(300, 2, seed=5), threads=threads),
-        {"gti"},
-    ),
+    "knn_empty_groups": lambda threads: _exact_run("knn", _grid(300, 2, seed=5), threads=threads),
     # 8 groups of 240 points; the strong pull rebuilds after step 1
-    "nbody_rebuilds": (lambda threads: _strong_pull(groups=8, thread_count=threads)[1], set()),
+    "nbody_rebuilds": lambda threads: _strong_pull(groups=8, thread_count=threads)[1],
 }
 
 
@@ -653,7 +633,7 @@ def test_sampled_grouping_equals_the_oracle_on_one_and_two_threads(monkeypatch, 
     # each grouping runs its Lloyd rounds on 16 points per group and only
     # its final pass on every point; the runs pass the shadow check, and
     # two threads give the results of one
-    run, path = SAMPLED_RUNS[case]
+    run = SAMPLED_RUNS[case]
     rows, models = [], []
     real_assign, real_build = gti._assign_nearest, pipelines.build_groups
 
@@ -667,7 +647,6 @@ def test_sampled_grouping_equals_the_oracle_on_one_and_two_threads(monkeypatch, 
 
     monkeypatch.setattr(gti, "_assign_nearest", assign)
     monkeypatch.setattr(pipelines, "build_groups", build)
-    paths = _join_paths(monkeypatch)
     results = []
     for threads in (1, 2):
         rows.clear()
@@ -680,7 +659,11 @@ def test_sampled_grouping_equals_the_oracle_on_one_and_two_threads(monkeypatch, 
             assert sample < gm.n
             want += [sample] * gti._LLOYD_ITERATIONS + [gm.n]
         assert want and rows == want
-    assert paths == path
+    if case == "knn_no_prune":
+        for result in results:
+            _assert_no_prune(result, 240, 200)
+    elif case.startswith("knn"):
+        assert results[0].counters.pruned_pairs > 0
     if case == "knn_empty_groups":
         assert any((gm.sizes == 0).any() for gm in models)
     if case == "nbody_rebuilds":
@@ -703,34 +686,34 @@ def _grid_blobs(n: int, d: int, seed: int) -> Dataset:
     return Dataset.from_values(rng.integers(0, 3, size=(n, d)) + 50.0 * rng.integers(0, 3, size=(n, 1)))
 
 
-# case -> (points, run options, the join's path); DESIGN has 4 target
-# groups, about 75 points each at n=300. The cut prunes nothing on the
-# first seven, so they take the direct path, and something on the rest
+# case -> (points, run options, whether the landmark cut prunes); DESIGN
+# has 4 target groups, about 75 points each at n=300. The cut prunes
+# nothing on the first seven and something on the rest
 SELECT_CASES = {
-    "uniform": (lambda: _uniform(300, 6, seed=12), {}, "direct"),
-    "grid": (lambda: _grid(300, 4, seed=5), {}, "direct"),
+    "uniform": (lambda: _uniform(300, 6, seed=12), {}, False),
+    "grid": (lambda: _grid(300, 4, seed=5), {}, False),
     "offset_1e6": (
         lambda: Dataset.from_values(
             gaussian_mixture(300, 8, 8, seed=1, center_box=5.0).values + 1e6
         ),
         {},
-        "direct",
+        False,
     ),
-    "k_1": (lambda: _grid(300, 4, seed=13), {"value": 1.0}, "direct"),
-    "k_over_a_group": (lambda: _grid(300, 4, seed=14), {"value": 100.0}, "direct"),
-    "k_n": (lambda: _grid(60, 3, seed=15), {"value": 60.0}, "direct"),
-    "two_threads": (lambda: _grid(300, 4, seed=16), {"threads": 2}, "direct"),
-    "blobs_grid": (lambda: _grid_blobs(300, 4, seed=12), {}, "gti"),
+    "k_1": (lambda: _grid(300, 4, seed=13), {"value": 1.0}, False),
+    "k_over_a_group": (lambda: _grid(300, 4, seed=14), {"value": 100.0}, False),
+    "k_n": (lambda: _grid(60, 3, seed=15), {"value": 60.0}, False),
+    "two_threads": (lambda: _grid(300, 4, seed=16), {"threads": 2}, False),
+    "blobs_grid": (lambda: _grid_blobs(300, 4, seed=12), {}, True),
     "blobs_offset_1e6": (
         lambda: Dataset.from_values(
             gaussian_mixture(300, 6, 4, seed=12, center_box=20.0).values + 1e6
         ),
         {},
-        "gti",
+        True,
     ),
-    "blobs_k_1": (lambda: _grid_blobs(300, 4, seed=13), {"value": 1.0}, "gti"),
-    "blobs_k_over_a_group": (lambda: _grid_blobs(300, 4, seed=14), {"value": 100.0}, "gti"),
-    "blobs_two_threads": (lambda: _grid_blobs(300, 4, seed=16), {"threads": 2}, "gti"),
+    "blobs_k_1": (lambda: _grid_blobs(300, 4, seed=13), {"value": 1.0}, True),
+    "blobs_k_over_a_group": (lambda: _grid_blobs(300, 4, seed=14), {"value": 100.0}, True),
+    "blobs_two_threads": (lambda: _grid_blobs(300, 4, seed=16), {"threads": 2}, True),
 }
 
 
@@ -738,30 +721,26 @@ SELECT_CASES = {
 def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch, case):
     # after the sweep each row's K + 1 and error bound must be bitwise what
     # a (value, id) sort of its one tile gives, ties across the K + 1
-    # boundary included: on the GTI path a tile against all of its batch's
-    # candidate groups, on the direct path one against every target, in id
-    # order; ``select`` fills each row exactly once on both
-    make, options, path = SELECT_CASES[case]
-    real_init, real_select = pipelines._TopK.__init__, pipelines._TopK.select
+    # boundary included: a tile against all of its batch's candidate
+    # groups, every target group where the cut prunes nothing; ``reduce``
+    # fills each row exactly once
+    make, options, prunes = SELECT_CASES[case]
+    real_init, real_reduce = pipelines._TopK.__init__, pipelines._TopK.reduce
     real_settle = pipelines._TopK.settle
     entries: dict[int, list] = {}
-    checked, target_groups, paths = [], [], _join_paths(monkeypatch)
+    checked, target_groups = [], []
 
     def init(self, m, k, trg_gm):
         target_groups.append(trg_gm)
         real_init(self, m, k, trg_gm)
 
-    def selecting(self, ids, tile, err, cols=None):
-        if cols is None:
-            row = np.arange(tile.shape[1])  # the column positions are the ids
-        else:  # the members of whole target groups, concatenated
-            row, gm = cols, target_groups[-1]
-            of = gm.group_of[cols]
-            groups = of[np.flatnonzero(np.diff(of, prepend=-1))]
-            assert np.array_equal(cols, np.concatenate([gm.membership[t] for t in groups]))
+    def reducing(self, batch, groups, cols, col_starts, ids, tile, err):
+        # the members of whole target groups, concatenated
+        gm = target_groups[-1]
+        assert np.array_equal(cols, np.concatenate([gm.membership[t] for t in groups]))
         for r, i in enumerate(ids.tolist()):
-            entries.setdefault(i, []).append((tile[r].copy(), row, err[r]))
-        real_select(self, ids, tile, err, cols)
+            entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
+        real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
 
     def settle(self, src, trg, *args):
         width = self.k + 1
@@ -779,19 +758,23 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
         return real_settle(self, src, trg, *args)
 
     monkeypatch.setattr(pipelines._TopK, "__init__", init)
-    monkeypatch.setattr(pipelines._TopK, "select", selecting)
+    monkeypatch.setattr(pipelines._TopK, "reduce", reducing)
     monkeypatch.setattr(pipelines._TopK, "settle", settle)
-    _exact_run("knn", make(), **options)
+    pts = make()
+    result = _exact_run("knn", pts, **options)
     assert checked and checked[0] > 0
-    assert paths == {path}
+    if prunes:
+        assert result.counters.pruned_pairs > 0
+    else:
+        _assert_no_prune(result, pts.n, pts.n)
 
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gti_join_tiles_every_pair_the_group_cut_keeps(monkeypatch, threads):
-    # on the GTI path nothing is pruned below the group cut: each source
-    # row is tiled once against every member of its batch's candidate
-    # groups, so the pairs tiled are exactly the pairs the cut keeps
+    # nothing is pruned below the group cut: each source row is tiled once
+    # against every member of its batch's candidate groups, so the pairs
+    # tiled are exactly the pairs the cut keeps
     real_sweep, seen = pipelines._sweep, []
 
     def sweep(src, trg, cm, batches, reducer, *args):
@@ -812,43 +795,43 @@ def test_gti_join_tiles_every_pair_the_group_cut_keeps(monkeypatch, threads):
     assert s.pruned_pairs == pairs - kept > 0
     assert s.source_batches == len(batches)
 
-def _direct_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", weights=None):
-    """A shadow-checked join of ``src`` against ``trg`` that must take the
-    direct path: the landmark cut prunes nothing and every pair is tiled
-    once, in blocks of source rows, each point its own source group."""
-    paths = _join_paths(monkeypatch)
+
+def _no_prune_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", weights=None):
+    """A shadow-checked join of ``src`` against ``trg`` whose landmark cut
+    must prune nothing (``_assert_no_prune``), each row filled once."""
+    real_reduce, filled = pipelines._TopK.reduce, []
+
+    def reducing(self, batch, groups, cols, col_starts, ids, tile, err):
+        filled.append(ids.copy())
+        real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
+
+    monkeypatch.setattr(pipelines._TopK, "reduce", reducing)
     plan = make_plan("oneshot_two_set", src.n, trg.n, src.d, SelectSpec("count", k, "smallest"),
                      None, metric)
     cfg = RunConfig(design=DESIGN, oracle_mode="shadow", thread_count=threads)
     result = run_plan(plan, src, trg, cfg, weights=weights)
-    assert result.oracle_checked and paths == {"direct"}
-    (s,) = result.per_iteration
-    rows = max(1, pipelines._TopK.TILE_CELLS // trg.n)
-    blocks = -(-src.n // rows)
-    assert (s.pruned_pairs, s.point_distances) == (0, src.n * trg.n)
-    assert (s.source_batches, s.source_groups) == (blocks, src.n)
-    assert result.counters.tiles_executed == blocks
-    assert np.array_equal(result.layout.point_perm, np.arange(src.n))
-    assert result.layout.group_slices == {i: (i, i + 1) for i in range(src.n)}
+    assert result.oracle_checked
+    _assert_no_prune(result, src.n, trg.n)
+    assert np.array_equal(np.sort(np.concatenate(filled)), np.arange(src.n))
     return result
 
 
 def test_direct_join_on_uniform_input_tiles_every_pair_once(monkeypatch):
     # uniform sets of different sizes, with more rows than one tile holds
-    result = _direct_join(monkeypatch, _uniform(700, 6, seed=71), _uniform(450, 6, seed=72), 10)
-    assert result.per_iteration[0].source_batches > 1
+    result = _no_prune_join(monkeypatch, _uniform(700, 6, seed=71), _uniform(450, 6, seed=72), 10)
+    assert result.counters.tiles_executed > 1
 
 
 def test_direct_join_threads_change_no_result(monkeypatch):
-    # blocks of 8 rows, so the threads share many blocks; switch threads
-    # often, so a lost update between blocks would show
+    # blocks of 8 rows; the join's one batch runs on one thread whatever
+    # the thread count, so two threads give the results of one
     monkeypatch.setattr(pipelines._TopK, "TILE_CELLS", 8 * 300)
     src, trg = _uniform(300, 5, seed=73), _uniform(300, 5, seed=74)
-    base = _direct_join(monkeypatch, src, trg, 10)
+    base = _no_prune_join(monkeypatch, src, trg, 10)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        other = _direct_join(monkeypatch, src, trg, 10, threads=2)
+        other = _no_prune_join(monkeypatch, src, trg, 10, threads=2)
     finally:
         sys.setswitchinterval(interval)
     _assert_same_results(base, other)
@@ -870,37 +853,32 @@ def test_direct_join_equals_the_oracle_on_hard_inputs(monkeypatch, case):
         pts = Dataset.from_values(_uniform(300, 5, seed=77).values + 1e6)
         weights = np.random.default_rng(78).uniform(0.2, 2.0, size=5)
         metric = "Weighted L1" if case == "weighted_l1" else "Weighted L2"
-    result = _direct_join(monkeypatch, pts, pts, k, metric=metric, weights=weights)
+    result = _no_prune_join(monkeypatch, pts, pts, k, metric=metric, weights=weights)
     assert result.outputs["topk"].ids.shape == (pts.n, k)
 
 
-def test_smallest_takes_one_shared_id_row_or_none():
-    # a shared id row, or none for ids that are the column positions,
-    # selects what the same ids laid out per row select, ties included
+def test_smallest_takes_one_shared_id_row():
+    # a shared id row, permuted or ascending, selects what the same ids
+    # laid out per row select, ties included
     rng = np.random.default_rng(79)
     vals = rng.integers(0, 6, size=(40, 30)).astype(float)
-    row = rng.permutation(30)
-    for keep in (1, 5, 12, 30):
-        want = rowwise_lexsort(vals, np.broadcast_to(row, vals.shape))[:, :keep]
-        assert np.array_equal(pipelines._smallest(vals, row, keep), want)
-        assert np.array_equal(pipelines._smallest(vals, np.tile(row, (40, 1)), keep), want)
-        want = np.argsort(vals, axis=1, kind="stable")[:, :keep]
-        assert np.array_equal(pipelines._smallest(vals, None, keep), want)
-        assert np.array_equal(pipelines._smallest(vals, np.arange(30), keep), want)
-
+    for row in (rng.permutation(30), np.sort(rng.choice(50, 30, replace=False))):
+        for keep in (1, 5, 12, 30):
+            want = rowwise_lexsort(vals, np.broadcast_to(row, vals.shape))[:, :keep]
+            assert np.array_equal(pipelines._smallest(vals, row, keep), want)
 
 
 @pytest.mark.parametrize("cols", ["positions", "ascending", "permuted", "narrow"])
 def test_topk_select_writes_the_k_plus_1_best_of_each_given_row(cols):
-    # ``select`` fills the given rows with their K + 1 smallest entries
-    # under (value, target id), ties included, whether the targets are the
-    # column positions or a shared row of ids in any order; with fewer
-    # columns the last entries, and every other row, keep their placeholders
+    # ``reduce`` fills the given rows with their K + 1 smallest entries
+    # under (value, target id), ties included, whatever the order of the
+    # shared row of ids, the column positions included; with fewer columns
+    # the last entries, and every other row, keep their placeholders
     rng = np.random.default_rng(80)
     m, n, k = 25, 50, 6
     width = {"positions": n, "narrow": 4}.get(cols, 30)
-    col_ids = {
-        "positions": None,
+    ids = {
+        "positions": np.arange(n),
         "ascending": np.sort(rng.choice(n, width, replace=False)),
         "permuted": rng.permutation(n)[:width],
         "narrow": rng.permutation(n)[:width],
@@ -909,9 +887,8 @@ def test_topk_select_writes_the_k_plus_1_best_of_each_given_row(cols):
     tile = rng.integers(0, 5, size=(rows.size, width)).astype(float)
     err = rng.uniform(0.0, 1e-12, size=rows.size)
     topk = pipelines._TopK(m, k, Dataset.from_values(np.zeros((n, 1))))
-    topk.select(rows, tile, err, col_ids)
+    topk.reduce(batch=None, groups=None, cols=ids, col_starts=None, ids=rows, tile=tile, err=err)
 
-    ids = np.arange(n) if col_ids is None else col_ids
     keep = min(k + 1, width)
     order = rowwise_lexsort(tile, np.broadcast_to(ids, tile.shape))[:, :keep]
     want_f = np.full((m, k + 1), np.inf)
@@ -923,6 +900,7 @@ def test_topk_select_writes_the_k_plus_1_best_of_each_given_row(cols):
     want_err = np.zeros(m)
     want_err[rows] = err
     assert np.array_equal(topk.err, want_err)
+
 
 # -- the force rule -------------------------------------------------------------
 
