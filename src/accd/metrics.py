@@ -81,16 +81,24 @@ def rowwise_distance(a, b, metric: MetricSpec) -> np.ndarray:
     if a.shape != b.shape or a.ndim != 2:
         raise DimensionMismatchError(f"row-paired shapes differ: {a.shape} vs {b.shape}")
     metric.check_dim(a.shape[1])
-    diff = a - b
+    return difference_distance(a - b, metric)
+
+
+def difference_distance(diff: np.ndarray, metric: MetricSpec) -> np.ndarray:
+    """Distances from coordinate differences a - b along the last axis: the
+    metric's terms, in place in ``diff``, summed by one ``np.add.reduce``
+    over that axis. This is the oracles' arithmetic; numpy sums 8 or more
+    terms pairwise, so a sum taken coordinate by coordinate is not bitwise
+    equal to it."""
     if metric.kind == "L1":
-        terms = np.abs(diff)
+        np.abs(diff, out=diff)
     else:
-        terms = diff * diff
+        np.multiply(diff, diff, out=diff)
     if metric.weighted:
-        terms = terms * metric.weights
-    out = np.add.reduce(terms, axis=1)
+        diff *= metric.weights
+    out = np.add.reduce(diff, axis=-1)
     if metric.kind == "L2":
-        out = np.sqrt(out)
+        np.sqrt(out, out=out)
     return out
 
 
@@ -99,8 +107,8 @@ def gathered_distance(a, b, ids, metric: MetricSpec, block_elems: int) -> np.nda
 
     Bitwise equal to ``rowwise_distance`` on the same pairs (differencing
     in the other order only flips signs), but without materialising the
-    pairs: row blocks of about ``block_elems`` terms go through one reused
-    buffer.
+    pairs: row blocks of about ``block_elems`` differences go through one
+    reused buffer and ``difference_distance``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -115,13 +123,5 @@ def gathered_distance(a, b, ids, metric: MetricSpec, block_elems: int) -> np.nda
         terms = buf[: stop - start]
         np.take(b, ids[start:stop], axis=0, out=terms)
         terms -= a[start:stop, None, :]
-        if metric.kind == "L1":
-            np.abs(terms, out=terms)
-        else:
-            np.multiply(terms, terms, out=terms)
-        if metric.weighted:
-            terms *= metric.weights
-        np.add.reduce(terms, axis=2, out=out[start:stop])
-    if metric.kind == "L2":
-        np.sqrt(out, out=out)
+        out[start:stop] = difference_distance(terms, metric)
     return out

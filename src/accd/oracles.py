@@ -157,7 +157,7 @@ def radius_neighbors(
     counters: CounterSet | None = None,
 ) -> list[np.ndarray]:
     """Per point, the sorted ids j != i with d(i, j) <= radius."""
-    if radius <= 0:
+    if not radius > 0:
         raise RangeError("radius must be positive")
     n = points.shape[0]
     out: list[np.ndarray] = []

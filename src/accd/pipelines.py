@@ -38,7 +38,8 @@ a tile has no per-point control inside it.
   the radius and scatters them into both directions' neighbor lists. The
   list is rebuilt only when the points' movement since the last rebuild
   could have brought a pair left out of it within the radius. The force
-  rule takes each unordered pair once too.
+  rule takes each unordered pair once too, with the squared Euclidean sum
+  that step's list pass computed for it, so no pair is differenced twice.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -92,7 +93,7 @@ from .gti import (
 )
 from .kernel import fast_rows, tile_distances
 from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
-from .metrics import MetricSpec, gathered_distance, rowwise_distance
+from .metrics import MetricSpec, difference_distance, gathered_distance, rowwise_distance
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8)
@@ -597,7 +598,8 @@ class _Radius:
     once, as i < j sorted by (i, j), and frees the rest.
 
     Every step evaluates the listed pairs by direct differencing, the
-    oracles' arithmetic, and keeps those within the radius. ``disp`` is
+    oracles' arithmetic, keeps those within the radius and hands their
+    squared Euclidean sums to the force rule. ``disp`` is
     each point's movement since the rebuild; by the trace bound
     |d_t(i, j) - d_0(i, j)| <= disp_i + disp_j at the level of point pairs,
     the list holds while the two largest leave ``cut`` above the radius.
@@ -681,8 +683,8 @@ class _Radius:
 
     def store_list(self) -> None:
         """Store the rebuild's pairs once, as int32 i < j sorted by (i, j),
-        with the stable argsort of j, which orders them by (j, i); free the
-        sweep's pairs."""
+        with the argsort of the unique keys j·n + i, which orders them by
+        (j, i); free the sweep's pairs."""
         parts = [p for group in self.pairs for p in group]
         self.pairs = []
         one = np.concatenate([np.empty(0, dtype=np.int64), *(p[0] for p in parts)])
@@ -691,12 +693,18 @@ class _Radius:
         n = self.gm.n
         li, lj = np.divmod(np.sort(np.minimum(one, other) * n + np.maximum(one, other)), n)
         self.li, self.lj = li.astype(np.int32), lj.astype(np.int32)
-        self.below = np.argsort(self.lj, kind="stable").astype(np.int32)
+        self.below = np.argsort(lj * n + li).astype(np.int32)
 
     def neighbors(self, pos: np.ndarray, counters: CounterSet, rebuilt: bool):
-        """The step's neighbor pairs i < j sorted by (i, j), and per point
-        its sorted neighbor ids as CSR (offsets, ids): the listed pairs
-        within the radius, by ``rowwise_distance`` in flat blocks.
+        """The step's neighbor pairs i < j sorted by (i, j), their squared
+        Euclidean distances r2, and per point its sorted neighbor ids as CSR
+        (offsets, ids): the listed pairs within the radius.
+
+        Row blocks of the listed pairs are gathered once and differenced in
+        place. Each block's r2 is ``np.add.reduce`` of the squared
+        differences, the oracles' arithmetic, and under unweighted L2 its
+        root decides; any other metric decides on ``difference_distance``
+        of the same differences. The force rule takes the kept pairs' r2.
 
         On a list step each listed pair counts as a point distance, its
         other orientation as reused and every other ordered pair as pruned;
@@ -705,21 +713,30 @@ class _Radius:
         pairs in (j, i) order, then those above it, from its run of kept
         (i, j) pairs: one counting scatter, no sort."""
         n, li, lj = pos.shape[0], self.li, self.lj
-        keep = _pair_distances(pos, li, pos, lj, self.metric) <= self.radius
+        euclid = self.metric.kind == "L2" and not self.metric.weighted
+        r2, keep = np.empty(li.size), np.empty(li.size, dtype=bool)
+        step = max(1, _DIRECT_BLOCK_ELEMS // (4 * pos.shape[1]))
+        for start in range(0, li.size, step):
+            at = slice(start, start + step)
+            x = pos.take(li[at], axis=0)
+            x -= pos.take(lj[at], axis=0)
+            r2[at] = np.add.reduce(x * x, axis=1)
+            dist = np.sqrt(r2[at]) if euclid else difference_distance(x, self.metric)
+            keep[at] = dist <= self.radius
         if rebuilt:
             counters.recomputed_distances += li.size
         else:
             counters.point_distances += li.size
             counters.reused_pairs += li.size
             counters.pruned_pairs += n * n - 2 * li.size
-        pair_i, pair_j = li.compress(keep), lj.compress(keep)
+        pair_i, pair_j, r2 = li.compress(keep), lj.compress(keep), r2.compress(keep)
         down = self.below.compress(keep.take(self.below))
         above, below = np.bincount(pair_i, minlength=n), np.bincount(pair_j, minlength=n)
         ids = np.empty(2 * pair_i.size, dtype=np.int64)
         ids[np.arange(pair_i.size) + np.cumsum(below).take(pair_i)] = pair_j
         ids[np.arange(down.size) + (np.cumsum(above) - above).take(lj.take(down))] = li.take(down)
         offsets = np.concatenate(([0], np.cumsum(above + below)))
-        return pair_i, pair_j, offsets, ids
+        return pair_i, pair_j, r2, offsets, ids
 
 
 # -- shared run bookkeeping -------------------------------------------------
@@ -933,12 +950,15 @@ def run_knn_join(
 
 
 def default_force_rule(
-    pos: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, softening: float
+    pos: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray, r2: np.ndarray, softening: float
 ) -> np.ndarray:
     """Softened inverse-square attraction over the unordered neighbor pairs
     i < j, sorted by (i, j), unit mass. A demonstration update rule;
     neighbor search is the verified part, the physics is not checked.
 
+    ``r2`` holds each pair's squared Euclidean distance, the sum
+    ``np.add.reduce`` takes of its squared differences; the Verlet list
+    pass has computed it, and the force is Euclidean under every metric.
     Each pair's term is computed once and added to i, and negated to j
     (Newton's third law; direct differencing makes the term of (j, i)
     exactly the negation). Each point's terms are added in ascending
@@ -946,13 +966,11 @@ def default_force_rule(
     term of both orientations in (i, j) order."""
     n = len(pos)
     acc = np.empty_like(pos)
-    coords = np.ascontiguousarray(pos.T)
-    diff = [c.take(pair_j) - c.take(pair_i) for c in coords]
-    r2 = np.add.reduce(np.stack([x * x for x in diff], axis=1), axis=1)
     scale = (r2 + softening * softening) ** -1.5
     # a point's partners below it (the j side, ascending i), then above it
-    to = np.concatenate((pair_j, pair_i))
-    for c, x in enumerate(diff):
+    to = np.concatenate((pair_j, pair_i), dtype=np.intp)
+    for c, col in enumerate(np.ascontiguousarray(pos.T)):
+        x = col.take(pair_j) - col.take(pair_i)
         x *= scale
         acc[:, c] = np.bincount(to, weights=np.concatenate((-x, x)), minlength=n)
     return acc
@@ -979,13 +997,15 @@ def run_nbody(
     group's largest displacement first. Every step, rebuild or not,
     evaluates the listed pairs directly and keeps those within the radius;
     a list step sweeps no source batch. The force rule takes each
-    unordered neighbor pair once.
+    unordered neighbor pair once, with the squared sum that evaluation
+    computed for it. No step writes ``pos`` in place, so the trajectory
+    keeps each step's array.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
     metric = plan.metric_spec(weights)
     radius = float(plan.select.value)
-    if radius <= 0:
+    if not radius > 0:
         raise RangeError("radius must be positive")
     n, d = particles.n, particles.d
     metric.check_dim(d)
@@ -1001,7 +1021,7 @@ def run_nbody(
     within = _Radius(gm, radius, radius * _SKIN_FRACTION, metric)
 
     neighbors_per_step: list[list[np.ndarray]] = []
-    trajectories: list[np.ndarray] = [pos.copy()]
+    trajectories: list[np.ndarray] = [pos]  # each step makes a new pos
     per_iter: list[IterationStats] = []
     prev_drift: np.ndarray | None = None
     oracle_s = 0.0
@@ -1015,7 +1035,7 @@ def run_nbody(
             within.moved(prev_drift)
         rebuild = step == 1 or not within.holds()
         batches = within.rebuild(pos, lplan, counters, config.thread_count) if rebuild else 0
-        pair_i, pair_j, offsets, ids = within.neighbors(pos, counters, rebuild)
+        pair_i, pair_j, r2, offsets, ids = within.neighbors(pos, counters, rebuild)
         edges = offsets.tolist()
         lists = [ids[a:b] for a, b in zip(edges, edges[1:])]
         neighbors_per_step.append(lists)
@@ -1040,12 +1060,12 @@ def run_nbody(
 
         # Integrate in original point order; movement feeds the next
         # step's displacements.
-        acc = default_force_rule(pos, pair_i, pair_j, config.softening)
+        acc = default_force_rule(pos, pair_i, pair_j, r2, config.softening)
         vel = vel + acc * config.dt
         new_pos = pos + vel * config.dt
         prev_drift = rowwise_distance(pos, new_pos, metric)
         pos = new_pos
-        trajectories.append(pos.copy())
+        trajectories.append(pos)
         per_iter.append(_stats(step, counters.delta_since(base), n, n, batches, z))
 
     outputs = {"neighbors": neighbors_per_step, "trajectories": trajectories}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accd.errors import DimensionMismatchError, RangeError
-from accd.metrics import MetricSpec, distance, rowwise_distance
+from accd.metrics import MetricSpec, distance, gathered_distance, rowwise_distance
 
 L1 = MetricSpec(kind="L1")
 L2 = MetricSpec(kind="L2")
@@ -58,6 +58,26 @@ def test_rowwise_matches_scalar():
     out = rowwise_distance(a, b, L2)
     for i in range(40):
         assert out[i] == distance(a[i], b[i], L2)
+
+
+@pytest.mark.parametrize("d", [6, 9, 24])
+@pytest.mark.parametrize("kind", ["L1", "L2"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_every_metric_rowwise_and_gathered_match_scalar(d, kind, weighted):
+    # both go through difference_distance; from d = 8 numpy sums pairwise,
+    # which a coordinate-by-coordinate sum would not match
+    r = np.random.default_rng(7 + d)
+    weights = r.uniform(0.2, 2.0, d) if weighted else None
+    m = MetricSpec(kind=kind, weighted=weighted, weights=weights)
+    a = r.normal(size=(40, d))
+    b = r.normal(size=(40, d))
+    out = rowwise_distance(a, b, m)
+    ids = r.integers(0, 40, size=(40, 5))
+    gathered = gathered_distance(a, b, ids, m, block_elems=7 * d)
+    for i in range(40):
+        assert out[i] == distance(a[i], b[i], m)
+        for j in range(5):
+            assert gathered[i, j] == distance(a[i], b[ids[i, j]], m)
 
 
 _coords = st.lists(

@@ -15,7 +15,7 @@ from accd.counters import CounterSet
 from accd.dataset import Dataset, TopKResult, brute_rows, rowwise_lexsort
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
-from accd import gti, pipelines
+from accd import gti, oracles, pipelines
 from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
 from accd.gti import CandidateMatrix, _cut, build_groups, init_oneshot_state
@@ -397,12 +397,15 @@ def test_runner_rejects_a_plan_of_another_kind():
         run_kmeans(plan, ds, RunConfig(design=DESIGN))
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0])
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
 def test_nbody_rejects_a_radius_that_is_not_positive(radius):
+    # a NaN radius would prune every pair, and the oracle would agree
     plan = make_plan("iterative_self_set", 20, 20, 3, SelectSpec("radius", radius, "smallest"), 1)
     ds = Dataset.from_values(np.random.default_rng(0).normal(size=(20, 3)))
     with pytest.raises(RangeError):
-        run_nbody(plan, ds, RunConfig(design=DESIGN))
+        run_nbody(plan, ds, RunConfig(design=DESIGN, oracle_mode="shadow"))
+    with pytest.raises(RangeError):
+        oracles.radius_neighbors(ds.values, L2, radius)
 
 
 # -- the tile engine --------------------------------------------------------
@@ -915,6 +918,13 @@ def _add_at_force(pos, nbr_i, nbr_j, softening):
     return acc
 
 
+def _squared_sums(pos, i, j):
+    """The squared Euclidean distances of the pairs (i, j) as the Verlet
+    list pass sums them."""
+    x = pos[i] - pos[j]
+    return np.add.reduce(x * x, axis=1)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 24])
 def test_force_rule_equals_an_add_at_reference(d):
     # the rule takes each unordered pair once; the reference adds both
@@ -929,12 +939,80 @@ def test_force_rule_equals_an_add_at_reference(d):
     i, j = np.divmod(np.unique(i * n + j), n)
     assert np.any(np.diff(i) == 0) and not np.any(j == n - 1)
     for pair_i, pair_j in ((i, j), (i[:0], j[:0])):
-        got = default_force_rule(pos, pair_i, pair_j, 1e-2)
+        got = default_force_rule(pos, pair_i, pair_j, _squared_sums(pos, pair_i, pair_j), 1e-2)
         both_i, both_j = np.divmod(np.sort(np.concatenate([pair_i * n + pair_j, pair_j * n + pair_i])), n)
         want = _add_at_force(pos, both_i, both_j, 1e-2)
         assert got.shape == pos.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert np.all(default_force_rule(pos, i, j, 1e-2)[n - 1] == 0.0)
+    assert np.all(default_force_rule(pos, i, j, _squared_sums(pos, i, j), 1e-2)[n - 1] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "metric, d",
+    [("Unweighted L2", 3), ("Unweighted L2", 9), ("Weighted L1", 4), ("Weighted L2", 4)],
+    ids=["l2_d3", "l2_d9", "weighted_l1", "weighted_l2"],
+)
+def test_nbody_trajectories_equal_an_independent_integration(monkeypatch, metric, d):
+    # Euler steps over the oracle's ordered pairs with the add.at force:
+    # the force is Euclidean under every metric, so the squared sums the
+    # list pass hands it must be the ones the reference computes itself.
+    # A last-bit change of a force is mostly lost in a step of dt², so the
+    # forces are compared too.
+    forces, rule = [], pipelines.default_force_rule
+
+    def recording(*args):
+        forces.append(rule(*args))
+        return forces[-1]
+
+    monkeypatch.setattr(pipelines, "default_force_rule", recording)
+    pts = gaussian_mixture(400, d, 4, seed=11, center_box=3.0)
+    weights = np.random.default_rng(12).uniform(0.2, 2.0, size=d) if "Weighted" in metric else None
+    radius, steps = 1.0 + 0.2 * d, 5
+    select = SelectSpec("radius", radius, "smallest")
+    plan = make_plan("iterative_self_set", pts.n, pts.n, d, select, steps, metric)
+    cfg = RunConfig(design=DESIGN, oracle_mode="shadow")
+    result = run_plan(plan, pts, None, cfg, weights=weights)
+    assert result.oracle_checked and _rebuilds(result) < steps  # a list step at least
+    assert len(forces) == steps
+
+    spec = MetricSpec.from_name(metric, weights)
+    pos, vel = pts.values.copy(), np.zeros_like(pts.values)
+    want = [pos]
+    for _ in range(steps):
+        lists = oracles.radius_neighbors(pos, spec, radius)
+        nbr_i = np.repeat(np.arange(pts.n), [lst.size for lst in lists])
+        assert nbr_i.size > 0
+        acc = _add_at_force(pos, nbr_i, np.concatenate(lists), cfg.softening)
+        assert np.array_equal(forces[len(want) - 1].view(np.int64), acc.view(np.int64))
+        vel = vel + acc * cfg.dt
+        pos = pos + vel * cfg.dt
+        want.append(pos)
+    got = result.outputs["trajectories"]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 500, 5000])
+def test_verlet_list_orders_its_pairs_by_j_then_i(pairs):
+    # the sweep's pairs come in any order and orientation; the list keeps
+    # them as i < j sorted by (i, j), and ``below`` is the stable argsort
+    # of j, which orders them by (j, i)
+    pts = gaussian_mixture(300, 3, 3, seed=19, center_box=3.0)
+    n = pts.n
+    within = pipelines._Radius(build_groups(pts, 8, 0, L2, CounterSet()), 1.0, 0.1, L2)
+    rng = np.random.default_rng(pairs)
+    up_i, up_j = np.triu_indices(n, 1)
+    pick = rng.choice(up_i.size, size=pairs, replace=False)
+    flip = rng.random(pairs) < 0.5
+    i, j = np.where(flip, up_j[pick], up_i[pick]), np.where(flip, up_i[pick], up_j[pick])
+    parts = np.array_split(np.arange(pairs), 4)
+    within.pairs = [[(i[p], j[p]) for p in parts[:2]], [], [(i[p], j[p]) for p in parts[2:]]]
+    within.store_list()
+    li, lj = within.li.astype(np.int64), within.lj.astype(np.int64)
+    assert np.array_equal(li * n + lj, np.sort(up_i[pick] * n + up_j[pick]))
+    assert within.below.dtype == np.int32
+    assert np.array_equal(within.below, np.argsort(lj, kind="stable"))
 
 
 # -- the landmark seed of the iterative pipelines -----------------------------
