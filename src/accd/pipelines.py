@@ -17,8 +17,10 @@ batch's candidate target groups' members, concatenated, and hands the
 tile to the pipeline's reducer. Its bounds prune whole group pairs only:
 a tile has no per-point control inside it.
 
-* ``_TopK`` (one-shot two-set) takes each row's K + 1 best under (fast
-  value, id) straight from the row's one tile. The join orders its source
+* ``_TopK`` (one-shot two-set) takes each row's K + 1 smallest fast
+  values, ascending, ties in any order, straight from the row's one tile;
+  ``settle`` makes them exact and hands the rows a tie or rounding leaves
+  open to the oracle, ``oracles.knn_topk``. The join orders its source
   groups so that groups with the same candidate list sit next to each
   other, and sweeps them in runs of such groups. When the landmark cut
   prunes nothing, every group shares one candidate list, so the sweep is
@@ -33,9 +35,10 @@ a tile has no per-point control inside it.
   counts as reused. During the sweep it keeps each tile's pairs within the
   cut plus the tile's error bound, each unordered pair once, and folds the
   tile's minima into the bounds of both orientations of each group pair
-  the tile covers; after it, it stores them as the list. Every step
-  evaluates the listed pairs by direct differencing, keeps those within
-  the radius and scatters them into both directions' neighbor lists. The
+  the tile covers (a tile's rows are one group's); after it, it stores
+  them as the list. Every step evaluates the listed pairs by direct
+  differencing, keeps those within the radius and scatters them into
+  both directions' neighbor lists. The
   list is rebuilt only when the points' movement since the last rebuild
   could have brought a pair left out of it within the radius. The force
   rule takes each unordered pair once too, with the squared Euclidean sum
@@ -70,7 +73,7 @@ import numpy as np
 
 from .counters import CounterSet
 # rowwise_lexsort stays a module global: the perfbench tracer rebinds it by name
-from .dataset import Dataset, TopKResult, brute_rows, rowwise_lexsort
+from .dataset import Dataset, TopKResult, rowwise_lexsort
 from .ddsl.lowering import ExecutionPlan
 from .errors import (
     InvalidQueryError,
@@ -121,6 +124,11 @@ class RunConfig:
             raise RangeError("thread_count must be >= 1")
         if self.oracle_mode not in ("off", "shadow"):
             raise RangeError(f"unknown oracle mode {self.oracle_mode!r}")
+        if self.status_iter_cap < 1:
+            raise RangeError("status_iter_cap must be >= 1")
+        for name in ("dt", "softening"):
+            if not np.isfinite(getattr(self, name)):
+                raise RangeError(f"{name} must be finite")
 
 
 @dataclass
@@ -192,14 +200,6 @@ def _source_batches(order: np.ndarray, cm: CandidateMatrix) -> list[list[int]]:
     return [list(run) for _, run in itertools.groupby(order.tolist(), key=cm.key)]
 
 
-def _group_runs(group_of: np.ndarray, ids: np.ndarray):
-    """Split ``ids``, which come grouped, into runs of one group: (each
-    run's group; its first position)."""
-    of = group_of[ids]
-    starts = np.flatnonzero(np.concatenate(([True], of[1:] != of[:-1])))
-    return of[starts], starts
-
-
 def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
     """Direct distances of the pairs (a[i[p]], b[j[p]]), gathered in blocks:
     ``rowwise_distance`` holds four arrays of a block's terms."""
@@ -230,8 +230,8 @@ def _sweep(
     concatenated, in row blocks of at most ``reducer.TILE_CELLS`` cells,
     one tile per row.
 
-    The reducer gets ``reduce(batch, groups, cols, col_starts, ids, tile,
-    err)``: the tile's target groups, column ids (the groups' members,
+    The reducer gets ``reduce(groups, cols, col_starts, ids, tile, err)``:
+    the tile's target groups, column ids (the groups' members,
     concatenated) and each group's first column, rows' ids, fast values
     and per-row error bound. Batches touch disjoint rows, so they may run
     on ``threads`` workers. Returns the tile tallies.
@@ -253,7 +253,7 @@ def _sweep(
             at = slice(i, i + step)
             sq = sq_rows[at] if sq_rows is not None else None
             tile, err = tile_distances(rows[at], col_rows, metric, local, sq, sq_cols)
-            reducer.reduce(batch, groups, cols, col_starts, ids[at], tile, err)
+            reducer.reduce(groups, cols, col_starts, ids[at], tile, err)
         return local
 
     total = CounterSet()
@@ -475,40 +475,9 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.ravel(a).take(flat)
 
 
-def _smallest(vals: np.ndarray, ids: np.ndarray, keep: int) -> np.ndarray:
-    """Column indices of each row's ``keep`` smallest entries under
-    (value, id), in that order; ``ids`` is the one row of ids that every
-    row shares.
-
-    Rows more than twice as wide as ``keep`` are first cut to their
-    ``keep`` + 1 smallest values by ``argpartition`` (on narrower rows it
-    costs more than it saves). One stable sort by value orders the rest.
-    Rows where it breaks the (value, id) rule are redone with
-    ``rowwise_lexsort``, the only place the id row is laid out per row:
-    equal values out of id order, or a finite value tied across the
-    ``keep`` boundary (an entry left out may have the smaller id).
-    """
-    width = vals.shape[1]
-    if width > 2 * keep:
-        part = np.argpartition(vals, keep, axis=1)[:, : keep + 1]
-        order = _take_rows(part, np.argsort(_take_rows(vals, part), axis=1, kind="stable"))
-    else:
-        order = np.argsort(vals, axis=1, kind="stable")[:, : keep + 1]
-    v = _take_rows(vals, order)
-    sel = order[:, :keep]
-    i = ids.take(sel)
-    last, nxt = v[:, keep - 1], v[:, keep:].min(axis=1, initial=np.inf)
-    v = v[:, :keep]
-    broken = np.any((v[:, 1:] == v[:, :-1]) & (i[:, 1:] < i[:, :-1]), axis=1)
-    broken |= (last == nxt) & np.isfinite(nxt)
-    rows = np.flatnonzero(broken)
-    if rows.size:
-        sel[rows] = rowwise_lexsort(vals[rows], np.broadcast_to(ids, (rows.size, width)))[:, :keep]
-    return sel
-
-
 class _TopK:
-    """The K + 1 best targets per source point under (fast value, id).
+    """The K + 1 smallest fast values per source point and their targets,
+    ascending by value, ties in any order.
 
     Each row is filled exactly once, by ``reduce``, from its one tile
     against all of its batch's candidate groups (``_sweep``). ``err``
@@ -521,18 +490,20 @@ class _TopK:
     def __init__(self, m: int, k: int, trg_gm: GroupModel):
         self.k = k
         self.top_f = np.full((m, k + 1), np.inf)
-        # one past any real target id, so a placeholder always loses ties
+        # one past any real target id: a placeholder names no target
         self.top_i = np.full((m, k + 1), trg_gm.n, dtype=np.int64)
         self.err = np.zeros(m)
 
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> None:
+    def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
         """Fill the rows ``ids`` from their one tile, whose columns are the
         targets ``cols``; with fewer than K + 1 columns the last entries
         stay placeholders."""
         keep = min(self.k + 1, tile.shape[1])
-        sel = _smallest(tile, cols, keep)
-        self.top_f[ids, :keep] = _take_rows(tile, sel)
-        self.top_i[ids, :keep] = cols.take(sel)
+        sel = np.argpartition(tile, keep - 1, axis=1)[:, :keep]
+        vals = _take_rows(tile, sel)
+        order = np.argsort(vals, axis=1)
+        self.top_f[ids, :keep] = _take_rows(vals, order)
+        self.top_i[ids, :keep] = cols.take(_take_rows(sel, order))
         self.err[ids] = err
 
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
@@ -541,8 +512,11 @@ class _TopK:
         Where the (K + 1)-th fast value lies more than 2*err above the K-th,
         the first K entries are exactly the K nearest (every target left
         out, tiled or pruned, is surely farther), so their distances are
-        recomputed directly. Other rows are redone over all targets by brute
-        force and ``_smallest``. Both run in row blocks of bounded size.
+        recomputed directly; only these two values and the set of the first
+        K ids are read, and neither depends on how ties were ordered. A tie
+        at the boundary has a gap of 0, so its row is open. Open rows are
+        redone over all targets by the oracle, ``knn_topk``, in row blocks
+        of bounded size.
         """
         k, n = self.k, trg.shape[0]
         ids = self.top_i[:, :k]
@@ -551,13 +525,10 @@ class _TopK:
         step = max(1, _DIRECT_BLOCK_ELEMS // (n * src.shape[1]))
         for start in range(0, redo.size, step):
             block = redo[start : start + step]
-            full = brute_rows(src[block], trg, metric)
-            order = _smallest(full, np.arange(n), k)
-            ids[block] = order
-            dist[block] = _take_rows(full, order)
+            ids[block], dist[block] = knn_topk(src[block], trg, metric, k)
         counters.recomputed_distances += ids.size + redo.size * n
-        # rows come in (fast value, id) order; reorder those the exact
-        # values put out of (distance, id) order
+        # settled rows come in fast-value order; reorder those the exact
+        # values or a tie put out of (distance, id) order
         same = dist[:, 1:] == dist[:, :-1]
         rows = np.flatnonzero(
             np.any((dist[:, 1:] < dist[:, :-1]) | (same & (ids[:, 1:] < ids[:, :-1])), axis=1)
@@ -582,20 +553,21 @@ class _Radius:
     it stays exactly symmetric, so the cut keeps both orientations of a
     group pair alike. Each kept unordered group pair {a, b} is tiled from
     its upper cell, b >= a: a rebuild resets the bounds of every kept pair,
-    in both orientations, and tiles only the upper ones; each tile folds
-    into both orientations, per (source group, target group) cell it
-    covers, the minimum of that cell's entries less each row's error bound,
-    widened by the bound slack. The lower cells' pairs are mirrored, not
-    tiled, and count as reused. A member pair (i, j) is kept from the
-    orientation with (group of i, i) before (group of j, j), so the
-    diagonal cell yields its upper triangle. The list is every tiled pair
-    whose fast value is at most ``cut`` + err: a superset of the pairs
-    within ``cut``, and every pair left out lies beyond ``cut`` in direct
-    arithmetic. A rebuild's pairs are collected per batch (under the
-    batch's first group), so concurrent batches never share a list; the
-    bounds of a group pair {a, b}, a <= b, are folded, in both
-    orientations, only by the batch holding a. ``store_list`` keeps them
-    once, as i < j sorted by (i, j), and frees the rest.
+    in both orientations, and tiles only the upper ones. Cut to its upper
+    cells, a non-empty group is the only one whose candidate list holds
+    it, so every tile's rows are one group a's; the tile folds into both
+    orientations of each pair {a, b} it covers the minimum of its b
+    columns less each row's error bound, widened by the bound slack. The
+    lower cells' pairs are mirrored, not tiled, and count as reused. A
+    member pair (i, j) is kept from the orientation with (group of i, i)
+    before (group of j, j), so the diagonal cell yields its upper
+    triangle. The list is every tiled pair whose fast value is at most
+    ``cut`` + err: a superset of the pairs within ``cut``, and every pair
+    left out lies beyond ``cut`` in direct arithmetic. A rebuild's pairs are collected per row group a, so
+    concurrent batches never share a list; the bounds of a group pair
+    {a, b}, a <= b, are folded, in both orientations, only by a's tiles.
+    ``store_list`` keeps them once, as i < j sorted by (i, j), and frees
+    the rest.
 
     Every step evaluates the listed pairs by direct differencing, the
     oracles' arithmetic, keeps those within the radius and hands their
@@ -666,20 +638,25 @@ class _Radius:
         counters.reused_pairs += int(self.sizes[a[lower]] @ self.sizes[b[lower]])
         return CandidateMatrix(targets=[cand[cand >= g] for g, cand in enumerate(cm.targets)])
 
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err) -> None:
+    def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
         """Keep, in one orientation, every entry at most ``cut`` + err, for
         the list's direct evaluation to decide, and fold each cell's tile
-        minimum into the bounds of both orientations."""
+        minimum into the bounds of both orientations.
+
+        The rows are one group a's: only a's own candidate list holds a,
+        so a batch holds no other non-empty group, though an empty one may
+        lead it. The target groups are distinct, so each fold touches each
+        cell once."""
+        a = self.gm.group_of[ids[0]]
         flat = np.flatnonzero(tile <= (self.cut + err)[:, None])
         hit_r, hit_c = np.divmod(flat, tile.shape[1])
         hit_i, hit_j = ids.take(hit_r), cols.take(hit_c)
         first = self._first(hit_i, hit_j)
-        self.pairs[batch[0]].append((hit_i[first], hit_j[first]))
-        runs, starts = _group_runs(self.gm.group_of, ids)  # rows come in batch order
+        self.pairs[a].append((hit_i[first], hit_j[first]))
         low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
-        low = lower_bound(np.minimum.reduceat(low, starts), 0.0, self.slack)
-        for cell in ((runs[:, None], groups), (groups, runs[:, None])):
-            np.minimum.at(self.lb, cell, low)
+        low = lower_bound(low.min(axis=0), 0.0, self.slack)
+        self.lb[a, groups] = np.minimum(self.lb[a, groups], low)
+        self.lb[groups, a] = np.minimum(self.lb[groups, a], low)
 
     def store_list(self) -> None:
         """Store the rebuild's pairs once, as int32 i < j sorted by (i, j),

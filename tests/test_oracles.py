@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from accd.oracles import group_means, group_members
+from accd.dataset import brute_rows, rowwise_lexsort
+from accd.metrics import MetricSpec
+from accd.oracles import group_means, group_members, knn_topk
 
 
 def _assign(n, k, seed):
@@ -61,3 +63,39 @@ def test_group_means_equal_a_per_group_reduce_bitwise(d):
         got = group_means(values, assign, k, prev)
         want = _loop_means(values, assign, k, prev)
         assert got.tobytes() == want.tobytes(), (d, case)
+
+
+_WEIGHTS = np.array([0.5, 2.0, 1.0, 0.25])
+
+
+# case -> (source rows, target rows, k, metric); the points lie on the
+# integer grid {0, 1, 2}^4, so distances tie everywhere, duplicates included
+TOPK_CASES = {
+    "k_boundary_ties": (300, 250, 10, MetricSpec(kind="L2")),
+    "k_1": (300, 250, 1, MetricSpec(kind="L2")),
+    "l1": (200, 150, 12, MetricSpec(kind="L1")),
+    "k_n": (60, 60, 60, MetricSpec(kind="L2")),
+    "pad_over_n": (60, 60, 55, MetricSpec(kind="L2")),  # k + 8 >= n
+    "weighted_l1": (200, 150, 7, MetricSpec(kind="L1", weighted=True, weights=_WEIGHTS)),
+    "weighted_l2": (200, 150, 7, MetricSpec(kind="L2", weighted=True, weights=_WEIGHTS)),
+}
+
+
+@pytest.mark.parametrize("case", list(TOPK_CASES))
+def test_knn_topk_equals_a_full_sort(case):
+    # every row is bitwise the first k entries of a full (distance, id)
+    # sort of its brute-force row, ties at the k boundary included
+    m, n, k, metric = TOPK_CASES[case]
+    rng = np.random.default_rng(81)
+    src = rng.integers(0, 3, size=(m, 4)).astype(float)
+    trg = rng.integers(0, 3, size=(n, 4)).astype(float)
+    ids, dists = knn_topk(src, trg, metric, k)
+
+    full = brute_rows(src, trg, metric)
+    order = rowwise_lexsort(full, np.broadcast_to(np.arange(n), full.shape))[:, :k]
+    assert np.array_equal(ids, order)
+    want = np.take_along_axis(full, order, axis=1)
+    assert np.array_equal(dists.view(np.int64), want.view(np.int64))
+    if k < n:
+        tied = np.sort(full, axis=1)
+        assert np.count_nonzero(tied[:, k - 1] == tied[:, k]) > m // 4

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, TopKResult, brute_rows, rowwise_lexsort
+from accd.dataset import Dataset, TopKResult, brute_rows
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
 from accd import gti, oracles, pipelines
@@ -165,11 +165,11 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         tiles, reducers = [], set()
         cuts.clear()
 
-        def recording(self, batch, groups, cols, col_starts, ids, tile, err):
+        def recording(self, groups, cols, col_starts, ids, tile, err):
             assert np.array_equal(cols, np.concatenate([self.gm.membership[t] for t in groups]))
             tiles.append((ids.copy(), cols, tile.size))
             reducers.add(self)
-            reduce(self, batch, groups, cols, col_starts, ids, tile, err)
+            reduce(self, groups, cols, col_starts, ids, tile, err)
 
         monkeypatch.setattr(pipelines._Radius, "reduce", recording)
         monkeypatch.setattr(pipelines._Radius, "TILE_CELLS", cells)
@@ -397,6 +397,27 @@ def test_runner_rejects_a_plan_of_another_kind():
         run_kmeans(plan, ds, RunConfig(design=DESIGN))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("status_iter_cap", 0),
+        ("status_iter_cap", -3),
+        ("dt", float("nan")),
+        ("dt", float("inf")),
+        ("softening", float("nan")),
+        ("softening", -float("inf")),
+        ("thread_count", 0),
+        ("oracle_mode", "always"),
+    ],
+)
+def test_run_config_rejects_a_bad_value(field, value):
+    # a status run capped at 0 iterations returns no assignments yet would
+    # report a passed shadow check; a NaN step gives NaN trajectories whose
+    # empty neighbor lists the oracle agrees with
+    with pytest.raises(RangeError):
+        RunConfig(design=DESIGN, **{field: value})
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
 def test_nbody_rejects_a_radius_that_is_not_positive(radius):
     # a NaN radius would prune every pair, and the oracle would agree
@@ -414,23 +435,24 @@ L2 = MetricSpec(kind="L2")
 
 
 class _Recorder:
-    """Reducer that keeps every tile."""
+    """Reducer that keeps every tile, under its first row's source group."""
 
     TILE_CELLS = 1 << 15
 
-    def __init__(self):
+    def __init__(self, group_of: np.ndarray):
+        self.group_of = group_of
         self.tiles = []
 
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err):
+    def reduce(self, groups, cols, col_starts, ids, tile, err):
         (t,) = groups
-        self.tiles.append((batch[0], t, ids.copy(), tile, err))
+        self.tiles.append((int(self.group_of[ids[0]]), t, ids.copy(), tile, err))
 
 
 class _WideRecorder(_Recorder):
     """Reducer that keeps every tile with its target groups."""
 
-    def reduce(self, batch, groups, cols, col_starts, ids, tile, err):
-        self.tiles.append((tuple(batch), tuple(groups), cols, col_starts, ids.copy(), tile, err))
+    def reduce(self, groups, cols, col_starts, ids, tile, err):
+        self.tiles.append((tuple(groups), cols, col_starts, ids.copy(), tile, err))
 
 
 def _filtered_pair():
@@ -451,7 +473,7 @@ def _filtered_pair():
 
 def test_candidate_masking_skips_pruned_tiles():
     src, trg, gm_s, gm_t, cm, (g_src, g_trg) = _filtered_pair()
-    rec = _Recorder()
+    rec = _Recorder(gm_s.group_of)
     kc = _sweep(g_src, g_trg, cm, [[0], [1]], rec, L2, 1)
     candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
@@ -492,7 +514,7 @@ def _wide_case(reverse: bool):
 def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batches, cap):
     src, trg, gm_s, gm_t, g_src, g_trg = _wide_case(reverse)
     sizes = gm_t.sizes
-    rec = _WideRecorder()
+    rec = _WideRecorder(gm_s.group_of)
     if cap is not None:
         rec.TILE_CELLS = cap
     cm = CandidateMatrix(targets=[np.arange(gm_t.z) for _ in range(gm_s.z)])
@@ -501,8 +523,13 @@ def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batc
     full = brute_rows(src.values, trg.values, L2)
     tiled = np.zeros((src.n, gm_t.z), dtype=int)
     entered = np.zeros(src.n, dtype=int)
-    for batch, groups, cols, col_starts, ids, tile, err in rec.tiles:
+    batch_of = {g: i for i, batch in enumerate(batches) for g in batch}
+    tile_batches = []
+    for groups, cols, col_starts, ids, tile, err in rec.tiles:
         assert ids.size >= 1
+        # a tile's rows come from one batch
+        (batch,) = {batch_of[g] for g in gm_s.group_of[ids].tolist()}
+        tile_batches.append((batch, groups))
         assert tile.size <= rec.TILE_CELLS or ids.size == 1
         assert np.array_equal(cols, np.concatenate([gm_t.membership[t] for t in groups]))
         sizes_in = gm_t.sizes[list(groups)]
@@ -516,7 +543,7 @@ def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batc
     assert np.all(entered == 1)
     assert np.array_equal(tiled, np.broadcast_to(sizes > 0, tiled.shape).astype(int))
     # a batch's rows share its tiles unless the cap splits them
-    shared = {(batch, groups) for batch, groups, *_ in rec.tiles}
+    shared = set(tile_batches)
     assert (len(shared) < len(rec.tiles)) == (cap is not None)
     assert kc.point_distances == src.n * trg.n
     assert kc.pruned_pairs == 0
@@ -720,13 +747,29 @@ SELECT_CASES = {
 }
 
 
+def _assert_k_plus_1(top_f, top_i, vals, cols, placeholder) -> None:
+    """One row of ``_TopK``'s state against the row's one tile (values
+    ``vals`` at targets ``cols``): bitwise the ascending K + 1 smallest
+    values, at distinct targets whose tile values they are, in whatever
+    order ties came; a row shorter than K + 1 ends in placeholders."""
+    keep = min(top_f.size, vals.size)
+    assert np.array_equal(top_f[:keep].view(np.int64), np.sort(vals)[:keep].view(np.int64))
+    assert np.all(top_f[keep:] == np.inf) and np.all(top_i[keep:] == placeholder)
+    ids = top_i[:keep]
+    assert np.unique(ids).size == keep
+    at = np.argsort(cols)
+    pos = at[np.searchsorted(cols, ids, sorter=at)]
+    assert np.array_equal(cols[pos], ids)
+    assert np.array_equal(vals[pos].view(np.int64), top_f[:keep].view(np.int64))
+
+
 @pytest.mark.parametrize("case", list(SELECT_CASES))
 def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch, case):
-    # after the sweep each row's K + 1 and error bound must be bitwise what
-    # a (value, id) sort of its one tile gives, ties across the K + 1
-    # boundary included: a tile against all of its batch's candidate
-    # groups, every target group where the cut prunes nothing; ``reduce``
-    # fills each row exactly once
+    # after the sweep each row's K + 1 values must be bitwise the smallest
+    # of its one tile, in ascending order, each at a target that holds it,
+    # and its error bound the tile's: a tile against all of its batch's
+    # candidate groups, every target group where the cut prunes nothing;
+    # ``reduce`` fills each row exactly once
     make, options, prunes = SELECT_CASES[case]
     real_init, real_reduce = pipelines._TopK.__init__, pipelines._TopK.reduce
     real_settle = pipelines._TopK.settle
@@ -737,25 +780,19 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
         target_groups.append(trg_gm)
         real_init(self, m, k, trg_gm)
 
-    def reducing(self, batch, groups, cols, col_starts, ids, tile, err):
+    def reducing(self, groups, cols, col_starts, ids, tile, err):
         # the members of whole target groups, concatenated
         gm = target_groups[-1]
         assert np.array_equal(cols, np.concatenate([gm.membership[t] for t in groups]))
         for r, i in enumerate(ids.tolist()):
             entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
-        real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
+        real_reduce(self, groups, cols, col_starts, ids, tile, err)
 
     def settle(self, src, trg, *args):
-        width = self.k + 1
-        placeholder = trg.shape[0]
         for i in range(self.top_f.shape[0]):
             assert len(entries.get(i, [])) == 1  # one tile per row
             ((vals, idx, err),) = entries[i]
-            vals = np.concatenate([np.full(width, np.inf), vals])
-            idx = np.concatenate([np.full(width, placeholder), idx])
-            sel = rowwise_lexsort(vals[None], idx[None])[0, :width]
-            assert np.array_equal(self.top_f[i].view(np.int64), vals[sel].view(np.int64))
-            assert np.array_equal(self.top_i[i], idx[sel])
+            _assert_k_plus_1(self.top_f[i], self.top_i[i], vals, idx, trg.shape[0])
             assert self.err[i] == err
         checked.append(len(entries))
         return real_settle(self, src, trg, *args)
@@ -804,9 +841,9 @@ def _no_prune_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", 
     must prune nothing (``_assert_no_prune``), each row filled once."""
     real_reduce, filled = pipelines._TopK.reduce, []
 
-    def reducing(self, batch, groups, cols, col_starts, ids, tile, err):
+    def reducing(self, groups, cols, col_starts, ids, tile, err):
         filled.append(ids.copy())
-        real_reduce(self, batch, groups, cols, col_starts, ids, tile, err)
+        real_reduce(self, groups, cols, col_starts, ids, tile, err)
 
     monkeypatch.setattr(pipelines._TopK, "reduce", reducing)
     plan = make_plan("oneshot_two_set", src.n, trg.n, src.d, SelectSpec("count", k, "smallest"),
@@ -858,25 +895,18 @@ def test_direct_join_equals_the_oracle_on_hard_inputs(monkeypatch, case):
         metric = "Weighted L1" if case == "weighted_l1" else "Weighted L2"
     result = _no_prune_join(monkeypatch, pts, pts, k, metric=metric, weights=weights)
     assert result.outputs["topk"].ids.shape == (pts.n, k)
-
-
-def test_smallest_takes_one_shared_id_row():
-    # a shared id row, permuted or ascending, selects what the same ids
-    # laid out per row select, ties included
-    rng = np.random.default_rng(79)
-    vals = rng.integers(0, 6, size=(40, 30)).astype(float)
-    for row in (rng.permutation(30), np.sort(rng.choice(50, 30, replace=False))):
-        for keep in (1, 5, 12, 30):
-            want = rowwise_lexsort(vals, np.broadcast_to(row, vals.shape))[:, :keep]
-            assert np.array_equal(pipelines._smallest(vals, row, keep), want)
+    if case == "grid_ties":
+        # the tied rows are open and settled by the oracle over all targets
+        assert result.counters.recomputed_distances > pts.n * k
 
 
 @pytest.mark.parametrize("cols", ["positions", "ascending", "permuted", "narrow"])
 def test_topk_select_writes_the_k_plus_1_best_of_each_given_row(cols):
-    # ``reduce`` fills the given rows with their K + 1 smallest entries
-    # under (value, target id), ties included, whatever the order of the
-    # shared row of ids, the column positions included; with fewer columns
-    # the last entries, and every other row, keep their placeholders
+    # ``reduce`` fills the given rows with their K + 1 smallest values, in
+    # ascending order, at targets that hold them, ties included, whatever
+    # the order of the shared row of ids, the column positions included;
+    # with fewer columns the last entries, and every other row, keep their
+    # placeholders
     rng = np.random.default_rng(80)
     m, n, k = 25, 50, 6
     width = {"positions": n, "narrow": 4}.get(cols, 30)
@@ -890,16 +920,12 @@ def test_topk_select_writes_the_k_plus_1_best_of_each_given_row(cols):
     tile = rng.integers(0, 5, size=(rows.size, width)).astype(float)
     err = rng.uniform(0.0, 1e-12, size=rows.size)
     topk = pipelines._TopK(m, k, Dataset.from_values(np.zeros((n, 1))))
-    topk.reduce(batch=None, groups=None, cols=ids, col_starts=None, ids=rows, tile=tile, err=err)
+    topk.reduce(groups=None, cols=ids, col_starts=None, ids=rows, tile=tile, err=err)
 
-    keep = min(k + 1, width)
-    order = rowwise_lexsort(tile, np.broadcast_to(ids, tile.shape))[:, :keep]
-    want_f = np.full((m, k + 1), np.inf)
-    want_i = np.full((m, k + 1), n)
-    want_f[rows, :keep] = np.take_along_axis(tile, order, axis=1)
-    want_i[rows, :keep] = ids[order]
-    assert np.array_equal(topk.top_f.view(np.int64), want_f.view(np.int64))
-    assert np.array_equal(topk.top_i, want_i)
+    for r, i in enumerate(rows.tolist()):
+        _assert_k_plus_1(topk.top_f[i], topk.top_i[i], tile[r], ids, n)
+    others = np.setdiff1d(np.arange(m), rows)
+    assert np.all(topk.top_f[others] == np.inf) and np.all(topk.top_i[others] == n)
     want_err = np.zeros(m)
     want_err[rows] = err
     assert np.array_equal(topk.err, want_err)
@@ -1091,6 +1117,44 @@ def test_nbody_strong_pull_rebuilds_after_step_one():
     assert result.oracle_checked
     assert result.per_iteration[0].source_batches > 0
     assert any(s.source_batches > 0 for s in result.per_iteration[1:])
+
+
+@pytest.mark.parametrize("case", ["strong_pull", "duplicates"])
+def test_nbody_tiles_hold_one_groups_rows(monkeypatch, case):
+    # cut to upper cells, only a group's own candidate list holds it, so a
+    # rebuild's batch holds one non-empty group, led by it or by empty
+    # groups; ``_Radius.reduce`` folds each tile into that group's bounds,
+    # which stay symmetric
+    seen = _record_symmetry(monkeypatch)
+    real_reduce, real_sweep = pipelines._Radius.reduce, pipelines._sweep
+    tile_groups, empty_leads = [], []
+
+    def reducing(self, groups, cols, col_starts, ids, tile, err):
+        tile_groups.append(np.unique(self.gm.group_of[ids]).size)
+        real_reduce(self, groups, cols, col_starts, ids, tile, err)
+
+    def sweep(src, trg, cm, batches, reducer, *args):
+        sizes = src.gm.sizes
+        empty_leads.extend(sizes[b[0]] == 0 and sizes[b].any() for b in batches)
+        return real_sweep(src, trg, cm, batches, reducer, *args)
+
+    monkeypatch.setattr(pipelines._Radius, "reduce", reducing)
+    monkeypatch.setattr(pipelines, "_sweep", sweep)
+    if case == "strong_pull":
+        _, result = _strong_pull()
+        assert _rebuilds(result) > 1
+    else:
+        # 9 distinct points in 16 groups, pulled together step after step:
+        # some groups are empty, and a later rebuild has one lead a batch
+        pts = _grid(200, 2, seed=0)
+        radius = SelectSpec("radius", 1.0, "smallest")
+        plan = make_plan("iterative_self_set", pts.n, pts.n, 2, radius, 6)
+        design = DesignConfig(n_src_grp=16, n_trg_grp=4)
+        cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3)
+        result = run_plan(plan, pts, None, cfg)
+        assert any(empty_leads)
+    assert result.oracle_checked and len(seen) == _rebuilds(result)
+    assert tile_groups and set(tile_groups) == {1}
 
 
 def _verlet(radius: float, skin: float) -> pipelines._Radius:
