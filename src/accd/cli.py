@@ -200,9 +200,9 @@ def _write_outputs(result: RunResult, path) -> None:
             ) + ",neighbor_count\n")
             for step, lists in enumerate(result.outputs["neighbors"], start=1):
                 posn = result.outputs["trajectories"][step - 1]
-                for i in range(len(lists)):
+                for i, count in enumerate(np.diff(lists.offsets).tolist()):
                     coords = ",".join(repr(v) for v in posn[i])
-                    fh.write(f"{step},{i},{coords},{lists[i].size}\n")
+                    fh.write(f"{step},{i},{coords},{count}\n")
 
 
 def cmd_run(args) -> int:

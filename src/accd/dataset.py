@@ -11,6 +11,8 @@ differencing, with per-entry results bitwise equal to ``distance``.
 from __future__ import annotations
 
 import csv
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +75,32 @@ class TopKResult:
     distances: np.ndarray  # n x k
     scope: str = "smallest"
     row_ids: np.ndarray | None = None
+
+
+def id_dtype(n: int) -> type:
+    """The dtype of point ids below ``n``: int32 when they fit, else int64."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+@dataclass(frozen=True, eq=False)
+class NeighborLists(Sequence):
+    """Per point, its neighbor ids in ascending order, as CSR: point i's
+    are ``ids[offsets[i]:offsets[i + 1]]``. A read-only sequence of those
+    slices; each item is a view, made only when asked for."""
+
+    offsets: np.ndarray  # n + 1, rising from 0 to ids.size
+    ids: np.ndarray  # ``id_dtype(n)``
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = range(len(self))[operator.index(i)]
+        return self.ids[self.offsets[i] : self.offsets[i + 1]]
+
+    def __iter__(self):
+        edges = self.offsets.tolist()
+        return (self.ids[a:b] for a, b in zip(edges, edges[1:]))
 
 
 def _parse_cell(text: str) -> float | None:

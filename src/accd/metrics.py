@@ -21,6 +21,12 @@ METRIC_NAMES = {
     "Weighted L2": ("L2", True),
 }
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+# How far the largest value a run forms may exceed the distance sum of
+# ``MetricSpec.check_domain``: L2's matmul form reaches -2 a.b, within twice
+# it (1% more for rounding); L1's bounds add up a few distances.
+_HEADROOM = {"L1": 8.0, "L2": 2.02}
+
 
 @dataclass(frozen=True, eq=False)
 class MetricSpec:
@@ -52,6 +58,38 @@ class MetricSpec:
         if self.weighted and self.weights.shape[0] != d:
             raise DimensionMismatchError(
                 f"weight vector has length {self.weights.shape[0]}, data has dim {d}"
+            )
+
+    def check_domain(self, *point_sets: np.ndarray) -> None:
+        """Raise ``RangeError`` unless the point sets, taken together, keep
+        every value a run or an oracle forms from them finite.
+
+        With s_i the spread (max - min) of coordinate i over all the sets,
+        no distance exceeds D = sum w_i*s_i (L1), or the root of
+        D = sum w_i*s_i^2 (L2). A kernel tile centres its rows within the
+        sets' box, so under L2 the terms of its matmul form lie within 2D;
+        under L1 a bound adds up a few distances. The input is admissible
+        when D times that headroom, and the number of points times the
+        largest coordinate magnitude (which bounds the coordinate sums of
+        centres and means), stay below the largest float. O(n*d).
+        """
+        self.check_dim(point_sets[0].shape[1])
+        sets = [p for p in point_sets if p.size]
+        if not sets:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = np.minimum.reduce([p.min(axis=0) for p in sets])
+            hi = np.maximum.reduce([p.max(axis=0) for p in sets])
+            spread = hi - lo
+            if self.kind == "L2":
+                spread *= spread
+            if self.weighted:
+                spread *= self.weights
+            reach = np.add.reduce(spread) * _HEADROOM[self.kind]
+            bulk = max(-lo.min(), hi.max()) * sum(p.shape[0] for p in sets)
+        if not (reach <= _FLOAT_MAX and bulk <= _FLOAT_MAX):
+            raise RangeError(
+                f"coordinates too large or too spread out for {self.kind} distances to stay finite"
             )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .counters import CounterSet
-from .dataset import brute_rows, rowwise_lexsort
+from .dataset import NeighborLists, brute_rows, id_dtype
 from .errors import RangeError
 from .metrics import MetricSpec
 
@@ -66,6 +66,7 @@ def nearest_assign(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per point: nearest center under (distance, id) tie-break, plus that
     distance. Row-blocked brute force."""
+    metric.check_domain(points, centers)
     n = points.shape[0]
     step = max(1, _ROW_BLOCK_ELEMS // max(1, centers.shape[0] * points.shape[1]))
     assign = np.empty(n, dtype=np.int64)
@@ -113,41 +114,36 @@ def knn_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-sort top-k per source row with (distance, id) tie-break.
 
-    Uses argpartition for speed, then verifies the partition boundary is
-    tie-free; rows with a boundary tie fall back to a full lexicographic
-    sort so the result always equals the full-sort prefix.
+    Each row block of the distance matrix is cut at each row's k-th
+    smallest value by ``np.partition``; one sort of the entries up to the
+    cut, ties at it included, gives the full-sort prefix (``_first_k``).
     """
     n2 = trg.shape[0]
     if k < 1 or k > n2:
         raise RangeError(f"k={k} out of range for {n2} targets")
+    metric.check_domain(src, trg)
     n1 = src.shape[0]
     out_ids = np.empty((n1, k), dtype=np.int64)
     out_d = np.empty((n1, k), dtype=np.float64)
     step = max(1, _ROW_BLOCK_ELEMS // max(1, n2 * src.shape[1]))
-    pad = min(n2, k + 8)
     for start in range(0, n1, step):
         stop = min(n1, start + step)
         d = brute_rows(src[start:stop], trg, metric, counters)
-        if pad >= n2:
-            cand_idx = np.broadcast_to(np.arange(n2), d.shape).copy()
-            cand_d = d
-        else:
-            cand_idx = np.argpartition(d, pad - 1, axis=1)[:, :pad]
-            cand_d = np.take_along_axis(d, cand_idx, axis=1)
-        order = rowwise_lexsort(cand_d, cand_idx)
-        sel = np.take_along_axis(cand_idx, order, axis=1)
-        seld = np.take_along_axis(cand_d, order, axis=1)
-        if pad < n2:
-            # A tie across the partition boundary would make the prefix
-            # ambiguous; redo those rows exactly.
-            risky = np.flatnonzero(seld[:, k - 1] >= seld[:, -1])
-            for r in risky:
-                full_order = np.lexsort((np.arange(n2), d[r]))[:k]
-                sel[r, :k] = full_order
-                seld[r, :k] = d[r, full_order]
-        out_ids[start:stop] = sel[:, :k]
-        out_d[start:stop] = seld[:, :k]
+        out_ids[start:stop], out_d[start:stop] = _first_k(d, k)
     return out_ids, out_d
+
+
+def _first_k(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first k columns and values in (value, column) order, by
+    one sort of the entries up to each row's k-th smallest value: every
+    entry below it, and the lowest columns of those equal to it."""
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(d <= kth[:, None])  # row-major: columns ascend in a row
+    v = d[r, c]
+    order = np.lexsort((v, r))  # stable: equal values keep their columns' order
+    starts = np.searchsorted(r, np.arange(d.shape[0]))
+    at = order[(starts[:, None] + np.arange(k)).ravel()]
+    return c[at].reshape(-1, k), v[at].reshape(-1, k)
 
 
 def radius_neighbors(
@@ -155,18 +151,24 @@ def radius_neighbors(
     metric: MetricSpec,
     radius: float,
     counters: CounterSet | None = None,
-) -> list[np.ndarray]:
-    """Per point, the sorted ids j != i with d(i, j) <= radius."""
+) -> NeighborLists:
+    """Per point, the sorted ids j != i with d(i, j) <= radius, as CSR.
+    Each row block of the distance matrix gives its hits, row-major, by
+    one ``np.nonzero``; the self pairs are dropped."""
     if not radius > 0:
         raise RangeError("radius must be positive")
+    metric.check_domain(points)
     n = points.shape[0]
-    out: list[np.ndarray] = []
+    dtype = id_dtype(n)
+    counts = np.empty(n, dtype=np.int64)
+    ids: list[np.ndarray] = [np.empty(0, dtype=dtype)]
     step = max(1, _ROW_BLOCK_ELEMS // max(1, n * points.shape[1]))
     for start in range(0, n, step):
         stop = min(n, start + step)
         d = brute_rows(points[start:stop], points, metric, counters)
-        for r in range(stop - start):
-            i = start + r
-            nbr = np.flatnonzero(d[r] <= radius)
-            out.append(nbr[nbr != i])
-    return out
+        r, c = np.nonzero(d <= radius)
+        other = c != r + start
+        counts[start:stop] = np.bincount(r[other], minlength=stop - start)
+        ids.append(c[other].astype(dtype))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return NeighborLists(offsets=offsets, ids=np.concatenate(ids))

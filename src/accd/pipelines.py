@@ -36,13 +36,15 @@ a tile has no per-point control inside it.
   cut plus the tile's error bound, each unordered pair once, and folds the
   tile's minima into the bounds of both orientations of each group pair
   the tile covers (a tile's rows are one group's); after it, it stores
-  them as the list. Every step evaluates the listed pairs by direct
-  differencing, keeps those within the radius and scatters them into
-  both directions' neighbor lists. The
-  list is rebuilt only when the points' movement since the last rebuild
-  could have brought a pair left out of it within the radius. The force
-  rule takes each unordered pair once too, with the squared Euclidean sum
-  that step's list pass computed for it, so no pair is differenced twice.
+  them as the list, with int32 point ids (``dataset.id_dtype``). Every
+  step evaluates the listed pairs by direct differencing, keeps those
+  within the radius and scatters them into both directions' neighbor
+  lists, one CSR (``dataset.NeighborLists``) per step, with no per-point
+  array. The list is rebuilt only when the points' movement since the
+  last rebuild could have brought a pair left out of it within the radius.
+  The force rule takes each unordered pair once too, with the squared
+  Euclidean sum that step's list pass computed for it, so no pair is
+  differenced twice.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -52,7 +54,10 @@ and recompute what it leaves open, and every reported distance, by direct
 differencing (``metrics.rowwise_distance``, the oracles' arithmetic).
 Every pruning bound carries the rounding slack of ``gti``. Outputs
 therefore equal the oracles' bitwise, in any packing order and on any
-thread count. Pair counters follow the bounds; a bound taken from fast
+thread count. Every runner, and every oracle, first checks that its
+inputs lie in the metric's domain (``MetricSpec.check_domain``), where
+no value it forms overflows; n-body checks again at every rebuild, as
+its points move. Pair counters follow the bounds; a bound taken from fast
 values (a tile extreme) can move in its last bits with the tile's shape,
 which changes a count only if it lands within those bits of a
 threshold. All cross-point reductions (centroid means,
@@ -73,7 +78,7 @@ import numpy as np
 
 from .counters import CounterSet
 # rowwise_lexsort stays a module global: the perfbench tracer rebinds it by name
-from .dataset import Dataset, TopKResult, rowwise_lexsort
+from .dataset import Dataset, NeighborLists, TopKResult, id_dtype, rowwise_lexsort
 from .ddsl.lowering import ExecutionPlan
 from .errors import (
     InvalidQueryError,
@@ -566,8 +571,8 @@ class _Radius:
     left out lies beyond ``cut`` in direct arithmetic. A rebuild's pairs are collected per row group a, so
     concurrent batches never share a list; the bounds of a group pair
     {a, b}, a <= b, are folded, in both orientations, only by a's tiles.
-    ``store_list`` keeps them once, as i < j sorted by (i, j), and frees
-    the rest.
+    Its pairs are ``id_dtype(n)``, int32 below 2^31 points; ``store_list``
+    keeps them once, as i < j sorted by (i, j), and frees the rest.
 
     Every step evaluates the listed pairs by direct differencing, the
     oracles' arithmetic, keeps those within the radius and hands their
@@ -589,6 +594,7 @@ class _Radius:
         self.lb = None  # set by the run before step 1
         self.pairs: list[list[tuple[np.ndarray, np.ndarray]]] = []
         self.li = self.lj = self.below = None  # the list, set by store_list
+        self.id_type = id_dtype(gm.n)
         self.disp = np.zeros(gm.n)
 
     def _first(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -612,7 +618,9 @@ class _Radius:
     def rebuild(self, pos: np.ndarray, plan: LayoutPlan, counters: CounterSet, threads: int) -> int:
         """Decay the group-pair bounds by each group's largest ``disp``, cut
         them at ``cut``, sweep what is left at positions ``pos`` and store
-        the list; returns the source batches swept."""
+        the list; returns the source batches swept. ``pos`` must lie in
+        the metric's domain, as the points move."""
+        self.metric.check_domain(pos)
         gm = self.gm
         drift = group_max(self.disp, gm.group_of, gm.z)
         thr = np.full(gm.z, self.cut)
@@ -652,30 +660,43 @@ class _Radius:
         hit_r, hit_c = np.divmod(flat, tile.shape[1])
         hit_i, hit_j = ids.take(hit_r), cols.take(hit_c)
         first = self._first(hit_i, hit_j)
-        self.pairs[a].append((hit_i[first], hit_j[first]))
+        self.pairs[a].append(
+            (hit_i[first].astype(self.id_type), hit_j[first].astype(self.id_type))
+        )
         low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
         low = lower_bound(low.min(axis=0), 0.0, self.slack)
         self.lb[a, groups] = np.minimum(self.lb[a, groups], low)
         self.lb[groups, a] = np.minimum(self.lb[groups, a], low)
 
     def store_list(self) -> None:
-        """Store the rebuild's pairs once, as int32 i < j sorted by (i, j),
-        with the argsort of the unique keys j·n + i, which orders them by
-        (j, i); free the sweep's pairs."""
+        """Store the rebuild's pairs once, as i < j sorted by (i, j), in
+        ``id_type``, and ``below``, the argsort of the unique keys j·n + i,
+        which orders them by (j, i); free the sweep's pairs. Only the sort
+        keys are int64, and one key array is reused for both."""
         parts = [p for group in self.pairs for p in group]
         self.pairs = []
-        one = np.concatenate([np.empty(0, dtype=np.int64), *(p[0] for p in parts)])
-        other = np.concatenate([np.empty(0, dtype=np.int64), *(p[1] for p in parts)])
+        empty = np.empty(0, dtype=self.id_type)
+        one = np.concatenate([empty, *(p[0] for p in parts)])
+        other = np.concatenate([empty, *(p[1] for p in parts)])
         del parts
         n = self.gm.n
-        li, lj = np.divmod(np.sort(np.minimum(one, other) * n + np.maximum(one, other)), n)
-        self.li, self.lj = li.astype(np.int32), lj.astype(np.int32)
-        self.below = np.argsort(lj * n + li).astype(np.int32)
+        key = np.minimum(one, other).astype(np.int64)
+        key *= n
+        key += np.maximum(one, other)
+        del one, other
+        key.sort()
+        self.li = (key // n).astype(self.id_type)
+        key %= n
+        self.lj = key.astype(self.id_type)
+        key *= n
+        key += self.li
+        self.below = np.argsort(key).astype(self.id_type)
 
     def neighbors(self, pos: np.ndarray, counters: CounterSet, rebuilt: bool):
         """The step's neighbor pairs i < j sorted by (i, j), their squared
-        Euclidean distances r2, and per point its sorted neighbor ids as CSR
-        (offsets, ids): the listed pairs within the radius.
+        Euclidean distances r2, and per point its sorted neighbor ids as one
+        ``NeighborLists`` CSR, ids in ``id_type``: the listed pairs within
+        the radius.
 
         Row blocks of the listed pairs are gathered once and differenced in
         place. Each block's r2 is ``np.add.reduce`` of the squared
@@ -709,11 +730,11 @@ class _Radius:
         pair_i, pair_j, r2 = li.compress(keep), lj.compress(keep), r2.compress(keep)
         down = self.below.compress(keep.take(self.below))
         above, below = np.bincount(pair_i, minlength=n), np.bincount(pair_j, minlength=n)
-        ids = np.empty(2 * pair_i.size, dtype=np.int64)
+        ids = np.empty(2 * pair_i.size, dtype=self.id_type)
         ids[np.arange(pair_i.size) + np.cumsum(below).take(pair_i)] = pair_j
         ids[np.arange(down.size) + (np.cumsum(above) - above).take(lj.take(down))] = li.take(down)
         offsets = np.concatenate(([0], np.cumsum(above + below)))
-        return pair_i, pair_j, r2, offsets, ids
+        return pair_i, pair_j, r2, NeighborLists(offsets=offsets, ids=ids)
 
 
 # -- shared run bookkeeping -------------------------------------------------
@@ -790,6 +811,7 @@ def run_kmeans(
         k = centroids.shape[0]
     if centroids.shape[1] != d:
         raise RangeError(f"cluster dim {centroids.shape[1]} does not match data dim {d}")
+    metric.check_domain(points.values, centroids)
 
     counters = CounterSet()
     # cluster-id groups, and so their packing, fixed across iterations
@@ -870,7 +892,7 @@ def run_knn_join(
     metric = plan.metric_spec(weights)
     if src.d != trg.d:
         raise RangeError(f"source dim {src.d} != target dim {trg.d}")
-    metric.check_dim(src.d)
+    metric.check_domain(src.values, trg.values)
     k = int(plan.select.value)
     if k < 1 or k > trg.n:
         raise InvalidQueryError(f"top-K count {k} out of range for {trg.n} targets")
@@ -953,6 +975,17 @@ def default_force_rule(
     return acc
 
 
+def _first_difference(got: NeighborLists, want: NeighborLists) -> int:
+    """The first point whose neighbor lists differ between two unequal CSRs
+    of the same points: before the first point whose counts differ, the
+    lists line up, so the first differing id there names the point."""
+    sized = np.diff(got.offsets) != np.diff(want.offsets)
+    i = int(np.argmax(sized)) if sized.any() else len(got)
+    end = int(got.offsets[i])
+    bad = np.flatnonzero(got.ids[:end] != want.ids[:end])
+    return int(np.searchsorted(got.offsets, bad[0], side="right")) - 1 if bad.size else i
+
+
 def run_nbody(
     plan: ExecutionPlan,
     particles: Dataset,
@@ -977,6 +1010,10 @@ def run_nbody(
     unordered neighbor pair once, with the squared sum that evaluation
     computed for it. No step writes ``pos`` in place, so the trajectory
     keeps each step's array.
+
+    ``outputs["neighbors"]`` holds one ``NeighborLists`` per step: a CSR
+    (offsets, ids), ids int32 below 2^31 points, that the shadow check
+    compares array to array with the oracle's.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -984,8 +1021,8 @@ def run_nbody(
     radius = float(plan.select.value)
     if not radius > 0:
         raise RangeError("radius must be positive")
-    n, d = particles.n, particles.d
-    metric.check_dim(d)
+    n = particles.n
+    metric.check_domain(particles.values)
     steps = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
 
     counters = CounterSet()
@@ -997,7 +1034,7 @@ def run_nbody(
     vel = np.zeros_like(pos)
     within = _Radius(gm, radius, radius * _SKIN_FRACTION, metric)
 
-    neighbors_per_step: list[list[np.ndarray]] = []
+    neighbors_per_step: list[NeighborLists] = []
     trajectories: list[np.ndarray] = [pos]  # each step makes a new pos
     per_iter: list[IterationStats] = []
     prev_drift: np.ndarray | None = None
@@ -1012,18 +1049,15 @@ def run_nbody(
             within.moved(prev_drift)
         rebuild = step == 1 or not within.holds()
         batches = within.rebuild(pos, lplan, counters, config.thread_count) if rebuild else 0
-        pair_i, pair_j, r2, offsets, ids = within.neighbors(pos, counters, rebuild)
-        edges = offsets.tolist()
-        lists = [ids[a:b] for a, b in zip(edges, edges[1:])]
+        pair_i, pair_j, r2, lists = within.neighbors(pos, counters, rebuild)
         neighbors_per_step.append(lists)
 
         if config.oracle_mode == "shadow":
             t_oracle = time.perf_counter()
             want = radius_neighbors(pos, metric, radius)
-            want_offsets = np.cumsum([0] + [w.size for w in want])
-            same = np.array_equal(offsets, want_offsets)
-            if not (same and np.array_equal(ids, np.concatenate(want))):
-                i = next(i for i in range(n) if not np.array_equal(lists[i], want[i]))
+            same = np.array_equal(lists.offsets, want.offsets)
+            if not (same and np.array_equal(lists.ids, want.ids)):
+                i = _first_difference(lists, want)
                 raise OracleMismatchError(
                     f"step {step}: neighbor list of point {i} differs from oracle",
                     detail={

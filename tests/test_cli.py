@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import accd
-from accd import cli, pipelines
+from accd import cli, oracles, pipelines
 from accd.ddsl import lower, parse, validate
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -87,6 +87,50 @@ def test_nbody_with_target_set_exits_1(tmp_path):
     argv = _run_args(tmp_path, "nbody.ddsl")
     argv += ["--trg", argv[3], "--allow-dim-from-data"]
     assert cli.main(argv) == 1
+
+
+@pytest.mark.parametrize("oracle", ["off", "shadow"])
+@pytest.mark.parametrize(
+    "sample, huge",
+    [("kmeans.ddsl", 1e308), ("knn_join.ddsl", 1e200), ("nbody.ddsl", 1e200)],
+)
+def test_input_whose_distances_overflow_exits_1(sample, huge, oracle, tmp_path, capsys):
+    # one huge coordinate among the blobs: its squared (L2) or summed (L1)
+    # differences overflow, which is a range error, not a traceback
+    argv = _run_args(tmp_path, sample)
+    values = np.loadtxt(argv[3], delimiter=",")
+    values[7, 1] = huge
+    _csv(Path(argv[3]), values)
+    assert cli.main(argv + ["--allow-dim-from-data", "--oracle", oracle]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_nbody_out_counts_equal_the_oracle(monkeypatch, tmp_path):
+    # the output CSV's neighbor_count, step by step, is the oracle's count
+    # at that step's positions
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(pipelines.run_plan(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_plan", recording)
+    out = tmp_path / "out.csv"
+    argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data", "--out", str(out)]
+    assert cli.main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].endswith(",neighbor_count")
+    rows = np.array([[int(f) for f in (*ln.split(",")[:2], ln.split(",")[-1])] for ln in lines[1:]])
+    (result,) = runs
+    radius = 1.5  # the sample's R
+    for step, pos in enumerate(result.outputs["trajectories"][:-1], start=1):
+        at = rows[rows[:, 0] == step]
+        assert np.array_equal(at[:, 1], np.arange(150))
+        want = oracles.radius_neighbors(pos, pipelines.MetricSpec(), radius)
+        assert np.array_equal(at[:, 2], np.diff(want.offsets))
+        assert want.ids.size > 0
+    assert rows.shape[0] == 150 * result.iterations
 
 
 def test_missing_csv_exits_2(tmp_path):

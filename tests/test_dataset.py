@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, brute_rows, load_csv
+from accd.dataset import Dataset, NeighborLists, brute_rows, id_dtype, load_csv
 from accd.errors import DimensionMismatchError, FormatError, RangeError
 from accd.metrics import MetricSpec, distance
 
@@ -124,3 +124,22 @@ def test_brute_dim_mismatch():
 def test_dataset_id_invariant():
     with pytest.raises(RangeError):
         Dataset(values=np.zeros((3, 2)), ids=np.array([0, 1, 1]))
+
+
+# -- NeighborLists ------------------------------------------------------------
+
+
+def test_neighbor_lists_are_a_read_only_sequence_of_csr_slices():
+    lists = NeighborLists(offsets=np.array([0, 2, 2, 5]), ids=np.array([1, 2, 0, 1, 2], np.int32))
+    assert len(lists) == 3
+    assert [x.tolist() for x in lists] == [[1, 2], [], [0, 1, 2]]
+    assert lists[-1].tolist() == [0, 1, 2] and lists[1].dtype == np.int32
+    assert np.shares_memory(lists[2], lists.ids)  # a view, not a copy
+    with pytest.raises(IndexError):
+        lists[3]
+    with pytest.raises(TypeError):
+        lists[0] = np.array([], np.int32)
+
+
+def test_id_dtype_is_int32_below_2_to_the_31():
+    assert id_dtype(2**31 - 1) == np.int32 and id_dtype(2**31) == np.int64

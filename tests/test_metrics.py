@@ -42,6 +42,30 @@ def test_metric_spec_rules():
         MetricSpec.from_name("unweighted l2")  # case-sensitive
 
 
+def test_check_domain_bounds_the_spread_and_the_coordinate_sums():
+    pts = np.random.default_rng(8).normal(size=(60, 3))
+    L2.check_domain(pts * 1e153)
+    L2.check_domain(pts + 1e300)  # an offset adds nothing to the spread
+    L1.check_domain(pts * 1e300)
+    for metric, bad in [(L2, pts * 1e154), (L1, pts * 1e307)]:
+        with pytest.raises(RangeError):
+            metric.check_domain(bad)
+    # each set is admissible alone, the two together are not
+    L2.check_domain(pts + 1e154)
+    with pytest.raises(RangeError):
+        L2.check_domain(pts, pts + 1e154)
+    # the oracles' terms w * diff^2 are NaN for a zero weight on an overflow
+    wide = pts.copy()
+    wide[5, 0] = 1e200
+    with pytest.raises(RangeError):
+        MetricSpec(kind="L2", weighted=True, weights=[0.0, 1.0, 1.0]).check_domain(wide)
+    # no spread, but the coordinate sums of a mean overflow
+    with pytest.raises(RangeError):
+        L1.check_domain(np.full((4, 2), 1e308))
+    with pytest.raises(DimensionMismatchError):
+        MetricSpec(kind="L1", weighted=True, weights=[1.0, 1.0]).check_domain(pts)
+
+
 def test_from_name_round_trip():
     for name in ("Unweighted L1", "Unweighted L2"):
         m = MetricSpec.from_name(name)

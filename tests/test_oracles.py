@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from accd.dataset import brute_rows, rowwise_lexsort
+from accd import oracles
+from accd.dataset import NeighborLists, brute_rows, rowwise_lexsort
+from accd.errors import RangeError
 from accd.metrics import MetricSpec
-from accd.oracles import group_means, group_members, knn_topk
+from accd.oracles import group_means, group_members, knn_topk, radius_neighbors
+from accd.synth import gaussian_mixture
 
 
 def _assign(n, k, seed):
@@ -99,3 +102,70 @@ def test_knn_topk_equals_a_full_sort(case):
     if k < n:
         tied = np.sort(full, axis=1)
         assert np.count_nonzero(tied[:, k - 1] == tied[:, k]) > m // 4
+
+
+def _scanned_neighbors(points, metric, radius) -> list[np.ndarray]:
+    """Per point, its row of the distance matrix scanned alone."""
+    d = brute_rows(points, points, metric)
+    lists = [np.flatnonzero(d[i] <= radius) for i in range(points.shape[0])]
+    return [nbr[nbr != i] for i, nbr in enumerate(lists)]
+
+
+# case -> (points, metric, radius)
+RADIUS_CASES = {
+    # the n-body sample's metric and radius, on blobs of its dimension
+    "sample": lambda: (
+        gaussian_mixture(500, 3, 6, seed=5, center_box=4.0).values, MetricSpec(kind="L2"), 1.5
+    ),
+    # {0, 1, 2}^3 holds 27 points, so 300 draws repeat them: duplicates
+    # are neighbors at distance 0, and 1 is an exact grid distance
+    "grid_duplicates": lambda: (
+        np.random.default_rng(82).integers(0, 3, size=(300, 3)).astype(float),
+        MetricSpec(kind="L2"),
+        1.0,
+    ),
+    "weighted_l1": lambda: (
+        gaussian_mixture(400, 4, 5, seed=6, center_box=3.0).values,
+        MetricSpec(kind="L1", weighted=True, weights=_WEIGHTS),
+        1.2,
+    ),
+}
+
+
+@pytest.mark.parametrize("block_rows", [None, 7], ids=["one_block", "blocks_of_7"])
+@pytest.mark.parametrize("case", list(RADIUS_CASES))
+def test_radius_neighbors_is_the_csr_of_a_per_point_scan(monkeypatch, case, block_rows):
+    points, metric, radius = RADIUS_CASES[case]()
+    if block_rows is not None:
+        monkeypatch.setattr(oracles, "_ROW_BLOCK_ELEMS", block_rows * points.size)
+    got = radius_neighbors(points, metric, radius)
+    want = _scanned_neighbors(points, metric, radius)
+    assert isinstance(got, NeighborLists) and got.ids.dtype == np.int32
+    assert np.array_equal(got.offsets, np.cumsum([0] + [w.size for w in want]))
+    assert np.array_equal(got.ids, np.concatenate(want))
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got.ids.size > points.shape[0]
+    if case == "grid_duplicates":
+        assert any(np.any(np.all(points[lst] == points[i], axis=1)) for i, lst in enumerate(got))
+
+
+def test_radius_below_every_pair_distance_gives_empty_lists():
+    grid = np.random.default_rng(83).integers(0, 3, size=(60, 3)).astype(float)
+    points = np.unique(grid, axis=0) * 10.0  # pairs 10 or more apart
+    got = radius_neighbors(points, MetricSpec(kind="L2"), 9.99)
+    assert np.array_equal(got.offsets, np.zeros(points.shape[0] + 1))
+    assert got.ids.size == 0 and got.ids.dtype == np.int32
+
+
+@pytest.mark.parametrize("oracle", ["knn_topk", "radius_neighbors", "nearest_assign"])
+def test_oracles_reject_inputs_whose_l2_distances_overflow(oracle):
+    points = np.random.default_rng(84).normal(size=(60, 3))
+    points[17, 1] = 1e200
+    l2 = MetricSpec(kind="L2")
+    with pytest.raises(RangeError):
+        if oracle == "knn_topk":
+            knn_topk(points, points, l2, 5)
+        elif oracle == "radius_neighbors":
+            radius_neighbors(points, l2, 1.0)
+        else:
+            oracles.nearest_assign(points, points[:4], l2)

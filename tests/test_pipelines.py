@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from accd.counters import CounterSet
-from accd.dataset import Dataset, TopKResult, brute_rows
+from accd.dataset import Dataset, NeighborLists, TopKResult, brute_rows
 from accd.ddsl import lower, parse, validate
 from accd.ddsl.lowering import SelectSpec
 from accd import gti, oracles, pipelines
@@ -94,6 +94,8 @@ def _run(name: str, oracle_mode: str = "shadow", design: DesignConfig = DESIGN, 
 def _flat(value):
     if isinstance(value, TopKResult):
         yield from (value.ids, value.distances)
+    elif isinstance(value, NeighborLists):
+        yield from (value.offsets, value.ids)
     elif isinstance(value, (list, tuple)):
         for part in value:
             yield from _flat(part)
@@ -586,6 +588,65 @@ def test_results_equal_the_oracle_far_from_the_origin(name, offset):
     _exact_run(name, Dataset.from_values(pts))
 
 
+def _wide(case: str, scale: float = 1e154) -> Dataset:
+    """60 points in 3-d: Gaussian points times ``scale`` ("scaled"), or
+    unit-scale points with one coordinate of 1e200 ("one_coordinate")."""
+    pts = np.random.default_rng(0).normal(size=(60, 3))
+    if case == "scaled":
+        pts *= scale
+    else:
+        pts[17, 1] = 1e200
+    return Dataset.from_values(pts)
+
+
+@pytest.mark.parametrize("oracle_mode", ["off", "shadow"])
+@pytest.mark.parametrize("case", ["scaled", "one_coordinate"])
+@pytest.mark.parametrize("name", ["knn", "kmeans_l2", "nbody"])
+def test_l2_inputs_whose_distances_overflow_are_a_range_error(name, case, oracle_mode):
+    # finite inputs whose squared distances overflow: the runner rejects
+    # them at entry, whether or not the oracle runs
+    pts = _wide(case)
+    kind, spec, metric, steps = EXACT_CASES[name]
+    plan = make_plan(kind, pts.n, 20 if name == "kmeans_l2" else pts.n, 3, spec, steps, metric)
+    with pytest.raises(RangeError):
+        run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode=oracle_mode))
+
+
+@pytest.mark.parametrize("name", ["knn", "kmeans_l2", "nbody"])
+def test_l2_inputs_just_inside_the_domain_equal_the_oracle(name):
+    # a tenth of the scale that overflows still runs, and exactly
+    select = {"value": 1.5e153} if name == "nbody" else {}
+    result = _exact_run(name, _wide("scaled", 1e153), **select)
+    if name == "nbody":
+        assert result.outputs["neighbors"][0].ids.size > 0
+
+
+def test_kmeans_initial_clusters_outside_the_domain_are_a_range_error():
+    pts = _wide("scaled", 1.0)
+    init = pts.values[:5].copy()
+    init[2, 0] = 1e200
+    plan = make_plan("iterative_two_set", pts.n, 5, 3, SelectSpec("count", 1.0, "smallest"), 4)
+    with pytest.raises(RangeError):
+        run_kmeans(plan, pts, RunConfig(design=DESIGN), initial_clusters=init)
+
+
+def test_nbody_rechecks_the_domain_at_a_rebuild(monkeypatch):
+    # a force that flings one point 1.1e154 away by step 2 forces a
+    # rebuild there, which rejects the positions (the oracle is off); the
+    # step's own movement, 1.1e154, is still finite
+    def flinging(pos, pair_i, pair_j, r2, softening):
+        acc = np.zeros_like(pos)
+        acc[3, 0] = 1.1e160  # dt = 1e-3
+        return acc
+
+    monkeypatch.setattr(pipelines, "default_force_rule", flinging)
+    pts = _wide("scaled", 1.0)
+    kind, spec, metric, _ = EXACT_CASES["nbody"]
+    plan = make_plan(kind, pts.n, pts.n, 3, spec, 3, metric)
+    with pytest.raises(RangeError):
+        run_plan(plan, pts, None, RunConfig(design=DESIGN))
+
+
 def _grid(n: int, d: int, seed: int) -> Dataset:
     """Points on the integer grid {0, 1, 2}^d: ties everywhere, and
     duplicate points."""
@@ -856,13 +917,13 @@ def _no_prune_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", 
     return result
 
 
-def test_direct_join_on_uniform_input_tiles_every_pair_once(monkeypatch):
+def test_join_that_prunes_nothing_tiles_every_pair_once(monkeypatch):
     # uniform sets of different sizes, with more rows than one tile holds
     result = _no_prune_join(monkeypatch, _uniform(700, 6, seed=71), _uniform(450, 6, seed=72), 10)
     assert result.counters.tiles_executed > 1
 
 
-def test_direct_join_threads_change_no_result(monkeypatch):
+def test_join_that_prunes_nothing_gives_one_result_on_two_threads(monkeypatch):
     # blocks of 8 rows; the join's one batch runs on one thread whatever
     # the thread count, so two threads give the results of one
     monkeypatch.setattr(pipelines._TopK, "TILE_CELLS", 8 * 300)
@@ -880,7 +941,7 @@ def test_direct_join_threads_change_no_result(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["grid_ties", "k_n", "weighted_l1", "weighted_l2"])
-def test_direct_join_equals_the_oracle_on_hard_inputs(monkeypatch, case):
+def test_join_that_prunes_nothing_equals_the_oracle_on_hard_inputs(monkeypatch, case):
     k, metric, weights = 10, "Unweighted L2", None
     if case == "grid_ties":
         pts = _grid(300, 4, seed=75)
@@ -1243,16 +1304,44 @@ def test_nbody_list_steps_conserve_pairs(monkeypatch, variant):
         assert s.point_distances >= sum(lst.size for lst in lists) // 2
 
 
+@pytest.mark.parametrize("name", ["sample", "strong_pull"])
+def test_nbody_steps_are_int32_csrs_equal_to_the_oracle(name):
+    # each step's lists are one CSR: offsets rising from 0 to ids.size,
+    # int32 ids ascending within each point, equal to the oracle's CSR at
+    # that step's positions
+    if name == "sample":
+        result, _ = _run("nbody", oracle_mode="off")
+        radius = 1.5
+    else:
+        _, result = _strong_pull()
+        radius = 0.6
+    n = result.outputs["trajectories"][0].shape[0]
+    steps = zip(result.outputs["neighbors"], result.outputs["trajectories"])
+    for lists, pos in steps:
+        assert isinstance(lists, NeighborLists) and len(lists) == n
+        assert lists.ids.dtype == np.int32
+        offsets = lists.offsets
+        assert offsets[0] == 0 and offsets[-1] == lists.ids.size
+        assert np.all(np.diff(offsets) >= 0)
+        # an id may fall only where a point's list starts
+        assert np.isin(np.flatnonzero(np.diff(lists.ids) <= 0) + 1, offsets).all()
+        want = oracles.radius_neighbors(pos, L2, radius)
+        assert np.array_equal(offsets, want.offsets) and np.array_equal(lists.ids, want.ids)
+        assert want.ids.size > 0
+
+
 def test_nbody_shadow_check_names_the_point(monkeypatch):
-    # an oracle that drops one neighbor of one point at step 2 must be
-    # caught on that step and point, with both lists
+    # an oracle whose CSR drops the first neighbor of point 5 at step 2
+    # must be caught on that step and point, with both lists
     real, calls = pipelines.radius_neighbors, []
 
     def dropping(*args, **kwargs):
         want = real(*args, **kwargs)
         calls.append(None)  # one call per step
         if len(calls) == 2:
-            want[5] = want[5][1:]
+            offsets = want.offsets.copy()
+            offsets[6:] -= 1
+            want = NeighborLists(offsets=offsets, ids=np.delete(want.ids, want.offsets[5]))
         return want
 
     monkeypatch.setattr(pipelines, "radius_neighbors", dropping)
@@ -1261,6 +1350,28 @@ def test_nbody_shadow_check_names_the_point(monkeypatch):
     detail = info.value.detail
     assert (detail["step"], detail["point"]) == (2, 5)
     assert len(detail["got"]) > 0 and detail["want"] == detail["got"][1:]
+
+
+def test_nbody_shadow_check_names_the_point_whose_id_differs(monkeypatch):
+    # every count agrees, but the oracle's CSR names point 9 itself as its
+    # own last neighbor at step 3
+    real, calls = pipelines.radius_neighbors, []
+
+    def renaming(*args, **kwargs):
+        want = real(*args, **kwargs)
+        calls.append(None)  # one call per step
+        if len(calls) == 3:
+            ids = want.ids.copy()
+            ids[want.offsets[10] - 1] = 9
+            want = NeighborLists(offsets=want.offsets, ids=ids)
+        return want
+
+    monkeypatch.setattr(pipelines, "radius_neighbors", renaming)
+    with pytest.raises(OracleMismatchError) as info:
+        _run("nbody")
+    detail = info.value.detail
+    assert (detail["step"], detail["point"]) == (3, 9)
+    assert detail["want"] == detail["got"][:-1] + [9] != detail["got"]
 
 
 @pytest.mark.parametrize(
