@@ -191,15 +191,16 @@ def _write_outputs(result: RunResult, path) -> None:
         elif result.pipeline_kind == "oneshot_two_set":
             topk = result.outputs["topk"]
             fh.write("point_id,rank,neighbor_id,distance\n")
-            for i in range(topk.ids.shape[0]):
-                for r in range(topk.ids.shape[1]):
-                    fh.write(f"{i},{r},{int(topk.ids[i, r])},{topk.distances[i, r]!r}\n")
+            # Python floats: their repr is a bare number that round-trips
+            for i, (ids, dists) in enumerate(zip(topk.ids.tolist(), topk.distances.tolist())):
+                for r, (j, dist) in enumerate(zip(ids, dists)):
+                    fh.write(f"{i},{r},{j},{dist!r}\n")
         else:
             fh.write("step,point_id," + ",".join(
                 f"x{j}" for j in range(result.outputs["trajectories"][0].shape[1])
             ) + ",neighbor_count\n")
             for step, lists in enumerate(result.outputs["neighbors"], start=1):
-                posn = result.outputs["trajectories"][step - 1]
+                posn = result.outputs["trajectories"][step - 1].tolist()
                 for i, count in enumerate(np.diff(lists.offsets).tolist()):
                     coords = ",".join(repr(v) for v in posn[i])
                     fh.write(f"{step},{i},{coords},{count}\n")

@@ -5,46 +5,35 @@ one-shot two-set (top-K join), and iterative self-set (radius neighbors
 with movement). Each run tallies every avoided or executed point-pair and
 can shadow a brute-force oracle that must agree exactly.
 
-k-means (``_Yinyang``) groups only its centres and bounds each point
-against each centre group. Iteration 1 seeds those bounds from each
-point's distances to the centre groups' landmarks and from the centres'
-distances to each other, so it tiles a point only against its nearest
-group and the groups they leave open. The join and the n-body step group
-both sides and wire bound filtering and layout packing, which makes each
-group's members one slice of its kernel rows, around one tile engine,
-``_sweep``. It tiles each row of a source batch once, against all of the
-batch's candidate target groups' members, concatenated, and hands the
-tile to the pipeline's reducer. Its bounds prune whole group pairs only:
-a tile has no per-point control inside it.
+One tile engine, ``_tile_rows``, serves all three. It tiles a set of
+source rows once against the members of a list of target groups,
+concatenated, in row blocks, and hands each tile to the pipeline's
+reducer; layout packing makes each group's members one slice of its
+kernel rows. Bounds prune whole target groups for a row set: a tile has
+no per-point control inside it.
 
+* ``_Yinyang`` (iterative two-set) groups only the centres and bounds
+  each point against each centre group. Iteration 1 seeds those bounds
+  from the points' distances to the groups' landmarks and from the
+  centres' distances to each other, after sweeping each point against its
+  nearest group. Every iteration then keys its open points by the set of
+  groups they reach, and sweeps each key's points once.
 * ``_TopK`` (one-shot two-set) takes each row's K + 1 smallest fast
   values, ascending, ties in any order, straight from the row's one tile;
   ``settle`` makes them exact and hands the rows a tie or rounding leaves
-  open to the oracle, ``oracles.knn_topk``. The join orders its source
-  groups so that groups with the same candidate list sit next to each
-  other, and sweeps them in runs of such groups. When the landmark cut
-  prunes nothing, every group shares one candidate list, so the sweep is
-  one batch that tiles every row against every target.
-* ``_Radius`` (iterative self-set) works on unordered pairs, as
-  distances are symmetric, and sweeps only to rebuild a Verlet list: the
-  pairs within the radius plus a skin. Its group-pair
-  bounds start from the landmark bounds of ``gti.init_oneshot_state``,
-  are lower bounds only, stay exactly symmetric and are cut at the radius
-  plus the skin at every rebuild, step 1 included; each kept unordered
-  group pair is tiled once, from its upper cell, and its other orientation
-  counts as reused. During the sweep it keeps each tile's pairs within the
-  cut plus the tile's error bound, each unordered pair once, and folds the
-  tile's minima into the bounds of both orientations of each group pair
-  the tile covers (a tile's rows are one group's); after it, it stores
-  them as the list, with int32 point ids (``dataset.id_dtype``). Every
-  step evaluates the listed pairs by direct differencing, keeps those
-  within the radius and scatters them into both directions' neighbor
-  lists, one CSR (``dataset.NeighborLists``) per step, with no per-point
-  array. The list is rebuilt only when the points' movement since the
-  last rebuild could have brought a pair left out of it within the radius.
-  The force rule takes each unordered pair once too, with the squared
-  Euclidean sum that step's list pass computed for it, so no pair is
-  differenced twice.
+  open to the oracle, ``oracles.knn_topk``. The join groups both sides,
+  cuts group pairs by their landmark bounds and sweeps (``_sweep``) runs
+  of source groups with the same candidate list; when the cut prunes
+  nothing, that is one batch that tiles every row against every target.
+* ``_Radius`` (iterative self-set) sweeps, the same way, only to rebuild
+  a Verlet list: the unordered pairs within the radius plus a skin, from
+  symmetric group-pair lower bounds cut at every rebuild, each kept
+  unordered group pair tiled once. Every step evaluates the listed pairs
+  by direct differencing into one CSR of neighbor lists
+  (``dataset.NeighborLists``), and hands the force rule each pair's
+  squared Euclidean sum, so no pair is differenced twice. The list is
+  rebuilt only when the points' movement could have brought a pair left
+  out of it within the radius.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -55,15 +44,15 @@ differencing (``metrics.rowwise_distance``, the oracles' arithmetic).
 Every pruning bound carries the rounding slack of ``gti``. Outputs
 therefore equal the oracles' bitwise, in any packing order and on any
 thread count. Every runner, and every oracle, first checks that its
-inputs lie in the metric's domain (``MetricSpec.check_domain``), where
-no value it forms overflows; n-body checks again at every rebuild, as
-its points move. Pair counters follow the bounds; a bound taken from fast
-values (a tile extreme) can move in its last bits with the tile's shape,
-which changes a count only if it lands within those bits of a
-threshold. All cross-point reductions (centroid means,
-force accumulation) happen in original point order.
-The physics update of the self-set pipeline is deliberately outside the
-distance-counter discipline; only neighbor search is counted and verified.
+inputs lie in the metric's domain (``MetricSpec.check_domain``), where no
+value it forms overflows; n-body checks each step's positions with the
+next step's, and under Euclidean distance too, as its force is. Pair
+counters follow the bounds; a bound taken from fast values (a tile
+extreme) can move in its last bits with the tile's shape, which changes a
+count only if it lands within those bits of a threshold. All cross-point
+reductions (centroid means, force accumulation) happen in original point
+order. The physics update of the self-set pipeline is deliberately outside
+the distance-counter discipline; only neighbor search is counted and verified.
 """
 
 from __future__ import annotations
@@ -117,9 +106,7 @@ class RunConfig:
     design: DesignConfig = DEFAULT_DESIGN  # k-means, grouping no points, ignores n_src_grp
     seed: int = 0
     oracle_mode: str = "off"  # "off" | "shadow"
-    # threads of the join's and the n-body sweeps' source batches; k-means
-    # runs on one
-    thread_count: int = 1
+    thread_count: int = 1  # sweep workers of the join and n-body; k-means sweeps on one
     status_iter_cap: int = 1000  # hard stop for status-exit iteration
     dt: float = 1e-3  # self-set integrator step
     softening: float = 1e-2  # force-law smoothing length
@@ -145,7 +132,7 @@ class IterationStats:
     all_inside_pairs: int
     reused_pairs: int
     measured_saving: float
-    source_batches: int  # k-means: its kernel calls
+    source_batches: int  # k-means: one per reach pattern, not per kernel call
     source_groups: int  # k-means: its points, each its own group
     changed: int | None = None
 
@@ -185,18 +172,16 @@ class _Grouped:
         rows, sq = fast_rows(values[plan.point_perm], centre, metric)
         return cls(rows=rows, sq=sq, gm=gm, plan=plan)
 
-    def take(self, groups: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(ids, rows, sq) of the members of ``groups``, in that order: a
-        slice of the packing when the groups lie next to each other in it,
-        else a gather."""
+    def locate(self, groups: list[int]) -> tuple[np.ndarray, slice | np.ndarray]:
+        """(ids, at) of the members of ``groups``, in that order, with
+        ``at`` their positions in ``rows``: a slice of the packing when the
+        groups lie next to each other in it."""
         spans = [self.plan.group_slices[g] for g in groups]
         if all(a[1] == b[0] for a, b in zip(spans, spans[1:])):
             at = slice(spans[0][0], spans[-1][1])
-            ids = self.plan.point_perm[at]
-        else:
-            ids = np.concatenate([self.gm.membership[g] for g in groups])
-            at = self.plan.inverse_perm[ids]
-        return ids, self.rows[at], self.sq[at] if self.sq is not None else None
+            return self.plan.point_perm[at], at
+        ids = np.concatenate([self.gm.membership[g] for g in groups])
+        return ids, self.plan.inverse_perm[ids]
 
 
 def _source_batches(order: np.ndarray, cm: CandidateMatrix) -> list[list[int]]:
@@ -216,14 +201,31 @@ def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
     return out
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- the tile engine ------------------------------------------------------
+
+
+def _tile_rows(src, at, ids, trg: _Grouped, groups, reducer, metric, counters) -> None:
+    """The one tile engine: tile the source rows ``src.rows[at]`` (``at`` a
+    slice or positions; ``src.sq`` their squared norms, L2 only), whose ids
+    are ``ids``, against the members of ``trg``'s non-empty groups
+    ``groups``, concatenated, in row blocks of ``reducer.TILE_CELLS`` cells
+    at most; each block's rows are sliced or gathered as it is tiled. Each
+    tile goes to ``reducer.reduce(groups, cols, col_starts, ids, tile,
+    err)``: the column ids, each group's first column, the block's ids,
+    fast values and per-row error bound."""
+    cols, where = trg.locate(groups.tolist())
+    col_rows, sq_cols = trg.rows[where], None if trg.sq is None else trg.sq[where]
+    sizes = trg.gm.sizes[groups]
+    col_starts = np.cumsum(sizes) - sizes
+    step = max(1, reducer.TILE_CELLS // cols.size)
+    for i in range(0, ids.size, step):
+        if isinstance(at, slice):
+            block = slice(at.start + i, min(at.stop, at.start + i + step))
+        else:
+            block = at[i : i + step]
+        sq = None if src.sq is None else src.sq[block]
+        tile, err = tile_distances(src.rows[block], col_rows, metric, counters, sq, sq_cols)
+        reducer.reduce(groups, cols, col_starts, ids[i : i + step], tile, err)
 
 
 def _sweep(
@@ -231,63 +233,51 @@ def _sweep(
     reducer, metric: MetricSpec, threads: int,
 ) -> CounterSet:
     """Tile each batch's rows against its first group's candidate target
-    groups (empty groups left out), all of them at once: their members,
-    concatenated, in row blocks of at most ``reducer.TILE_CELLS`` cells,
-    one tile per row.
-
-    The reducer gets ``reduce(groups, cols, col_starts, ids, tile, err)``:
-    the tile's target groups, column ids (the groups' members,
-    concatenated) and each group's first column, rows' ids, fast values
-    and per-row error bound. Batches touch disjoint rows, so they may run
-    on ``threads`` workers. Returns the tile tallies.
+    groups, empty groups left out (``_tile_rows``). Batches touch disjoint
+    rows, so they may run on ``threads`` workers. Returns the tile tallies.
     """
     trg_sizes = trg.gm.sizes
 
     def sweep_batch(batch: list[int]) -> CounterSet:
         local = CounterSet()
-        ids, rows, sq_rows = src.take(batch)
+        ids, at = src.locate(batch)
         groups = cm.targets[batch[0]]
         groups = groups[trg_sizes[groups] > 0]
-        if ids.size == 0 or groups.size == 0:
-            return local
-        cols, col_rows, sq_cols = trg.take(groups.tolist())
-        sizes = trg_sizes[groups]
-        col_starts = np.cumsum(sizes) - sizes
-        step = max(1, reducer.TILE_CELLS // cols.size)
-        for i in range(0, ids.size, step):
-            at = slice(i, i + step)
-            sq = sq_rows[at] if sq_rows is not None else None
-            tile, err = tile_distances(rows[at], col_rows, metric, local, sq, sq_cols)
-            reducer.reduce(groups, cols, col_starts, ids[at], tile, err)
+        if ids.size and groups.size:
+            _tile_rows(src, at, ids, trg, groups, reducer, metric, local)
         return local
 
+    if threads <= 1 or len(batches) <= 1:
+        parts = [sweep_batch(batch) for batch in batches]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(sweep_batch, batches))
     total = CounterSet()
-    for local in _map_ordered(sweep_batch, batches, threads):
+    for local in parts:
         total.add(local)
     return total
 
 
 class _Yinyang:
     """Nearest centre per point under (distance, id), with the bounds of
-    Yinyang k-means (Ding et al., ICML 2015). Only the centres are grouped
-    (``gm``, packed by ``plan``). Each point i keeps its centre
-    ``assign[i]``, ``ub[i]`` at least its direct distance to it, and
-    ``lb[g, i]`` at most its direct distance to every other centre of
-    group g (``inf`` where g holds none), group-major.
+    Yinyang k-means (Ding et al., ICML 2015), as a reducer of the tile
+    engine. Only the centres are grouped (``gm``, packed by ``plan``). Each
+    point i keeps its centre ``assign[i]``, ``ub[i]`` at least its direct
+    distance to it, and ``lb[g, i]`` at most its direct distance to every
+    other centre of group g (``inf`` where g holds none), group-major.
 
     The groups are built on iteration 1's centres, so their landmarks and
-    radii bound that iteration's distances: ``first`` seeds ``lb`` from the
-    points' distances to the landmarks, tiles each point against its
-    nearest landmark group alone and tightens ``lb`` by the centres'
-    distances to each other before the group search. Later iterations
+    radii bound that iteration's distances (``first``). Later iterations
     decay the bounds by the centres' drift, with the slack of ``gti``, and
     skip a point whose ``ub`` lies below every ``lb``, also once ``ub`` is
-    tightened to the direct distance. Both search the rest group by group
-    (``_search``). Every kernel call takes a block of rows sized so that
-    the tile and the gather of its rows fit ``TILE_CELLS`` together.
+    tightened to the direct distance. Both then ``_search`` the rest: each
+    open point is keyed by the groups whose ``lb`` reaches its ``ub``, and
+    each key's points are swept once against its groups' centres, as the
+    join sweeps a batch against its candidate list. Every kernel call
+    takes ``TILE_CELLS // cols`` rows against ``cols`` columns.
     """
 
-    TILE_CELLS = 1 << 16  # 512 KB of float64 per tile and gather of its rows
+    TILE_CELLS = 1 << 14  # 128 KB of float64 per tile; its gathered rows add d / cols of it
 
     def __init__(self, points: np.ndarray, metric: MetricSpec, gm: GroupModel, plan: LayoutPlan):
         n = points.shape[0]
@@ -296,93 +286,67 @@ class _Yinyang:
         self.rows, self.sq = fast_rows(points, self.centre, metric)
         self.assign, self.ub = np.empty(n, dtype=np.int64), np.empty(n)
         self.lb = np.empty((gm.z, n))
-        # each centre's column in the tiles of its group
-        starts = [plan.group_slices[g][0] for g in gm.group_of.tolist()]
-        self.col = plan.inverse_perm - np.array(starts, dtype=np.int64)
-
-    def _step(self, cols: int) -> int:
-        """Rows per kernel call against ``cols`` centres."""
-        return max(1, self.TILE_CELLS // (cols + self.points.shape[1]))
-
-    def _tile(self, rows, centres: _Grouped, g: int, counters: CounterSet):
-        """Tile ``rows`` against the centres of group g: (their ids, the
-        tile, its err)."""
-        ids, c_rows, c_sq = centres.take([g])
-        sq = None if self.sq is None else self.sq[rows]
-        tile, err = tile_distances(self.rows[rows], c_rows, self.metric, counters, sq, c_sq)
-        return ids, tile, err
+        self.live = np.flatnonzero(gm.sizes)  # the non-empty groups
+        # per search: the centres, as values and tile targets, the run's
+        # counters, and whether ``ub`` is exact yet
+        self.centroids = self.centres = self.counters = self.exact = None
 
     def first(self, centroids: np.ndarray, counters: CounterSet) -> int:
         """Iteration 1, on the centres the groups were built on; returns
-        the kernel calls. Each point's distances to the z landmarks seed
-        ``lb[g]`` at that distance less group g's radius, and name the
-        point's nearest non-empty group. The point is tiled against that
-        group first: it starts from the group's centre of least fast value,
-        at its direct distance, and ``_reduce`` settles it and sets its
-        ``lb`` there from the tile. Elkan's bound (ICML 2003), the distance
-        from the point's centre to a group's nearest other centre less
-        ``ub``, then tightens every ``lb``, and ``_search`` tiles the other
-        groups whose ``lb`` reaches ``ub``, as in ``update``. The landmark
-        and centre-to-centre tiles count as ``bound_computations``, not as
-        point distances."""
+        the batches swept. Each point's distances to the z landmarks seed
+        ``lb[g]`` at that distance less group g's radius, and name its
+        nearest non-empty group, which it is swept against first (one batch
+        per group). Elkan's bound (ICML 2003), the distance from the point's
+        centre to a group's nearest other centre less ``ub``, then tightens
+        every ``lb`` before the search of the other groups. The landmark and
+        centre-to-centre tiles count as ``bound_computations``."""
         n, slack, gm = self.points.shape[0], self.gm.slack, self.gm
         base, seen = counters.snapshot(), CounterSet()
         marks, marks_sq = fast_rows(gm.landmarks, self.centre, self.metric)
-        empty = gm.sizes == 0
         near = np.empty(n, dtype=np.int64)
-        z_step = self._step(gm.z)
+        z_step = max(1, self.TILE_CELLS // gm.z)
         for start in range(0, n, z_step):
             at = slice(start, start + z_step)
             sq = None if self.sq is None else self.sq[at]
             tile, err = tile_distances(self.rows[at], marks, self.metric, seen, sq, marks_sq)
-            tile[:, empty] = np.inf  # a group without centres bounds nothing
+            tile[:, gm.sizes == 0] = np.inf  # a group without centres bounds nothing
             near[at] = tile.argmin(axis=1)
             tile -= err[:, None]  # lower_bound(tile - err, radius, slack), in place
             tile *= 1 - slack
             tile -= gm.radius * (1 + slack)
             np.maximum(tile, 0.0, out=tile)
             self.lb[:, at] = tile.T
+            del tile, err  # before the next block's tile
 
-        centres = _Grouped.build(centroids, gm, self.plan, self.metric, self.centre)
-        order = np.argsort(near, kind="stable")
-        ends = np.searchsorted(near, np.arange(gm.z + 1), sorter=order)
-        for g in np.flatnonzero(~empty).tolist():
-            rows = order[ends[g] : ends[g + 1]]
-            step = self._step(gm.sizes[g])
-            for start in range(0, rows.size, step):
-                block = rows[start : start + step]
-                ids, tile, err = self._tile(block, centres, g, counters)
-                own = self.assign[block] = ids[tile.argmin(axis=1)]
-                self.ub[block] = _pair_distances(self.points, block, centroids, own, self.metric)
-                counters.recomputed_distances += block.size
-                self._reduce(g, block, ids, tile, err, centroids, counters)
-
-        gaps = self._gaps(centres, seen)
+        self.centroids, self.counters = centroids, counters
+        self.centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
+        batches = self._search(np.arange(n), reach=self.live[:, None] == near)
+        gaps = self._gaps(seen)
         for start in range(0, n, z_step):
             at = slice(start, start + z_step)
             low = gaps[self.plan.inverse_perm[self.assign[at]]]
             low *= 1 - slack  # lower_bound(gap, ub, slack), in place
             low -= (self.ub[at] * (1 + slack))[:, None]
             np.maximum(self.lb[:, at], low.T, out=self.lb[:, at])
+            del low  # before the next block's
         seen.bound_computations, seen.point_distances = seen.point_distances, 0
         counters.add(seen)
-        self._search(np.arange(n), centres, centroids, counters, skip=near)
+        batches += self._search(np.arange(n), skip=near)
         delta = counters.delta_since(base)
         # every pair not tiled is pruned
         counters.pruned_pairs += n * centroids.shape[0] - delta.point_distances
-        return delta.tiles_executed
+        return batches
 
-    def _gaps(self, centres: _Grouped, counters: CounterSet) -> np.ndarray:
+    def _gaps(self, counters: CounterSet) -> np.ndarray:
         """Per centre, in packed order, and group g: at most the centre's
         direct distance to every other centre of g (``inf`` where g holds
         none), from fast tiles of the centres against each other."""
-        gm, k = self.gm, centres.rows.shape[0]
-        groups = np.flatnonzero(gm.sizes)
-        starts = np.array([self.plan.group_slices[g][0] for g in groups.tolist()], dtype=np.int64)
+        centres, k = self.centres, self.centroids.shape[0]
+        starts = np.array([self.plan.group_slices[g][0] for g in self.live.tolist()])
         by_start = np.argsort(starts)  # reduceat takes the column runs in order
-        groups, starts = groups[by_start], starts[by_start]
-        gaps = np.full((k, gm.z), np.inf)
-        step = self._step(k)
+        groups, starts = self.live[by_start], starts[by_start]
+        gaps = np.full((k, self.gm.z), np.inf)
+        step = max(1, self.TILE_CELLS // k)
         for start in range(0, k, step):
             at = slice(start, start + step)
             sq = None if centres.sq is None else centres.sq[at]
@@ -397,7 +361,7 @@ class _Yinyang:
 
     def update(self, centroids: np.ndarray, drift: np.ndarray, counters: CounterSet) -> int:
         """A later iteration, the centres having moved by ``drift``; returns
-        the kernel calls."""
+        the batches swept."""
         ub, lb, slack = self.ub, self.lb, self.gm.slack
         base = counters.snapshot()
         ub += drift[self.assign]  # upper_bound and lower_bound, in place
@@ -411,66 +375,101 @@ class _Yinyang:
         counters.bound_computations += rows.size
         rows = rows[ub[rows] >= floor[rows]]
 
-        centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
-        self._search(rows, centres, centroids, counters)
+        self.centroids, self.counters = centroids, counters
+        self.centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
+        batches = self._search(rows)
         delta = counters.delta_since(base)
         # every pair not tiled is pruned
         counters.pruned_pairs += ub.size * centroids.shape[0] - delta.point_distances
-        return delta.tiles_executed
+        return batches
 
-    def _search(self, rows, centres: _Grouped, centroids, counters: CounterSet, skip=None) -> None:
-        """Tile ``rows``, whose ``ub`` is exact, group by group in id order:
-        each non-empty group g against the rows whose ``lb[g]`` reaches
-        their ``ub`` by then, less those whose ``skip`` entry (a group
-        already tiled, one per point) is g."""
-        sizes = self.gm.sizes
-        for g in np.flatnonzero(sizes).tolist():
-            reach = self.lb[g, rows] <= self.ub[rows]
+    def _search(self, rows, reach=None, skip=None) -> int:
+        """Sweep each of ``rows`` once against the centres of the groups
+        ``live[j]`` its column of ``reach`` names: by default those whose
+        ``lb`` reaches its exact ``ub``, less its ``skip`` group, built group
+        by group, so no gather of ``lb`` exceeds one of its rows. Each
+        distinct column's rows are one batch; returns the batches swept. The
+        columns are packed by one flat ``np.packbits`` (along an axis it is
+        many times slower), then sorted. A given ``reach`` is iteration 1's
+        nearest-group pass, before any ``ub`` is exact."""
+        self.exact = reach is None
+        if rows.size == 0:
+            return 0
+        if reach is None:
+            ub, reach = self.ub[rows], np.empty((self.live.size, rows.size), dtype=bool)
+            for j, g in enumerate(self.live.tolist()):
+                np.less_equal(self.lb[g].take(rows), ub, out=reach[j])
             if skip is not None:
-                reach &= skip[rows] != g
-            reach = rows[reach]
-            step = self._step(sizes[g])
-            for start in range(0, reach.size, step):
-                block = reach[start : start + step]
-                ids, tile, err = self._tile(block, centres, g, counters)
-                self._reduce(g, block, ids, tile, err, centroids, counters)
+                reach[np.searchsorted(self.live, skip), np.arange(rows.size)] = False
+            del ub
+        bits = np.zeros((rows.size, -(-self.live.size // 8) * 8), dtype=bool)
+        bits[:, : self.live.size] = reach.T
+        del reach
+        key = np.packbits(bits, bitorder="little").reshape(rows.size, -1)
+        del bits
+        order = np.lexsort(key.T[::-1])  # stable: each key's rows ascend
+        rows, key = rows[order], key[order]
+        del order
+        starts = np.flatnonzero(np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1))))
+        reach = np.unpackbits(key[starts], axis=1, count=self.live.size, bitorder="little")
+        batches = 0
+        for start, end, bits in zip(starts.tolist(), [*starts[1:].tolist(), rows.size], reach):
+            groups = self.live[bits.view(bool)]
+            if groups.size:
+                at = rows[start:end]
+                _tile_rows(self, at, at, self.centres, groups, self, self.metric, self.counters)
+                batches += 1
+        return batches
 
-    def _reduce(self, g, block, cols, tile, err, centroids, counters: CounterSet) -> None:
-        """Fold a tile of the rows ``block``, whose ``ub`` is exact, against
-        the centres ``cols`` of group g, in packed order. A row's own centre
-        is set to ``inf`` in the tile, as its direct distance is ``ub``. A
-        row with no other centre within ``ub`` + err is decided, and its
-        tile minimum, less err, is its new ``lb[g]``. The others recompute
-        their candidates by direct differencing and take the (distance, id)
-        minimum; a row that moves leaves its new centre out of ``lb[g]``,
-        and its old centre rejoins its group's bound at its direct
-        distance."""
-        slack, own = self.gm.slack, self.assign[block]
-        here = np.flatnonzero(self.gm.group_of[own] == g)
-        tile[here, self.col[own[here]]] = np.inf
-        low = tile.min(axis=1)
-        self.lb[g, block] = lower_bound(low, err, slack)
-        held = np.flatnonzero(low <= self.ub[block] + err)
-        if held.size == 0:
-            return
-        rows = block[held]
-        r, c = np.nonzero(tile[held] <= (self.ub[rows] + err[held])[:, None])
-        counters.recomputed_distances += r.size
-        key = np.concatenate([r, np.arange(rows.size)])
-        tid = np.concatenate([cols[c], self.assign[rows]])
-        direct = _pair_distances(self.points, rows[r], centroids, cols[c], self.metric)
-        dist = np.concatenate([direct, self.ub[rows]])
-        order = np.lexsort((tid, dist, key))
-        key = key[order]
-        win = order[np.concatenate(([True], key[1:] != key[:-1]))]  # one per row, in order
-        tid, dist = tid[win], dist[win]
-        moved = np.flatnonzero(tid != self.assign[rows])
-        at, went = held[moved], rows[moved]
-        tile[at, self.col[tid[moved]]] = np.inf
-        self.lb[g, went] = lower_bound(tile[at].min(axis=1), err[at], slack)
-        left = self.gm.group_of[self.assign[went]]
-        self.lb[left, went] = np.minimum(self.lb[left, went], self.ub[went])
-        self.assign[rows], self.ub[rows] = tid, dist
+    def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
+        """Fold a tile of the rows ``ids`` against the centres ``cols`` of
+        ``groups``. A row whose ``ub`` is not exact yet first takes the
+        centre of its least fast value, at its direct distance. A row with
+        no other centre within ``ub`` + err is decided; the others recompute
+        those candidates by direct differencing and take the (distance, id)
+        minimum. Each group's tile minimum over the centres but the row's
+        old and new one, less err, is its ``lb`` there; a centre the row
+        left rejoins its group's bound at its direct distance."""
+        counters = self.counters
+        if not self.exact:
+            own = self.assign[ids] = cols[tile.argmin(axis=1)]
+            self.ub[ids] = _pair_distances(self.points, ids, self.centroids, own, self.metric)
+            counters.recomputed_distances += ids.size
+        # centre-major: each group's minima are one reduction over adjacent
+        # rows, many times faster than ``np.minimum.reduceat`` over short runs
+        tile = np.ascontiguousarray(tile.T)
+        col = np.full(self.centroids.shape[0], -1)  # each centre's tile row
+        col[cols] = np.arange(cols.size)
+        own = col[self.assign[ids]]
+        here = (own >= 0).nonzero()[0]
+        tile[own[here], here] = np.inf
+        ub = self.ub[ids]
+        reach = ub + err
+        held = (tile.min(axis=0) <= reach).nonzero()[0]
+        if held.size:
+            rows = ids[held]
+            # only the held rows have entries within reach
+            c, r = np.divmod((tile <= reach).ravel().nonzero()[0], ids.size)
+            counters.recomputed_distances += r.size
+            key = np.concatenate([r, held])
+            tid = np.concatenate([cols[c], self.assign[rows]])
+            direct = _pair_distances(self.points, ids[r], self.centroids, cols[c], self.metric)
+            dist = np.concatenate([direct, ub[held]])
+            order = np.lexsort((tid, dist, key))
+            key = key[order]
+            win = order[np.concatenate(([True], key[1:] != key[:-1]))]  # one per row, in order
+            tid, dist = tid[win], dist[win]
+            moved = (tid != self.assign[rows]).nonzero()[0]
+            tile[col[tid[moved]], held[moved]] = np.inf
+        low = np.empty((groups.size, ids.size))
+        for j, (a, b) in enumerate(zip(col_starts.tolist(), [*col_starts[1:].tolist(), cols.size])):
+            np.minimum.reduce(tile[a:b], axis=0, out=low[j])
+        self.lb[groups[:, None], ids] = lower_bound(low, err, self.gm.slack)
+        if held.size:
+            went = rows[moved]
+            left = self.gm.group_of[self.assign[went]]
+            self.lb[left, went] = np.minimum(self.lb[left, went], self.ub[went])
+            self.assign[rows], self.ub[rows] = tid, dist
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -549,37 +548,34 @@ class _Radius:
     """Neighbor pairs within a radius, step after step of a self-set run,
     through a Verlet list (Verlet, Phys. Rev. 159, 1967): the pairs within
     ``cut``, the radius plus a skin, kept from one rebuild to the next.
-
     Distances are symmetric, so the run works on unordered pairs (Newton's
     third law; the half neighbor list of molecular dynamics).
 
     A rebuild sweeps at ``cut``. ``lb`` holds the group-pair lower bounds
     carried from rebuild to rebuild, the landmark bounds before the first;
     it stays exactly symmetric, so the cut keeps both orientations of a
-    group pair alike. Each kept unordered group pair {a, b} is tiled from
-    its upper cell, b >= a: a rebuild resets the bounds of every kept pair,
-    in both orientations, and tiles only the upper ones. Cut to its upper
-    cells, a non-empty group is the only one whose candidate list holds
-    it, so every tile's rows are one group a's; the tile folds into both
-    orientations of each pair {a, b} it covers the minimum of its b
-    columns less each row's error bound, widened by the bound slack. The
-    lower cells' pairs are mirrored, not tiled, and count as reused. A
-    member pair (i, j) is kept from the orientation with (group of i, i)
-    before (group of j, j), so the diagonal cell yields its upper
-    triangle. The list is every tiled pair whose fast value is at most
-    ``cut`` + err: a superset of the pairs within ``cut``, and every pair
-    left out lies beyond ``cut`` in direct arithmetic. A rebuild's pairs are collected per row group a, so
-    concurrent batches never share a list; the bounds of a group pair
-    {a, b}, a <= b, are folded, in both orientations, only by a's tiles.
-    Its pairs are ``id_dtype(n)``, int32 below 2^31 points; ``store_list``
-    keeps them once, as i < j sorted by (i, j), and frees the rest.
+    group pair alike. A rebuild resets the bounds of every kept pair, in
+    both orientations, and tiles each kept unordered pair {a, b} only from
+    its upper cell, b >= a: the lower cells' pairs are mirrored and count
+    as reused. Cut to its upper cells, a non-empty group is the only one
+    whose candidate list holds it, so every tile's rows are one group a's,
+    and only a's tiles fold bounds into either orientation of {a, b}: the
+    minimum of its b columns less each row's error bound, widened by the
+    bound slack. A member pair (i, j) is kept from the orientation with
+    (group of i, i) before (group of j, j), so the diagonal cell yields its
+    upper triangle. The list is every tiled pair whose fast value is at
+    most ``cut`` + err, a superset of the pairs within ``cut``: every pair
+    left out lies beyond ``cut`` in direct arithmetic. Its pairs are
+    collected per row group, so concurrent batches never share a list, as
+    ``id_dtype(n)``, int32 below 2^31 points; ``store_list`` keeps them
+    once, as i < j sorted by (i, j), and frees the rest.
 
     Every step evaluates the listed pairs by direct differencing, the
     oracles' arithmetic, keeps those within the radius and hands their
-    squared Euclidean sums to the force rule. ``disp`` is
-    each point's movement since the rebuild; by the trace bound
-    |d_t(i, j) - d_0(i, j)| <= disp_i + disp_j at the level of point pairs,
-    the list holds while the two largest leave ``cut`` above the radius.
+    squared Euclidean sums to the force rule. ``disp`` is each point's
+    movement since the rebuild; by the trace bound |d_t(i, j) - d_0(i, j)|
+    <= disp_i + disp_j, the list holds while the two largest leave ``cut``
+    above the radius.
     """
 
     TILE_CELLS = 1 << 18  # 2 MB of float64: 64-row tiles of a 4096-point n-body step
@@ -619,8 +615,7 @@ class _Radius:
         """Decay the group-pair bounds by each group's largest ``disp``, cut
         them at ``cut``, sweep what is left at positions ``pos`` and store
         the list; returns the source batches swept. ``pos`` must lie in
-        the metric's domain, as the points move."""
-        self.metric.check_domain(pos)
+        the metric's domain, which the run checks as the points move."""
         gm = self.gm
         drift = group_max(self.disp, gm.group_of, gm.z)
         thr = np.full(gm.z, self.cut)
@@ -997,23 +992,19 @@ def run_nbody(
 
     Step 1 rebuilds: it cuts the landmark group-pair lower bounds at the
     radius plus s and sweeps the group pairs kept, each unordered one tiled
-    once from its upper cell, in source batches, as the two-set pipelines
-    do. The cut to upper cells gives each group its own candidate list
-    (group a keeps its diagonal cell, group a + 1 does not), so a batch is
-    nearly always one group. Each later step adds every point's movement
-    to its displacement since the rebuild and rebuilds only when the two
-    largest could have brought a pair from beyond the radius plus s to
-    within the radius; a rebuild decays the group-pair lower bounds by each
-    group's largest displacement first. Every step, rebuild or not,
-    evaluates the listed pairs directly and keeps those within the radius;
-    a list step sweeps no source batch. The force rule takes each
-    unordered neighbor pair once, with the squared sum that evaluation
-    computed for it. No step writes ``pos`` in place, so the trajectory
-    keeps each step's array.
+    once from its upper cell, in source batches; the cut to upper cells
+    gives each group its own candidate list, so a batch is nearly always
+    one group. A later step adds every point's movement to its displacement
+    since the rebuild, and rebuilds, decaying the bounds by each group's
+    largest displacement first, only when the two largest could have
+    brought a pair from beyond the radius plus s within the radius. Every
+    step evaluates the listed pairs directly, and the force rule takes each
+    unordered neighbor pair once, with the squared sum computed for it. No
+    step writes ``pos`` in place, so the trajectory keeps each step's array.
 
-    ``outputs["neighbors"]`` holds one ``NeighborLists`` per step: a CSR
-    (offsets, ids), ids int32 below 2^31 points, that the shadow check
-    compares array to array with the oracle's.
+    ``outputs["neighbors"]`` holds one ``NeighborLists`` CSR per step, ids
+    int32 below 2^31 points, which the shadow check compares array to array
+    with the oracle's.
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
@@ -1022,7 +1013,10 @@ def run_nbody(
     if not radius > 0:
         raise RangeError("radius must be positive")
     n = particles.n
-    metric.check_domain(particles.values)
+    # the force rule sums squared Euclidean differences under every metric
+    domains = [metric] if metric.kind == "L2" and not metric.weighted else [metric, MetricSpec()]
+    for spec in domains:
+        spec.check_domain(particles.values)
     steps = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
 
     counters = CounterSet()
@@ -1074,6 +1068,10 @@ def run_nbody(
         acc = default_force_rule(pos, pair_i, pair_j, r2, config.softening)
         vel = vel + acc * config.dt
         new_pos = pos + vel * config.dt
+        # both sets at once: a uniform shift leaves each one's spread as it
+        # was, yet its drift may overflow
+        for spec in domains:
+            spec.check_domain(pos, new_pos)
         prev_drift = rowwise_distance(pos, new_pos, metric)
         pos = new_pos
         trajectories.append(pos)

@@ -106,9 +106,8 @@ def test_input_whose_distances_overflow_exits_1(sample, huge, oracle, tmp_path, 
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_nbody_out_counts_equal_the_oracle(monkeypatch, tmp_path):
-    # the output CSV's neighbor_count, step by step, is the oracle's count
-    # at that step's positions
+def _recorded_runs(monkeypatch) -> list:
+    """Patch ``cli.run_plan`` to keep each ``RunResult`` it returns."""
     runs = []
 
     def recording(*args, **kwargs):
@@ -116,6 +115,13 @@ def test_nbody_out_counts_equal_the_oracle(monkeypatch, tmp_path):
         return runs[-1]
 
     monkeypatch.setattr(cli, "run_plan", recording)
+    return runs
+
+
+def test_nbody_out_counts_equal_the_oracle(monkeypatch, tmp_path):
+    # the output CSV's neighbor_count, step by step, is the oracle's count
+    # at that step's positions
+    runs = _recorded_runs(monkeypatch)
     out = tmp_path / "out.csv"
     argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data", "--out", str(out)]
     assert cli.main(argv) == 0
@@ -131,6 +137,38 @@ def test_nbody_out_counts_equal_the_oracle(monkeypatch, tmp_path):
         assert np.array_equal(at[:, 2], np.diff(want.offsets))
         assert want.ids.size > 0
     assert rows.shape[0] == 150 * result.iterations
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("sample", ["kmeans.ddsl", "knn_join.ddsl", "nbody.ddsl"])
+def test_out_csv_reads_back_as_the_run_outputs_bitwise(monkeypatch, tmp_path, sample):
+    # every number in the output CSV is a plain decimal that parses back to
+    # the run's own value, bit for bit; the k-means file is ids alone
+    runs = _recorded_runs(monkeypatch)
+    out = tmp_path / "out.csv"
+    argv = _run_args(tmp_path, sample) + ["--allow-dim-from-data", "--out", str(out)]
+    assert cli.main(argv) == 0
+    (result,) = runs
+    if sample == "kmeans.ddsl":
+        assign = result.outputs["assignments"].tolist()
+        want = "".join(f"{i},{c}\n" for i, c in enumerate(assign))
+        assert out.read_text() == "point_id,cluster\n" + want
+        return
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    if sample == "knn_join.ddsl":
+        topk = result.outputs["topk"]
+        m, k = topk.ids.shape
+        assert np.array_equal(table[:, :2], np.argwhere(np.ones((m, k), dtype=bool)))
+        assert np.array_equal(table[:, 2], topk.ids.ravel())
+        assert _same_bits(table[:, 3], topk.distances.ravel())
+    else:
+        steps = result.outputs["trajectories"][:-1]
+        assert _same_bits(table[:, 2:-1], np.concatenate(steps))
+        step_point = np.argwhere(np.ones((len(steps), 150), dtype=bool)) + [1, 0]
+        assert np.array_equal(table[:, :2], step_point)
 
 
 def test_missing_csv_exits_2(tmp_path):

@@ -5,6 +5,7 @@ the tile budget changes a result. The tile engine is also driven
 directly, with a recording reducer, over two packing orders."""
 
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -361,16 +362,8 @@ def test_a_small_tile_budget_changes_no_result(monkeypatch, name):
     _assert_same_results(base, small)
     if name == "knn":
         _assert_no_prune(small, 240, 200)
-    if name == "kmeans":
-        # k-means counts its kernel calls as source batches, and so follows
-        # the tiling
-        assert sum(s.source_batches for s in small.per_iteration) > sum(
-            s.source_batches for s in base.per_iteration
-        )
-        small.per_iteration = [
-            dataclasses.replace(s, source_batches=b.source_batches)
-            for s, b in zip(small.per_iteration, base.per_iteration)
-        ]
+    # every pipeline counts its swept batches, which the row blocks split
+    # but do not change
     assert small.per_iteration == base.per_iteration
 
 
@@ -630,14 +623,21 @@ def test_kmeans_initial_clusters_outside_the_domain_are_a_range_error():
         run_kmeans(plan, pts, RunConfig(design=DESIGN), initial_clusters=init)
 
 
-def test_nbody_rechecks_the_domain_at_a_rebuild(monkeypatch):
-    # a force that flings one point 1.1e154 away by step 2 forces a
-    # rebuild there, which rejects the positions (the oracle is off); the
-    # step's own movement, 1.1e154, is still finite
+@pytest.mark.parametrize(
+    "flung, acc",
+    [([3], 1.1e160), ([3], 1e202), (slice(None), 1.5e160)],
+    ids=["one_point_1.1e160", "one_point_1e202", "all_points_1.5e160"],
+)
+def test_nbody_rechecks_the_domain_at_a_rebuild(monkeypatch, flung, acc):
+    # a force that flings points about 1e154 or more away (dt = 1e-3) is
+    # a range error, the oracle off, whether it is caught at the next
+    # rebuild or would overflow the step's own drift first: by one point
+    # 1.1e154 away, then 1e196 away, or by all of them shifted 1.5e154 at
+    # once, which leaves each step's spread as it was
     def flinging(pos, pair_i, pair_j, r2, softening):
-        acc = np.zeros_like(pos)
-        acc[3, 0] = 1.1e160  # dt = 1e-3
-        return acc
+        acc_all = np.zeros_like(pos)
+        acc_all[flung, 0] = acc
+        return acc_all
 
     monkeypatch.setattr(pipelines, "default_force_rule", flinging)
     pts = _wide("scaled", 1.0)
@@ -1510,8 +1510,8 @@ def test_kmeans_points_that_cross_between_centre_groups(monkeypatch, metric):
 
 def _record_tiles(monkeypatch) -> list:
     """Patch ``_Yinyang`` to note, per call of ``first`` or ``update``, the
-    centre group and rows of each of its centre tiles, with the centres'
-    group model."""
+    centre groups and rows of each tile its ``reduce`` folds, with the
+    centres' group model."""
     seen = []
 
     def starting(method):
@@ -1521,15 +1521,15 @@ def _record_tiles(monkeypatch) -> list:
 
         return run
 
-    real_tile = pipelines._Yinyang._tile
+    real_reduce = pipelines._Yinyang.reduce
 
-    def tile(self, rows, centres, g, counters):
-        seen[-1][1].append((g, np.array(rows, copy=True)))
-        return real_tile(self, rows, centres, g, counters)
+    def reduce(self, groups, cols, col_starts, ids, tile, err):
+        seen[-1][1].append((groups.copy(), ids.copy()))
+        return real_reduce(self, groups, cols, col_starts, ids, tile, err)
 
     for name in ("first", "update"):
         monkeypatch.setattr(pipelines._Yinyang, name, starting(getattr(pipelines._Yinyang, name)))
-    monkeypatch.setattr(pipelines._Yinyang, "_tile", tile)
+    monkeypatch.setattr(pipelines._Yinyang, "reduce", reduce)
     return seen
 
 
@@ -1569,9 +1569,59 @@ def test_kmeans_tiles_no_row_against_a_centre_group_twice_in_an_iteration(monkey
     tiling = [s for s in result.per_iteration if s.reused_pairs == 0]
     assert len(seen) == len(tiling)
     for s, (gm, tiles) in zip(tiling, seen):
-        keys = np.concatenate([g * n + rows for g, rows in tiles])
+        keys = np.concatenate([(groups[:, None] * n + rows).ravel() for groups, rows in tiles])
         assert np.unique(keys).size == keys.size, s.iteration
-        assert sum(rows.size * gm.sizes[g] for g, rows in tiles) == s.point_distances
+        cells = sum(rows.size * gm.sizes[groups].sum() for groups, rows in tiles)
+        assert cells == s.point_distances
+
+
+@pytest.mark.parametrize("case", ["far-l1", "grid-l2", "duplicated", "sample"])
+def test_kmeans_search_sweeps_each_reach_pattern_once(monkeypatch, case):
+    # at entry to a group search, each open row reaches the non-empty
+    # groups g whose lb[g] is at most its ub, less iteration 1's nearest
+    # group, which iteration 1 sweeps first as one more search; the rows of
+    # each distinct reach pattern are swept once, in consecutive tiles
+    # against exactly its groups, all but the last of them full row
+    # blocks, and no other row is
+    searches, real_search = [], pipelines._Yinyang._search
+    real_reduce = pipelines._Yinyang.reduce
+
+    def search(self, rows, reach=None, skip=None):
+        full = (self.lb[:, rows] <= self.ub[rows]) & (self.gm.sizes > 0)[:, None]
+        if reach is not None:  # a row per non-empty group
+            full[:] = False
+            full[self.live] = reach
+        if skip is not None:
+            full[skip, np.arange(rows.size)] = False
+        want = {}
+        for i, row in enumerate(rows.tolist()):
+            groups = tuple(np.flatnonzero(full[:, i]).tolist())
+            if groups:
+                want.setdefault(groups, []).append(row)
+        searches.append(([], want))
+        batches = real_search(self, rows, reach, skip)
+        searches[-1] += (batches,)
+        return batches
+
+    def reduce(self, groups, cols, col_starts, ids, tile, err):
+        if searches and len(searches[-1]) == 2:  # inside a search
+            searches[-1][0].append((tuple(groups.tolist()), ids.tolist(), cols.size))
+        return real_reduce(self, groups, cols, col_starts, ids, tile, err)
+
+    monkeypatch.setattr(pipelines._Yinyang, "_search", search)
+    monkeypatch.setattr(pipelines._Yinyang, "reduce", reduce)
+    result, _, _ = _tile_case(case)
+    assert len(searches) == 1 + sum(s.reused_pairs == 0 for s in result.per_iteration)
+    assert any(len(want) > 1 for _, want, _ in searches)
+    for tiles, want, batches in searches:
+        runs = [
+            (groups, list(run)) for groups, run in itertools.groupby(tiles, key=lambda t: t[0])
+        ]
+        assert len(runs) == len({g for g, _ in runs}) == len(want) == batches
+        assert {g: [r for _, rows, _ in run for r in rows] for g, run in runs} == want
+        for _, run in runs:
+            step = max(1, pipelines._Yinyang.TILE_CELLS // run[0][2])
+            assert all(len(rows) == step for _, rows, _ in run[:-1]) and len(run[-1][1]) <= step
 
 
 def test_kmeans_tie_at_distance_zero_reaches_the_lower_centre(monkeypatch):
