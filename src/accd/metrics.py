@@ -3,6 +3,15 @@
 Bounds elsewhere rely on the triangle inequality, so L2 is the true
 Euclidean distance, never its square; kernels that work in squared space
 must take the root before anything bound-related sees the value.
+
+The oracles' arithmetic is ``difference_distance``: the metric's terms of
+row-major differences, summed by one ``np.add.reduce`` over the
+coordinates. Its coordinate-major twin, ``coordinate_distance``, takes one
+contiguous array per coordinate and sums them with ``column_sum``, which
+adds the terms in the pairwise order numpy's reduction uses, so both give
+bitwise the same distances; n-body's list pass and force rule work
+coordinate-major for contiguous gathers. ``check_domain`` reduces each set
+coordinate-major too, where min and max are exact in any order.
 """
 
 from __future__ import annotations
@@ -77,9 +86,8 @@ class MetricSpec:
         sets = [p for p in point_sets if p.size]
         if not sets:
             return
+        lo, hi = _box(sets)
         with np.errstate(over="ignore", invalid="ignore"):
-            lo = np.minimum.reduce([p.min(axis=0) for p in sets])
-            hi = np.maximum.reduce([p.max(axis=0) for p in sets])
             spread = hi - lo
             if self.kind == "L2":
                 spread *= spread
@@ -91,6 +99,21 @@ class MetricSpec:
             raise RangeError(
                 f"coordinates too large or too spread out for {self.kind} distances to stay finite"
             )
+
+
+def _box(sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per coordinate, the smallest and largest value over non-empty (n, d)
+    sets, NaN where any is NaN. numpy reduces ``axis=0`` of a row-major
+    set row by row, about ten times slower than a contiguous copy of its
+    columns; one set's copy is alive at a time."""
+    lo = hi = None
+    for p in sets:
+        cols = np.ascontiguousarray(p.T)
+        p_lo, p_hi = cols.min(axis=1), cols.max(axis=1)
+        del cols
+        lo = p_lo if lo is None else np.minimum(lo, p_lo)
+        hi = p_hi if hi is None else np.maximum(hi, p_hi)
+    return lo, hi
 
 
 def distance(p, q, metric: MetricSpec) -> float:
@@ -126,8 +149,8 @@ def difference_distance(diff: np.ndarray, metric: MetricSpec) -> np.ndarray:
     """Distances from coordinate differences a - b along the last axis: the
     metric's terms, in place in ``diff``, summed by one ``np.add.reduce``
     over that axis. This is the oracles' arithmetic; numpy sums 8 or more
-    terms pairwise, so a sum taken coordinate by coordinate is not bitwise
-    equal to it."""
+    terms pairwise, so a plain sum taken coordinate by coordinate is not
+    bitwise equal to it, but ``column_sum`` is."""
     if metric.kind == "L1":
         np.abs(diff, out=diff)
     else:
@@ -135,6 +158,51 @@ def difference_distance(diff: np.ndarray, metric: MetricSpec) -> np.ndarray:
     if metric.weighted:
         diff *= metric.weights
     out = np.add.reduce(diff, axis=-1)
+    if metric.kind == "L2":
+        np.sqrt(out, out=out)
+    return out
+
+
+def column_sum(terms) -> np.ndarray:
+    """Sum of equally shaped term arrays, one per coordinate (a (d, ...)
+    array or a sequence of d arrays), bitwise equal to ``np.add.reduce``
+    over the last axis of the stacked terms: it adds them in numpy's
+    pairwise order. Fewer than 8 terms are added in order; up to 128 go to
+    8 accumulators, r[j] += t[8i + j], combined as ((r0 + r1) + (r2 + r3))
+    + ((r4 + r5) + (r6 + r7)), with the tail added in order; more are split
+    at half their number, rounded down to a multiple of 8, and the halves
+    summed. numpy adds along any axis but the contiguous last one in order,
+    from 0.0, so one ``np.add.reduce`` over the leading axis does the
+    in-order sums, of the terms or of their rows of 8."""
+    terms = np.asarray(terms)
+    n = len(terms)
+    if n < 8:
+        return np.add.reduce(terms, axis=0)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        out = column_sum(terms[:half])
+        out += column_sum(terms[half:])
+        return out
+    body = n - n % 8
+    r = np.add.reduce(terms[:body].reshape((body // 8, 8) + terms.shape[1:]), axis=0)
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[body:]:
+        out += t
+    return out
+
+
+def coordinate_distance(diffs: np.ndarray, metric: MetricSpec) -> np.ndarray:
+    """``difference_distance`` of coordinate-major differences: ``diffs``
+    is (d, m), one row per coordinate. The metric's terms are taken in
+    place and summed by ``column_sum``, bitwise the row-major result."""
+    if metric.kind == "L1":
+        np.abs(diffs, out=diffs)
+    else:
+        np.multiply(diffs, diffs, out=diffs)
+    if metric.weighted:
+        diffs *= metric.weights[:, None]
+    out = column_sum(diffs)
     if metric.kind == "L2":
         np.sqrt(out, out=out)
     return out

@@ -29,7 +29,7 @@ no per-point control inside it.
   a Verlet list: the unordered pairs within the radius plus a skin, from
   symmetric group-pair lower bounds cut at every rebuild, each kept
   unordered group pair tiled once. Every step evaluates the listed pairs
-  by direct differencing into one CSR of neighbor lists
+  by direct differencing, coordinate-major, into one CSR of neighbor lists
   (``dataset.NeighborLists``), and hands the force rule each pair's
   squared Euclidean sum, so no pair is differenced twice. The list is
   rebuilt only when the points' movement could have brought a pair left
@@ -41,15 +41,20 @@ each tile row carries a bound on its error (``kernel.tile_distances``).
 Reducers decide on fast values only where that bound settles a decision
 and recompute what it leaves open, and every reported distance, by direct
 differencing (``metrics.rowwise_distance``, the oracles' arithmetic).
-Every pruning bound carries the rounding slack of ``gti``. Outputs
-therefore equal the oracles' bitwise, in any packing order and on any
-thread count. Every runner, and every oracle, first checks that its
-inputs lie in the metric's domain (``MetricSpec.check_domain``), where no
-value it forms overflows; n-body checks each step's positions with the
-next step's, and under Euclidean distance too, as its force is. Pair
-counters follow the bounds; a bound taken from fast values (a tile
-extreme) can move in its last bits with the tile's shape, which changes a
-count only if it lands within those bits of a threshold. All cross-point
+The n-body step's list pass, force rule and drift work coordinate-major,
+from one contiguous (d, n) copy of each step's positions, so every gather
+reads one coordinate's contiguous column; ``metrics.column_sum`` adds
+their per-coordinate terms in numpy's pairwise order, so their sums are
+bitwise the oracles' row sums. Every pruning bound carries the rounding
+slack of ``gti``. Outputs therefore equal the oracles' bitwise, in any
+packing order and on any thread count. Every runner, and every oracle,
+first checks that its inputs lie in the metric's domain
+(``MetricSpec.check_domain``), where no value it forms overflows; n-body
+checks each step's positions with the next step's, and under Euclidean
+distance too, as its force is. Pair counters follow the bounds; a bound
+taken from fast values (a tile extreme) can move in its last bits with
+the tile's shape, which changes a count only if it lands within those
+bits of a threshold. All cross-point
 reductions (centroid means, force accumulation) happen in original point
 order. The physics update of the self-set pipeline is deliberately outside
 the distance-counter discipline; only neighbor search is counted and verified.
@@ -90,7 +95,13 @@ from .gti import (
 )
 from .kernel import fast_rows, tile_distances
 from .layout import LayoutPlan, pack_intra_group, reorder_inter_group
-from .metrics import MetricSpec, difference_distance, gathered_distance, rowwise_distance
+from .metrics import (
+    MetricSpec,
+    column_sum,
+    coordinate_distance,
+    gathered_distance,
+    rowwise_distance,
+)
 from .oracles import group_means, knn_topk, nearest_assign, radius_neighbors
 
 DEFAULT_DESIGN = DesignConfig(n_src_grp=64, n_trg_grp=8)
@@ -571,11 +582,11 @@ class _Radius:
     once, as i < j sorted by (i, j), and frees the rest.
 
     Every step evaluates the listed pairs by direct differencing, the
-    oracles' arithmetic, keeps those within the radius and hands their
-    squared Euclidean sums to the force rule. ``disp`` is each point's
-    movement since the rebuild; by the trace bound |d_t(i, j) - d_0(i, j)|
-    <= disp_i + disp_j, the list holds while the two largest leave ``cut``
-    above the radius.
+    oracles' arithmetic taken coordinate-major (``neighbors``), keeps
+    those within the radius and hands their squared Euclidean sums to the
+    force rule. ``disp`` is each point's movement since the rebuild; by
+    the trace bound |d_t(i, j) - d_0(i, j)| <= disp_i + disp_j, the list
+    holds while the two largest leave ``cut`` above the radius.
     """
 
     TILE_CELLS = 1 << 18  # 2 MB of float64: 64-row tiles of a 4096-point n-body step
@@ -687,17 +698,20 @@ class _Radius:
         key += self.li
         self.below = np.argsort(key).astype(self.id_type)
 
-    def neighbors(self, pos: np.ndarray, counters: CounterSet, rebuilt: bool):
+    def neighbors(self, cols: np.ndarray, counters: CounterSet, rebuilt: bool):
         """The step's neighbor pairs i < j sorted by (i, j), their squared
         Euclidean distances r2, and per point its sorted neighbor ids as one
         ``NeighborLists`` CSR, ids in ``id_type``: the listed pairs within
-        the radius.
+        the radius, at the positions ``cols``, stored coordinate-major as
+        one contiguous (d, n) array.
 
-        Row blocks of the listed pairs are gathered once and differenced in
-        place. Each block's r2 is ``np.add.reduce`` of the squared
-        differences, the oracles' arithmetic, and under unweighted L2 its
-        root decides; any other metric decides on ``difference_distance``
-        of the same differences. The force rule takes the kept pairs' r2.
+        Each block of listed pairs gathers its i and j columns from
+        ``cols``, one ``take`` each, and differences them into a (d, m)
+        block, one contiguous row per coordinate. Its r2 is ``column_sum``
+        of the squared differences, bitwise the oracles' ``np.add.reduce``
+        over a pair's row, and under unweighted L2 its root decides; any other metric decides on ``coordinate_distance``
+        of the same differences, bitwise ``difference_distance``. The force
+        rule takes the kept pairs' r2.
 
         On a list step each listed pair counts as a point distance, its
         other orientation as reused and every other ordered pair as pruned;
@@ -705,16 +719,16 @@ class _Radius:
         recomputed. A point's list is its partners below it, from the kept
         pairs in (j, i) order, then those above it, from its run of kept
         (i, j) pairs: one counting scatter, no sort."""
-        n, li, lj = pos.shape[0], self.li, self.lj
+        (d, n), li, lj = cols.shape, self.li, self.lj
         euclid = self.metric.kind == "L2" and not self.metric.weighted
         r2, keep = np.empty(li.size), np.empty(li.size, dtype=bool)
-        step = max(1, _DIRECT_BLOCK_ELEMS // (4 * pos.shape[1]))
+        step = max(1, _DIRECT_BLOCK_ELEMS // (4 * d))
         for start in range(0, li.size, step):
             at = slice(start, start + step)
-            x = pos.take(li[at], axis=0)
-            x -= pos.take(lj[at], axis=0)
-            r2[at] = np.add.reduce(x * x, axis=1)
-            dist = np.sqrt(r2[at]) if euclid else difference_distance(x, self.metric)
+            x = cols.take(li[at], axis=1)
+            x -= cols.take(lj[at], axis=1)
+            r2[at] = column_sum(x * x)
+            dist = np.sqrt(r2[at]) if euclid else coordinate_distance(x, self.metric)
             keep[at] = dist <= self.radius
         if rebuilt:
             counters.recomputed_distances += li.size
@@ -725,9 +739,11 @@ class _Radius:
         pair_i, pair_j, r2 = li.compress(keep), lj.compress(keep), r2.compress(keep)
         down = self.below.compress(keep.take(self.below))
         above, below = np.bincount(pair_i, minlength=n), np.bincount(pair_j, minlength=n)
+        # pair_i is each point's run of ``above`` partners in turn, and
+        # lj.take(down) its run of ``below``, so the offsets repeat per point
         ids = np.empty(2 * pair_i.size, dtype=self.id_type)
-        ids[np.arange(pair_i.size) + np.cumsum(below).take(pair_i)] = pair_j
-        ids[np.arange(down.size) + (np.cumsum(above) - above).take(lj.take(down))] = li.take(down)
+        ids[np.arange(pair_i.size) + np.repeat(np.cumsum(below), above)] = pair_j
+        ids[np.arange(down.size) + np.repeat(np.cumsum(above) - above, below)] = li.take(down)
         offsets = np.concatenate(([0], np.cumsum(above + below)))
         return pair_i, pair_j, r2, NeighborLists(offsets=offsets, ids=ids)
 
@@ -957,16 +973,30 @@ def default_force_rule(
     (Newton's third law; direct differencing makes the term of (j, i)
     exactly the negation). Each point's terms are added in ascending
     partner order from 0, so the result is bitwise that of adding every
-    term of both orientations in (i, j) order."""
-    n = len(pos)
-    acc = np.empty_like(pos)
+    term of both orientations in (i, j) order.
+
+    The rule works coordinate-major: each coordinate's terms come from
+    1-D gathers of one contiguous column. ``pos`` may be the transpose of
+    a contiguous (d, n) array, as the run passes it, so taking the columns
+    copies nothing. Per kept pair it holds the intp index of both
+    orientations and their 2 weights (16 bytes each), the scale (8) and
+    one gather (8), 48 bytes at most."""
+    n, p = len(pos), pair_i.size
+    acc = np.empty(pos.shape)
     scale = (r2 + softening * softening) ** -1.5
     # a point's partners below it (the j side, ascending i), then above it
     to = np.concatenate((pair_j, pair_i), dtype=np.intp)
+    j, i = to[:p], to[p:]
+    weights = np.empty(2 * p)
+    x = weights[p:]  # the terms added to i; weights[:p] their negations, to j
     for c, col in enumerate(np.ascontiguousarray(pos.T)):
-        x = col.take(pair_j) - col.take(pair_i)
+        # "clip" spares the two copies of ``out`` that take makes under its
+        # default "raise"; an id out of range still fails in the bincount
+        np.take(col, j, out=x, mode="clip")
+        x -= col.take(i)
         x *= scale
-        acc[:, c] = np.bincount(to, weights=np.concatenate((-x, x)), minlength=n)
+        np.negative(x, out=weights[:p])
+        acc[:, c] = np.bincount(to, weights=weights, minlength=n)
     return acc
 
 
@@ -1001,6 +1031,10 @@ def run_nbody(
     step evaluates the listed pairs directly, and the force rule takes each
     unordered neighbor pair once, with the squared sum computed for it. No
     step writes ``pos`` in place, so the trajectory keeps each step's array.
+    Each step also copies its positions once coordinate-major, a contiguous
+    (d, n) ``cols``: the list pass, the force rule, the domain check and
+    the drift gather from it, one coordinate at a time; a rebuild's sweep
+    and the trajectory keep the row-major ``pos``.
 
     ``outputs["neighbors"]`` holds one ``NeighborLists`` CSR per step, ids
     int32 below 2^31 points, which the shadow check compares array to array
@@ -1025,6 +1059,7 @@ def run_nbody(
     lplan = pack_intra_group(particles, gm)
 
     pos = particles.values.copy()
+    cols = np.ascontiguousarray(pos.T)  # each step's positions, coordinate-major
     vel = np.zeros_like(pos)
     within = _Radius(gm, radius, radius * _SKIN_FRACTION, metric)
 
@@ -1043,7 +1078,7 @@ def run_nbody(
             within.moved(prev_drift)
         rebuild = step == 1 or not within.holds()
         batches = within.rebuild(pos, lplan, counters, config.thread_count) if rebuild else 0
-        pair_i, pair_j, r2, lists = within.neighbors(pos, counters, rebuild)
+        pair_i, pair_j, r2, lists = within.neighbors(cols, counters, rebuild)
         neighbors_per_step.append(lists)
 
         if config.oracle_mode == "shadow":
@@ -1065,15 +1100,16 @@ def run_nbody(
 
         # Integrate in original point order; movement feeds the next
         # step's displacements.
-        acc = default_force_rule(pos, pair_i, pair_j, r2, config.softening)
+        acc = default_force_rule(cols.T, pair_i, pair_j, r2, config.softening)
         vel = vel + acc * config.dt
         new_pos = pos + vel * config.dt
+        new_cols = np.ascontiguousarray(new_pos.T)
         # both sets at once: a uniform shift leaves each one's spread as it
         # was, yet its drift may overflow
         for spec in domains:
-            spec.check_domain(pos, new_pos)
-        prev_drift = rowwise_distance(pos, new_pos, metric)
-        pos = new_pos
+            spec.check_domain(cols.T, new_cols.T)
+        prev_drift = coordinate_distance(cols - new_cols, metric)
+        pos, cols = new_pos, new_cols
         trajectories.append(pos)
         per_iter.append(_stats(step, counters.delta_since(base), n, n, batches, z))
 

@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from accd import metrics
 from accd.errors import DimensionMismatchError, RangeError
-from accd.metrics import MetricSpec, distance, gathered_distance, rowwise_distance
+from accd.metrics import (
+    METRIC_NAMES,
+    MetricSpec,
+    column_sum,
+    coordinate_distance,
+    difference_distance,
+    distance,
+    gathered_distance,
+    rowwise_distance,
+)
 
 L1 = MetricSpec(kind="L1")
 L2 = MetricSpec(kind="L2")
@@ -64,6 +75,85 @@ def test_check_domain_bounds_the_spread_and_the_coordinate_sums():
         L1.check_domain(np.full((4, 2), 1e308))
     with pytest.raises(DimensionMismatchError):
         MetricSpec(kind="L1", weighted=True, weights=[1.0, 1.0]).check_domain(pts)
+
+
+def _row_major_box(sets):
+    """``check_domain``'s extent as it was first written: each set's
+    ``min``/``max`` over axis 0, reduced row by row."""
+    return (
+        np.minimum.reduce([p.min(axis=0) for p in sets]),
+        np.maximum.reduce([p.max(axis=0) for p in sets]),
+    )
+
+
+def _admits(metric, *sets) -> bool:
+    try:
+        metric.check_domain(*sets)
+    except RangeError:
+        return False
+    return True
+
+
+_domain_values = st.one_of(
+    st.floats(width=64),  # NaN and ±inf included
+    st.floats(min_value=-1e155, max_value=1e155),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e154, -1e154, 1.5e154, np.inf, -np.inf, np.nan]),
+)
+
+
+@given(data=st.data(), d=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_check_domain_reduces_each_set_as_the_row_major_reference(data, d):
+    # check_domain decides on the per-coordinate extent of all non-empty
+    # sets and their total row count; min and max are exact in any order,
+    # so the coordinate-major extent must be the row-major one (NaN where
+    # a set has one; a zero's sign, which no decision sees, may differ)
+    shapes = st.tuples(st.integers(0, 5), st.just(d))
+    sets = data.draw(
+        st.lists(arrays(np.float64, shapes, elements=_domain_values), min_size=1, max_size=3)
+    )
+    full = [p for p in sets if p.size]
+    if full:
+        for got, want in zip(metrics._box(full), _row_major_box(full)):
+            np.testing.assert_array_equal(got, want)
+    # n-body passes the transposes of contiguous (d, n) arrays, whose
+    # columns need no copy; the decision must not depend on the layout
+    columns = [np.asfortranarray(p) for p in sets]
+    weighted = MetricSpec(kind="L2", weighted=True, weights=np.linspace(0.0, 2.0, d))
+    for metric in (L1, L2, weighted):
+        assert _admits(metric, *sets) == _admits(metric, *columns)
+
+
+def test_column_sum_is_numpys_row_sum_bitwise():
+    # numpy sums a contiguous row pairwise from 8 terms and halves it above
+    # 128; column_sum must add the same terms in the same order
+    rng = np.random.default_rng(3)
+    for d in range(1, 301):
+        for shape in [(d, 41), (d, 3, 5)]:
+            x = rng.standard_normal(shape) * np.exp(rng.uniform(-40, 40, size=shape))
+            for value, share in [(0.0, 0.1), (-0.0, 0.2), (4e-320, 0.05), (1e300, 0.05), (-1e300, 0.03)]:
+                x[rng.random(shape) < share] = value
+            x[:, 0] = -0.0  # numpy's sum starts from 0.0
+            x[: d // 2, 1] = 4e-320
+            want = np.add.reduce(np.stack(list(x), axis=-1), axis=-1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = column_sum(x)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+                f"d={d}, terms {shape[1:]}: column_sum no longer follows the order of "
+                f"np.add.reduce in numpy {np.__version__}"
+            )
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 8, 9, 24, 130])
+@pytest.mark.parametrize("name", list(METRIC_NAMES))
+def test_coordinate_distance_is_difference_distance_bitwise(name, d):
+    rng = np.random.default_rng(d)
+    m = MetricSpec.from_name(name, rng.uniform(0.0, 2.0, d))
+    diff = rng.normal(size=(300, d)) * np.exp(rng.uniform(-5, 5, size=(300, d)))
+    diff[rng.random(diff.shape) < 0.1] = 0.0
+    want = difference_distance(diff.copy(), m)
+    got = coordinate_distance(np.ascontiguousarray(diff.T), m)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"numpy {np.__version__}"
 
 
 def test_from_name_round_trip():

@@ -21,7 +21,7 @@ from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
 from accd.gti import CandidateMatrix, _cut, build_groups, init_oneshot_state
 from accd.layout import pack_intra_group
-from accd.metrics import MetricSpec
+from accd.metrics import METRIC_NAMES, MetricSpec, rowwise_distance
 from accd.pipelines import (
     RunConfig,
     _Grouped,
@@ -1036,15 +1036,19 @@ def test_force_rule_equals_an_add_at_reference(d):
 
 @pytest.mark.parametrize(
     "metric, d",
-    [("Unweighted L2", 3), ("Unweighted L2", 9), ("Weighted L1", 4), ("Weighted L2", 4)],
-    ids=["l2_d3", "l2_d9", "weighted_l1", "weighted_l2"],
+    [("Unweighted L2", 3), ("Unweighted L2", 9), ("Weighted L1", 4), ("Weighted L2", 4)]
+    + [(metric, d) for d in (8, 130) for metric in METRIC_NAMES],
+    ids=["l2_d3", "l2_d9", "weighted_l1", "weighted_l2"]
+    + [f"{m.lower().replace(' ', '_')}_d{d}" for d in (8, 130) for m in METRIC_NAMES],
 )
 def test_nbody_trajectories_equal_an_independent_integration(monkeypatch, metric, d):
     # Euler steps over the oracle's ordered pairs with the add.at force:
     # the force is Euclidean under every metric, so the squared sums the
     # list pass hands it must be the ones the reference computes itself.
     # A last-bit change of a force is mostly lost in a step of dt², so the
-    # forces are compared too.
+    # forces are compared too. The list pass and the force rule sum their
+    # terms coordinate-major: from d = 8 numpy's row sums are pairwise, and
+    # from d = 129 halved, which ``column_sum`` must follow in a real run.
     forces, rule = [], pipelines.default_force_rule
 
     def recording(*args):
@@ -1052,9 +1056,14 @@ def test_nbody_trajectories_equal_an_independent_integration(monkeypatch, metric
         return forces[-1]
 
     monkeypatch.setattr(pipelines, "default_force_rule", recording)
-    pts = gaussian_mixture(400, d, 4, seed=11, center_box=3.0)
+    # the oracles' broadcast costs n² d, so high d runs on fewer points
+    pts = gaussian_mixture(400 if d < 100 else 160, d, 4, seed=11, center_box=3.0)
     weights = np.random.default_rng(12).uniform(0.2, 2.0, size=d) if "Weighted" in metric else None
-    radius, steps = 1.0 + 0.2 * d, 5
+    spec = MetricSpec.from_name(metric, weights)
+    # 1 + d/5, or at least 1% of the pairs (L1 from d = 8 has none there)
+    pairs = np.triu_indices(pts.n, 1)
+    spread = rowwise_distance(pts.values[pairs[0]], pts.values[pairs[1]], spec)
+    radius, steps = max(1.0 + 0.2 * d, float(np.quantile(spread, 0.01))), 5
     select = SelectSpec("radius", radius, "smallest")
     plan = make_plan("iterative_self_set", pts.n, pts.n, d, select, steps, metric)
     cfg = RunConfig(design=DESIGN, oracle_mode="shadow")
@@ -1062,7 +1071,6 @@ def test_nbody_trajectories_equal_an_independent_integration(monkeypatch, metric
     assert result.oracle_checked and _rebuilds(result) < steps  # a list step at least
     assert len(forces) == steps
 
-    spec = MetricSpec.from_name(metric, weights)
     pos, vel = pts.values.copy(), np.zeros_like(pts.values)
     want = [pos]
     for _ in range(steps):
