@@ -112,7 +112,8 @@ def cmd_compile(args) -> int:
 
 def _load_config(path: str, cls, field=lambda v: v):
     """Build ``cls`` from the JSON object in ``path``, passing each field's
-    value through ``field``."""
+    value through ``field``; a field ``cls`` rejects is a ``ConfigError``
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -122,7 +123,7 @@ def _load_config(path: str, cls, field=lambda v: v):
         raise ConfigError(f"{path}: expected a JSON object of {cls.__name__} fields")
     try:
         return cls(**{k: field(v) for k, v in payload.items()})
-    except TypeError as exc:
+    except (TypeError, RangeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

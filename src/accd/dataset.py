@@ -19,7 +19,7 @@ import numpy as np
 
 from .counters import CounterSet
 from .errors import DimensionMismatchError, FormatError, RangeError, SizeMismatchError
-from .metrics import MetricSpec
+from .metrics import MetricSpec, difference_distance
 
 # Rows-per-block budget so a block of the broadcast difference tensor
 # stays around 32 MB of float64.
@@ -148,20 +148,6 @@ def load_csv(path, declared_dtype: str = "float64") -> Dataset:
     return Dataset(values=out, ids=np.arange(len(data_rows)), declared_dtype=declared_dtype)
 
 
-def _brute_block(src_block: np.ndarray, trg: np.ndarray, metric: MetricSpec) -> np.ndarray:
-    diff = src_block[:, None, :] - trg[None, :, :]
-    if metric.kind == "L1":
-        terms = np.abs(diff)
-    else:
-        terms = diff * diff
-    if metric.weighted:
-        terms = metric.weights * terms
-    out = np.add.reduce(terms, axis=2)
-    if metric.kind == "L2":
-        out = np.sqrt(out)
-    return out
-
-
 def brute_rows(
     src_values: np.ndarray,
     trg_values: np.ndarray,
@@ -176,8 +162,8 @@ def brute_rows(
     out = np.empty((n1, n2), dtype=np.float64)
     step = max(1, _BLOCK_ELEMS // max(1, n2 * src_values.shape[1]))
     for start in range(0, n1, step):
-        stop = min(n1, start + step)
-        out[start:stop] = _brute_block(src_values[start:stop], trg_values, metric)
+        block = src_values[start : start + step, None, :]
+        out[start : start + step] = difference_distance(block - trg_values[None, :, :], metric)
     if counters is not None:
         counters.point_distances += n1 * n2
     return out

@@ -86,10 +86,12 @@ class ProblemSpec:
     size_data_type: int = 32  # bits
 
     def __post_init__(self):
+        for name in ("src_size", "trg_size", "d", "n_iteration"):
+            _check_int(name, getattr(self, name))
         if min(self.src_size, self.trg_size, self.d, self.n_iteration) < 1:
             raise RangeError("sizes, dim, and iterations must be >= 1")
-        if self.alpha <= 0:
-            raise RangeError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise RangeError("alpha must be finite and positive")
         if self.size_data_type not in (32, 64):
             raise RangeError("size_data_type must be 32 or 64 bits")
 

@@ -37,7 +37,10 @@ brute force exactly.
 Every filter ends in one vectorised cut: target group t survives for
 source group a iff lb[a, t] <= thr[a], where the per-source-group
 threshold ``thr`` comes from the query (the K-th covering ub, or the
-radius plus the Verlet skin of a self-set rebuild).
+radius plus the Verlet skin of a self-set rebuild). The cut returns that
+(z_src, z_trg) keep mask; row a names source group a's candidate target
+groups, and ``layout.reorder_inter_group`` batches the groups whose rows
+are equal.
 """
 
 from __future__ import annotations
@@ -86,16 +89,6 @@ class GroupModel:
     @property
     def slack(self) -> float:
         return bound_slack(self.landmarks.shape[1])
-
-
-@dataclass
-class CandidateMatrix:
-    """Per source group, the sorted target groups surviving the filter."""
-
-    targets: list[np.ndarray]
-
-    def key(self, g: int) -> tuple:
-        return tuple(self.targets[g].tolist())
 
 
 def _assign_nearest(
@@ -270,17 +263,16 @@ def _cut(
     src_sizes: np.ndarray,
     trg_sizes: np.ndarray,
     counters: CounterSet | None,
-) -> CandidateMatrix:
-    """Keep target group t for source group a iff lb[a, t] <= thr[a].
+) -> np.ndarray:
+    """The (z_src, z_trg) keep mask: target group t survives for source
+    group a iff lb[a, t] <= thr[a].
 
     Credits every dropped point pair to ``pruned_pairs``.
     """
     keep = lb <= thr[:, None]
     if counters is not None:
         counters.pruned_pairs += int(src_sizes @ (~keep @ trg_sizes))
-    _, cols = np.nonzero(keep)
-    splits = np.cumsum(np.count_nonzero(keep, axis=1))[:-1]
-    return CandidateMatrix(targets=np.split(cols, splits))
+    return keep
 
 
 # -- one-shot filtering (two-landmark + group-level) ---------------------
@@ -312,8 +304,8 @@ def filter_oneshot(
     ub: np.ndarray,
     k: int,
     counters: CounterSet | None = None,
-) -> CandidateMatrix:
-    """Top-K candidates per source group.
+) -> np.ndarray:
+    """Top-K candidates per source group, as the cut's keep mask.
 
     The threshold of a source group accumulates target group sizes in
     ascending (ub, group id) order until at least K points are covered and
@@ -340,8 +332,9 @@ def filter_iterative(
     thr: np.ndarray,
     drift: np.ndarray,
     counters: CounterSet | None = None,
-) -> CandidateMatrix:
-    """Decay a self-set's group-pair lower bounds, then cut them.
+) -> np.ndarray:
+    """Decay a self-set's group-pair lower bounds, then cut them; returns
+    the cut's keep mask.
 
     ``drift`` holds per group the largest distance any member moved since
     the bounds were taken; lb[a, b] shrinks by drift[a] + drift[b], widened

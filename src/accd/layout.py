@@ -1,11 +1,15 @@
 """Memory layout planning: candidate-driven group ordering and contiguous
 intra-group packing.
 
-Reordering puts source groups with identical candidate lists next to each
-other so their target data is fetched once per run of groups; packing
-rewrites the point order so every group is one contiguous slice. Both are
-semantics-free: the pipelines read each group's rows as one packed slice
-in ascending original-id order, so results do not depend on the layout.
+Reordering is the one batching rule: ``reorder_inter_group`` sorts the rows
+of a boolean reach mask, one row per source group (the join's group cut) or
+per point (a k-means search), so that equal rows lie next to each other,
+and names each run of equal rows; the pipelines sweep each run as one
+batch against the groups its row names, so their target data is fetched
+once per run. Packing rewrites the point order so every group is one
+contiguous slice. Both are semantics-free: the pipelines read each group's
+rows as one packed slice in ascending original-id order, so results do not
+depend on the layout.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import SizeMismatchError
-from .gti import CandidateMatrix, GroupModel
+from .gti import GroupModel
 
 
 @dataclass
@@ -35,14 +39,23 @@ class LayoutPlan:
         }
 
 
-def reorder_inter_group(cm: CandidateMatrix) -> np.ndarray:
-    """Sort source groups by (candidate-list key, group id).
+def reorder_inter_group(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of a (rows, groups) boolean mask so equal rows are
+    adjacent; returns the row order and the start of each run of equal
+    rows in it.
 
-    The key is the sorted target-id tuple itself, so groups survive as
-    adjacent exactly when their candidate sets are identical.
+    Each row is packed into a byte key by one flat ``np.packbits`` (along
+    an axis it is many times slower), and the keys are sorted by a stable
+    ``np.lexsort``, first byte first, so the rows of a run ascend.
     """
-    z = len(cm.targets)
-    return np.array(sorted(range(z), key=lambda g: (cm.key(g), g)), dtype=np.int64)
+    rows, width = reach.shape[0], -(-reach.shape[1] // 8)
+    bits = np.zeros((rows, 8 * width), dtype=bool)
+    bits[:, : reach.shape[1]] = reach
+    key = np.packbits(bits, bitorder="little").reshape(rows, width)
+    del bits
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    return order, np.flatnonzero(np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1))))
 
 
 def pack_intra_group(

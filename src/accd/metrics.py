@@ -123,16 +123,8 @@ def distance(p, q, metric: MetricSpec) -> float:
     if p.ndim != 1 or p.shape != q.shape:
         raise DimensionMismatchError(f"point shapes differ: {p.shape} vs {q.shape}")
     metric.check_dim(p.shape[0])
-    diff = p - q
-    if metric.kind == "L1":
-        terms = np.abs(diff)
-        if metric.weighted:
-            terms = metric.weights * terms
-        return float(np.add.reduce(terms))
-    terms = diff * diff
-    if metric.weighted:
-        terms = metric.weights * terms
-    return float(np.sqrt(np.add.reduce(terms)))
+    # one row: ``difference_distance`` takes its root in place
+    return float(difference_distance((p - q)[None], metric)[0])
 
 
 def rowwise_distance(a, b, metric: MetricSpec) -> np.ndarray:

@@ -10,14 +10,18 @@ source rows once against the members of a list of target groups,
 concatenated, in row blocks, and hands each tile to the pipeline's
 reducer; layout packing makes each group's members one slice of its
 kernel rows. Bounds prune whole target groups for a row set: a tile has
-no per-point control inside it.
+no per-point control inside it. Rows are batched by one rule,
+``layout.reorder_inter_group``: it sorts the rows of a boolean reach mask,
+one per source group (the join's group cut) or per point (a k-means
+search), so that equal rows are adjacent, and each run of equal rows is
+swept as one batch against the target groups its row names.
 
 * ``_Yinyang`` (iterative two-set) groups only the centres and bounds
   each point against each centre group. Iteration 1 seeds those bounds
   from the points' distances to the groups' landmarks and from the
   centres' distances to each other, after sweeping each point against its
-  nearest group. Every iteration then keys its open points by the set of
-  groups they reach, and sweeps each key's points once.
+  nearest group. Every iteration then batches its open points by the set
+  of groups they reach, and sweeps each batch once.
 * ``_TopK`` (one-shot two-set) takes each row's K + 1 smallest fast
   values, ascending, ties in any order, straight from the row's one tile;
   ``settle`` makes them exact and hands the rows a tie or rounding leaves
@@ -25,12 +29,12 @@ no per-point control inside it.
   cuts group pairs by their landmark bounds and sweeps (``_sweep``) runs
   of source groups with the same candidate list; when the cut prunes
   nothing, that is one batch that tiles every row against every target.
-* ``_Radius`` (iterative self-set) sweeps, the same way, only to rebuild
-  a Verlet list: the unordered pairs within the radius plus a skin, from
-  symmetric group-pair lower bounds cut at every rebuild, each kept
-  unordered group pair tiled once. Every step evaluates the listed pairs
-  by direct differencing, coordinate-major, into one CSR of neighbor lists
-  (``dataset.NeighborLists``), and hands the force rule each pair's
+* ``_Radius`` (iterative self-set) sweeps, one group per batch, only to
+  rebuild a Verlet list: the unordered pairs within the radius plus a
+  skin, from symmetric group-pair lower bounds cut at every rebuild, each
+  kept unordered group pair tiled once. Every step evaluates the listed
+  pairs by direct differencing, coordinate-major, into one CSR of neighbor
+  lists (``dataset.NeighborLists``), and hands the force rule each pair's
   squared Euclidean sum, so no pair is differenced twice. The list is
   rebuilt only when the points' movement could have brought a pair left
   out of it within the radius.
@@ -63,7 +67,6 @@ the distance-counter discipline; only neighbor search is counted and verified.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -82,7 +85,6 @@ from .errors import (
 )
 from .explorer import DesignConfig
 from .gti import (
-    CandidateMatrix,
     GroupModel,
     build_groups,
     filter_iterative,
@@ -143,7 +145,10 @@ class IterationStats:
     all_inside_pairs: int
     reused_pairs: int
     measured_saving: float
-    source_batches: int  # k-means: one per reach pattern, not per kernel call
+    # runs of equal reach-mask rows swept (``reorder_inter_group``): of
+    # source groups in the join, of points in k-means, one per reach
+    # pattern and not per kernel call; n-body sweeps each group alone
+    source_batches: int
     source_groups: int  # k-means: its points, each its own group
     changed: int | None = None
 
@@ -183,7 +188,7 @@ class _Grouped:
         rows, sq = fast_rows(values[plan.point_perm], centre, metric)
         return cls(rows=rows, sq=sq, gm=gm, plan=plan)
 
-    def locate(self, groups: list[int]) -> tuple[np.ndarray, slice | np.ndarray]:
+    def locate(self, groups: list[int] | np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
         """(ids, at) of the members of ``groups``, in that order, with
         ``at`` their positions in ``rows``: a slice of the packing when the
         groups lie next to each other in it."""
@@ -193,12 +198,6 @@ class _Grouped:
             return self.plan.point_perm[at], at
         ids = np.concatenate([self.gm.membership[g] for g in groups])
         return ids, self.plan.inverse_perm[ids]
-
-
-def _source_batches(order: np.ndarray, cm: CandidateMatrix) -> list[list[int]]:
-    """Runs of adjacent groups (in processing order) with identical
-    candidate lists."""
-    return [list(run) for _, run in itertools.groupby(order.tolist(), key=cm.key)]
 
 
 def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
@@ -240,20 +239,20 @@ def _tile_rows(src, at, ids, trg: _Grouped, groups, reducer, metric, counters) -
 
 
 def _sweep(
-    src: _Grouped, trg: _Grouped, cm: CandidateMatrix, batches: list[list[int]],
+    src: _Grouped, trg: _Grouped, keep: np.ndarray, batches: list[np.ndarray],
     reducer, metric: MetricSpec, threads: int,
 ) -> CounterSet:
-    """Tile each batch's rows against its first group's candidate target
-    groups, empty groups left out (``_tile_rows``). Batches touch disjoint
-    rows, so they may run on ``threads`` workers. Returns the tile tallies.
+    """Tile each batch's rows, those of its source groups, against the
+    target groups its first group's row of the keep mask ``keep`` names,
+    empty groups left out (``_tile_rows``). Batches touch disjoint rows,
+    so they may run on ``threads`` workers. Returns the tile tallies.
     """
-    trg_sizes = trg.gm.sizes
+    keep = keep & (trg.gm.sizes > 0)
 
-    def sweep_batch(batch: list[int]) -> CounterSet:
+    def sweep_batch(batch: np.ndarray) -> CounterSet:
         local = CounterSet()
         ids, at = src.locate(batch)
-        groups = cm.targets[batch[0]]
-        groups = groups[trg_sizes[groups] > 0]
+        groups = np.flatnonzero(keep[batch[0]])
         if ids.size and groups.size:
             _tile_rows(src, at, ids, trg, groups, reducer, metric, local)
         return local
@@ -281,10 +280,10 @@ class _Yinyang:
     radii bound that iteration's distances (``first``). Later iterations
     decay the bounds by the centres' drift, with the slack of ``gti``, and
     skip a point whose ``ub`` lies below every ``lb``, also once ``ub`` is
-    tightened to the direct distance. Both then ``_search`` the rest: each
-    open point is keyed by the groups whose ``lb`` reaches its ``ub``, and
-    each key's points are swept once against its groups' centres, as the
-    join sweeps a batch against its candidate list. Every kernel call
+    tightened to the direct distance. Both then ``_search`` the rest: the
+    open points are batched by the groups whose ``lb`` reaches their
+    ``ub`` (``reorder_inter_group``, the join's batching rule), and each
+    batch is swept once against its groups' centres. Every kernel call
     takes ``TILE_CELLS // cols`` rows against ``cols`` columns.
     """
 
@@ -398,11 +397,10 @@ class _Yinyang:
         """Sweep each of ``rows`` once against the centres of the groups
         ``live[j]`` its column of ``reach`` names: by default those whose
         ``lb`` reaches its exact ``ub``, less its ``skip`` group, built group
-        by group, so no gather of ``lb`` exceeds one of its rows. Each
-        distinct column's rows are one batch; returns the batches swept. The
-        columns are packed by one flat ``np.packbits`` (along an axis it is
-        many times slower), then sorted. A given ``reach`` is iteration 1's
-        nearest-group pass, before any ``ub`` is exact."""
+        by group, so no gather of ``lb`` exceeds one of its rows. Each run
+        of equal columns (``reorder_inter_group``) is one batch; returns the
+        batches swept. A given ``reach`` is iteration 1's nearest-group
+        pass, before any ``ub`` is exact."""
         self.exact = reach is None
         if rows.size == 0:
             return 0
@@ -413,19 +411,13 @@ class _Yinyang:
             if skip is not None:
                 reach[np.searchsorted(self.live, skip), np.arange(rows.size)] = False
             del ub
-        bits = np.zeros((rows.size, -(-self.live.size // 8) * 8), dtype=bool)
-        bits[:, : self.live.size] = reach.T
-        del reach
-        key = np.packbits(bits, bitorder="little").reshape(rows.size, -1)
-        del bits
-        order = np.lexsort(key.T[::-1])  # stable: each key's rows ascend
-        rows, key = rows[order], key[order]
-        del order
-        starts = np.flatnonzero(np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1))))
-        reach = np.unpackbits(key[starts], axis=1, count=self.live.size, bitorder="little")
+        order, starts = reorder_inter_group(reach.T)
+        heads = reach.T[order[starts]]  # each run's row of the mask
+        rows = rows[order]
+        del reach, order  # before the tiles
         batches = 0
-        for start, end, bits in zip(starts.tolist(), [*starts[1:].tolist(), rows.size], reach):
-            groups = self.live[bits.view(bool)]
+        for start, end, head in zip(starts.tolist(), [*starts[1:].tolist(), rows.size], heads):
+            groups = self.live[head]
             if groups.size:
                 at = rows[start:end]
                 _tile_rows(self, at, at, self.centres, groups, self, self.metric, self.counters)
@@ -568,11 +560,12 @@ class _Radius:
     group pair alike. A rebuild resets the bounds of every kept pair, in
     both orientations, and tiles each kept unordered pair {a, b} only from
     its upper cell, b >= a: the lower cells' pairs are mirrored and count
-    as reused. Cut to its upper cells, a non-empty group is the only one
-    whose candidate list holds it, so every tile's rows are one group a's,
-    and only a's tiles fold bounds into either orientation of {a, b}: the
-    minimum of its b columns less each row's error bound, widened by the
-    bound slack. A member pair (i, j) is kept from the orientation with
+    as reused. Each group is swept as a batch of its own: the upper list
+    of a non-empty group a starts at a itself, whose ``lb[a, a]`` is 0,
+    so no two non-empty groups share a list to batch. Every tile's rows
+    are thus one group a's, and only a's tiles fold bounds into either
+    orientation of {a, b}: the minimum of its b columns less each row's
+    error bound, widened by the bound slack. A member pair (i, j) is kept from the orientation with
     (group of i, i) before (group of j, j), so the diagonal cell yields its
     upper triangle. The list is every tiled pair whose fast value is at
     most ``cut`` + err, a superset of the pairs within ``cut``: every pair
@@ -630,37 +623,32 @@ class _Radius:
         gm = self.gm
         drift = group_max(self.disp, gm.group_of, gm.z)
         thr = np.full(gm.z, self.cut)
-        cm = filter_iterative(gm, self.lb, thr, drift, counters)
-        to_tile = self.resolve(cm, counters)
-        batches = _source_batches(np.arange(gm.z), to_tile)
+        upper = self.resolve(filter_iterative(gm, self.lb, thr, drift, counters), counters)
+        batches = list(np.arange(gm.z)[:, None])  # one group each
         grouped = _Grouped.build(pos, gm, plan, self.metric, pos.mean(axis=0))
-        sweep = _sweep(grouped, grouped, to_tile, batches, self, self.metric, threads)
+        sweep = _sweep(grouped, grouped, upper, batches, self, self.metric, threads)
         counters.add(sweep)
         self.store_list()
         self.disp[:] = 0.0
         return len(batches)
 
-    def resolve(self, cm: CandidateMatrix, counters: CounterSet) -> CandidateMatrix:
-        """Start a rebuild: reset the bounds of the kept group pairs and
-        return the upper ones for the tiles to fold into."""
+    def resolve(self, keep: np.ndarray, counters: CounterSet) -> np.ndarray:
+        """Start a rebuild: reset the bounds of the group pairs the keep
+        mask ``keep`` holds and return its upper cells for the tiles to
+        fold into; the lower ones count as reused."""
         self.pairs = [[] for _ in range(self.gm.z)]
-        a = np.repeat(np.arange(self.gm.z), [cand.size for cand in cm.targets])
-        b = np.concatenate(cm.targets)
         # both orientations: a lower cell keeps no stale bound
-        self.lb[a, b] = np.inf  # vacuous for a pair with an empty group
-        lower = b < a
-        counters.reused_pairs += int(self.sizes[a[lower]] @ self.sizes[b[lower]])
-        return CandidateMatrix(targets=[cand[cand >= g] for g, cand in enumerate(cm.targets)])
+        self.lb[keep] = np.inf  # vacuous for a pair with an empty group
+        counters.reused_pairs += int(self.sizes @ (np.tril(keep, -1) @ self.sizes))
+        return np.triu(keep)
 
     def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
         """Keep, in one orientation, every entry at most ``cut`` + err, for
         the list's direct evaluation to decide, and fold each cell's tile
         minimum into the bounds of both orientations.
 
-        The rows are one group a's: only a's own candidate list holds a,
-        so a batch holds no other non-empty group, though an empty one may
-        lead it. The target groups are distinct, so each fold touches each
-        cell once."""
+        The rows are one group a's, each batch being one group. The target
+        groups are distinct, so each fold touches each cell once."""
         a = self.gm.group_of[ids[0]]
         flat = np.flatnonzero(tile <= (self.cut + err)[:, None])
         hit_r, hit_c = np.divmod(flat, tile.shape[1])
@@ -893,11 +881,13 @@ def run_knn_join(
     weights: np.ndarray | None = None,
 ) -> RunResult:
     """Exact top-K join: group both sets, filter group pairs through the
-    two-landmark bounds and sweep (``_sweep``) each row once against all
-    of its group's candidate groups; ``_TopK.reduce`` takes each row's
-    K + 1 straight from its one tile, and ``_TopK.settle`` makes the
-    result exact. Self-matches are kept (a point joined against its own
-    set finds itself at distance zero)."""
+    two-landmark bounds, batch the source groups with equal rows of the
+    cut's keep mask (``reorder_inter_group``, whose order packs the source
+    set) and sweep (``_sweep``) each batch's rows once against all of its
+    candidate groups; ``_TopK.reduce`` takes each row's K + 1 straight
+    from its one tile, and ``_TopK.settle`` makes the result exact.
+    Self-matches are kept (a point joined against its own set finds itself
+    at distance zero)."""
     _check_kind(plan, "oneshot_two_set")
     t0 = time.perf_counter()
     metric = plan.metric_spec(weights)
@@ -915,16 +905,16 @@ def run_knn_join(
     src_gm = build_groups(src, z_src, config.seed + 1, metric, counters)
     trg_gm = build_groups(trg, z_trg, config.seed + 2, metric, counters)
     lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
-    cm = filter_oneshot(src_gm, trg_gm, lb, ub, k, counters)
-    order = reorder_inter_group(cm)
+    keep = filter_oneshot(src_gm, trg_gm, lb, ub, k, counters)
+    order, starts = reorder_inter_group(keep)
     src_lp = pack_intra_group(src, src_gm, group_order=order)
     trg_lp = pack_intra_group(trg, trg_gm)
-    batches = _source_batches(order, cm)
+    batches = np.split(order, starts[1:])
     centre = src.values.mean(axis=0)
     g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
     g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
     topk = _TopK(m, k, trg_gm)
-    sweep = _sweep(g_src, g_trg, cm, batches, topk, metric, config.thread_count)
+    sweep = _sweep(g_src, g_trg, keep, batches, topk, metric, config.thread_count)
     counters.add(sweep)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)
     result = TopKResult(ids=ids, distances=dists, scope="smallest", row_ids=src.ids.copy())
@@ -1022,9 +1012,9 @@ def run_nbody(
 
     Step 1 rebuilds: it cuts the landmark group-pair lower bounds at the
     radius plus s and sweeps the group pairs kept, each unordered one tiled
-    once from its upper cell, in source batches; the cut to upper cells
-    gives each group its own candidate list, so a batch is nearly always
-    one group. A later step adds every point's movement to its displacement
+    once from its upper cell, one source group per batch: the cut to upper
+    cells gives each non-empty group a candidate list no other shares, so
+    no batching is needed. A later step adds every point's movement to its displacement
     since the rebuild, and rebuilds, decaying the bounds by each group's
     largest displacement first, only when the two largest could have
     brought a pair from beyond the radius plus s within the radius. Every

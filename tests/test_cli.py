@@ -220,8 +220,8 @@ def test_explore_infeasible_problem_exits_1_with_nearest_miss(tmp_path, capsys):
 
 
 # (flag, file contents) for config files that are not valid JSON, are not
-# an object, name a field the config does not have, or give a design value
-# that is not an integer
+# an object, name a field the config does not have, give a design or size
+# value that is not an integer, or an alpha that is not finite
 BAD_CONFIGS = [
     ("--problem", '{"src_size": 2000,'),
     ("--problem", {**SMALL_PROBLEM, "bogus": 1}),
@@ -229,6 +229,10 @@ BAD_CONFIGS = [
     ("--domains", "[1, 2"),
     ("--domains", {"blk": [16]}),
     ("--domains", {"n_src_grp": [8], "n_trg_grp": [2], "blk": [16.5], "simd": [1], "unroll": [1]}),
+    ("--problem", {**SMALL_PROBLEM, "src_size": 1e300}),
+    ("--problem", {**SMALL_PROBLEM, "src_size": 2.5}),
+    ("--problem", {**SMALL_PROBLEM, "src_size": True}),
+    ("--problem", {**SMALL_PROBLEM, "alpha": float("nan")}),
 ]
 
 

@@ -394,9 +394,9 @@ def test_trace_bounds_hand_values():
         lb = np.array([[0.0, prev_lb], [prev_lb, 0.0]])
         thr = np.array([prev_best + drifts[0], np.inf])
         c = CounterSet()
-        cm = filter_iterative(gm, lb, thr, np.array([0.0, max(drifts)]), c)
-        assert cm.targets[1].tolist() == [0, 1]
-        return float(lb[0, 1]), cm.targets[0].tolist(), c.pruned_pairs
+        keep = filter_iterative(gm, lb, thr, np.array([0.0, max(drifts)]), c)
+        assert np.flatnonzero(keep[1]).tolist() == [0, 1]
+        return float(lb[0, 1]), np.flatnonzero(keep[0]).tolist(), c.pruned_pairs
 
     def near(x):  # the decayed lb is widened by the bound slack
         return pytest.approx(x, rel=1e-13)
@@ -429,8 +429,8 @@ def _grouped_pair(n_src=80, n_trg=90, z_src=4, z_trg=5, seed=0, spread=1.0, box=
 
 def test_single_groups_cannot_prune():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(z_src=1, z_trg=1)
-    cm = filter_oneshot(gm_s, gm_t, lb, ub, 3, c)
-    assert cm.targets[0].tolist() == [0]
+    keep = filter_oneshot(gm_s, gm_t, lb, ub, 3, c)
+    assert np.flatnonzero(keep[0]).tolist() == [0]
 
 
 def test_bound_computation_budget_exact():
@@ -459,7 +459,7 @@ def test_radius_filter_keeps_only_near_blobs():
     gm_t = build_groups(trg, 2, seed=1, metric=L2, counters=c)
     lb, _ = init_oneshot_state(gm_s, gm_t, c)
     radius = 20.0
-    cm = _radius_filter(gm_s, gm_t, lb, radius, c)
+    keep = _radius_filter(gm_s, gm_t, lb, radius, c)
     # every source group keeps exactly its nearby target group
     pair = brute_rows(src_pts, trg_pts, L2, CounterSet())
     for g in range(2):
@@ -469,29 +469,28 @@ def test_radius_filter_keeps_only_near_blobs():
             cols = gm_t.membership[t]
             if (pair[np.ix_(members, cols)] <= radius).any():
                 reachable.add(t)
-        assert reachable <= set(cm.targets[g].tolist())
-        assert len(cm.targets[g]) == 1
+        assert reachable <= set(np.flatnonzero(keep[g]).tolist())
+        assert np.flatnonzero(keep[g]).size == 1
 
 
 def test_topk_filter_never_prunes_true_members():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=7)
     k = 5
-    cm = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
+    keep = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
     pair = brute_rows(src.values, trg.values, L2, CounterSet())
     for i in range(src.n):
         g = gm_s.group_of[i]
-        keep = set(cm.targets[g].tolist())
+        kept = set(np.flatnonzero(keep[g]).tolist())
         order = np.lexsort((np.arange(trg.n), pair[i]))[:k]
         for j in order:
-            assert gm_t.group_of[j] in keep, (i, j)
+            assert gm_t.group_of[j] in kept, (i, j)
 
 
 def test_topk_monotone_in_k():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=8)
     prev = None
     for k in (1, 3, 9, 27):
-        cm = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
-        sizes = [t.size for t in cm.targets]
+        sizes = filter_oneshot(gm_s, gm_t, lb, ub, k, c).sum(axis=1).tolist()
         if prev is not None:
             assert all(a >= b for a, b in zip(sizes, prev))
         prev = sizes
@@ -501,8 +500,7 @@ def test_radius_monotone_in_radius():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=9)
     prev = None
     for radius in (0.5, 2.0, 8.0, 32.0):
-        cm = _radius_filter(gm_s, gm_t, lb, radius, c)
-        sizes = [t.size for t in cm.targets]
+        sizes = _radius_filter(gm_s, gm_t, lb, radius, c).sum(axis=1).tolist()
         if prev is not None:
             assert all(a >= b for a, b in zip(sizes, prev))
         prev = sizes
@@ -519,10 +517,10 @@ def test_oneshot_invalid_query():
 
 def test_candidate_regularity_is_structural():
     # all points of a source group share the group's candidate list by
-    # construction: the matrix is indexed by group, not by point
+    # construction: the mask is indexed by group, not by point
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=10)
-    cm = filter_oneshot(gm_s, gm_t, lb, ub, 4, c)
-    assert len(cm.targets) == gm_s.z
+    keep = filter_oneshot(gm_s, gm_t, lb, ub, 4, c)
+    assert keep.shape == (gm_s.z, gm_t.z) and keep.dtype == bool
 
 
 def _loop_cut(lb, thr, src_sizes, trg_sizes):
@@ -546,21 +544,21 @@ def test_vectorised_cut_matches_per_group_loop(seed):
     src_sizes, trg_sizes = gm_s.sizes, gm_t.sizes
     for k in (1, 7, int(trg_sizes.sum())):
         c = CounterSet()
-        cm = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
+        keep = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
         thr = np.empty(gm_s.z)
         for a in range(gm_s.z):
             order = np.lexsort((np.arange(gm_t.z), ub[a]))
             cut = int(np.searchsorted(np.cumsum(trg_sizes[order]), k))
             thr[a] = ub[a, order[cut]]
         targets, pruned = _loop_cut(lb, thr, src_sizes, trg_sizes)
-        assert [t.tolist() for t in cm.targets] == [t.tolist() for t in targets]
+        assert [np.flatnonzero(row).tolist() for row in keep] == [t.tolist() for t in targets]
         assert c.pruned_pairs == pruned
     for radius in (0.0, 5.0, 40.0, 200.0):
         c = CounterSet()
-        cm = _radius_filter(gm_s, gm_t, lb, radius, c)
+        keep = _radius_filter(gm_s, gm_t, lb, radius, c)
         thr = np.full(gm_s.z, radius)
         targets, pruned = _loop_cut(lb, thr, src_sizes, trg_sizes)
-        assert [t.tolist() for t in cm.targets] == [t.tolist() for t in targets]
+        assert [np.flatnonzero(row).tolist() for row in keep] == [t.tolist() for t in targets]
         assert c.pruned_pairs == pruned
 
 
@@ -575,10 +573,10 @@ def test_zero_drift_radius_candidates_stable():
     gm = build_groups(pts, 4, seed=4, metric=L2, counters=c)
     lb0, _ = init_oneshot_state(gm, gm, c)
     lb = lb0.copy()
-    cm = filter_iterative(gm, lb, np.full(4, 5.0), np.zeros(4), c)
+    keep = filter_iterative(gm, lb, np.full(4, 5.0), np.zeros(4), c)
     assert np.array_equal(lb, lower_bound(lb0, 0.0, gm.slack))
     for a in range(4):
-        assert np.array_equal(cm.targets[a], np.flatnonzero(lb[a] <= 5.0))
+        assert np.array_equal(np.flatnonzero(keep[a]), np.flatnonzero(lb[a] <= 5.0))
 
 
 def test_nearest_mode_prunes_soundly():
@@ -611,13 +609,13 @@ def test_nearest_mode_prunes_soundly():
     weakest = group_max(best_d + drift[best], gm.group_of, 6)
     trg_drift = group_max(drift, trg_group_of, 3)
     lb = lower_bound(lb, trg_drift[None, :], gm.slack)  # only the targets drift
-    cm = gti._cut(lb, weakest, gm.sizes, trg.sizes, c)
+    keep = gti._cut(lb, weakest, gm.sizes, trg.sizes, c)
     # unmoved targets: pruned groups really contain no nearest target
     new_pair = brute_rows(pts.values, moved, L2, CounterSet())
     new_best = np.argmin(new_pair, axis=1)
     for i in range(120):
         g = gm.group_of[i]
-        assert trg_group_of[new_best[i]] in set(cm.targets[g].tolist())
+        assert trg_group_of[new_best[i]] in set(np.flatnonzero(keep[g]).tolist())
 
 
 def test_measured_saving_bounds():

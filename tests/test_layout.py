@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from accd.counters import CounterSet
 from accd.dataset import Dataset
 from accd.errors import SizeMismatchError
-from accd.gti import CandidateMatrix, GroupModel, build_groups
+from accd.gti import GroupModel, build_groups
 from accd.layout import pack_intra_group, reorder_inter_group
 from accd.metrics import MetricSpec
 from accd.synth import gaussian_mixture
 
 L2 = MetricSpec(kind="L2")
-
-
-def _cm(lists):
-    return CandidateMatrix(targets=[np.array(l, dtype=np.int64) for l in lists])
 
 
 def _gm_from_membership(values, membership):
@@ -31,31 +30,65 @@ def _gm_from_membership(values, membership):
     )
 
 
+def _mask(lists, groups=13):
+    mask = np.zeros((len(lists), groups), dtype=bool)
+    for r, targets in enumerate(lists):
+        mask[r, targets] = True
+    return mask
+
+
 def test_reorder_groups_identical_lists_adjacent():
     # four groups: 1 and 3 share a candidate list; 0 and 2 have near-miss
     # lists that differ in the first target
-    cm = _cm([[1, 4, 6], [8, 10, 12], [2, 4, 6], [8, 10, 12]])
-    order = reorder_inter_group(cm).tolist()
-    assert order == [0, 2, 1, 3]
-    pos = {g: i for i, g in enumerate(order)}
-    # the identical pair ends up adjacent with equal keys ...
-    assert abs(pos[1] - pos[3]) == 1
-    assert cm.key(1) == cm.key(3)
-    # ... while the near-miss pair is only coincidentally consecutive and
-    # must never be merged into one run
-    assert cm.key(0) != cm.key(2)
+    mask = _mask([[1, 4, 6], [8, 10, 12], [2, 4, 6], [8, 10, 12]])
+    order, starts = reorder_inter_group(mask)
+    assert order.tolist() == [1, 3, 0, 2]
+    # the identical pair is one run; the near-miss pair, though
+    # consecutive, is never merged into one
+    assert starts.tolist() == [0, 2, 3]
 
 
 def test_reorder_identical_lists_is_stable_identity():
-    cm = _cm([[3, 5]] * 4)
-    assert reorder_inter_group(cm).tolist() == [0, 1, 2, 3]
+    order, starts = reorder_inter_group(_mask([[3, 5]] * 4))
+    assert order.tolist() == [0, 1, 2, 3]
+    assert starts.tolist() == [0]
 
 
 def test_reorder_all_distinct_sorted_by_key():
-    cm = _cm([[9], [1, 2], [1], [0]])
-    got = reorder_inter_group(cm).tolist()
-    want = sorted(range(4), key=lambda g: (tuple(cm.targets[g].tolist()), g))
-    assert got == want
+    mask = _mask([[9], [1, 2], [1], [0]])
+    order, starts = reorder_inter_group(mask)
+    # the key is each row's bits packed little-endian into bytes, compared
+    # first byte first
+    key = [tuple(np.packbits(row, bitorder="little").tolist()) for row in mask]
+    assert order.tolist() == sorted(range(4), key=lambda r: (key[r], r))
+    assert starts.tolist() == [0, 1, 2, 3]
+
+
+@st.composite
+def _masks(draw):
+    """(rows, groups) masks whose rows repeat a few drawn patterns."""
+    groups = draw(st.integers(1, 20))
+    patterns = draw(arrays(bool, (draw(st.integers(1, 4)), groups)))
+    picks = draw(st.lists(st.integers(0, patterns.shape[0] - 1), min_size=1, max_size=40))
+    return patterns[picks]
+
+
+@given(mask=_masks())
+@settings(max_examples=300, deadline=None)
+def test_reorder_runs_are_the_equal_rows_in_ascending_order(mask):
+    order, starts = reorder_inter_group(mask)
+    rows = mask.shape[0]
+    # the runs partition the rows
+    assert sorted(order.tolist()) == list(range(rows))
+    assert starts[0] == 0 and np.all(np.diff(starts) > 0) and starts[-1] < rows
+    for start, end in zip(starts.tolist(), [*starts[1:].tolist(), rows]):
+        run = order[start:end]
+        assert np.all(np.diff(run) > 0)
+        assert np.all(mask[run] == mask[run[0]])
+    # neighbouring runs differ, so each distinct row is one run
+    heads = mask[order[starts]]
+    assert not np.any(np.all(heads[1:] == heads[:-1], axis=1))
+    assert starts.size == np.unique(mask, axis=0).shape[0]
 
 
 def test_pack_follows_group_point_mapping():

@@ -19,7 +19,7 @@ from accd.ddsl.lowering import SelectSpec
 from accd import gti, oracles, pipelines
 from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
-from accd.gti import CandidateMatrix, _cut, build_groups, init_oneshot_state
+from accd.gti import _cut, build_groups, init_oneshot_state
 from accd.layout import pack_intra_group
 from accd.metrics import METRIC_NAMES, MetricSpec, rowwise_distance
 from accd.pipelines import (
@@ -137,13 +137,13 @@ def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
 
 
 def _record_cuts(monkeypatch) -> list:
-    """Patch ``_Radius.resolve`` to keep each step's candidate cut, with
-    the reducer's group model."""
+    """Patch ``_Radius.resolve`` to keep each step's keep mask, with the
+    reducer's group model."""
     resolve, cuts = pipelines._Radius.resolve, []
 
-    def resolving(self, cm, counters):
-        cuts.append((cm, self.gm))
-        return resolve(self, cm, counters)
+    def resolving(self, keep, counters):
+        cuts.append((keep.copy(), self.gm))
+        return resolve(self, keep, counters)
 
     monkeypatch.setattr(pipelines._Radius, "resolve", resolving)
     return cuts
@@ -177,12 +177,13 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         monkeypatch.setattr(pipelines._Radius, "reduce", recording)
         monkeypatch.setattr(pipelines._Radius, "TILE_CELLS", cells)
         result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
-        ((cm, _),), (within,) = cuts, reducers
+        ((keep, _),), (within,) = cuts, reducers
         assert within.cut == cut
         members = within.gm.membership
         # 0 pruned, 1 tiled, 2 mirrored from the tiled upper cell
         kind = np.zeros(within.lb.shape, dtype=int)
-        for a, cand in enumerate(cm.targets):
+        for a, row in enumerate(keep):
+            cand = np.flatnonzero(row)
             kind[a, cand] = np.where(cand >= a, 1, 2)
         assert np.array_equal(kind == 2, (kind == 1).T & ~np.eye(kind.shape[0], dtype=bool))
         tiled = np.zeros((pts.n, pts.n), dtype=int)
@@ -459,18 +460,18 @@ def _filtered_pair():
     gm_s = build_groups(src, 2, seed=3, metric=L2, counters=c)
     gm_t = build_groups(trg, 2, seed=4, metric=L2, counters=c)
     lb, _ = init_oneshot_state(gm_s, gm_t, c)
-    cm = _cut(lb, np.full(2, 10.0), gm_s.sizes, gm_t.sizes, c)
+    keep = _cut(lb, np.full(2, 10.0), gm_s.sizes, gm_t.sizes, c)
     centre = src.values.mean(axis=0)
     g_src = _Grouped.build(src.values, gm_s, pack_intra_group(src, gm_s), L2, centre)
     g_trg = _Grouped.build(trg.values, gm_t, pack_intra_group(trg, gm_t), L2, centre)
-    return src, trg, gm_s, gm_t, cm, (g_src, g_trg)
+    return src, trg, gm_s, gm_t, keep, (g_src, g_trg)
 
 
 def test_candidate_masking_skips_pruned_tiles():
-    src, trg, gm_s, gm_t, cm, (g_src, g_trg) = _filtered_pair()
+    src, trg, gm_s, gm_t, keep, (g_src, g_trg) = _filtered_pair()
     rec = _Recorder(gm_s.group_of)
-    kc = _sweep(g_src, g_trg, cm, [[0], [1]], rec, L2, 1)
-    candidates = [(g, int(t)) for g in range(2) for t in cm.targets[g]]
+    kc = _sweep(g_src, g_trg, keep, [[0], [1]], rec, L2, 1)
+    candidates = [(g, int(t)) for g in range(2) for t in np.flatnonzero(keep[g])]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert 0 < kc.point_distances == surviving < 60 * 50
     assert kc.pruned_pairs == 0
@@ -512,8 +513,8 @@ def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batc
     rec = _WideRecorder(gm_s.group_of)
     if cap is not None:
         rec.TILE_CELLS = cap
-    cm = CandidateMatrix(targets=[np.arange(gm_t.z) for _ in range(gm_s.z)])
-    kc = _sweep(g_src, g_trg, cm, batches, rec, L2, 1)
+    keep = np.ones((gm_s.z, gm_t.z), dtype=bool)
+    kc = _sweep(g_src, g_trg, keep, batches, rec, L2, 1)
 
     full = brute_rows(src.values, trg.values, L2)
     tiled = np.zeros((src.n, gm_t.z), dtype=int)
@@ -878,18 +879,19 @@ def test_gti_join_tiles_every_pair_the_group_cut_keeps(monkeypatch, threads):
     # tiled are exactly the pairs the cut keeps
     real_sweep, seen = pipelines._sweep, []
 
-    def sweep(src, trg, cm, batches, reducer, *args):
-        seen.append((src.gm, trg.gm, cm, batches))
-        return real_sweep(src, trg, cm, batches, reducer, *args)
+    def sweep(src, trg, keep, batches, reducer, *args):
+        seen.append((src.gm, trg.gm, keep, batches))
+        return real_sweep(src, trg, keep, batches, reducer, *args)
 
     monkeypatch.setattr(pipelines, "_sweep", sweep)
     result, pairs = _run("knn_blobs", thread_count=threads)
-    ((gm_s, gm_t, cm, batches),) = seen
+    ((gm_s, gm_t, keep, batches),) = seen
     assert sorted(g for batch in batches for g in batch) == list(range(gm_s.z))
     for batch in batches:
-        assert all(np.array_equal(cm.targets[g], cm.targets[batch[0]]) for g in batch)
+        assert all(np.array_equal(keep[g], keep[batch[0]]) for g in batch)
     kept = sum(
-        int(gm_s.sizes[g]) * int(gm_t.sizes[cm.targets[g]].sum()) for g in range(gm_s.z)
+        int(gm_s.sizes[g]) * int(gm_t.sizes[np.flatnonzero(keep[g])].sum())
+        for g in range(gm_s.z)
     )
     (s,) = result.per_iteration
     assert s.point_distances == kept
@@ -1144,11 +1146,8 @@ def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
     variant = _reversed_packing(monkeypatch, variant)
     pts, result = _strong_pull(**variant)
     assert result.oracle_checked and result.iterations == 4
-    cm, gm = cuts[0]
-    kept = np.zeros((gm.z, gm.z), dtype=bool)
-    for a, cand in enumerate(cm.targets):
-        kept[a, cand] = True
-    pruned = ~kept[np.ix_(gm.group_of, gm.group_of)]
+    keep, gm = cuts[0]
+    pruned = ~keep[np.ix_(gm.group_of, gm.group_of)]
     assert pruned.any()
     later = result.outputs["neighbors"][1:]
     assert sum(int(pruned[i, lst].sum()) for step in later for i, lst in enumerate(step)) > 0
@@ -1190,22 +1189,20 @@ def test_nbody_strong_pull_rebuilds_after_step_one():
 
 @pytest.mark.parametrize("case", ["strong_pull", "duplicates"])
 def test_nbody_tiles_hold_one_groups_rows(monkeypatch, case):
-    # cut to upper cells, only a group's own candidate list holds it, so a
-    # rebuild's batch holds one non-empty group, led by it or by empty
-    # groups; ``_Radius.reduce`` folds each tile into that group's bounds,
-    # which stay symmetric
+    # every rebuild sweeps each group as a batch of its own, so a tile's
+    # rows are one group's; ``_Radius.reduce`` folds each tile into that
+    # group's bounds, which stay symmetric
     seen = _record_symmetry(monkeypatch)
     real_reduce, real_sweep = pipelines._Radius.reduce, pipelines._sweep
-    tile_groups, empty_leads = [], []
+    tile_groups, sweeps = [], []
 
     def reducing(self, groups, cols, col_starts, ids, tile, err):
         tile_groups.append(np.unique(self.gm.group_of[ids]).size)
         real_reduce(self, groups, cols, col_starts, ids, tile, err)
 
-    def sweep(src, trg, cm, batches, reducer, *args):
-        sizes = src.gm.sizes
-        empty_leads.extend(sizes[b[0]] == 0 and sizes[b].any() for b in batches)
-        return real_sweep(src, trg, cm, batches, reducer, *args)
+    def sweep(src, trg, keep, batches, reducer, *args):
+        sweeps.append([list(b) for b in batches])
+        return real_sweep(src, trg, keep, batches, reducer, *args)
 
     monkeypatch.setattr(pipelines._Radius, "reduce", reducing)
     monkeypatch.setattr(pipelines, "_sweep", sweep)
@@ -1214,15 +1211,19 @@ def test_nbody_tiles_hold_one_groups_rows(monkeypatch, case):
         assert _rebuilds(result) > 1
     else:
         # 9 distinct points in 16 groups, pulled together step after step:
-        # some groups are empty, and a later rebuild has one lead a batch
+        # some groups are empty
         pts = _grid(200, 2, seed=0)
         radius = SelectSpec("radius", 1.0, "smallest")
         plan = make_plan("iterative_self_set", pts.n, pts.n, 2, radius, 6)
         design = DesignConfig(n_src_grp=16, n_trg_grp=4)
         cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3)
         result = run_plan(plan, pts, None, cfg)
-        assert any(empty_leads)
-    assert result.oracle_checked and len(seen) == _rebuilds(result)
+        assert _rebuilds(result) > 1
+        assert (seen[0].gm.sizes == 0).any()
+    assert result.oracle_checked and len(seen) == len(sweeps) == _rebuilds(result)
+    z = seen[0].gm.z
+    assert all(batches == [[g] for g in range(z)] for batches in sweeps)
+    assert [s.source_batches for s in result.per_iteration if s.source_batches] == [z] * len(seen)
     assert tile_groups and set(tile_groups) == {1}
 
 
