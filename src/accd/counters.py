@@ -11,7 +11,8 @@ to every centre that seed k-means iteration 1) go to
 nearest-landmark assignment decides (per ``build_groups`` call 6*n*z, or
 5*s*z + n*z when its five Lloyd rounds run on a sample of s = 16*z < n
 points), not the candidates of its open (near-tie) points or the final
-pass's point-to-landmark distances, which it recomputes exactly. Avoided
+pass's point-to-landmark distances, which it recomputes exactly. Its tiles
+go through the pipelines' tile engine, yet count in no kernel tally. Avoided
 point-pair work is split into mutually exclusive buckets so
 per-iteration conservation can be checked: pruned by bounds, or reused (a
 k-means iteration in which no centroid moved keeps every assignment; the

@@ -86,10 +86,12 @@ class ProblemSpec:
     size_data_type: int = 32  # bits
 
     def __post_init__(self):
-        for name in ("src_size", "trg_size", "d", "n_iteration"):
-            _check_int(name, getattr(self, name))
-        if min(self.src_size, self.trg_size, self.d, self.n_iteration) < 1:
-            raise RangeError("sizes, dim, and iterations must be >= 1")
+        sizes = (self.src_size, self.trg_size, self.d, self.n_iteration)
+        for name, value in zip(("src_size", "trg_size", "d", "n_iteration"), sizes):
+            _check_int(name, value)
+        # at most 2**53, exact as floats, so the models' products stay finite
+        if not all(1 <= value <= 2**53 for value in sizes):
+            raise RangeError("sizes, dim, and iterations must lie in 1..2**53")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise RangeError("alpha must be finite and positive")
         if self.size_data_type not in (32, 64):

@@ -6,16 +6,17 @@ point-pair distances that never require touching the points themselves.
 
 Grouping refines the landmarks with five Lloyd rounds on a seeded sample
 of at most 16 points per group, then assigns every point to its nearest
-landmark in one final pass. Each assignment ranks the landmarks through
-the kernel's fast pass (``kernel.tile_distances`` on rows centred once on
-the whole set's mean) and counts, per point, the landmarks within twice
-the pass's error bound of its fast minimum. A decided point, with one
-such landmark, takes it with no recompute; an open point, with several,
-recomputes them by direct differencing, ties going to the lower landmark
-id. Only the final pass recomputes each point's distance to its
-landmark, in row blocks. The groups, radii and point-to-landmark
-distances are bitwise those of the same sampled construction with
-brute-force assignments; only the time and memory differ.
+landmark in one final pass. Each assignment tiles the points, centred once
+on the whole set's mean, against every landmark through the pipelines'
+one tile engine (``pipelines._tile_rows``), whose top-1 reducer
+(``_Nearest``) counts, per point, the landmarks within twice the tile's
+error bound of its fast minimum. A decided point, with one such landmark,
+takes it with no recompute; an open point, with several, recomputes them
+by direct differencing, ties going to the lower landmark id. Only the
+final pass recomputes each point's distance to its landmark. The groups,
+radii and point-to-landmark distances are bitwise those of the same
+sampled construction with brute-force assignments; only the time and
+memory differ.
 
 Three bound families are provided:
 
@@ -52,7 +53,7 @@ import numpy as np
 from .counters import CounterSet
 from .dataset import Dataset, brute_rows
 from .errors import InvalidQueryError, RangeError
-from .kernel import fast_rows, gamma, tile_distances
+from .kernel import fast_rows, gamma
 from .metrics import MetricSpec, rowwise_distance
 from .oracles import group_means, group_members
 
@@ -60,7 +61,6 @@ _LLOYD_ITERATIONS = 5
 # The Lloyd rounds see at most this many points per group, drawn once per
 # build; the final pass still assigns every point.
 _LLOYD_SAMPLE_PER_GROUP = 16
-_ASSIGN_BLOCK_ELEMS = 4_000_000
 
 
 @dataclass
@@ -91,63 +91,70 @@ class GroupModel:
         return bound_slack(self.landmarks.shape[1])
 
 
+class _Nearest:
+    """Top-1 reducer of the tile engine: each row's nearest landmark under
+    (distance, id) into ``assign``, and its distance into ``dist`` unless
+    that is None. Fast values lie within ``err`` of direct differencing,
+    so a landmark more than 2*err above the row's fast minimum can neither
+    win nor tie. A row with one landmark within that margin is decided: its
+    fast argmin wins. Only the open rows, with several, recompute those
+    candidates by direct differencing, the arithmetic of ``brute_rows``
+    and of each winner's distance, and the (distance, id) minimum wins."""
+
+    # 1 MB of fast values per tile; a row's z of them may cost z*d direct terms
+    TILE_CELLS = 1 << 17
+
+    def __init__(self, values: np.ndarray, landmarks: np.ndarray, metric: MetricSpec, with_dist):
+        self.values, self.landmarks, self.metric = values, landmarks, metric
+        self.assign = np.empty(values.shape[0], dtype=np.int64)
+        self.dist = np.empty(values.shape[0]) if with_dist else None
+
+    def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
+        best = tile.argmin(axis=1)  # the columns are the landmark ids, ascending
+        low = np.take_along_axis(tile, best[:, None], axis=1)
+        cand = tile <= low + 2 * err[:, None]
+        counts = np.count_nonzero(cand, axis=1)
+        open_rows = np.flatnonzero(counts > 1)
+        if open_rows.size:
+            rows, marks = np.nonzero(cand[open_rows])  # ids ascend within a row
+            values = self.values[ids[open_rows[rows]]]
+            exact = rowwise_distance(values, self.landmarks[marks], self.metric)
+            counts = counts[open_rows]
+            starts = np.cumsum(counts) - counts
+            low_exact = np.minimum.reduceat(exact, starts)
+            hits = np.flatnonzero(exact == np.repeat(low_exact, counts))
+            best[open_rows] = marks[hits[np.searchsorted(hits, starts)]]  # lowest id
+        self.assign[ids] = best
+        if self.dist is not None:
+            self.dist[ids] = rowwise_distance(self.values[ids], self.landmarks[best], self.metric)
+
+
 def _assign_nearest(
     values: np.ndarray,
     centre: np.ndarray,
-    fast: tuple[np.ndarray, np.ndarray | None],
+    fast: tuple[np.ndarray, np.ndarray | None, slice | np.ndarray],
     landmarks: np.ndarray,
     metric: MetricSpec,
     counters: CounterSet | None,
     with_dist: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Nearest landmark per point under (distance, id), and with
-    ``with_dist`` that distance (else None).
+    ``with_dist`` that distance (else None): bitwise the argmin of
+    ``brute_rows`` with its value, decided by ``_Nearest``. ``fast`` is
+    (rows, sq, at): ``fast_rows(all_values, centre, metric)`` of the set
+    whose mean ``centre`` is, and the positions ``at`` of ``values`` in
+    it, a slice or ids (a Lloyd round's sample)."""
+    # imported here, as pipelines imports this module; the engine calls the
+    # ``tile_distances`` that pipelines binds, which a tracer may rebind
+    from .pipelines import _tile_rows
 
-    Equal, bitwise, to the argmin of ``brute_rows`` with its value.
-    ``fast`` holds the rows of ``fast_rows(all_values, centre, metric)``
-    that belong to ``values``, which may be a subset of the set whose mean
-    ``centre`` is: a Lloyd round passes its sample. The kernel's fast
-    pass gives every point-landmark value within ``err`` of its direct-
-    differencing value, so a landmark whose fast value exceeds the row's
-    fast minimum by more than 2*err can neither win nor tie. A row with one
-    landmark within that margin is decided: its fast argmin wins. Only the
-    open rows, with several, recompute those candidates by direct
-    differencing, the arithmetic of ``brute_rows``, and the (distance, id)
-    minimum wins. The winners' distances are recomputed the same way.
-    """
-    n, d = values.shape
-    z = landmarks.shape[0]
-    pts, pts_sq = fast
-    lms, lms_sq = fast_rows(landmarks, centre, metric)
-    assign = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64) if with_dist else None
-    # A row costs the block z fast values, up to z*d recomputed terms if
-    # it is open and d more for its exact distance in the final pass, so a
-    # budget of z*d terms per row bounds all three.
-    step = max(1, _ASSIGN_BLOCK_ELEMS // max(1, z * d))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        sq = None if pts_sq is None else pts_sq[start:stop]
-        tile, err = tile_distances(pts[start:stop], lms, metric, None, sq, lms_sq)
-        best = tile.argmin(axis=1)
-        low = np.take_along_axis(tile, best[:, None], axis=1)
-        cand = tile <= low + 2 * err[:, None]
-        counts = np.count_nonzero(cand, axis=1)
-        open_rows = np.flatnonzero(counts > 1)
-        if open_rows.size:
-            rows, cols = np.nonzero(cand[open_rows])  # ids ascend within a row
-            exact = rowwise_distance(values[start + open_rows[rows]], landmarks[cols], metric)
-            counts = counts[open_rows]
-            starts = np.cumsum(counts) - counts
-            low_exact = np.minimum.reduceat(exact, starts)
-            hits = np.flatnonzero(exact == np.repeat(low_exact, counts))
-            best[open_rows] = cols[hits[np.searchsorted(hits, starts)]]  # lowest id
-        assign[start:stop] = best
-        if with_dist:
-            dist[start:stop] = rowwise_distance(values[start:stop], landmarks[best], metric)
+    *src, at = fast
+    near, every = _Nearest(values, landmarks, metric, with_dist), np.arange(landmarks.shape[0])
+    marks = (every, every, *fast_rows(landmarks, centre, metric), every)
+    _tile_rows(src, at, np.arange(len(values)), marks, near.reduce, near.TILE_CELLS, metric, None)
     if counters is not None:
-        counters.grouping_distances += n * z
-    return assign, dist
+        counters.grouping_distances += len(values) * every.size
+    return near.assign, near.dist
 
 
 def build_groups(
@@ -166,7 +173,8 @@ def build_groups(
     all n. Everything is deterministic in ``seed``. Every assignment, in
     the five Lloyd rounds and the final one over all n points, is
     certified (``_assign_nearest``) on the points' fast rows, centred once
-    on the whole set's mean (a sample slices its rows from them): a point
+    on the whole set's mean, which the tile engine tiles against every
+    landmark (a sample's rows are gathered from them by position): a point
     whose fast pass leaves one landmark within its error bound takes it,
     and only the open points recompute their candidates by direct
     differencing, ties going to the lower landmark id. The Lloyd rounds
@@ -185,17 +193,17 @@ def build_groups(
     rng = np.random.default_rng(seed)
     landmarks = ds.values[rng.choice(n, size=z, replace=False)].copy()
     centre = ds.values.mean(axis=0)
-    fast = fast_rows(ds.values, centre, metric)
-    sample, sample_fast = ds.values, fast
+    rows, sq = fast_rows(ds.values, centre, metric)
+    sample, at = ds.values, slice(0, n)
     s = _LLOYD_SAMPLE_PER_GROUP * z
     if s < n:
         # sorted, so group_means sums each group in ascending point id order
-        ids = np.sort(rng.choice(n, size=s, replace=False))
-        pts, sq = fast
-        sample, sample_fast = ds.values[ids], (pts[ids], None if sq is None else sq[ids])
+        at = np.sort(rng.choice(n, size=s, replace=False))
+        sample = ds.values[at]
     for _ in range(_LLOYD_ITERATIONS):
-        assign, _ = _assign_nearest(sample, centre, sample_fast, landmarks, metric, counters)
+        assign, _ = _assign_nearest(sample, centre, (rows, sq, at), landmarks, metric, counters)
         landmarks = group_means(sample, assign, z, landmarks)
+    fast = (rows, sq, slice(0, n))
     assign, dist = _assign_nearest(
         ds.values, centre, fast, landmarks, metric, counters, with_dist=True
     )

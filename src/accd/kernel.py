@@ -46,15 +46,6 @@ def fast_rows(
     return rows, np.einsum("ij,ij->i", rows, rows)
 
 
-def _record_tile(counters: CounterSet | None, rows: int, cols: int, d: int):
-    if counters is None:
-        return
-    counters.point_distances += rows * cols
-    counters.mac_ops += rows * cols * d
-    counters.tiles_executed += 1
-    counters.bytes_streamed += (rows + cols) * d * 8
-
-
 def tile_distances(
     a_rows: np.ndarray,
     b_rows: np.ndarray,
@@ -107,5 +98,9 @@ def tile_distances(
         # e is 0 only with every row at the centre, where values are exact
         floor = max(math.sqrt(e), np.finfo(np.float64).tiny)
         err = 2 * e / np.maximum(tile.min(axis=1, initial=np.inf) * (1 - U), floor)
-    _record_tile(counters, a_rows.shape[0], b_rows.shape[0], d)
+    if counters is not None:
+        counters.point_distances += tile.size
+        counters.mac_ops += tile.size * d
+        counters.tiles_executed += 1
+        counters.bytes_streamed += (a_rows.shape[0] + b_rows.shape[0]) * d * 8
     return tile, err

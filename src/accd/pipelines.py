@@ -5,10 +5,12 @@ one-shot two-set (top-K join), and iterative self-set (radius neighbors
 with movement). Each run tallies every avoided or executed point-pair and
 can shadow a brute-force oracle that must agree exactly.
 
-One tile engine, ``_tile_rows``, serves all three. It tiles a set of
-source rows once against the members of a list of target groups,
-concatenated, in row blocks, and hands each tile to the pipeline's
-reducer; layout packing makes each group's members one slice of its
+One tile engine, ``_tile_rows``, serves all three, and it is the one
+caller of ``kernel.tile_distances``. It tiles a set of source rows once
+against a list of target columns, in row blocks, and hands each tile to a
+reducer: the pipeline's own, grouping's top-1 pass (``gti._Nearest``), or
+k-means' seeding passes against the centres' landmarks and between the
+centres. Layout packing makes each group's members one slice of its
 kernel rows. Bounds prune whole target groups for a row set: a tile has
 no per-point control inside it. Rows are batched by one rule,
 ``layout.reorder_inter_group``: it sorts the rows of a boolean reach mask,
@@ -17,27 +19,20 @@ search), so that equal rows are adjacent, and each run of equal rows is
 swept as one batch against the target groups its row names.
 
 * ``_Yinyang`` (iterative two-set) groups only the centres and bounds
-  each point against each centre group. Iteration 1 seeds those bounds
-  from the points' distances to the groups' landmarks and from the
-  centres' distances to each other, after sweeping each point against its
-  nearest group. Every iteration then batches its open points by the set
-  of groups they reach, and sweeps each batch once.
-* ``_TopK`` (one-shot two-set) takes each row's K + 1 smallest fast
-  values, ascending, ties in any order, straight from the row's one tile;
-  ``settle`` makes them exact and hands the rows a tie or rounding leaves
-  open to the oracle, ``oracles.knn_topk``. The join groups both sides,
-  cuts group pairs by their landmark bounds and sweeps (``_sweep``) runs
-  of source groups with the same candidate list; when the cut prunes
-  nothing, that is one batch that tiles every row against every target.
+  each point against each centre group, seeding the bounds in iteration
+  1 from the landmarks and the centres' distances to each other; every
+  iteration then sweeps each batch of open points once.
+* ``_TopK`` (one-shot two-set) groups both sides, cuts group pairs by
+  their landmark bounds and sweeps (``_sweep``) runs of source groups with
+  the same candidate list; it keeps each row's K + 1 smallest fast values
+  from the row's one tile, and ``settle`` makes them exact, handing the
+  rows a tie or rounding leaves open to the oracle, ``oracles.knn_topk``.
 * ``_Radius`` (iterative self-set) sweeps, one group per batch, only to
-  rebuild a Verlet list: the unordered pairs within the radius plus a
-  skin, from symmetric group-pair lower bounds cut at every rebuild, each
-  kept unordered group pair tiled once. Every step evaluates the listed
-  pairs by direct differencing, coordinate-major, into one CSR of neighbor
-  lists (``dataset.NeighborLists``), and hands the force rule each pair's
-  squared Euclidean sum, so no pair is differenced twice. The list is
-  rebuilt only when the points' movement could have brought a pair left
-  out of it within the radius.
+  rebuild a Verlet list of the unordered pairs within the radius plus a
+  skin, each kept unordered group pair tiled once. Every step evaluates
+  the listed pairs by direct differencing into one CSR of neighbor lists
+  (``dataset.NeighborLists``) and hands the force rule each pair's squared
+  Euclidean sum, so no pair is differenced twice.
 
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
@@ -58,10 +53,10 @@ checks each step's positions with the next step's, and under Euclidean
 distance too, as its force is. Pair counters follow the bounds; a bound
 taken from fast values (a tile extreme) can move in its last bits with
 the tile's shape, which changes a count only if it lands within those
-bits of a threshold. All cross-point
-reductions (centroid means, force accumulation) happen in original point
-order. The physics update of the self-set pipeline is deliberately outside
-the distance-counter discipline; only neighbor search is counted and verified.
+bits of a threshold. All cross-point reductions (centroid means, force
+accumulation) happen in original point order. The physics update of the
+self-set pipeline is deliberately outside the distance-counter
+discipline; only neighbor search is counted and verified.
 """
 
 from __future__ import annotations
@@ -199,6 +194,14 @@ class _Grouped:
         ids = np.concatenate([self.gm.membership[g] for g in groups])
         return ids, self.plan.inverse_perm[ids]
 
+    def targets(self, groups: np.ndarray) -> tuple:
+        """The tile engine's targets (``_tile_rows``): the members of the
+        non-empty groups ``groups``, concatenated."""
+        ids, at = self.locate(groups.tolist())
+        sizes = self.gm.sizes[groups]
+        sq = None if self.sq is None else self.sq[at]
+        return groups, ids, self.rows[at], sq, np.cumsum(sizes) - sizes
+
 
 def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
     """Direct distances of the pairs (a[i[p]], b[j[p]]), gathered in blocks:
@@ -214,28 +217,26 @@ def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
 # -- the tile engine ------------------------------------------------------
 
 
-def _tile_rows(src, at, ids, trg: _Grouped, groups, reducer, metric, counters) -> None:
-    """The one tile engine: tile the source rows ``src.rows[at]`` (``at`` a
-    slice or positions; ``src.sq`` their squared norms, L2 only), whose ids
-    are ``ids``, against the members of ``trg``'s non-empty groups
-    ``groups``, concatenated, in row blocks of ``reducer.TILE_CELLS`` cells
-    at most; each block's rows are sliced or gathered as it is tiled. Each
-    tile goes to ``reducer.reduce(groups, cols, col_starts, ids, tile,
-    err)``: the column ids, each group's first column, the block's ids,
-    fast values and per-row error bound."""
-    cols, where = trg.locate(groups.tolist())
-    col_rows, sq_cols = trg.rows[where], None if trg.sq is None else trg.sq[where]
-    sizes = trg.gm.sizes[groups]
-    col_starts = np.cumsum(sizes) - sizes
-    step = max(1, reducer.TILE_CELLS // cols.size)
+def _tile_rows(src, at, ids, trg, reduce, cells, metric, counters) -> None:
+    """The one tile engine, and the one caller of ``tile_distances``: tile
+    the source rows ``src[0][at]`` (``src`` is fast rows and their squared
+    norms or None; ``at`` a slice or positions), whose ids are ``ids``,
+    against ``trg`` = (groups, cols, rows, sq, col_starts): the ids, fast
+    rows and norms of the members of ``groups``, concatenated, and each
+    group's first column. Row blocks of ``cells`` cells at most are sliced
+    or gathered as they are tiled; each tile goes to ``reduce(groups, cols,
+    col_starts, ids, tile, err)`` with the block's ids and error bounds."""
+    rows, sq = src
+    groups, cols, col_rows, sq_cols, col_starts = trg
+    step = max(1, cells // cols.size)
     for i in range(0, ids.size, step):
         if isinstance(at, slice):
             block = slice(at.start + i, min(at.stop, at.start + i + step))
         else:
             block = at[i : i + step]
-        sq = None if src.sq is None else src.sq[block]
-        tile, err = tile_distances(src.rows[block], col_rows, metric, counters, sq, sq_cols)
-        reducer.reduce(groups, cols, col_starts, ids[i : i + step], tile, err)
+        sq_rows = None if sq is None else sq[block]
+        tile, err = tile_distances(rows[block], col_rows, metric, counters, sq_rows, sq_cols)
+        reduce(groups, cols, col_starts, ids[i : i + step], tile, err)
 
 
 def _sweep(
@@ -254,7 +255,8 @@ def _sweep(
         ids, at = src.locate(batch)
         groups = np.flatnonzero(keep[batch[0]])
         if ids.size and groups.size:
-            _tile_rows(src, at, ids, trg, groups, reducer, metric, local)
+            _tile_rows((src.rows, src.sq), at, ids, trg.targets(groups), reducer.reduce,
+                       reducer.TILE_CELLS, metric, local)
         return local
 
     if threads <= 1 or len(batches) <= 1:
@@ -312,33 +314,25 @@ class _Yinyang:
         centre-to-centre tiles count as ``bound_computations``."""
         n, slack, gm = self.points.shape[0], self.gm.slack, self.gm
         base, seen = counters.snapshot(), CounterSet()
-        marks, marks_sq = fast_rows(gm.landmarks, self.centre, self.metric)
         near = np.empty(n, dtype=np.int64)
-        z_step = max(1, self.TILE_CELLS // gm.z)
-        for start in range(0, n, z_step):
-            at = slice(start, start + z_step)
-            sq = None if self.sq is None else self.sq[at]
-            tile, err = tile_distances(self.rows[at], marks, self.metric, seen, sq, marks_sq)
+
+        def seed(groups, cols, col_starts, ids, tile, err) -> None:
             tile[:, gm.sizes == 0] = np.inf  # a group without centres bounds nothing
-            near[at] = tile.argmin(axis=1)
-            tile -= err[:, None]  # lower_bound(tile - err, radius, slack), in place
-            tile *= 1 - slack
-            tile -= gm.radius * (1 + slack)
-            np.maximum(tile, 0.0, out=tile)
-            self.lb[:, at] = tile.T
-            del tile, err  # before the next block's tile
+            near[ids] = tile.argmin(axis=1)
+            self.lb[:, ids] = lower_bound(tile - err[:, None], gm.radius, slack).T
+
+        every = np.arange(gm.z)
+        marks = (every, every, *fast_rows(gm.landmarks, self.centre, self.metric), every)
+        src = (self.rows, self.sq)
+        _tile_rows(src, slice(0, n), np.arange(n), marks, seed, self.TILE_CELLS, self.metric, seen)
 
         self.centroids, self.counters = centroids, counters
         self.centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
         batches = self._search(np.arange(n), reach=self.live[:, None] == near)
-        gaps = self._gaps(seen)
-        for start in range(0, n, z_step):
-            at = slice(start, start + z_step)
-            low = gaps[self.plan.inverse_perm[self.assign[at]]]
-            low *= 1 - slack  # lower_bound(gap, ub, slack), in place
-            low -= (self.ub[at] * (1 + slack))[:, None]
-            np.maximum(self.lb[:, at], low.T, out=self.lb[:, at])
-            del low  # before the next block's
+        own = self.plan.inverse_perm[self.assign]  # each point's centre, packed
+        for lb, gap in zip(self.lb, self._gaps(seen).T):
+            np.maximum(lb, lower_bound(gap.take(own), self.ub, slack), out=lb)
+        del own, gap  # before the search
         seen.bound_computations, seen.point_distances = seen.point_distances, 0
         counters.add(seen)
         batches += self._search(np.arange(n), skip=near)
@@ -350,23 +344,21 @@ class _Yinyang:
     def _gaps(self, counters: CounterSet) -> np.ndarray:
         """Per centre, in packed order, and group g: at most the centre's
         direct distance to every other centre of g (``inf`` where g holds
-        none), from fast tiles of the centres against each other."""
+        none), from fast tiles of the centres against each other. The live
+        groups are taken in packing order, so the columns are the packed
+        centres in order, and row i's own column is i."""
         centres, k = self.centres, self.centroids.shape[0]
-        starts = np.array([self.plan.group_slices[g][0] for g in self.live.tolist()])
-        by_start = np.argsort(starts)  # reduceat takes the column runs in order
-        groups, starts = self.live[by_start], starts[by_start]
         gaps = np.full((k, self.gm.z), np.inf)
-        step = max(1, self.TILE_CELLS // k)
-        for start in range(0, k, step):
-            at = slice(start, start + step)
-            sq = None if centres.sq is None else centres.sq[at]
-            tile, err = tile_distances(
-                centres.rows[at], centres.rows, self.metric, counters, sq, centres.sq
-            )
-            rows = np.arange(tile.shape[0])
-            tile[rows, rows + start] = np.inf  # a centre bounds only the others
+
+        def fold(groups, cols, col_starts, ids, tile, err) -> None:
+            tile[np.arange(ids.size), ids] = np.inf  # a centre bounds only the others
             tile -= err[:, None]
-            gaps[at, groups] = np.minimum.reduceat(tile, starts, axis=1)
+            gaps[ids[:, None], groups] = np.minimum.reduceat(tile, col_starts, axis=1)
+
+        order = self.plan.group_order
+        live = centres.targets(order[self.gm.sizes[order] > 0])
+        _tile_rows((centres.rows, centres.sq), slice(0, k), np.arange(k), live, fold,
+                   self.TILE_CELLS, self.metric, counters)
         return gaps
 
     def update(self, centroids: np.ndarray, drift: np.ndarray, counters: CounterSet) -> int:
@@ -420,7 +412,8 @@ class _Yinyang:
             groups = self.live[head]
             if groups.size:
                 at = rows[start:end]
-                _tile_rows(self, at, at, self.centres, groups, self, self.metric, self.counters)
+                _tile_rows((self.rows, self.sq), at, at, self.centres.targets(groups),
+                           self.reduce, self.TILE_CELLS, self.metric, self.counters)
                 batches += 1
         return batches
 

@@ -221,7 +221,8 @@ def test_explore_infeasible_problem_exits_1_with_nearest_miss(tmp_path, capsys):
 
 # (flag, file contents) for config files that are not valid JSON, are not
 # an object, name a field the config does not have, give a design or size
-# value that is not an integer, or an alpha that is not finite
+# value that is not an integer, or an alpha that is not finite, or a size
+# too large for the models' float arithmetic
 BAD_CONFIGS = [
     ("--problem", '{"src_size": 2000,'),
     ("--problem", {**SMALL_PROBLEM, "bogus": 1}),
@@ -233,6 +234,7 @@ BAD_CONFIGS = [
     ("--problem", {**SMALL_PROBLEM, "src_size": 2.5}),
     ("--problem", {**SMALL_PROBLEM, "src_size": True}),
     ("--problem", {**SMALL_PROBLEM, "alpha": float("nan")}),
+    ("--problem", {"src_size": 10**300, "trg_size": 2000, "d": 24, "n_iteration": 1}),
 ]
 
 

@@ -1,7 +1,9 @@
 """Library code that only tests call is deleted: every top-level function
 and class of ``src/accd`` is referenced elsewhere in ``src/accd``, or
-exported by ``accd/__init__.py``. The check reads the sources with ``ast``
-and imports nothing."""
+exported by ``accd/__init__.py``. And every distance tile goes through the
+one tile engine: ``kernel.tile_distances`` is referenced by one function
+alone, ``pipelines._tile_rows``. The checks read the sources with ``ast``
+and import nothing."""
 
 import ast
 from pathlib import Path
@@ -39,3 +41,29 @@ def test_every_top_level_definition_is_used_or_exported():
     assert len(defined) > 50  # the walk found the package
     unused = {(m, name) for m, name in defined if name not in used} - ALLOWED
     assert unused == set(), f"defined but never referenced in src/accd: {sorted(unused)}"
+
+
+
+def _tile_references(node: ast.AST, scope: str | None, out: list) -> None:
+    """Append the innermost enclosing function (None at module level) of
+    each reference to ``tile_distances`` under ``node``, a call or not,
+    and of each import that renames it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    if isinstance(node, ast.alias) and node.name == "tile_distances" and node.asname:
+        name = node.name
+    if name == "tile_distances" and isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+        out.append(scope)
+    for child in ast.iter_child_nodes(node):
+        _tile_references(child, scope, out)
+
+
+def test_one_function_tiles():
+    where = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        found = []
+        _tile_references(ast.parse(path.read_text()), None, found)
+        where += [(module, scope) for scope in found]
+    assert where == [("pipelines", "_tile_rows")]

@@ -339,6 +339,17 @@ def test_problem_spec_validation():
         ProblemSpec(src_size=1, trg_size=1, d=1, n_iteration=1, size_data_type=16)
 
 
+def test_problem_sizes_stop_where_floats_stop_being_exact():
+    # every field at 2**53 scores on the largest default design with finite
+    # latencies; one more is a range error, not an overflow in the model
+    big = dict.fromkeys(("src_size", "trg_size", "d", "n_iteration"), 2**53)
+    report = evaluate(ProblemSpec(**big), DesignConfig(256, 64, 256, 8, 8), default_platform())
+    assert np.isfinite([report.latency_filt, report.latency_total, report.bw_required]).all()
+    for name in big:
+        with pytest.raises(RangeError):
+            ProblemSpec(**{**big, name: 2**53 + 1})
+
+
 def test_design_config_validation():
     # every design field, the cost-model knobs too, is a whole number >= 1
     for name in ("n_src_grp", "n_trg_grp", "blk", "simd", "unroll"):

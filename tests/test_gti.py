@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from accd import gti
+from accd import gti, pipelines
 from accd.counters import CounterSet
 from accd.dataset import Dataset, brute_rows
 from accd.errors import InvalidQueryError, RangeError
@@ -173,10 +173,10 @@ def test_assign_nearest_equals_oracle_bitwise(monkeypatch, data, metric, offset)
         values = np.random.default_rng(21).integers(0, 3, size=(300, 6)).astype(np.float64)
     values = values + offset
     landmarks = np.vstack([values[:12], values[3:9], values[40:52]])
-    monkeypatch.setattr(gti, "_ASSIGN_BLOCK_ELEMS", 7 * landmarks.shape[0] * 6)
+    monkeypatch.setattr(gti._Nearest, "TILE_CELLS", 7 * landmarks.shape[0])
     mt = _METRICS[metric]
     centre = values.mean(axis=0)
-    fast = fast_rows(values, centre, mt)
+    fast = (*fast_rows(values, centre, mt), slice(0, values.shape[0]))
     want_assign, want_dist = nearest_assign(values, landmarks, mt)
     assign, dist = gti._assign_nearest(values, centre, fast, landmarks, mt, None)
     assert dist is None
@@ -184,6 +184,11 @@ def test_assign_nearest_equals_oracle_bitwise(monkeypatch, data, metric, offset)
     assign, dist = gti._assign_nearest(values, centre, fast, landmarks, mt, None, with_dist=True)
     assert assign.dtype == want_assign.dtype and assign.tobytes() == want_assign.tobytes()
     assert dist.dtype == want_dist.dtype and dist.tobytes() == want_dist.tobytes()
+    # a sample of every third point, by its positions in the set's rows:
+    # its 100 rows are gathered in blocks of 7, the last one ragged
+    at = np.arange(0, values.shape[0], 3)
+    assign, _ = gti._assign_nearest(values[at], centre, (*fast[:2], at), landmarks, mt, None)
+    assert assign.tobytes() == want_assign[at].tobytes()
 
 
 def _spy_grouping(monkeypatch, ds, z, seed):
@@ -194,7 +199,7 @@ def _spy_grouping(monkeypatch, ds, z, seed):
     real_assign, real_rowwise, real_tile = (
         gti._assign_nearest,
         gti.rowwise_distance,
-        gti.tile_distances,
+        pipelines.tile_distances,
     )
 
     def assign(*args, **kwargs):
@@ -217,7 +222,7 @@ def _spy_grouping(monkeypatch, ds, z, seed):
     with monkeypatch.context() as m:
         m.setattr(gti, "_assign_nearest", assign)
         m.setattr(gti, "rowwise_distance", rowwise)
-        m.setattr(gti, "tile_distances", tile)
+        m.setattr(pipelines, "tile_distances", tile)  # the tile engine's
         build_groups(ds, z, seed=seed, metric=L2)
     assert len(passes) == gti._LLOYD_ITERATIONS + 1
     return passes

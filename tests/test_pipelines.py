@@ -1633,6 +1633,75 @@ def test_kmeans_search_sweeps_each_reach_pattern_once(monkeypatch, case):
             assert all(len(rows) == step for _, rows, _ in run[:-1]) and len(run[-1][1]) <= step
 
 
+def _blocks(rows: int, cols: int, cells: int) -> list[tuple[int, int]]:
+    """The tile shapes of ``rows`` rows against ``cols`` columns in blocks
+    of ``cells`` cells at most."""
+    step = max(1, cells // cols)
+    return [(min(step, rows - i), cols) for i in range(0, rows, step)]
+
+
+# (points, initial centres, centre groups, tile budget): each budget makes
+# iteration 1's last landmark block and last centre-to-centre block ragged
+_RAGGED_CASES = {
+    # two copies of each of 3 centres in 4 groups leave a group empty;
+    # blocks of 8 and 4 rows against the landmarks, 5 and 1 between centres
+    "duplicated": lambda: (
+        gaussian_mixture(300, 4, 3, seed=31, center_box=3.0),
+        np.repeat(np.random.default_rng(32).normal(size=(3, 4)) * 3.0, 2, axis=0),
+        4,
+        32,
+    ),
+    # 16 distinct centres: blocks of 12 and 4 rows, and of 3 and 1
+    "blobs": lambda: (
+        _BOUND_CASES["blobs"](),
+        _BOUND_CASES["blobs"]().values[np.random.default_rng(54).choice(400, 16, replace=False)],
+        4,
+        48,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_RAGGED_CASES))
+@pytest.mark.parametrize("metric", METRICS, ids=["l1", "l2"])
+def test_kmeans_ragged_landmark_and_gap_blocks_equal_the_oracle(monkeypatch, metric, case):
+    # a tiny ``_Yinyang.TILE_CELLS`` splits iteration 1's landmark pass and
+    # its centre-to-centre pass into row blocks, the last of each ragged;
+    # the bounds hold after every iteration, and the run equals the oracle
+    # and the run on the default budget
+    pts, init, groups, cells = _RAGGED_CASES[case]()
+    k = init.shape[0]
+    plan = make_plan(
+        "iterative_two_set", pts.n, k, pts.d, SelectSpec("count", 1.0, "smallest"), 5, metric
+    )
+    cfg = RunConfig(design=DesignConfig(n_src_grp=10, n_trg_grp=groups), oracle_mode="shadow")
+    spec = MetricSpec(kind=metric.split()[-1])
+    sizes = build_groups(Dataset.from_values(init), groups, cfg.seed + 2, spec).sizes
+    assert np.any(sizes == 0) == (case == "duplicated")
+    want = run_kmeans(plan, pts, cfg, initial_clusters=init)
+
+    tiles, real_engine, real_tile = [], pipelines._tile_rows, pipelines.tile_distances
+
+    def engine(src, at, ids, trg, reduce, *args):
+        tiles.append((reduce.__name__, []))
+        return real_engine(src, at, ids, trg, reduce, *args)
+
+    def tile(a, b, *args):
+        tiles[-1][1].append((a.shape[0], b.shape[0]))
+        return real_tile(a, b, *args)
+
+    seen = _watch_bounds(monkeypatch)
+    monkeypatch.setattr(pipelines, "_tile_rows", engine)
+    monkeypatch.setattr(pipelines, "tile_distances", tile)
+    monkeypatch.setattr(pipelines._Yinyang, "TILE_CELLS", cells)
+    got = run_kmeans(plan, pts, cfg, initial_clusters=init)
+    assert got.oracle_checked and len(seen) == got.iterations > 1
+    passes = {name: shapes for name, shapes in tiles if name != "reduce"}
+    assert passes == {"seed": _blocks(pts.n, groups, cells), "fold": _blocks(k, k, cells)}
+    assert all(shapes[-1][0] < shapes[0][0] for shapes in passes.values())
+    for key in ("assignments", "centroids"):
+        assert got.outputs[key].tobytes() == want.outputs[key].tobytes()
+
+
 def test_kmeans_tie_at_distance_zero_reaches_the_lower_centre(monkeypatch):
     # centre 0 at (1, -1) wins a and b on ties (L1 distance 2 to both
     # centres), centre 1 holds p on the spot; both then move onto p, so in
