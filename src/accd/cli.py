@@ -260,9 +260,9 @@ def cmd_explore(args) -> int:
 
 
 def _bench_design(plan: ExecutionPlan) -> DesignConfig:
-    """Bench group counts: max(8, isqrt(n)) source groups, which k-means
-    does not use; target groups max(8, isqrt(m)) for a join, max(2, k // 8)
-    for k clusters, 1 for a self-set."""
+    """Bench group counts: max(8, isqrt(n)) source groups, which only
+    n-body uses; target groups max(8, isqrt(m)) for a join, max(2, k // 8)
+    for k clusters, 1 for a self-set, which ignores them."""
     n_trg_grp = {
         "oneshot_two_set": max(8, math.isqrt(plan.target_size)),
         "iterative_two_set": max(2, plan.target_size // 8),
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trg", help="target dataset CSV (two-set pipelines)")
     p.add_argument("--weights", help="weight vector CSV for weighted metrics")
     p.add_argument("--design", help="JSON file with design config fields")
-    p.add_argument("--src-groups", type=int, default=64)
+    p.add_argument("--src-groups", type=int, default=64, help="n-body only: particle groups")
     p.add_argument("--trg-groups", type=int, default=8)
     p.add_argument("--oracle", choices=("off", "shadow"), default="off")
     p.add_argument("--seed", type=int, default=0)

@@ -5,16 +5,19 @@ Every code path that evaluates a true point-to-point distance bumps
 computations (landmark pairs, point-to-landmark offsets, drifts, the
 k-means tightening of a point's upper bound to its own centre, the
 distances from every point to every centre landmark and from every centre
-to every centre that seed k-means iteration 1) go to
-``bound_computations``; the throwaway work of building groups goes to
-``grouping_distances``, which counts the rows*z point-landmark pairs each
-nearest-landmark assignment decides (per ``build_groups`` call 6*n*z, or
-5*s*z + n*z when its five Lloyd rounds run on a sample of s = 16*z < n
-points), not the candidates of its open (near-tie) points or the final
-pass's point-to-landmark distances, which it recomputes exactly. Its tiles
-go through the pipelines' tile engine, yet count in no kernel tally. Avoided
-point-pair work is split into mutually exclusive buckets so
-per-iteration conservation can be checked: pruned by bounds, or reused (a
+to every centre that seed k-means iteration 1, and the join's m*z from
+every point to every target landmark, which its cut is made from) go to
+``bound_computations``; the throwaway work of building groups, of the one
+set each pipeline groups (the join's targets, k-means' centres, n-body's
+particles), goes to ``grouping_distances``, which counts the rows*z
+point-landmark pairs each nearest-landmark assignment decides (per
+``build_groups`` call 6*n*z, or 5*s*z + n*z when its five Lloyd rounds run
+on a sample of s = 16*z < n points), not the candidates of its open
+(near-tie) points or the final pass's point-to-landmark distances, which
+it recomputes exactly. Its tiles go through the pipelines' tile engine,
+yet count in no kernel tally. Avoided point-pair work is split into
+mutually exclusive buckets so per-iteration conservation can be checked:
+pruned by bounds, or reused (a
 k-means iteration in which no centroid moved keeps every assignment; the
 mirrored half of the group pairs a self-set step tiles, whose pairs are
 the tiled half's, swapped). ``all_inside_pairs`` is always 0: a self-set
@@ -29,8 +32,10 @@ point's bound). It is the cost of exactness in floating point, stays
 outside pair conservation, and leaves out grouping's own near-tie
 candidates. ``tiles_executed`` counts kernel calls and ``bytes_streamed``
 the operand rows each call reads, (rows + cols) * d float64 values; both
-follow the tiling, so the batching of source groups and the tile budget
-change them; ``mac_ops`` counts each call's rows * cols * d terms.
+follow the tiling, so the batching of source points and the tile budget
+change them; ``mac_ops`` counts each call's rows * cols * d terms. The
+landmark and centre tiles that k-means and the join take as bound work
+count in all three.
 
 A self-set step that keeps its Verlet list (a list step) makes no kernel
 call. It evaluates each listed unordered pair once by direct

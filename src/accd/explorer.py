@@ -249,8 +249,12 @@ class Domains:
 
     def __post_init__(self):
         for f in fields(self):
-            for value in getattr(self, f.name):
+            values = getattr(self, f.name)
+            for value in values:
                 _check_int(f.name, value)
+            # as ProblemSpec's sizes: exact as floats, so the models stay finite
+            if not values or not all(1 <= value <= 2**53 for value in values):
+                raise RangeError(f"{f.name} must list values, each in 1..2**53")
 
     def all_configs(self):
         for s in self.n_src_grp:
@@ -300,13 +304,12 @@ def explore(
     if feasible:
         _, _, config, report = min(feasible, key=lambda t: t[:2])
         return ExplorerResult(best_config=config, report=report, evaluations=len(scored))
+    # ``Domains`` holds a value per parameter, so there is a nearest miss
     misses = [(sum(v["margin"] for v in r.violated), c.key(), c, r) for c, r in scored]
-    miss = min(misses, key=lambda t: t[:2], default=None)
-    detail = None
-    if miss is not None:
-        detail = {"config": miss[2].to_json_dict(), "violated": miss[3].violated}
+    _, _, config, report = min(misses, key=lambda t: t[:2])
     raise NoFeasibleConfigError(
-        "no configuration satisfies the platform constraints", nearest_miss=detail
+        "no configuration satisfies the platform constraints",
+        nearest_miss={"config": config.to_json_dict(), "violated": report.violated},
     )
 
 

@@ -21,9 +21,10 @@ memory differ.
 Three bound families are provided:
 
 * two-landmark: bound d(a, b) through d(a_ref, b_ref) and the two
-  point-to-landmark offsets;
+  point-to-landmark offsets; the join's point-level bounds take a point's
+  fast distance to a landmark, with its error bound as the offset;
 * group-level: the same algebra with group radii in place of per-point
-  offsets, so every member of a source group shares one candidate list;
+  offsets, so every member of a group shares one candidate list (n-body);
 * trace-based: reuse a self-set's group-pair lower bounds from its last
   rebuild, decayed by how far each group has drifted since.
 
@@ -35,13 +36,12 @@ it is built from and of its own arithmetic. A pruned pair is therefore
 provably outside the query after rounding, and downstream results equal
 brute force exactly.
 
-Every filter ends in one vectorised cut: target group t survives for
-source group a iff lb[a, t] <= thr[a], where the per-source-group
-threshold ``thr`` comes from the query (the K-th covering ub, or the
-radius plus the Verlet skin of a self-set rebuild). The cut returns that
-(z_src, z_trg) keep mask; row a names source group a's candidate target
-groups, and ``layout.reorder_inter_group`` batches the groups whose rows
-are equal.
+Every filter ends in one vectorised cut: target group t survives for row
+a, a join's source point or an n-body group, iff lb[a, t] <= thr[a],
+where the per-row threshold ``thr`` comes from the query (the K-th
+covering ub, or the radius plus the Verlet skin of a self-set rebuild).
+The cut returns that (rows, z_trg) keep mask, which names each source
+point's candidate target groups for the pipelines' batching.
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def _cut(
     trg_sizes: np.ndarray,
     counters: CounterSet | None,
 ) -> np.ndarray:
-    """The (z_src, z_trg) keep mask: target group t survives for source
-    group a iff lb[a, t] <= thr[a].
+    """The (rows, z_trg) keep mask: target group t survives for row a, a
+    set of ``src_sizes[a]`` source points, iff lb[a, t] <= thr[a].
 
     Credits every dropped point pair to ``pruned_pairs``.
     """
@@ -295,9 +295,9 @@ def init_oneshot_state(
 
     Costs exactly z_src * z_trg true distance evaluations between the
     landmarks, and no point distance: with the per-point offsets cached by
-    ``build_groups`` it is the whole bound budget of the one-shot path and
-    of the first self-set rebuild, whose lower bounds later rebuilds decay
-    by drift (``filter_iterative``).
+    ``build_groups`` it is the whole bound budget of the first self-set
+    rebuild, whose lower bounds later rebuilds decay by drift
+    (``filter_iterative``).
     """
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
     if counters is not None:
@@ -306,29 +306,30 @@ def init_oneshot_state(
 
 
 def filter_oneshot(
-    src: GroupModel,
-    trg: GroupModel,
     lb: np.ndarray,
     ub: np.ndarray,
     k: int,
+    src_sizes: np.ndarray,
+    trg_sizes: np.ndarray,
     counters: CounterSet | None = None,
 ) -> np.ndarray:
-    """Top-K candidates per source group, as the cut's keep mask.
+    """Top-K candidates per row of the bounds (a join's source point, or
+    a group of ``src_sizes`` points), as the cut's keep mask.
 
-    The threshold of a source group accumulates target group sizes in
-    ascending (ub, group id) order until at least K points are covered and
-    takes the ub reached there; a target group survives iff its lb does
-    not exceed that threshold. The threshold carries the slack of ``ub``:
+    The threshold of a row accumulates target group sizes in ascending ub
+    order until at least K points are covered and takes the ub reached
+    there; a target group survives iff its lb does not exceed that
+    threshold. The threshold is the least ub whose groups cover K, so the
+    order of tied ubs does not change it. It carries the slack of ``ub``:
     at least K targets lie within it after rounding.
     """
-    sizes = trg.sizes
-    if k < 1 or k > int(sizes.sum()):
-        raise InvalidQueryError(f"top-K count {k} out of range for {sizes.sum()} targets")
-    order = np.argsort(ub, axis=1, kind="stable")
-    covered = np.cumsum(sizes[order], axis=1)
+    if k < 1 or k > int(trg_sizes.sum()):
+        raise InvalidQueryError(f"top-K count {k} out of range for {trg_sizes.sum()} targets")
+    order = np.argsort(ub, axis=1)
+    covered = np.cumsum(trg_sizes[order], axis=1)
     rows = np.arange(ub.shape[0])
     thr = ub[rows, order[rows, np.argmax(covered >= k, axis=1)]]
-    return _cut(lb, thr, src.sizes, sizes, counters)
+    return _cut(lb, thr, src_sizes, trg_sizes, counters)
 
 
 # -- iterative filtering (trace + group-level) ---------------------------

@@ -1,15 +1,16 @@
-"""Memory layout planning: candidate-driven group ordering and contiguous
+"""Memory layout planning: run-wise row ordering and contiguous
 intra-group packing.
 
 Reordering is the one batching rule: ``reorder_inter_group`` sorts the rows
-of a boolean reach mask, one row per source group (the join's group cut) or
-per point (a k-means search), so that equal rows lie next to each other,
-and names each run of equal rows; the pipelines sweep each run as one
-batch against the groups its row names, so their target data is fetched
-once per run. Packing rewrites the point order so every group is one
-contiguous slice. Both are semantics-free: the pipelines read each group's
-rows as one packed slice in ascending original-id order, so results do not
-depend on the layout.
+of a boolean reach mask, one row per source point naming the target groups
+it must be tiled against (the join's per-point cut, a k-means search, or an
+n-body point's row of its group's cut), so that equal rows lie next to each
+other, and names each run of equal rows; the pipelines sweep each run as
+one batch against the groups its row names, so their target data is
+fetched once per run. Packing rewrites a grouped set's point order so
+every group is one contiguous slice. Both are semantics-free: the
+pipelines read each group's rows as one packed slice in ascending
+original-id order, so results do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .gti import GroupModel
 
 @dataclass
 class LayoutPlan:
-    group_order: np.ndarray  # processing order of source-group ids
+    group_order: np.ndarray  # the order the groups are packed in
     point_perm: np.ndarray  # packed position -> original point id
     inverse_perm: np.ndarray  # original point id -> packed position
     group_slices: dict[int, tuple[int, int]]  # group id -> packed [start, stop)
@@ -46,41 +47,37 @@ def reorder_inter_group(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each row is packed into a byte key by one flat ``np.packbits`` (along
     an axis it is many times slower), and the keys are sorted by a stable
-    ``np.lexsort``, first byte first, so the rows of a run ascend.
+    ``np.lexsort``, first byte first, so the rows of a run ascend. Runs
+    are found on the sorted keys zero-padded to whole ``uint64`` words.
     """
-    rows, width = reach.shape[0], -(-reach.shape[1] // 8)
-    bits = np.zeros((rows, 8 * width), dtype=bool)
-    bits[:, : reach.shape[1]] = reach
-    key = np.packbits(bits, bitorder="little").reshape(rows, width)
+    rows, width = reach.shape
+    size = -(-width // 8)
+    bits = np.zeros((rows, 8 * size), dtype=bool)
+    bits[:, :width] = reach
+    packed = np.packbits(bits, bitorder="little").reshape(rows, size)
     del bits
-    order = np.lexsort(key.T[::-1])
-    key = key[order]
-    return order, np.flatnonzero(np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1))))
+    order = np.lexsort(packed.T[::-1])
+    key = np.zeros((rows, 8 * -(-size // 8)), dtype=np.uint8)
+    key[:, :size] = packed[order]
+    words = key.view(np.uint64)
+    new = np.ones(rows, dtype=bool)
+    new[1:] = np.any(words[1:] != words[:-1], axis=1)
+    return order, np.flatnonzero(new)
 
 
-def pack_intra_group(
-    ds: Dataset, gm: GroupModel, group_order: np.ndarray | None = None
-) -> LayoutPlan:
-    """Lay the groups' members out contiguously, following ``group_order``
-    (default: group id order)."""
-    z = gm.z
-    if group_order is None:
-        group_order = np.arange(z, dtype=np.int64)
-    if sorted(group_order.tolist()) != list(range(z)):
-        raise SizeMismatchError("group_order must be a permutation of group ids")
+def pack_intra_group(ds: Dataset, gm: GroupModel) -> LayoutPlan:
+    """Lay the groups' members out contiguously, in group id order."""
     total = int(gm.sizes.sum())
     if ds.n != total:
         raise SizeMismatchError(f"group model covers {total} points, dataset has {ds.n}")
 
-    order = [int(g) for g in group_order]
-    point_perm = np.concatenate([gm.membership[g] for g in order]).astype(np.int64, copy=False)
-    stops = np.cumsum([gm.membership[g].size for g in order]).tolist()
-    group_slices = {g: (stop - gm.membership[g].size, stop) for g, stop in zip(order, stops)}
+    point_perm = np.concatenate(gm.membership).astype(np.int64, copy=False)
+    stops = np.cumsum(gm.sizes)
     inverse = np.empty(total, dtype=np.int64)
     inverse[point_perm] = np.arange(total)
     return LayoutPlan(
-        group_order=np.asarray(group_order, dtype=np.int64),
+        group_order=np.arange(gm.z, dtype=np.int64),
         point_perm=point_perm,
         inverse_perm=inverse,
-        group_slices=group_slices,
+        group_slices=dict(enumerate(zip((stops - gm.sizes).tolist(), stops.tolist()))),
     )

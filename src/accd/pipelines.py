@@ -9,24 +9,20 @@ One tile engine, ``_tile_rows``, serves all three, and it is the one
 caller of ``kernel.tile_distances``. It tiles a set of source rows once
 against a list of target columns, in row blocks, and hands each tile to a
 reducer: the pipeline's own, grouping's top-1 pass (``gti._Nearest``), or
-k-means' seeding passes against the centres' landmarks and between the
-centres. Layout packing makes each group's members one slice of its
-kernel rows. Bounds prune whole target groups for a row set: a tile has
-no per-point control inside it. Rows are batched by one rule,
-``layout.reorder_inter_group``: it sorts the rows of a boolean reach mask,
-one per source group (the join's group cut) or per point (a k-means
-search), so that equal rows are adjacent, and each run of equal rows is
-swept as one batch against the target groups its row names.
+a pass against landmarks or centres that bounds each point's distance to
+each target group. Each pipeline groups one set, and layout packing makes
+each group's members one slice of its kernel rows. One batching path,
+``_sweep``, feeds the engine: each source point's row of a boolean reach
+mask names the target groups it must be tiled against, and each run of
+points with equal rows (``layout.reorder_inter_group``) is one batch.
 
-* ``_Yinyang`` (iterative two-set) groups only the centres and bounds
-  each point against each centre group, seeding the bounds in iteration
-  1 from the landmarks and the centres' distances to each other; every
-  iteration then sweeps each batch of open points once.
-* ``_TopK`` (one-shot two-set) groups both sides, cuts group pairs by
-  their landmark bounds and sweeps (``_sweep``) runs of source groups with
-  the same candidate list; it keeps each row's K + 1 smallest fast values
-  from the row's one tile, and ``settle`` makes them exact, handing the
-  rows a tie or rounding leaves open to the oracle, ``oracles.knn_topk``.
+* ``_Yinyang`` (iterative two-set) groups the centres and bounds each
+  point against each centre group, seeded in iteration 1 from the
+  landmarks and the centres' distances to each other.
+* ``_TopK`` (one-shot two-set) groups the targets, cuts per point by the
+  landmark bounds (``_TopK.cut``) and keeps each row's K + 1 smallest fast
+  values from its one tile; ``settle`` makes them exact, handing the rows
+  a tie or rounding leaves open to the oracle, ``oracles.knn_topk``.
 * ``_Radius`` (iterative self-set) sweeps, one group per batch, only to
   rebuild a Verlet list of the unordered pairs within the radius plus a
   skin, each kept unordered group pair tiled once. Every step evaluates
@@ -88,6 +84,7 @@ from .gti import (
     init_oneshot_state,
     lower_bound,
     measured_saving,
+    two_landmark_bounds,
     upper_bound,
 )
 from .kernel import fast_rows, tile_distances
@@ -111,7 +108,7 @@ _SKIN_FRACTION = 1 / 32
 
 @dataclass
 class RunConfig:
-    design: DesignConfig = DEFAULT_DESIGN  # k-means, grouping no points, ignores n_src_grp
+    design: DesignConfig = DEFAULT_DESIGN  # n_src_grp: n-body's groups; two-set runs ignore it
     seed: int = 0
     oracle_mode: str = "off"  # "off" | "shadow"
     thread_count: int = 1  # sweep workers of the join and n-body; k-means sweeps on one
@@ -140,11 +137,10 @@ class IterationStats:
     all_inside_pairs: int
     reused_pairs: int
     measured_saving: float
-    # runs of equal reach-mask rows swept (``reorder_inter_group``): of
-    # source groups in the join, of points in k-means, one per reach
-    # pattern and not per kernel call; n-body sweeps each group alone
+    # runs of points with equal reach-mask rows swept (``_sweep``), one per
+    # reach pattern and not per kernel call; in n-body, one per group
     source_batches: int
-    source_groups: int  # k-means: its points, each its own group
+    source_groups: int  # n-body: its groups; the join and k-means: the points
     changed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -161,7 +157,7 @@ class RunResult:
     measured_saving_mean: float
     wall_time_s: float
     oracle_checked: bool
-    layout: LayoutPlan  # the source set's packing; k-means: the centres'
+    layout: LayoutPlan  # the grouped set's packing: the targets, centres or particles
     oracle_s: float = 0.0  # time inside the shadow-oracle checks
 
 
@@ -183,21 +179,17 @@ class _Grouped:
         rows, sq = fast_rows(values[plan.point_perm], centre, metric)
         return cls(rows=rows, sq=sq, gm=gm, plan=plan)
 
-    def locate(self, groups: list[int] | np.ndarray) -> tuple[np.ndarray, slice | np.ndarray]:
-        """(ids, at) of the members of ``groups``, in that order, with
-        ``at`` their positions in ``rows``: a slice of the packing when the
-        groups lie next to each other in it."""
-        spans = [self.plan.group_slices[g] for g in groups]
-        if all(a[1] == b[0] for a, b in zip(spans, spans[1:])):
-            at = slice(spans[0][0], spans[-1][1])
-            return self.plan.point_perm[at], at
-        ids = np.concatenate([self.gm.membership[g] for g in groups])
-        return ids, self.plan.inverse_perm[ids]
-
     def targets(self, groups: np.ndarray) -> tuple:
         """The tile engine's targets (``_tile_rows``): the members of the
-        non-empty groups ``groups``, concatenated."""
-        ids, at = self.locate(groups.tolist())
+        non-empty groups ``groups``, concatenated, a slice of the packing
+        when the groups lie next to each other in it."""
+        spans = [self.plan.group_slices[g] for g in groups.tolist()]
+        if all(a[1] == b[0] for a, b in zip(spans, spans[1:])):
+            at = slice(spans[0][0], spans[-1][1])
+            ids = self.plan.point_perm[at]
+        else:
+            ids = np.concatenate([self.gm.membership[g] for g in groups.tolist()])
+            at = self.plan.inverse_perm[ids]
         sizes = self.gm.sizes[groups]
         sq = None if self.sq is None else self.sq[at]
         return groups, ids, self.rows[at], sq, np.cumsum(sizes) - sizes
@@ -239,35 +231,35 @@ def _tile_rows(src, at, ids, trg, reduce, cells, metric, counters) -> None:
         reduce(groups, cols, col_starts, ids[i : i + step], tile, err)
 
 
-def _sweep(
-    src: _Grouped, trg: _Grouped, keep: np.ndarray, batches: list[np.ndarray],
-    reducer, metric: MetricSpec, threads: int,
-) -> CounterSet:
-    """Tile each batch's rows, those of its source groups, against the
-    target groups its first group's row of the keep mask ``keep`` names,
-    empty groups left out (``_tile_rows``). Batches touch disjoint rows,
-    so they may run on ``threads`` workers. Returns the tile tallies.
-    """
-    keep = keep & (trg.gm.sizes > 0)
+def _sweep(rows, ids, reach, targets: _Grouped, reducer, metric, counters, threads) -> int:
+    """The one batching path: tile each source row ``ids[r]`` of ``rows``
+    (fast rows and norms, in id order) once against the non-empty groups
+    of ``targets`` that row r of ``reach`` names. Rows with equal masks are
+    one batch (``reorder_inter_group``), ids ascending; batches touch
+    disjoint rows, so they may run on ``threads`` workers. Adds the tiles'
+    tallies to ``counters``; returns the batches swept."""
+    reach = reach & (targets.gm.sizes > 0)  # empty groups hold no target
+    order, starts = reorder_inter_group(reach)
+    heads, ids = reach[order[starts]], ids[order]  # each run's row of the mask, and its ids
+    del reach, order  # before the tiles
+    ends = [*starts[1:].tolist(), ids.size]
+    runs = [(ids[a:b], np.flatnonzero(head)) for a, b, head in zip(starts.tolist(), ends, heads)]
+    runs = [run for run in runs if run[1].size]
 
-    def sweep_batch(batch: np.ndarray) -> CounterSet:
-        local = CounterSet()
-        ids, at = src.locate(batch)
-        groups = np.flatnonzero(keep[batch[0]])
-        if ids.size and groups.size:
-            _tile_rows((src.rows, src.sq), at, ids, trg.targets(groups), reducer.reduce,
-                       reducer.TILE_CELLS, metric, local)
-        return local
+    def sweep_run(run, tally: CounterSet) -> CounterSet:
+        at, groups = run
+        _tile_rows(rows, at, at, targets.targets(groups), reducer.reduce, reducer.TILE_CELLS,
+                   metric, tally)
+        return tally
 
-    if threads <= 1 or len(batches) <= 1:
-        parts = [sweep_batch(batch) for batch in batches]
+    if threads <= 1 or len(runs) <= 1:
+        for run in runs:
+            sweep_run(run, counters)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(sweep_batch, batches))
-    total = CounterSet()
-    for local in parts:
-        total.add(local)
-    return total
+            for local in pool.map(sweep_run, runs, [CounterSet() for _ in runs]):
+                counters.add(local)
+    return len(runs)
 
 
 class _Yinyang:
@@ -284,9 +276,9 @@ class _Yinyang:
     skip a point whose ``ub`` lies below every ``lb``, also once ``ub`` is
     tightened to the direct distance. Both then ``_search`` the rest: the
     open points are batched by the groups whose ``lb`` reaches their
-    ``ub`` (``reorder_inter_group``, the join's batching rule), and each
-    batch is swept once against its groups' centres. Every kernel call
-    takes ``TILE_CELLS // cols`` rows against ``cols`` columns.
+    ``ub`` (``_sweep``, every pipeline's batching path), and each batch is
+    swept once against its groups' centres. Every kernel call takes
+    ``TILE_CELLS // cols`` rows against ``cols`` columns.
     """
 
     TILE_CELLS = 1 << 14  # 128 KB of float64 per tile; its gathered rows add d / cols of it
@@ -326,9 +318,10 @@ class _Yinyang:
         src = (self.rows, self.sq)
         _tile_rows(src, slice(0, n), np.arange(n), marks, seed, self.TILE_CELLS, self.metric, seen)
 
-        self.centroids, self.counters = centroids, counters
+        self.centroids, self.counters, self.exact = centroids, counters, False
         self.centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
-        batches = self._search(np.arange(n), reach=self.live[:, None] == near)
+        batches = _sweep(src, np.arange(n), near[:, None] == every, self.centres, self,
+                         self.metric, counters, 1)
         own = self.plan.inverse_perm[self.assign]  # each point's centre, packed
         for lb, gap in zip(self.lb, self._gaps(seen).T):
             np.maximum(lb, lower_bound(gap.take(own), self.ub, slack), out=lb)
@@ -385,37 +378,23 @@ class _Yinyang:
         counters.pruned_pairs += ub.size * centroids.shape[0] - delta.point_distances
         return batches
 
-    def _search(self, rows, reach=None, skip=None) -> int:
-        """Sweep each of ``rows`` once against the centres of the groups
-        ``live[j]`` its column of ``reach`` names: by default those whose
-        ``lb`` reaches its exact ``ub``, less its ``skip`` group, built group
-        by group, so no gather of ``lb`` exceeds one of its rows. Each run
-        of equal columns (``reorder_inter_group``) is one batch; returns the
-        batches swept. A given ``reach`` is iteration 1's nearest-group
-        pass, before any ``ub`` is exact."""
-        self.exact = reach is None
-        if rows.size == 0:
-            return 0
-        if reach is None:
-            ub, reach = self.ub[rows], np.empty((self.live.size, rows.size), dtype=bool)
-            for j, g in enumerate(self.live.tolist()):
-                np.less_equal(self.lb[g].take(rows), ub, out=reach[j])
-            if skip is not None:
-                reach[np.searchsorted(self.live, skip), np.arange(rows.size)] = False
-            del ub
-        order, starts = reorder_inter_group(reach.T)
-        heads = reach.T[order[starts]]  # each run's row of the mask
-        rows = rows[order]
-        del reach, order  # before the tiles
-        batches = 0
-        for start, end, head in zip(starts.tolist(), [*starts[1:].tolist(), rows.size], heads):
-            groups = self.live[head]
-            if groups.size:
-                at = rows[start:end]
-                _tile_rows((self.rows, self.sq), at, at, self.centres.targets(groups),
-                           self.reduce, self.TILE_CELLS, self.metric, self.counters)
-                batches += 1
-        return batches
+    def _search(self, rows, skip=None) -> int:
+        """Sweep each of ``rows`` once (``_sweep``) against the centres of
+        the groups whose ``lb`` reaches its exact ``ub``, less its ``skip``
+        group; returns the batches swept. The reach mask is built group by
+        group, so no gather of ``lb`` exceeds one of its rows."""
+        self.exact = True
+        return _sweep((self.rows, self.sq), rows, self._reach(rows, skip), self.centres, self,
+                      self.metric, self.counters, 1)
+
+    def _reach(self, rows, skip) -> np.ndarray:
+        """``_search``'s (rows, z) mask, which ``_sweep`` frees before the tiles."""
+        ub, reach = self.ub[rows], np.zeros((self.gm.z, rows.size), dtype=bool)
+        for g in self.live.tolist():
+            np.less_equal(self.lb[g].take(rows), ub, out=reach[g])
+        if skip is not None:
+            reach[skip, np.arange(rows.size)] = False
+        return reach.T
 
     def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
         """Fold a tile of the rows ``ids`` against the centres ``cols`` of
@@ -480,7 +459,7 @@ class _TopK:
     ascending by value, ties in any order.
 
     Each row is filled exactly once, by ``reduce``, from its one tile
-    against all of its batch's candidate groups (``_sweep``). ``err``
+    against all of its candidate groups (``cut``, ``_sweep``). ``err``
     bounds the error of every kept value; the (K + 1)-th entry witnesses
     the boundary for ``settle``.
     """
@@ -488,11 +467,31 @@ class _TopK:
     TILE_CELLS = 1 << 15  # 256 KB: a tile and its selection stay in cache and the heap
 
     def __init__(self, m: int, k: int, trg_gm: GroupModel):
-        self.k = k
+        self.k, self.gm = k, trg_gm
         self.top_f = np.full((m, k + 1), np.inf)
         # one past any real target id: a placeholder names no target
         self.top_i = np.full((m, k + 1), trg_gm.n, dtype=np.int64)
         self.err = np.zeros(m)
+
+    def cut(self, rows, centre, metric, counters: CounterSet) -> np.ndarray:
+        """The (m, z) keep mask of the per-point cut (``filter_oneshot``),
+        from the two-landmark bounds of each point's fast tile against the
+        target landmarks, its error bound and each group's radius. Only the
+        mask outlives a row block; the tiles are ``bound_computations``."""
+        gm, m = self.gm, rows[0].shape[0]
+        keep, seen = np.empty((m, gm.z), dtype=bool), CounterSet()
+
+        def cut_block(groups, cols, col_starts, ids, tile, err) -> None:
+            lb, ub = two_landmark_bounds(tile, err[:, None], gm.radius, gm.slack)
+            points = np.ones(ids.size, dtype=np.int64)  # each row is one point
+            keep[ids] = filter_oneshot(lb, ub, self.k, points, gm.sizes, counters)
+
+        every = np.arange(gm.z)
+        marks = (every, every, *fast_rows(gm.landmarks, centre, metric), every)
+        _tile_rows(rows, slice(0, m), np.arange(m), marks, cut_block, self.TILE_CELLS, metric, seen)
+        seen.bound_computations, seen.point_distances = seen.point_distances, 0
+        counters.add(seen)
+        return keep
 
     def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
         """Fill the rows ``ids`` from their one tile, whose columns are the
@@ -553,17 +552,17 @@ class _Radius:
     group pair alike. A rebuild resets the bounds of every kept pair, in
     both orientations, and tiles each kept unordered pair {a, b} only from
     its upper cell, b >= a: the lower cells' pairs are mirrored and count
-    as reused. Each group is swept as a batch of its own: the upper list
-    of a non-empty group a starts at a itself, whose ``lb[a, a]`` is 0,
-    so no two non-empty groups share a list to batch. Every tile's rows
-    are thus one group a's, and only a's tiles fold bounds into either
-    orientation of {a, b}: the minimum of its b columns less each row's
-    error bound, widened by the bound slack. A member pair (i, j) is kept from the orientation with
-    (group of i, i) before (group of j, j), so the diagonal cell yields its
-    upper triangle. The list is every tiled pair whose fast value is at
-    most ``cut`` + err, a superset of the pairs within ``cut``: every pair
-    left out lies beyond ``cut`` in direct arithmetic. Its pairs are
-    collected per row group, so concurrent batches never share a list, as
+    as reused. Each point reaches its group's upper row, and that of a
+    non-empty group a starts at a itself, whose ``lb[a, a]`` is 0, so each
+    batch is one group. Every tile's rows are thus one group a's, and only
+    a's tiles fold bounds into either orientation of {a, b}: the minimum
+    of its b columns less each row's error bound, widened by the bound
+    slack. A member pair (i, j) is kept from the orientation with (group
+    of i, i) before (group of j, j), so the diagonal cell yields its upper
+    triangle. The list is every tiled pair whose fast value is at most
+    ``cut`` + err, a superset of the pairs within ``cut``: every pair left
+    out lies beyond ``cut`` in direct arithmetic. Its pairs are collected
+    per row group, so concurrent batches never share a list, as
     ``id_dtype(n)``, int32 below 2^31 points; ``store_list`` keeps them
     once, as i < j sorted by (i, j), and frees the rest.
 
@@ -617,13 +616,13 @@ class _Radius:
         drift = group_max(self.disp, gm.group_of, gm.z)
         thr = np.full(gm.z, self.cut)
         upper = self.resolve(filter_iterative(gm, self.lb, thr, drift, counters), counters)
-        batches = list(np.arange(gm.z)[:, None])  # one group each
-        grouped = _Grouped.build(pos, gm, plan, self.metric, pos.mean(axis=0))
-        sweep = _sweep(grouped, grouped, upper, batches, self, self.metric, threads)
-        counters.add(sweep)
+        centre = pos.mean(axis=0)
+        grouped = _Grouped.build(pos, gm, plan, self.metric, centre)
+        batches = _sweep(fast_rows(pos, centre, self.metric), np.arange(gm.n), upper[gm.group_of],
+                         grouped, self, self.metric, counters, threads)
         self.store_list()
         self.disp[:] = 0.0
-        return len(batches)
+        return batches
 
     def resolve(self, keep: np.ndarray, counters: CounterSet) -> np.ndarray:
         """Start a rebuild: reset the bounds of the group pairs the keep
@@ -690,9 +689,10 @@ class _Radius:
         ``cols``, one ``take`` each, and differences them into a (d, m)
         block, one contiguous row per coordinate. Its r2 is ``column_sum``
         of the squared differences, bitwise the oracles' ``np.add.reduce``
-        over a pair's row, and under unweighted L2 its root decides; any other metric decides on ``coordinate_distance``
-        of the same differences, bitwise ``difference_distance``. The force
-        rule takes the kept pairs' r2.
+        over a pair's row, and under unweighted L2 its root decides; any
+        other metric decides on ``coordinate_distance`` of the same
+        differences, bitwise ``difference_distance``. The force rule takes
+        the kept pairs' r2.
 
         On a list step each listed pair counts as a point distance, its
         other orientation as reused and every other ordered pair as pruned;
@@ -873,14 +873,13 @@ def run_knn_join(
     config: RunConfig,
     weights: np.ndarray | None = None,
 ) -> RunResult:
-    """Exact top-K join: group both sets, filter group pairs through the
-    two-landmark bounds, batch the source groups with equal rows of the
-    cut's keep mask (``reorder_inter_group``, whose order packs the source
-    set) and sweep (``_sweep``) each batch's rows once against all of its
-    candidate groups; ``_TopK.reduce`` takes each row's K + 1 straight
-    from its one tile, and ``_TopK.settle`` makes the result exact.
-    Self-matches are kept (a point joined against its own set finds itself
-    at distance zero)."""
+    """Exact top-K join: group the targets alone, drop per source point
+    the target groups its landmark bounds rule out (``_TopK.cut``) and
+    sweep (``_sweep``) each point once against all of its candidate
+    groups, the points with equal candidates as one batch; ``_TopK.reduce``
+    takes each row's K + 1 straight from its one tile, and ``settle`` makes
+    the result exact. Self-matches are kept (a point joined against its
+    own set finds itself at distance zero)."""
     _check_kind(plan, "oneshot_two_set")
     t0 = time.perf_counter()
     metric = plan.metric_spec(weights)
@@ -893,22 +892,15 @@ def run_knn_join(
 
     counters = CounterSet()
     m, n = src.n, trg.n
-    z_src = min(config.design.n_src_grp, m)
     z_trg = min(config.design.n_trg_grp, n)
-    src_gm = build_groups(src, z_src, config.seed + 1, metric, counters)
     trg_gm = build_groups(trg, z_trg, config.seed + 2, metric, counters)
-    lb, ub = init_oneshot_state(src_gm, trg_gm, counters)
-    keep = filter_oneshot(src_gm, trg_gm, lb, ub, k, counters)
-    order, starts = reorder_inter_group(keep)
-    src_lp = pack_intra_group(src, src_gm, group_order=order)
     trg_lp = pack_intra_group(trg, trg_gm)
-    batches = np.split(order, starts[1:])
     centre = src.values.mean(axis=0)
-    g_src = _Grouped.build(src.values, src_gm, src_lp, metric, centre)
+    rows = fast_rows(src.values, centre, metric)
     g_trg = _Grouped.build(trg.values, trg_gm, trg_lp, metric, centre)
     topk = _TopK(m, k, trg_gm)
-    sweep = _sweep(g_src, g_trg, keep, batches, topk, metric, config.thread_count)
-    counters.add(sweep)
+    batches = _sweep(rows, np.arange(m), topk.cut(rows, centre, metric, counters), g_trg, topk,
+                     metric, counters, config.thread_count)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)
     result = TopKResult(ids=ids, distances=dists, scope="smallest", row_ids=src.ids.copy())
 
@@ -935,8 +927,8 @@ def run_knn_join(
             )
         oracle_s = time.perf_counter() - t_oracle
 
-    stats = _stats(1, counters, m, n, len(batches), z_src)
-    return _result(plan, {"topk": result}, [stats], counters, config, t0, src_lp, oracle_s)
+    stats = _stats(1, counters, m, n, batches, m)
+    return _result(plan, {"topk": result}, [stats], counters, config, t0, trg_lp, oracle_s)
 
 
 # -- iterative self-set (radius neighbors with movement) -------------------
@@ -1006,9 +998,9 @@ def run_nbody(
     Step 1 rebuilds: it cuts the landmark group-pair lower bounds at the
     radius plus s and sweeps the group pairs kept, each unordered one tiled
     once from its upper cell, one source group per batch: the cut to upper
-    cells gives each non-empty group a candidate list no other shares, so
-    no batching is needed. A later step adds every point's movement to its displacement
-    since the rebuild, and rebuilds, decaying the bounds by each group's
+    cells gives each non-empty group a candidate list no other shares. A
+    later step adds every point's movement to its displacement since the
+    rebuild, and rebuilds, decaying the bounds by each group's
     largest displacement first, only when the two largest could have
     brought a pair from beyond the radius plus s within the radius. Every
     step evaluates the listed pairs directly, and the force rule takes each

@@ -65,12 +65,13 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["config"]["oracle_mode"] == "shadow"
     if sample == "knn_join.ddsl":
-        # the landmark cut prunes nothing on these blobs: the report is the
-        # packing of the 8 source groups, swept as one batch
+        # the landmark cut prunes nothing on these blobs: the 150 source
+        # points are swept as one batch, and the report is the packing of
+        # the 3 target groups, the only set the join groups
         (stats,) = payload["per_iteration"]
         assert stats["pruned_pairs"] == 0 and stats["source_batches"] == 1
-        assert stats["source_groups"] == 8
-        assert len(payload["layout"]["group_slices"]) == 8
+        assert stats["source_groups"] == 150
+        assert len(payload["layout"]["group_slices"]) == 3
 
 
 def test_syntax_error_exits_1(tmp_path):
@@ -222,7 +223,8 @@ def test_explore_infeasible_problem_exits_1_with_nearest_miss(tmp_path, capsys):
 # (flag, file contents) for config files that are not valid JSON, are not
 # an object, name a field the config does not have, give a design or size
 # value that is not an integer, or an alpha that is not finite, or a size
-# too large for the models' float arithmetic
+# or group count too large for the models' float arithmetic, a group count
+# of 0, or an empty domain
 BAD_CONFIGS = [
     ("--problem", '{"src_size": 2000,'),
     ("--problem", {**SMALL_PROBLEM, "bogus": 1}),
@@ -235,6 +237,9 @@ BAD_CONFIGS = [
     ("--problem", {**SMALL_PROBLEM, "src_size": True}),
     ("--problem", {**SMALL_PROBLEM, "alpha": float("nan")}),
     ("--problem", {"src_size": 10**300, "trg_size": 2000, "d": 24, "n_iteration": 1}),
+    ("--domains", {**SMALL_DOMAINS, "n_src_grp": [10**300]}),
+    ("--domains", {**SMALL_DOMAINS, "n_src_grp": [0]}),
+    ("--domains", {**SMALL_DOMAINS, "n_src_grp": []}),
 ]
 
 

@@ -1,12 +1,15 @@
 """Library code that only tests call is deleted: every top-level function
 and class of ``src/accd`` is referenced elsewhere in ``src/accd``, or
 exported by ``accd/__init__.py``. And every distance tile goes through the
-one tile engine: ``kernel.tile_distances`` is referenced by one function
-alone, ``pipelines._tile_rows``. The checks read the sources with ``ast``
-and import nothing."""
+one tile engine, by one batching path: ``kernel.tile_distances`` is
+referenced by one function alone, ``pipelines._tile_rows``, and
+``layout.reorder_inter_group`` by ``pipelines._sweep`` alone. The checks
+read the sources with ``ast`` and import nothing."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "accd"
 # perfbench's k-means reference, which no library code calls
@@ -44,26 +47,30 @@ def test_every_top_level_definition_is_used_or_exported():
 
 
 
-def _tile_references(node: ast.AST, scope: str | None, out: list) -> None:
+def _references(name: str, node: ast.AST, scope: str | None, out: list) -> None:
     """Append the innermost enclosing function (None at module level) of
-    each reference to ``tile_distances`` under ``node``, a call or not,
-    and of each import that renames it."""
+    each reference to ``name`` under ``node``, a call or not, and of each
+    import that renames it."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
-    name = getattr(node, "id", None) or getattr(node, "attr", None)
-    if isinstance(node, ast.alias) and node.name == "tile_distances" and node.asname:
-        name = node.name
-    if name == "tile_distances" and isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+    found = getattr(node, "id", None) or getattr(node, "attr", None)
+    if isinstance(node, ast.alias) and node.name == name and node.asname:
+        found = node.name
+    if found == name and isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
         out.append(scope)
     for child in ast.iter_child_nodes(node):
-        _tile_references(child, scope, out)
+        _references(name, child, scope, out)
 
 
-def test_one_function_tiles():
+@pytest.mark.parametrize(
+    "name, user", [("tile_distances", "_tile_rows"), ("reorder_inter_group", "_sweep")]
+)
+def test_one_function_tiles(name, user):
+    # one tile engine, and one batching path into it
     where = []
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
         found = []
-        _tile_references(ast.parse(path.read_text()), None, found)
+        _references(name, ast.parse(path.read_text()), None, found)
         where += [(module, scope) for scope in found]
-    assert where == [("pipelines", "_tile_rows")]
+    assert where == [("pipelines", user)]

@@ -241,13 +241,13 @@ def test_no_feasible_config_raises_with_nearest_miss():
     assert exc.value.nearest_miss["violated"]
 
 
-def test_an_empty_domain_has_no_feasible_config():
-    # a domains file may give a parameter no values: nothing to score
-    domains = Domains((), (4,), (16,), (1,), (1,))
-    p = ProblemSpec(src_size=64, trg_size=64, d=4, n_iteration=1)
-    with pytest.raises(NoFeasibleConfigError) as exc:
-        explore(p, _flat_platform(domains), domains)
-    assert exc.value.nearest_miss is None
+def test_an_empty_or_out_of_range_domain_is_a_range_error():
+    # a domains file may give a parameter no values, a value of 0, or one
+    # too large for the models' float arithmetic, as ProblemSpec's sizes
+    for bad in ((), (0,), (2**53 + 1,), (4, 10**300)):
+        with pytest.raises(RangeError):
+            Domains(bad, (4,), (16,), (1,), (1,))
+    assert Domains((2**53,), (4,), (16,), (1,), (1,)).n_src_grp == (2**53,)
 
 
 def test_nearest_miss_is_the_config_of_least_total_violation():

@@ -434,7 +434,7 @@ def _grouped_pair(n_src=80, n_trg=90, z_src=4, z_trg=5, seed=0, spread=1.0, box=
 
 def test_single_groups_cannot_prune():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(z_src=1, z_trg=1)
-    keep = filter_oneshot(gm_s, gm_t, lb, ub, 3, c)
+    keep = filter_oneshot(lb, ub, 3, gm_s.sizes, gm_t.sizes, c)
     assert np.flatnonzero(keep[0]).tolist() == [0]
 
 
@@ -481,7 +481,7 @@ def test_radius_filter_keeps_only_near_blobs():
 def test_topk_filter_never_prunes_true_members():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=7)
     k = 5
-    keep = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
+    keep = filter_oneshot(lb, ub, k, gm_s.sizes, gm_t.sizes, c)
     pair = brute_rows(src.values, trg.values, L2, CounterSet())
     for i in range(src.n):
         g = gm_s.group_of[i]
@@ -495,7 +495,7 @@ def test_topk_monotone_in_k():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=8)
     prev = None
     for k in (1, 3, 9, 27):
-        sizes = filter_oneshot(gm_s, gm_t, lb, ub, k, c).sum(axis=1).tolist()
+        sizes = filter_oneshot(lb, ub, k, gm_s.sizes, gm_t.sizes, c).sum(axis=1).tolist()
         if prev is not None:
             assert all(a >= b for a, b in zip(sizes, prev))
         prev = sizes
@@ -515,16 +515,16 @@ def test_oneshot_invalid_query():
     # a negative radius is rejected by the self-set pipeline (test_pipelines)
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair()
     with pytest.raises(InvalidQueryError):
-        filter_oneshot(gm_s, gm_t, lb, ub, 10_000, c)
+        filter_oneshot(lb, ub, 10_000, gm_s.sizes, gm_t.sizes, c)
     with pytest.raises(InvalidQueryError):
-        filter_oneshot(gm_s, gm_t, lb, ub, 0, c)
+        filter_oneshot(lb, ub, 0, gm_s.sizes, gm_t.sizes, c)
 
 
 def test_candidate_regularity_is_structural():
     # all points of a source group share the group's candidate list by
     # construction: the mask is indexed by group, not by point
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=10)
-    keep = filter_oneshot(gm_s, gm_t, lb, ub, 4, c)
+    keep = filter_oneshot(lb, ub, 4, gm_s.sizes, gm_t.sizes, c)
     assert keep.shape == (gm_s.z, gm_t.z) and keep.dtype == bool
 
 
@@ -549,7 +549,7 @@ def test_vectorised_cut_matches_per_group_loop(seed):
     src_sizes, trg_sizes = gm_s.sizes, gm_t.sizes
     for k in (1, 7, int(trg_sizes.sum())):
         c = CounterSet()
-        keep = filter_oneshot(gm_s, gm_t, lb, ub, k, c)
+        keep = filter_oneshot(lb, ub, k, gm_s.sizes, gm_t.sizes, c)
         thr = np.empty(gm_s.z)
         for a in range(gm_s.z):
             order = np.lexsort((np.arange(gm_t.z), ub[a]))

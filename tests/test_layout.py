@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from accd.counters import CounterSet
 from accd.dataset import Dataset
-from accd.errors import SizeMismatchError
 from accd.gti import GroupModel, build_groups
 from accd.layout import pack_intra_group, reorder_inter_group
 from accd.metrics import MetricSpec
@@ -67,7 +65,7 @@ def test_reorder_all_distinct_sorted_by_key():
 @st.composite
 def _masks(draw):
     """(rows, groups) masks whose rows repeat a few drawn patterns."""
-    groups = draw(st.integers(1, 20))
+    groups = draw(st.integers(1, 130))
     patterns = draw(arrays(bool, (draw(st.integers(1, 4)), groups)))
     picks = draw(st.lists(st.integers(0, patterns.shape[0] - 1), min_size=1, max_size=40))
     return patterns[picks]
@@ -122,11 +120,3 @@ def test_apply_preserves_row_multiset():
     packed = pts.values[plan.point_perm]
     assert np.array_equal(np.sort(packed, axis=0), np.sort(pts.values, axis=0))
     assert np.array_equal(plan.inverse_perm[plan.point_perm], np.arange(60))
-
-
-def test_group_order_must_be_permutation():
-    values = np.zeros((4, 2))
-    ds = Dataset.from_values(values)
-    gm = _gm_from_membership(values, [[0, 1], [2, 3]])
-    with pytest.raises(SizeMismatchError):
-        pack_intra_group(ds, gm, group_order=np.array([0, 0]))

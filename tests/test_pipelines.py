@@ -20,7 +20,8 @@ from accd import gti, oracles, pipelines
 from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
 from accd.gti import _cut, build_groups, init_oneshot_state
-from accd.layout import pack_intra_group
+from accd.kernel import fast_rows
+from accd.layout import LayoutPlan, pack_intra_group
 from accd.metrics import METRIC_NAMES, MetricSpec, rowwise_distance
 from accd.pipelines import (
     RunConfig,
@@ -106,15 +107,18 @@ def _flat(value):
 
 def _assert_no_prune(result, m: int, n: int, design: DesignConfig = DESIGN) -> None:
     """The facts of a join of m source against n target points whose
-    landmark cut prunes nothing: every source group has every target
-    group as its candidate, so the sweep is one batch of all the design's
-    source groups, and it tiles every pair once, in row blocks of
-    ``_TopK.TILE_CELLS // n``."""
+    landmark cut prunes nothing: every point has every target group as its
+    candidate, so the sweep is one batch of all m points, each its own
+    source group, and it tiles every pair once, in row blocks of
+    ``_TopK.TILE_CELLS // n``; the cut tiles the points against the target
+    landmarks in row blocks of ``_TopK.TILE_CELLS // z``, as bound work."""
     (s,) = result.per_iteration
+    z = min(design.n_trg_grp, n)
     assert (s.pruned_pairs, s.point_distances) == (0, m * n)
-    assert (s.source_batches, s.source_groups) == (1, min(design.n_src_grp, m))
-    rows = max(1, pipelines._TopK.TILE_CELLS // n)
-    assert result.counters.tiles_executed == -(-m // rows)
+    assert (s.source_batches, s.source_groups) == (1, m)
+    assert s.bound_computations == n + m * z  # the targets' offsets, then the cut
+    cells = pipelines._TopK.TILE_CELLS
+    assert result.counters.tiles_executed == -(-m // max(1, cells // n)) + -(-m // (cells // z))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -251,18 +255,38 @@ def _rebuilds(result) -> int:
     return sum(s.source_batches > 0 for s in result.per_iteration)
 
 
+def _pack_reversed(ds, gm) -> LayoutPlan:
+    """``pack_intra_group``'s plan with the groups packed in the reverse of
+    their id order."""
+    order = np.arange(gm.z)[::-1]
+    point_perm = np.concatenate([gm.membership[g] for g in order])
+    stops = np.cumsum(gm.sizes[order]).tolist()
+    inverse = np.empty_like(point_perm)
+    inverse[point_perm] = np.arange(point_perm.size)
+    slices = {int(g): (stop - int(gm.sizes[g]), stop) for g, stop in zip(order, stops)}
+    return LayoutPlan(group_order=order, point_perm=point_perm, inverse_perm=inverse,
+                      group_slices=slices)
+
+
 def _reversed_packing(monkeypatch, variant):
     """The RunConfig fields of ``variant``. Its ``reversed_packing`` key
-    instead makes every run pack its groups in the reverse of the order it
-    asks for, so no group run is the slice it would otherwise be."""
+    instead makes every run pack its groups in reverse id order, so no
+    group run is the slice it would otherwise be; its ``reversed_runs``
+    key makes every sweep take the runs of ``reorder_inter_group`` last
+    first."""
     variant = dict(variant)
     if variant.pop("reversed_packing", False):
+        monkeypatch.setattr(pipelines, "pack_intra_group", _pack_reversed)
+    if variant.pop("reversed_runs", False):
+        real = pipelines.reorder_inter_group
 
-        def pack_reversed(ds, gm, group_order=None):
-            order = np.arange(gm.z) if group_order is None else group_order
-            return pack_intra_group(ds, gm, group_order=order[::-1])
+        def reorder_reversed(reach):
+            order, starts = real(reach)
+            runs = np.split(order, starts[1:])[::-1] if starts.size else []
+            sizes = np.array([run.size for run in runs], dtype=np.int64)
+            return np.concatenate([order[:0], *runs]), np.cumsum(sizes) - sizes
 
-        monkeypatch.setattr(pipelines, "pack_intra_group", pack_reversed)
+        monkeypatch.setattr(pipelines, "reorder_inter_group", reorder_reversed)
     return variant
 
 
@@ -327,8 +351,13 @@ def _assert_same_results(base, other):
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize(
     "variant",
-    [{"reversed_packing": True}, {"thread_count": 2}, {"thread_count": 4}],
-    ids=["reversed_packing", "threads2", "threads4"],
+    [
+        {"reversed_packing": True},
+        {"reversed_runs": True},
+        {"thread_count": 2},
+        {"thread_count": 4},
+    ],
+    ids=["reversed_packing", "reversed_runs", "threads2", "threads4"],
 )
 def test_layout_and_threads_change_no_result(monkeypatch, name, variant):
     base, _ = _run(name)
@@ -453,7 +482,7 @@ class _WideRecorder(_Recorder):
 
 def _filtered_pair():
     # two far-apart blobs shared by both sets: each source group keeps
-    # only the target group of its own blob
+    # only the target group of its own blob, and its points that group's row
     src = gaussian_mixture(60, 3, 2, seed=1, center_box=100.0)
     trg = gaussian_mixture(50, 3, 2, seed=1, center_box=100.0)
     c = CounterSet()
@@ -462,19 +491,19 @@ def _filtered_pair():
     lb, _ = init_oneshot_state(gm_s, gm_t, c)
     keep = _cut(lb, np.full(2, 10.0), gm_s.sizes, gm_t.sizes, c)
     centre = src.values.mean(axis=0)
-    g_src = _Grouped.build(src.values, gm_s, pack_intra_group(src, gm_s), L2, centre)
+    rows = fast_rows(src.values, centre, L2)
     g_trg = _Grouped.build(trg.values, gm_t, pack_intra_group(trg, gm_t), L2, centre)
-    return src, trg, gm_s, gm_t, keep, (g_src, g_trg)
+    return src, trg, gm_s, gm_t, keep, (rows, g_trg)
 
 
 def test_candidate_masking_skips_pruned_tiles():
-    src, trg, gm_s, gm_t, keep, (g_src, g_trg) = _filtered_pair()
-    rec = _Recorder(gm_s.group_of)
-    kc = _sweep(g_src, g_trg, keep, [[0], [1]], rec, L2, 1)
+    src, trg, gm_s, gm_t, keep, (rows, g_trg) = _filtered_pair()
+    rec, kc = _Recorder(gm_s.group_of), CounterSet()
+    batches = _sweep(rows, np.arange(src.n), keep[gm_s.group_of], g_trg, rec, L2, kc, 1)
     candidates = [(g, int(t)) for g in range(2) for t in np.flatnonzero(keep[g])]
     surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
     assert 0 < kc.point_distances == surviving < 60 * 50
-    assert kc.pruned_pairs == 0
+    assert kc.pruned_pairs == 0 and batches == 2
     # each candidate group pair is tiled once, with brute-force values;
     # pruned group pairs are never touched
     assert sorted((g, t) for g, t, *_ in rec.tiles) == sorted(candidates)
@@ -486,45 +515,44 @@ def test_candidate_masking_skips_pruned_tiles():
 
 
 def _wide_case(reverse: bool):
-    # five target groups over four blobs, each source group a batch of its
-    # own or all three one batch
+    # five target groups over four blobs
     src = gaussian_mixture(90, 3, 4, seed=21, center_box=10.0)
     trg = gaussian_mixture(120, 3, 4, seed=22, center_box=10.0)
-    c = CounterSet()
-    gm_s = build_groups(src, 3, seed=3, metric=L2, counters=c)
-    gm_t = build_groups(trg, 5, seed=4, metric=L2, counters=c)
+    gm_t = build_groups(trg, 5, seed=4, metric=L2, counters=CounterSet())
     centre = src.values.mean(axis=0)
     # packed in group-id order, a run of ascending groups is one slice of
     # the packing; reversed, a run of two non-empty groups never is, and the
-    # engine gathers its rows
-    orders = [np.arange(gm.z)[:: -1 if reverse else 1] for gm in (gm_s, gm_t)]
-    plans = [pack_intra_group(*x, group_order=o) for x, o in zip(((src, gm_s), (trg, gm_t)), orders)]
-    g_src = _Grouped.build(src.values, gm_s, plans[0], L2, centre)
-    g_trg = _Grouped.build(trg.values, gm_t, plans[1], L2, centre)
-    return src, trg, gm_s, gm_t, g_src, g_trg
+    # engine gathers its columns
+    plan = _pack_reversed(trg, gm_t) if reverse else pack_intra_group(trg, gm_t)
+    g_trg = _Grouped.build(trg.values, gm_t, plan, L2, centre)
+    return src, trg, gm_t, fast_rows(src.values, centre, L2), g_trg
 
 
 @pytest.mark.parametrize("cap", [None, 64], ids=["default_cap", "small_cap"])
-@pytest.mark.parametrize("batches", [[[0], [1], [2]], [[0, 1, 2]]], ids=["alone", "batched"])
+@pytest.mark.parametrize("batches", [3, 1], ids=["alone", "batched"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["id_order", "reversed"])
 def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batches, cap):
-    src, trg, gm_s, gm_t, g_src, g_trg = _wide_case(reverse)
-    sizes = gm_t.sizes
-    rec = _WideRecorder(gm_s.group_of)
+    # the points reach every target group, or each of ``batches`` reach
+    # patterns, taken by point id mod ``batches``, leaves out one more group
+    src, trg, gm_t, rows, g_trg = _wide_case(reverse)
+    rec = _WideRecorder(None)
     if cap is not None:
         rec.TILE_CELLS = cap
-    keep = np.ones((gm_s.z, gm_t.z), dtype=bool)
-    kc = _sweep(g_src, g_trg, keep, batches, rec, L2, 1)
+    pattern = np.arange(src.n) % batches
+    reach = np.ones((src.n, gm_t.z), dtype=bool)
+    if batches > 1:
+        reach[np.arange(src.n), pattern + 1] = False
+    kc = CounterSet()
+    assert _sweep(rows, np.arange(src.n), reach, g_trg, rec, L2, kc, 1) == batches
 
     full = brute_rows(src.values, trg.values, L2)
     tiled = np.zeros((src.n, gm_t.z), dtype=int)
     entered = np.zeros(src.n, dtype=int)
-    batch_of = {g: i for i, batch in enumerate(batches) for g in batch}
     tile_batches = []
     for groups, cols, col_starts, ids, tile, err in rec.tiles:
-        assert ids.size >= 1
+        assert ids.size >= 1 and np.all(np.diff(ids) > 0)
         # a tile's rows come from one batch
-        (batch,) = {batch_of[g] for g in gm_s.group_of[ids].tolist()}
+        (batch,) = set(pattern[ids].tolist())
         tile_batches.append((batch, groups))
         assert tile.size <= rec.TILE_CELLS or ids.size == 1
         assert np.array_equal(cols, np.concatenate([gm_t.membership[t] for t in groups]))
@@ -534,14 +562,15 @@ def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batc
         for i in ids.tolist():
             tiled[i, list(groups)] += 1
             entered[i] += 1
-    # every row enters exactly one tile, against every non-empty candidate
-    # group of its batch, and nothing else
+    # every row enters exactly one tile, against every non-empty group
+    # its row of the mask names, and nothing else
     assert np.all(entered == 1)
-    assert np.array_equal(tiled, np.broadcast_to(sizes > 0, tiled.shape).astype(int))
+    assert np.array_equal(tiled, (reach & (gm_t.sizes > 0)).astype(int))
     # a batch's rows share its tiles unless the cap splits them
     shared = set(tile_batches)
+    assert len(shared) == batches
     assert (len(shared) < len(rec.tiles)) == (cap is not None)
-    assert kc.point_distances == src.n * trg.n
+    assert kc.point_distances == int((reach @ gm_t.sizes).sum())
     assert kc.pruned_pairs == 0
 
 
@@ -713,8 +742,10 @@ def test_knn_shadow_check_compares_distances():
 SAMPLED_RUNS = {
     "knn_gti": lambda threads: _run("knn_blobs", thread_count=threads)[0],
     "knn_no_prune": lambda threads: _run("knn", thread_count=threads)[0],
-    # 9 distinct points and 12 source groups: some groups end up empty
-    "knn_empty_groups": lambda threads: _exact_run("knn", _grid(300, 2, seed=5), threads=threads),
+    # 9 distinct points and 12 target groups: some groups end up empty
+    "knn_empty_groups": lambda threads: _exact_run(
+        "knn", _grid(300, 2, seed=5), threads=threads, design=DesignConfig(12, 12)
+    ),
     # 8 groups of 240 points; the strong pull rebuilds after step 1
     "nbody_rebuilds": lambda threads: _strong_pull(groups=8, thread_count=threads)[1],
 }
@@ -874,29 +905,25 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_gti_join_tiles_every_pair_the_group_cut_keeps(monkeypatch, threads):
-    # nothing is pruned below the group cut: each source row is tiled once
-    # against every member of its batch's candidate groups, so the pairs
-    # tiled are exactly the pairs the cut keeps
+    # nothing is pruned below the per-point cut: each source row is tiled
+    # once against every member of its candidate groups, so the pairs
+    # tiled are exactly the pairs the cut keeps, and each batch is one
+    # distinct row of the keep mask
     real_sweep, seen = pipelines._sweep, []
 
-    def sweep(src, trg, keep, batches, reducer, *args):
-        seen.append((src.gm, trg.gm, keep, batches))
-        return real_sweep(src, trg, keep, batches, reducer, *args)
+    def sweep(rows, ids, reach, targets, *args):
+        seen.append((ids, reach.copy(), targets.gm))
+        return real_sweep(rows, ids, reach, targets, *args)
 
     monkeypatch.setattr(pipelines, "_sweep", sweep)
     result, pairs = _run("knn_blobs", thread_count=threads)
-    ((gm_s, gm_t, keep, batches),) = seen
-    assert sorted(g for batch in batches for g in batch) == list(range(gm_s.z))
-    for batch in batches:
-        assert all(np.array_equal(keep[g], keep[batch[0]]) for g in batch)
-    kept = sum(
-        int(gm_s.sizes[g]) * int(gm_t.sizes[np.flatnonzero(keep[g])].sum())
-        for g in range(gm_s.z)
-    )
+    ((ids, keep, gm_t),) = seen
+    assert np.array_equal(ids, np.arange(keep.shape[0])) and keep.shape[1] == gm_t.z
+    kept = int((keep @ gm_t.sizes).sum())
     (s,) = result.per_iteration
     assert s.point_distances == kept
     assert s.pruned_pairs == pairs - kept > 0
-    assert s.source_batches == len(batches)
+    assert s.source_batches == np.unique(keep & (gm_t.sizes > 0), axis=0).shape[0] > 1
 
 
 def _no_prune_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", weights=None):
@@ -961,6 +988,45 @@ def test_join_that_prunes_nothing_equals_the_oracle_on_hard_inputs(monkeypatch, 
     if case == "grid_ties":
         # the tied rows are open and settled by the oracle over all targets
         assert result.counters.recomputed_distances > pts.n * k
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["offset_0", "offset_1e6"])
+@pytest.mark.parametrize("case", ["blobs", "grid"])
+@pytest.mark.parametrize("metric", list(METRIC_NAMES))
+def test_join_cut_drops_only_groups_beyond_each_points_kth_distance(
+    monkeypatch, metric, case, offset
+):
+    # for every (point, target group) pair the per-point cut drops, every
+    # member of the group lies strictly farther, by direct differencing,
+    # than the point's K-th distance; the grid's duplicate points make the
+    # K-th distance tie on many rows
+    k = 10
+    real_sweep, seen = pipelines._sweep, []
+
+    def sweep(rows, ids, reach, targets, *args):
+        seen.append((reach.copy(), targets.gm))
+        return real_sweep(rows, ids, reach, targets, *args)
+
+    monkeypatch.setattr(pipelines, "_sweep", sweep)
+    if case == "blobs":
+        values = gaussian_mixture(300, 4, 6, seed=81, center_box=10.0).values
+    else:
+        values = _grid(300, 4, seed=82).values
+    pts = Dataset.from_values(values + offset)
+    weights = np.random.default_rng(83).uniform(0.2, 2.0, size=4) if "Weighted" in metric else None
+    design = DesignConfig(n_src_grp=12, n_trg_grp=8)
+    result = _exact_run("knn", pts, weights=weights, metric=metric, design=design, value=float(k))
+    ((keep, gm),) = seen
+    spec = MetricSpec.from_name(metric, weights)
+    _, kth = oracles.knn_topk(pts.values, pts.values, spec, k)
+    full = brute_rows(pts.values, pts.values, spec)
+    dropped = ~keep[:, gm.group_of]
+    assert np.all(full[dropped] > np.broadcast_to(kth[:, k - 1 : k], full.shape)[dropped])
+    (s,) = result.per_iteration
+    assert s.point_distances + s.pruned_pairs == pts.n * pts.n
+    assert s.pruned_pairs == int(dropped.sum())
+    if case == "blobs":
+        assert s.pruned_pairs > 0
 
 
 @pytest.mark.parametrize("cols", ["positions", "ascending", "permuted", "narrow"])
@@ -1200,9 +1266,9 @@ def test_nbody_tiles_hold_one_groups_rows(monkeypatch, case):
         tile_groups.append(np.unique(self.gm.group_of[ids]).size)
         real_reduce(self, groups, cols, col_starts, ids, tile, err)
 
-    def sweep(src, trg, keep, batches, reducer, *args):
-        sweeps.append([list(b) for b in batches])
-        return real_sweep(src, trg, keep, batches, reducer, *args)
+    def sweep(rows, ids, reach, targets, *args):
+        sweeps.append((ids, reach.copy()))
+        return real_sweep(rows, ids, reach, targets, *args)
 
     monkeypatch.setattr(pipelines._Radius, "reduce", reducing)
     monkeypatch.setattr(pipelines, "_sweep", sweep)
@@ -1221,9 +1287,18 @@ def test_nbody_tiles_hold_one_groups_rows(monkeypatch, case):
         assert _rebuilds(result) > 1
         assert (seen[0].gm.sizes == 0).any()
     assert result.oracle_checked and len(seen) == len(sweeps) == _rebuilds(result)
-    z = seen[0].gm.z
-    assert all(batches == [[g] for g in range(z)] for batches in sweeps)
-    assert [s.source_batches for s in result.per_iteration if s.source_batches] == [z] * len(seen)
+    gm = seen[0].gm
+    live = gm.sizes > 0
+    for ids, reach in sweeps:
+        # each point's row is its group's, and no two non-empty groups
+        # share a row, so each batch is one non-empty group
+        assert np.array_equal(ids, np.arange(gm.n))
+        rows = reach[[m[0] for m in gm.membership if m.size]] & live
+        assert all(np.array_equal(reach[m], np.broadcast_to(reach[m[0]], reach[m].shape))
+                   for m in gm.membership if m.size)
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    counts = [s.source_batches for s in result.per_iteration if s.source_batches]
+    assert counts == [int(live.sum())] * len(seen)
     assert tile_groups and set(tile_groups) == {1}
 
 
@@ -1588,27 +1663,31 @@ def test_kmeans_tiles_no_row_against_a_centre_group_twice_in_an_iteration(monkey
 def test_kmeans_search_sweeps_each_reach_pattern_once(monkeypatch, case):
     # at entry to a group search, each open row reaches the non-empty
     # groups g whose lb[g] is at most its ub, less iteration 1's nearest
-    # group, which iteration 1 sweeps first as one more search; the rows of
-    # each distinct reach pattern are swept once, in consecutive tiles
-    # against exactly its groups, all but the last of them full row
-    # blocks, and no other row is
-    searches, real_search = [], pipelines._Yinyang._search
+    # group, which iteration 1 sweeps first, each row against that group
+    # alone; the rows of each distinct reach pattern are swept once, in
+    # consecutive tiles against exactly its groups, all but the last of
+    # them full row blocks, and no other row is
+    searches, near, real_sweep = [], [], pipelines._sweep
     real_reduce = pipelines._Yinyang.reduce
 
-    def search(self, rows, reach=None, skip=None):
-        full = (self.lb[:, rows] <= self.ub[rows]) & (self.gm.sizes > 0)[:, None]
-        if reach is not None:  # a row per non-empty group
-            full[:] = False
-            full[self.live] = reach
-        if skip is not None:
-            full[skip, np.arange(rows.size)] = False
+    def sweep(rows, ids, reach, targets, self, *args):
+        live = (self.gm.sizes > 0)[:, None]
+        if not self.exact:  # iteration 1's nearest-group pass
+            full = reach.T & live
+            assert np.all(full.sum(axis=0) == 1)
+            near.append(full.argmax(axis=0))
+        else:
+            full = (self.lb[:, ids] <= self.ub[ids]) & live
+            if len(searches) == 1:  # iteration 1's search skips that group
+                full[near[0], np.arange(ids.size)] = False
+        assert np.array_equal(reach.T & live, full)
         want = {}
-        for i, row in enumerate(rows.tolist()):
+        for i, row in enumerate(ids.tolist()):
             groups = tuple(np.flatnonzero(full[:, i]).tolist())
             if groups:
                 want.setdefault(groups, []).append(row)
         searches.append(([], want))
-        batches = real_search(self, rows, reach, skip)
+        batches = real_sweep(rows, ids, reach, targets, self, *args)
         searches[-1] += (batches,)
         return batches
 
@@ -1617,9 +1696,10 @@ def test_kmeans_search_sweeps_each_reach_pattern_once(monkeypatch, case):
             searches[-1][0].append((tuple(groups.tolist()), ids.tolist(), cols.size))
         return real_reduce(self, groups, cols, col_starts, ids, tile, err)
 
-    monkeypatch.setattr(pipelines._Yinyang, "_search", search)
+    monkeypatch.setattr(pipelines, "_sweep", sweep)
     monkeypatch.setattr(pipelines._Yinyang, "reduce", reduce)
     result, _, _ = _tile_case(case)
+    assert len(near) == 1
     assert len(searches) == 1 + sum(s.reused_pairs == 0 for s in result.per_iteration)
     assert any(len(want) > 1 for _, want, _ in searches)
     for tiles, want, batches in searches:
