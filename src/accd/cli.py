@@ -5,7 +5,7 @@ lowered plan over CSV datasets), explore (score every design of a finite
 space with the analytical model and print the best feasible one), bench
 (run a .ddsl program on seeded synthetic data, checked by the shadow
 oracle, and compare its distance work and time with the oracle's brute
-force). The run report is schema v2, the bench JSON v1 and the explore
+force). The run report is schema v3, the bench JSON v2 and the explore
 output v2.
 Exit codes: 0 success, 1 diagnostics or infeasibility, 2 runtime error
 (IO, format, config, oracle mismatch).
@@ -50,8 +50,8 @@ from .explorer import (
 from .pipelines import RunConfig, RunResult, run_plan
 from .synth import gaussian_mixture
 
-REPORT_SCHEMA_VERSION = 2
-BENCH_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 3
+BENCH_SCHEMA_VERSION = 2
 EXPLORE_SCHEMA_VERSION = 2
 
 _DIAG_EXIT = (

@@ -1,8 +1,8 @@
 """Dataset storage, CSV loading, the brute-force distance oracle, and the
 row-wise (distance, id) sort.
 
-All values are held as float64 regardless of the declared DDSL dtype; the
-declared type only affects the bandwidth model and optional storage modes.
+All values are held as float64 regardless of the declared DDSL dtype,
+and a point's id is its row index.
 ``brute_rows`` is the reference implementation every optimized path is
 checked against: it evaluates each entry by direct elementwise
 differencing, with per-entry results bitwise equal to ``distance``.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counters import CounterSet
-from .errors import DimensionMismatchError, FormatError, RangeError, SizeMismatchError
+from .errors import DimensionMismatchError, FormatError
 from .metrics import MetricSpec, difference_distance
 
 # Rows-per-block budget so a block of the broadcast difference tensor
@@ -28,9 +28,7 @@ _BLOCK_ELEMS = 4_000_000
 
 @dataclass
 class Dataset:
-    values: np.ndarray  # n x d float64, C-contiguous
-    ids: np.ndarray  # n stable point ids
-    declared_dtype: str = "float64"
+    values: np.ndarray  # n x d float64, C-contiguous; point id = row
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -39,19 +37,10 @@ class Dataset:
         if not np.all(np.isfinite(self.values)):
             row, col = np.argwhere(~np.isfinite(self.values))[0]
             raise FormatError("non-finite value in dataset", int(row) + 1, int(col) + 1)
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.shape != (self.values.shape[0],):
-            raise SizeMismatchError(
-                f"ids shape {self.ids.shape} does not match values shape {self.values.shape}"
-            )
-        sorted_ids = np.sort(self.ids)
-        if not np.array_equal(sorted_ids, np.arange(self.n)):
-            raise RangeError("ids must be a permutation of 0..n-1")
 
     @classmethod
-    def from_values(cls, values, declared_dtype: str = "float64") -> "Dataset":
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        return cls(values=values, ids=np.arange(values.shape[0]), declared_dtype=declared_dtype)
+    def from_values(cls, values) -> "Dataset":
+        return cls(values=values)
 
     @property
     def n(self) -> int:
@@ -64,17 +53,12 @@ class Dataset:
 
 @dataclass
 class TopKResult:
-    """Per source point, k (target id, distance) pairs.
-
-    Rows are sorted by (distance, id) ascending for scope="smallest" and by
-    (-distance, id) ascending for scope="largest"; ids within a row are
-    distinct.
+    """Per source point, its k nearest (target id, distance) pairs, each
+    row sorted by (distance, id) ascending; ids within a row are distinct.
     """
 
     ids: np.ndarray  # n x k
     distances: np.ndarray  # n x k
-    scope: str = "smallest"
-    row_ids: np.ndarray | None = None
 
 
 def id_dtype(n: int) -> type:
@@ -110,7 +94,7 @@ def _parse_cell(text: str) -> float | None:
         return None
 
 
-def load_csv(path, declared_dtype: str = "float64") -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a comma-separated point matrix.
 
     An optional single header row is auto-detected (first row with any
@@ -145,7 +129,7 @@ def load_csv(path, declared_dtype: str = "float64") -> Dataset:
             if not np.isfinite(v):
                 raise FormatError("non-finite value", file_row, j + 1)
             out[i, j] = v
-    return Dataset(values=out, ids=np.arange(len(data_rows)), declared_dtype=declared_dtype)
+    return Dataset(values=out)
 
 
 def brute_rows(

@@ -13,10 +13,10 @@ one tile engine (``pipelines._tile_rows``), whose top-1 reducer
 error bound of its fast minimum. A decided point, with one such landmark,
 takes it with no recompute; an open point, with several, recomputes them
 by direct differencing, ties going to the lower landmark id. Only the
-final pass recomputes each point's distance to its landmark. The groups,
-radii and point-to-landmark distances are bitwise those of the same
-sampled construction with brute-force assignments; only the time and
-memory differ.
+final pass recomputes each point's distance to its landmark, and each
+group's radius is the largest of its members'. The groups and radii are
+bitwise those of the same sampled construction with brute-force
+assignments; only the time and memory differ.
 
 Three bound families are provided:
 
@@ -46,7 +46,7 @@ point's candidate target groups for the pipelines' batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .dataset import Dataset, brute_rows
 from .errors import InvalidQueryError, RangeError
 from .kernel import fast_rows, gamma
 from .metrics import MetricSpec, rowwise_distance
-from .oracles import group_means, group_members
+from .oracles import group_means
 
 _LLOYD_ITERATIONS = 5
 # The Lloyd rounds see at most this many points per group, drawn once per
@@ -68,11 +68,13 @@ class GroupModel:
     """Landmarks plus the point partition built around them."""
 
     landmarks: np.ndarray  # z x d
-    membership: list[np.ndarray]  # per group, sorted point ids
     group_of: np.ndarray  # n, group id per point
     radius: np.ndarray  # z, distance to farthest member (0 if empty)
-    point_to_landmark: np.ndarray  # n, distance to own landmark
     metric: MetricSpec
+    sizes: np.ndarray = field(init=False)  # z, members per group
+
+    def __post_init__(self):
+        self.sizes = np.bincount(self.group_of, minlength=self.z)
 
     @property
     def z(self) -> int:
@@ -81,10 +83,6 @@ class GroupModel:
     @property
     def n(self) -> int:
         return self.group_of.shape[0]
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.array([m.size for m in self.membership], dtype=np.int64)
 
     @property
     def slack(self) -> float:
@@ -179,13 +177,14 @@ def build_groups(
     and only the open points recompute their candidates by direct
     differencing, ties going to the lower landmark id. The Lloyd rounds
     keep the assignment alone; the final pass also recomputes each point's
-    distance to its landmark. Landmarks, memberships, radii and
-    point-to-landmark distances are therefore bitwise equal to the same
-    sampled construction with brute-force ``brute_rows`` assignments. A
-    landmark that draws no sample member keeps its row, and its group may
-    end up empty. Credits rows*z decided pairs per assignment to
+    distance to its landmark, whose largest per group is the group's
+    radius. Landmarks, groups and radii are therefore bitwise equal to the
+    same sampled construction with brute-force ``brute_rows`` assignments.
+    A landmark that draws no sample member keeps its row, and its group
+    may end up empty. Credits rows*z decided pairs per assignment to
     ``grouping_distances`` (5*s*z + n*z when sampled, 6*n*z otherwise) and
-    one cached point-to-landmark distance per point to the bound tally.
+    the n point-to-landmark distances the radii come from to the bound
+    tally.
     """
     n = ds.n
     if z < 1 or z > n:
@@ -210,12 +209,7 @@ def build_groups(
     if counters is not None:
         counters.bound_computations += n
     return GroupModel(
-        landmarks=landmarks,
-        membership=group_members(assign, z),
-        group_of=assign,
-        radius=group_max(dist, assign, z),
-        point_to_landmark=dist,
-        metric=metric,
+        landmarks=landmarks, group_of=assign, radius=group_max(dist, assign, z), metric=metric
     )
 
 
@@ -294,10 +288,9 @@ def init_oneshot_state(
     """The group-pair bounds (lb, ub), each z_src x z_trg.
 
     Costs exactly z_src * z_trg true distance evaluations between the
-    landmarks, and no point distance: with the per-point offsets cached by
-    ``build_groups`` it is the whole bound budget of the first self-set
-    rebuild, whose lower bounds later rebuilds decay by drift
-    (``filter_iterative``).
+    landmarks, and no point distance: with the radii of ``build_groups``
+    it is the whole bound budget of the first self-set rebuild, whose
+    lower bounds later rebuilds decay by drift (``filter_iterative``).
     """
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
     if counters is not None:

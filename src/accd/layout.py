@@ -8,7 +8,9 @@ n-body point's row of its group's cut), so that equal rows lie next to each
 other, and names each run of equal rows; the pipelines sweep each run as
 one batch against the groups its row names, so their target data is
 fetched once per run. Packing rewrites a grouped set's point order so
-every group is one contiguous slice. Both are semantics-free: the
+every group is one contiguous slice: a plan is that order, ``point_perm``,
+and each group's [start, stop) in it, ``group_slices``, which can express
+any order of the groups. Both are semantics-free: the
 pipelines read each group's rows as one packed slice in ascending
 original-id order, so results do not depend on the layout.
 """
@@ -26,18 +28,11 @@ from .gti import GroupModel
 
 @dataclass
 class LayoutPlan:
-    group_order: np.ndarray  # the order the groups are packed in
     point_perm: np.ndarray  # packed position -> original point id
-    inverse_perm: np.ndarray  # original point id -> packed position
-    group_slices: dict[int, tuple[int, int]]  # group id -> packed [start, stop)
+    group_slices: np.ndarray  # (z, 2): per group id, its packed [start, stop)
 
     def to_json_dict(self) -> dict:
-        return {
-            "group_order": self.group_order.tolist(),
-            "point_perm": self.point_perm.tolist(),
-            "inverse_perm": self.inverse_perm.tolist(),
-            "group_slices": {str(g): list(s) for g, s in self.group_slices.items()},
-        }
+        return {"group_slices": self.group_slices.tolist()}
 
 
 def reorder_inter_group(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,18 +61,12 @@ def reorder_inter_group(reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pack_intra_group(ds: Dataset, gm: GroupModel) -> LayoutPlan:
-    """Lay the groups' members out contiguously, in group id order."""
-    total = int(gm.sizes.sum())
-    if ds.n != total:
-        raise SizeMismatchError(f"group model covers {total} points, dataset has {ds.n}")
-
-    point_perm = np.concatenate(gm.membership).astype(np.int64, copy=False)
+    """Lay the groups' members out contiguously, in group id order, each
+    group's in ascending id order: one stable argsort of ``group_of``."""
+    if ds.n != gm.n:
+        raise SizeMismatchError(f"group model covers {gm.n} points, dataset has {ds.n}")
     stops = np.cumsum(gm.sizes)
-    inverse = np.empty(total, dtype=np.int64)
-    inverse[point_perm] = np.arange(total)
     return LayoutPlan(
-        group_order=np.arange(gm.z, dtype=np.int64),
-        point_perm=point_perm,
-        inverse_perm=inverse,
-        group_slices=dict(enumerate(zip((stops - gm.sizes).tolist(), stops.tolist()))),
+        point_perm=np.argsort(gm.group_of, kind="stable"),
+        group_slices=np.column_stack((stops - gm.sizes, stops)),
     )

@@ -140,7 +140,6 @@ class IterationStats:
     # runs of points with equal reach-mask rows swept (``_sweep``), one per
     # reach pattern and not per kernel call; in n-body, one per group
     source_batches: int
-    source_groups: int  # n-body: its groups; the join and k-means: the points
     changed: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -156,7 +155,6 @@ class RunResult:
     counters: CounterSet
     measured_saving_mean: float
     wall_time_s: float
-    oracle_checked: bool
     layout: LayoutPlan  # the grouped set's packing: the targets, centres or particles
     oracle_s: float = 0.0  # time inside the shadow-oracle checks
 
@@ -182,17 +180,18 @@ class _Grouped:
     def targets(self, groups: np.ndarray) -> tuple:
         """The tile engine's targets (``_tile_rows``): the members of the
         non-empty groups ``groups``, concatenated, a slice of the packing
-        when the groups lie next to each other in it."""
-        spans = [self.plan.group_slices[g] for g in groups.tolist()]
-        if all(a[1] == b[0] for a, b in zip(spans, spans[1:])):
-            at = slice(spans[0][0], spans[-1][1])
-            ids = self.plan.point_perm[at]
+        when the groups lie next to each other in it, else the positions
+        their slices name."""
+        start, stop = self.plan.group_slices[groups].T
+        sizes = stop - start
+        col_starts = np.cumsum(sizes) - sizes
+        if (start[1:] == stop[:-1]).all():
+            at = slice(int(start[0]), int(stop[-1]))
         else:
-            ids = np.concatenate([self.gm.membership[g] for g in groups.tolist()])
-            at = self.plan.inverse_perm[ids]
-        sizes = self.gm.sizes[groups]
+            at = np.repeat(start - col_starts, sizes)
+            at += np.arange(at.size)
         sq = None if self.sq is None else self.sq[at]
-        return groups, ids, self.rows[at], sq, np.cumsum(sizes) - sizes
+        return groups, self.plan.point_perm[at], self.rows[at], sq, col_starts
 
 
 def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
@@ -322,7 +321,7 @@ class _Yinyang:
         self.centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
         batches = _sweep(src, np.arange(n), near[:, None] == every, self.centres, self,
                          self.metric, counters, 1)
-        own = self.plan.inverse_perm[self.assign]  # each point's centre, packed
+        own = np.argsort(self.plan.point_perm)[self.assign]  # each point's centre, packed
         for lb, gap in zip(self.lb, self._gaps(seen).T):
             np.maximum(lb, lower_bound(gap.take(own), self.ub, slack), out=lb)
         del own, gap  # before the search
@@ -348,8 +347,8 @@ class _Yinyang:
             tile -= err[:, None]
             gaps[ids[:, None], groups] = np.minimum.reduceat(tile, col_starts, axis=1)
 
-        order = self.plan.group_order
-        live = centres.targets(order[self.gm.sizes[order] > 0])
+        starts = self.plan.group_slices[self.live, 0]
+        live = centres.targets(self.live[np.argsort(starts)])
         _tile_rows((centres.rows, centres.sq), slice(0, k), np.arange(k), live, fold,
                    self.TILE_CELLS, self.metric, counters)
         return gaps
@@ -739,7 +738,7 @@ def _check_kind(plan: ExecutionPlan, expected: str) -> None:
         )
 
 
-def _stats(it: int, delta: CounterSet, n1: int, n2: int, batches: int, groups: int, changed=None):
+def _stats(it: int, delta: CounterSet, n1: int, n2: int, batches: int, changed=None):
     return IterationStats(
         iteration=it,
         point_distances=delta.point_distances,
@@ -749,12 +748,11 @@ def _stats(it: int, delta: CounterSet, n1: int, n2: int, batches: int, groups: i
         reused_pairs=delta.reused_pairs,
         measured_saving=measured_saving(delta.point_distances, n1, n2),
         source_batches=batches,
-        source_groups=groups,
         changed=changed,
     )
 
 
-def _result(plan, outputs, per_iter, counters, config, t0, layout, oracle_s) -> RunResult:
+def _result(plan, outputs, per_iter, counters, t0, layout, oracle_s) -> RunResult:
     return RunResult(
         pipeline_kind=plan.pipeline_kind,
         outputs=outputs,
@@ -765,7 +763,6 @@ def _result(plan, outputs, per_iter, counters, config, t0, layout, oracle_s) -> 
             float(np.mean([s.measured_saving for s in per_iter])) if per_iter else 0.0
         ),
         wall_time_s=time.perf_counter() - t0,
-        oracle_checked=config.oracle_mode == "shadow",
         layout=layout,
         oracle_s=oracle_s,
     )
@@ -855,12 +852,12 @@ def run_kmeans(
         centroids = group_means(points.values, assignments, k, centroids)
 
         delta = counters.delta_since(base)
-        per_iter.append(_stats(it, delta, n, k, calls, n, changed))
+        per_iter.append(_stats(it, delta, n, k, calls, changed))
         if changed == 0:
             break
 
     outputs = {"assignments": assignments, "centroids": centroids}
-    return _result(plan, outputs, per_iter, counters, config, t0, trg_lp, oracle_s)
+    return _result(plan, outputs, per_iter, counters, t0, trg_lp, oracle_s)
 
 
 # -- one-shot two-set (top-K join) ----------------------------------------
@@ -902,7 +899,7 @@ def run_knn_join(
     batches = _sweep(rows, np.arange(m), topk.cut(rows, centre, metric, counters), g_trg, topk,
                      metric, counters, config.thread_count)
     ids, dists = topk.settle(src.values, trg.values, metric, counters)
-    result = TopKResult(ids=ids, distances=dists, scope="smallest", row_ids=src.ids.copy())
+    result = TopKResult(ids=ids, distances=dists)
 
     oracle_s = 0.0
     if config.oracle_mode == "shadow":
@@ -927,8 +924,8 @@ def run_knn_join(
             )
         oracle_s = time.perf_counter() - t_oracle
 
-    stats = _stats(1, counters, m, n, batches, m)
-    return _result(plan, {"topk": result}, [stats], counters, config, t0, trg_lp, oracle_s)
+    stats = _stats(1, counters, m, n, batches)
+    return _result(plan, {"topk": result}, [stats], counters, t0, trg_lp, oracle_s)
 
 
 # -- iterative self-set (radius neighbors with movement) -------------------
@@ -1086,10 +1083,10 @@ def run_nbody(
         prev_drift = coordinate_distance(cols - new_cols, metric)
         pos, cols = new_pos, new_cols
         trajectories.append(pos)
-        per_iter.append(_stats(step, counters.delta_since(base), n, n, batches, z))
+        per_iter.append(_stats(step, counters.delta_since(base), n, n, batches))
 
     outputs = {"neighbors": neighbors_per_step, "trajectories": trajectories}
-    return _result(plan, outputs, per_iter, counters, config, t0, lplan, oracle_s)
+    return _result(plan, outputs, per_iter, counters, t0, lplan, oracle_s)
 
 
 def run_plan(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from accd.ddsl.lowering import ExecutionPlan, SelectSpec
+from accd.layout import LayoutPlan
 
 KMEANS_LISTING = """DVar K int 10;
 DVar D int 20;
@@ -49,6 +50,17 @@ def make_plan(
         max_iter=max_iter,
         exit_on_status=exit_on_status,
         status_var="S" if exit_on_status else None,
+    )
+
+
+def pack_reversed(ds, gm) -> LayoutPlan:
+    """``pack_intra_group``'s plan with the groups packed in the reverse of
+    their id order, each group's members still in ascending id order."""
+    sizes = gm.sizes[::-1]
+    stops = np.cumsum(sizes)
+    return LayoutPlan(
+        point_perm=np.argsort(-gm.group_of, kind="stable"),
+        group_slices=np.column_stack((stops - sizes, stops))[::-1],
     )
 
 

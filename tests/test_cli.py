@@ -64,14 +64,16 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
     payload = json.loads(report.read_text())
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["config"]["oracle_mode"] == "shadow"
+    # the layout is the grouped set's [start, stop) per group: the 3 groups
+    # of the 6 centres or the 120 targets, or the 8 of the 150 particles
+    grouped, z = {"kmeans.ddsl": (6, 3), "knn_join.ddsl": (120, 3), "nbody.ddsl": (150, 8)}[sample]
+    slices = payload["layout"]["group_slices"]
+    assert len(slices) == z and sum(stop - start for start, stop in slices) == grouped
     if sample == "knn_join.ddsl":
         # the landmark cut prunes nothing on these blobs: the 150 source
-        # points are swept as one batch, and the report is the packing of
-        # the 3 target groups, the only set the join groups
+        # points are swept as one batch
         (stats,) = payload["per_iteration"]
         assert stats["pruned_pairs"] == 0 and stats["source_batches"] == 1
-        assert stats["source_groups"] == 150
-        assert len(payload["layout"]["group_slices"]) == 3
 
 
 def test_syntax_error_exits_1(tmp_path):

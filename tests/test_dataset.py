@@ -3,7 +3,7 @@ import pytest
 
 from accd.counters import CounterSet
 from accd.dataset import Dataset, NeighborLists, brute_rows, id_dtype, load_csv
-from accd.errors import DimensionMismatchError, FormatError, RangeError
+from accd.errors import DimensionMismatchError, FormatError
 from accd.metrics import MetricSpec, distance
 
 L1 = MetricSpec(kind="L1")
@@ -18,7 +18,7 @@ def test_load_plain_csv(tmp_path):
     f.write_text("1.0,2.0\n3.5,4.5\n5.0,6.0\n")
     ds = load_csv(f)
     assert ds.n == 3 and ds.d == 2
-    assert np.array_equal(ds.ids, [0, 1, 2])
+    assert ds.values.tolist() == [[1.0, 2.0], [3.5, 4.5], [5.0, 6.0]]
 
 
 def test_load_csv_header_autodetected(tmp_path):
@@ -119,11 +119,6 @@ def test_brute_counts_all_pairs():
 def test_brute_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         brute_rows(np.zeros((2, 3)), np.zeros((2, 4)), L2)
-
-
-def test_dataset_id_invariant():
-    with pytest.raises(RangeError):
-        Dataset(values=np.zeros((3, 2)), ids=np.array([0, 1, 1]))
 
 
 # -- NeighborLists ------------------------------------------------------------

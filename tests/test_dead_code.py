@@ -1,10 +1,11 @@
 """Library code that only tests call is deleted: every top-level function
 and class of ``src/accd`` is referenced elsewhere in ``src/accd``, or
-exported by ``accd/__init__.py``. And every distance tile goes through the
-one tile engine, by one batching path: ``kernel.tile_distances`` is
-referenced by one function alone, ``pipelines._tile_rows``, and
-``layout.reorder_inter_group`` by ``pipelines._sweep`` alone. The checks
-read the sources with ``ast`` and import nothing."""
+exported by ``accd/__init__.py``, and every dataclass field is read there.
+And every distance tile goes through the one tile engine, by one batching
+path: ``kernel.tile_distances`` is referenced by one function alone,
+``pipelines._tile_rows``, and ``layout.reorder_inter_group`` by
+``pipelines._sweep`` alone. The checks read the sources with ``ast`` and
+import nothing."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,57 @@ def test_one_function_tiles(name, user):
         _references(name, ast.parse(path.read_text()), None, found)
         where += [(module, scope) for scope in found]
     assert where == [("pipelines", user)]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _serializes_every_field(node: ast.ClassDef) -> bool:
+    """Whether the class reads all its fields at once, through
+    ``dataclasses.fields`` or ``asdict``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            name = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+            if name in ("fields", "asdict"):
+                return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass of ``src/accd`` is read somewhere in
+    ``src/accd``: loaded as an attribute, or named by a string constant in
+    ``getattr``. A class that reads every field at once, through
+    ``dataclasses.fields`` or ``asdict`` (``CounterSet``, ``IterationStats``
+    and ``Domains``), is exempt. Fields are matched by
+    name alone, so a field that shares its name with a field or attribute
+    read elsewhere slips through: ``Dataset.declared_dtype`` did, through
+    ``ExecutionPlan.declared_dtype``."""
+    declared, read = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                if _serializes_every_field(node):
+                    continue
+                declared += [
+                    (module, node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    assert len(declared) > 30  # the walk found the dataclasses
+    unread = [field for field in declared if field[2] not in read]
+    assert unread == [], f"dataclass fields never read in src/accd: {unread}"

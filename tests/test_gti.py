@@ -32,17 +32,16 @@ def test_one_group_radius_is_max_distance():
     ds = Dataset.from_values(r.normal(size=(50, 3)))
     gm = build_groups(ds, 1, seed=1, metric=L2)
     assert gm.z == 1
-    assert gm.membership[0].size == 50
-    assert gm.radius[0] == gm.point_to_landmark.max()
+    assert gm.sizes.tolist() == [50]
+    assert gm.radius[0] == brute_rows(ds.values, gm.landmarks, L2).max()
 
 
 def test_each_point_its_own_group():
     r = np.random.default_rng(1)
     ds = Dataset.from_values(r.normal(size=(20, 4)))
     gm = build_groups(ds, 20, seed=2, metric=L2)
-    assert all(m.size <= 1 for m in gm.membership)
+    assert np.all(gm.sizes <= 1)
     assert np.all(gm.radius == 0.0)
-    assert np.all(gm.point_to_landmark == 0.0)
 
 
 def test_separated_blobs_recover_labels():
@@ -64,18 +63,13 @@ def test_membership_partitions_points():
     r = np.random.default_rng(4)
     ds = Dataset.from_values(r.normal(size=(75, 5)))
     gm = build_groups(ds, 7, seed=6, metric=L2)
-    seen = np.sort(np.concatenate(gm.membership))
-    assert np.array_equal(seen, np.arange(75))
-    for g, members in enumerate(gm.membership):
-        assert np.array_equal(members, np.flatnonzero(gm.group_of == g))
-    # radius recomputable from point_to_landmark
-    for g, members in enumerate(gm.membership):
-        want = gm.point_to_landmark[members].max() if members.size else 0.0
-        assert gm.radius[g] == want
-    for g, members in enumerate(gm.membership):
-        if members.size:
-            d = brute_rows(ds.values[members], gm.landmarks[g : g + 1], L2, CounterSet())
-            assert np.array_equal(d[:, 0], gm.point_to_landmark[members])
+    assert gm.group_of.shape == (75,) and gm.group_of.min() >= 0 and gm.group_of.max() < 7
+    assert np.array_equal(gm.sizes, [np.count_nonzero(gm.group_of == g) for g in range(7)])
+    # each radius is the direct distance to the group's farthest member
+    for g in range(7):
+        members = np.flatnonzero(gm.group_of == g)
+        d = brute_rows(ds.values[members], gm.landmarks[g : g + 1], L2, CounterSet())
+        assert gm.radius[g] == (d.max() if members.size else 0.0)
 
 
 def _distinct_rows_in_id_order(all_values, rows):
@@ -116,13 +110,10 @@ def _brute_force_groups(monkeypatch, ds, z, seed, metric):
 
 
 def _assert_same_groups(got, want):
-    for field in ("landmarks", "group_of", "radius", "point_to_landmark"):
+    for field in ("landmarks", "group_of", "radius", "sizes"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.shape == b.shape, field
         assert a.tobytes() == b.tobytes(), field
-    assert len(got.membership) == len(want.membership)
-    for a, b in zip(got.membership, want.membership):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 _WEIGHTS = np.array([0.5, 2.0, 1.0, 3.0, 0.25, 1.5])
@@ -304,7 +295,7 @@ def test_a_landmark_with_no_sample_member_keeps_its_row_and_may_end_empty(monkey
     assert never.any()
     for g in np.flatnonzero(never):
         assert np.array_equal(got.landmarks[g], drawn[0][g])
-        assert got.membership[g].size == 0 and got.radius[g] == 0.0
+        assert got.sizes[g] == 0 and got.radius[g] == 0.0
     _assert_same_groups(got, _brute_force_groups(monkeypatch, ds, 12, 0, L2))
 
 
@@ -348,10 +339,8 @@ def test_two_landmark_bounds_are_bitwise_symmetric_in_the_offsets():
 def _one_group(landmark, radius):
     return GroupModel(
         landmarks=np.array([landmark], dtype=float),
-        membership=[np.array([0])],
         group_of=np.array([0]),
         radius=np.array([radius]),
-        point_to_landmark=np.array([radius]),
         metric=L2,
     )
 
@@ -388,10 +377,8 @@ def test_trace_bounds_hand_values():
     # target's drift; group 1 keeps everything
     gm = GroupModel(
         landmarks=np.zeros((2, 2)),
-        membership=[np.array([0]), np.array([1, 2])],
         group_of=np.array([0, 1, 1]),
         radius=np.zeros(2),
-        point_to_landmark=np.zeros(3),
         metric=L2,
     )
 
@@ -468,10 +455,10 @@ def test_radius_filter_keeps_only_near_blobs():
     # every source group keeps exactly its nearby target group
     pair = brute_rows(src_pts, trg_pts, L2, CounterSet())
     for g in range(2):
-        members = gm_s.membership[g]
+        members = np.flatnonzero(gm_s.group_of == g)
         reachable = set()
         for t in range(2):
-            cols = gm_t.membership[t]
+            cols = np.flatnonzero(gm_t.group_of == t)
             if (pair[np.ix_(members, cols)] <= radius).any():
                 reachable.add(t)
         assert reachable <= set(np.flatnonzero(keep[g]).tolist())
@@ -599,16 +586,14 @@ def test_nearest_mode_prunes_soundly():
     trg_group_of = np.arange(k) % 3
     trg = GroupModel(
         landmarks=np.zeros((3, 3)),
-        membership=[np.flatnonzero(trg_group_of == t) for t in range(3)],
         group_of=trg_group_of,
         radius=np.zeros(3),
-        point_to_landmark=np.zeros(k),
         metric=L2,
     )
     lb = np.full((6, 3), np.inf)
     for g in range(6):
         for t in range(3):
-            lb[g, t] = pair[np.ix_(gm.membership[g], trg.membership[t])].min()
+            lb[g, t] = pair[np.ix_(gm.group_of == g, trg_group_of == t)].min()
     drift = np.abs(r.normal(size=k)) * 0.1
     moved = centers + r.normal(size=centers.shape) * 0.0
     weakest = group_max(best_d + drift[best], gm.group_of, 6)

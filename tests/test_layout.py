@@ -7,25 +7,30 @@ from accd.counters import CounterSet
 from accd.dataset import Dataset
 from accd.gti import GroupModel, build_groups
 from accd.layout import pack_intra_group, reorder_inter_group
+from accd.kernel import fast_rows
 from accd.metrics import MetricSpec
+from accd.pipelines import _Grouped
 from accd.synth import gaussian_mixture
+
+from conftest import pack_reversed
 
 L2 = MetricSpec(kind="L2")
 
 
-def _gm_from_membership(values, membership):
-    n = values.shape[0]
-    group_of = np.empty(n, dtype=np.int64)
-    for g, m in enumerate(membership):
-        group_of[m] = g
+def _gm(values, group_of, z):
     return GroupModel(
-        landmarks=np.zeros((len(membership), values.shape[1])),
-        membership=[np.array(m, dtype=np.int64) for m in membership],
-        group_of=group_of,
-        radius=np.zeros(len(membership)),
-        point_to_landmark=np.zeros(n),
+        landmarks=np.zeros((z, values.shape[1])),
+        group_of=np.asarray(group_of, dtype=np.int64),
+        radius=np.zeros(z),
         metric=L2,
     )
+
+
+def _gm_from_membership(values, membership):
+    group_of = np.empty(values.shape[0], dtype=np.int64)
+    for g, m in enumerate(membership):
+        group_of[m] = g
+    return _gm(values, group_of, len(membership))
 
 
 def _mask(lists, groups=13):
@@ -109,7 +114,8 @@ def test_single_group_roundtrip():
     ds = Dataset.from_values(values)
     gm = _gm_from_membership(values, [list(range(12))])
     plan = pack_intra_group(ds, gm)
-    assert plan.point_perm[plan.inverse_perm].tolist() == list(range(12))
+    assert plan.point_perm.tolist() == list(range(12))
+    assert plan.group_slices.tolist() == [[0, 12]]
 
 
 def test_apply_preserves_row_multiset():
@@ -119,4 +125,42 @@ def test_apply_preserves_row_multiset():
     plan = pack_intra_group(pts, gm)
     packed = pts.values[plan.point_perm]
     assert np.array_equal(np.sort(packed, axis=0), np.sort(pts.values, axis=0))
-    assert np.array_equal(plan.inverse_perm[plan.point_perm], np.arange(60))
+    assert np.array_equal(np.sort(plan.point_perm), np.arange(60))
+
+
+@st.composite
+def _groupings(draw):
+    """(z, group_of): 1 to 130 groups over 1 to 200 points, so many of the
+    groups are empty."""
+    z = draw(st.integers(1, 130))
+    n = draw(st.integers(1, 200))
+    return z, draw(arrays(np.int64, n, elements=st.integers(0, z - 1)))
+
+
+@given(grouping=_groupings(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_group_is_one_slice_and_targets_are_its_members(grouping, data):
+    z, group_of = grouping
+    values = np.random.default_rng(group_of.size).normal(size=(group_of.size, 3))
+    ds, gm = Dataset.from_values(values), _gm(values, group_of, z)
+    plan = pack_intra_group(ds, gm)
+    members = [np.flatnonzero(group_of == g) for g in range(z)]
+    assert plan.group_slices.shape == (z, 2)
+    for g, (start, stop) in enumerate(plan.group_slices.tolist()):
+        assert np.array_equal(plan.point_perm[start:stop], members[g])
+    # an ascending subset of the non-empty groups: under id-order packing
+    # adjacent groups are one slice and the others gathered; reversed
+    # packing gathers every subset of two groups or more
+    live = np.flatnonzero(gm.sizes).tolist()
+    groups = np.array(sorted(data.draw(st.sets(st.sampled_from(live), min_size=1))))
+    want = np.concatenate([members[g] for g in groups.tolist()])
+    sizes = gm.sizes[groups]
+    centre = values.mean(axis=0)
+    rows, sq = fast_rows(values, centre, L2)
+    for layout in (plan, pack_reversed(ds, gm)):
+        grouped = _Grouped.build(values, gm, layout, L2, centre)
+        got, ids, got_rows, got_sq, col_starts = grouped.targets(groups)
+        assert got is groups and np.array_equal(ids, want)
+        assert got_rows.tobytes() == rows[want].tobytes()
+        assert got_sq.tobytes() == sq[want].tobytes()
+        assert np.array_equal(col_starts, np.cumsum(sizes) - sizes)

@@ -21,7 +21,7 @@ from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
 from accd.gti import _cut, build_groups, init_oneshot_state
 from accd.kernel import fast_rows
-from accd.layout import LayoutPlan, pack_intra_group
+from accd.layout import pack_intra_group
 from accd.metrics import METRIC_NAMES, MetricSpec, rowwise_distance
 from accd.pipelines import (
     RunConfig,
@@ -34,7 +34,7 @@ from accd.pipelines import (
 )
 from accd.synth import gaussian_mixture
 
-from conftest import make_plan
+from conftest import make_plan, pack_reversed
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 DESIGN = DesignConfig(n_src_grp=12, n_trg_grp=4)
@@ -93,6 +93,11 @@ def _run(name: str, oracle_mode: str = "shadow", design: DesignConfig = DESIGN, 
     return run_plan(plan, src, trg, cfg), src.n * m
 
 
+def _members(gm) -> list[np.ndarray]:
+    """Per group, its member ids in ascending order."""
+    return oracles.group_members(gm.group_of, gm.z)
+
+
 def _flat(value):
     if isinstance(value, TopKResult):
         yield from (value.ids, value.distances)
@@ -108,14 +113,14 @@ def _flat(value):
 def _assert_no_prune(result, m: int, n: int, design: DesignConfig = DESIGN) -> None:
     """The facts of a join of m source against n target points whose
     landmark cut prunes nothing: every point has every target group as its
-    candidate, so the sweep is one batch of all m points, each its own
-    source group, and it tiles every pair once, in row blocks of
+    candidate, so the sweep is one batch of all m points, and it tiles
+    every pair once, in row blocks of
     ``_TopK.TILE_CELLS // n``; the cut tiles the points against the target
     landmarks in row blocks of ``_TopK.TILE_CELLS // z``, as bound work."""
     (s,) = result.per_iteration
     z = min(design.n_trg_grp, n)
     assert (s.pruned_pairs, s.point_distances) == (0, m * n)
-    assert (s.source_batches, s.source_groups) == (1, m)
+    assert s.source_batches == 1 and len(result.layout.group_slices) == z
     assert s.bound_computations == n + m * z  # the targets' offsets, then the cut
     cells = pipelines._TopK.TILE_CELLS
     assert result.counters.tiles_executed == -(-m // max(1, cells // n)) + -(-m // (cells // z))
@@ -124,7 +129,7 @@ def _assert_no_prune(result, m: int, n: int, design: DesignConfig = DESIGN) -> N
 @pytest.mark.parametrize("name", CASES)
 def test_sample_runs_agree_with_oracle_and_conserve_pairs(name):
     result, pairs = _run(name)
-    assert result.oracle_checked
+    assert result.oracle_s > 0
     assert result.per_iteration
     for s in result.per_iteration:
         accounted = s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs
@@ -173,7 +178,7 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         cuts.clear()
 
         def recording(self, groups, cols, col_starts, ids, tile, err):
-            assert np.array_equal(cols, np.concatenate([self.gm.membership[t] for t in groups]))
+            assert np.array_equal(cols, np.concatenate([_members(self.gm)[t] for t in groups]))
             tiles.append((ids.copy(), cols, tile.size))
             reducers.add(self)
             reduce(self, groups, cols, col_starts, ids, tile, err)
@@ -183,7 +188,7 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         result = run_plan(plan, pts, None, RunConfig(design=DESIGN, oracle_mode="shadow"))
         ((keep, _),), (within,) = cuts, reducers
         assert within.cut == cut
-        members = within.gm.membership
+        members = _members(within.gm)
         # 0 pruned, 1 tiled, 2 mirrored from the tiled upper cell
         kind = np.zeros(within.lb.shape, dtype=int)
         for a, row in enumerate(keep):
@@ -255,19 +260,6 @@ def _rebuilds(result) -> int:
     return sum(s.source_batches > 0 for s in result.per_iteration)
 
 
-def _pack_reversed(ds, gm) -> LayoutPlan:
-    """``pack_intra_group``'s plan with the groups packed in the reverse of
-    their id order."""
-    order = np.arange(gm.z)[::-1]
-    point_perm = np.concatenate([gm.membership[g] for g in order])
-    stops = np.cumsum(gm.sizes[order]).tolist()
-    inverse = np.empty_like(point_perm)
-    inverse[point_perm] = np.arange(point_perm.size)
-    slices = {int(g): (stop - int(gm.sizes[g]), stop) for g, stop in zip(order, stops)}
-    return LayoutPlan(group_order=order, point_perm=point_perm, inverse_perm=inverse,
-                      group_slices=slices)
-
-
 def _reversed_packing(monkeypatch, variant):
     """The RunConfig fields of ``variant``. Its ``reversed_packing`` key
     instead makes every run pack its groups in reverse id order, so no
@@ -276,7 +268,7 @@ def _reversed_packing(monkeypatch, variant):
     first."""
     variant = dict(variant)
     if variant.pop("reversed_packing", False):
-        monkeypatch.setattr(pipelines, "pack_intra_group", _pack_reversed)
+        monkeypatch.setattr(pipelines, "pack_intra_group", pack_reversed)
     if variant.pop("reversed_runs", False):
         real = pipelines.reorder_inter_group
 
@@ -321,7 +313,7 @@ def test_nbody_group_pair_bounds_stay_symmetric(monkeypatch, case, variant):
         result, _ = _run("nbody", **variant)
     else:
         _, result = _strong_pull(**variant)
-    assert result.oracle_checked and len(seen) == _rebuilds(result) >= 1
+    assert result.oracle_s > 0 and len(seen) == _rebuilds(result) >= 1
     assert result.per_iteration[0].source_batches > 0  # step 1 rebuilds
     assert result.counters.reused_pairs > 0
 
@@ -331,7 +323,7 @@ def test_oracle_time_is_spent_only_in_shadow_mode(name):
     shadow, _ = _run(name)
     assert 0 < shadow.oracle_s < shadow.wall_time_s
     off, _ = _run(name, oracle_mode="off")
-    assert not off.oracle_checked and off.oracle_s == 0
+    assert off.oracle_s == 0
 
 
 def _assert_same_results(base, other):
@@ -370,7 +362,7 @@ def test_layout_and_threads_change_no_result(monkeypatch, name, variant):
         other, _ = _run(name, **variant)
     finally:
         sys.setswitchinterval(interval)
-    assert reverse != np.array_equal(base.layout.group_order, other.layout.group_order)
+    assert reverse != np.array_equal(base.layout.group_slices, other.layout.group_slices)
     _assert_same_results(base, other)
     if name == "knn":
         _assert_no_prune(other, 240, 200)
@@ -501,7 +493,7 @@ def test_candidate_masking_skips_pruned_tiles():
     rec, kc = _Recorder(gm_s.group_of), CounterSet()
     batches = _sweep(rows, np.arange(src.n), keep[gm_s.group_of], g_trg, rec, L2, kc, 1)
     candidates = [(g, int(t)) for g in range(2) for t in np.flatnonzero(keep[g])]
-    surviving = sum(gm_s.membership[g].size * gm_t.membership[t].size for g, t in candidates)
+    surviving = sum(int(gm_s.sizes[g] * gm_t.sizes[t]) for g, t in candidates)
     assert 0 < kc.point_distances == surviving < 60 * 50
     assert kc.pruned_pairs == 0 and batches == 2
     # each candidate group pair is tiled once, with brute-force values;
@@ -509,8 +501,8 @@ def test_candidate_masking_skips_pruned_tiles():
     assert sorted((g, t) for g, t, *_ in rec.tiles) == sorted(candidates)
     full = brute_rows(src.values, trg.values, L2)
     for g, t, ids, tile, err in rec.tiles:
-        assert np.array_equal(ids, gm_s.membership[g])
-        want = full[np.ix_(ids, gm_t.membership[t])]
+        assert np.array_equal(ids, _members(gm_s)[g])
+        want = full[np.ix_(ids, _members(gm_t)[t])]
         assert np.all(np.abs(tile - want) <= err[:, None])
 
 
@@ -523,7 +515,7 @@ def _wide_case(reverse: bool):
     # packed in group-id order, a run of ascending groups is one slice of
     # the packing; reversed, a run of two non-empty groups never is, and the
     # engine gathers its columns
-    plan = _pack_reversed(trg, gm_t) if reverse else pack_intra_group(trg, gm_t)
+    plan = pack_reversed(trg, gm_t) if reverse else pack_intra_group(trg, gm_t)
     g_trg = _Grouped.build(trg.values, gm_t, plan, L2, centre)
     return src, trg, gm_t, fast_rows(src.values, centre, L2), g_trg
 
@@ -555,7 +547,7 @@ def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batc
         (batch,) = set(pattern[ids].tolist())
         tile_batches.append((batch, groups))
         assert tile.size <= rec.TILE_CELLS or ids.size == 1
-        assert np.array_equal(cols, np.concatenate([gm_t.membership[t] for t in groups]))
+        assert np.array_equal(cols, np.concatenate([_members(gm_t)[t] for t in groups]))
         sizes_in = gm_t.sizes[list(groups)]
         assert np.array_equal(col_starts, np.cumsum(sizes_in) - sizes_in)
         assert np.all(np.abs(tile - full[np.ix_(ids, cols)]) <= err[:, None])
@@ -597,7 +589,7 @@ def _exact_run(
     plan = make_plan(kind, pts.n, m, pts.d, spec, steps, metric or default_metric)
     cfg = RunConfig(design=design, oracle_mode="shadow", thread_count=threads)
     result = run_plan(plan, pts, None, cfg, weights=weights)
-    assert result.oracle_checked
+    assert result.oracle_s > 0
     return result
 
 
@@ -775,7 +767,7 @@ def test_sampled_grouping_equals_the_oracle_on_one_and_two_threads(monkeypatch, 
         rows.clear()
         models.clear()
         results.append(run(threads))
-        assert results[-1].oracle_checked
+        assert results[-1].oracle_s > 0
         want = []
         for gm in models:
             sample = gti._LLOYD_SAMPLE_PER_GROUP * gm.z
@@ -876,7 +868,7 @@ def test_topk_state_after_the_sweep_equals_a_full_sort_of_its_tiles(monkeypatch,
     def reducing(self, groups, cols, col_starts, ids, tile, err):
         # the members of whole target groups, concatenated
         gm = target_groups[-1]
-        assert np.array_equal(cols, np.concatenate([gm.membership[t] for t in groups]))
+        assert np.array_equal(cols, np.concatenate([_members(gm)[t] for t in groups]))
         for r, i in enumerate(ids.tolist()):
             entries.setdefault(i, []).append((tile[r].copy(), cols, err[r]))
         real_reduce(self, groups, cols, col_starts, ids, tile, err)
@@ -940,7 +932,7 @@ def _no_prune_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", 
                      None, metric)
     cfg = RunConfig(design=DESIGN, oracle_mode="shadow", thread_count=threads)
     result = run_plan(plan, src, trg, cfg, weights=weights)
-    assert result.oracle_checked
+    assert result.oracle_s > 0
     _assert_no_prune(result, src.n, trg.n)
     assert np.array_equal(np.sort(np.concatenate(filled)), np.arange(src.n))
     return result
@@ -1136,7 +1128,7 @@ def test_nbody_trajectories_equal_an_independent_integration(monkeypatch, metric
     plan = make_plan("iterative_self_set", pts.n, pts.n, d, select, steps, metric)
     cfg = RunConfig(design=DESIGN, oracle_mode="shadow")
     result = run_plan(plan, pts, None, cfg, weights=weights)
-    assert result.oracle_checked and _rebuilds(result) < steps  # a list step at least
+    assert result.oracle_s > 0 and _rebuilds(result) < steps  # a list step at least
     assert len(forces) == steps
 
     pos, vel = pts.values.copy(), np.zeros_like(pts.values)
@@ -1190,7 +1182,7 @@ def test_sample_first_iterations_do_not_tile_every_pair():
     assert nbody.per_iteration[0].point_distances < pairs / 2
     kmeans, pairs = _run("kmeans")
     first, *later = kmeans.per_iteration
-    assert first.point_distances < pairs and first.source_groups == 300
+    assert first.point_distances < pairs and len(kmeans.layout.group_slices) == DESIGN.n_trg_grp
     assert first.bound_computations >= 300 * DESIGN.n_trg_grp
     for s in kmeans.per_iteration:
         assert s.point_distances + s.pruned_pairs + s.all_inside_pairs + s.reused_pairs == pairs
@@ -1211,7 +1203,7 @@ def test_nbody_pairs_pruned_at_step_one_that_come_within_the_radius_later(
     cuts = _record_cuts(monkeypatch)
     variant = _reversed_packing(monkeypatch, variant)
     pts, result = _strong_pull(**variant)
-    assert result.oracle_checked and result.iterations == 4
+    assert result.oracle_s > 0 and result.iterations == 4
     keep, gm = cuts[0]
     pruned = ~keep[np.ix_(gm.group_of, gm.group_of)]
     assert pruned.any()
@@ -1248,7 +1240,7 @@ def test_nbody_strong_pull_rebuilds_after_step_one():
     # points thrown across the blobs outrun the skin, so the list is
     # rebuilt after step 1, and each rebuilt list passes the shadow check
     _, result = _strong_pull()
-    assert result.oracle_checked
+    assert result.oracle_s > 0
     assert result.per_iteration[0].source_batches > 0
     assert any(s.source_batches > 0 for s in result.per_iteration[1:])
 
@@ -1286,16 +1278,16 @@ def test_nbody_tiles_hold_one_groups_rows(monkeypatch, case):
         result = run_plan(plan, pts, None, cfg)
         assert _rebuilds(result) > 1
         assert (seen[0].gm.sizes == 0).any()
-    assert result.oracle_checked and len(seen) == len(sweeps) == _rebuilds(result)
+    assert result.oracle_s > 0 and len(seen) == len(sweeps) == _rebuilds(result)
     gm = seen[0].gm
     live = gm.sizes > 0
     for ids, reach in sweeps:
         # each point's row is its group's, and no two non-empty groups
         # share a row, so each batch is one non-empty group
         assert np.array_equal(ids, np.arange(gm.n))
-        rows = reach[[m[0] for m in gm.membership if m.size]] & live
+        rows = reach[[m[0] for m in _members(gm) if m.size]] & live
         assert all(np.array_equal(reach[m], np.broadcast_to(reach[m[0]], reach[m].shape))
-                   for m in gm.membership if m.size)
+                   for m in _members(gm) if m.size)
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     counts = [s.source_batches for s in result.per_iteration if s.source_batches]
     assert counts == [int(live.sum())] * len(seen)
@@ -1483,7 +1475,7 @@ def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(
             "iterative_two_set", pts.n, 6, 4, SelectSpec("count", 1.0, "smallest"), steps
         )
         result = run_plan(plan, pts, Dataset.from_values(centroids), cfg)
-        assert result.oracle_checked
+        assert result.oracle_s > 0
         assert all(s.pruned_pairs > 0 for s in result.per_iteration[1:])
         assert result.iterations > 1 or steps == 1
         assert np.all(result.outputs["assignments"] >= 0)
@@ -1512,7 +1504,7 @@ def _watch_bounds(monkeypatch) -> list:
             rows = np.arange(full.shape[0])
             assert np.all(self.ub >= full[rows, self.assign])
             full[rows, self.assign] = np.inf
-            for g, members in enumerate(self.gm.membership):
+            for g, members in enumerate(_members(self.gm)):
                 assert np.all(self.lb[g] <= full[:, members].min(axis=1, initial=np.inf)), g
             seen.append((self.assign.copy(), self.gm.group_of))
             return calls
@@ -1532,11 +1524,12 @@ def _kmeans(pts: Dataset, init: np.ndarray, metric: str, steps: int = 12, groups
     design = DesignConfig(n_src_grp=8, n_trg_grp=groups)
     cfg = RunConfig(design=design, oracle_mode="shadow")
     result = run_plan(plan, pts, Dataset.from_values(init), cfg)
-    assert result.oracle_checked
+    assert result.oracle_s > 0
     k = init.shape[0]
     for s in result.per_iteration:
         assert s.point_distances + s.pruned_pairs + s.reused_pairs == pts.n * k, s
-        assert s.all_inside_pairs == 0 and s.source_groups == pts.n
+        assert s.all_inside_pairs == 0
+    assert len(result.layout.group_slices) == min(groups, k)  # the centres' groups
     return result
 
 
@@ -1643,7 +1636,7 @@ def test_kmeans_tiles_no_row_against_a_centre_group_twice_in_an_iteration(monkey
     # pair the tiles leave is pruned, so each iteration accounts for n * k
     seen = _record_tiles(monkeypatch)
     result, n, k = _tile_case(case)
-    assert result.oracle_checked and result.iterations > 1
+    assert result.oracle_s > 0 and result.iterations > 1
     if case == "duplicated":
         assert np.any(seen[0][0].sizes == 0)
     first = result.per_iteration[0]
@@ -1774,7 +1767,7 @@ def test_kmeans_ragged_landmark_and_gap_blocks_equal_the_oracle(monkeypatch, met
     monkeypatch.setattr(pipelines, "tile_distances", tile)
     monkeypatch.setattr(pipelines._Yinyang, "TILE_CELLS", cells)
     got = run_kmeans(plan, pts, cfg, initial_clusters=init)
-    assert got.oracle_checked and len(seen) == got.iterations > 1
+    assert got.oracle_s > 0 and len(seen) == got.iterations > 1
     passes = {name: shapes for name, shapes in tiles if name != "reduce"}
     assert passes == {"seed": _blocks(pts.n, groups, cells), "fold": _blocks(k, k, cells)}
     assert all(shapes[-1][0] < shapes[0][0] for shapes in passes.values())
