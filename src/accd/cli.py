@@ -6,7 +6,7 @@ space with the analytical model and print the best feasible one), bench
 (run a .ddsl program on seeded synthetic data, checked by the shadow
 oracle, and compare its distance work and time with the oracle's brute
 force). The run report is schema v3, the bench JSON v2 and the explore
-output v2.
+output v2; each has its JSON Schema under ``schemas/``.
 Exit codes: 0 success, 1 diagnostics or infeasibility, 2 runtime error
 (IO, format, config, oracle mismatch).
 """

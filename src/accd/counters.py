@@ -33,7 +33,9 @@ outside pair conservation, and leaves out grouping's own near-tie
 candidates. ``tiles_executed`` counts kernel calls and ``bytes_streamed``
 the operand rows each call reads, (rows + cols) * d float64 values; both
 follow the tiling, so the batching of source points and the tile budget
-change them; ``mac_ops`` counts each call's rows * cols * d terms. The
+change them; ``mac_ops`` counts each call's rows * cols * d terms. Both
+it and ``bytes_streamed`` count the d data columns, not the d + 2 of an
+L2 operand row (``kernel.fast_rows``), two of which carry its norm. The
 landmark and centre tiles that k-means and the join take as bound work
 count in all three.
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import CounterSet
 from .errors import DimensionMismatchError, FormatError
 from .metrics import MetricSpec, difference_distance
 
@@ -136,10 +135,9 @@ def brute_rows(
     src_values: np.ndarray,
     trg_values: np.ndarray,
     metric: MetricSpec,
-    counters: CounterSet | None = None,
 ) -> np.ndarray:
     """Exact n1 x n2 distance matrix by direct differencing, blocked by
-    source rows. Adds n1*n2 to ``point_distances``."""
+    source rows."""
     if src_values.shape[1] != trg_values.shape[1]:
         raise DimensionMismatchError("dim mismatch")
     n1, n2 = src_values.shape[0], trg_values.shape[0]
@@ -148,8 +146,6 @@ def brute_rows(
     for start in range(0, n1, step):
         block = src_values[start : start + step, None, :]
         out[start : start + step] = difference_distance(block - trg_values[None, :, :], metric)
-    if counters is not None:
-        counters.point_distances += n1 * n2
     return out
 
 

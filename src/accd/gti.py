@@ -130,7 +130,7 @@ class _Nearest:
 def _assign_nearest(
     values: np.ndarray,
     centre: np.ndarray,
-    fast: tuple[np.ndarray, np.ndarray | None, slice | np.ndarray],
+    fast: tuple[np.ndarray, slice | np.ndarray],
     landmarks: np.ndarray,
     metric: MetricSpec,
     counters: CounterSet | None,
@@ -139,19 +139,19 @@ def _assign_nearest(
     """Nearest landmark per point under (distance, id), and with
     ``with_dist`` that distance (else None): bitwise the argmin of
     ``brute_rows`` with its value, decided by ``_Nearest``. ``fast`` is
-    (rows, sq, at): ``fast_rows(all_values, centre, metric)`` of the set
-    whose mean ``centre`` is, and the positions ``at`` of ``values`` in
-    it, a slice or ids (a Lloyd round's sample)."""
+    (rows, at): ``fast_rows(all_values, centre, metric)`` of the set whose
+    mean ``centre`` is, and the positions ``at`` of ``values`` in it, a
+    slice or ids (a Lloyd round's sample)."""
     # imported here, as pipelines imports this module; the engine calls the
     # ``tile_distances`` that pipelines binds, which a tracer may rebind
-    from .pipelines import _tile_rows
+    from .pipelines import _point_targets, _tile_rows
 
-    *src, at = fast
-    near, every = _Nearest(values, landmarks, metric, with_dist), np.arange(landmarks.shape[0])
-    marks = (every, every, *fast_rows(landmarks, centre, metric), every)
-    _tile_rows(src, at, np.arange(len(values)), marks, near.reduce, near.TILE_CELLS, metric, None)
+    rows, at = fast
+    near = _Nearest(values, landmarks, metric, with_dist)
+    marks = _point_targets(landmarks, centre, metric)
+    _tile_rows(rows, at, np.arange(len(values)), marks, near.reduce, near.TILE_CELLS, metric, None)
     if counters is not None:
-        counters.grouping_distances += len(values) * every.size
+        counters.grouping_distances += len(values) * landmarks.shape[0]
     return near.assign, near.dist
 
 
@@ -192,7 +192,7 @@ def build_groups(
     rng = np.random.default_rng(seed)
     landmarks = ds.values[rng.choice(n, size=z, replace=False)].copy()
     centre = ds.values.mean(axis=0)
-    rows, sq = fast_rows(ds.values, centre, metric)
+    rows = fast_rows(ds.values, centre, metric)
     sample, at = ds.values, slice(0, n)
     s = _LLOYD_SAMPLE_PER_GROUP * z
     if s < n:
@@ -200,11 +200,10 @@ def build_groups(
         at = np.sort(rng.choice(n, size=s, replace=False))
         sample = ds.values[at]
     for _ in range(_LLOYD_ITERATIONS):
-        assign, _ = _assign_nearest(sample, centre, (rows, sq, at), landmarks, metric, counters)
+        assign, _ = _assign_nearest(sample, centre, (rows, at), landmarks, metric, counters)
         landmarks = group_means(sample, assign, z, landmarks)
-    fast = (rows, sq, slice(0, n))
     assign, dist = _assign_nearest(
-        ds.values, centre, fast, landmarks, metric, counters, with_dist=True
+        ds.values, centre, (rows, slice(0, n)), landmarks, metric, counters, with_dist=True
     )
     if counters is not None:
         counters.bound_computations += n

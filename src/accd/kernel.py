@@ -5,8 +5,9 @@ rigorous bound ``err`` on how far its fast values may lie from the direct-
 differencing values of the oracles (``metrics.rowwise_distance``), so
 callers can decide on fast values where the bound settles a decision and
 recompute the rest exactly. L1 uses ``cdist(..., "cityblock", w=...)``,
-which differences directly; L2 uses one matmul, |a|^2 - 2 a.b + |b|^2, on
-rows centred on a per-run centre (``fast_rows``), which keeps the
+which differences directly. L2 takes one matrix product per tile: each
+point set is one operand of rows [x, |x|^2/2, 1] (``fast_rows``; only this
+module knows that layout), x centred on a per-run centre, which keeps the
 cancellation error proportional to the data's spread, not its offset.
 Fast values may change in their last bits with the tile's shape. Each call
 counts as one executed tile that streams its row and column operands once.
@@ -32,69 +33,74 @@ def gamma(n: int) -> float:
     return n * U / (1 - n * U)
 
 
-def fast_rows(
-    values: np.ndarray, centre: np.ndarray, metric: MetricSpec
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows as ``tile_distances`` takes them, and their squared norms: for
-    L2 the rows minus ``centre``, scaled by sqrt(w) if weighted; for L1 the
-    rows unchanged (no copy) and no norms."""
+def fast_rows(values: np.ndarray, centre: np.ndarray, metric: MetricSpec) -> np.ndarray:
+    """One point set as ``tile_distances`` takes it: for L2 the (n, d + 2)
+    rows [x, |x|^2/2, 1], x the row minus ``centre``, scaled by sqrt(w) if
+    weighted; for L1 the rows unchanged (no copy)."""
     if metric.kind == "L1":
-        return values, None
-    rows = values - centre
+        return values
+    rows = np.empty((values.shape[0], values.shape[1] + 2))
+    x = np.subtract(values, centre, out=rows[:, :-2])
     if metric.weighted:
-        rows *= np.sqrt(metric.weights)
-    return rows, np.einsum("ij,ij->i", rows, rows)
+        x *= np.sqrt(metric.weights)
+    np.einsum("ij,ij->i", x, x, out=rows[:, -2])
+    rows[:, -2] *= 0.5
+    rows[:, -1] = 1.0
+    return rows
 
 
 def tile_distances(
-    a_rows: np.ndarray,
-    b_rows: np.ndarray,
-    metric: MetricSpec,
-    counters: CounterSet | None = None,
-    sq_a: np.ndarray | None = None,
-    sq_b: np.ndarray | None = None,
+    a_rows: np.ndarray, b_rows: np.ndarray, metric: MetricSpec, counters: CounterSet | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fast distances for one (source rows x target rows) region, and per
     row a bound ``err`` with |fast - direct| <= err for every entry.
 
-    The rows are ``fast_rows`` output, ``sq_a``/``sq_b`` their squared
-    norms (needed for L2). ``err`` leaves room for a few
-    roundings at the magnitude of the row's values, so callers may compare
-    ``fast +- err`` with each other and with thresholds directly.
+    The rows are ``fast_rows`` output. Under L2 the source block is copied
+    as [-a, 1, |a|^2/2], whose product with the target rows sums the d + 2
+    terms of |a - b|^2 / 2; the tile doubles it, clamps it at 0 and takes
+    the root. ``err`` leaves room for a few roundings at the magnitude of
+    the row's values, so callers may compare ``fast +- err`` with each
+    other and with thresholds directly.
 
     Why it holds (u: unit roundoff, T: exact value).
     * L1: both sides sum the same d terms w_i*|a_i - b_i|, each within 2u,
       in some order, so each is within gamma_{d+1}*T of T and they differ
       by at most 2.01*gamma_{d+1}*fast; ``err`` = 4*gamma_{d+2}*row max.
-    * L2 squared, with S = (max|a| + max|b|)^2 over the tile: the matmul
-      form is within gamma_{d+2}*S of |a - b|^2 for the centred scaled
-      rows; centring and scaling move each coordinate difference by at
-      most gamma_3*(|a_i| + |b_i|), so |a - b|^2 by 2.1*gamma_3*S; direct
-      differencing is within gamma_{d+3}*S of exact. Total:
-      E = 4*gamma_{d+4}*S (3 suffices; the 4th covers rounding in S).
+    * L2 squared, with S = (max|a| + max|b|)^2 over the tile: the terms'
+      absolute sum is at most |a||b| + |a|^2/2 + |b|^2/2 <= S/2, and each
+      stored half-norm is within gamma_d of exact, so the doubled product
+      is within (gamma_{d+2} + gamma_d)*S (to first order) of |a - b|^2
+      for the centred scaled rows; centring and scaling move each
+      coordinate difference by at most gamma_3*(|a_i| + |b_i|), so
+      |a - b|^2 by 2.1*gamma_3*S; direct differencing is within
+      gamma_{d+3}*S of exact. Total: (3d + 11.3)*u*S < 3*gamma_{d+4}*S,
+      and E = 4*gamma_{d+4}*S (the 4th covers rounding in S). Rows centred
+      within the sets' box have |x|^2 <= D, the distance sum of
+      ``MetricSpec.check_domain``, so the terms' absolute sum, and every
+      partial sum, stays within the 2D that check leaves room for
+      (unhalved norms would give (|a| + |b|)^2, up to 4D).
     * L2 distance: |sqrt(x) - sqrt(y)| <= min(sqrt(E), E/sqrt(x)) and
       every entry is at least the row minimum m, so the roots differ by
       X = E / max(m*(1-u), sqrt(E)) at most; the two roundings of the root
       add under 3u*sqrt(S) <= 0.15*X. ``err`` = 2*X.
     """
     if a_rows.shape[1] != b_rows.shape[1]:
-        raise DimensionMismatchError(
-            f"dim mismatch: {a_rows.shape[1]} vs {b_rows.shape[1]}"
-        )
-    d = a_rows.shape[1]
+        raise DimensionMismatchError(f"dim mismatch: {a_rows.shape[1]} vs {b_rows.shape[1]}")
+    d = a_rows.shape[1] if metric.kind == "L1" else a_rows.shape[1] - 2
     metric.check_dim(d)
     if metric.kind == "L1":
         tile = cdist(a_rows, b_rows, "cityblock", w=metric.weights)
         err = 4 * gamma(d + 2) * tile.max(axis=1, initial=0.0)
     else:
-        tile = a_rows @ b_rows.T
-        tile *= -2.0
-        tile += sq_a[:, None]
-        tile += sq_b
+        src = np.empty(a_rows.shape)
+        np.negative(a_rows[:, :d], out=src[:, :d])
+        src[:, d:] = a_rows[:, [d + 1, d]]
+        tile = src @ b_rows.T
+        tile *= 2.0
         np.maximum(tile, 0.0, out=tile)
         np.sqrt(tile, out=tile)
-        reach = math.sqrt(sq_a.max(initial=0.0)) + math.sqrt(sq_b.max(initial=0.0))
-        e = 4 * gamma(d + 4) * reach * reach
+        reach = math.sqrt(a_rows[:, d].max(initial=0.0)) + math.sqrt(b_rows[:, d].max(initial=0.0))
+        e = 8 * gamma(d + 4) * reach * reach  # S = 2*reach^2, from the half-norms
         # e is 0 only with every row at the centre, where values are exact
         floor = max(math.sqrt(e), np.finfo(np.float64).tiny)
         err = 2 * e / np.maximum(tile.min(axis=1, initial=np.inf) * (1 - U), floor)

@@ -32,8 +32,9 @@ METRIC_NAMES = {
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 # How far the largest value a run forms may exceed the distance sum of
-# ``MetricSpec.check_domain``: L2's matmul form reaches -2 a.b, within twice
-# it (1% more for rounding); L1's bounds add up a few distances.
+# ``MetricSpec.check_domain``: the terms of an L2 tile's one matrix product
+# add up to twice it in absolute value (``kernel.tile_distances``; 1% more
+# for rounding); L1's bounds add up a few distances.
 _HEADROOM = {"L1": 8.0, "L2": 2.02}
 
 

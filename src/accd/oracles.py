@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counters import CounterSet
 from .dataset import NeighborLists, brute_rows, id_dtype
 from .errors import RangeError
 from .metrics import MetricSpec
@@ -62,7 +61,6 @@ def nearest_assign(
     points: np.ndarray,
     centers: np.ndarray,
     metric: MetricSpec,
-    counters: CounterSet | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per point: nearest center under (distance, id) tie-break, plus that
     distance. Row-blocked brute force."""
@@ -73,7 +71,7 @@ def nearest_assign(
     best = np.empty(n, dtype=np.float64)
     for start in range(0, n, step):
         stop = min(n, start + step)
-        d = brute_rows(points[start:stop], centers, metric, counters)
+        d = brute_rows(points[start:stop], centers, metric)
         a = np.argmin(d, axis=1)  # first occurrence = lowest id on ties
         assign[start:stop] = a
         best[start:stop] = d[np.arange(stop - start), a]
@@ -85,7 +83,6 @@ def lloyd_kmeans(
     init_centers: np.ndarray,
     metric: MetricSpec,
     max_iter: int,
-    counters: CounterSet | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Plain Lloyd iteration. Returns per-iteration assignments, final
     centers, and the number of iterations executed (stops early once
@@ -96,7 +93,7 @@ def lloyd_kmeans(
     prev = None
     it = 0
     for it in range(1, max_iter + 1):
-        assign, _ = nearest_assign(points, centers, metric, counters)
+        assign, _ = nearest_assign(points, centers, metric)
         history.append(assign)
         centers = group_means(points, assign, k, centers)
         if prev is not None and np.array_equal(prev, assign):
@@ -110,7 +107,6 @@ def knn_topk(
     trg: np.ndarray,
     metric: MetricSpec,
     k: int,
-    counters: CounterSet | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-sort top-k per source row with (distance, id) tie-break.
 
@@ -128,7 +124,7 @@ def knn_topk(
     step = max(1, _ROW_BLOCK_ELEMS // max(1, n2 * src.shape[1]))
     for start in range(0, n1, step):
         stop = min(n1, start + step)
-        d = brute_rows(src[start:stop], trg, metric, counters)
+        d = brute_rows(src[start:stop], trg, metric)
         out_ids[start:stop], out_d[start:stop] = _first_k(d, k)
     return out_ids, out_d
 
@@ -150,7 +146,6 @@ def radius_neighbors(
     points: np.ndarray,
     metric: MetricSpec,
     radius: float,
-    counters: CounterSet | None = None,
 ) -> NeighborLists:
     """Per point, the sorted ids j != i with d(i, j) <= radius, as CSR.
     Each row block of the distance matrix gives its hits, row-major, by
@@ -165,7 +160,7 @@ def radius_neighbors(
     step = max(1, _ROW_BLOCK_ELEMS // max(1, n * points.shape[1]))
     for start in range(0, n, step):
         stop = min(n, start + step)
-        d = brute_rows(points[start:stop], points, metric, counters)
+        d = brute_rows(points[start:stop], points, metric)
         r, c = np.nonzero(d <= radius)
         other = c != r + start
         counts[start:stop] = np.bincount(r[other], minlength=stop - start)

@@ -162,20 +162,18 @@ class RunResult:
 @dataclass
 class _Grouped:
     """Group-wise access to one point set's kernel rows, packed by its
-    layout plan: ``rows``/``sq`` are ``kernel.fast_rows`` of the values in
-    packed order, so each group's members, in ascending original-id order,
-    are one slice.
+    layout plan: ``rows`` are ``kernel.fast_rows`` of the values in packed
+    order, so each group's members, in ascending original-id order, are
+    one slice.
     """
 
     rows: np.ndarray
-    sq: np.ndarray | None  # squared norms of ``rows`` (L2 only), same order
     gm: GroupModel
     plan: LayoutPlan
 
     @classmethod
     def build(cls, values, gm: GroupModel, plan: LayoutPlan, metric, centre):
-        rows, sq = fast_rows(values[plan.point_perm], centre, metric)
-        return cls(rows=rows, sq=sq, gm=gm, plan=plan)
+        return cls(rows=fast_rows(values[plan.point_perm], centre, metric), gm=gm, plan=plan)
 
     def targets(self, groups: np.ndarray) -> tuple:
         """The tile engine's targets (``_tile_rows``): the members of the
@@ -190,8 +188,14 @@ class _Grouped:
         else:
             at = np.repeat(start - col_starts, sizes)
             at += np.arange(at.size)
-        sq = None if self.sq is None else self.sq[at]
-        return groups, self.plan.point_perm[at], self.rows[at], sq, col_starts
+        return groups, self.plan.point_perm[at], self.rows[at], col_starts
+
+
+def _point_targets(values, centre, metric: MetricSpec) -> tuple:
+    """The tile engine's targets with each of ``values`` its own group,
+    numbered by row: the landmarks or centres a bound pass tiles against."""
+    every = np.arange(values.shape[0])
+    return every, every, fast_rows(values, centre, metric), every
 
 
 def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
@@ -210,29 +214,27 @@ def _pair_distances(a, i, b, j, metric: MetricSpec) -> np.ndarray:
 
 def _tile_rows(src, at, ids, trg, reduce, cells, metric, counters) -> None:
     """The one tile engine, and the one caller of ``tile_distances``: tile
-    the source rows ``src[0][at]`` (``src`` is fast rows and their squared
-    norms or None; ``at`` a slice or positions), whose ids are ``ids``,
-    against ``trg`` = (groups, cols, rows, sq, col_starts): the ids, fast
-    rows and norms of the members of ``groups``, concatenated, and each
-    group's first column. Row blocks of ``cells`` cells at most are sliced
-    or gathered as they are tiled; each tile goes to ``reduce(groups, cols,
-    col_starts, ids, tile, err)`` with the block's ids and error bounds."""
-    rows, sq = src
-    groups, cols, col_rows, sq_cols, col_starts = trg
+    the source rows ``src[at]`` (``src`` is fast rows, ``at`` a slice or
+    positions), whose ids are ``ids``, against ``trg`` = (groups, cols,
+    rows, col_starts): the ids and fast rows of the members of ``groups``,
+    concatenated, and each group's first column. Row blocks of ``cells``
+    cells at most are sliced or gathered as they are tiled; each tile goes
+    to ``reduce(groups, cols, col_starts, ids, tile, err)`` with the
+    block's ids and error bounds."""
+    groups, cols, col_rows, col_starts = trg
     step = max(1, cells // cols.size)
     for i in range(0, ids.size, step):
         if isinstance(at, slice):
             block = slice(at.start + i, min(at.stop, at.start + i + step))
         else:
             block = at[i : i + step]
-        sq_rows = None if sq is None else sq[block]
-        tile, err = tile_distances(rows[block], col_rows, metric, counters, sq_rows, sq_cols)
+        tile, err = tile_distances(src[block], col_rows, metric, counters)
         reduce(groups, cols, col_starts, ids[i : i + step], tile, err)
 
 
 def _sweep(rows, ids, reach, targets: _Grouped, reducer, metric, counters, threads) -> int:
     """The one batching path: tile each source row ``ids[r]`` of ``rows``
-    (fast rows and norms, in id order) once against the non-empty groups
+    (fast rows, in id order) once against the non-empty groups
     of ``targets`` that row r of ``reach`` names. Rows with equal masks are
     one batch (``reorder_inter_group``), ids ascending; batches touch
     disjoint rows, so they may run on ``threads`` workers. Adds the tiles'
@@ -286,7 +288,7 @@ class _Yinyang:
         n = points.shape[0]
         self.points, self.metric, self.gm, self.plan = points, metric, gm, plan
         self.centre = points.mean(axis=0)
-        self.rows, self.sq = fast_rows(points, self.centre, metric)
+        self.rows = fast_rows(points, self.centre, metric)
         self.assign, self.ub = np.empty(n, dtype=np.int64), np.empty(n)
         self.lb = np.empty((gm.z, n))
         self.live = np.flatnonzero(gm.sizes)  # the non-empty groups
@@ -303,7 +305,7 @@ class _Yinyang:
         centre to a group's nearest other centre less ``ub``, then tightens
         every ``lb`` before the search of the other groups. The landmark and
         centre-to-centre tiles count as ``bound_computations``."""
-        n, slack, gm = self.points.shape[0], self.gm.slack, self.gm
+        n, slack, gm, metric = self.points.shape[0], self.gm.slack, self.gm, self.metric
         base, seen = counters.snapshot(), CounterSet()
         near = np.empty(n, dtype=np.int64)
 
@@ -312,15 +314,13 @@ class _Yinyang:
             near[ids] = tile.argmin(axis=1)
             self.lb[:, ids] = lower_bound(tile - err[:, None], gm.radius, slack).T
 
-        every = np.arange(gm.z)
-        marks = (every, every, *fast_rows(gm.landmarks, self.centre, self.metric), every)
-        src = (self.rows, self.sq)
-        _tile_rows(src, slice(0, n), np.arange(n), marks, seed, self.TILE_CELLS, self.metric, seen)
+        marks = _point_targets(gm.landmarks, self.centre, metric)
+        _tile_rows(self.rows, slice(0, n), np.arange(n), marks, seed, self.TILE_CELLS, metric, seen)
 
         self.centroids, self.counters, self.exact = centroids, counters, False
-        self.centres = _Grouped.build(centroids, self.gm, self.plan, self.metric, self.centre)
-        batches = _sweep(src, np.arange(n), near[:, None] == every, self.centres, self,
-                         self.metric, counters, 1)
+        self.centres = _Grouped.build(centroids, gm, self.plan, metric, self.centre)
+        batches = _sweep(self.rows, np.arange(n), near[:, None] == np.arange(gm.z), self.centres,
+                         self, metric, counters, 1)
         own = np.argsort(self.plan.point_perm)[self.assign]  # each point's centre, packed
         for lb, gap in zip(self.lb, self._gaps(seen).T):
             np.maximum(lb, lower_bound(gap.take(own), self.ub, slack), out=lb)
@@ -349,8 +349,8 @@ class _Yinyang:
 
         starts = self.plan.group_slices[self.live, 0]
         live = centres.targets(self.live[np.argsort(starts)])
-        _tile_rows((centres.rows, centres.sq), slice(0, k), np.arange(k), live, fold,
-                   self.TILE_CELLS, self.metric, counters)
+        _tile_rows(centres.rows, slice(0, k), np.arange(k), live, fold, self.TILE_CELLS,
+                   self.metric, counters)
         return gaps
 
     def update(self, centroids: np.ndarray, drift: np.ndarray, counters: CounterSet) -> int:
@@ -383,8 +383,8 @@ class _Yinyang:
         group; returns the batches swept. The reach mask is built group by
         group, so no gather of ``lb`` exceeds one of its rows."""
         self.exact = True
-        return _sweep((self.rows, self.sq), rows, self._reach(rows, skip), self.centres, self,
-                      self.metric, self.counters, 1)
+        return _sweep(self.rows, rows, self._reach(rows, skip), self.centres, self, self.metric,
+                      self.counters, 1)
 
     def _reach(self, rows, skip) -> np.ndarray:
         """``_search``'s (rows, z) mask, which ``_sweep`` frees before the tiles."""
@@ -477,7 +477,7 @@ class _TopK:
         from the two-landmark bounds of each point's fast tile against the
         target landmarks, its error bound and each group's radius. Only the
         mask outlives a row block; the tiles are ``bound_computations``."""
-        gm, m = self.gm, rows[0].shape[0]
+        gm, m = self.gm, rows.shape[0]
         keep, seen = np.empty((m, gm.z), dtype=bool), CounterSet()
 
         def cut_block(groups, cols, col_starts, ids, tile, err) -> None:
@@ -485,8 +485,7 @@ class _TopK:
             points = np.ones(ids.size, dtype=np.int64)  # each row is one point
             keep[ids] = filter_oneshot(lb, ub, self.k, points, gm.sizes, counters)
 
-        every = np.arange(gm.z)
-        marks = (every, every, *fast_rows(gm.landmarks, centre, metric), every)
+        marks = _point_targets(gm.landmarks, centre, metric)
         _tile_rows(rows, slice(0, m), np.arange(m), marks, cut_block, self.TILE_CELLS, metric, seen)
         seen.bound_computations, seen.point_distances = seen.point_distances, 0
         counters.add(seen)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from accd.ddsl.lowering import ExecutionPlan, SelectSpec
+from accd.errors import RangeError
 from accd.layout import LayoutPlan
+from accd.metrics import MetricSpec
 
 KMEANS_LISTING = """DVar K int 10;
 DVar D int 20;
@@ -62,6 +64,29 @@ def pack_reversed(ds, gm) -> LayoutPlan:
         point_perm=np.argsort(-gm.group_of, kind="stable"),
         group_slices=np.column_stack((stops - sizes, stops))[::-1],
     )
+
+
+def domain_scales(metrics: list[MetricSpec], sets: list[np.ndarray]) -> tuple[float, float]:
+    """(inside, past): the largest scale found for ``sets`` that the
+    ``check_domain`` of every metric admits, and a scale one rejects, within
+    2^-40 of each other, by bisection on the exponent."""
+    lo, hi = -1000.0, 1020.0
+
+    def admitted(e: float) -> bool:
+        with np.errstate(over="ignore"):  # an infinite scaled set is rejected
+            scaled = [x * np.exp2(e) for x in sets]
+        try:
+            for metric in metrics:
+                metric.check_domain(*scaled)
+        except RangeError:
+            return False
+        return True
+
+    assert admitted(lo) and not admitted(hi)
+    while hi - lo > 2.0**-40 * max(1.0, abs(lo)):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return float(np.exp2(lo)), float(np.exp2(hi))
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ SCHEMAS = Path(accd.__file__).parent / "schemas"
 RESOURCES = Path(accd.__file__).parent / "resources"
 REPORT_SCHEMA = json.loads((SCHEMAS / "run_report.schema.json").read_text())
 EXPLORE_SCHEMA = json.loads((SCHEMAS / "explorer_output.schema.json").read_text())
+BENCH_SCHEMA = json.loads((SCHEMAS / "bench_report.schema.json").read_text())
 SMALL_PROBLEM = {"src_size": 2000, "trg_size": 2000, "d": 24, "n_iteration": 1}
 SMALL_DESIGN = ["--src-groups", "8", "--trg-groups", "3"]
 
@@ -324,6 +325,8 @@ def test_bench_sample_is_exact_and_accounts_every_pair(sample, tmp_path):
     scale = str(BENCH_SCALES[sample])
     assert _bench(SAMPLES / sample, "--scale", scale, "--report", str(report)) == 0
     payload = json.loads(report.read_text())
+    jsonschema.validate(payload, BENCH_SCHEMA)
+    assert payload["schema_version"] == 2
     plan = payload["meta"]["plan"]
     assert payload["exact"] is True
     assert payload["pipeline_kind"] == plan["pipeline_kind"]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from accd.counters import CounterSet
 from accd.dataset import Dataset, NeighborLists, brute_rows, id_dtype, load_csv
 from accd.errors import DimensionMismatchError, FormatError
 from accd.metrics import MetricSpec, distance
@@ -106,14 +105,6 @@ def test_brute_transpose_symmetry():
     ab = brute_rows(a, b, L2)
     ba = brute_rows(b, a, L2)
     assert np.array_equal(ab, ba.T)
-
-
-def test_brute_counts_all_pairs():
-    c = CounterSet()
-    a = np.arange(12.0).reshape(6, 2)
-    b = np.arange(8.0).reshape(4, 2)
-    brute_rows(a, b, L2, c)
-    assert c.point_distances == 24
 
 
 def test_brute_dim_mismatch():

@@ -20,7 +20,7 @@ from accd.explorer import DesignConfig
 from accd.metrics import MetricSpec
 from accd.pipelines import RunConfig, run_plan
 
-from conftest import make_plan
+from conftest import domain_scales, make_plan
 
 METRICS = ("Unweighted L1", "Unweighted L2", "Weighted L1", "Weighted L2")
 DIMS = (1, 2, 3, 5, 9, 24)
@@ -39,29 +39,6 @@ def _points(rng: np.random.Generator, shape: str, n: int, d: int) -> np.ndarray:
         return rng.normal(size=(n, 1)) * rng.normal(size=(1, d)) + rng.normal(size=(1, d))
     x = rng.normal(size=(n, d)) * 3.0
     return x + {"gaussian": 0.0, "offset_1e3": 1e3, "offset_1e6": 1e6}[shape]
-
-
-def _scales(metrics: list[MetricSpec], sets: list[np.ndarray]) -> tuple[float, float]:
-    """(inside, past): the largest scale found for ``sets`` that the
-    ``check_domain`` of every metric admits, and a scale one rejects, within
-    2^-40 of each other, by bisection on the exponent."""
-    lo, hi = -1000.0, 1020.0
-
-    def admitted(e: float) -> bool:
-        with np.errstate(over="ignore"):  # an infinite scaled set is rejected
-            scaled = [x * np.exp2(e) for x in sets]
-        try:
-            for metric in metrics:
-                metric.check_domain(*scaled)
-        except RangeError:
-            return False
-        return True
-
-    assert admitted(lo) and not admitted(hi)
-    while hi - lo > 2.0**-40 * max(1.0, abs(lo)):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
-    return float(np.exp2(lo)), float(np.exp2(hi))
 
 
 def _case(seed: int) -> dict:
@@ -141,7 +118,7 @@ SEEDS = list(range(336))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_problem_equals_the_oracle_or_is_a_range_error(seed):
     case = _case(seed)
-    inside, past = _scales(*_domain(case))
+    inside, past = domain_scales(*_domain(case))
     magnitude = case["magnitude"]
     if magnitude == "past":
         with pytest.raises(RangeError):

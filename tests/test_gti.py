@@ -55,7 +55,7 @@ def test_separated_blobs_recover_labels():
     assert len(set(labels[60:])) == 1
     assert labels[0] != labels[60]
     # brute-force nearest-landmark check
-    d = brute_rows(ds.values, gm.landmarks, L2, CounterSet())
+    d = brute_rows(ds.values, gm.landmarks, L2)
     assert np.array_equal(labels, np.argmin(d, axis=1))
 
 
@@ -68,7 +68,7 @@ def test_membership_partitions_points():
     # each radius is the direct distance to the group's farthest member
     for g in range(7):
         members = np.flatnonzero(gm.group_of == g)
-        d = brute_rows(ds.values[members], gm.landmarks[g : g + 1], L2, CounterSet())
+        d = brute_rows(ds.values[members], gm.landmarks[g : g + 1], L2)
         assert gm.radius[g] == (d.max() if members.size else 0.0)
 
 
@@ -167,7 +167,7 @@ def test_assign_nearest_equals_oracle_bitwise(monkeypatch, data, metric, offset)
     monkeypatch.setattr(gti._Nearest, "TILE_CELLS", 7 * landmarks.shape[0])
     mt = _METRICS[metric]
     centre = values.mean(axis=0)
-    fast = (*fast_rows(values, centre, mt), slice(0, values.shape[0]))
+    fast = (fast_rows(values, centre, mt), slice(0, values.shape[0]))
     want_assign, want_dist = nearest_assign(values, landmarks, mt)
     assign, dist = gti._assign_nearest(values, centre, fast, landmarks, mt, None)
     assert dist is None
@@ -178,7 +178,7 @@ def test_assign_nearest_equals_oracle_bitwise(monkeypatch, data, metric, offset)
     # a sample of every third point, by its positions in the set's rows:
     # its 100 rows are gathered in blocks of 7, the last one ragged
     at = np.arange(0, values.shape[0], 3)
-    assign, _ = gti._assign_nearest(values[at], centre, (*fast[:2], at), landmarks, mt, None)
+    assign, _ = gti._assign_nearest(values[at], centre, (fast[0], at), landmarks, mt, None)
     assert assign.tobytes() == want_assign[at].tobytes()
 
 
@@ -363,9 +363,9 @@ def test_group_bounds_bracket_true_extremes():
     ds_a, ds_b = Dataset.from_values(a), Dataset.from_values(b)
     gm_a = build_groups(ds_a, 1, seed=0, metric=L2)
     gm_b = build_groups(ds_b, 1, seed=0, metric=L2)
-    d_ref = brute_rows(gm_a.landmarks, gm_b.landmarks, L2, CounterSet())[0, 0]
+    d_ref = brute_rows(gm_a.landmarks, gm_b.landmarks, L2)[0, 0]
     lb, ub = two_landmark_bounds(d_ref, gm_a.radius[0], gm_b.radius[0], gm_a.slack)
-    pair = brute_rows(a, b, L2, CounterSet())
+    pair = brute_rows(a, b, L2)
     assert lb <= pair.min()
     assert pair.max() <= ub
 
@@ -453,7 +453,7 @@ def test_radius_filter_keeps_only_near_blobs():
     radius = 20.0
     keep = _radius_filter(gm_s, gm_t, lb, radius, c)
     # every source group keeps exactly its nearby target group
-    pair = brute_rows(src_pts, trg_pts, L2, CounterSet())
+    pair = brute_rows(src_pts, trg_pts, L2)
     for g in range(2):
         members = np.flatnonzero(gm_s.group_of == g)
         reachable = set()
@@ -469,7 +469,7 @@ def test_topk_filter_never_prunes_true_members():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=7)
     k = 5
     keep = filter_oneshot(lb, ub, k, gm_s.sizes, gm_t.sizes, c)
-    pair = brute_rows(src.values, trg.values, L2, CounterSet())
+    pair = brute_rows(src.values, trg.values, L2)
     for i in range(src.n):
         g = gm_s.group_of[i]
         kept = set(np.flatnonzero(keep[g]).tolist())
@@ -580,7 +580,7 @@ def test_nearest_mode_prunes_soundly():
     k = 9
     r = np.random.default_rng(8)
     centers = pts.values[r.choice(120, size=k, replace=False)].copy()
-    pair = brute_rows(pts.values, centers, L2, CounterSet())
+    pair = brute_rows(pts.values, centers, L2)
     best = np.argmin(pair, axis=1)
     best_d = pair[np.arange(120), best]
     trg_group_of = np.arange(k) % 3
@@ -601,7 +601,7 @@ def test_nearest_mode_prunes_soundly():
     lb = lower_bound(lb, trg_drift[None, :], gm.slack)  # only the targets drift
     keep = gti._cut(lb, weakest, gm.sizes, trg.sizes, c)
     # unmoved targets: pruned groups really contain no nearest target
-    new_pair = brute_rows(pts.values, moved, L2, CounterSet())
+    new_pair = brute_rows(pts.values, moved, L2)
     new_best = np.argmin(new_pair, axis=1)
     for i in range(120):
         g = gm.group_of[i]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from accd.dataset import Dataset, brute_rows
 from accd.errors import DimensionMismatchError
 from accd.kernel import fast_rows, tile_distances
 from accd.metrics import MetricSpec, rowwise_distance
+
+from conftest import domain_scales
 
 L1 = MetricSpec(kind="L1")
 L2 = MetricSpec(kind="L2")
@@ -22,9 +26,8 @@ def _metric(name: str, d: int) -> MetricSpec:
 def _tile(a, b, metric, counters=None):
     """The kernel on rows prepared around the source set's mean."""
     centre = a.mean(axis=0)
-    rows_a, sq_a = fast_rows(a, centre, metric)
-    rows_b, sq_b = fast_rows(b, centre, metric)
-    return tile_distances(rows_a, rows_b, metric, counters, sq_a, sq_b)
+    rows_a, rows_b = fast_rows(a, centre, metric), fast_rows(b, centre, metric)
+    return tile_distances(rows_a, rows_b, metric, counters)
 
 
 # -- the error bound -----------------------------------------------------------
@@ -41,11 +44,41 @@ def test_fast_values_lie_within_the_returned_bound(name, offset):
     # distances, where the L2 bound is loosest
     b = np.vstack([r.normal(size=(40, d)) * 3 + offset, a[:5], a[5:10] + 1e-6])
     tile, err = _tile(a, b, metric)
+    direct = _assert_bounded(a, b, tile, err, metric)
+    # tight enough to settle all but near-ties
+    assert np.all(err <= 1e-6 * direct.max())
+
+
+def _assert_bounded(a, b, tile, err, metric):
     rows, cols = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
     direct = rowwise_distance(a[rows], b[cols], metric).reshape(tile.shape)
     assert np.all(np.abs(tile - direct) <= err[:, None])
-    # tight enough to settle all but near-ties
-    assert np.all(err <= 1e-6 * direct.max())
+    return direct
+
+
+@pytest.mark.parametrize("name", ["L2", "weighted L2"])
+def test_l2_tiles_stay_finite_and_bounded_at_the_domain_limit(name):
+    # the source set's mean is one corner of the box and some targets sit
+    # at the opposite one, so their centred rows span every coordinate's
+    # full spread: a tile of them against each other sums terms of
+    # absolute sum 2D, all the room ``check_domain`` leaves, at the largest
+    # scale it admits
+    r = np.random.default_rng(4)
+    d = 6
+    metric = _metric(name, d)
+    src = np.full((2, d), -1.0)  # whose mean is exact at any scale
+    trg = np.vstack([np.ones((5, d)), r.uniform(-1.0, 1.0, size=(30, d))])
+    scale, _ = domain_scales([metric], [src, trg])
+    src, trg = src * scale, trg * scale
+    centre = src.mean(axis=0)
+    assert np.array_equal(centre, src[0])
+    rows_src, rows_trg = fast_rows(src, centre, metric), fast_rows(trg, centre, metric)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, rows_a in ((src, rows_src), (trg, rows_trg)):
+            tile, err = tile_distances(rows_a, rows_trg, metric)
+            assert np.all(np.isfinite(tile)) and np.all(np.isfinite(err))
+            _assert_bounded(a, trg, tile, err, metric)
 
 
 # -- fast tiles ----------------------------------------------------------------

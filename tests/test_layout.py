@@ -156,11 +156,10 @@ def test_each_group_is_one_slice_and_targets_are_its_members(grouping, data):
     want = np.concatenate([members[g] for g in groups.tolist()])
     sizes = gm.sizes[groups]
     centre = values.mean(axis=0)
-    rows, sq = fast_rows(values, centre, L2)
+    rows = fast_rows(values, centre, L2)
     for layout in (plan, pack_reversed(ds, gm)):
         grouped = _Grouped.build(values, gm, layout, L2, centre)
-        got, ids, got_rows, got_sq, col_starts = grouped.targets(groups)
+        got, ids, got_rows, col_starts = grouped.targets(groups)
         assert got is groups and np.array_equal(ids, want)
         assert got_rows.tobytes() == rows[want].tobytes()
-        assert got_sq.tobytes() == sq[want].tobytes()
         assert np.array_equal(col_starts, np.cumsum(sizes) - sizes)
