@@ -96,12 +96,12 @@ def _parse_cell(text: str) -> float | None:
 def load_csv(path) -> Dataset:
     """Load a comma-separated point matrix.
 
-    An optional single header row is auto-detected (first row with any
-    non-numeric cell). Point id = data row index. Raises ``FormatError``
+    A leading UTF-8 byte order mark is skipped. An optional single header
+    row is auto-detected (first row with any non-numeric cell). Point id = data row index. Raises ``FormatError``
     with 1-based row/col on any non-numeric cell, non-finite value, or
     ragged row; IO problems propagate as ``OSError``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         raw_rows = [row for row in csv.reader(fh)]
     raw_rows = [row for row in raw_rows if row]  # drop blank lines
     if not raw_rows:

@@ -8,7 +8,16 @@ Classification rules:
 
 Two-set pipelines take an integer top-K range; self-set pipelines take a
 positive float radius. Anything else is rejected as unsupported rather
-than silently guessed at.
+than silently guessed at. The plan holds only what a runner reads, so
+lowering settles the semantics a runner would otherwise ignore:
+
+* k-means (iterative two-set) assigns each point its one nearest centre,
+  so its select count must be 1.
+* A fixed iteration count is a cap: k-means still stops early at the
+  first iteration in which no assignment changes.
+* Status mode (``AccD_Iter(S)``) is k-means-only: it iterates until no
+  assignment changes, capped by ``RunConfig.status_iter_cap``, and lowers
+  to ``max_iter=None``. A status-mode self-set program is rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import UnsupportedProgramError
-from ..metrics import METRIC_NAMES, MetricSpec
+from ..metrics import METRIC_NAMES
 from .ast import ComputeDist, DistSelect, Iter, Program, Update, VarDecl
 from .validator import CheckedProgram
 
@@ -25,52 +34,30 @@ PIPELINE_KINDS = ("iterative_two_set", "oneshot_two_set", "iterative_self_set")
 
 @dataclass(frozen=True)
 class SelectSpec:
-    kind: str  # "count" | "radius"
-    value: float
-    scope: str
+    value: float  # top-K count (two-set) or radius (self-set); scope "smallest"
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     pipeline_kind: str
-    source_set: str
-    target_set: str
     source_size: int
     target_size: int
     dim: int
     metric_name: str
     weight_set: str | None
     select: SelectSpec
-    update_targets: tuple[str, ...]
-    max_iter: int | None  # None when exit is status-driven
-    exit_on_status: bool
-    status_var: str | None = None
-    declared_dtype: str = "float32"
-
-    def metric_spec(self, weights=None) -> MetricSpec:
-        spec = MetricSpec.from_name(self.metric_name, weights=weights)
-        return spec
+    max_iter: int | None  # None: one-shot, or k-means until no assignment changes
 
     def to_json_dict(self) -> dict:
         return {
             "pipeline_kind": self.pipeline_kind,
-            "source_set": self.source_set,
-            "target_set": self.target_set,
             "source_size": self.source_size,
             "target_size": self.target_size,
             "dim": self.dim,
             "metric": self.metric_name,
             "weight_set": self.weight_set,
-            "select": {
-                "kind": self.select.kind,
-                "value": self.select.value,
-                "scope": self.select.scope,
-            },
-            "update_targets": list(self.update_targets),
+            "select": self.select.value,
             "max_iter": self.max_iter,
-            "exit_on_status": self.exit_on_status,
-            "status_var": self.status_var,
-            "declared_dtype": self.declared_dtype,
         }
 
 
@@ -138,13 +125,17 @@ def lower(cp: CheckedProgram) -> ExecutionPlan:
         kind = "iterative_two_set"
 
     value = _select_value(cp, sel)
-    range_kind = "radius" if isinstance(value, float) else "count"
-    if kind == "iterative_self_set" and range_kind != "radius":
+    if kind == "iterative_self_set" and not isinstance(value, float):
         raise UnsupportedProgramError(
             "self-set iteration requires a float radius range"
         )
-    if kind != "iterative_self_set" and range_kind != "count":
+    if kind != "iterative_self_set" and isinstance(value, float):
         raise UnsupportedProgramError(f"{kind} requires an integer top-K range")
+    if kind == "iterative_two_set" and value != 1:
+        raise UnsupportedProgramError(
+            f"iterative two-set select count is {value}: k-means assigns each "
+            "point its nearest centre, a count of 1"
+        )
     if sel.scope != "smallest":
         raise UnsupportedProgramError(
             'only scope "smallest" is executable; "largest" is selection-only'
@@ -152,40 +143,30 @@ def lower(cp: CheckedProgram) -> ExecutionPlan:
 
     if iter_node is not None and not shape.updates:
         raise UnsupportedProgramError("iterative pipelines require an AccD_Update")
-    update_targets = tuple(u.args[0] for u in shape.updates)
-    if kind == "iterative_two_set" and any(t != comp.p2 for t in update_targets):
+    updated = {u.args[0] for u in shape.updates}
+    if kind == "iterative_two_set" and updated != {comp.p2}:
         raise UnsupportedProgramError(
             "two-set iteration must update the target set"
         )
-    if kind == "iterative_self_set" and any(t != comp.p1 for t in update_targets):
-        raise UnsupportedProgramError("self-set iteration must update its own set")
-
-    max_iter = None
-    exit_on_status = False
-    status_var = None
-    if iter_node is not None:
+    if kind == "iterative_self_set":
+        if updated != {comp.p1}:
+            raise UnsupportedProgramError("self-set iteration must update its own set")
         if iter_node.is_status_mode:
-            exit_on_status = True
-            status_var = iter_node.condition.name
-        else:
-            max_iter = iter_node.condition.value
+            raise UnsupportedProgramError(
+                "self-set iteration takes a fixed step count; status exit is k-means-only"
+            )
 
     n1, d1 = cp.set_shape(comp.p1)
     n2, _ = cp.set_shape(comp.p2)
     weighted = METRIC_NAMES[comp.metric][1]
+    fixed = iter_node is not None and not iter_node.is_status_mode
     return ExecutionPlan(
         pipeline_kind=kind,
-        source_set=comp.p1,
-        target_set=comp.p2,
         source_size=n1,
         target_size=n2,
         dim=d1,
         metric_name=comp.metric,
         weight_set=comp.weights.name if weighted else None,
-        select=SelectSpec(kind=range_kind, value=float(value), scope=sel.scope),
-        update_targets=update_targets,
-        max_iter=max_iter,
-        exit_on_status=exit_on_status,
-        status_var=status_var,
-        declared_dtype=cp.symbols[comp.p1].dtype,
+        select=SelectSpec(value=float(value)),
+        max_iter=iter_node.condition.value if fixed else None,
     )

@@ -261,18 +261,20 @@ def group_max(values: np.ndarray, group_of: np.ndarray, z: int) -> np.ndarray:
 def _cut(
     lb: np.ndarray,
     thr: np.ndarray,
-    src_sizes: np.ndarray,
+    src_sizes: np.ndarray | None,
     trg_sizes: np.ndarray,
     counters: CounterSet | None,
 ) -> np.ndarray:
     """The (rows, z_trg) keep mask: target group t survives for row a, a
-    set of ``src_sizes[a]`` source points, iff lb[a, t] <= thr[a].
+    set of ``src_sizes[a]`` source points (one point when ``src_sizes`` is
+    None), iff lb[a, t] <= thr[a].
 
     Credits every dropped point pair to ``pruned_pairs``.
     """
     keep = lb <= thr[:, None]
     if counters is not None:
-        counters.pruned_pairs += int(src_sizes @ (~keep @ trg_sizes))
+        dropped = ~keep @ trg_sizes  # target points dropped per row
+        counters.pruned_pairs += int(dropped.sum() if src_sizes is None else src_sizes @ dropped)
     return keep
 
 
@@ -283,8 +285,8 @@ def init_oneshot_state(
     src: GroupModel,
     trg: GroupModel,
     counters: CounterSet | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The group-pair bounds (lb, ub), each z_src x z_trg.
+) -> np.ndarray:
+    """The group-pair lower bounds lb, z_src x z_trg.
 
     Costs exactly z_src * z_trg true distance evaluations between the
     landmarks, and no point distance: with the radii of ``build_groups``
@@ -294,19 +296,19 @@ def init_oneshot_state(
     pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
     if counters is not None:
         counters.bound_computations += src.z * trg.z
-    return two_landmark_bounds(pair, src.radius[:, None], trg.radius[None, :], src.slack)
+    lb, _ = two_landmark_bounds(pair, src.radius[:, None], trg.radius[None, :], src.slack)
+    return lb
 
 
 def filter_oneshot(
     lb: np.ndarray,
     ub: np.ndarray,
     k: int,
-    src_sizes: np.ndarray,
     trg_sizes: np.ndarray,
     counters: CounterSet | None = None,
 ) -> np.ndarray:
-    """Top-K candidates per row of the bounds (a join's source point, or
-    a group of ``src_sizes`` points), as the cut's keep mask.
+    """Top-K candidates per row of the bounds, one join source point each,
+    as the cut's keep mask.
 
     The threshold of a row accumulates target group sizes in ascending ub
     order until at least K points are covered and takes the ub reached
@@ -321,7 +323,7 @@ def filter_oneshot(
     covered = np.cumsum(trg_sizes[order], axis=1)
     rows = np.arange(ub.shape[0])
     thr = ub[rows, order[rows, np.argmax(covered >= k, axis=1)]]
-    return _cut(lb, thr, src_sizes, trg_sizes, counters)
+    return _cut(lb, thr, None, trg_sizes, counters)
 
 
 # -- iterative filtering (trace + group-level) ---------------------------

@@ -112,7 +112,7 @@ class RunConfig:
     seed: int = 0
     oracle_mode: str = "off"  # "off" | "shadow"
     thread_count: int = 1  # sweep workers of the join and n-body; k-means sweeps on one
-    status_iter_cap: int = 1000  # hard stop for status-exit iteration
+    status_iter_cap: int = 1000  # caps status-mode k-means, which has no max_iter
     dt: float = 1e-3  # self-set integrator step
     softening: float = 1e-2  # force-law smoothing length
 
@@ -482,8 +482,7 @@ class _TopK:
 
         def cut_block(groups, cols, col_starts, ids, tile, err) -> None:
             lb, ub = two_landmark_bounds(tile, err[:, None], gm.radius, gm.slack)
-            points = np.ones(ids.size, dtype=np.int64)  # each row is one point
-            keep[ids] = filter_oneshot(lb, ub, self.k, points, gm.sizes, counters)
+            keep[ids] = filter_oneshot(lb, ub, self.k, gm.sizes, counters)
 
         marks = _point_targets(gm.landmarks, centre, metric)
         _tile_rows(rows, slice(0, m), np.arange(m), marks, cut_block, self.TILE_CELLS, metric, seen)
@@ -785,7 +784,7 @@ def run_kmeans(
     """
     _check_kind(plan, "iterative_two_set")
     t0 = time.perf_counter()
-    metric = plan.metric_spec(weights)
+    metric = MetricSpec.from_name(plan.metric_name, weights=weights)
     n, d = points.n, points.d
     metric.check_dim(d)
     rng = np.random.default_rng(config.seed)
@@ -878,7 +877,7 @@ def run_knn_join(
     own set finds itself at distance zero)."""
     _check_kind(plan, "oneshot_two_set")
     t0 = time.perf_counter()
-    metric = plan.metric_spec(weights)
+    metric = MetricSpec.from_name(plan.metric_name, weights=weights)
     if src.d != trg.d:
         raise RangeError(f"source dim {src.d} != target dim {trg.d}")
     metric.check_domain(src.values, trg.values)
@@ -1013,7 +1012,7 @@ def run_nbody(
     """
     _check_kind(plan, "iterative_self_set")
     t0 = time.perf_counter()
-    metric = plan.metric_spec(weights)
+    metric = MetricSpec.from_name(plan.metric_name, weights=weights)
     radius = float(plan.select.value)
     if not radius > 0:
         raise RangeError("radius must be positive")
@@ -1022,7 +1021,6 @@ def run_nbody(
     domains = [metric] if metric.kind == "L2" and not metric.weighted else [metric, MetricSpec()]
     for spec in domains:
         spec.check_domain(particles.values)
-    steps = plan.max_iter if plan.max_iter is not None else config.status_iter_cap
 
     counters = CounterSet()
     z = min(config.design.n_src_grp, n)
@@ -1040,10 +1038,10 @@ def run_nbody(
     prev_drift: np.ndarray | None = None
     oracle_s = 0.0
 
-    for step in range(1, steps + 1):
+    for step in range(1, plan.max_iter + 1):
         base = counters.snapshot()
         if step == 1:
-            within.lb, _ = init_oneshot_state(gm, gm, counters)
+            within.lb = init_oneshot_state(gm, gm, counters)
         else:
             counters.bound_computations += n  # drift distances recorded at integration
             within.moved(prev_drift)

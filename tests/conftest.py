@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from accd.errors import RangeError
 from accd.layout import LayoutPlan
 from accd.metrics import MetricSpec
 
-KMEANS_LISTING = """DVar K int 10;
+KMEANS_LISTING = """DVar K int 1;
 DVar D int 20;
 DVar psize int 1400;
 DVar csize int 200;
@@ -27,6 +29,13 @@ AccD_Iter(S){
 """
 
 
+def status_mode(text: str) -> str:
+    """A program whose ``AccD_Iter(N)`` is turned to status mode: the block
+    opens with ``S = false`` and its ``AccD_Update`` takes ``S``."""
+    text = re.sub(r"AccD_Iter\(\w+\)\{", "AccD_Iter(S){\n    S = false;", text)
+    return re.sub(r"AccD_Update\((\w+), (\w+)\);", r"AccD_Update(\1, \2, S);", text)
+
+
 def make_plan(
     kind: str,
     n1: int,
@@ -35,23 +44,16 @@ def make_plan(
     select: SelectSpec,
     max_iter=None,
     metric="Unweighted L2",
-    exit_on_status=False,
 ) -> ExecutionPlan:
-    self_set = kind == "iterative_self_set"
     return ExecutionPlan(
         pipeline_kind=kind,
-        source_set="src",
-        target_set="src" if self_set else "trg",
         source_size=n1,
         target_size=n2,
         dim=d,
         metric_name=metric,
         weight_set=None,
         select=select,
-        update_targets=("src",) if self_set else (("trg",) if kind != "oneshot_two_set" else ()),
         max_iter=max_iter,
-        exit_on_status=exit_on_status,
-        status_var="S" if exit_on_status else None,
     )
 
 

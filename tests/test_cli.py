@@ -8,10 +8,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from referencing import Registry, Resource
 
 import accd
 from accd import cli, oracles, pipelines
 from accd.ddsl import lower, parse, validate
+
+from conftest import status_mode
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 SCHEMAS = Path(accd.__file__).parent / "schemas"
@@ -19,6 +22,9 @@ RESOURCES = Path(accd.__file__).parent / "resources"
 REPORT_SCHEMA = json.loads((SCHEMAS / "run_report.schema.json").read_text())
 EXPLORE_SCHEMA = json.loads((SCHEMAS / "explorer_output.schema.json").read_text())
 BENCH_SCHEMA = json.loads((SCHEMAS / "bench_report.schema.json").read_text())
+PLAN_SCHEMA = json.loads((SCHEMAS / "plan.schema.json").read_text())
+# the run report and the bench JSON refer to the one plan schema by its id
+REGISTRY = Registry().with_resource(PLAN_SCHEMA["$id"], Resource.from_contents(PLAN_SCHEMA))
 SMALL_PROBLEM = {"src_size": 2000, "trg_size": 2000, "d": 24, "n_iteration": 1}
 SMALL_DESIGN = ["--src-groups", "8", "--trg-groups", "3"]
 
@@ -32,6 +38,10 @@ def _blobs(n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-4.0, 4.0, size=(3, d))
     return centers[rng.integers(0, 3, size=n)] + rng.normal(size=(n, d))
+
+
+def _validate(payload, schema) -> None:
+    jsonschema.Draft202012Validator(schema, registry=REGISTRY).validate(payload)
 
 
 def _run_args(tmp_path: Path, sample: str) -> list[str]:
@@ -48,7 +58,27 @@ def _run_args(tmp_path: Path, sample: str) -> list[str]:
 @pytest.mark.parametrize("sample", ["kmeans.ddsl", "knn_join.ddsl", "nbody.ddsl"])
 def test_compile_samples(sample, capsys):
     assert cli.main(["compile", str(SAMPLES / sample)]) == 0
-    assert json.loads(capsys.readouterr().out)["pipeline_kind"]
+    _validate(json.loads(capsys.readouterr().out), PLAN_SCHEMA)
+
+
+# a count k-means would not read and a status exit n-body would not follow:
+# lowering rejects both
+@pytest.mark.parametrize("command", ["compile", "bench"])
+@pytest.mark.parametrize(
+    "sample, edit, message",
+    [
+        ("kmeans.ddsl", lambda t: t.replace("DVar K int 1;", "DVar K int 10;"), "nearest centre"),
+        ("nbody.ddsl", status_mode, "status exit is k-means-only"),
+    ],
+)
+def test_rejected_program_exits_1(command, sample, edit, message, tmp_path, capsys):
+    text = (SAMPLES / sample).read_text()
+    edited = tmp_path / sample
+    edited.write_text(edit(text))
+    assert edited.read_text() != text
+    assert cli.main([command, str(edited)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("sample", ["kmeans.ddsl", "knn_join.ddsl", "nbody.ddsl"])
@@ -63,7 +93,7 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
     ]
     assert cli.main(argv) == 0
     payload = json.loads(report.read_text())
-    jsonschema.validate(payload, REPORT_SCHEMA)
+    _validate(payload, REPORT_SCHEMA)
     assert payload["config"]["oracle_mode"] == "shadow"
     # the layout is the grouped set's [start, stop) per group: the 3 groups
     # of the 6 centres or the 120 targets, or the 8 of the 150 particles
@@ -325,8 +355,8 @@ def test_bench_sample_is_exact_and_accounts_every_pair(sample, tmp_path):
     scale = str(BENCH_SCALES[sample])
     assert _bench(SAMPLES / sample, "--scale", scale, "--report", str(report)) == 0
     payload = json.loads(report.read_text())
-    jsonschema.validate(payload, BENCH_SCHEMA)
-    assert payload["schema_version"] == 2
+    _validate(payload, BENCH_SCHEMA)
+    assert payload["schema_version"] == 3
     plan = payload["meta"]["plan"]
     assert payload["exact"] is True
     assert payload["pipeline_kind"] == plan["pipeline_kind"]

@@ -14,18 +14,20 @@ L2 = MetricSpec(kind="L2")
 
 def test_load_plain_csv(tmp_path):
     f = tmp_path / "pts.csv"
-    f.write_text("1.0,2.0\n3.5,4.5\n5.0,6.0\n")
-    ds = load_csv(f)
-    assert ds.n == 3 and ds.d == 2
-    assert ds.values.tolist() == [[1.0, 2.0], [3.5, 4.5], [5.0, 6.0]]
+    for bom in ("", "\ufeff"):  # a UTF-8 byte order mark is no part of the first cell
+        f.write_text(bom + "1.0,2.0\n3.5,4.5\n5.0,6.0\n", encoding="utf-8")
+        ds = load_csv(f)
+        assert ds.n == 3 and ds.d == 2
+        assert ds.values.tolist() == [[1.0, 2.0], [3.5, 4.5], [5.0, 6.0]]
 
 
 def test_load_csv_header_autodetected(tmp_path):
     f = tmp_path / "pts.csv"
-    f.write_text("x,y\n1,2\n3,4\n5,6\n")
-    ds = load_csv(f)
-    assert ds.n == 3 and ds.d == 2
-    assert ds.values[0, 0] == 1.0
+    for bom in ("", "\ufeff"):
+        f.write_text(bom + "x,y\n1,2\n3,4\n5,6\n", encoding="utf-8")
+        ds = load_csv(f)
+        assert ds.n == 3 and ds.d == 2
+        assert ds.values[0, 0] == 1.0
 
 
 def test_load_csv_bad_cell_position(tmp_path):

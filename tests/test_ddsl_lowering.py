@@ -3,7 +3,7 @@ import pytest
 from accd.ddsl import lower, parse, validate
 from accd.errors import UnsupportedProgramError
 
-from conftest import KMEANS_LISTING
+from conftest import KMEANS_LISTING, status_mode
 
 KNN_TEXT = """DVar K int 5;
 DVar D int 3;
@@ -42,25 +42,39 @@ def _lower(text):
 def test_listing_lowers_to_iterative_two_set():
     plan = _lower(KMEANS_LISTING)
     assert plan.pipeline_kind == "iterative_two_set"
-    assert plan.select.kind == "count" and plan.select.value == 10
-    assert plan.select.scope == "smallest"
-    assert plan.update_targets == ("cSet",)
-    assert plan.exit_on_status and plan.status_var == "S"
-    assert plan.max_iter is None
+    assert plan.select.value == 1
+    assert plan.max_iter is None  # status mode: until no assignment changes
     assert (plan.source_size, plan.target_size, plan.dim) == (1400, 200, 20)
 
 
 def test_body_without_iteration_is_oneshot():
     plan = _lower(KNN_TEXT)
     assert plan.pipeline_kind == "oneshot_two_set"
-    assert plan.max_iter is None and not plan.exit_on_status
+    assert plan.max_iter is None
 
 
 def test_self_set_iteration():
     plan = _lower(NBODY_TEXT)
     assert plan.pipeline_kind == "iterative_self_set"
-    assert plan.select.kind == "radius" and plan.select.value == 0.5
+    assert plan.select.value == 0.5
     assert plan.max_iter == 7
+
+
+def test_kmeans_count_other_than_one_unsupported():
+    # k-means assigns each point its one nearest centre
+    for count in (2, 10, 199):
+        text = KMEANS_LISTING.replace("DVar K int 1;", f"DVar K int {count};")
+        checked, diags = validate(parse(text))
+        assert not diags, diags
+        with pytest.raises(UnsupportedProgramError, match="nearest centre"):
+            lower(checked)
+
+
+def test_status_mode_self_set_unsupported():
+    checked, diags = validate(parse(status_mode(NBODY_TEXT)))
+    assert not diags, diags
+    with pytest.raises(UnsupportedProgramError, match="status exit is k-means-only"):
+        lower(checked)
 
 
 def test_two_compdists_unsupported():
@@ -124,4 +138,4 @@ def test_plan_json_round_trip():
     plan = _lower(KMEANS_LISTING)
     payload = plan.to_json_dict()
     assert payload["pipeline_kind"] == "iterative_two_set"
-    assert payload["select"]["value"] == 10.0
+    assert payload["select"] == 1.0

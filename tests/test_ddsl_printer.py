@@ -5,7 +5,7 @@ from accd.ddsl import parse, pretty_print
 from conftest import KMEANS_LISTING
 from ddsl_fuzz import random_program
 
-GOLDEN_LISTING = """DVar K int 10;
+GOLDEN_LISTING = """DVar K int 1;
 DVar D int 20;
 DVar psize int 1400;
 DVar csize int 200;

@@ -30,7 +30,7 @@ def test_renamed_decl_leaves_undefined_use():
 
 
 def test_k_exceeding_target_size_is_range_diagnostic():
-    text = KMEANS_LISTING.replace("DVar K int 10;", "DVar K int 300;")
+    text = KMEANS_LISTING.replace("DVar K int 1;", "DVar K int 300;")
     # keep the output shape consistent so only the range rule fires
     checked, diags = _diags(text)
     assert checked is None
@@ -108,7 +108,7 @@ def test_validation_is_deterministic():
 
 
 def test_diagnostic_spans_inside_input():
-    text = KMEANS_LISTING.replace("DVar K int 10;", "DVar K int 300;")
+    text = KMEANS_LISTING.replace("DVar K int 1;", "DVar K int 300;")
     program = parse(text)
     _, diags = validate(program)
     lines = text.splitlines()

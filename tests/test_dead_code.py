@@ -96,28 +96,36 @@ def _serializes_every_field(node: ast.ClassDef) -> bool:
     return False
 
 
+# The plan's own module reads every field into its JSON, which changes no
+# run: a plan field must be read where a runner or the CLI acts on it.
+OWN_READS_IGNORED = {"ExecutionPlan": "ddsl.lowering", "SelectSpec": "ddsl.lowering"}
+
+
 def test_every_dataclass_field_is_read():
     """Every field of a dataclass of ``src/accd`` is read somewhere in
     ``src/accd``: loaded as an attribute, or named by a string constant in
     ``getattr``. A class that reads every field at once, through
     ``dataclasses.fields`` or ``asdict`` (``CounterSet``, ``IterationStats``
-    and ``Domains``), is exempt. Fields are matched by
-    name alone, so a field that shares its name with a field or attribute
-    read elsewhere slips through: ``Dataset.declared_dtype`` did, through
-    ``ExecutionPlan.declared_dtype``."""
-    declared, read = [], set()
+    and ``Domains``), is exempt. The fields of ``ExecutionPlan`` and
+    ``SelectSpec`` must be read outside ``ddsl/lowering.py``, whose
+    ``to_json_dict`` reads them all: seven plan fields that no run read
+    passed through it. Fields are matched by name alone, so a field that
+    shares its name with a field or attribute read elsewhere slips
+    through."""
+    declared, read = [], {}
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        here = read.setdefault(module, set())
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                here.add(node.attr)
             elif (
                 isinstance(node, ast.Call)
                 and getattr(node.func, "id", None) == "getattr"
                 and len(node.args) >= 2
                 and isinstance(node.args[1], ast.Constant)
             ):
-                read.add(node.args[1].value)
+                here.add(node.args[1].value)
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 if _serializes_every_field(node):
                     continue
@@ -127,5 +135,12 @@ def test_every_dataclass_field_is_read():
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                 ]
     assert len(declared) > 30  # the walk found the dataclasses
-    unread = [field for field in declared if field[2] not in read]
+    assert set(OWN_READS_IGNORED) <= {cls for _, cls, _ in declared}
+    unread = [
+        (module, cls, name)
+        for module, cls, name in declared
+        if not any(
+            name in names for where, names in read.items() if where != OWN_READS_IGNORED.get(cls)
+        )
+    ]
     assert unread == [], f"dataclass fields never read in src/accd: {unread}"

@@ -83,12 +83,12 @@ def _run(case: dict, scale: float):
     metric, weights = case["metric"], case["weights"]
     if kind == "knn":
         (y,) = rest
-        select = SelectSpec("count", float(case["k"]), "smallest")
+        select = SelectSpec(float(case["k"]))
         plan = make_plan("oneshot_two_set", n, y.shape[0], d, select, None, metric)
         return run_plan(plan, Dataset.from_values(x), Dataset.from_values(y), config, weights)
     if kind == "kmeans":
         (init,) = rest
-        select = SelectSpec("count", 1.0, "smallest")
+        select = SelectSpec(1.0)
         plan = make_plan("iterative_two_set", n, init.shape[0], d, select, 6, metric)
         return run_plan(
             plan, Dataset.from_values(x), None, config, weights, initial_clusters=init
@@ -97,7 +97,7 @@ def _run(case: dict, scale: float):
     radius = case["radius"] * spread
     if not radius > 0:  # all points equal, or their spread underflows
         radius = 1.0
-    select = SelectSpec("radius", radius, "smallest")
+    select = SelectSpec(radius)
     plan = make_plan("iterative_self_set", n, n, d, select, 3, metric)
     return run_plan(plan, Dataset.from_values(x), None, config, weights)
 
@@ -148,7 +148,7 @@ def test_kmeans_with_more_than_64_centre_groups_equals_the_oracle(shape, d, metr
     init = x[np.sort(rng.choice(x.shape[0], size=k, replace=False))]
     weights = rng.uniform(0.0, 2.0, size=d) * (np.arange(d) != 0) if metric[0] == "W" else None
     design = DesignConfig(n_src_grp=8, n_trg_grp=int(rng.integers(90, 120)))
-    select = SelectSpec("count", 1.0, "smallest")
+    select = SelectSpec(1.0)
     plan = make_plan("iterative_two_set", x.shape[0], k, d, select, 6, metric)
     config = RunConfig(design=design, oracle_mode="shadow")
     result = run_plan(plan, Dataset.from_values(x), None, config, weights, initial_clusters=init)

@@ -345,13 +345,21 @@ def _one_group(landmark, radius):
     )
 
 
+def _group_bounds(src: GroupModel, trg: GroupModel):
+    """The group-pair bounds (lb, ub) whose lb ``init_oneshot_state`` keeps."""
+    pair = brute_rows(src.landmarks, trg.landmarks, src.metric)
+    return two_landmark_bounds(pair, src.radius[:, None], trg.radius[None, :], src.slack)
+
+
 def test_group_bounds_hand_values():
     # landmarks 10 apart, radii 2 and 3 (and 0 and 0)
     # (widened by the bound slack, a few 1e-15 relative)
-    lb, ub = init_oneshot_state(_one_group([0.0, 0.0], 2.0), _one_group([6.0, 8.0], 3.0))
+    a, b = _one_group([0.0, 0.0], 2.0), _one_group([6.0, 8.0], 3.0)
+    lb, ub = _group_bounds(a, b)
+    assert np.array_equal(init_oneshot_state(a, b), lb)
     assert lb[0, 0] < 5.0 < 15.0 < ub[0, 0]
     assert (lb[0, 0], ub[0, 0]) == (pytest.approx(5.0, rel=1e-13), pytest.approx(15.0, rel=1e-13))
-    lb, ub = init_oneshot_state(_one_group([0.0, 0.0], 0.0), _one_group([6.0, 8.0], 0.0))
+    lb, ub = _group_bounds(_one_group([0.0, 0.0], 0.0), _one_group([6.0, 8.0], 0.0))
     assert lb[0, 0] < 10.0 < ub[0, 0]
     assert (lb[0, 0], ub[0, 0]) == (pytest.approx(10.0, rel=1e-13), pytest.approx(10.0, rel=1e-13))
 
@@ -415,13 +423,12 @@ def _grouped_pair(n_src=80, n_trg=90, z_src=4, z_trg=5, seed=0, spread=1.0, box=
     c = CounterSet()
     gm_s = build_groups(src, z_src, seed=seed + 2, metric=L2, counters=c)
     gm_t = build_groups(trg, z_trg, seed=seed + 3, metric=L2, counters=c)
-    lb, ub = init_oneshot_state(gm_s, gm_t, c)
-    return src, trg, gm_s, gm_t, (lb, ub), c
+    return src, trg, gm_s, gm_t, _group_bounds(gm_s, gm_t), c
 
 
 def test_single_groups_cannot_prune():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(z_src=1, z_trg=1)
-    keep = filter_oneshot(lb, ub, 3, gm_s.sizes, gm_t.sizes, c)
+    keep = filter_oneshot(lb, ub, 3, gm_t.sizes, c)
     assert np.flatnonzero(keep[0]).tolist() == [0]
 
 
@@ -449,7 +456,7 @@ def test_radius_filter_keeps_only_near_blobs():
     c = CounterSet()
     gm_s = build_groups(src, 2, seed=1, metric=L2, counters=c)
     gm_t = build_groups(trg, 2, seed=1, metric=L2, counters=c)
-    lb, _ = init_oneshot_state(gm_s, gm_t, c)
+    lb = init_oneshot_state(gm_s, gm_t, c)
     radius = 20.0
     keep = _radius_filter(gm_s, gm_t, lb, radius, c)
     # every source group keeps exactly its nearby target group
@@ -468,7 +475,7 @@ def test_radius_filter_keeps_only_near_blobs():
 def test_topk_filter_never_prunes_true_members():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=7)
     k = 5
-    keep = filter_oneshot(lb, ub, k, gm_s.sizes, gm_t.sizes, c)
+    keep = filter_oneshot(lb, ub, k, gm_t.sizes, c)
     pair = brute_rows(src.values, trg.values, L2)
     for i in range(src.n):
         g = gm_s.group_of[i]
@@ -482,7 +489,7 @@ def test_topk_monotone_in_k():
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=8)
     prev = None
     for k in (1, 3, 9, 27):
-        sizes = filter_oneshot(lb, ub, k, gm_s.sizes, gm_t.sizes, c).sum(axis=1).tolist()
+        sizes = filter_oneshot(lb, ub, k, gm_t.sizes, c).sum(axis=1).tolist()
         if prev is not None:
             assert all(a >= b for a, b in zip(sizes, prev))
         prev = sizes
@@ -502,16 +509,16 @@ def test_oneshot_invalid_query():
     # a negative radius is rejected by the self-set pipeline (test_pipelines)
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair()
     with pytest.raises(InvalidQueryError):
-        filter_oneshot(lb, ub, 10_000, gm_s.sizes, gm_t.sizes, c)
+        filter_oneshot(lb, ub, 10_000, gm_t.sizes, c)
     with pytest.raises(InvalidQueryError):
-        filter_oneshot(lb, ub, 0, gm_s.sizes, gm_t.sizes, c)
+        filter_oneshot(lb, ub, 0, gm_t.sizes, c)
 
 
 def test_candidate_regularity_is_structural():
     # all points of a source group share the group's candidate list by
     # construction: the mask is indexed by group, not by point
     src, trg, gm_s, gm_t, (lb, ub), c = _grouped_pair(seed=10)
-    keep = filter_oneshot(lb, ub, 4, gm_s.sizes, gm_t.sizes, c)
+    keep = filter_oneshot(lb, ub, 4, gm_t.sizes, c)
     assert keep.shape == (gm_s.z, gm_t.z) and keep.dtype == bool
 
 
@@ -536,13 +543,14 @@ def test_vectorised_cut_matches_per_group_loop(seed):
     src_sizes, trg_sizes = gm_s.sizes, gm_t.sizes
     for k in (1, 7, int(trg_sizes.sum())):
         c = CounterSet()
-        keep = filter_oneshot(lb, ub, k, gm_s.sizes, gm_t.sizes, c)
+        keep = filter_oneshot(lb, ub, k, gm_t.sizes, c)
         thr = np.empty(gm_s.z)
         for a in range(gm_s.z):
             order = np.lexsort((np.arange(gm_t.z), ub[a]))
             cut = int(np.searchsorted(np.cumsum(trg_sizes[order]), k))
             thr[a] = ub[a, order[cut]]
-        targets, pruned = _loop_cut(lb, thr, src_sizes, trg_sizes)
+        # the top-K cut's rows are one source point each
+        targets, pruned = _loop_cut(lb, thr, np.ones(gm_s.z, dtype=np.int64), trg_sizes)
         assert [np.flatnonzero(row).tolist() for row in keep] == [t.tolist() for t in targets]
         assert c.pruned_pairs == pruned
     for radius in (0.0, 5.0, 40.0, 200.0):
@@ -563,7 +571,7 @@ def test_zero_drift_radius_candidates_stable():
     pts = gaussian_mixture(60, 3, 4, seed=4)
     c = CounterSet()
     gm = build_groups(pts, 4, seed=4, metric=L2, counters=c)
-    lb0, _ = init_oneshot_state(gm, gm, c)
+    lb0 = init_oneshot_state(gm, gm, c)
     lb = lb0.copy()
     keep = filter_iterative(gm, lb, np.full(4, 5.0), np.zeros(4), c)
     assert np.array_equal(lb, lower_bound(lb0, 0.0, gm.slack))

@@ -19,7 +19,7 @@ from accd.ddsl.lowering import SelectSpec
 from accd import gti, oracles, pipelines
 from accd.errors import OracleMismatchError, RangeError, UnsupportedProgramError
 from accd.explorer import DesignConfig
-from accd.gti import _cut, build_groups, init_oneshot_state
+from accd.gti import _cut, build_groups, init_oneshot_state, two_landmark_bounds
 from accd.kernel import fast_rows
 from accd.layout import pack_intra_group
 from accd.metrics import METRIC_NAMES, MetricSpec, rowwise_distance
@@ -220,7 +220,9 @@ def test_nbody_step_one_tiles_only_the_group_pairs_its_landmark_bounds_keep(monk
         sizes = within.gm.sizes
         # group pairs whose landmark ub lies within the cut are kept and
         # tiled from the upper cell like any other, every member pair listed
-        _, ub = init_oneshot_state(within.gm, within.gm)
+        gm = within.gm
+        pair = brute_rows(gm.landmarks, gm.landmarks, gm.metric)
+        _, ub = two_landmark_bounds(pair, gm.radius[:, None], gm.radius, gm.slack)
         inside = (ub <= cut) & (np.outer(sizes, sizes) > 0)
         upper = np.triu(np.ones(inside.shape, dtype=bool))
         assert inside.any()
@@ -287,7 +289,7 @@ def _strong_pull(groups=16, **variant):
     group pairs the landmark bounds prune at step 1 hold neighbor pairs
     later."""
     pts = gaussian_mixture(240, 3, 8, seed=0, center_box=3.0, spread=0.25)
-    radius = SelectSpec("radius", 0.6, "smallest")
+    radius = SelectSpec(0.6)
     plan = make_plan("iterative_self_set", pts.n, pts.n, 3, radius, 4)
     design = DesignConfig(n_src_grp=groups, n_trg_grp=4)
     cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3, **variant)
@@ -401,14 +403,14 @@ def test_cost_model_knobs_change_no_run(name):
 
 
 def test_self_set_plan_rejects_a_target_set():
-    plan = make_plan("iterative_self_set", 20, 20, 3, SelectSpec("radius", 1.0, "smallest"), 1)
+    plan = make_plan("iterative_self_set", 20, 20, 3, SelectSpec(1.0), 1)
     ds = Dataset.from_values(np.random.default_rng(0).normal(size=(20, 3)))
     with pytest.raises(UnsupportedProgramError):
         run_plan(plan, ds, ds)
 
 
 def test_runner_rejects_a_plan_of_another_kind():
-    plan = make_plan("oneshot_two_set", 20, 20, 3, SelectSpec("count", 2.0, "smallest"))
+    plan = make_plan("oneshot_two_set", 20, 20, 3, SelectSpec(2.0))
     ds = Dataset.from_values(np.random.default_rng(0).normal(size=(20, 3)))
     with pytest.raises(UnsupportedProgramError):
         run_kmeans(plan, ds, RunConfig(design=DESIGN))
@@ -438,7 +440,7 @@ def test_run_config_rejects_a_bad_value(field, value):
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
 def test_nbody_rejects_a_radius_that_is_not_positive(radius):
     # a NaN radius would prune every pair, and the oracle would agree
-    plan = make_plan("iterative_self_set", 20, 20, 3, SelectSpec("radius", radius, "smallest"), 1)
+    plan = make_plan("iterative_self_set", 20, 20, 3, SelectSpec(radius), 1)
     ds = Dataset.from_values(np.random.default_rng(0).normal(size=(20, 3)))
     with pytest.raises(RangeError):
         run_nbody(plan, ds, RunConfig(design=DESIGN, oracle_mode="shadow"))
@@ -480,7 +482,7 @@ def _filtered_pair():
     c = CounterSet()
     gm_s = build_groups(src, 2, seed=3, metric=L2, counters=c)
     gm_t = build_groups(trg, 2, seed=4, metric=L2, counters=c)
-    lb, _ = init_oneshot_state(gm_s, gm_t, c)
+    lb = init_oneshot_state(gm_s, gm_t, c)
     keep = _cut(lb, np.full(2, 10.0), gm_s.sizes, gm_t.sizes, c)
     centre = src.values.mean(axis=0)
     rows = fast_rows(src.values, centre, L2)
@@ -571,10 +573,10 @@ def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batc
 OFFSETS = [0.0, 1e3, 1e6, 1e7]
 # pipeline -> (plan kind, select, metric, steps)
 EXACT_CASES = {
-    "knn": ("oneshot_two_set", SelectSpec("count", 10.0, "smallest"), "Unweighted L2", None),
-    "kmeans_l1": ("iterative_two_set", SelectSpec("count", 1.0, "smallest"), "Unweighted L1", 8),
-    "kmeans_l2": ("iterative_two_set", SelectSpec("count", 1.0, "smallest"), "Unweighted L2", 8),
-    "nbody": ("iterative_self_set", SelectSpec("radius", 1.0, "smallest"), "Unweighted L2", 3),
+    "knn": ("oneshot_two_set", SelectSpec(10.0), "Unweighted L2", None),
+    "kmeans_l1": ("iterative_two_set", SelectSpec(1.0), "Unweighted L1", 8),
+    "kmeans_l2": ("iterative_two_set", SelectSpec(1.0), "Unweighted L2", 8),
+    "nbody": ("iterative_self_set", SelectSpec(1.0), "Unweighted L2", 3),
 }
 
 
@@ -640,7 +642,7 @@ def test_kmeans_initial_clusters_outside_the_domain_are_a_range_error():
     pts = _wide("scaled", 1.0)
     init = pts.values[:5].copy()
     init[2, 0] = 1e200
-    plan = make_plan("iterative_two_set", pts.n, 5, 3, SelectSpec("count", 1.0, "smallest"), 4)
+    plan = make_plan("iterative_two_set", pts.n, 5, 3, SelectSpec(1.0), 4)
     with pytest.raises(RangeError):
         run_kmeans(plan, pts, RunConfig(design=DESIGN), initial_clusters=init)
 
@@ -928,8 +930,7 @@ def _no_prune_join(monkeypatch, src, trg, k, threads=1, metric="Unweighted L2", 
         real_reduce(self, groups, cols, col_starts, ids, tile, err)
 
     monkeypatch.setattr(pipelines._TopK, "reduce", reducing)
-    plan = make_plan("oneshot_two_set", src.n, trg.n, src.d, SelectSpec("count", k, "smallest"),
-                     None, metric)
+    plan = make_plan("oneshot_two_set", src.n, trg.n, src.d, SelectSpec(k), None, metric)
     cfg = RunConfig(design=DESIGN, oracle_mode="shadow", thread_count=threads)
     result = run_plan(plan, src, trg, cfg, weights=weights)
     assert result.oracle_s > 0
@@ -1124,7 +1125,7 @@ def test_nbody_trajectories_equal_an_independent_integration(monkeypatch, metric
     pairs = np.triu_indices(pts.n, 1)
     spread = rowwise_distance(pts.values[pairs[0]], pts.values[pairs[1]], spec)
     radius, steps = max(1.0 + 0.2 * d, float(np.quantile(spread, 0.01))), 5
-    select = SelectSpec("radius", radius, "smallest")
+    select = SelectSpec(radius)
     plan = make_plan("iterative_self_set", pts.n, pts.n, d, select, steps, metric)
     cfg = RunConfig(design=DESIGN, oracle_mode="shadow")
     result = run_plan(plan, pts, None, cfg, weights=weights)
@@ -1271,7 +1272,7 @@ def test_nbody_tiles_hold_one_groups_rows(monkeypatch, case):
         # 9 distinct points in 16 groups, pulled together step after step:
         # some groups are empty
         pts = _grid(200, 2, seed=0)
-        radius = SelectSpec("radius", 1.0, "smallest")
+        radius = SelectSpec(1.0)
         plan = make_plan("iterative_self_set", pts.n, pts.n, 2, radius, 6)
         design = DesignConfig(n_src_grp=16, n_trg_grp=4)
         cfg = RunConfig(design=design, oracle_mode="shadow", dt=0.05, softening=1e-3)
@@ -1471,9 +1472,7 @@ def test_kmeans_first_cut_with_duplicated_centroids_and_an_empty_target_group(
     variant = _reversed_packing(monkeypatch, variant)
     cfg = RunConfig(design=design, oracle_mode="shadow", **variant)
     for steps in (1, 5):
-        plan = make_plan(
-            "iterative_two_set", pts.n, 6, 4, SelectSpec("count", 1.0, "smallest"), steps
-        )
+        plan = make_plan("iterative_two_set", pts.n, 6, 4, SelectSpec(1.0), steps)
         result = run_plan(plan, pts, Dataset.from_values(centroids), cfg)
         assert result.oracle_s > 0
         assert all(s.pruned_pairs > 0 for s in result.per_iteration[1:])
@@ -1518,7 +1517,7 @@ def _watch_bounds(monkeypatch) -> list:
 
 def _kmeans(pts: Dataset, init: np.ndarray, metric: str, steps: int = 12, groups: int = 4):
     plan = make_plan(
-        "iterative_two_set", pts.n, init.shape[0], pts.d, SelectSpec("count", 1.0, "smallest"),
+        "iterative_two_set", pts.n, init.shape[0], pts.d, SelectSpec(1.0),
         steps, metric,
     )
     design = DesignConfig(n_src_grp=8, n_trg_grp=groups)
@@ -1618,7 +1617,7 @@ def _tile_case(case: str):
     if case == "duplicated":  # two copies of each centroid, an empty group
         pts = gaussian_mixture(300, 4, 3, seed=31, center_box=3.0)
         init = np.repeat(np.random.default_rng(32).normal(size=(3, 4)) * 3.0, 2, axis=0)
-        plan = make_plan("iterative_two_set", pts.n, 6, 4, SelectSpec("count", 1.0, "smallest"), 5)
+        plan = make_plan("iterative_two_set", pts.n, 6, 4, SelectSpec(1.0), 5)
         cfg = RunConfig(design=DesignConfig(n_src_grp=10, n_trg_grp=4), oracle_mode="shadow")
         return run_kmeans(plan, pts, cfg, initial_clusters=init), pts.n, 6
     name, metric = case.split("-")
@@ -1743,9 +1742,7 @@ def test_kmeans_ragged_landmark_and_gap_blocks_equal_the_oracle(monkeypatch, met
     # and the run on the default budget
     pts, init, groups, cells = _RAGGED_CASES[case]()
     k = init.shape[0]
-    plan = make_plan(
-        "iterative_two_set", pts.n, k, pts.d, SelectSpec("count", 1.0, "smallest"), 5, metric
-    )
+    plan = make_plan("iterative_two_set", pts.n, k, pts.d, SelectSpec(1.0), 5, metric)
     cfg = RunConfig(design=DesignConfig(n_src_grp=10, n_trg_grp=groups), oracle_mode="shadow")
     spec = MetricSpec(kind=metric.split()[-1])
     sizes = build_groups(Dataset.from_values(init), groups, cfg.seed + 2, spec).sizes
