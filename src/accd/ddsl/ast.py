@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from ..errors import Span
 
-_NO_SPAN = Span(0, 0, 0, 0)
+_NO_SPAN = Span(0, 0)
 
 # DDSL dtype keyword -> canonical name
 DTYPE_MAP = {"int": "int32", "float": "float32", "double": "float64"}
@@ -102,6 +102,18 @@ class Iter:
 
 Construct = ComputeDist | DistSelect | Update | Iter
 Decl = VarDecl | SetDecl
+
+# Call head -> node class and its argument kinds in field order, for the
+# parser and the printer: "ident" an identifier, "size" a SizeRef,
+# "metric" or "scope" a quoted string, "idents" two or more identifiers.
+_CALLS = {
+    "AccD_Comp_Dist": (
+        ComputeDist,
+        ("ident", "ident", "ident", "ident", "size", "metric", "size"),
+    ),
+    "AccD_Dist_Select": (DistSelect, ("ident", "ident", "size", "scope", "ident")),
+    "AccD_Update": (Update, ("idents",)),
+}
 
 
 @dataclass(frozen=True)

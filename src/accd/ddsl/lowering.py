@@ -22,6 +22,7 @@ lowering settles the semantics a runner would otherwise ignore:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from ..errors import UnsupportedProgramError
@@ -136,6 +137,8 @@ def lower(cp: CheckedProgram) -> ExecutionPlan:
             f"iterative two-set select count is {value}: k-means assigns each "
             "point its nearest centre, a count of 1"
         )
+    if value > sys.float_info.max:  # the plan holds the count as a float
+        raise UnsupportedProgramError("top-K count is larger than the largest float64")
     if sel.scope != "smallest":
         raise UnsupportedProgramError(
             'only scope "smallest" is executable; "largest" is selection-only'

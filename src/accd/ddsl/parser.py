@@ -1,45 +1,68 @@
 """Recursive-descent DDSL parser.
 
-Accepted grammar:
+Tokens, read by one regular expression (``_TOKEN``):
+
+* spaces, tabs, carriage returns and newlines separate tokens, and a block
+  comment ``/* ... */`` is whitespace;
+* a number is ASCII: ``[0-9]+``, a float when a ``.`` fraction or an
+  ``e``/``E`` exponent follows;
+* a string is ``"..."`` on one line, without escapes;
+* an identifier starts with a letter (``str.isalpha``) or ``_`` and goes on
+  with letters, digits (``str.isalnum``) or ``_``;
+* punctuation is one of ``( ) { } , ; = -``.
+
+Any other character is a syntax error. Accepted grammar, whose calls are
+``ast._CALLS``:
 
     program    := decl+ construct*
     decl       := "DVar" ident dtype literal? ";"
                 | "DSet" ident dtype szref szref ";"
     dtype      := "int" | "float" | "double"
     szref      := ident | integer
-    construct  := compdist | select | update | iter
-    compdist   := "AccD_Comp_Dist" "(" ident "," ident "," ident "," ident
-                  "," szref "," string "," szref ")" ";"
-    select     := "AccD_Dist_Select" "(" ident "," ident "," szref ","
-                  string "," ident ")" ";"
-    update     := "AccD_Update" "(" ident ("," ident)+ ")" ";"
-    iter       := "AccD_Iter" "(" (ident|integer) ")" "{" stmt+ "}"
-    stmt       := construct | ident "=" ("true"|"false") ";"
+    construct  := call ";" | iter
+    call       := "AccD_Comp_Dist" "(" ident "," ident "," ident "," ident
+                  "," szref "," string "," szref ")"
+                | "AccD_Dist_Select" "(" ident "," ident "," szref ","
+                  string "," ident ")"
+                | "AccD_Update" "(" ident ("," ident)+ ")"
+    iter       := "AccD_Iter" "(" szref ")" "{" stmt+ "}"
+    stmt       := call ";" | ident "=" ("true"|"false") ";"
 
-Block comments `/* ... */` are whitespace. The semicolon after the last
+An iteration block holds at least one call. The semicolon after the last
 statement of an iteration block may be omitted. Parsing either returns a
 complete Program or raises DdslSyntaxError; there is no partial success.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
 from ..errors import DdslSyntaxError, Span
 from .ast import (
-    ComputeDist,
-    DistSelect,
+    _CALLS,
     Iter,
     Program,
     SetDecl,
     SizeRef,
     StatusAssign,
-    Update,
     VarDecl,
     DTYPE_MAP,
 )
 
-_PUNCT = set("(){},;=-")
+# One named group per token class, tried in this order at each offset.
+# COMMENT and STRING also match an unclosed one, which _lex reports.
+_TOKEN = re.compile(
+    r"""(?P<SPACE>[ \t\r\n]+)
+    | (?P<COMMENT>/\*(?:.*?\*/)?)
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+    | (?P<STRING>"[^"\n]*"?)
+    | (?P<IDENT>\w+)
+    | (?P<PUNCT>[(){},;=-])
+    | (?P<ERROR>.)""",
+    re.DOTALL | re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -48,109 +71,48 @@ class _Token:
     text: str
     line: int
     col: int
-    end_line: int
-    end_col: int
 
     def span(self) -> Span:
-        return Span(self.line, self.col, self.end_line, self.end_col)
+        return Span(self.line, self.col)
 
 
 def _lex(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(expected, found, eline, ecol):
-        raise DdslSyntaxError(eline, ecol, expected, found)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "COMMENT" and not word.endswith("*/", 2):
+            raise DdslSyntaxError(line, col, {"'*/'"}, "end of input")
+        if kind in ("SPACE", "COMMENT"):
+            newlines = word.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + word.rfind("\n") + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "STRING":
+            if len(word) == 1 or not word.endswith('"'):
+                raise DdslSyntaxError(line, col, {"closing '\"'"}, "end of line")
+            toks.append(_Token("STRING", word[1:-1], line, col))
             continue
-        if text.startswith("/*", i):
-            sl, sc = line, col
-            j = text.find("*/", i + 2)
-            if j < 0:
-                err({"'*/'"}, "end of input", sl, sc)
-            chunk = text[i : j + 2]
-            nl = chunk.count("\n")
-            if nl:
-                line += nl
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            i = j + 2
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                err({"closing '\"'"}, "end of line", start_line, start_col)
-            lit = text[i + 1 : j]
-            width = j + 1 - i
-            toks.append(
-                _Token("STRING", lit, start_line, start_col, line, start_col + width)
-            )
-            i = j + 1
-            col += width
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "INT"
-            if j < n and text[j] == ".":
-                kind = "FLOAT"
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    kind = "FLOAT"
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
-            toks.append(
-                _Token(kind, word, start_line, start_col, line, start_col + len(word))
-            )
-            col += len(word)
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(
-                _Token("IDENT", word, start_line, start_col, line, start_col + len(word))
-            )
-            col += len(word)
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(_Token("PUNCT", c, start_line, start_col, line, start_col + 1))
-            i += 1
-            col += 1
-            continue
-        err({"token"}, repr(c), start_line, start_col)
-    toks.append(_Token("EOF", "", line, col, line, col))
+        if kind == "IDENT" and not (word[0].isalpha() or word[0] == "_"):
+            kind = "ERROR"  # \w also matches numerals that are not letters
+        if kind == "ERROR":
+            raise DdslSyntaxError(line, col, {"token"}, repr(word[0]))
+        if kind == "NUMBER":
+            kind = "INT" if word.isdigit() else "FLOAT"
+        toks.append(_Token(kind, word, line, col))
+    toks.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 
-_CONSTRUCT_HEADS = ("AccD_Comp_Dist", "AccD_Dist_Select", "AccD_Update", "AccD_Iter")
+def _int(t: _Token) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # more digits than Python converts
+        limit = sys.get_int_max_str_digits()
+        raise DdslSyntaxError(
+            t.line, t.col, {f"integer of at most {limit} digits"}, f"{len(t.text)} digits"
+        ) from None
 
 
 class _Parser:
@@ -172,21 +134,17 @@ class _Parser:
         found = "end of input" if t.kind == "EOF" else repr(t.text)
         raise DdslSyntaxError(t.line, t.col, expected, found)
 
-    def expect_punct(self, ch: str) -> _Token:
+    def at_punct(self, ch: str) -> bool:
         t = self.peek()
-        if t.kind == "PUNCT" and t.text == ch:
-            return self.advance()
-        self.fail({f"'{ch}'"})
+        return t.kind == "PUNCT" and t.text == ch
+
+    def expect_punct(self, ch: str) -> None:
+        if not self.at_punct(ch):
+            self.fail({f"'{ch}'"})
+        self.advance()
 
     def expect_ident(self, what: str = "identifier") -> _Token:
-        t = self.peek()
-        if t.kind == "IDENT":
-            return self.advance()
-        self.fail({what})
-
-    def expect_string(self, what: str = "quoted string") -> _Token:
-        t = self.peek()
-        if t.kind == "STRING":
+        if self.peek().kind == "IDENT":
             return self.advance()
         self.fail({what})
 
@@ -204,58 +162,40 @@ class _Parser:
             decls.append(self.parse_decl())
         body = []
         while self.peek().kind != "EOF":
-            body.append(self.parse_construct(top_level=True))
+            body.append(self.parse_construct(inside_iter=False))
         return Program(decls=tuple(decls), body=tuple(body))
 
     def parse_decl(self):
         head = self.advance()
         name = self.expect_ident("declaration name")
-        dt = self.peek()
-        if not (dt.kind == "IDENT" and dt.text in DTYPE_MAP):
+        if not self.at_ident(*DTYPE_MAP):
             self.fail({"'int'", "'float'", "'double'"})
-        self.advance()
-        dtype = DTYPE_MAP[dt.text]
+        dtype = DTYPE_MAP[self.advance().text]
         if head.text == "DVar":
             init = None
-            if self.peek().kind in ("INT", "FLOAT") or (
-                self.peek().kind == "PUNCT" and self.peek().text == "-"
-            ):
+            if self.peek().kind in ("INT", "FLOAT") or self.at_punct("-"):
                 init = self.parse_literal(dtype)
-            semi = self.expect_punct(";")
-            return VarDecl(
-                name=name.text,
-                dtype=dtype,
-                init=init,
-                span=Span(head.line, head.col, semi.end_line, semi.end_col),
-            )
+            self.expect_punct(";")
+            return VarDecl(name=name.text, dtype=dtype, init=init, span=head.span())
         size = self.parse_szref()
         dim = self.parse_szref()
-        semi = self.expect_punct(";")
-        return SetDecl(
-            name=name.text,
-            dtype=dtype,
-            size=size,
-            dim=dim,
-            span=Span(head.line, head.col, semi.end_line, semi.end_col),
-        )
+        self.expect_punct(";")
+        return SetDecl(name=name.text, dtype=dtype, size=size, dim=dim, span=head.span())
 
     def parse_literal(self, dtype: str):
-        neg = False
-        if self.peek().kind == "PUNCT" and self.peek().text == "-":
+        neg = self.at_punct("-")
+        if neg:
             self.advance()
-            neg = True
         t = self.peek()
-        if t.kind == "INT":
-            self.advance()
-            v = int(t.text)
-            value = -v if neg else v
-            # Float-typed variables store float inits so printing round-trips.
-            return float(value) if dtype in ("float32", "float64") else value
-        if t.kind == "FLOAT":
-            self.advance()
-            v = float(t.text)
-            return -v if neg else v
-        self.fail({"numeric literal"})
+        if t.kind not in ("INT", "FLOAT"):
+            self.fail({"numeric literal"})
+        self.advance()
+        # Float-typed variables store float inits so printing round-trips,
+        # and an integer literal has no negative zero.
+        v = _int(t) if t.kind == "INT" and dtype == "int32" else float(t.text)
+        if neg:
+            v = -v if t.kind == "FLOAT" else 0 - v
+        return v
 
     def parse_szref(self) -> SizeRef:
         t = self.peek()
@@ -264,107 +204,52 @@ class _Parser:
             return SizeRef(name=t.text, span=t.span())
         if t.kind == "INT":
             self.advance()
-            return SizeRef(value=int(t.text), span=t.span())
+            return SizeRef(value=_int(t), span=t.span())
         self.fail({"identifier", "integer"})
 
-    def parse_construct(self, top_level: bool):
-        t = self.peek()
-        if t.kind != "IDENT":
-            self.fail(set(f"'{w}'" for w in _CONSTRUCT_HEADS))
-        if t.text == "AccD_Comp_Dist":
-            return self.parse_compdist()
-        if t.text == "AccD_Dist_Select":
-            return self.parse_select()
-        if t.text == "AccD_Update":
-            return self.parse_update()
-        if t.text == "AccD_Iter":
-            if not top_level:
-                self.fail(
-                    set(f"'{w}'" for w in _CONSTRUCT_HEADS[:3])
-                    | {"'}'"}
-                )
+    def parse_construct(self, inside_iter: bool):
+        """One call, or at top level an iteration block."""
+        if self.at_ident(*_CALLS):
+            return self.parse_call(inside_iter)
+        if inside_iter:
+            self.fail({f"'{h}'" for h in _CALLS} | {"'}'"})
+        if self.at_ident("AccD_Iter"):
             return self.parse_iter()
-        heads = _CONSTRUCT_HEADS if top_level else _CONSTRUCT_HEADS[:3]
-        self.fail(set(f"'{w}'" for w in heads))
+        self.fail({f"'{h}'" for h in _CALLS} | {"'AccD_Iter'"})
 
-    def _finish_stmt(self, inside_iter: bool) -> _Token | None:
+    def _finish_stmt(self, inside_iter: bool) -> None:
         """Consume the trailing semicolon; inside an iteration block it may
         be omitted immediately before the closing brace."""
-        t = self.peek()
-        if inside_iter and t.kind == "PUNCT" and t.text == "}":
-            return None
-        return self.expect_punct(";")
+        if not (inside_iter and self.at_punct("}")):
+            self.expect_punct(";")
 
-    def parse_compdist(self, inside_iter: bool = False) -> ComputeDist:
-        head = self.advance()
-        self.expect_punct("(")
-        p1 = self.expect_ident()
-        self.expect_punct(",")
-        p2 = self.expect_ident()
-        self.expect_punct(",")
-        dist_mat = self.expect_ident()
-        self.expect_punct(",")
-        id_mat = self.expect_ident()
-        self.expect_punct(",")
-        dim = self.parse_szref()
-        self.expect_punct(",")
-        metric = self.expect_string("metric string")
-        self.expect_punct(",")
-        weights = self.parse_szref()
-        close = self.expect_punct(")")
-        semi = self._finish_stmt(inside_iter)
-        end = semi if semi is not None else close
-        return ComputeDist(
-            p1=p1.text,
-            p2=p2.text,
-            dist_mat=dist_mat.text,
-            id_mat=id_mat.text,
-            dim=dim,
-            metric=metric.text,
-            weights=weights,
-            span=Span(head.line, head.col, end.end_line, end.end_col),
-        )
+    def parse_arg(self, kind: str):
+        if kind == "ident":
+            return self.expect_ident().text
+        if kind == "size":
+            return self.parse_szref()
+        if kind == "idents":
+            names = [self.expect_ident().text]
+            while len(names) < 2 or self.at_punct(","):
+                self.expect_punct(",")
+                names.append(self.expect_ident().text)
+            return tuple(names)
+        if self.peek().kind != "STRING":
+            self.fail({f"{kind} string"})
+        return self.advance().text
 
-    def parse_select(self, inside_iter: bool = False) -> DistSelect:
+    def parse_call(self, inside_iter: bool):
         head = self.advance()
+        cls, kinds = _CALLS[head.text]
         self.expect_punct("(")
-        dist_mat = self.expect_ident()
-        self.expect_punct(",")
-        id_mat = self.expect_ident()
-        self.expect_punct(",")
-        rng = self.parse_szref()
-        self.expect_punct(",")
-        scope = self.expect_string("scope string")
-        self.expect_punct(",")
-        out = self.expect_ident()
-        close = self.expect_punct(")")
-        semi = self._finish_stmt(inside_iter)
-        end = semi if semi is not None else close
-        return DistSelect(
-            dist_mat=dist_mat.text,
-            id_mat=id_mat.text,
-            rng=rng,
-            scope=scope.text,
-            out=out.text,
-            span=Span(head.line, head.col, end.end_line, end.end_col),
-        )
-
-    def parse_update(self, inside_iter: bool = False) -> Update:
-        head = self.advance()
-        self.expect_punct("(")
-        args = [self.expect_ident().text]
-        self.expect_punct(",")
-        args.append(self.expect_ident().text)
-        while self.peek().kind == "PUNCT" and self.peek().text == ",":
-            self.advance()
-            args.append(self.expect_ident().text)
-        close = self.expect_punct(")")
-        semi = self._finish_stmt(inside_iter)
-        end = semi if semi is not None else close
-        return Update(
-            args=tuple(args),
-            span=Span(head.line, head.col, end.end_line, end.end_col),
-        )
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect_punct(",")
+            args.append(self.parse_arg(kind))
+        self.expect_punct(")")
+        self._finish_stmt(inside_iter)
+        return cls(*args, span=head.span())
 
     def parse_iter(self) -> Iter:
         head = self.advance()
@@ -374,18 +259,15 @@ class _Parser:
         self.expect_punct("{")
         assigns: list[StatusAssign] = []
         body = []
-        while True:
+        while not self.at_punct("}"):
             t = self.peek()
-            if t.kind == "PUNCT" and t.text == "}":
-                break
             if t.kind == "EOF":
                 self.fail({"'}'"})
-            if t.kind == "IDENT" and t.text not in _CONSTRUCT_HEADS:
+            if t.kind == "IDENT" and t.text not in _CALLS and t.text != "AccD_Iter":
                 assigns.append(self.parse_status_assign())
-                continue
-            stmt = self.parse_iter_stmt()
-            body.append(stmt)
-        close = self.expect_punct("}")
+            else:
+                body.append(self.parse_construct(inside_iter=True))
+        close = self.advance()
         if not body:
             raise DdslSyntaxError(
                 close.line, close.col, {"at least one construct"}, "'}'"
@@ -394,33 +276,17 @@ class _Parser:
             condition=cond,
             status_assigns=tuple(assigns),
             body=tuple(body),
-            span=Span(head.line, head.col, close.end_line, close.end_col),
+            span=head.span(),
         )
-
-    def parse_iter_stmt(self):
-        t = self.peek()
-        if t.text == "AccD_Comp_Dist":
-            return self.parse_compdist(inside_iter=True)
-        if t.text == "AccD_Dist_Select":
-            return self.parse_select(inside_iter=True)
-        if t.text == "AccD_Update":
-            return self.parse_update(inside_iter=True)
-        self.fail(set(f"'{w}'" for w in _CONSTRUCT_HEADS[:3]) | {"'}'"})
 
     def parse_status_assign(self) -> StatusAssign:
-        name = self.expect_ident("status variable")
+        name = self.advance()
         self.expect_punct("=")
-        t = self.peek()
-        if not (t.kind == "IDENT" and t.text in ("true", "false")):
+        if not self.at_ident("true", "false"):
             self.fail({"'true'", "'false'"})
-        self.advance()
-        semi = self._finish_stmt(inside_iter=True)
-        end = semi if semi is not None else t
-        return StatusAssign(
-            name=name.text,
-            value=(t.text == "true"),
-            span=Span(name.line, name.col, end.end_line, end.end_col),
-        )
+        value = self.advance().text == "true"
+        self._finish_stmt(inside_iter=True)
+        return StatusAssign(name=name.text, value=value, span=name.span())
 
 
 def parse(text: str) -> Program:

@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 from .ast import (
-    ComputeDist,
-    DistSelect,
+    _CALLS,
     Iter,
     Program,
     SetDecl,
-    Update,
     VarDecl,
     DTYPE_KEYWORD,
 )
 
 _INDENT = "    "
+_HEADS = {cls: (head, kinds) for head, (cls, kinds) in _CALLS.items()}
 
 
 def _render_literal(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float) and math.isinf(value):
+        return "-1e999" if value < 0 else "1e999"  # a literal that overflows to it
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -32,20 +36,19 @@ def _render_decl(d) -> str:
     return f"DSet {d.name} {DTYPE_KEYWORD[d.dtype]} {d.size.render()} {d.dim.render()};"
 
 
+def _render_arg(kind: str, value) -> str:
+    if kind == "size":
+        return value.render()
+    if kind == "idents":
+        return ", ".join(value)
+    return value if kind == "ident" else f'"{value}"'
+
+
 def _render_construct(c, indent: str = "") -> list[str]:
-    if isinstance(c, ComputeDist):
-        return [
-            f"{indent}AccD_Comp_Dist({c.p1}, {c.p2}, {c.dist_mat}, {c.id_mat}, "
-            f'{c.dim.render()}, "{c.metric}", {c.weights.render()});'
-        ]
-    if isinstance(c, DistSelect):
-        return [
-            f"{indent}AccD_Dist_Select({c.dist_mat}, {c.id_mat}, {c.rng.render()}, "
-            f'"{c.scope}", {c.out});'
-        ]
-    if isinstance(c, Update):
-        return [f"{indent}AccD_Update({', '.join(c.args)});"]
-    assert isinstance(c, Iter)
+    if not isinstance(c, Iter):
+        head, kinds = _HEADS[type(c)]
+        args = ", ".join(_render_arg(k, getattr(c, f.name)) for k, f in zip(kinds, fields(c)))
+        return [f"{indent}{head}({args});"]
     lines = [f"{indent}AccD_Iter({c.condition.render()})", f"{indent}{{"]
     for a in c.status_assigns:
         lines.append(f"{indent}{_INDENT}{a.name} = {_render_literal(a.value)};")

@@ -8,6 +8,7 @@ else must resolve to an earlier explicit declaration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .ast import (
 )
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT_MAX = {t: float(np.finfo(t).max) for t in ("float32", "float64")}
 
 
 @dataclass
@@ -34,7 +35,6 @@ class CheckedProgram:
     program: Program
     symbols: dict[str, VarDecl | SetDecl]
     resolved_sizes: dict[str, int]  # SetDecl name -> (size, dim) flattened as name.size / name.dim
-    status_vars: tuple[str, ...] = ()
 
     def set_shape(self, name: str) -> tuple[int, int]:
         return self.resolved_sizes[f"{name}.size"], self.resolved_sizes[f"{name}.dim"]
@@ -46,7 +46,6 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         self.symbols: dict[str, VarDecl | SetDecl] = {}
         self.resolved: dict[str, int] = {}
-        self.status_vars: list[str] = []
 
     def error(self, message: str, span: Span) -> None:
         self.diags.append(Diagnostic("error", message, span))
@@ -62,10 +61,8 @@ class _Checker:
                 self.error(f"non-integer literal for int variable '{decl.name}'", decl.span)
             elif not (_INT32_MIN <= v <= _INT32_MAX):
                 self.error(f"literal {v} out of int32 range", decl.span)
-        elif decl.dtype == "float32":
-            if abs(float(v)) > _FLOAT32_MAX:
-                self.error(f"literal {v} overflows float32", decl.span)
-        # float64 literals arrived through the parser as finite floats
+        elif abs(v) > _FLOAT_MAX[decl.dtype]:
+            self.error(f"literal {v} overflows {decl.dtype}", decl.span)
 
     def resolve_szref(self, ref: SizeRef, what: str) -> int | None:
         if ref.value is not None:
@@ -80,6 +77,8 @@ class _Checker:
         if decl.init is None:
             self.error(f"size variable '{ref.name}' has no initial value", ref.span)
             return None
+        if isinstance(decl.init, float) and math.isinf(decl.init):
+            return None  # check_literal reported it, and int() would overflow
         return int(decl.init)
 
     def check_decls(self) -> None:
@@ -239,7 +238,6 @@ class _Checker:
                 )
             else:
                 self.symbols[name] = VarDecl(name=name, dtype="int32", init=0, implicit=True)
-                self.status_vars.append(name)
         elif it.condition.value is not None and it.condition.value < 1:
             self.error("iteration count must be >= 1", it.span)
         for a in it.status_assigns:
@@ -278,7 +276,6 @@ class _Checker:
             program=self.program,
             symbols=dict(self.symbols),
             resolved_sizes=dict(self.resolved),
-            status_vars=tuple(self.status_vars),
         )
         return checked, self.diags
 

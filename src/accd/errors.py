@@ -7,12 +7,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Span:
-    """Half-open source region, 1-based lines, 1-based columns."""
+    """Where a source construct starts: 1-based line and column."""
 
     line: int
     col: int
-    end_line: int
-    end_col: int
 
 
 class AccdError(Exception):

@@ -1092,7 +1092,6 @@ def run_plan(
     trg: Dataset | None = None,
     config: RunConfig | None = None,
     weights: np.ndarray | None = None,
-    initial_clusters: np.ndarray | None = None,
 ) -> RunResult:
     """Dispatch a lowered plan to its pipeline runner.
 
@@ -1102,9 +1101,8 @@ def run_plan(
     """
     config = config or RunConfig()
     if plan.pipeline_kind == "iterative_two_set":
-        if initial_clusters is None and trg is not None:
-            initial_clusters = trg.values
-        return run_kmeans(plan, src, config, initial_clusters=initial_clusters, weights=weights)
+        init = trg.values if trg is not None else None
+        return run_kmeans(plan, src, config, initial_clusters=init, weights=weights)
     if plan.pipeline_kind == "oneshot_two_set":
         return run_knn_join(plan, src, trg if trg is not None else src, config, weights=weights)
     if plan.pipeline_kind == "iterative_self_set":

@@ -25,7 +25,14 @@ def _ident(rng: np.random.Generator) -> str:
     return str(first) + rest
 
 
+_INT_EXTREMES = (-(2**31), 2**31 - 1)
+_FLOAT_EXTREMES = (1e308, -1e308, 5e-324, -0.0)
+
+
 def _literal(rng: np.random.Generator, dtype: str):
+    extremes = _INT_EXTREMES if dtype == "int32" else _FLOAT_EXTREMES
+    if rng.random() < 0.1:
+        return extremes[int(rng.integers(0, len(extremes)))]
     if dtype == "int32":
         return int(rng.integers(-(2**31), 2**31 - 1))
     return float(rng.normal() * 10.0 ** float(rng.integers(-8, 8)))

@@ -107,6 +107,33 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
         assert stats["pruned_pairs"] == 0 and stats["source_batches"] == 1
 
 
+NBODY_TEXT = (SAMPLES / "nbody.ddsl").read_text()
+
+
+# numeric literals that escaped as raw Python exceptions, lowered "1٣" as
+# 13, or ran n-body with an infinite radius
+@pytest.mark.parametrize("command", ["compile", "bench"])
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("DVar K int ²;", "1:12", "found '²'"),
+        ("DVar K int 1٣;", "1:13", "found '٣'"),
+        ("DVar R double " + "9" * 400 + ";", "1:1", "overflows float64"),
+        ("DVar K int " + "9" * 5001 + ";", "1:12", "found 5001 digits"),
+        ("DVar d int 1e999;\nDSet s float 4 d;", "1:1", "non-integer literal"),
+        (NBODY_TEXT.replace("DVar R float 1.5;", "DVar R double 1e999;"), "1:1", "overflows float64"),
+    ],
+    ids=["superscript-digit", "arabic-indic-digit", "400-digit-double", "5001-digit-int",
+         "infinite-int-dim", "infinite-radius"],
+)
+def test_bad_numeric_literal_exits_1_at_its_position(command, text, where, message, tmp_path, capsys):
+    path = tmp_path / "bad.ddsl"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{where}: error: ") and message in err
+
+
 def test_syntax_error_exits_1(tmp_path):
     bad = tmp_path / "bad.ddsl"
     bad.write_text("DVar K int 10 10;\n")

@@ -114,3 +114,43 @@ def test_spans_are_positioned():
     assert comp.span.line == 13
     lines = KMEANS_LISTING.splitlines()
     assert lines[comp.span.line - 1].lstrip().startswith("AccD_Comp_Dist")
+
+
+@pytest.mark.parametrize(
+    "text, col, found",
+    [("DVar K int ²;", 12, "'²'"), ("DVar K int 1٣;", 13, "'٣'"), ("DVar ٣ int 1;", 6, "'٣'")],
+)
+def test_digits_are_ascii(text, col, found):
+    # str.isdigit accepts both, and int() read "1٣" as 13
+    with pytest.raises(DdslSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col, exc.value.found) == (1, col, found)
+    assert exc.value.expected == {"token"}
+
+
+def test_identifiers_may_hold_non_ascii_letters_and_digits():
+    assert parse("DVar é٣² int 1;").decls[0].name == "é٣²"
+
+
+@pytest.mark.parametrize("head, col", [("DVar K int ", 12), ("DSet s float 2 ", 16)])
+def test_integer_longer_than_python_converts_is_a_syntax_error(head, col):
+    # int() of more than 4300 digits raises ValueError
+    with pytest.raises(DdslSyntaxError) as exc:
+        parse(head + "9" * 5001 + ";")
+    assert (exc.value.line, exc.value.col, exc.value.found) == (1, col, "5001 digits")
+
+
+def test_integer_literal_overflowing_a_double_is_infinite():
+    p = parse("DVar R double " + "9" * 400 + ";\nDVar T float -" + "9" * 400 + ";")
+    assert [d.init for d in p.decls] == [float("inf"), float("-inf")]
+
+
+def test_negative_integer_zero_for_a_float_is_positive_zero():
+    init = parse("DVar R float -0;").decls[0].init
+    assert init == 0.0 and str(init) == "0.0"
+
+
+def test_unclosed_string_fails_at_its_quote():
+    with pytest.raises(DdslSyntaxError) as exc:
+        parse('DVar n int 4;\nAccD_Update(s, "x\n");')
+    assert (exc.value.line, exc.value.col, exc.value.found) == (2, 16, "end of line")

@@ -17,7 +17,7 @@ def test_listing_validates_clean():
     assert checked is not None
     assert checked.set_shape("pSet") == (1400, 20)
     assert checked.set_shape("distMat") == (1400, 200)
-    assert checked.status_vars == ("S",)
+    assert checked.symbols["S"].implicit
 
 
 def test_renamed_decl_leaves_undefined_use():
@@ -115,3 +115,20 @@ def test_diagnostic_spans_inside_input():
     for d in diags:
         assert 1 <= d.span.line <= len(lines)
         assert 1 <= d.span.col <= len(lines[d.span.line - 1]) + 1
+
+
+@pytest.mark.parametrize(
+    "dtype, literal, width",
+    [("float", "3.5e38", 32), ("double", "1e999", 64), ("double", "-" + "9" * 400, 64)],
+)
+def test_float_literal_overflowing_its_type(dtype, literal, width):
+    checked, diags = _diags(f"DVar R {dtype} {literal};")
+    assert checked is None
+    assert [d.message.endswith(f"overflows float{width}") for d in diags] == [True]
+
+
+def test_infinite_literal_for_a_size_variable_is_a_diagnostic():
+    # int(inf) would overflow when the size resolves
+    checked, diags = _diags("DVar d int 1e999;\nDSet s float 4 d;")
+    assert checked is None
+    assert [d.message for d in diags] == ["non-integer literal for int variable 'd'"]

@@ -90,9 +90,7 @@ def _run(case: dict, scale: float):
         (init,) = rest
         select = SelectSpec(1.0)
         plan = make_plan("iterative_two_set", n, init.shape[0], d, select, 6, metric)
-        return run_plan(
-            plan, Dataset.from_values(x), None, config, weights, initial_clusters=init
-        )
+        return run_plan(plan, Dataset.from_values(x), Dataset.from_values(init), config, weights)
     spread = float(np.max(x.max(axis=0) - x.min(axis=0)))
     radius = case["radius"] * spread
     if not radius > 0:  # all points equal, or their spread underflows
@@ -151,6 +149,6 @@ def test_kmeans_with_more_than_64_centre_groups_equals_the_oracle(shape, d, metr
     select = SelectSpec(1.0)
     plan = make_plan("iterative_two_set", x.shape[0], k, d, select, 6, metric)
     config = RunConfig(design=design, oracle_mode="shadow")
-    result = run_plan(plan, Dataset.from_values(x), None, config, weights, initial_clusters=init)
+    result = run_plan(plan, Dataset.from_values(x), Dataset.from_values(init), config, weights)
     assert result.oracle_s > 0
     assert sum(b > a for a, b in result.layout.group_slices.tolist()) > 64
