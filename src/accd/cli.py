@@ -5,12 +5,13 @@ lowered plan over CSV datasets), explore (score every design of a finite
 space with the analytical model and print the best feasible one), bench
 (run a .ddsl program on seeded synthetic data, checked by the shadow
 oracle, and compare its distance work and time with the oracle's brute
-force). The run report is schema v4, the bench JSON v3 and the explore
-output v2; each has its JSON Schema under ``schemas/``. The plan that
-compile prints, and that the run report and the bench JSON carry, has one
-closed schema, ``schemas/plan.schema.json``, which both reference.
-Exit codes: 0 success, 1 diagnostics or infeasibility, 2 runtime error
-(IO, format, config, oracle mismatch).
+force). run and bench write one report, schema v5, built by ``_report``;
+bench adds a ``bench`` block, {program, scale}, and prints a table row
+computed from that report. The explore output is v2. Each has its JSON
+Schema under ``schemas/``; the report's plan has the closed
+``schemas/plan.schema.json``. Exit codes: 0 success (for bench, answers
+equal to the shadow oracle's), 1 diagnostics, range errors or
+infeasibility, 2 runtime error (IO, format, config, oracle mismatch).
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ from .explorer import (
 from .pipelines import RunConfig, RunResult, run_plan
 from .synth import gaussian_mixture
 
-REPORT_SCHEMA_VERSION = 4
-BENCH_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 5
 EXPLORE_SCHEMA_VERSION = 2
 
 _DIAG_EXIT = (
@@ -129,12 +129,6 @@ def _load_config(path: str, cls, field=lambda v: v):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _design_from_args(args) -> DesignConfig:
-    if args.design:
-        return _load_config(args.design, DesignConfig)
-    return DesignConfig(n_src_grp=args.src_groups, n_trg_grp=args.trg_groups)
-
-
 def _check_dims(plan: ExecutionPlan, ds: Dataset, what: str, size: int, allow: bool):
     problems = []
     if ds.n != size:
@@ -154,13 +148,18 @@ def _rebind_plan(plan: ExecutionPlan, src: Dataset, trg: Dataset | None) -> Exec
     )
 
 
-def _result_report(plan: ExecutionPlan, config: RunConfig, result: RunResult, outputs_path):
-    return {
+def _report(
+    plan: ExecutionPlan, config: RunConfig, result: RunResult, outputs_path=None, bench=None
+) -> dict:
+    """The run report (schema v5) of ``result``; ``accd bench`` passes its
+    ``bench`` block, {program, scale}."""
+    report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "pipeline_kind": result.pipeline_kind,
         "plan": plan.to_json_dict(),
         "config": {
-            "design": config.design.to_json_dict(),
+            # the group counts are all of a design that a run reads
+            "design": {"n_src_grp": config.design.n_src_grp, "n_trg_grp": config.design.n_trg_grp},
             "seed": config.seed,
             "oracle_mode": config.oracle_mode,
             "thread_count": config.thread_count,
@@ -170,9 +169,13 @@ def _result_report(plan: ExecutionPlan, config: RunConfig, result: RunResult, ou
         "counters": result.counters.as_dict(),
         "measured_saving_mean": result.measured_saving_mean,
         "wall_time_s": result.wall_time_s,
+        "oracle_s": result.oracle_s,
         "outputs_path": str(outputs_path) if outputs_path else None,
         "layout": result.layout.to_json_dict(),
     }
+    if bench is not None:
+        report["bench"] = bench
+    return report
 
 
 def _emit(payload: dict, path) -> None:
@@ -227,7 +230,7 @@ def cmd_run(args) -> int:
         plan = _rebind_plan(plan, src, trg if plan.pipeline_kind == "oneshot_two_set" else None)
 
     config = RunConfig(
-        design=_design_from_args(args),
+        design=DesignConfig(n_src_grp=args.src_groups, n_trg_grp=args.trg_groups),
         seed=args.seed,
         oracle_mode=args.oracle,
         thread_count=args.threads,
@@ -236,7 +239,7 @@ def cmd_run(args) -> int:
 
     if args.out:
         _write_outputs(result, args.out)
-    _emit(_result_report(plan, config, result, args.out), args.report)
+    _emit(_report(plan, config, result, args.out), args.report)
     return 0
 
 
@@ -274,6 +277,39 @@ def _bench_design(plan: ExecutionPlan) -> DesignConfig:
     return DesignConfig(n_src_grp=n_src_grp, n_trg_grp=n_trg_grp)
 
 
+def _scaled(size: int, scale: float) -> int:
+    try:
+        return max(1, int(size * scale))
+    except OverflowError:
+        raise RangeError(
+            f"--scale {scale:g} of a set of {len(str(size))}-digit size is beyond float64 range"
+        ) from None
+
+
+def _bench_table(report: dict) -> str:
+    """The bench's table, header and row, from its report. Every pair the
+    run avoided or computed is a distance of the brute force; the oracle's
+    time is that brute force's time. A mismatch would have exited 2, so a
+    shadow run's answers are exact."""
+    plan, c = report["plan"], report["counters"]
+    naive = c["point_distances"] + c["pruned_pairs"] + c["all_inside_pairs"] + c["reused_pairs"]
+    t_naive = report["oracle_s"]
+    t_gti = report["wall_time_s"] - t_naive
+    ratio = t_naive / t_gti if t_gti > 0 else float("inf")
+    exact = report["config"]["oracle_mode"] == "shadow"
+    header = (
+        f"{'program':<10}{'n':>9}{'m':>9}{'iters':>7}{'naive_dists':>14}{'gti_dists':>12}"
+        f"{'saving':>9}{'t_naive':>9}{'t_gti':>8}{'ratio':>7}{'exact':>7}"
+    )
+    row = (
+        f"{Path(report['bench']['program']).stem:<10}{plan['source_size']:>9}"
+        f"{plan['target_size']:>9}{report['iterations']:>7}{naive:>14}"
+        f"{c['point_distances']:>12}{report['measured_saving_mean']:>9.3f}"
+        f"{t_naive:>9.2f}{t_gti:>8.2f}{ratio:>7.2f}{exact!s:>7}"
+    )
+    return header + "\n" + row
+
+
 def cmd_bench(args) -> int:
     if not (math.isfinite(args.scale) and args.scale > 0):
         raise RangeError("--scale must be finite and positive")
@@ -285,8 +321,8 @@ def cmd_bench(args) -> int:
         )
     plan = dataclasses.replace(
         plan,
-        source_size=max(1, int(plan.source_size * args.scale)),
-        target_size=max(1, int(plan.target_size * args.scale)),
+        source_size=_scaled(plan.source_size, args.scale),
+        target_size=_scaled(plan.target_size, args.scale),
     )
     for size in (plan.source_size, plan.target_size):
         if size * plan.dim * 8 > np.iinfo(np.intp).max:
@@ -298,53 +334,13 @@ def cmd_bench(args) -> int:
     trg = None
     if plan.pipeline_kind == "oneshot_two_set":
         trg = gaussian_mixture(plan.target_size, plan.dim, 24, args.seed + 1, center_box=50.0)
-    design = _bench_design(plan)
     config = RunConfig(
-        design=design, seed=args.seed, oracle_mode="shadow", thread_count=args.threads
+        design=_bench_design(plan), seed=args.seed, oracle_mode="shadow", thread_count=args.threads
     )
     result = run_plan(plan, src, trg, config)
-
-    # Every pair the run avoided or computed is a distance of the brute
-    # force; the oracle's time is that brute force's time.
-    c = result.counters
-    naive_dists = c.point_distances + c.pruned_pairs + c.all_inside_pairs + c.reused_pairs
-    gti_dists = c.point_distances
-    reduction = 1.0 - gti_dists / naive_dists if naive_dists else 0.0
-    t_naive = result.oracle_s
-    t_gti = result.wall_time_s - result.oracle_s
-    ratio = t_naive / t_gti if t_gti > 0 else float("inf")
-
-    header = (
-        f"{'program':<10}{'n':>9}{'m':>9}{'iters':>7}{'naive_dists':>14}{'gti_dists':>12}"
-        f"{'saving':>9}{'t_naive':>9}{'t_gti':>8}{'ratio':>7}{'exact':>7}"
-    )
-    row = (
-        f"{Path(args.file).stem:<10}{plan.source_size:>9}{plan.target_size:>9}"
-        f"{result.iterations:>7}{naive_dists:>14}{gti_dists:>12}{reduction:>9.3f}"
-        f"{t_naive:>9.2f}{t_gti:>8.2f}{ratio:>7.2f}{'True':>7}"
-    )
-    print(header)
-    print(row)
-
-    payload = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "program": args.file,
-        "pipeline_kind": plan.pipeline_kind,
-        "scale": args.scale,
-        "seed": args.seed,
-        "meta": {"plan": plan.to_json_dict(), "design": design.to_json_dict()},
-        "iterations": result.iterations,
-        "naive_point_distances": naive_dists,
-        "gti_point_distances": gti_dists,
-        # distances that only feed bounds, such as k-means' point-to-landmark ones
-        "bound_computations": c.bound_computations,
-        "distance_reduction": reduction,
-        "measured_saving_mean": result.measured_saving_mean,
-        "per_iteration": [s.to_json_dict() for s in result.per_iteration],
-        # a mismatch raised OracleMismatchError before this point
-        "exact": True,
-    }
-    _emit(payload, args.report)
+    report = _report(plan, config, result, bench={"program": args.file, "scale": args.scale})
+    print(_bench_table(report))
+    _emit(report, args.report)
     return 0
 
 
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True, help="source dataset CSV")
     p.add_argument("--trg", help="target dataset CSV (two-set pipelines)")
     p.add_argument("--weights", help="weight vector CSV for weighted metrics")
-    p.add_argument("--design", help="JSON file with design config fields")
     p.add_argument("--src-groups", type=int, default=64, help="n-body only: particle groups")
     p.add_argument("--trg-groups", type=int, default=8)
     p.add_argument("--oracle", choices=("off", "shadow"), default="off")
@@ -390,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0, help="multiplies every declared set size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--report", help="write the bench JSON here")
+    p.add_argument("--report", help="write the bench's run report JSON here")
     p.set_defaults(fn=cmd_bench)
     return ap
 

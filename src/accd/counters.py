@@ -23,7 +23,7 @@ mirrored half of the group pairs a self-set step tiles, whose pairs are
 the tiled half's, swapped). ``all_inside_pairs`` is always 0: a self-set
 rebuild tiles every group pair it keeps, even one whose upper bound lies
 within its cut. The field stays because benchmark records and the run
-report (schema v4) read it.
+report (schema v5, of ``accd run`` and ``accd bench``) read it.
 ``recomputed_distances`` counts the point pairs a pipeline evaluates by
 direct differencing, the oracles' arithmetic, on top of the kernel's fast
 tile: to settle a decision the tile's error bound leaves open, or to

@@ -19,7 +19,8 @@ class AccdError(Exception):
 
 class DdslSyntaxError(AccdError):
     """Malformed DDSL input. Carries the failure position and the token
-    set the parser would have accepted there."""
+    set the parser would have accepted there; the message leaves the
+    position to whoever prints it with a file name."""
 
     def __init__(self, line: int, col: int, expected, found: str):
         self.line = line
@@ -27,7 +28,7 @@ class DdslSyntaxError(AccdError):
         self.expected = frozenset(expected)
         self.found = found
         want = ", ".join(sorted(self.expected))
-        super().__init__(f"{line}:{col}: expected {want}, found {found}")
+        super().__init__(f"expected {want}, found {found}")
 
 
 @dataclass(frozen=True)

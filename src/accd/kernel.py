@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .counters import CounterSet
 from .errors import DimensionMismatchError
@@ -31,6 +30,15 @@ U = np.finfo(np.float64).eps / 2
 
 def gamma(n: int) -> float:
     return n * U / (1 - n * U)
+
+
+def _cdist(*args, **kwargs):
+    """scipy's ``cdist``, bound in this function's place on the first L1
+    tile, so that compiling a program or an L2 run never loads scipy."""
+    global _cdist
+    from scipy.spatial.distance import cdist as _cdist
+
+    return _cdist(*args, **kwargs)
 
 
 def fast_rows(values: np.ndarray, centre: np.ndarray, metric: MetricSpec) -> np.ndarray:
@@ -89,7 +97,7 @@ def tile_distances(
     d = a_rows.shape[1] if metric.kind == "L1" else a_rows.shape[1] - 2
     metric.check_dim(d)
     if metric.kind == "L1":
-        tile = cdist(a_rows, b_rows, "cityblock", w=metric.weights)
+        tile = _cdist(a_rows, b_rows, "cityblock", w=metric.weights)
         err = 4 * gamma(d + 2) * tile.max(axis=1, initial=0.0)
     else:
         src = np.empty(a_rows.shape)

