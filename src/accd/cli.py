@@ -6,9 +6,12 @@ space with the analytical model and print the best feasible one), bench
 (run a .ddsl program on seeded synthetic data, checked by the shadow
 oracle, and compare its distance work and time with the oracle's brute
 force). run and bench write one report, schema v5, built by ``_report``;
-bench adds a ``bench`` block, {program, scale}, and prints a table row
-computed from that report. The explore output is v2. Each has its JSON
-Schema under ``schemas/``; the report's plan has the closed
+bench adds a ``bench`` block, {program, scale}, writes the report only to
+``--report`` and prints only its table, computed from that report. run
+checks the rows of a two-set plan's ``--trg``, the join's targets or
+k-means' initial centres, against the declared target size, which
+``--allow-dim-from-data`` rebinds. The explore output is v2. Each has its
+JSON Schema under ``schemas/``; the report's plan has the closed
 ``schemas/plan.schema.json``. Exit codes: 0 success (for bench, answers
 equal to the shadow oracle's), 1 diagnostics, range errors or
 infeasibility, 2 runtime error (IO, format, config, oracle mismatch).
@@ -223,11 +226,13 @@ def cmd_run(args) -> int:
             raise RangeError(f"plan uses weight set '{plan.weight_set}'; pass --weights CSV")
         weights = load_csv(args.weights).values.ravel()
 
+    # a two-set plan's targets: the join's target set, or k-means' initial centres
+    two_set_trg = trg if plan.pipeline_kind != "iterative_self_set" else None
     _check_dims(plan, src, "source dataset", plan.source_size, args.allow_dim_from_data)
-    if trg is not None and plan.pipeline_kind == "oneshot_two_set":
+    if two_set_trg is not None:
         _check_dims(plan, trg, "target dataset", plan.target_size, args.allow_dim_from_data)
     if args.allow_dim_from_data:
-        plan = _rebind_plan(plan, src, trg if plan.pipeline_kind == "oneshot_two_set" else None)
+        plan = _rebind_plan(plan, src, two_set_trg)
 
     config = RunConfig(
         design=DesignConfig(n_src_grp=args.src_groups, n_trg_grp=args.trg_groups),
@@ -340,7 +345,8 @@ def cmd_bench(args) -> int:
     result = run_plan(plan, src, trg, config)
     report = _report(plan, config, result, bench={"program": args.file, "scale": args.scale})
     print(_bench_table(report))
-    _emit(report, args.report)
+    if args.report:
+        _emit(report, args.report)
     return 0
 
 

@@ -1,6 +1,10 @@
 """Lower a CheckedProgram into an executable pipeline description.
 
-Classification rules:
+Lowering reads only what validation resolved: the checked program's body,
+its symbol table (for a range variable's value) and each set's (size,
+dim). One pass over the body, an iteration block's calls included, finds
+the one AccD_Comp_Dist, the one AccD_Dist_Select and the sets that
+AccD_Update writes. Classification rules:
 
 * iteration + distinct source/target sets  -> iterative_two_set
 * iteration + source set == target set     -> iterative_self_set
@@ -23,14 +27,12 @@ lowering settles the semantics a runner would otherwise ignore:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import UnsupportedProgramError
 from ..metrics import METRIC_NAMES
-from .ast import ComputeDist, DistSelect, Iter, Program, Update, VarDecl
+from .ast import ComputeDist, DistSelect, Iter, Update
 from .validator import CheckedProgram
-
-PIPELINE_KINDS = ("iterative_two_set", "oneshot_two_set", "iterative_self_set")
 
 
 @dataclass(frozen=True)
@@ -62,74 +64,41 @@ class ExecutionPlan:
         }
 
 
-@dataclass
-class _Shape:
-    compdists: list[ComputeDist] = field(default_factory=list)
-    selects: list[DistSelect] = field(default_factory=list)
-    updates: list[Update] = field(default_factory=list)
-    iter_node: Iter | None = None
-
-
-def _collect(program: Program) -> _Shape:
-    shape = _Shape()
-    for c in program.body:
-        if isinstance(c, Iter):
-            if shape.iter_node is not None:
-                raise UnsupportedProgramError("multiple iteration blocks are not supported")
-            shape.iter_node = c
-            for sub in c.body:
-                _bucket(shape, sub)
-        else:
-            _bucket(shape, c)
-    return shape
-
-
-def _bucket(shape: _Shape, c) -> None:
-    if isinstance(c, ComputeDist):
-        shape.compdists.append(c)
-    elif isinstance(c, DistSelect):
-        shape.selects.append(c)
-    elif isinstance(c, Update):
-        shape.updates.append(c)
-
-
-def _select_value(cp: CheckedProgram, sel: DistSelect) -> float | int:
-    if sel.rng.value is not None:
-        return sel.rng.value
-    decl = cp.symbols[sel.rng.name]
-    assert isinstance(decl, VarDecl) and decl.init is not None
-    return decl.init
+def _one(calls: list, cls: type, head: str):
+    found = [c for c in calls if isinstance(c, cls)]
+    if len(found) != 1:
+        raise UnsupportedProgramError(f"expected exactly one {head}, found {len(found)}")
+    return found[0]
 
 
 def lower(cp: CheckedProgram) -> ExecutionPlan:
-    shape = _collect(cp.program)
-    if len(shape.compdists) != 1:
-        raise UnsupportedProgramError(
-            f"expected exactly one AccD_Comp_Dist, found {len(shape.compdists)}"
-        )
-    if len(shape.selects) != 1:
-        raise UnsupportedProgramError(
-            f"expected exactly one AccD_Dist_Select, found {len(shape.selects)}"
-        )
-    comp = shape.compdists[0]
-    sel = shape.selects[0]
-    iter_node = shape.iter_node
+    calls: list[ComputeDist | DistSelect | Update] = []
+    iter_node = None
+    for c in cp.program.body:
+        if isinstance(c, Iter):
+            if iter_node is not None:
+                raise UnsupportedProgramError("multiple iteration blocks are not supported")
+            iter_node = c
+            calls += c.body
+        else:
+            calls.append(c)
+    comp = _one(calls, ComputeDist, "AccD_Comp_Dist")
+    sel = _one(calls, DistSelect, "AccD_Dist_Select")
+    updated = {c.args[0] for c in calls if isinstance(c, Update)}
 
-    self_set = comp.p1 == comp.p2
     if iter_node is None:
         kind = "oneshot_two_set"
-        if shape.updates:
+        if updated:
             raise UnsupportedProgramError("AccD_Update outside an iteration block")
-    elif self_set:
+    elif comp.p1 == comp.p2:
         kind = "iterative_self_set"
     else:
         kind = "iterative_two_set"
 
-    value = _select_value(cp, sel)
+    # validation resolved a named range to a variable with a value
+    value = sel.rng.value if sel.rng.name is None else cp.symbols[sel.rng.name].init
     if kind == "iterative_self_set" and not isinstance(value, float):
-        raise UnsupportedProgramError(
-            "self-set iteration requires a float radius range"
-        )
+        raise UnsupportedProgramError("self-set iteration requires a float radius range")
     if kind != "iterative_self_set" and isinstance(value, float):
         raise UnsupportedProgramError(f"{kind} requires an integer top-K range")
     if kind == "iterative_two_set" and value != 1:
@@ -144,13 +113,10 @@ def lower(cp: CheckedProgram) -> ExecutionPlan:
             'only scope "smallest" is executable; "largest" is selection-only'
         )
 
-    if iter_node is not None and not shape.updates:
+    if iter_node is not None and not updated:
         raise UnsupportedProgramError("iterative pipelines require an AccD_Update")
-    updated = {u.args[0] for u in shape.updates}
     if kind == "iterative_two_set" and updated != {comp.p2}:
-        raise UnsupportedProgramError(
-            "two-set iteration must update the target set"
-        )
+        raise UnsupportedProgramError("two-set iteration must update the target set")
     if kind == "iterative_self_set":
         if updated != {comp.p1}:
             raise UnsupportedProgramError("self-set iteration must update its own set")
@@ -159,8 +125,7 @@ def lower(cp: CheckedProgram) -> ExecutionPlan:
                 "self-set iteration takes a fixed step count; status exit is k-means-only"
             )
 
-    n1, d1 = cp.set_shape(comp.p1)
-    n2, _ = cp.set_shape(comp.p2)
+    (n1, d1), (n2, _) = cp.shapes[comp.p1], cp.shapes[comp.p2]
     weighted = METRIC_NAMES[comp.metric][1]
     fixed = iter_node is not None and not iter_node.is_status_mode
     return ExecutionPlan(

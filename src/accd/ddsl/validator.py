@@ -3,7 +3,10 @@
 Validation is pure: the same Program always yields the same diagnostics in
 the same order (a single source-order pass). A status variable named in an
 ``AccD_Iter`` header is implicitly declared by that header; everything
-else must resolve to an earlier explicit declaration.
+else must resolve to an earlier explicit declaration. A program without
+errors becomes a ``CheckedProgram``: the program, its symbol table (each
+name's declaration, the implicit status variables among them) and each
+set's resolved (size, dim). ``lowering.lower`` reads nothing else.
 """
 
 from __future__ import annotations
@@ -34,10 +37,7 @@ _FLOAT_MAX = {t: float(np.finfo(t).max) for t in ("float32", "float64")}
 class CheckedProgram:
     program: Program
     symbols: dict[str, VarDecl | SetDecl]
-    resolved_sizes: dict[str, int]  # SetDecl name -> (size, dim) flattened as name.size / name.dim
-
-    def set_shape(self, name: str) -> tuple[int, int]:
-        return self.resolved_sizes[f"{name}.size"], self.resolved_sizes[f"{name}.dim"]
+    shapes: dict[str, tuple[int, int]]  # set name -> (size, dim)
 
 
 class _Checker:
@@ -45,7 +45,8 @@ class _Checker:
         self.program = program
         self.diags: list[Diagnostic] = []
         self.symbols: dict[str, VarDecl | SetDecl] = {}
-        self.resolved: dict[str, int] = {}
+        # set name -> (size, dim), None where a reported error left it unresolved
+        self.shapes: dict[str, tuple[int | None, int | None]] = {}
 
     def error(self, message: str, span: Span) -> None:
         self.diags.append(Diagnostic("error", message, span))
@@ -90,21 +91,22 @@ class _Checker:
                 self.check_literal(decl)
                 self.symbols[decl.name] = decl
                 continue
-            size = self.resolve_szref(decl.size, f"size of '{decl.name}'")
-            dim = self.resolve_szref(decl.dim, f"dim of '{decl.name}'")
+            # the set's own name is not yet declared while its shape resolves
+            what = ("size", "dim")
+            shape = tuple(
+                self.resolve_szref(ref, f"{w} of '{decl.name}'")
+                for w, ref in zip(what, (decl.size, decl.dim))
+            )
             self.symbols[decl.name] = decl
-            if size is not None:
-                if size < 1:
-                    self.error(f"set '{decl.name}' must have size >= 1", decl.span)
-                self.resolved[f"{decl.name}.size"] = size
-            if dim is not None:
-                if dim < 1:
-                    self.error(f"set '{decl.name}' must have dim >= 1", decl.span)
-                self.resolved[f"{decl.name}.dim"] = dim
+            self.shapes[decl.name] = shape
+            for w, v in zip(what, shape):
+                if v is not None and v < 1:
+                    self.error(f"set '{decl.name}' must have {w} >= 1", decl.span)
 
     # -- constructs -----------------------------------------------------
 
-    def lookup_set(self, name: str, what: str, span: Span) -> SetDecl | None:
+    def lookup_set(self, name: str, what: str, span: Span):
+        """The (size, dim) of set ``name``, or None if it is not a set."""
         decl = self.symbols.get(name)
         if decl is None:
             self.error(f"undefined identifier '{name}' used as {what}", span)
@@ -112,45 +114,27 @@ class _Checker:
         if not isinstance(decl, SetDecl):
             self.error(f"'{name}' is not a set (used as {what})", span)
             return None
-        return decl
+        return self.shapes[name]
 
-    def shape_of(self, decl: SetDecl) -> tuple[int | None, int | None]:
-        return (
-            self.resolved.get(f"{decl.name}.size"),
-            self.resolved.get(f"{decl.name}.dim"),
-        )
-
-    def expect_shape(self, decl: SetDecl, rows, cols, what: str, span: Span) -> None:
-        size, dim = self.shape_of(decl)
-        if rows is not None and size is not None and size != rows:
-            self.error(
-                f"{what} '{decl.name}' has {size} rows, expected {rows}", span
-            )
-        if cols is not None and dim is not None and dim != cols:
-            self.error(
-                f"{what} '{decl.name}' has {dim} columns, expected {cols}", span
-            )
+    def expect_shape(self, name: str, shape, rows, cols, what: str, span: Span) -> None:
+        if shape is None:
+            return
+        for got, want, unit in zip(shape, (rows, cols), ("rows", "columns")):
+            if want is not None and got is not None and got != want:
+                self.error(f"{what} '{name}' has {got} {unit}, expected {want}", span)
 
     def check_compdist(self, c: ComputeDist) -> None:
-        p1 = self.lookup_set(c.p1, "source set", c.span)
-        p2 = self.lookup_set(c.p2, "target set", c.span)
-        n1 = self.shape_of(p1)[0] if p1 else None
-        n2 = self.shape_of(p2)[0] if p2 else None
-        d1 = self.shape_of(p1)[1] if p1 else None
-        d2 = self.shape_of(p2)[1] if p2 else None
+        (n1, d1), (n2, d2) = [
+            self.lookup_set(name, what, c.span) or (None, None)
+            for name, what in ((c.p1, "source set"), (c.p2, "target set"))
+        ]
         if d1 is not None and d2 is not None and d1 != d2:
-            self.error(
-                f"source dim {d1} does not match target dim {d2}", c.span
-            )
+            self.error(f"source dim {d1} does not match target dim {d2}", c.span)
         dim = self.resolve_szref(c.dim, "dimensionality")
         if dim is not None and d1 is not None and dim != d1:
             self.error(f"dim argument {dim} does not match data dim {d1}", c.dim.span)
-        dmat = self.lookup_set(c.dist_mat, "distance matrix", c.span)
-        if dmat is not None:
-            self.expect_shape(dmat, n1, n2, "distance matrix", c.span)
-        imat = self.lookup_set(c.id_mat, "id matrix", c.span)
-        if imat is not None:
-            self.expect_shape(imat, n1, n2, "id matrix", c.span)
+        for name, what in ((c.dist_mat, "distance matrix"), (c.id_mat, "id matrix")):
+            self.expect_shape(name, self.lookup_set(name, what, c.span), n1, n2, what, c.span)
         if c.metric not in METRIC_NAMES:
             names = ", ".join(sorted(METRIC_NAMES))
             self.error(f"unknown metric {c.metric!r} (expected one of: {names})", c.span)
@@ -160,34 +144,24 @@ class _Checker:
             if c.weights.name is None:
                 self.error("weighted metric requires a declared weight set", c.span)
             else:
-                wset = self.lookup_set(c.weights.name, "weight matrix", c.weights.span)
-                if wset is not None:
-                    self.expect_shape(wset, 1, d1, "weight matrix", c.weights.span)
+                name, span = c.weights.name, c.weights.span
+                shape = self.lookup_set(name, "weight matrix", span)
+                self.expect_shape(name, shape, 1, d1, "weight matrix", span)
         elif c.weights.name is not None or c.weights.value != 0:
             self.error("unweighted metric takes 0 as the weight argument", c.span)
 
     def check_select(self, s: DistSelect, prior_compdists: list[ComputeDist]) -> None:
-        feeding = None
-        for c in prior_compdists:
-            if c.dist_mat == s.dist_mat and c.id_mat == s.id_mat:
-                feeding = c
+        feeds = [c for c in prior_compdists if (c.dist_mat, c.id_mat) == (s.dist_mat, s.id_mat)]
+        feeding = feeds[-1] if feeds else None
         if feeding is None:
-            self.error(
-                "selection inputs do not match any prior AccD_Comp_Dist outputs",
-                s.span,
-            )
+            self.error("selection inputs do not match any prior AccD_Comp_Dist outputs", s.span)
         if s.scope not in ("smallest", "largest"):
             self.error(f'unknown scope "{s.scope}" (expected smallest or largest)', s.span)
         out = self.lookup_set(s.out, "selection output", s.span)
-
         n1 = n2 = None
         if feeding is not None:
-            p1 = self.symbols.get(feeding.p1)
-            p2 = self.symbols.get(feeding.p2)
-            if isinstance(p1, SetDecl):
-                n1 = self.shape_of(p1)[0]
-            if isinstance(p2, SetDecl):
-                n2 = self.shape_of(p2)[0]
+            n1 = self.shapes.get(feeding.p1, (None, None))[0]
+            n2 = self.shapes.get(feeding.p2, (None, None))[0]
 
         # Integer range = a top-K count, float variable = a radius.
         if s.rng.name is not None:
@@ -207,16 +181,14 @@ class _Checker:
         if isinstance(value, float):
             if value <= 0:
                 self.error(f"radius must be positive, got {value}", s.rng.span)
-            if out is not None:
-                self.expect_shape(out, n1, None, "selection output", s.span)
+            self.expect_shape(s.out, out, n1, None, "selection output", s.span)
             return
         k = int(value)
         if k < 1:
             self.error(f"top-K count must be >= 1, got {k}", s.rng.span)
         elif n2 is not None and k > n2:
             self.error(f"top-K count {k} exceeds target set size {n2}", s.rng.span)
-        if out is not None:
-            self.expect_shape(out, n1, k, "selection output", s.span)
+        self.expect_shape(s.out, out, n1, k, "selection output", s.span)
 
     def check_update(self, u: Update) -> None:
         target = self.symbols.get(u.args[0])
@@ -243,24 +215,15 @@ class _Checker:
         for a in it.status_assigns:
             if a.name not in self.symbols:
                 self.error(f"undefined identifier '{a.name}' in status assignment", a.span)
-        compdists: list[ComputeDist] = []
-        has_construct = False
-        for sub in it.body:
-            has_construct = True
-            if isinstance(sub, ComputeDist):
-                self.check_compdist(sub)
-                compdists.append(sub)
-            elif isinstance(sub, DistSelect):
-                self.check_select(sub, compdists)
-            elif isinstance(sub, Update):
-                self.check_update(sub)
-        if not has_construct:
+        if not it.body:
             self.error("iteration block contains no constructs", it.span)
+        self.check_body(it.body)
 
-    def run(self) -> tuple[CheckedProgram | None, list[Diagnostic]]:
-        self.check_decls()
+    def check_body(self, constructs) -> None:
+        """Check the top level or an iteration block; a select reads the
+        distances of an earlier AccD_Comp_Dist of the same block."""
         compdists: list[ComputeDist] = []
-        for c in self.program.body:
+        for c in constructs:
             if isinstance(c, ComputeDist):
                 self.check_compdist(c)
                 compdists.append(c)
@@ -270,14 +233,13 @@ class _Checker:
                 self.check_update(c)
             elif isinstance(c, Iter):
                 self.check_iter(c)
+
+    def run(self) -> tuple[CheckedProgram | None, list[Diagnostic]]:
+        self.check_decls()
+        self.check_body(self.program.body)
         if any(d.severity == "error" for d in self.diags):
             return None, self.diags
-        checked = CheckedProgram(
-            program=self.program,
-            symbols=dict(self.symbols),
-            resolved_sizes=dict(self.resolved),
-        )
-        return checked, self.diags
+        return CheckedProgram(self.program, dict(self.symbols), dict(self.shapes)), self.diags
 
 
 def validate(program: Program) -> tuple[CheckedProgram | None, list[Diagnostic]]:

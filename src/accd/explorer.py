@@ -34,9 +34,6 @@ from .errors import (
     TableMissError,
 )
 
-RESOURCE_KINDS = ("mem", "dsp", "alm")
-
-
 def _check_int(name: str, value) -> None:
     """A design field is a whole number; a float or a bool is a TypeError
     (a config file turns it into ``ConfigError``)."""

@@ -1,4 +1,9 @@
-"""Random syntactically-valid Program generator for round-trip tests."""
+"""Random Program generators: ``random_program`` draws syntactically valid
+programs for round-trip tests, most of which validation rejects, and
+``lowerable_program`` draws programs that validate, each either lowerable
+or one illegal variant that lowering must reject."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,3 +124,103 @@ def random_program(rng: np.random.Generator) -> Program:
         else:
             body.append(construct())
     return Program(decls=tuple(decls), body=tuple(body))
+
+
+_KINDS = ("oneshot_two_set", "iterative_two_set", "iterative_self_set")
+_ITERATIVE = _KINDS[1:]
+# illegal variant -> (the pipeline kinds it applies to, the message lowering raises)
+ILLEGAL = {
+    "kmeans_count": (("iterative_two_set",), "nearest centre"),
+    "status_self_set": (("iterative_self_set",), "status exit is k-means-only"),
+    "largest": (_KINDS, 'only scope "smallest" is executable'),
+    "radius_two_set": (_KINDS[:2], "requires an integer top-K range"),
+    "count_self_set": (("iterative_self_set",), "self-set iteration requires a float radius"),
+    "update_outside": (("oneshot_two_set",), "AccD_Update outside an iteration block"),
+    "two_compdists": (_KINDS, "expected exactly one AccD_Comp_Dist, found 2"),
+    "two_selects": (_KINDS, "expected exactly one AccD_Dist_Select, found 2"),
+    "no_update": (_ITERATIVE, "iterative pipelines require an AccD_Update"),
+    "update_source": (("iterative_two_set",), "two-set iteration must update the target set"),
+    "update_other": (("iterative_self_set",), "self-set iteration must update its own set"),
+    "two_iters": (_ITERATIVE, "multiple iteration blocks are not supported"),
+}
+
+
+@dataclass(frozen=True)
+class Case:
+    program: Program
+    illegal: str | None  # the ILLEGAL variant drawn, if any
+    plan: dict | None  # the plan JSON the program states; None if illegal
+
+
+def lowerable_program(rng: np.random.Generator, max_size: int = 40) -> Case:
+    """A program that validates: one of the three pipeline shapes under one
+    of the four metrics, sizes and counts as literals or as ``DVar``
+    declarations, fixed or status iteration, and with probability 0.4 one
+    ILLEGAL variant. A radius is always a float ``DVar``: a range literal
+    is an integer."""
+    kind = _KINDS[int(rng.integers(0, 3))]
+    self_set = kind == "iterative_self_set"
+    variants = [v for v, (kinds, _) in ILLEGAL.items() if kind in kinds]
+    illegal = variants[int(rng.integers(0, len(variants)))] if rng.random() < 0.4 else None
+    metric = _METRICS[int(rng.integers(0, 4))]
+    n, d = int(rng.integers(1, max_size + 1)), int(rng.integers(1, 5))
+    m = n if self_set else int(rng.integers(2 if illegal == "kmeans_count" else 1, max_size + 1))
+    decls: list = []
+
+    def size(name: str, value: int) -> SizeRef:
+        """``value`` as a literal, or as a new int ``DVar`` named ``name``."""
+        if rng.random() < 0.5:
+            return SizeRef(value=value)
+        decls.append(VarDecl(name=name, dtype="int32", init=value))
+        return SizeRef(name=name)
+
+    n_ref, d_ref = size("n", n), size("D", d)
+    m_ref = n_ref if self_set else size("m", m)
+    if self_set != (illegal in ("radius_two_set", "count_self_set")):  # a radius
+        value = float(rng.uniform(0.2, 2.0))
+        decls.append(VarDecl(name="R", dtype=str(rng.choice(_DTYPES[1:])), init=value))
+        rng_ref, out_cols = SizeRef(name="R"), m_ref
+    else:
+        if kind != "iterative_two_set":
+            value = int(rng.integers(1, m + 1))
+        else:
+            value = int(rng.integers(2, m + 1)) if illegal == "kmeans_count" else 1
+        rng_ref = out_cols = size("K", value)
+    trg = "P" if self_set else "Q"
+    decls += [SetDecl("P", "float32", n_ref, d_ref)]
+    decls += [] if self_set else [SetDecl("Q", "float32", m_ref, d_ref)]
+    decls += [SetDecl("dm", "float32", n_ref, m_ref), SetDecl("im", "int32", n_ref, m_ref)]
+    decls += [SetDecl("out", "int32", n_ref, out_cols)]
+    weighted = metric.startswith("Weighted")
+    if weighted:
+        decls.append(SetDecl("w", "float32", SizeRef(value=1), d_ref))
+    weights = SizeRef(name="w") if weighted else SizeRef(value=0)
+
+    comp = ComputeDist("P", trg, "dm", "im", d_ref, metric, weights)
+    scope = "largest" if illegal == "largest" else "smallest"
+    sel = DistSelect("dm", "im", rng_ref, scope, "out")
+    calls = [comp] * (1 + (illegal == "two_compdists")) + [sel] * (1 + (illegal == "two_selects"))
+    max_iter = None
+    if kind == "oneshot_two_set":
+        body = calls + [Update((trg, "out"))] * (illegal == "update_outside")
+    else:
+        status = illegal == "status_self_set" or (not self_set and rng.random() < 0.5)
+        updated = {"update_source": "P", "update_other": "out"}.get(illegal, trg)
+        args = ((updated, "out") if self_set else (updated, "P", "out")) + ("S",) * status
+        calls += [Update(args)] * (illegal != "no_update")
+        steps = int(rng.integers(1, 6))
+        cond = SizeRef(name="S") if status else SizeRef(value=steps)
+        it = Iter(cond, (StatusAssign("S", False),) * status, tuple(calls))
+        body = [it] * (1 + (illegal == "two_iters"))
+        max_iter = None if status else steps
+    plan = None if illegal else {
+        "pipeline_kind": kind,
+        "source_size": n,
+        "target_size": m,
+        "dim": d,
+        "metric": metric,
+        "weight_set": "w" if weighted else None,
+        "select": float(value),
+        "max_iter": max_iter,
+    }
+    return Case(Program(decls=tuple(decls), body=tuple(body)), illegal, plan)

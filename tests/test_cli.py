@@ -184,6 +184,32 @@ def test_size_mismatch_without_rebind_exits_1(tmp_path):
     assert cli.main(_run_args(tmp_path, "knn_join.ddsl")) == 1
 
 
+@pytest.mark.parametrize("rebind", [False, True])
+def test_kmeans_initial_centres_row_count_is_checked(rebind, tmp_path, capsys):
+    # 5 initial centres against the sample's csize 200: a range error, or
+    # with the flag a plan of 5 clusters whose counters cover 1400 x 5 pairs
+    # per iteration
+    report = tmp_path / "r.json"
+    argv = [
+        "run", str(SAMPLES / "kmeans.ddsl"),
+        "--src", _csv(tmp_path / "src.csv", _blobs(1400, 20, 1)),
+        "--trg", _csv(tmp_path / "init.csv", _blobs(5, 20, 2)),
+        "--oracle", "shadow", "--report", str(report), *SMALL_DESIGN,
+    ]
+    if not rebind:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "target dataset has 5 rows, plan declares 200" in err
+        assert not report.exists()
+        return
+    assert cli.main(argv + ["--allow-dim-from-data"]) == 0
+    payload = json.loads(report.read_text())
+    assert (payload["plan"]["source_size"], payload["plan"]["target_size"]) == (1400, 5)
+    c = payload["counters"]
+    pairs = c["point_distances"] + c["pruned_pairs"] + c["all_inside_pairs"] + c["reused_pairs"]
+    assert pairs == 1400 * 5 * payload["iterations"]
+
+
 def test_nbody_with_target_set_exits_1(tmp_path):
     argv = _run_args(tmp_path, "nbody.ddsl")
     argv += ["--trg", argv[3], "--allow-dim-from-data"]
@@ -420,6 +446,21 @@ def test_bench_sample_is_exact_and_accounts_every_pair(sample, tmp_path, capsys)
     assert (int(cells["naive_dists"]), int(cells["gti_dists"])) == (pairs, c["point_distances"])
     assert cells["saving"] == f"{payload['measured_saving_mean']:.3f}"
     assert cells["t_naive"] == f"{payload['oracle_s']:.2f}"
+
+
+@pytest.mark.parametrize("report", [False, True])
+def test_bench_stdout_is_its_table_alone(report, tmp_path, capsys):
+    # the report goes to --report only; stdout is the header and the row
+    path = tmp_path / "bench.json"
+    extra = ["--report", str(path)] if report else []
+    assert _bench(SAMPLES / "nbody.ddsl", "--scale", "0.02", *extra) == 0
+    out = capsys.readouterr().out
+    header, row = out.splitlines()
+    assert out == f"{header}\n{row}\n"
+    assert header.split()[0] == "program" and row.split()[0] == "nbody"
+    assert path.exists() == report
+    if report:
+        assert cli._bench_table(json.loads(path.read_text())) == f"{header}\n{row}"
 
 
 def test_bench_oracle_mismatch_exits_2(monkeypatch, capsys):

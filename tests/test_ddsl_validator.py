@@ -15,8 +15,8 @@ def test_listing_validates_clean():
     checked, diags = _diags(KMEANS_LISTING)
     assert diags == []
     assert checked is not None
-    assert checked.set_shape("pSet") == (1400, 20)
-    assert checked.set_shape("distMat") == (1400, 200)
+    assert checked.shapes["pSet"] == (1400, 20)
+    assert checked.shapes["distMat"] == (1400, 200)
     assert checked.symbols["S"].implicit
 
 
@@ -132,3 +132,10 @@ def test_infinite_literal_for_a_size_variable_is_a_diagnostic():
     checked, diags = _diags("DVar d int 1e999;\nDSet s float 4 d;")
     assert checked is None
     assert [d.message for d in diags] == ["non-integer literal for int variable 'd'"]
+
+
+@pytest.mark.parametrize("text, what", [("DSet s float s 3;", "size"), ("DSet s float 3 s;", "dim")])
+def test_set_is_not_declared_while_its_shape_resolves(text, what):
+    checked, diags = _diags(text)
+    assert checked is None
+    assert [d.message for d in diags] == [f"undefined identifier 's' used as {what} of 's'"]

@@ -1,6 +1,7 @@
 """Library code that only tests call is deleted: every top-level function
 and class of ``src/accd`` is referenced elsewhere in ``src/accd``, or
-exported by ``accd/__init__.py``, and every dataclass field is read there.
+exported by ``accd/__init__.py``, every module-level constant is read
+there, and every dataclass field is read there.
 And every distance tile goes through the one tile engine, by one batching
 path: ``kernel.tile_distances`` is referenced by one function alone,
 ``pipelines._tile_rows``, and ``layout.reorder_inter_group`` by
@@ -46,6 +47,40 @@ def test_every_top_level_definition_is_used_or_exported():
     unused = {(m, name) for m, name in defined if name not in used} - ALLOWED
     assert unused == set(), f"defined but never referenced in src/accd: {sorted(unused)}"
 
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names a node's code reads: loaded names, attributes and names
+    imported from other modules; an assignment's own targets are no read."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_module_constant_is_read():
+    # a module-level assignment no code of src/accd reads is dead; dunder
+    # names (``__version__``, ``__all__``) are the package's own interface
+    assigned, read = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [
+                    (module, sub.id)
+                    for target in targets
+                    for sub in ast.walk(target)
+                    if isinstance(sub, ast.Name) and not sub.id.startswith("__")
+                ]
+            read |= _reads(node)
+    assert len(assigned) > 10  # the walk found the constants
+    unread = [(m, name) for m, name in assigned if name not in read]
+    assert unread == [], f"module-level names never read in src/accd: {unread}"
 
 
 def _references(name: str, node: ast.AST, scope: str | None, out: list) -> None:
