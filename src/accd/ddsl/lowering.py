@@ -11,9 +11,11 @@ AccD_Update writes. Classification rules:
 * no iteration                             -> oneshot_two_set
 
 Two-set pipelines take an integer top-K range; self-set pipelines take a
-positive float radius. Anything else is rejected as unsupported rather
-than silently guessed at. The plan holds only what a runner reads, so
-lowering settles the semantics a runner would otherwise ignore:
+positive float radius, at the precision of its variable: a ``float``
+radius lowers to its float32 value, a ``double`` to its literal
+(``validator.held_value``). Anything else is rejected as unsupported
+rather than silently guessed at. The plan holds only what a runner reads,
+so lowering settles the semantics a runner would otherwise ignore:
 
 * k-means (iterative two-set) assigns each point its one nearest centre,
   so its select count must be 1.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from ..errors import UnsupportedProgramError
 from ..metrics import METRIC_NAMES
 from .ast import ComputeDist, DistSelect, Iter, Update
-from .validator import CheckedProgram
+from .validator import CheckedProgram, held_value
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def lower(cp: CheckedProgram) -> ExecutionPlan:
         kind = "iterative_two_set"
 
     # validation resolved a named range to a variable with a value
-    value = sel.rng.value if sel.rng.name is None else cp.symbols[sel.rng.name].init
+    value = sel.rng.value if sel.rng.name is None else held_value(cp.symbols[sel.rng.name])
     if kind == "iterative_self_set" and not isinstance(value, float):
         raise UnsupportedProgramError("self-set iteration requires a float radius range")
     if kind != "iterative_self_set" and isinstance(value, float):

@@ -33,6 +33,16 @@ _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _FLOAT_MAX = {t: float(np.finfo(t).max) for t in ("float32", "float64")}
 
 
+def held_value(decl: VarDecl):
+    """The value a variable holds: a ``float`` variable the float32
+    nearest its literal (inf past float32's range, which ``check_literal``
+    reports), any other its literal."""
+    if decl.dtype != "float32":
+        return decl.init
+    with np.errstate(over="ignore"):
+        return float(np.float32(decl.init))
+
+
 @dataclass
 class CheckedProgram:
     program: Program
@@ -175,12 +185,14 @@ class _Checker:
             if decl.init is None:
                 self.error(f"range variable '{s.rng.name}' has no initial value", s.rng.span)
                 return
-            value = decl.init
+            value, held = decl.init, held_value(decl)
         else:
-            value = s.rng.value
+            value = held = s.rng.value
         if isinstance(value, float):
             if value <= 0:
                 self.error(f"radius must be positive, got {value}", s.rng.span)
+            elif held == 0:
+                self.error(f"radius {value} is 0 as a float; declare it double", s.rng.span)
             self.expect_shape(s.out, out, n1, None, "selection output", s.span)
             return
         k = int(value)

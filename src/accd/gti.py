@@ -9,10 +9,12 @@ of at most 16 points per group, then assigns every point to its nearest
 landmark in one final pass. Each assignment tiles the points, centred once
 on the whole set's mean, against every landmark through the pipelines'
 one tile engine (``pipelines._tile_rows``), whose top-1 reducer
-(``_Nearest``) counts, per point, the landmarks within twice the tile's
-error bound of its fast minimum. A decided point, with one such landmark,
-takes it with no recompute; an open point, with several, recomputes them
-by direct differencing, ties going to the lower landmark id. Only the
+(``_Nearest``) counts, per point, the landmarks whose tile values (squared
+under L2) lie within the tile's error bound of the point's largest
+possible distance to its fast nearest, mapped into tile scale
+(``MetricSpec.to_tile``). A decided point, with one such landmark, takes
+it with no recompute; an open point, with several, recomputes them by
+direct differencing, ties going to the lower landmark id. Only the
 final pass recomputes each point's distance to its landmark, and each
 group's radius is the largest of its members'. The groups and radii are
 bitwise those of the same sampled construction with brute-force
@@ -22,7 +24,8 @@ Three bound families are provided:
 
 * two-landmark: bound d(a, b) through d(a_ref, b_ref) and the two
   point-to-landmark offsets; the join's point-level bounds take a point's
-  fast distance to a landmark, with its error bound as the offset;
+  fast distance to a landmark, rooted from its tile value with its error
+  bound as the offset (``MetricSpec.from_tile``);
 * group-level: the same algebra with group radii in place of per-point
   offsets, so every member of a group shares one candidate list (n-body);
 * trace-based: reuse a self-set's group-pair lower bounds from its last
@@ -92,12 +95,15 @@ class GroupModel:
 class _Nearest:
     """Top-1 reducer of the tile engine: each row's nearest landmark under
     (distance, id) into ``assign``, and its distance into ``dist`` unless
-    that is None. Fast values lie within ``err`` of direct differencing,
-    so a landmark more than 2*err above the row's fast minimum can neither
-    win nor tie. A row with one landmark within that margin is decided: its
-    fast argmin wins. Only the open rows, with several, recompute those
-    candidates by direct differencing, the arithmetic of ``brute_rows``
-    and of each winner's distance, and the (distance, id) minimum wins."""
+    that is None. The row's fast minimum, rooted with its error bound
+    (``MetricSpec.from_tile``), bounds the winner's direct distance from
+    above; a landmark can win or tie only within that bound, so only within
+    ``to_tile`` of it plus ``err`` in tile scale, which covers two sums
+    rounding to one root. A row with one landmark within that margin is
+    decided: its fast argmin wins. Only the open rows, with several,
+    recompute those candidates by direct differencing, the arithmetic of
+    ``brute_rows`` and of each winner's distance, and the (distance, id)
+    minimum wins."""
 
     # 1 MB of fast values per tile; a row's z of them may cost z*d direct terms
     TILE_CELLS = 1 << 17
@@ -109,8 +115,9 @@ class _Nearest:
 
     def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
         best = tile.argmin(axis=1)  # the columns are the landmark ids, ascending
-        low = np.take_along_axis(tile, best[:, None], axis=1)
-        cand = tile <= low + 2 * err[:, None]
+        low, bound = self.metric.from_tile(np.take_along_axis(tile, best[:, None], axis=1),
+                                           err[:, None])
+        cand = tile <= self.metric.to_tile(low + bound) + err[:, None]
         counts = np.count_nonzero(cand, axis=1)
         open_rows = np.flatnonzero(counts > 1)
         if open_rows.size:

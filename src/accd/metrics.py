@@ -1,8 +1,10 @@
 """Distance metrics: weighted and unweighted L1/L2.
 
 Bounds elsewhere rely on the triangle inequality, so L2 is the true
-Euclidean distance, never its square; kernels that work in squared space
-must take the root before anything bound-related sees the value.
+Euclidean distance, never its square. Kernel tiles work in their own
+scale, squared under L2 (``kernel.tile_distances``); ``MetricSpec.to_tile``
+and ``MetricSpec.from_tile`` are the one map between that scale and
+distances, so no caller needs to know which scale a metric tiles in.
 
 The oracles' arithmetic is ``difference_distance``: the metric's terms of
 row-major differences, summed by one ``np.add.reduce`` over the
@@ -31,10 +33,16 @@ METRIC_NAMES = {
 }
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_TINY = float(np.finfo(np.float64).tiny)
+# Unit roundoff of float64.
+U = np.finfo(np.float64).eps / 2
 # How far the largest value a run forms may exceed the distance sum of
-# ``MetricSpec.check_domain``: the terms of an L2 tile's one matrix product
-# add up to twice it in absolute value (``kernel.tile_distances``; 1% more
-# for rounding); L1's bounds add up a few distances.
+# ``MetricSpec.check_domain``: the terms of an L2 tile's one matrix product,
+# and so its partial sums, add up to twice it in absolute value; the product
+# is half a squared distance, so the doubled tile value stays within it
+# (``kernel.tile_distances``; 1% more for rounding). A threshold squared
+# into tile scale may overflow to inf, which keeps every pair. L1's bounds
+# add up a few distances.
 _HEADROOM = {"L1": 8.0, "L2": 2.02}
 
 
@@ -69,6 +77,43 @@ class MetricSpec:
             raise DimensionMismatchError(
                 f"weight vector has length {self.weights.shape[0]}, data has dim {d}"
             )
+
+    def to_tile(self, dist):
+        """A distance threshold in tile scale, rounded up: every pair whose
+        direct distance is at most ``dist``, ties included, has a direct
+        tile value at most the result. Under L1 that is ``dist``. Under L2
+        the direct tile value is the sum s that ``rowwise_distance`` takes
+        the root of, and fl(sqrt(s)) <= dist gives s <= dist^2*(1 + u)^2;
+        ``dist*dist`` rounds once, so (1 + 8u) covers both with room. That
+        term is what lets a squared decision respect the root's rounding:
+        two different sums may round to one root."""
+        if self.kind == "L1":
+            return dist
+        return np.multiply(dist, dist) * (1 + 8 * U)
+
+    def from_tile(self, values, err):
+        """Fast distances from tile values, and per value a bound on how
+        far each may lie from the direct distance, given ``err``, the
+        tiles' bound in tile scale (broadcast against ``values``). Like
+        ``err``, it leaves room for a few roundings at the magnitude of the
+        values, so callers may compare dist +- bound with each other and
+        with thresholds directly. The distances are written over ``values``,
+        a float64 array the caller no longer needs, such as a tile or its
+        minima.
+
+        Under L1 tiles are distances, returned as they are. Under L2, with
+        |t - s| <= E between a tile value t and the direct sum s, the
+        clamped root c of t has |sqrt(t) - sqrt(s)| <= E / max(c, sqrt(E))
+        to within the u of c's rounding; the roundings of both roots add
+        under 3u*max(c, sqrt(E)), under a sixth of that term, as
+        ``tile_distances``' E = 4*gamma_{d+4}*S >= 20u*S and c^2 <= S + E;
+        the bound returned is twice it. E is 0 only where every value of
+        the tile is exact, and so its root."""
+        if self.kind == "L1":
+            return values, err
+        dist = np.sqrt(np.maximum(values, 0.0, out=values), out=values)
+        bound = np.maximum(dist, np.sqrt(np.maximum(err, _TINY)))
+        return dist, np.divide(2 * err, bound, out=bound)
 
     def check_domain(self, *point_sets: np.ndarray) -> None:
         """Raise ``RangeError`` unless the point sets, taken together, keep

@@ -33,6 +33,11 @@ points with equal rows (``layout.reorder_inter_group``) is one batch.
 Numerical discipline. Kernel tiles are fast, not the oracles' arithmetic,
 and BLAS may round one pair differently in tiles of different shapes, so
 each tile row carries a bound on its error (``kernel.tile_distances``).
+Tiles are in tile scale, squared distances under L2, and reducers decide
+there: a threshold enters it through ``MetricSpec.to_tile``, rounded up
+so that it also covers two direct sums whose roots round to one distance,
+and only the values a reducer keeps as bounds (a landmark tile, each
+group's minimum) are rooted, with their error, by ``MetricSpec.from_tile``.
 Reducers decide on fast values only where that bound settles a decision
 and recompute what it leaves open, and every reported distance, by direct
 differencing (``metrics.rowwise_distance``, the oracles' arithmetic).
@@ -312,7 +317,8 @@ class _Yinyang:
         def seed(groups, cols, col_starts, ids, tile, err) -> None:
             tile[:, gm.sizes == 0] = np.inf  # a group without centres bounds nothing
             near[ids] = tile.argmin(axis=1)
-            self.lb[:, ids] = lower_bound(tile - err[:, None], gm.radius, slack).T
+            dist, bound = metric.from_tile(tile, err[:, None])
+            self.lb[:, ids] = lower_bound(dist - bound, gm.radius, slack).T
 
         marks = _point_targets(gm.landmarks, self.centre, metric)
         _tile_rows(self.rows, slice(0, n), np.arange(n), marks, seed, self.TILE_CELLS, metric, seen)
@@ -344,8 +350,9 @@ class _Yinyang:
 
         def fold(groups, cols, col_starts, ids, tile, err) -> None:
             tile[np.arange(ids.size), ids] = np.inf  # a centre bounds only the others
-            tile -= err[:, None]
-            gaps[ids[:, None], groups] = np.minimum.reduceat(tile, col_starts, axis=1)
+            low = np.minimum.reduceat(tile, col_starts, axis=1)
+            dist, bound = self.metric.from_tile(low, err[:, None])
+            gaps[ids[:, None], groups] = dist - bound
 
         starts = self.plan.group_slices[self.live, 0]
         live = centres.targets(self.live[np.argsort(starts)])
@@ -399,11 +406,12 @@ class _Yinyang:
         """Fold a tile of the rows ``ids`` against the centres ``cols`` of
         ``groups``. A row whose ``ub`` is not exact yet first takes the
         centre of its least fast value, at its direct distance. A row with
-        no other centre within ``ub`` + err is decided; the others recompute
-        those candidates by direct differencing and take the (distance, id)
-        minimum. Each group's tile minimum over the centres but the row's
-        old and new one, less err, is its ``lb`` there; a centre the row
-        left rejoins its group's bound at its direct distance."""
+        no other centre within ``ub``, in tile scale plus err, is decided;
+        the others recompute those candidates by direct differencing and
+        take the (distance, id) minimum. Each group's tile minimum over the
+        centres but the row's old and new one, rooted less its error, is
+        its ``lb`` there; a centre the row left rejoins its group's bound
+        at its direct distance."""
         counters = self.counters
         if not self.exact:
             own = self.assign[ids] = cols[tile.argmin(axis=1)]
@@ -418,7 +426,7 @@ class _Yinyang:
         here = (own >= 0).nonzero()[0]
         tile[own[here], here] = np.inf
         ub = self.ub[ids]
-        reach = ub + err
+        reach = self.metric.to_tile(ub) + err
         held = (tile.min(axis=0) <= reach).nonzero()[0]
         if held.size:
             rows = ids[held]
@@ -438,7 +446,8 @@ class _Yinyang:
         low = np.empty((groups.size, ids.size))
         for j, (a, b) in enumerate(zip(col_starts.tolist(), [*col_starts[1:].tolist(), cols.size])):
             np.minimum.reduce(tile[a:b], axis=0, out=low[j])
-        self.lb[groups[:, None], ids] = lower_bound(low, err, self.gm.slack)
+        low, bound = self.metric.from_tile(low, err)
+        self.lb[groups[:, None], ids] = lower_bound(low, bound, self.gm.slack)
         if held.size:
             went = rows[moved]
             left = self.gm.group_of[self.assign[went]]
@@ -454,8 +463,8 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 class _TopK:
-    """The K + 1 smallest fast values per source point and their targets,
-    ascending by value, ties in any order.
+    """The K + 1 smallest fast values per source point, in tile scale, and
+    their targets, ascending by value, ties in any order.
 
     Each row is filled exactly once, by ``reduce``, from its one tile
     against all of its candidate groups (``cut``, ``_sweep``). ``err``
@@ -474,14 +483,17 @@ class _TopK:
 
     def cut(self, rows, centre, metric, counters: CounterSet) -> np.ndarray:
         """The (m, z) keep mask of the per-point cut (``filter_oneshot``),
-        from the two-landmark bounds of each point's fast tile against the
-        target landmarks, its error bound and each group's radius. Only the
-        mask outlives a row block; the tiles are ``bound_computations``."""
+        from the two-landmark bounds of each point's fast distances to the
+        target landmarks (``MetricSpec.from_tile`` of its tile), their
+        error bounds and each group's radius. Only the mask outlives a row
+        block; the tiles are ``bound_computations``."""
         gm, m = self.gm, rows.shape[0]
         keep, seen = np.empty((m, gm.z), dtype=bool), CounterSet()
 
         def cut_block(groups, cols, col_starts, ids, tile, err) -> None:
-            lb, ub = two_landmark_bounds(tile, err[:, None], gm.radius, gm.slack)
+            dist, bound = metric.from_tile(tile, err[:, None])
+            lb, ub = two_landmark_bounds(dist, bound, gm.radius, gm.slack)
+            del bound  # before the selection, where the cut's memory peaks
             keep[ids] = filter_oneshot(lb, ub, self.k, gm.sizes, counters)
 
         marks = _point_targets(gm.landmarks, centre, metric)
@@ -505,19 +517,21 @@ class _TopK:
     def settle(self, src, trg, metric, counters: CounterSet) -> tuple[np.ndarray, np.ndarray]:
         """The exact top-K ids and distances, rows ordered by (distance, id).
 
-        Where the (K + 1)-th fast value lies more than 2*err above the K-th,
-        the first K entries are exactly the K nearest (every target left
-        out, tiled or pruned, is surely farther), so their distances are
-        recomputed directly; only these two values and the set of the first
-        K ids are read, and neither depends on how ties were ordered. A tie
-        at the boundary has a gap of 0, so its row is open. Open rows are
+        The distances of the first K entries are recomputed directly. Where
+        the (K + 1)-th fast value less err lies above the largest of them
+        in tile scale (``MetricSpec.to_tile``, which covers two direct
+        sums rounding to one root), the first K entries are exactly the K
+        nearest: every target left out, tiled or pruned, is surely
+        farther, even after its root rounds. Only that value and the set of
+        the first K ids are read, and neither depends on how ties were
+        ordered; a tie at the boundary leaves its row open. Open rows are
         redone over all targets by the oracle, ``knn_topk``, in row blocks
         of bounded size.
         """
         k, n = self.k, trg.shape[0]
         ids = self.top_i[:, :k]
         dist = gathered_distance(src, trg, ids, metric, _DIRECT_BLOCK_ELEMS)
-        redo = np.flatnonzero(self.top_f[:, k] - self.top_f[:, k - 1] <= 2 * self.err)
+        redo = np.flatnonzero(self.top_f[:, k] - self.err <= metric.to_tile(dist.max(axis=1)))
         step = max(1, _DIRECT_BLOCK_ELEMS // (n * src.shape[1]))
         for start in range(0, redo.size, step):
             block = redo[start : start + step]
@@ -553,15 +567,17 @@ class _Radius:
     non-empty group a starts at a itself, whose ``lb[a, a]`` is 0, so each
     batch is one group. Every tile's rows are thus one group a's, and only
     a's tiles fold bounds into either orientation of {a, b}: the minimum
-    of its b columns less each row's error bound, widened by the bound
-    slack. A member pair (i, j) is kept from the orientation with (group
-    of i, i) before (group of j, j), so the diagonal cell yields its upper
-    triangle. The list is every tiled pair whose fast value is at most
-    ``cut`` + err, a superset of the pairs within ``cut``: every pair left
-    out lies beyond ``cut`` in direct arithmetic. Its pairs are collected
-    per row group, so concurrent batches never share a list, as
-    ``id_dtype(n)``, int32 below 2^31 points; ``store_list`` keeps them
-    once, as i < j sorted by (i, j), and frees the rest.
+    over its rows of each row's least b column, rooted less its error
+    bound (``MetricSpec.from_tile``), widened by the bound slack. A member
+    pair (i, j) is kept from the orientation with (group of i, i) before
+    (group of j, j), so the diagonal cell yields its upper triangle. The
+    list is every tiled pair whose fast value is at most ``cut`` in tile
+    scale (``MetricSpec.to_tile``) + err, a superset of the pairs within
+    ``cut``: every pair left out lies beyond ``cut`` in direct arithmetic.
+    Its pairs are collected per row group, so concurrent batches never
+    share a list, as ``id_dtype(n)``, int32 below 2^31 points;
+    ``store_list`` keeps them once, as i < j sorted by (i, j), and frees
+    the rest.
 
     Every step evaluates the listed pairs by direct differencing, the
     oracles' arithmetic taken coordinate-major (``neighbors``), keeps
@@ -632,22 +648,23 @@ class _Radius:
         return np.triu(keep)
 
     def reduce(self, groups, cols, col_starts, ids, tile, err) -> None:
-        """Keep, in one orientation, every entry at most ``cut`` + err, for
-        the list's direct evaluation to decide, and fold each cell's tile
-        minimum into the bounds of both orientations.
+        """Keep, in one orientation, every entry at most ``cut`` in tile
+        scale + err, for the list's direct evaluation to decide, and fold
+        each cell's tile minimum into the bounds of both orientations.
 
         The rows are one group a's, each batch being one group. The target
         groups are distinct, so each fold touches each cell once."""
         a = self.gm.group_of[ids[0]]
-        flat = np.flatnonzero(tile <= (self.cut + err)[:, None])
+        flat = np.flatnonzero(tile <= (self.metric.to_tile(self.cut) + err)[:, None])
         hit_r, hit_c = np.divmod(flat, tile.shape[1])
         hit_i, hit_j = ids.take(hit_r), cols.take(hit_c)
         first = self._first(hit_i, hit_j)
         self.pairs[a].append(
             (hit_i[first].astype(self.id_type), hit_j[first].astype(self.id_type))
         )
-        low = np.minimum.reduceat(tile, col_starts, axis=1) - err[:, None]
-        low = lower_bound(low.min(axis=0), 0.0, self.slack)
+        dist, bound = self.metric.from_tile(np.minimum.reduceat(tile, col_starts, axis=1),
+                                            err[:, None])
+        low = lower_bound((dist - bound).min(axis=0), 0.0, self.slack)
         self.lb[a, groups] = np.minimum(self.lb[a, groups], low)
         self.lb[groups, a] = np.minimum(self.lb[groups, a], low)
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from accd.dataset import brute_rows
 from accd.ddsl.lowering import ExecutionPlan, SelectSpec
 from accd.errors import RangeError
 from accd.layout import LayoutPlan
@@ -66,6 +67,20 @@ def pack_reversed(ds, gm) -> LayoutPlan:
         point_perm=np.argsort(-gm.group_of, kind="stable"),
         group_slices=np.column_stack((stops - sizes, stops))[::-1],
     )
+
+
+def direct_tile(a: np.ndarray, b: np.ndarray, metric: MetricSpec) -> np.ndarray:
+    """Every pair's direct value in tile scale, which a kernel tile of ``a``
+    against ``b`` is bounded against: ``brute_rows`` under L1, and under L2
+    the sum of the metric's terms that direct differencing takes the root
+    of (``metrics.difference_distance``)."""
+    if metric.kind == "L1":
+        return brute_rows(a, b, metric)
+    diff = a[:, None, :] - b[None, :, :]
+    diff *= diff
+    if metric.weighted:
+        diff *= metric.weights
+    return np.add.reduce(diff, axis=-1)
 
 
 def domain_scales(metrics: list[MetricSpec], sets: list[np.ndarray]) -> tuple[float, float]:

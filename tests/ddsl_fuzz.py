@@ -178,8 +178,11 @@ def lowerable_program(rng: np.random.Generator, max_size: int = 40) -> Case:
     m_ref = n_ref if self_set else size("m", m)
     if self_set != (illegal in ("radius_two_set", "count_self_set")):  # a radius
         value = float(rng.uniform(0.2, 2.0))
-        decls.append(VarDecl(name="R", dtype=str(rng.choice(_DTYPES[1:])), init=value))
+        dtype = str(rng.choice(_DTYPES[1:]))
+        decls.append(VarDecl(name="R", dtype=dtype, init=value))
         rng_ref, out_cols = SizeRef(name="R"), m_ref
+        if dtype == "float32":  # the radius a float variable holds
+            value = float(np.float32(value))
     else:
         if kind != "iterative_two_set":
             value = int(rng.integers(1, m + 1))

@@ -114,6 +114,18 @@ def test_radius_on_two_set_unsupported():
         lower(checked)
 
 
+@pytest.mark.parametrize(
+    "decl, want",
+    [("DVar R float 0.1;", 0.10000000149011612), ("DVar R double 0.1;", 0.1)],
+    ids=["float", "double"],
+)
+def test_radius_lowers_at_the_precision_of_its_variable(decl, want):
+    # a float variable holds a float32, so its radius is the float32
+    # nearest the literal; a double keeps the literal
+    plan = _lower(NBODY_TEXT.replace("DVar R float 0.5;", decl))
+    assert plan.select.value == want
+
+
 def test_count_on_self_set_unsupported():
     text = NBODY_TEXT.replace("DVar R float 0.5;", "DVar R int 5;").replace(
         "DSet nm int n n;", "DSet nm int n R;"
@@ -188,7 +200,11 @@ def _stated(program):
     """What a program's AST states, read without the validator or lowering:
     each set's (size, dim), the Comp_Dist, the Select's range value and
     the iteration count (None: one-shot or status exit)."""
-    values = {d.name: d.init for d in program.decls if isinstance(d, VarDecl)}
+    values = {
+        d.name: float(np.float32(d.init)) if d.dtype == "float32" else d.init
+        for d in program.decls
+        if isinstance(d, VarDecl)
+    }
 
     def value(ref):
         return ref.value if ref.name is None else values[ref.name]

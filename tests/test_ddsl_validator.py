@@ -139,3 +139,28 @@ def test_set_is_not_declared_while_its_shape_resolves(text, what):
     checked, diags = _diags(text)
     assert checked is None
     assert [d.message for d in diags] == [f"undefined identifier 's' used as {what} of 's'"]
+
+
+_RADIUS_PROGRAM = """DVar R {dtype} {literal};
+DSet p float 8 3;
+DSet dm float 8 8;
+DSet im int 8 8;
+DSet nm int 8 8;
+AccD_Iter(2){{
+    AccD_Comp_Dist(p, p, dm, im, 3, "Unweighted L2", 0);
+    AccD_Dist_Select(dm, im, R, "smallest", nm);
+    AccD_Update(p, nm);
+}}
+"""
+
+
+@pytest.mark.parametrize("dtype", ["float", "double"])
+def test_positive_radius_that_a_float_holds_as_zero_is_a_diagnostic(dtype):
+    # a float variable holds the float32 nearest its literal, 0 for 1e-50;
+    # a double holds the literal
+    checked, diags = _diags(_RADIUS_PROGRAM.format(dtype=dtype, literal="1e-50"))
+    if dtype == "double":
+        assert diags == [] and checked is not None
+    else:
+        assert checked is None
+        assert [d.message for d in diags] == ["radius 1e-50 is 0 as a float; declare it double"]

@@ -185,7 +185,8 @@ def test_assign_nearest_equals_oracle_bitwise(monkeypatch, data, metric, offset)
 def _spy_grouping(monkeypatch, ds, z, seed):
     """build_groups with, per assignment pass, the rows it recomputes by
     direct differencing and the candidate counts of its open rows (rows
-    with more than one landmark within 2*err of their fast minimum)."""
+    with more than one landmark within err, in tile scale, of the upper
+    bound on their fast minimum's distance)."""
     passes = []
     real_assign, real_rowwise, real_tile = (
         gti._assign_nearest,
@@ -203,9 +204,8 @@ def _spy_grouping(monkeypatch, ds, z, seed):
 
     def tile(*args, **kwargs):
         values, err = real_tile(*args, **kwargs)
-        counts = np.count_nonzero(
-            values <= values.min(axis=1)[:, None] + 2 * err[:, None], axis=1
-        )
+        low, bound = L2.from_tile(values.min(axis=1), err)
+        counts = np.count_nonzero(values <= (L2.to_tile(low + bound) + err)[:, None], axis=1)
         passes[-1]["open_candidates"] += int(counts[counts > 1].sum())
         passes[-1]["open_rows"] += int(np.count_nonzero(counts > 1))
         return values, err

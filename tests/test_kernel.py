@@ -9,7 +9,7 @@ from accd.errors import DimensionMismatchError
 from accd.kernel import fast_rows, tile_distances
 from accd.metrics import MetricSpec, rowwise_distance
 
-from conftest import domain_scales
+from conftest import direct_tile, domain_scales
 
 L1 = MetricSpec(kind="L1")
 L2 = MetricSpec(kind="L2")
@@ -47,11 +47,17 @@ def test_fast_values_lie_within_the_returned_bound(name, offset):
     direct = _assert_bounded(a, b, tile, err, metric)
     # tight enough to settle all but near-ties
     assert np.all(err <= 1e-6 * direct.max())
+    if metric.kind == "L2":  # one bound for the whole tile
+        assert np.all(err == err[0])
 
 
 def _assert_bounded(a, b, tile, err, metric):
+    """|tile - direct| <= err against the direct values in tile scale,
+    under L2 the squared sums whose roots are ``rowwise_distance``."""
     rows, cols = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
-    direct = rowwise_distance(a[rows], b[cols], metric).reshape(tile.shape)
+    dist = rowwise_distance(a[rows], b[cols], metric).reshape(tile.shape)
+    direct = direct_tile(a, b, metric)
+    assert np.array_equal(direct if metric.kind == "L1" else np.sqrt(direct), dist)
     assert np.all(np.abs(tile - direct) <= err[:, None])
     return direct
 
@@ -88,7 +94,7 @@ def test_identical_point_distance_exactly_zero():
     a = np.array([[0.3, -0.7, 2.2], [1.0, 4.0, -3.0], [0.3, -0.7, 2.2]])
     # cdist differences directly, so identical rows give exactly zero
     assert np.all(np.diag(tile_distances(a, a, L1)[0]) == 0.0)
-    # the matmul form leaves them within the bound of zero
+    # the matmul form leaves their squares within the bound of zero
     tile, err = _tile(a, a, L2)
     assert np.all(np.diag(tile) <= err)
 
@@ -97,7 +103,7 @@ def test_blocked_matches_brute_within_tolerance():
     r = np.random.default_rng(5)
     a = Dataset.from_values(r.normal(size=(200, 37)))
     b = Dataset.from_values(r.normal(size=(150, 37)))
-    brute = brute_rows(a.values, b.values, L2)
+    brute = direct_tile(a.values, b.values, L2)
     got, err = _tile(a.values, b.values, L2, CounterSet())
     assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))
@@ -119,7 +125,7 @@ def test_weighted_l2_blocked():
     m = MetricSpec(kind="L2", weighted=True, weights=w)
     a = Dataset.from_values(r.normal(size=(40, 9)))
     b = Dataset.from_values(r.normal(size=(30, 9)))
-    brute = brute_rows(a.values, b.values, m)
+    brute = direct_tile(a.values, b.values, m)
     got, err = _tile(a.values, b.values, m, CounterSet())
     assert np.all(np.abs(got - brute) <= err[:, None])
     assert np.all(np.abs(got - brute) <= 1e-10 * np.maximum(1.0, brute))

@@ -34,7 +34,7 @@ from accd.pipelines import (
 )
 from accd.synth import gaussian_mixture
 
-from conftest import make_plan, pack_reversed
+from conftest import direct_tile, make_plan, pack_reversed
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 DESIGN = DesignConfig(n_src_grp=12, n_trg_grp=4)
@@ -501,7 +501,7 @@ def test_candidate_masking_skips_pruned_tiles():
     # each candidate group pair is tiled once, with brute-force values;
     # pruned group pairs are never touched
     assert sorted((g, t) for g, t, *_ in rec.tiles) == sorted(candidates)
-    full = brute_rows(src.values, trg.values, L2)
+    full = direct_tile(src.values, trg.values, L2)
     for g, t, ids, tile, err in rec.tiles:
         assert np.array_equal(ids, _members(gm_s)[g])
         want = full[np.ix_(ids, _members(gm_t)[t])]
@@ -539,7 +539,7 @@ def test_sweep_tiles_each_row_once_against_all_of_its_batch_groups(reverse, batc
     kc = CounterSet()
     assert _sweep(rows, np.arange(src.n), reach, g_trg, rec, L2, kc, 1) == batches
 
-    full = brute_rows(src.values, trg.values, L2)
+    full = direct_tile(src.values, trg.values, L2)
     tiled = np.zeros((src.n, gm_t.z), dtype=int)
     entered = np.zeros(src.n, dtype=int)
     tile_batches = []
@@ -1051,6 +1051,69 @@ def test_topk_select_writes_the_k_plus_1_best_of_each_given_row(cols):
     want_err = np.zeros(m)
     want_err[rows] = err
     assert np.array_equal(topk.err, want_err)
+
+
+# -- squared tiles and the root's rounding -----------------------------------
+
+
+def _root_tie(seed: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """A source point, targets whose first two direct squared sums differ
+    while their ``rowwise_distance`` roots are one distance ``d``, and
+    ``d``: the larger sum, at id 0, lies above fl(d*d), so only a squared
+    margin that covers the root's rounding leaves it within ``d``. Found by
+    search over near-duplicate targets, a few ulps apart; two far targets
+    follow."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p = rng.normal(size=(1, 3))
+        q = p + rng.normal(size=(1, 3))
+        near = q + np.spacing(q) * rng.integers(-3, 4, size=(8, 3))
+        s = direct_tile(p, near, L2)[0]
+        d = rowwise_distance(np.repeat(p, 8, axis=0), near, L2)
+        for i, j in itertools.permutations(range(8), 2):
+            if s[i] < s[j] and d[i] == d[j] and s[j] > d[j] * d[j]:
+                far = p + rng.normal(size=(2, 3)) + 10.0
+                return p, np.vstack([near[[j, i]], far]), float(d[i])
+
+
+@pytest.mark.parametrize("reducer", ["topk", "nearest", "radius"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_squared_decisions_respect_two_sums_rounding_to_one_root(reducer, seed):
+    # the reducers take exact tiles, the direct squared sums with a zero
+    # error bound; target 0's sum is the larger, but its root ties target
+    # 1's, so under (distance, id) it is the nearest, and within a radius
+    # of exactly that root: a squared margin without the root's rounding
+    # would decide on the sums and leave it out
+    src, trg, d = _root_tie(seed)
+    tile = direct_tile(src, trg, L2)
+    assert tile[0, 0] > tile[0, 1]
+    if reducer == "topk":
+        topk = pipelines._TopK(1, 1, Dataset.from_values(trg))
+        topk.reduce(None, np.arange(trg.shape[0]), None, np.arange(1), tile, np.zeros(1))
+        ids, dists = topk.settle(src, trg, L2, CounterSet())
+        want_ids, want_dists = oracles.knn_topk(src, trg, L2, 1)
+        assert ids.tolist() == want_ids.tolist() == [[0]]
+        assert dists.tobytes() == want_dists.tobytes()
+    elif reducer == "nearest":
+        near = gti._Nearest(src, trg, L2, with_dist=True)
+        near.reduce(None, None, None, np.arange(1), tile, np.zeros(1))
+        full = brute_rows(src, trg, L2)
+        assert near.assign.tolist() == full.argmin(axis=1).tolist() == [0]
+        assert near.dist.tobytes() == full.min(axis=1).tobytes()
+    else:
+        pts = np.vstack([src, trg])
+        gm = build_groups(Dataset.from_values(pts), 1, seed=0, metric=L2)
+        within = pipelines._Radius(gm, d, 0.0, L2)
+        within.lb, within.pairs = np.full((1, 1), np.inf), [[]]
+        n = pts.shape[0]
+        every = np.arange(n)
+        within.reduce(np.zeros(1, dtype=int), every, np.zeros(1, dtype=int), every,
+                      direct_tile(pts, pts, L2), np.zeros(n))
+        within.store_list()
+        *_, got = within.neighbors(np.ascontiguousarray(pts.T), CounterSet(), rebuilt=True)
+        want = oracles.radius_neighbors(pts, L2, d)
+        assert 1 in want[0].tolist()  # the source point and target 0
+        assert np.array_equal(got.offsets, want.offsets) and np.array_equal(got.ids, want.ids)
 
 
 # -- the force rule -------------------------------------------------------------
